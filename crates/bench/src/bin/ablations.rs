@@ -161,7 +161,6 @@ fn io_thread_sweep() {
                 EngineCfg {
                     io_threads: threads,
                     prespawn: true,
-                    ..EngineCfg::default()
                 },
             )
             .unwrap();

@@ -9,8 +9,7 @@
 //! * **hot set / server cache** — the set fits the cache; the warm pass
 //!   serves every block from memory and skips the disk entirely;
 //! * **scan / over capacity** — the set is larger than the cache, so a
-//!   sequential re-scan evicts ahead of itself (LRU's classic failure,
-//!   with a CLOCK row for comparison);
+//!   sequential re-scan evicts ahead of itself (LRU's classic failure);
 //! * **client leases** — lease-granted reads are cached *client-side*; the
 //!   warm pass makes zero wire round-trips and completes in zero virtual
 //!   time.
@@ -22,7 +21,6 @@
 //! `results/fig_cache_quick.txt`.
 
 use semplar_bench::{fig_cache_arm, fig_cache_swarm, Table};
-use semplar_srb::Eviction;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -33,39 +31,16 @@ fn main() {
     let clients = if quick { 48 } else { 192 };
 
     let arms = [
-        fig_cache_arm("no cache (baseline)", hot, obj, 0, Eviction::Lru, false),
-        fig_cache_arm(
-            "server cache, hot set",
-            hot,
-            obj,
-            cache_bytes,
-            Eviction::Lru,
-            false,
-        ),
+        fig_cache_arm("no cache (baseline)", hot, obj, 0, false),
+        fig_cache_arm("server cache, hot set", hot, obj, cache_bytes, false),
         fig_cache_arm(
             "server cache, scan > capacity (LRU)",
             scan,
             obj,
             cache_bytes,
-            Eviction::Lru,
             false,
         ),
-        fig_cache_arm(
-            "server cache, scan > capacity (CLOCK)",
-            scan,
-            obj,
-            cache_bytes,
-            Eviction::Clock,
-            false,
-        ),
-        fig_cache_arm(
-            "client leases, hot set",
-            hot,
-            obj,
-            cache_bytes,
-            Eviction::Lru,
-            true,
-        ),
+        fig_cache_arm("client leases, hot set", hot, obj, cache_bytes, true),
     ];
 
     let mut t = Table::new(
@@ -143,6 +118,6 @@ fn main() {
     println!(
         "\nwarm hot-set speedup {hot_speedup:.1}x (acceptance: >= 5x); \
          client-lease arm: {} local hits, {} wire reads across both passes",
-        arms[4].lease.hits, arms[4].lease.misses
+        arms[3].lease.hits, arms[3].lease.misses
     );
 }

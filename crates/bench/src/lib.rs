@@ -29,13 +29,13 @@ use semplar_runtime::sync::Barrier;
 use semplar_runtime::{spawn, Dur, SimRuntime, SimStats};
 use semplar_srb::vault::DiskSpec;
 use semplar_srb::{
-    CacheSpec, CacheStats, ConnRoute, Eviction, MembershipCfg, PoolPolicy, PromotionLedger,
-    ReplStats, Replicator, RetryPolicy, SrbServer, SrbServerCfg, TenantId, TenantScheduler,
+    CacheSpec, CacheStats, ConnRoute, MembershipCfg, PoolPolicy, PromotionLedger, ReplStats,
+    Replicator, RetryPolicy, SrbServer, SrbServerCfg, TenantId, TenantScheduler,
 };
 use semplar_workloads::{
     estgen, run_blast, run_collective, run_compress, run_laplace, run_perf, run_swarm, BlastParams,
     CollectiveMode, CollectiveParams, CollectiveReport, CompressMode, CompressParams, LaplaceMode,
-    LaplaceParams, OpShape, PerfParams, SwarmMode, SwarmParams, TenantMix,
+    LaplaceParams, OpShape, PerfParams, SwarmParams, TenantMix,
 };
 
 pub mod table;
@@ -911,7 +911,6 @@ pub fn fig_scale_actors(
             think: Dur::ZERO,
             seed,
             real_payload: false,
-            mode: SwarmMode::Tasks,
             coll: "/scale".into(),
             abuse: None,
             per_tenant_streams: false,
@@ -1033,7 +1032,6 @@ pub fn fig_tenants_arm(
             think: Dur::ZERO,
             seed,
             real_payload: false,
-            mode: SwarmMode::Tasks,
             coll: "/tenants".into(),
             abuse: abusive.then_some((
                 TenantId(ABUSIVE_TENANT),
@@ -2101,14 +2099,13 @@ fn cache_disk() -> DiskSpec {
 
 /// One `fig_cache` arm: write `objects` objects of `obj_bytes` each, then
 /// read them all twice (cold, warm). `cache_bytes > 0` installs a server
-/// block cache of that capacity with the given eviction policy; `leases`
+/// block cache of that capacity; `leases`
 /// additionally turns on client read leases (same capacity).
 pub fn fig_cache_arm(
     name: &str,
     objects: usize,
     obj_bytes: u64,
     cache_bytes: u64,
-    eviction: Eviction,
     leases: bool,
 ) -> CachePassRow {
     let name = name.to_string();
@@ -2119,7 +2116,6 @@ pub fn fig_cache_arm(
             tb.server.set_block_cache(CacheSpec {
                 block: 256 << 10,
                 capacity: cache_bytes,
-                eviction,
             });
         }
         let fs = tb.srbfs(0);
@@ -2193,7 +2189,6 @@ pub fn fig_cache_swarm(
             tb.server.set_block_cache(CacheSpec {
                 block: 64 << 10,
                 capacity: cache_bytes,
-                eviction: Eviction::Lru,
             });
         }
         let params = SwarmParams {

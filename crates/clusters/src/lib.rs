@@ -212,8 +212,6 @@ pub struct Testbed {
     cpus: Vec<Arc<Cpu>>,
     disk_net: Arc<Network>,
     disks: Vec<LinkId>,
-    /// Per-node local-disk models (defaults to `spec.local_disk` clones).
-    local_disks: Vec<DiskSpec>,
     /// Per-node count of in-flight local-disk ops, for the concurrency
     /// degradation model (mirrors the vault's `shared_disk` idiom).
     disk_inflight: Vec<Arc<std::sync::atomic::AtomicUsize>>,
@@ -249,34 +247,6 @@ impl Testbed {
                 ..orion_cfg()
             },
         )
-    }
-
-    /// Build a testbed with per-node local-disk models: node `i` gets
-    /// `node_disks[i]` (the node count is the vector length). Degradation
-    /// in a node's spec makes concurrent [`Testbed::local_read`]s on that
-    /// node share the spindle dslab-style.
-    pub fn with_node_disks(
-        rt: Arc<dyn Runtime>,
-        spec: ClusterSpec,
-        node_disks: Vec<DiskSpec>,
-        cfg: SrbServerCfg,
-    ) -> Arc<Testbed> {
-        assert!(!node_disks.is_empty(), "need at least one node");
-        let nodes = node_disks.len();
-        let tb = Testbed::with_server_cfg(rt, spec, nodes, cfg);
-        let mut tb = Arc::into_inner(tb).expect("freshly built testbed is unshared");
-        // Re-issue the disk links at each node's own bandwidth.
-        let disk_net = Network::new(tb.rt.clone());
-        tb.disks = node_disks
-            .iter()
-            .enumerate()
-            .map(|(i, d)| {
-                disk_net.add_link(&format!("{}/disk{i}", tb.spec.name), d.bandwidth, Dur::ZERO)
-            })
-            .collect();
-        tb.disk_net = disk_net;
-        tb.local_disks = node_disks;
-        Arc::new(tb)
     }
 
     /// Build a testbed with an explicit server configuration (name, NICs,
@@ -355,7 +325,6 @@ impl Testbed {
         let server = SrbServer::new(net.clone(), cfg);
         server.mcat().add_user(USER, PASSWORD);
 
-        let local_disks = vec![spec.local_disk; nodes];
         let disk_inflight = (0..nodes)
             .map(|_| Arc::new(std::sync::atomic::AtomicUsize::new(0)))
             .collect();
@@ -376,7 +345,6 @@ impl Testbed {
             cpus,
             disk_net,
             disks,
-            local_disks,
             disk_inflight,
         })
     }
@@ -449,19 +417,14 @@ impl Testbed {
         self.cpus[node].compute(work);
     }
 
-    /// The local-disk model of `node`.
-    pub fn node_disk(&self, node: usize) -> &DiskSpec {
-        &self.local_disks[node]
-    }
-
     /// Charge a local-disk read of `bytes` on `node`. With a nonzero
-    /// `degradation` in the node's [`DiskSpec`], `k` concurrent ops share
+    /// `degradation` in `spec.local_disk`, `k` concurrent ops on one node share
     /// an aggregate of `bandwidth / (1 + degradation·(k−1))` — the dslab
     /// `shared_disk` idiom, matching the server vault. The default
     /// `degradation: 0.0` leaves the charge exactly as before.
     pub fn local_read(&self, node: usize, bytes: u64) {
         use std::sync::atomic::Ordering;
-        let spec = &self.local_disks[node];
+        let spec = &self.spec.local_disk;
         let k = self.disk_inflight[node].fetch_add(1, Ordering::SeqCst) + 1;
         let cap = if spec.degradation > 0.0 && k > 1 {
             let aggregate = spec.bandwidth.as_bps() / (1.0 + spec.degradation * (k as f64 - 1.0));
@@ -619,19 +582,22 @@ mod tests {
         );
     }
 
-    /// Per-node disks + degradation: two concurrent readers on a fully
-    /// degrading node disk (`degradation: 1.0` halves the aggregate) take
-    /// about twice as long per op as two on independent clean disks.
+    /// Local-disk degradation: two concurrent readers on a fully degrading
+    /// node disk (`degradation: 1.0` halves the aggregate) take about twice
+    /// as long per op as two on a clean disk.
     #[test]
     fn node_disk_degradation_slows_concurrent_local_reads() {
         let (clean, degraded) = simulate(|rt| {
             let run = |degradation: f64| {
-                let d = DiskSpec {
-                    bandwidth: Bw::mbyte_per_s(10.0),
-                    seek: Dur::ZERO,
-                    degradation,
+                let spec = ClusterSpec {
+                    local_disk: DiskSpec {
+                        bandwidth: Bw::mbyte_per_s(10.0),
+                        seek: Dur::ZERO,
+                        degradation,
+                    },
+                    ..das2()
                 };
-                let tb = Testbed::with_node_disks(rt.clone(), das2(), vec![d, d], orion_cfg());
+                let tb = Testbed::new(rt.clone(), spec, 2);
                 let t0 = rt.now();
                 let hs: Vec<_> = (0..2)
                     .map(|_| {

@@ -27,27 +27,6 @@ use crate::adio::{AdioFile, IoError, IoResult};
 use crate::request::{Completion, Status};
 use semplar_runtime::sync::RtMutex;
 
-/// Bound on the engine's FIFO queue — the write-side analogue of the
-/// prefetcher's read window.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum QueueWindow {
-    /// No bound: submits never block (the paper's behaviour, and the
-    /// default — async writes queue arbitrarily deep).
-    #[default]
-    Unbounded,
-    /// Size the admission window from the backend stream's telemetry:
-    /// `2·BDP / block` outstanding jobs (goodput × latency, doubled so the
-    /// pipe stays full while one window is in flight), clamped to
-    /// `1..=max`. With no meter — or before it warms up — the window is 1.
-    /// A submit beyond the window blocks (on virtual time) until a job
-    /// completes, bounding queued payload memory to roughly what the
-    /// stream can absorb.
-    Auto {
-        /// Hard ceiling on outstanding jobs.
-        max: usize,
-    },
-}
-
 /// Engine configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineCfg {
@@ -56,8 +35,6 @@ pub struct EngineCfg {
     /// Spawn the threads at engine creation (`true`) or on the first
     /// asynchronous call (`false`, the paper's default).
     pub prespawn: bool,
-    /// Admission bound on outstanding jobs (default: unbounded).
-    pub queue_window: QueueWindow,
 }
 
 impl Default for EngineCfg {
@@ -65,7 +42,6 @@ impl Default for EngineCfg {
         EngineCfg {
             io_threads: 1,
             prespawn: false,
-            queue_window: QueueWindow::Unbounded,
         }
     }
 }
@@ -117,12 +93,6 @@ pub(crate) struct IoEngine {
     cfg: EngineCfg,
     queue: Channel<IoJob>,
     file: Arc<RtMutex<Box<dyn AdioFile>>>,
-    /// The backend stream's telemetry, for [`QueueWindow::Auto`] sizing.
-    meter: Option<Arc<semplar_srb::IoMeter>>,
-    /// Jobs admitted and not yet completed (only tracked under `Auto`).
-    outstanding: Mutex<u64>,
-    /// Completion tokens waking submitters blocked on a full window.
-    slots: Channel<()>,
     inner: Mutex<EngineInner>,
     stats: Mutex<EngineStats>,
 }
@@ -132,17 +102,13 @@ impl IoEngine {
         rt: Arc<dyn Runtime>,
         cfg: EngineCfg,
         file: Arc<RtMutex<Box<dyn AdioFile>>>,
-        meter: Option<Arc<semplar_srb::IoMeter>>,
     ) -> Arc<IoEngine> {
         assert!(cfg.io_threads >= 1, "engine needs at least one I/O thread");
         let engine = Arc::new(IoEngine {
             queue: Channel::new(&rt),
-            slots: Channel::new(&rt),
             rt,
             cfg,
             file,
-            meter,
-            outstanding: Mutex::new(0),
             inner: Mutex::new(EngineInner {
                 threads: Vec::new(),
                 spawned: 0,
@@ -211,63 +177,17 @@ impl IoEngine {
                 }
             };
             self.stats.lock().completed += 1;
-            if matches!(self.cfg.queue_window, QueueWindow::Auto { .. }) {
-                *self.outstanding.lock() -= 1;
-                let _ = self.slots.send(());
-            }
             job.done.set(result);
         }
     }
 
-    /// The admission window for a job of `block` bytes under
-    /// [`QueueWindow::Auto`]: `2·BDP / block` off the stream meter (the
-    /// prefetcher's read-window formula, applied to the write queue), 1
-    /// while there is no telemetry yet.
-    fn window_depth(&self, block: u64, max: usize) -> usize {
-        let Some(meter) = &self.meter else { return 1 };
-        let snap = meter.snapshot();
-        if snap.goodput_bps <= 0.0 || snap.latency_s <= 0.0 {
-            return 1;
-        }
-        let blocks = (2.0 * snap.goodput_bps * snap.latency_s / block.max(1) as f64).ceil();
-        (blocks as usize).clamp(1, max)
-    }
-
-    /// Enqueue a job (compute-thread side of Fig. 2). Under
-    /// [`QueueWindow::Auto`] a submit beyond the admission window blocks
-    /// until an outstanding job completes — asynchronous I/O keeps the
-    /// pipe full without queueing unbounded payload memory.
+    /// Enqueue a job (compute-thread side of Fig. 2). Never blocks: the
+    /// queue is unbounded.
     pub fn submit(self: &Arc<Self>, op: IoOp, done: Completion) -> IoResult<()> {
         self.ensure_threads();
-        if let QueueWindow::Auto { max } = self.cfg.queue_window {
-            let block = match &op {
-                IoOp::Read { len, .. } => *len,
-                IoOp::Write { data, .. } => data.len(),
-                // List jobs budget the window by their packed payload size.
-                IoOp::ReadList { extents } => extents.iter().map(|&(_, l)| l).sum(),
-                IoOp::WriteList { data, .. } => data.len(),
-            };
-            loop {
-                // Re-evaluated each wakeup: the window grows as the meter
-                // warms up, and tokens may be stale (condvar-loop style).
-                let depth = self.window_depth(block, max) as u64;
-                if *self.outstanding.lock() < depth {
-                    break;
-                }
-                if self.slots.recv().is_err() {
-                    // Engine shut down; fall through and fail the enqueue.
-                    break;
-                }
-            }
-            *self.outstanding.lock() += 1;
-        }
-        let admitted = self.queue.send(IoJob { op, done }).map_err(|_| {
-            if matches!(self.cfg.queue_window, QueueWindow::Auto { .. }) {
-                *self.outstanding.lock() -= 1;
-            }
-            IoError::Closed
-        });
-        admitted?;
+        self.queue
+            .send(IoJob { op, done })
+            .map_err(|_| IoError::Closed)?;
         // Count only jobs actually enqueued: a submit against a shut-down
         // engine must not inflate `submitted` past what can ever complete.
         self.stats.lock().submitted += 1;
@@ -279,26 +199,39 @@ impl IoEngine {
         *self.stats.lock()
     }
 
-    /// Queue depth right now (requests waiting for an I/O thread).
-    pub fn queue_depth(&self) -> usize {
-        self.queue.len()
+    /// Stop accepting work and hand back the I/O threads, which drain the
+    /// queue and exit. Empty on every call after the first.
+    fn stop(&self) -> Vec<JoinHandle> {
+        let mut g = self.inner.lock();
+        if g.shut_down {
+            return Vec::new();
+        }
+        g.shut_down = true;
+        self.queue.close();
+        std::mem::take(&mut g.threads)
     }
 
     /// Stop accepting work, let the I/O threads drain the queue, and join
-    /// them.
+    /// them, re-raising an I/O thread's panic.
     pub fn shutdown(&self) {
-        let threads = {
-            let mut g = self.inner.lock();
-            if g.shut_down {
-                return;
-            }
-            g.shut_down = true;
-            self.queue.close();
-            self.slots.close();
-            std::mem::take(&mut g.threads)
-        };
-        for t in threads {
+        for t in self.stop() {
             t.join_unwrap();
+        }
+    }
+
+    /// [`IoEngine::shutdown`] for destructors. Joining blocks through the
+    /// runtime, which panics once the simulation is poisoned; a thread that
+    /// is already unwinding would then abort the process and bury the first
+    /// panic. So while unwinding only close the queue — the I/O threads are
+    /// daemons and exit on their own — and otherwise join without re-raising
+    /// (`close` is the call that reports an I/O thread's panic).
+    pub fn shutdown_in_drop(&self) {
+        let threads = self.stop();
+        if std::thread::panicking() {
+            return;
+        }
+        for t in threads {
+            let _ = t.join();
         }
     }
 }

@@ -69,7 +69,7 @@ impl File {
         let adio = fs.open_pinned(path, flags, pin)?;
         let meter = adio.meter();
         let inner = Arc::new(RtMutex::new(rt, adio));
-        let engine = IoEngine::new(rt.clone(), cfg, inner.clone(), meter.clone());
+        let engine = IoEngine::new(rt.clone(), cfg, inner.clone());
         Ok(File {
             rt: rt.clone(),
             inner,
@@ -231,11 +231,6 @@ impl File {
         self.engine.stats()
     }
 
-    /// Requests currently waiting in the I/O queue.
-    pub fn queue_depth(&self) -> usize {
-        self.engine.queue_depth()
-    }
-
     /// The runtime this file charges time against.
     pub fn runtime(&self) -> &Arc<dyn Runtime> {
         &self.rt
@@ -246,7 +241,7 @@ impl Drop for File {
     fn drop(&mut self) {
         // Best-effort: stop I/O threads if the user forgot to close. Errors
         // are ignored (the connection may already be gone).
-        self.engine.shutdown();
+        self.engine.shutdown_in_drop();
     }
 }
 

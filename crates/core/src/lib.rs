@@ -37,16 +37,14 @@ pub mod lease;
 pub mod pipeline;
 pub mod pointer;
 pub mod prefetch;
-pub mod pvfs;
 pub mod request;
 pub mod srbfs;
-pub mod staging;
 pub mod stripe;
 
 pub use adio::{
     merge_extents, pack_extents, split_packed, AdioFile, AdioFs, IoError, IoResult, MemFs,
 };
-pub use engine::{EngineCfg, EngineStats, QueueWindow};
+pub use engine::{EngineCfg, EngineStats};
 pub use fedfs::{FedFs, FedShard, MigrationStats, ReconcileLedger};
 pub use file::{with_file, File};
 pub use lease::{LeaseCache, LeaseStats};
@@ -55,14 +53,12 @@ pub use pipeline::{
 };
 pub use pointer::{FilePointer, Whence};
 pub use prefetch::Prefetcher;
-pub use pvfs::PvfsLike;
 pub use request::{Request, Status};
 pub use srbfs::{RecoveryStats, SrbFs, SrbFsConfig, RESUME_BLOCK};
-pub use staging::{stage_in, stage_out, STAGE_BLOCK};
-pub use stripe::{MultiRequest, StreamPlacement, StripeStats, StripeUnit, StripedFile};
+pub use stripe::{MultiRequest, StripeStats, StripeUnit, StripedFile};
 
 // Re-export the substrate types users need at the API surface.
-pub use semplar_srb::{IoMeter, MeterSnapshot, OpenFlags, Payload, SlotPolicy};
+pub use semplar_srb::{IoMeter, MeterSnapshot, OpenFlags, Payload};
 
 #[cfg(test)]
 mod tests {
@@ -235,87 +231,10 @@ mod tests {
                 EngineCfg {
                     io_threads: 3,
                     prespawn: true,
-                    ..EngineCfg::default()
                 },
             )
             .unwrap();
             assert_eq!(f.engine_stats().threads_spawned, 3);
-            f.close().unwrap();
-        });
-    }
-
-    /// `QueueWindow::Auto` on a backend with no meter (MemFs): the window
-    /// stays at 1, so a second submit blocks until the outstanding job
-    /// completes and the FIFO queue never holds more than one request.
-    #[test]
-    fn auto_window_without_meter_serializes_submits() {
-        simulate(|rt| {
-            let fs = slow_memfs(&rt);
-            let f = File::open_with(
-                &rt,
-                &fs,
-                "/win",
-                OpenFlags::CreateRw,
-                EngineCfg {
-                    queue_window: QueueWindow::Auto { max: 8 },
-                    ..EngineCfg::default()
-                },
-            )
-            .unwrap();
-            let mut max_depth = 0usize;
-            let mut reqs = Vec::new();
-            for i in 0..6u64 {
-                reqs.push(f.iwrite_at(i * 4096, Payload::bytes(vec![i as u8; 4096])));
-                max_depth = max_depth.max(f.queue_depth());
-            }
-            for r in reqs {
-                assert_eq!(r.wait().unwrap().bytes, 4096);
-            }
-            assert!(max_depth <= 1, "no-meter Auto window leaked: {max_depth}");
-            let s = f.engine_stats();
-            assert_eq!(s.submitted, 6);
-            assert_eq!(s.completed, 6);
-            f.close().unwrap();
-            assert_eq!(fs.get("/win").unwrap()[5 * 4096], 5);
-        });
-    }
-
-    /// `QueueWindow::Auto` over a real metered SRB stream: once the meter
-    /// warms up, the window opens past 1 (2·BDP/block, the prefetcher's
-    /// read formula mirrored on the write queue) but never past `max`.
-    #[test]
-    fn auto_window_opens_with_warm_meter_and_respects_max() {
-        simulate(|rt| {
-            let fs = srb_fixture(&rt, 50.0);
-            let f = File::open_with(
-                &rt,
-                &fs,
-                "/warm",
-                OpenFlags::CreateRw,
-                EngineCfg {
-                    queue_window: QueueWindow::Auto { max: 8 },
-                    ..EngineCfg::default()
-                },
-            )
-            .unwrap();
-            // Warm the stream meter with synchronous 1 MiB writes so the
-            // EWMA latency reflects payload exchanges, not just the open.
-            for i in 0..3u64 {
-                f.write_at(i << 20, &Payload::sized(1 << 20)).unwrap();
-            }
-            // 128 KiB async blocks: 2·BDP is several blocks on this path.
-            let block = 128 * 1024u64;
-            let mut max_depth = 0usize;
-            let mut reqs = Vec::new();
-            for i in 0..16u64 {
-                reqs.push(f.iwrite_at((3 << 20) + i * block, Payload::sized(block)));
-                max_depth = max_depth.max(f.queue_depth());
-            }
-            for r in reqs {
-                assert_eq!(r.wait().unwrap().bytes, block);
-            }
-            assert!(max_depth >= 2, "warm Auto window never opened: {max_depth}");
-            assert!(max_depth <= 8, "Auto window exceeded max: {max_depth}");
             f.close().unwrap();
         });
     }
@@ -390,63 +309,6 @@ mod tests {
             f.iwrite_at(0, Payload::bytes(data.clone())).wait().unwrap();
             let back = f.read_at(0, 10_000).unwrap();
             assert_eq!(back.data().unwrap(), &data[..]);
-            f.close().unwrap();
-        });
-    }
-
-    /// [`StreamPlacement::Congestion`]: sibling streams ask the shared
-    /// pool for the least-pressure slot instead of pinning slot `i`. With
-    /// as many slots as streams they still land on distinct transports
-    /// (distinct meters), and data round-trips intact.
-    #[test]
-    fn congestion_placement_spreads_streams_across_slots() {
-        simulate(|rt| {
-            let net = Network::new(rt.clone());
-            let up = net.add_link("up", Bw::mbps(100.0), Dur::from_millis(5));
-            let down = net.add_link("down", Bw::mbps(100.0), Dur::from_millis(5));
-            let server = SrbServer::new(net, SrbServerCfg::default());
-            server.mcat().add_user("u", "p");
-            let fs = SrbFs::with_slot_policy(
-                server,
-                SrbFsConfig {
-                    route: ConnRoute {
-                        fwd: vec![up],
-                        rev: vec![down],
-                        send_cap: None,
-                        recv_cap: None,
-                        bus: None,
-                    },
-                    user: "u".into(),
-                    password: "p".into(),
-                },
-                semplar_srb::PoolPolicy::Shared {
-                    max_streams: 2,
-                    max_inflight: 8,
-                },
-                SlotPolicy::Congestion,
-                semplar_srb::RetryPolicy::default(),
-            );
-            let f = StripedFile::open_placed(
-                &rt,
-                &fs,
-                "/spread",
-                OpenFlags::CreateRw,
-                2,
-                StripeUnit::Bytes(4096),
-                StreamPlacement::Congestion,
-            )
-            .unwrap();
-            let data: Vec<u8> = (0..32_768u32).map(|i| (i % 239) as u8).collect();
-            f.write_at(0, Payload::bytes(data.clone())).unwrap();
-            let back = f.read_at(0, data.len() as u64).unwrap();
-            assert_eq!(back.data().unwrap(), &data[..]);
-            let meters = f.stream_meters();
-            assert_eq!(meters.len(), 2);
-            let (a, b) = (meters[0].as_ref().unwrap(), meters[1].as_ref().unwrap());
-            assert!(
-                !Arc::ptr_eq(a, b),
-                "least-pressure placement put both streams on one transport"
-            );
             f.close().unwrap();
         });
     }
@@ -615,72 +477,6 @@ mod tests {
             async_t.as_secs_f64() < sync_t.as_secs_f64() * 0.75,
             "pipelining gained too little: {async_t} vs {sync_t}"
         );
-    }
-
-    /// Goodput-weighted block *sizes*: on two streams of very different
-    /// bandwidth, `StripeUnit::AdaptiveSized` issues smaller blocks on the
-    /// slow stream once the meters warm up — not just fewer of them.
-    #[test]
-    fn adaptive_sized_shrinks_blocks_on_the_slow_stream() {
-        simulate(|rt| {
-            let net = Network::new(rt.clone());
-            let mut routes = Vec::new();
-            for (i, cap) in [None, Some(Bw::mbps(4.0))].into_iter().enumerate() {
-                let up = net.add_link(&format!("up{i}"), Bw::mbps(100.0), Dur::from_millis(5));
-                let down = net.add_link(&format!("down{i}"), Bw::mbps(100.0), Dur::from_millis(5));
-                routes.push(ConnRoute {
-                    fwd: vec![up],
-                    rev: vec![down],
-                    send_cap: cap,
-                    recv_cap: cap,
-                    bus: None,
-                });
-            }
-            let server = SrbServer::new(net, SrbServerCfg::default());
-            server.mcat().add_user("u", "p");
-            let fs = SrbFs::with_stream_routes(
-                server,
-                SrbFsConfig {
-                    route: routes[0].clone(),
-                    user: "u".into(),
-                    password: "p".into(),
-                },
-                routes,
-                semplar_srb::PoolPolicy::PerOpen,
-                semplar_srb::RetryPolicy::default(),
-            );
-            let f = StripedFile::open(
-                &rt,
-                &fs,
-                "/sized",
-                OpenFlags::CreateRw,
-                2,
-                StripeUnit::AdaptiveSized {
-                    block: 64 * 1024,
-                    min_block: 4 * 1024,
-                },
-            )
-            .unwrap();
-            // Warm-up pass: with no telemetry yet both streams tile at the
-            // full block size, and the meters learn the 25x goodput gap.
-            f.write_at(0, Payload::sized(1 << 20)).unwrap();
-            let warm = f.stripe_stats();
-            // Measured pass: block sizes now follow the goodput weights.
-            f.write_at(1 << 20, Payload::sized(2 << 20)).unwrap();
-            let s = f.stripe_stats();
-            let avg = |i: usize| {
-                (s.bytes[i] - warm.bytes[i]) as f64 / (s.blocks[i] - warm.blocks[i]).max(1) as f64
-            };
-            let (fast, slow) = (avg(0), avg(1));
-            // WFQ migration mixes some full-size blocks onto the slow
-            // stream, so compare averages with a margin rather than the
-            // raw scaled sizes.
-            assert!(
-                slow < fast * 0.8,
-                "slow stream should get smaller blocks on average: fast avg {fast:.0} B, slow avg {slow:.0} B"
-            );
-            f.close().unwrap();
-        });
     }
 
     /// Build a server+fs pair (no stream caps) so tests can reach the

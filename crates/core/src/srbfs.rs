@@ -22,8 +22,8 @@ use parking_lot::Mutex;
 
 use semplar_runtime::{Dur, Time};
 use semplar_srb::{
-    adler32, ConnPool, ConnRoute, IoMeter, OpenFlags, Payload, PoolPolicy, RetryPolicy, SlotPolicy,
-    SrbConn, SrbError, SrbServer,
+    adler32, ConnPool, ConnRoute, IoMeter, OpenFlags, Payload, PoolPolicy, RetryPolicy, SrbConn,
+    SrbError, SrbServer,
 };
 
 use crate::adio::{merge_extents, pack_extents, split_packed, AdioFile, AdioFs, IoError, IoResult};
@@ -124,26 +124,7 @@ impl SrbFs {
         policy: PoolPolicy,
         retry: RetryPolicy,
     ) -> Arc<SrbFs> {
-        SrbFs::build(
-            server,
-            cfg,
-            Vec::new(),
-            policy,
-            SlotPolicy::default(),
-            retry,
-        )
-    }
-
-    /// An SRBFS mount with a goodput-aware (or explicit) slot-placement
-    /// policy for unpinned pooled sessions — see [`SlotPolicy`].
-    pub fn with_slot_policy(
-        server: Arc<SrbServer>,
-        cfg: SrbFsConfig,
-        policy: PoolPolicy,
-        slot_policy: SlotPolicy,
-        retry: RetryPolicy,
-    ) -> Arc<SrbFs> {
-        SrbFs::build(server, cfg, Vec::new(), policy, slot_policy, retry)
+        SrbFs::with_stream_routes(server, cfg, Vec::new(), policy, retry)
     }
 
     /// An SRBFS mount whose pinned opens dial per-stream routes: stream
@@ -157,30 +138,12 @@ impl SrbFs {
         policy: PoolPolicy,
         retry: RetryPolicy,
     ) -> Arc<SrbFs> {
-        SrbFs::build(server, cfg, routes, policy, SlotPolicy::default(), retry)
-    }
-
-    fn build(
-        server: Arc<SrbServer>,
-        cfg: SrbFsConfig,
-        stream_routes: Vec<ConnRoute>,
-        policy: PoolPolicy,
-        slot_policy: SlotPolicy,
-        retry: RetryPolicy,
-    ) -> Arc<SrbFs> {
-        let pool = ConnPool::with_slot_policy(
-            server.clone(),
-            &cfg.user,
-            &cfg.password,
-            policy,
-            slot_policy,
-            retry,
-        );
+        let pool = ConnPool::new(server.clone(), &cfg.user, &cfg.password, policy, retry);
         Arc::new(SrbFs {
             server,
             cfg,
             pool,
-            stream_routes,
+            stream_routes: routes,
             sieve: Mutex::new(0.0),
             lease: Mutex::new(None),
             recovery: Mutex::new(RecoveryStats::default()),

@@ -31,7 +31,7 @@ use semplar_faults::{FaultPlan, FaultStats};
 use semplar_netsim::{Bw, Network};
 use semplar_runtime::{Dur, Runtime, SimRuntime};
 use semplar_srb::{
-    adler32, CacheSpec, ConnRoute, Eviction, Replicator, RetryPolicy, SrbServer, SrbServerCfg,
+    adler32, CacheSpec, ConnRoute, Replicator, RetryPolicy, SrbServer, SrbServerCfg,
 };
 
 use crate::scenario::Scenario;
@@ -164,7 +164,6 @@ impl LeaseScenario {
         let spec = CacheSpec {
             block: 64 << 10,
             capacity: 4 << 20,
-            eviction: Eviction::Lru,
         };
         let primary = SrbServer::new(net.clone(), SrbServerCfg::default());
         let replica = SrbServer::new(net.clone(), SrbServerCfg::default());

@@ -230,17 +230,10 @@ fn rate_changed(old: f64, new: f64) -> bool {
 }
 
 impl Network {
-    /// An empty network using `rt` for time and blocking. Runs the
-    /// incremental engine unless the environment variable
-    /// `SEMPLAR_NETSIM_BATCH=1` forces the batch reference engine (useful
-    /// for A/B-checking that both produce identical results).
+    /// An empty network using `rt` for time and blocking, running the
+    /// incremental engine.
     pub fn new(rt: Arc<dyn Runtime>) -> Arc<Network> {
-        let mode = if std::env::var("SEMPLAR_NETSIM_BATCH").is_ok_and(|v| v == "1") {
-            AllocMode::Batch
-        } else {
-            AllocMode::Incremental
-        };
-        Self::new_with_mode(rt, mode)
+        Self::new_with_mode(rt, AllocMode::Incremental)
     }
 
     /// An empty network running the given allocation engine.

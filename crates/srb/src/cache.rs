@@ -16,7 +16,7 @@
 //!
 //! Everything is deterministic under the virtual-time runtime: eviction
 //! order depends only on the sequence of cache operations (LRU by access
-//! tick, CLOCK by ring position), never on hash iteration order.
+//! tick), never on hash iteration order.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,26 +26,15 @@ use parking_lot::Mutex;
 use crate::types::Payload;
 use crate::vault::Vault;
 
-/// Eviction policy for the block cache.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Eviction {
-    /// Least-recently-used: evict the block with the oldest access tick.
-    Lru,
-    /// CLOCK (second chance): a ring with reference bits — cheaper
-    /// bookkeeping than LRU, approximates it.
-    Clock,
-}
-
 /// Block cache configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct CacheSpec {
     /// Cache block size in bytes; reads are served from aligned blocks of
     /// this size.
     pub block: u64,
-    /// Total capacity in bytes of cached payload.
+    /// Total capacity in bytes of cached payload; the least-recently-used
+    /// block is evicted to make room.
     pub capacity: u64,
-    /// Eviction policy.
-    pub eviction: Eviction,
 }
 
 impl Default for CacheSpec {
@@ -53,7 +42,6 @@ impl Default for CacheSpec {
         CacheSpec {
             block: 64 * 1024,
             capacity: 64 * 1024 * 1024,
-            eviction: Eviction::Lru,
         }
     }
 }
@@ -80,11 +68,6 @@ struct Block {
     data: Payload,
     /// LRU access tick; key into `State::lru_order`.
     stamp: u64,
-    /// CLOCK reference bit (set on hit, cleared by the sweeping hand).
-    referenced: bool,
-    /// Matches the `(key, stamp)` slot in `State::ring`, so stale ring
-    /// slots from a remove+reinsert of the same key are skipped.
-    ring_stamp: u64,
 }
 
 type Key = (u64, u64); // (obj_id, block index)
@@ -94,14 +77,10 @@ struct State {
     blocks: HashMap<Key, Block>,
     /// Bytes of payload currently held.
     bytes: u64,
-    /// Monotonic tick for LRU stamps and CLOCK ring stamps.
+    /// Monotonic tick for LRU stamps.
     tick: u64,
     /// LRU: access stamp → key, oldest first.
     lru_order: BTreeMap<u64, Key>,
-    /// CLOCK: insertion-ordered ring of (key, ring_stamp); slots whose
-    /// stamp no longer matches the live block are stale and skipped.
-    ring: Vec<(Key, u64)>,
-    hand: usize,
     /// Per-object invalidation counters (bumped by any invalidate touching
     /// the object); miss fetches only insert if unchanged since fetch start.
     versions: HashMap<u64, u64>,
@@ -119,7 +98,7 @@ pub struct BlockCache {
 }
 
 impl BlockCache {
-    /// Create an empty cache with the given geometry and policy.
+    /// Create an empty cache with the given geometry.
     pub fn new(spec: CacheSpec) -> BlockCache {
         assert!(spec.block > 0, "cache block size must be positive");
         assert!(
@@ -181,8 +160,8 @@ impl BlockCache {
                     None => missing.push(idx),
                 }
             }
-            // Touch the resident blocks: set reference bits and move their
-            // LRU stamps to the front, in block order (deterministic).
+            // Touch the resident blocks: move their LRU stamps to the
+            // front, in block order (deterministic).
             for idx in first..=last {
                 if !resident.contains_key(&idx) {
                     continue;
@@ -190,12 +169,10 @@ impl BlockCache {
                 st.tick += 1;
                 let t = st.tick;
                 let key = (obj_id, idx);
-                let old = st.blocks.get_mut(&key).map(|b| {
-                    b.referenced = true;
-                    let old = b.stamp;
-                    b.stamp = t;
-                    old
-                });
+                let old = st
+                    .blocks
+                    .get_mut(&key)
+                    .map(|b| std::mem::replace(&mut b.stamp, t));
                 if let Some(old) = old {
                     st.lru_order.remove(&old);
                     st.lru_order.insert(t, key);
@@ -275,60 +252,19 @@ impl BlockCache {
         // Replace any prior entry for the key first.
         self.remove_key(st, key);
         let sz = data.len();
-        while st.bytes + sz > self.spec.capacity && !st.blocks.is_empty() {
-            let victim = match self.spec.eviction {
-                Eviction::Lru => st.lru_order.iter().next().map(|(_, &k)| k),
-                Eviction::Clock => self.clock_victim(st),
+        while st.bytes + sz > self.spec.capacity {
+            let Some((_, &victim)) = st.lru_order.iter().next() else {
+                break;
             };
-            match victim {
-                Some(v) => {
-                    self.remove_key(st, v);
-                    self.evictions.fetch_add(1, Ordering::SeqCst);
-                }
-                None => break,
-            }
+            self.remove_key(st, victim);
+            self.evictions.fetch_add(1, Ordering::SeqCst);
         }
         st.tick += 1;
         let tick = st.tick;
         st.lru_order.insert(tick, key);
-        st.ring.push((key, tick));
         st.bytes += sz;
-        st.blocks.insert(
-            key,
-            Block {
-                data,
-                stamp: tick,
-                referenced: false,
-                ring_stamp: tick,
-            },
-        );
+        st.blocks.insert(key, Block { data, stamp: tick });
         self.insertions.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// CLOCK sweep: advance the hand, clearing reference bits, until a
-    /// block with a clear bit comes up; prune stale slots as they pass.
-    fn clock_victim(&self, st: &mut State) -> Option<Key> {
-        loop {
-            if st.ring.is_empty() {
-                return None;
-            }
-            if st.hand >= st.ring.len() {
-                st.hand = 0;
-            }
-            let (key, stamp) = st.ring[st.hand];
-            let live = st.blocks.get(&key).is_some_and(|b| b.ring_stamp == stamp);
-            if !live {
-                st.ring.remove(st.hand);
-                continue;
-            }
-            let b = st.blocks.get_mut(&key).unwrap();
-            if b.referenced {
-                b.referenced = false;
-                st.hand += 1;
-                continue;
-            }
-            return Some(key);
-        }
     }
 
     fn remove_key(&self, st: &mut State, key: Key) {
@@ -336,7 +272,6 @@ impl BlockCache {
             st.bytes -= b.data.len();
             st.lru_order.remove(&b.stamp);
         }
-        // The ring slot (if any) goes stale and is pruned lazily.
     }
 
     /// Drop all blocks overlapping `[start, end)` of the object and bump
@@ -402,12 +337,8 @@ mod tests {
         )
     }
 
-    fn spec(block: u64, capacity: u64, eviction: Eviction) -> CacheSpec {
-        CacheSpec {
-            block,
-            capacity,
-            eviction,
-        }
+    fn spec(block: u64, capacity: u64) -> CacheSpec {
+        CacheSpec { block, capacity }
     }
 
     #[test]
@@ -420,7 +351,7 @@ mod tests {
                 0,
                 &Payload::bytes((0..=255u8).cycle().take(1 << 16).collect()),
             );
-            let c = BlockCache::new(spec(4096, 1 << 20, Eviction::Lru));
+            let c = BlockCache::new(spec(4096, 1 << 20));
             let cold_t0 = rt.now();
             let a = c.serve_read(&v, 1, 100, 8000);
             let cold = rt.now() - cold_t0;
@@ -444,7 +375,7 @@ mod tests {
             v.create(1);
             let data: Vec<u8> = (0..(4 * 4096u32)).map(|i| (i % 251) as u8).collect();
             v.write(1, 0, &Payload::bytes(data.clone()));
-            let c = BlockCache::new(spec(4096, 1 << 20, Eviction::Lru));
+            let c = BlockCache::new(spec(4096, 1 << 20));
             c.serve_read(&v, 1, 0, 4096); // block 0 resident
             let r = c.serve_read(&v, 1, 0, 3 * 4096);
             assert_eq!(r.data().unwrap(), &data[..3 * 4096]);
@@ -461,7 +392,7 @@ mod tests {
             let v = slow_vault(rt.clone());
             v.create(1);
             v.write(1, 0, &Payload::bytes(vec![7u8; 100]));
-            let c = BlockCache::new(spec(64, 1 << 20, Eviction::Lru));
+            let c = BlockCache::new(spec(64, 1 << 20));
             for _ in 0..2 {
                 // Cold then warm: both must truncate exactly like the vault.
                 let r = c.serve_read(&v, 1, 50, 500);
@@ -478,7 +409,7 @@ mod tests {
             let v = slow_vault(rt.clone());
             v.create(1);
             v.write(1, 0, &Payload::bytes(vec![1u8; 8192]));
-            let c = BlockCache::new(spec(4096, 1 << 20, Eviction::Lru));
+            let c = BlockCache::new(spec(4096, 1 << 20));
             c.serve_read(&v, 1, 0, 8192);
             v.write(1, 4096, &Payload::bytes(vec![2u8; 100]));
             c.invalidate_range(1, 4096, 4196);
@@ -496,7 +427,7 @@ mod tests {
             v.create(1);
             v.write(1, 0, &Payload::bytes(vec![9u8; 4 * 1024]));
             // Capacity: two 1 KiB blocks.
-            let c = BlockCache::new(spec(1024, 2048, Eviction::Lru));
+            let c = BlockCache::new(spec(1024, 2048));
             c.serve_read(&v, 1, 0, 1024); // block 0
             c.serve_read(&v, 1, 1024, 1024); // block 1
             c.serve_read(&v, 1, 0, 1024); // touch block 0 (now MRU)
@@ -511,34 +442,12 @@ mod tests {
     }
 
     #[test]
-    fn clock_gives_referenced_blocks_a_second_chance() {
-        simulate(|rt| {
-            let v = slow_vault(rt.clone());
-            v.create(1);
-            v.write(1, 0, &Payload::bytes(vec![3u8; 4 * 1024]));
-            let c = BlockCache::new(spec(1024, 2048, Eviction::Clock));
-            c.serve_read(&v, 1, 0, 1024); // block 0
-            c.serve_read(&v, 1, 1024, 1024); // block 1
-            c.serve_read(&v, 1, 0, 1024); // reference block 0
-            c.serve_read(&v, 1, 2048, 1024); // needs an eviction
-            assert_eq!(c.stats().evictions, 1);
-            // Block 0 was referenced → survived; block 1 was the victim.
-            let before = c.stats().hits;
-            c.serve_read(&v, 1, 0, 1024);
-            assert_eq!(c.stats().hits, before + 1);
-            let misses_before = c.stats().misses;
-            c.serve_read(&v, 1, 1024, 1024);
-            assert_eq!(c.stats().misses, misses_before + 1);
-        });
-    }
-
-    #[test]
     fn sparse_objects_cache_as_size_only() {
         simulate(|rt| {
             let v = slow_vault(rt.clone());
             v.create(1);
             v.write(1, 0, &Payload::sized(8192));
-            let c = BlockCache::new(spec(4096, 1 << 20, Eviction::Lru));
+            let c = BlockCache::new(spec(4096, 1 << 20));
             let a = c.serve_read(&v, 1, 0, 8192);
             let b = c.serve_read(&v, 1, 0, 8192);
             assert!(a.data().is_none() && b.data().is_none());
@@ -554,7 +463,7 @@ mod tests {
             let v = slow_vault(rt.clone());
             v.create(1);
             v.write(1, 0, &Payload::bytes(vec![5u8; 64 * 1024]));
-            let c = BlockCache::new(spec(1024, 8 * 1024, Eviction::Lru));
+            let c = BlockCache::new(spec(1024, 8 * 1024));
             for i in 0..64u64 {
                 c.serve_read(&v, 1, i * 1024, 1024);
             }

@@ -36,7 +36,7 @@ pub mod transport;
 pub mod types;
 pub mod vault;
 
-pub use cache::{BlockCache, CacheSpec, CacheStats, Eviction};
+pub use cache::{BlockCache, CacheSpec, CacheStats};
 pub use client::SrbConn;
 pub use federation::{ReplStats, Replicator, ShardMap, REPL_BLOCK};
 pub use mcat::Mcat;
@@ -44,7 +44,7 @@ pub use membership::{
     GovernedPair, Membership, MembershipCfg, PromotionHook, PromotionLedger, TransitionKind,
     TransitionRecord,
 };
-pub use pool::{ConnPool, PoolPolicy, SlotPolicy};
+pub use pool::{ConnPool, PoolPolicy};
 pub use proto::{SessionId, TenantId};
 pub use qos::TenantScheduler;
 pub use retry::RetryPolicy;

@@ -28,7 +28,7 @@ use semplar_runtime::sync::RtMutex;
 use crate::client::SrbConn;
 use crate::retry::RetryPolicy;
 use crate::server::{ConnRoute, SrbServer};
-use crate::transport::{MeterSnapshot, Transport};
+use crate::transport::Transport;
 use crate::types::SrbResult;
 
 /// How the pool maps sessions onto transports.
@@ -45,23 +45,6 @@ pub enum PoolPolicy {
     },
 }
 
-/// How an unpinned session picks its slot within a [`PoolPolicy::Shared`]
-/// route group.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SlotPolicy {
-    /// Least cumulative sessions, lowest index on ties — the original
-    /// round-robin-ish placement, bit-identical to pre-telemetry pools.
-    #[default]
-    LeastAssigned,
-    /// Goodput-aware placement: cold slots (no completed exchange yet) are
-    /// dialed first in index order; among warm slots, the one with the
-    /// lowest congestion pressure `(in_flight + 1) / goodput` wins — i.e.
-    /// sessions land where observed bytes/sec per queued exchange is best,
-    /// not where the session count is lowest. Deterministic: pressure is a
-    /// pure function of the slot meters, ties break on (assigned, index).
-    Congestion,
-}
-
 /// Where a pooled session's transport came from: which route group and
 /// which slot. Lets [`ConnPool::reconnect`] rebind the session to the
 /// slot's current stream — piggybacking if a sibling session already
@@ -76,27 +59,6 @@ struct Slot {
     transport: Option<Arc<Transport>>,
     /// Cumulative sessions bound to this slot (placement tiebreaker).
     assigned: u64,
-    /// Telemetry folded in from dead transports when the slot redials, so
-    /// the per-slot aggregate survives reconnects.
-    hist_exchanges: u64,
-    /// Payload bytes from dead transports (see `hist_exchanges`).
-    hist_bytes: u64,
-}
-
-impl Slot {
-    /// The slot's live meter view: the current transport's snapshot with
-    /// the totals of its dead predecessors folded in. `None` while the slot
-    /// has never been dialed.
-    fn meter(&self) -> Option<MeterSnapshot> {
-        let mut snap = match &self.transport {
-            Some(t) => t.meter().snapshot(),
-            None if self.hist_exchanges == 0 => return None,
-            None => MeterSnapshot::default(),
-        };
-        snap.exchanges += self.hist_exchanges;
-        snap.payload_bytes += self.hist_bytes;
-        Some(snap)
-    }
 }
 
 struct RouteGroup {
@@ -110,7 +72,6 @@ pub struct ConnPool {
     user: String,
     password: String,
     policy: PoolPolicy,
-    slot_policy: SlotPolicy,
     retry: RetryPolicy,
     /// Route groups keyed by the hash of the route's link paths. BTreeMap +
     /// a keyed deterministic hash keep iteration and placement reproducible.
@@ -138,26 +99,12 @@ impl ConnPool {
         policy: PoolPolicy,
         retry: RetryPolicy,
     ) -> Arc<ConnPool> {
-        ConnPool::with_slot_policy(server, user, password, policy, SlotPolicy::default(), retry)
-    }
-
-    /// A pool with an explicit slot-placement policy for unpinned sessions
-    /// (only meaningful under [`PoolPolicy::Shared`]).
-    pub fn with_slot_policy(
-        server: Arc<SrbServer>,
-        user: &str,
-        password: &str,
-        policy: PoolPolicy,
-        slot_policy: SlotPolicy,
-        retry: RetryPolicy,
-    ) -> Arc<ConnPool> {
         let groups = RtMutex::new(server.runtime(), BTreeMap::new());
         Arc::new(ConnPool {
             server,
             user: user.to_string(),
             password: password.to_string(),
             policy,
-            slot_policy,
             retry,
             groups,
         })
@@ -166,11 +113,6 @@ impl ConnPool {
     /// The policy this pool was built with.
     pub fn policy(&self) -> PoolPolicy {
         self.policy
-    }
-
-    /// The slot-placement policy for unpinned sessions.
-    pub fn slot_policy(&self) -> SlotPolicy {
-        self.slot_policy
     }
 
     /// The retry policy governing reconnect pacing for sessions from this
@@ -208,21 +150,16 @@ impl ConnPool {
                 .map(|_| Slot {
                     transport: None,
                     assigned: 0,
-                    hist_exchanges: 0,
-                    hist_bytes: 0,
                 })
                 .collect(),
         });
         let idx = match pin {
             Some(p) => p % max_streams,
-            None => match self.slot_policy {
-                // Least-assigned slot, lowest index on ties: deterministic
-                // round-robin-ish placement.
-                SlotPolicy::LeastAssigned => (0..max_streams)
-                    .min_by_key(|&i| (group.slots[i].assigned, i))
-                    .unwrap(),
-                SlotPolicy::Congestion => Self::congestion_slot(group),
-            },
+            // Least-assigned slot, lowest index on ties: deterministic
+            // round-robin-ish placement.
+            None => (0..max_streams)
+                .min_by_key(|&i| (group.slots[i].assigned, i))
+                .expect("max_streams >= 1"),
         };
         let ticket = Self::bind(
             &self.server,
@@ -261,8 +198,6 @@ impl ConnPool {
                 .map(|_| Slot {
                     transport: None,
                     assigned: 0,
-                    hist_exchanges: 0,
-                    hist_bytes: 0,
                 })
                 .collect(),
         });
@@ -270,11 +205,6 @@ impl ConnPool {
         for idx in 0..max_streams {
             let slot = &mut group.slots[idx];
             if !slot.transport.as_ref().is_some_and(|t| t.is_alive()) {
-                if let Some(old) = slot.transport.take() {
-                    let s = old.meter().snapshot();
-                    slot.hist_exchanges += s.exchanges;
-                    slot.hist_bytes += s.payload_bytes;
-                }
                 let t = self.server.connect_transport(
                     group.route.clone(),
                     &self.user,
@@ -286,28 +216,6 @@ impl ConnPool {
             }
         }
         Ok(dialed)
-    }
-
-    /// The congestion-policy slot choice: cold slots first (index order),
-    /// then the warm slot with the best observed goodput per outstanding
-    /// exchange. See [`SlotPolicy::Congestion`].
-    fn congestion_slot(group: &RouteGroup) -> usize {
-        let mut best = 0usize;
-        let mut best_key = (f64::INFINITY, u64::MAX, usize::MAX);
-        for (i, slot) in group.slots.iter().enumerate() {
-            let pressure = match slot.meter() {
-                // A measured stream: queued exchanges per byte/sec. Streams
-                // that have carried no payload yet score as cold.
-                Some(m) if m.goodput_bps > 0.0 => (m.in_flight as f64 + 1.0) / m.goodput_bps,
-                _ => 0.0,
-            };
-            let key = (pressure, slot.assigned, i);
-            if key < best_key {
-                best = i;
-                best_key = key;
-            }
-        }
-        best
     }
 
     /// Ensure slot `idx` has a live transport (dialing one if needed) and
@@ -324,13 +232,6 @@ impl ConnPool {
         let slot = &mut group.slots[idx];
         let live = slot.transport.as_ref().is_some_and(|t| t.is_alive());
         if !live {
-            // Fold the dead stream's totals into the slot aggregate before
-            // replacing it, so slot-level telemetry spans redials.
-            if let Some(old) = slot.transport.take() {
-                let s = old.meter().snapshot();
-                slot.hist_exchanges += s.exchanges;
-                slot.hist_bytes += s.payload_bytes;
-            }
             let t = server.connect_transport(group.route.clone(), user, password, max_inflight)?;
             slot.transport = Some(t);
         }
@@ -376,18 +277,6 @@ impl ConnPool {
         let transport = group.slots[ticket.slot].transport.clone().unwrap();
         drop(g);
         Ok((SrbConn::session_on(transport, new_ticket), shared))
-    }
-
-    /// Per-slot telemetry across every route group, in deterministic
-    /// (route-key, slot-index) order: `(slot index, aggregated snapshot)`.
-    /// Slots never dialed report `None`. The snapshot folds in the totals
-    /// of dead predecessor streams, so it is the slot's whole history.
-    pub fn slot_meters(&self) -> Vec<(usize, Option<MeterSnapshot>)> {
-        self.groups
-            .lock()
-            .values()
-            .flat_map(|g| g.slots.iter().enumerate().map(|(i, s)| (i, s.meter())))
-            .collect()
     }
 
     /// Live pooled streams (transports whose stream is still up). Always 0

@@ -791,8 +791,14 @@ impl SrbServer {
                 let rec = match self.mcat.lookup(&p) {
                     Ok(r) => r,
                     Err(SrbError::NotFound(_)) if flags == OpenFlags::CreateRw => {
-                        let id = self.mcat.create_obj(&p, &self.cfg.resource)?;
-                        self.vault.create(id);
+                        // Lookup-then-create is not atomic across sessions:
+                        // `AlreadyExists` here means another session created
+                        // the object in between, so open theirs.
+                        match self.mcat.create_obj(&p, &self.cfg.resource) {
+                            Ok(id) => self.vault.create(id),
+                            Err(SrbError::AlreadyExists(_)) => {}
+                            Err(e) => return Err(e),
+                        }
                         self.mcat.lookup(&p)?
                     }
                     Err(e) => return Err(e),

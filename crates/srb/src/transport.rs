@@ -21,7 +21,7 @@
 //!   runtime semaphore gives fair tag scheduling across sessions.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -63,9 +63,6 @@ pub struct MeterSnapshot {
     pub goodput_bps: f64,
     /// EWMA exchange latency in seconds (every exchange, payload or not).
     pub latency_s: f64,
-    /// Exchanges currently outstanding on the stream (issued, not yet
-    /// completed — includes time queued behind the stream's serialization).
-    pub in_flight: usize,
     /// Completed exchanges.
     pub exchanges: u64,
     /// Cumulative payload bytes acknowledged over this stream.
@@ -80,20 +77,18 @@ struct MeterInner {
 }
 
 /// Per-stream goodput telemetry, sampled on virtual time at exchange
-/// completion. One meter per [`Transport`]; the pool aggregates them per
-/// slot and the adaptive stripe scheduler reads them per stream.
+/// completion. One meter per [`Transport`]; the adaptive stripe scheduler
+/// and the prefetcher read them per stream.
 ///
 /// Recording is passive — it never sleeps, locks the runtime, or otherwise
 /// perturbs virtual timing — so metered and unmetered runs are bit-identical.
 pub struct IoMeter {
-    in_flight: AtomicUsize,
     inner: Mutex<MeterInner>,
 }
 
 impl IoMeter {
     fn new() -> Arc<IoMeter> {
         Arc::new(IoMeter {
-            in_flight: AtomicUsize::new(0),
             inner: Mutex::new(MeterInner {
                 ewma_bps: 0.0,
                 ewma_latency_s: 0.0,
@@ -103,16 +98,11 @@ impl IoMeter {
         })
     }
 
-    fn begin(&self) {
-        self.in_flight.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Record one completed exchange: `bytes` of payload acknowledged over
     /// `elapsed_s` of virtual time. Non-payload exchanges (`bytes == 0`)
     /// update only the latency estimate, so control traffic (open, stat,
     /// close) does not drag the goodput estimate toward zero.
     fn complete(&self, bytes: u64, elapsed_s: f64) {
-        self.in_flight.fetch_sub(1, Ordering::Relaxed);
         let mut g = self.inner.lock();
         g.exchanges += 1;
         g.payload_bytes += bytes;
@@ -134,18 +124,12 @@ impl IoMeter {
         }
     }
 
-    /// Record one failed exchange (stream severed mid-flight).
-    fn abort(&self) {
-        self.in_flight.fetch_sub(1, Ordering::Relaxed);
-    }
-
     /// Current estimates.
     pub fn snapshot(&self) -> MeterSnapshot {
         let g = self.inner.lock();
         MeterSnapshot {
             goodput_bps: g.ewma_bps,
             latency_s: g.ewma_latency_s,
-            in_flight: self.in_flight.load(Ordering::Relaxed),
             exchanges: g.exchanges,
             payload_bytes: g.payload_bytes,
         }
@@ -341,7 +325,6 @@ impl Transport {
         useful: Option<u64>,
     ) -> Result<(Response, Option<u64>), Closed> {
         let t0 = self.rt.now();
-        self.meter.begin();
         let r = match &self.mode {
             Mode::Exclusive { lock } => {
                 let _g = lock.lock();
@@ -376,20 +359,17 @@ impl Transport {
                 r.map(|frame| (frame.resp, frame.lease))
             }
         };
-        match &r {
-            Ok((resp, _)) => {
-                // Payload bytes the exchange actually moved: data received
-                // for reads, bytes the server acknowledged for writes.
-                let actual = match resp {
-                    Response::Data(p) => p.len(),
-                    Response::Written(n) => *n,
-                    _ => 0,
-                };
-                let bytes = useful.map_or(actual, |u| u.min(actual));
-                self.meter
-                    .complete(bytes, (self.rt.now() - t0).as_secs_f64());
-            }
-            Err(_) => self.meter.abort(),
+        if let Ok((resp, _)) = &r {
+            // Payload bytes the exchange actually moved: data received
+            // for reads, bytes the server acknowledged for writes.
+            let actual = match resp {
+                Response::Data(p) => p.len(),
+                Response::Written(n) => *n,
+                _ => 0,
+            };
+            let bytes = useful.map_or(actual, |u| u.min(actual));
+            self.meter
+                .complete(bytes, (self.rt.now() - t0).as_secs_f64());
         }
         r
     }
@@ -469,24 +449,20 @@ impl Transport {
             panic!("async submit requires a multiplexed transport");
         };
         let t0 = self.rt.now();
-        self.meter.begin();
         // Wrap the completion with meter accounting, mirroring
         // `exchange_hinted`'s bookkeeping (payload bytes capped by the
         // `useful` hint; elapsed time spans submit → response).
         let meter = self.meter.clone();
         let rt = self.rt.clone();
         let cb: SubmitCallback = Box::new(move |resp: Option<Response>| {
-            match &resp {
-                Some(r) => {
-                    let actual = match r {
-                        Response::Data(p) => p.len(),
-                        Response::Written(n) => *n,
-                        _ => 0,
-                    };
-                    let bytes = useful.map_or(actual, |u| u.min(actual));
-                    meter.complete(bytes, (rt.now() - t0).as_secs_f64());
-                }
-                None => meter.abort(),
+            if let Some(r) = &resp {
+                let actual = match r {
+                    Response::Data(p) => p.len(),
+                    Response::Written(n) => *n,
+                    _ => 0,
+                };
+                let bytes = useful.map_or(actual, |u| u.min(actual));
+                meter.complete(bytes, (rt.now() - t0).as_secs_f64());
             }
             cb(resp);
         });
@@ -567,8 +543,8 @@ impl Transport {
     }
 
     /// This stream's goodput telemetry. The meter is owned by the transport
-    /// (it dies with the stream): per-slot continuity across redials is the
-    /// pool's job, per-stream weights are the stripe scheduler's.
+    /// (it dies with the stream); per-stream weights are the stripe
+    /// scheduler's job.
     pub fn meter(&self) -> &Arc<IoMeter> {
         &self.meter
     }

@@ -9,12 +9,6 @@
 //! ([`SrbConn::submit`]), the response demultiplexer wakes the actor, and
 //! an idle session costs a few hundred bytes rather than a thread stack.
 //!
-//! [`run_swarm`] runs the identical workload in either mode
-//! ([`SwarmMode::Threads`] or [`SwarmMode::Tasks`]); with one pool slot
-//! per client the per-connection request traces and the server-side
-//! object checksums are bit-identical between the two, which is how the
-//! equivalence tests pin the refactor.
-//!
 //! Arrivals are open-loop and heavy-tailed ([`heavy_tailed_arrivals`]):
 //! an exponential body with a bounded Pareto tail, the burst-and-lull
 //! shape of real multi-user storage front ends, spread across a weighted
@@ -27,9 +21,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use semplar_clusters::{Testbed, PASSWORD, USER};
-use semplar_runtime::{
-    spawn, Dur, Runtime, Task, TaskCtx, TaskExecutor, TaskStats, TaskStep, Waker,
-};
+use semplar_runtime::{Dur, Task, TaskCtx, TaskExecutor, TaskStats, TaskStep, Waker};
 use semplar_srb::proto::{Request, Response};
 use semplar_srb::{
     ConnPool, OpenFlags, Payload, PoolPolicy, RetryPolicy, SrbConn, SrbResult, TenantId,
@@ -121,15 +113,6 @@ impl OpShape {
     }
 }
 
-/// Which execution substrate carries the clients.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SwarmMode {
-    /// One blocking actor (OS thread) per client — the legacy path.
-    Threads,
-    /// Event-driven [`Task`]s multiplexed on one executor.
-    Tasks,
-}
-
 /// Access skew across the swarm's objects: instead of every client owning
 /// its private object (`{coll}/c{i}`), clients target a shared hot set of
 /// `hot_objects` objects (`{coll}/h{j}`), with object `j` drawn from a
@@ -210,8 +193,6 @@ pub struct SwarmParams {
     /// Carry real (checksummable) bytes instead of size-only payloads.
     /// Keep `false` at 10⁵ clients; the equivalence tests set it.
     pub real_payload: bool,
-    /// Execution substrate.
-    pub mode: SwarmMode,
     /// Collection the sessions' objects live under.
     pub coll: String,
     /// Optional abusive-tenant override: sessions of this tenant issue the
@@ -231,7 +212,7 @@ pub struct SwarmParams {
 
 impl SwarmParams {
     /// A small, fast default: 64 clients, one tenant, 2 writes + 1 read
-    /// of 64 KiB each, task mode.
+    /// of 64 KiB each.
     pub fn quick() -> SwarmParams {
         SwarmParams {
             clients: 64,
@@ -245,7 +226,6 @@ impl SwarmParams {
             think: Dur::ZERO,
             seed: 42,
             real_payload: false,
-            mode: SwarmMode::Tasks,
             coll: "/swarm".into(),
             abuse: None,
             per_tenant_streams: false,
@@ -299,7 +279,7 @@ pub struct SwarmReport {
     pub outcomes: Vec<SessionOutcome>,
     /// Virtual seconds from first arrival to last completion.
     pub secs: f64,
-    /// Executor counters (zeroes in thread mode).
+    /// Executor counters.
     pub task_stats: TaskStats,
 }
 
@@ -347,8 +327,7 @@ fn payload_for(p: &SwarmParams, shape: OpShape, client: usize, op: u32) -> Paylo
     }
 }
 
-/// Data op `op_idx` of the session: the *sequence* of requests is defined
-/// once here so thread and task clients cannot drift.
+/// Data op `op_idx` of the session.
 fn op_request(p: &SwarmParams, shape: OpShape, client: usize, op_idx: u32, fd: u32) -> Request {
     if op_idx < shape.writes {
         Request::Write {
@@ -523,66 +502,12 @@ impl Task for SessionActor {
     }
 }
 
-/// The blocking (thread-actor) twin of [`SessionActor`]: same request
-/// sequence over the synchronous API.
-fn run_thread_session(
-    rt: &Arc<dyn Runtime>,
-    params: &SwarmParams,
-    client: usize,
-    conn: &SrbConn,
-    path: &str,
-    arrival: Dur,
-) -> SessionOutcome {
-    rt.sleep(arrival);
-    let arrival_ns = rt.now().as_nanos();
-    let shape = params.shape_for(conn.tenant());
-    let mut ok = true;
-    'body: {
-        let fd = match conn.open(path, OpenFlags::CreateRw) {
-            Ok(fd) => fd,
-            Err(_) => {
-                ok = false;
-                break 'body;
-            }
-        };
-        for k in 0..shape.total_ops() {
-            if params.think > Dur::ZERO {
-                rt.sleep(params.think);
-            }
-            let r = match op_request(params, shape, client, k, fd) {
-                Request::Write {
-                    fd,
-                    offset,
-                    payload,
-                } => conn.write(fd, offset, payload).map(|_| ()),
-                Request::Read { fd, offset, len } => conn.read(fd, offset, len).map(|_| ()),
-                _ => unreachable!("op_request yields only data ops"),
-            };
-            if r.is_err() {
-                ok = false;
-                break 'body;
-            }
-        }
-        if conn.close_fd(fd).is_err() || conn.disconnect().is_err() {
-            ok = false;
-        }
-    }
-    SessionOutcome {
-        tenant: conn.tenant(),
-        arrival_ns,
-        done_ns: rt.now().as_nanos(),
-        payload_bytes: conn.acked_bytes(),
-        ok,
-    }
-}
-
-/// Run a client swarm against `tb`'s server in either mode.
+/// Run a client swarm against `tb`'s server.
 ///
 /// Clients are dealt round-robin across the testbed's nodes; client `i`
 /// pins pool slot `i / nodes` (mod `streams_per_node`), and every pool is
 /// pre-warmed in index order, so the mapping from client to server-side
-/// connection is a pure function of `i` — identical between modes, which
-/// is what makes the request traces comparable.
+/// connection is a pure function of `i`.
 pub fn run_swarm(tb: &Testbed, params: &SwarmParams) -> SwarmReport {
     let rt = tb.rt.clone();
     let nodes = tb.nodes();
@@ -659,53 +584,29 @@ pub fn run_swarm(tb: &Testbed, params: &SwarmParams) -> SwarmReport {
         Arc::new(Mutex::new((0..params.clients).map(|_| None).collect()));
     let t0 = rt.now();
 
-    let task_stats = match params.mode {
-        SwarmMode::Tasks => {
-            let ex = TaskExecutor::new(&rt, "swarm");
-            let handles: Vec<_> = (0..params.clients)
-                .map(|i| {
-                    ex.spawn(Box::new(SessionActor {
-                        params: params.clone(),
-                        shape: params.shape_for(params.mix.assign(i)),
-                        client: i,
-                        conn: conns[i].clone(),
-                        path: path_for(&params, i),
-                        arrival: arrivals[i],
-                        arrival_ns: 0,
-                        state: ActorState::Arriving,
-                        fd: 0,
-                        ok: true,
-                        slot: Arc::new(Mutex::new(None)),
-                        outcomes: outcomes.clone(),
-                    }))
-                })
-                .collect();
-            for h in handles {
-                h.join();
-            }
-            ex.stats()
-        }
-        SwarmMode::Threads => {
-            let handles: Vec<_> = (0..params.clients)
-                .map(|i| {
-                    let rt2 = rt.clone();
-                    let params = params.clone();
-                    let conn = conns[i].clone();
-                    let outcomes = outcomes.clone();
-                    let arrival = arrivals[i];
-                    spawn(&rt, &format!("swarm-cl{i}"), move || {
-                        let path = path_for(&params, i);
-                        let out = run_thread_session(&rt2, &params, i, &conn, &path, arrival);
-                        outcomes.lock()[i] = Some(out);
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join_unwrap();
-            }
-            TaskStats::default()
-        }
-    };
+    let ex = TaskExecutor::new(&rt, "swarm");
+    let handles: Vec<_> = (0..params.clients)
+        .map(|i| {
+            ex.spawn(Box::new(SessionActor {
+                params: params.clone(),
+                shape: params.shape_for(params.mix.assign(i)),
+                client: i,
+                conn: conns[i].clone(),
+                path: path_for(&params, i),
+                arrival: arrivals[i],
+                arrival_ns: 0,
+                state: ActorState::Arriving,
+                fd: 0,
+                ok: true,
+                slot: Arc::new(Mutex::new(None)),
+                outcomes: outcomes.clone(),
+            }))
+        })
+        .collect();
+    for h in handles {
+        h.join();
+    }
+    let task_stats = ex.stats();
 
     let secs = (rt.now() - t0).as_secs_f64();
     let outcomes = outcomes
@@ -726,7 +627,7 @@ mod tests {
     use semplar_clusters::das2;
     use semplar_runtime::SimRuntime;
 
-    fn tiny_params(mode: SwarmMode) -> SwarmParams {
+    fn tiny_params() -> SwarmParams {
         SwarmParams {
             clients: 6,
             streams_per_node: 3,
@@ -739,39 +640,11 @@ mod tests {
             think: Dur::ZERO,
             seed: 7,
             real_payload: true,
-            mode,
             coll: "/sw".into(),
             abuse: None,
             per_tenant_streams: false,
             skew: None,
         }
-    }
-
-    /// Run a swarm in a fresh sim; return the server's per-connection
-    /// request trace, every object's server-side checksum, and the report.
-    fn run_case(params: &SwarmParams) -> (Vec<String>, Vec<(String, u32)>, SwarmReport) {
-        let params = params.clone();
-        let sim = SimRuntime::new();
-        sim.run_root(move |rt| {
-            let tb = Testbed::new(rt, das2(), 2);
-            tb.server.enable_request_trace();
-            let report = run_swarm(&tb, &params);
-            let trace = tb.server.take_request_trace();
-            let admin = tb.server.connect(tb.route(0), USER, PASSWORD).unwrap();
-            let sums: Vec<(String, u32)> = (0..params.clients)
-                .map(|i| {
-                    let p = format!("{}/c{i}", params.coll);
-                    let c = admin.checksum(&p).unwrap();
-                    (p, c)
-                })
-                .collect();
-            admin.disconnect().unwrap();
-            (trace, sums, report)
-        })
-    }
-
-    fn run_mode(mode: SwarmMode) -> (Vec<String>, Vec<(String, u32)>, SwarmReport) {
-        run_case(&tiny_params(mode))
     }
 
     #[test]
@@ -801,7 +674,7 @@ mod tests {
 
     #[test]
     fn zipf_skew_is_deterministic_and_concentrates_on_low_ranks() {
-        let mut p = tiny_params(SwarmMode::Tasks);
+        let mut p = tiny_params();
         p.skew = Some(AccessSkew {
             theta: 0.99,
             hot_objects: 8,
@@ -832,7 +705,7 @@ mod tests {
     /// objects (no private `/c{i}` paths were ever created).
     #[test]
     fn skewed_swarm_touches_only_the_hot_set() {
-        let mut params = tiny_params(SwarmMode::Tasks);
+        let mut params = tiny_params();
         params.skew = Some(AccessSkew {
             theta: 0.99,
             hot_objects: 2,
@@ -857,22 +730,15 @@ mod tests {
 
     #[test]
     fn task_swarm_completes_and_counts_tasks() {
-        let (_, _, report) = run_mode(SwarmMode::Tasks);
+        let report = SimRuntime::new().run_root(|rt| {
+            let tb = Testbed::new(rt, das2(), 2);
+            run_swarm(&tb, &tiny_params())
+        });
         assert_eq!(report.completed(), 6);
         assert_eq!(report.task_stats.spawned, 6);
         assert_eq!(report.task_stats.live, 0);
         // 2 writes acked + 1 read acked per session.
         assert_eq!(report.payload_bytes(), 6 * 3 * (8 << 10));
-    }
-
-    #[test]
-    fn thread_and_task_swarms_are_trace_and_checksum_identical() {
-        let (trace_t, sums_t, rep_t) = run_mode(SwarmMode::Threads);
-        let (trace_a, sums_a, rep_a) = run_mode(SwarmMode::Tasks);
-        assert_eq!(trace_t, trace_a, "request traces diverge");
-        assert_eq!(sums_t, sums_a, "object checksums diverge");
-        assert_eq!(rep_t.completed(), rep_a.completed());
-        assert_eq!(rep_t.payload_bytes(), rep_a.payload_bytes());
     }
 
     /// A small fig_tenants-shaped arm: five equal tenants, tenant 9
@@ -909,7 +775,6 @@ mod tests {
                 think: Dur::ZERO,
                 seed: 42,
                 real_payload: false,
-                mode: SwarmMode::Tasks,
                 coll: "/tn".into(),
                 abuse: abusive.then_some((
                     TenantId(9),
@@ -952,38 +817,5 @@ mod tests {
             drr < 10.0,
             "tenant-aware stack broke the isolation claim: {drr:.1}%"
         );
-    }
-
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(8))]
-        /// Satellite: across random seeds and workload shapes, the
-        /// event-driven client produces bit-identical per-connection
-        /// request traces and server-side object checksums to the
-        /// thread-per-client path. One pool slot per client keeps the
-        /// client → connection mapping a pure function of the index, so
-        /// the traces are directly comparable.
-        #[test]
-        fn actor_and_thread_modes_agree(
-            seed in 0u64..512,
-            clients in 2usize..7,
-            writes in 1u32..3,
-            reads in 0u32..3,
-            shift in 0u32..3,
-        ) {
-            let mut p = tiny_params(SwarmMode::Threads);
-            p.seed = seed;
-            p.clients = clients;
-            p.streams_per_node = clients;
-            p.writes = writes;
-            p.reads = reads;
-            p.bytes_per_op = (4 << 10) << shift;
-            let (trace_t, sums_t, _) = run_case(&p);
-            p.mode = SwarmMode::Tasks;
-            let (trace_a, sums_a, _) = run_case(&p);
-            prop_assert_eq!(trace_t, trace_a);
-            prop_assert_eq!(sums_t, sums_a);
-        }
     }
 }

@@ -24,7 +24,7 @@ pub mod laplace;
 pub mod perf;
 
 pub use actors::{
-    heavy_tailed_arrivals, run_swarm, AccessSkew, OpShape, SessionOutcome, SwarmMode, SwarmParams,
+    heavy_tailed_arrivals, run_swarm, AccessSkew, OpShape, SessionOutcome, SwarmParams,
     SwarmReport, TenantMix,
 };
 pub use blast::{run_blast, BlastParams, BlastReport};

@@ -1,8 +1,6 @@
-//! Goodput-adaptive striping and congestion-aware pooling, end to end:
-//! the adaptive scheduler must replay bit-identically under a seeded
-//! fault plan, must beat round-robin placement when one path degrades,
-//! and the pool's congestion policy must steer unpinned sessions toward
-//! the slot with the best observed goodput.
+//! Goodput-adaptive striping, end to end: the adaptive scheduler must
+//! replay bit-identically under a seeded fault plan and must beat
+//! round-robin placement when one path degrades.
 
 use std::sync::Arc;
 
@@ -13,9 +11,7 @@ use semplar_repro::runtime::{simulate, Dur, Time};
 use semplar_repro::semplar::{
     OpenFlags, Payload, SrbFs, SrbFsConfig, StripeStats, StripeUnit, StripedFile,
 };
-use semplar_repro::srb::{
-    adler32, ConnPool, ConnRoute, PoolPolicy, RetryPolicy, SlotPolicy, SrbServer, SrbServerCfg,
-};
+use semplar_repro::srb::{adler32, ConnRoute, PoolPolicy, RetryPolicy, SrbServer, SrbServerCfg};
 
 /// A multi-homed client: one 50 Mb/s, 10 ms path per stream to the same
 /// server. Returns the per-stream routes and the uplink ids.
@@ -154,78 +150,6 @@ fn adaptive_beats_round_robin_under_degrade() {
         ad.stats.blocks[1] > ad.stats.blocks[0],
         "the healthy stream should carry the majority: {:?}",
         ad.stats.blocks
-    );
-}
-
-/// Drive asymmetric traffic through a two-slot shared pool and return the
-/// per-slot payload totals after a 2 MiB probe session picked its slot.
-/// Slot 0 serves tiny latency-bound writes (low goodput), slot 1 serves
-/// 1 MiB writes (high goodput).
-fn pooled_probe(slot_policy: SlotPolicy) -> Vec<u64> {
-    simulate(move |rt| {
-        let net = Network::new(rt.clone());
-        let (routes, _) = multihome(&net, 1);
-        let server = SrbServer::new(net.clone(), SrbServerCfg::default());
-        server.mcat().add_user("u", "p");
-        let pool = ConnPool::with_slot_policy(
-            server,
-            "u",
-            "p",
-            PoolPolicy::Shared {
-                max_streams: 2,
-                max_inflight: 4,
-            },
-            slot_policy,
-            RetryPolicy::default(),
-        );
-        let route = &routes[0];
-
-        // Cold slots are dialed in index order: a -> slot 0, b -> slot 1.
-        let a = pool.session(route, None).expect("session a");
-        let b = pool.session(route, None).expect("session b");
-        a.create("/small").expect("create small");
-        let fa = a.open("/small", OpenFlags::CreateRw).expect("open small");
-        for i in 0..4u64 {
-            a.write(fa, i * 4096, Payload::sized(4096))
-                .expect("small write");
-        }
-        b.create("/big").expect("create big");
-        let fb = b.open("/big", OpenFlags::CreateRw).expect("open big");
-        for i in 0..4u64 {
-            b.write(fb, i * (1 << 20), Payload::sized(1 << 20))
-                .expect("big write");
-        }
-
-        let c = pool.session(route, None).expect("probe session");
-        c.create("/probe").expect("create probe");
-        let fc = c.open("/probe", OpenFlags::CreateRw).expect("open probe");
-        c.write(fc, 0, Payload::sized(2 << 20))
-            .expect("probe write");
-
-        pool.slot_meters()
-            .into_iter()
-            .map(|(_, m)| m.map(|s| s.payload_bytes).unwrap_or(0))
-            .collect()
-    })
-}
-
-/// `SlotPolicy::Congestion` sends the probe to the high-goodput slot;
-/// `SlotPolicy::LeastAssigned` (the default, tie on assignments) sends it
-/// to slot 0. The 2 MiB probe payload shows up where the session landed.
-#[test]
-fn congestion_policy_steers_probe_to_high_goodput_slot() {
-    let by_goodput = pooled_probe(SlotPolicy::Congestion);
-    assert_eq!(
-        by_goodput,
-        vec![4 * 4096, (4 << 20) + (2 << 20)],
-        "probe should land on the high-goodput slot"
-    );
-
-    let by_count = pooled_probe(SlotPolicy::LeastAssigned);
-    assert_eq!(
-        by_count,
-        vec![4 * 4096 + (2 << 20), 4 << 20],
-        "least-assigned breaks the tie to slot 0"
     );
 }
 

@@ -16,7 +16,7 @@ use semplar_repro::runtime::{simulate, spawn, Dur};
 use semplar_repro::semplar;
 use semplar_repro::semplar::{File, OpenFlags, Payload};
 use semplar_repro::srb::{
-    adler32, CacheSpec, ConnRoute, Eviction, Replicator, RetryPolicy, SrbServer, SrbServerCfg,
+    adler32, CacheSpec, ConnRoute, Replicator, RetryPolicy, SrbServer, SrbServerCfg,
 };
 
 /// The deterministic byte at `offset + k` of object `file`, version `v`.
@@ -50,7 +50,6 @@ fn chaos_run(seed: u64, caches: bool) -> (Observed, u64, u64) {
             tb.server.set_block_cache(CacheSpec {
                 block: 64 << 10,
                 capacity: 4 << 20,
-                eviction: Eviction::Lru,
             });
         }
         let fs: Vec<Arc<SrbFs>> = (0..2).map(|n| tb.srbfs(n)).collect();
@@ -201,7 +200,6 @@ fn federation_run(seed: u64, caches: bool) -> (Vec<u32>, Vec<u32>, u64, u64) {
                 let spec = CacheSpec {
                     block: 64 << 10,
                     capacity: 4 << 20,
-                    eviction: Eviction::Lru,
                 };
                 primary.set_block_cache(spec);
                 replica.set_block_cache(spec);

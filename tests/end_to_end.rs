@@ -192,63 +192,6 @@ fn per_op_round_trips_show_up_in_virtual_time() {
 }
 
 #[test]
-fn staging_moves_data_between_backends_with_checksums() {
-    // GASS-style: stage a remote SRB file onto a local PVFS-like store,
-    // crunch it locally, stage results back out, and verify with a
-    // server-side checksum instead of re-reading over the WAN.
-    use semplar_repro::netsim::Bw;
-    use semplar_repro::semplar::{stage_in, stage_out, PvfsLike};
-    use semplar_repro::srb::adler32;
-    use semplar_repro::srb::vault::DiskSpec;
-
-    simulate(|rt| {
-        let tb = Testbed::new(rt.clone(), tg_ncsa(), 1);
-        let fs = tb.srbfs(0);
-        let data = generate(512 * 1024, 21, &EstGenConfig::default());
-
-        // Seed the remote file.
-        let remote = File::open(&rt, &fs, "/dataset", OpenFlags::CreateRw).unwrap();
-        remote.write_at(0, &Payload::bytes(data.clone())).unwrap();
-        remote.close().unwrap();
-
-        // Stage in to local parallel storage.
-        let local = PvfsLike::new(
-            rt.clone(),
-            4,
-            DiskSpec {
-                bandwidth: Bw::mbyte_per_s(50.0),
-                seek: Dur::ZERO,
-                ..DiskSpec::default()
-            },
-            64 * 1024,
-        );
-        let remote = File::open(&rt, &fs, "/dataset", OpenFlags::Read).unwrap();
-        let n = stage_in(&rt, &remote, &local, "/scratch", 128 * 1024, 3).unwrap();
-        remote.close().unwrap();
-        assert_eq!(n, data.len() as u64);
-        assert_eq!(local.get("/scratch").unwrap(), data);
-
-        // "Crunch" locally (uppercase the nucleotides' complement, say).
-        let mut crunched = local.get("/scratch").unwrap();
-        for b in crunched.iter_mut() {
-            *b = b.wrapping_add(1);
-        }
-        local.put("/result", crunched.clone());
-
-        // Stage the result back to the SRB server.
-        let out = File::open(&rt, &fs, "/result", OpenFlags::CreateRw).unwrap();
-        let n = stage_out(&rt, &local, "/result", &out, 128 * 1024, 3).unwrap();
-        out.close().unwrap();
-        assert_eq!(n, crunched.len() as u64);
-
-        // Verify with a server-side checksum — no WAN read-back needed.
-        let conn = tb.server.connect(tb.route(0), "semplar", "hpdc06").unwrap();
-        assert_eq!(conn.checksum("/result").unwrap(), adler32(&crunched));
-        conn.disconnect().unwrap();
-    });
-}
-
-#[test]
 fn virtual_time_is_deterministic_across_runs() {
     let run = || {
         simulate(|rt| {

@@ -3,12 +3,14 @@
 //! rather than wedging the virtual clock, and the recovery machinery must
 //! bring transfers through link flaps, server crashes, and dead streams.
 
-use semplar_repro::clusters::{das2, Testbed};
+use semplar_repro::clusters::{das2, Testbed, PASSWORD, USER};
 use semplar_repro::faults::FaultPlan;
 use semplar_repro::netsim::Bw;
-use semplar_repro::runtime::{simulate, Dur};
+use semplar_repro::runtime::sync::Barrier;
+use semplar_repro::runtime::{simulate, spawn, Dur, SimRuntime};
 use semplar_repro::semplar::{
-    File, IoError, OpenFlags, Payload, RecoveryStats, SrbFs, SrbFsConfig, StripeUnit, StripedFile,
+    File, IoError, MemFs, OpenFlags, Payload, RecoveryStats, SrbFs, SrbFsConfig, StripeUnit,
+    StripedFile,
 };
 use semplar_repro::srb::{adler32, ConnRoute, RetryPolicy, SrbError, SrbServer, SrbServerCfg};
 
@@ -104,6 +106,76 @@ fn abandoned_files_do_not_wedge_the_simulation() {
         rt.now()
     });
     assert!(end >= semplar_repro::runtime::Time::ZERO);
+}
+
+/// Create-or-open is idempotent across sessions: eight sessions open the
+/// same fresh path with `CreateRw` at the same virtual instant, 200 paths in
+/// a row. The server's lookup-then-create is not atomic, so the losers of
+/// each race must open the winner's object rather than see `AlreadyExists`.
+#[test]
+fn racing_create_rw_opens_all_get_an_fd_on_one_object() {
+    const SESSIONS: usize = 8;
+    const PATHS: usize = 200;
+    simulate(|rt| {
+        let tb = Testbed::new(rt.clone(), das2(), SESSIONS);
+        let admin = tb.server.connect(tb.route(0), USER, PASSWORD).unwrap();
+        admin.mk_coll("/race").unwrap();
+        let barrier = Barrier::new(&rt, SESSIONS);
+        let racers: Vec<_> = (0..SESSIONS)
+            .map(|n| {
+                let conn = tb.server.connect(tb.route(n), USER, PASSWORD).unwrap();
+                let barrier = barrier.clone();
+                spawn(&rt, &format!("racer{n}"), move || {
+                    for i in 0..PATHS {
+                        barrier.wait();
+                        let path = format!("/race/p{i}");
+                        let fd = conn
+                            .open(&path, OpenFlags::CreateRw)
+                            .unwrap_or_else(|e| panic!("session {n} lost the race on {path}: {e}"));
+                        conn.close_fd(fd).unwrap();
+                    }
+                    conn.disconnect().unwrap();
+                })
+            })
+            .collect();
+        for h in racers {
+            h.join_unwrap();
+        }
+        assert_eq!(admin.list("/race").unwrap().len(), PATHS);
+        admin.disconnect().unwrap();
+    });
+}
+
+/// A failed simulation surfaces its *first* panic. The root panics while it
+/// and a parked sibling actor each hold an open `File` with a live I/O
+/// thread; the sibling unwinds on the poisoned engine, and `File`'s
+/// destructor must not block on (and panic in) that engine a second time —
+/// a panic while unwinding aborts the whole test process.
+#[test]
+fn root_panic_with_open_files_surfaces_the_original_message() {
+    let sim = SimRuntime::new();
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        sim.run_root(|rt| {
+            let fs = MemFs::new(rt.clone());
+            // The first async call spawns the file's I/O thread.
+            let open = |path: &str| {
+                let f = File::open(&rt, &fs, path, OpenFlags::CreateRw).unwrap();
+                f.iwrite_at(0, Payload::sized(1)).wait().unwrap();
+                f
+            };
+            let never = rt.event();
+            let held_by_sibling = open("/sibling");
+            let _sibling = spawn(&rt, "sibling", move || {
+                let _held = held_by_sibling;
+                never.wait();
+            });
+            let _held = open("/root");
+            rt.sleep(Dur::from_millis(1)); // the sibling is parked by now
+            panic!("root boom");
+        })
+    }));
+    let payload = result.expect_err("the root's panic must propagate");
+    assert_eq!(payload.downcast_ref::<&str>(), Some(&"root boom"));
 }
 
 #[test]
