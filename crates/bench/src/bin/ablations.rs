@@ -16,7 +16,7 @@ use semplar::{
     CompressedWriter, ComputeModel, EngineCfg, File, OpenFlags, Payload, Request, StripeUnit,
     StripedFile,
 };
-use semplar_bench::{with_testbed, Table};
+use semplar_bench::{flags, with_testbed, Table};
 use semplar_clusters::das2;
 use semplar_compress::Lzf;
 use semplar_netsim::Bw;
@@ -24,6 +24,7 @@ use semplar_runtime::Dur;
 use semplar_workloads::estgen::{generate, EstGenConfig};
 
 fn main() {
+    let [] = flags([]);
     streams_sweep();
     window_sweep();
     depth_sweep();
@@ -40,7 +41,7 @@ fn streams_sweep() {
     );
     let mut base = 0.0;
     for streams in [1usize, 2, 4, 8, 16] {
-        let mbps = with_testbed(das2(), 1, move |tb| {
+        let (mbps, _) = with_testbed(das2(), 1, move |tb| {
             let fs = tb.srbfs(0);
             let f = StripedFile::open(
                 &tb.rt,
@@ -82,7 +83,7 @@ fn window_sweep() {
         let mut spec = das2();
         spec.send_window = kib * 1024;
         let cap = spec.send_cap().as_mbps();
-        let mbps = with_testbed(spec, 1, move |tb| {
+        let (mbps, _) = with_testbed(spec, 1, move |tb| {
             let fs = tb.srbfs(0);
             let f = File::open(&tb.rt, &fs, "/w", OpenFlags::CreateRw).unwrap();
             let t0 = tb.rt.now();
@@ -116,7 +117,7 @@ fn depth_sweep() {
     spec.wan_owd = Dur::from_millis(5);
     for depth in [0usize, 1, 2, 4, 8] {
         let d2 = data.clone();
-        let mbps = with_testbed(spec.clone(), 1, move |tb| {
+        let (mbps, _) = with_testbed(spec.clone(), 1, move |tb| {
             let fs = tb.srbfs(0);
             let f = File::open(&tb.rt, &fs, "/z", OpenFlags::CreateRw).unwrap();
             let codec = Lzf;
@@ -151,7 +152,7 @@ fn io_thread_sweep() {
     );
     // N threads sharing ONE connection: requests serialize on the stream.
     for threads in [1usize, 2, 4] {
-        let secs = with_testbed(das2(), 1, move |tb| {
+        let (secs, _) = with_testbed(das2(), 1, move |tb| {
             let fs = tb.srbfs(0);
             let f = File::open_with(
                 &tb.rt,
@@ -180,7 +181,7 @@ fn io_thread_sweep() {
     }
     // One thread per connection: real parallelism.
     for streams in [2usize, 4] {
-        let secs = with_testbed(das2(), 1, move |tb| {
+        let (secs, _) = with_testbed(das2(), 1, move |tb| {
             let fs = tb.srbfs(0);
             let f = StripedFile::open(
                 &tb.rt,
@@ -227,7 +228,7 @@ fn rtt_crossover() {
         let mut spec = das2();
         spec.wan_owd = Dur::from_millis(rtt_ms / 2);
         let d2 = data.clone();
-        let (plain, compressed) = with_testbed(spec, 1, move |tb| {
+        let ((plain, compressed), _) = with_testbed(spec, 1, move |tb| {
             let fs = tb.srbfs(0);
             let run_plain = {
                 let f = File::open(&tb.rt, &fs, "/p", OpenFlags::CreateRw).unwrap();
@@ -299,7 +300,7 @@ fn codec_sweep() {
     ];
     for (name, codec, rate) in arms {
         let d2 = data.clone();
-        let (mbps, ratio) = with_testbed(das2(), 1, move |tb| {
+        let ((mbps, ratio), _) = with_testbed(das2(), 1, move |tb| {
             let fs = tb.srbfs(0);
             let f = File::open(&tb.rt, &fs, "/codec", OpenFlags::CreateRw).unwrap();
             let t0 = tb.rt.now();

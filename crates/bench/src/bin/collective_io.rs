@@ -2,12 +2,12 @@
 //! naive strided writes vs two-phase aggregation vs two-phase with
 //! asynchronous aggregator writes, on the DAS-2 → SDSC path.
 
-use semplar_bench::{with_testbed, Table};
+use semplar_bench::{flags, with_testbed, Table};
 use semplar_clusters::das2;
 use semplar_workloads::{run_collective, CollectiveMode, CollectiveParams};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let [quick] = flags(["--quick"]);
     let procs_list: &[usize] = if quick { &[4] } else { &[2, 4, 8, 12] };
 
     let mut t = Table::new(
@@ -22,7 +22,7 @@ fn main() {
         ],
     );
     for &n in procs_list {
-        let (naive, sync2, async2) = with_testbed(das2(), n, move |tb| {
+        let ((naive, sync2, async2), _) = with_testbed(das2(), n, move |tb| {
             let p = |mode| CollectiveParams {
                 rows: 64,
                 cell_bytes: 8 * 1024,

@@ -8,54 +8,66 @@
 //! overlaps MPI communication) recovers the double-connection time.
 
 use semplar_bench::table::secs;
-use semplar_bench::{contention_experiment, laplace_defaults, Table};
+use semplar_bench::{flags, with_testbed, Table};
 use semplar_clusters::das2;
-use semplar_workloads::LaplaceParams;
+use semplar_workloads::{run_laplace, LaplaceMode, LaplaceParams};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let [quick] = flags(["--quick"]);
     let base = if quick {
         LaplaceParams {
             grid: 1201,
             checkpoints: 4,
-            ..laplace_defaults()
+            ..LaplaceParams::default()
         }
     } else {
         LaplaceParams {
             checkpoints: 6,
-            ..laplace_defaults()
+            ..LaplaceParams::default()
         }
     };
     let n = if quick { 2 } else { 4 };
 
-    let r = contention_experiment(das2(), n, base);
+    let ([overlap_alone, two_streams_alone, naive, restructured], _) =
+        with_testbed(das2(), n, move |tb| {
+            [
+                (LaplaceMode::AsyncOverlap, 1),
+                (LaplaceMode::Sync, 2),
+                (LaplaceMode::AsyncOverlap, 2),
+                (LaplaceMode::AsyncNoCommOverlap, 2),
+            ]
+            .map(|(mode, streams)| {
+                run_laplace(
+                    &tb,
+                    n,
+                    LaplaceParams {
+                        mode,
+                        streams,
+                        ..base
+                    },
+                )
+                .exec_secs
+            })
+        });
     let mut t = Table::new(
         &format!("§7.1 contention experiment (das2, {n} procs): 2D Laplace"),
         &["configuration", "exec (s)"],
     );
-    t.row(vec![
-        "overlap alone (1 stream)".into(),
-        secs(r.overlap_alone),
-    ]);
-    t.row(vec![
-        "two streams alone (no overlap)".into(),
-        secs(r.two_streams_alone),
-    ]);
-    t.row(vec![
-        "combined, wait at position 1 (naive)".into(),
-        secs(r.combined_naive),
-    ]);
-    t.row(vec![
-        "combined, wait at position 2 (restructured)".into(),
-        secs(r.combined_restructured),
-    ]);
+    for (label, exec) in [
+        ("overlap alone (1 stream)", overlap_alone),
+        ("two streams alone (no overlap)", two_streams_alone),
+        ("combined, wait at position 1 (naive)", naive),
+        ("combined, wait at position 2 (restructured)", restructured),
+    ] {
+        t.row(vec![label.into(), secs(exec)]);
+    }
     t.print();
     println!(
         "naive combined / overlap-alone = {:.2} (paper: ~1.0 — the 2nd stream's benefit is lost)",
-        r.combined_naive / r.overlap_alone
+        naive / overlap_alone
     );
     println!(
         "restructured / two-streams-alone = {:.2} (paper: ~1.0 — restructuring recovers it)",
-        r.combined_restructured / r.two_streams_alone
+        restructured / two_streams_alone
     );
 }

@@ -5,12 +5,15 @@
 //! Paper reference points: average aggregate write bandwidth improves by
 //! 83 % (DAS-2) and 84 % (TG-NCSA).
 
+use std::sync::Arc;
+
 use semplar_bench::table::{mbps, pct};
-use semplar_bench::{avg_bw_gain, fig9_compress, Table};
+use semplar_bench::{flags, mean_ratio, with_testbed, Table};
 use semplar_clusters::{das2, tg_ncsa};
+use semplar_workloads::{estgen, run_compress, CompressMode, CompressParams};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let [quick] = flags(["--quick"]);
     let file_bytes: u64 = if quick { 16 << 20 } else { 100 << 20 };
     let das2_procs: &[usize] = if quick {
         &[2, 6]
@@ -18,27 +21,59 @@ fn main() {
         &[1, 3, 5, 7, 9, 11, 13]
     };
     let tg_procs: &[usize] = if quick { &[2, 6] } else { &[1, 3, 5, 7, 9, 11] };
+    let data = Arc::new(estgen::generate(
+        file_bytes as usize,
+        2006,
+        &estgen::EstGenConfig::default(),
+    ));
 
     for (spec, procs, paper) in [
         (das2(), das2_procs, "paper: +83%"),
         (tg_ncsa(), tg_procs, "paper: +84%"),
     ] {
         let name = spec.name;
-        let rows = fig9_compress(spec, procs, file_bytes);
+        let max_procs = *procs.iter().max().expect("non-empty sweep");
+        let data = data.clone();
+        // Per process count: the sync-uncompressed and the
+        // async-compressed report.
+        let (rows, _) = with_testbed(spec, max_procs, move |tb| {
+            procs
+                .iter()
+                .map(|&n| {
+                    let run = |mode| {
+                        run_compress(
+                            &tb,
+                            n,
+                            data.clone(),
+                            CompressParams {
+                                file_bytes,
+                                mode,
+                                ..CompressParams::default()
+                            },
+                        )
+                    };
+                    let sync = run(CompressMode::SyncUncompressed);
+                    (sync, run(CompressMode::AsyncCompressed))
+                })
+                .collect::<Vec<_>>()
+        });
         let mut t = Table::new(
             &format!("Fig. 9 ({name}): compression aggregate write bandwidth (Mb/s)"),
             &["procs", "sync write", "async write", "lz ratio"],
         );
-        for r in &rows {
+        for (sync, asy) in &rows {
             t.row(vec![
-                r.procs.to_string(),
-                mbps(r.sync_mbps),
-                mbps(r.async_mbps),
-                format!("{:.2}", r.ratio),
+                sync.procs.to_string(),
+                mbps(sync.agg_write_mbps),
+                mbps(asy.agg_write_mbps),
+                format!("{:.2}", asy.ratio),
             ]);
         }
         t.print();
-        let gain = avg_bw_gain(rows.iter().map(|r| (r.sync_mbps, r.async_mbps)));
+        let gain = mean_ratio(
+            rows.iter()
+                .map(|(sync, asy)| (asy.agg_write_mbps, sync.agg_write_mbps)),
+        ) - 1.0;
         println!(
             "{name}: average async-compressed write gain {}   ({paper})",
             pct(gain)

@@ -9,66 +9,84 @@
 //! seeded, so the output is bit-identical across invocations — CI diffs
 //! `--quick` against `results/fig9_compress_faults_quick.txt`.
 
+use std::sync::Arc;
+
 use semplar_bench::table::mbps;
-use semplar_bench::{fig9_compress_faults, Table};
+use semplar_bench::{availability_plan, flags, print_fault_ledger, settle, with_testbed, Table};
 use semplar_clusters::das2;
-use semplar_runtime::{Dur, Time};
+use semplar_runtime::Dur;
+use semplar_workloads::{estgen, run_compress, CompressMode, CompressParams};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let [quick] = flags(["--quick"]);
     // Crash timing mirrors fig_availability: late enough that the ranks
     // have re-established the connections the reset severed.
-    let (procs, bytes, crash_at) = if quick {
+    let (procs, file_bytes, crash_at) = if quick {
         (2, 8 << 20, Dur::from_secs(8))
     } else {
         (4, 32 << 20, Dur::from_secs(16))
     };
     let seed = 7u64;
+    let data = Arc::new(estgen::generate(
+        file_bytes as usize,
+        2006,
+        &estgen::EstGenConfig::default(),
+    ));
 
-    let rep = fig9_compress_faults(das2(), procs, bytes, seed, Dur::from_secs(2), crash_at);
+    let ((base, faulted, faults), _) = with_testbed(das2(), procs, move |tb| {
+        let params = CompressParams {
+            file_bytes,
+            mode: CompressMode::AsyncCompressed,
+            ..CompressParams::default()
+        };
+        let base = run_compress(&tb, procs, data.clone(), params);
+        let at = [
+            Dur::from_millis(500),
+            Dur::from_millis(900),
+            Dur::from_secs(2),
+            crash_at,
+        ];
+        let inj = availability_plan(seed, tb.wan_links().0, at, Dur::from_millis(400))
+            .inject(&tb.rt, &tb.net, &tb.server);
+        let faulted = run_compress(&tb, procs, data, params);
+        settle(&tb.rt, &inj);
+        (base, faulted, inj.stats())
+    });
 
     let mut t = Table::new(
         &format!(
             "Compression under faults (das2): {procs} procs x {} MiB async-compressed, seed {seed}",
-            bytes >> 20
+            file_bytes >> 20
         ),
         &["metric", "value"],
     );
-    t.row(vec!["write fault-free".into(), mbps(rep.baseline_mbps)]);
-    t.row(vec!["write under faults".into(), mbps(rep.faulted_mbps)]);
-    t.row(vec![
-        "goodput".into(),
-        format!("{:.1} %", rep.goodput_fraction() * 100.0),
-    ]);
-    t.row(vec!["lz ratio".into(), format!("{:.2}", rep.ratio)]);
-    t.row(vec![
-        "frames re-shipped (no recompress)".into(),
-        rep.resumed_frames.to_string(),
-    ]);
-    t.row(vec![
-        "disconnects seen".into(),
-        rep.recovery.disconnects.to_string(),
-    ]);
-    t.row(vec![
-        "reconnects".into(),
-        rep.recovery.reconnects.to_string(),
-    ]);
-    t.row(vec![
-        "ops recovered".into(),
-        rep.recovery.recovered_ops.to_string(),
-    ]);
-    t.row(vec![
-        "total recovery time".into(),
-        format!("{:.3} s", rep.recovery.recovery_time.as_secs_f64()),
-    ]);
-    t.row(vec![
-        "connections severed".into(),
-        rep.faults.conns_severed.to_string(),
-    ]);
-    t.print();
-
-    println!("fault ledger (virtual time):");
-    for (at, what) in &rep.faults.ledger {
-        println!("  [{:9.3} s] {what}", (*at - Time::ZERO).as_secs_f64());
+    let rec = &faulted.recovery;
+    for (metric, value) in [
+        ("write fault-free", mbps(base.agg_write_mbps)),
+        ("write under faults", mbps(faulted.agg_write_mbps)),
+        (
+            "goodput",
+            format!(
+                "{:.1} %",
+                faulted.agg_write_mbps / base.agg_write_mbps * 100.0
+            ),
+        ),
+        ("lz ratio", format!("{:.2}", faulted.ratio)),
+        (
+            "frames re-shipped (no recompress)",
+            faulted.resumed_frames.to_string(),
+        ),
+        ("disconnects seen", rec.disconnects.to_string()),
+        ("reconnects", rec.reconnects.to_string()),
+        ("ops recovered", rec.recovered_ops.to_string()),
+        (
+            "total recovery time",
+            format!("{:.3} s", rec.recovery_time.as_secs_f64()),
+        ),
+        ("connections severed", faults.conns_severed.to_string()),
+    ] {
+        t.row(vec![metric.into(), value]);
     }
+    t.print();
+    print_fault_ledger("fault ledger (virtual time)", &faults);
 }

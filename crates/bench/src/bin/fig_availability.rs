@@ -6,13 +6,66 @@
 //! seeded plan, so the output is bit-identical across invocations — CI
 //! diffs it against `results/fig_availability.txt`.
 
+use std::sync::{Arc, Mutex};
+
+use semplar::{OpenFlags, Payload, RecoveryStats, SrbFs, StripeUnit, StripedFile};
 use semplar_bench::table::mbps;
-use semplar_bench::{fig_availability, Table};
-use semplar_clusters::das2;
-use semplar_runtime::{Dur, Time};
+use semplar_bench::{availability_plan, flags, print_fault_ledger, settle, with_testbed, Table};
+use semplar_clusters::{das2, Testbed};
+use semplar_runtime::{spawn, Dur};
+
+/// One `perf`-style shared-file write: every rank writes `bytes` at its own
+/// section of `path` over `streams` connections. Returns the aggregate
+/// bandwidth in Mb/s and the recovery counters summed over every mount.
+fn shared_write(
+    tb: &Arc<Testbed>,
+    procs: usize,
+    bytes: u64,
+    streams: usize,
+    path: &'static str,
+) -> (f64, RecoveryStats) {
+    let rt = tb.rt.clone();
+    let mounts: Arc<Mutex<Vec<Arc<SrbFs>>>> = Arc::default();
+    let t0 = rt.now();
+    let handles: Vec<_> = (0..procs)
+        .map(|rank| {
+            let tb = tb.clone();
+            let mounts = mounts.clone();
+            spawn(&rt, &format!("avail/rank{rank}"), move || {
+                let fs = tb.srbfs(rank);
+                mounts.lock().unwrap().push(fs.clone());
+                let f = StripedFile::open(
+                    &tb.rt,
+                    &fs,
+                    path,
+                    OpenFlags::CreateRw,
+                    streams,
+                    StripeUnit::Even,
+                )
+                .expect("open availability file");
+                f.write_at(rank as u64 * bytes, Payload::sized(bytes))
+                    .expect("availability write");
+                f.close().expect("close availability file");
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join_unwrap();
+    }
+    let elapsed = (rt.now() - t0).as_secs_f64();
+    let mut rec = RecoveryStats::default();
+    for fs in mounts.lock().unwrap().iter() {
+        let s = fs.recovery_stats();
+        rec.disconnects += s.disconnects;
+        rec.reconnects += s.reconnects;
+        rec.recovered_ops += s.recovered_ops;
+        rec.recovery_time += s.recovery_time;
+    }
+    (procs as f64 * bytes as f64 * 8.0 / elapsed / 1e6, rec)
+}
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let [quick] = flags(["--quick"]);
     // The crash is timed to land after the ranks have re-established the
     // connections the reset severed (notice latency scales with the
     // payload still in flight, hence with bytes per process).
@@ -24,15 +77,20 @@ fn main() {
     let streams = 2;
     let seed = 7u64;
 
-    let rep = fig_availability(
-        das2(),
-        procs,
-        bytes,
-        streams,
-        seed,
-        Dur::from_secs(2),
-        crash_at,
-    );
+    let ((baseline_mbps, faulted_mbps, rec, faults), _) = with_testbed(das2(), procs, move |tb| {
+        let (baseline_mbps, _) = shared_write(&tb, procs, bytes, streams, "/avail-baseline");
+        let at = [
+            Dur::from_millis(500),
+            Dur::from_millis(900),
+            Dur::from_secs(2),
+            crash_at,
+        ];
+        let inj = availability_plan(seed, tb.wan_links().0, at, Dur::from_millis(400))
+            .inject(&tb.rt, &tb.net, &tb.server);
+        let (faulted_mbps, rec) = shared_write(&tb, procs, bytes, streams, "/avail-faulted");
+        settle(&tb.rt, &inj);
+        (baseline_mbps, faulted_mbps, rec, inj.stats())
+    });
 
     let mut t = Table::new(
         &format!(
@@ -41,40 +99,35 @@ fn main() {
         ),
         &["metric", "value"],
     );
-    t.row(vec!["write fault-free".into(), mbps(rep.baseline_mbps)]);
-    t.row(vec!["write under faults".into(), mbps(rep.faulted_mbps)]);
-    t.row(vec![
-        "goodput".into(),
-        format!("{:.1} %", rep.goodput_fraction() * 100.0),
-    ]);
-    t.row(vec![
-        "disconnects seen".into(),
-        rep.recovery.disconnects.to_string(),
-    ]);
-    t.row(vec![
-        "reconnects".into(),
-        rep.recovery.reconnects.to_string(),
-    ]);
-    t.row(vec![
-        "ops recovered".into(),
-        rep.recovery.recovered_ops.to_string(),
-    ]);
-    t.row(vec![
-        "total recovery time".into(),
-        format!("{:.3} s", rep.recovery.recovery_time.as_secs_f64()),
-    ]);
-    t.row(vec![
-        "mean recovery latency".into(),
-        format!("{:.3} s", rep.mean_recovery_secs()),
-    ]);
-    t.row(vec![
-        "connections severed".into(),
-        rep.faults.conns_severed.to_string(),
-    ]);
-    t.print();
-
-    println!("fault ledger (virtual time):");
-    for (at, what) in &rep.faults.ledger {
-        println!("  [{:9.3} s] {what}", (*at - Time::ZERO).as_secs_f64());
+    // Mean virtual time from a failure to the completion of the affected
+    // operation.
+    let mean_recovery_secs = if rec.recovered_ops == 0 {
+        0.0
+    } else {
+        rec.recovery_time.as_secs_f64() / rec.recovered_ops as f64
+    };
+    for (metric, value) in [
+        ("write fault-free", mbps(baseline_mbps)),
+        ("write under faults", mbps(faulted_mbps)),
+        (
+            "goodput",
+            format!("{:.1} %", faulted_mbps / baseline_mbps * 100.0),
+        ),
+        ("disconnects seen", rec.disconnects.to_string()),
+        ("reconnects", rec.reconnects.to_string()),
+        ("ops recovered", rec.recovered_ops.to_string()),
+        (
+            "total recovery time",
+            format!("{:.3} s", rec.recovery_time.as_secs_f64()),
+        ),
+        (
+            "mean recovery latency",
+            format!("{mean_recovery_secs:.3} s"),
+        ),
+        ("connections severed", faults.conns_severed.to_string()),
+    ] {
+        t.row(vec![metric.into(), value]);
     }
+    t.print();
+    print_fault_ledger("fault ledger (virtual time)", &faults);
 }

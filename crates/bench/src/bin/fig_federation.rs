@@ -12,62 +12,70 @@
 //! `results/fig_federation_quick.txt`.
 
 use semplar_bench::table::mbps;
-use semplar_bench::{fig_federation, Table};
-use semplar_runtime::{Dur, Time};
+use semplar_bench::{federation_run, flags, print_fault_ledger, shipped, FedRun, Table};
+use semplar_runtime::Dur;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let shards = 2usize;
+    let [quick] = flags(["--quick"]);
     let (files, bytes_per_file, chunk, crash_at, down_for) = if quick {
         (2usize, 6u64 << 20, 1u64 << 20, 1_000u64, 1_500u64)
     } else {
         (3usize, 16u64 << 20, 2u64 << 20, 2_500u64, 3_000u64)
     };
-    let seed = 23u64;
-    let rep = fig_federation(
-        shards,
+    let (crash_at, down_for) = (Dur::from_millis(crash_at), Dur::from_millis(down_for));
+    let run = FedRun {
+        shards: 2,
         files,
         bytes_per_file,
         chunk,
-        seed,
-        Dur::from_millis(crash_at),
-        Dur::from_millis(down_for),
-    );
+        seed: 23,
+        crash: None,
+        membership: None,
+    };
+    let clean = federation_run(run);
+    let faulted = federation_run(FedRun {
+        crash: Some((crash_at, down_for)),
+        ..run
+    });
+    // Zero acked-byte loss: after reconciliation every file checksums
+    // bit-identically to the fault-free run on the primary *and* the
+    // replica.
+    let converged =
+        faulted.primary_sums == clean.primary_sums && faulted.replica_sums == clean.primary_sums;
 
     let mut t = Table::new(
         &format!(
-            "Federated SRB ({shards} shards x primary+replica, 50 Mb/s client paths): \
-             {files} x {} MiB files, shard-0 owner crashed at t={:.1}s for {:.1}s, seed {seed}",
+            "Federated SRB ({} shards x primary+replica, 50 Mb/s client paths): \
+             {files} x {} MiB files, shard-0 owner crashed at t={:.1}s for {:.1}s, seed {}",
+            run.shards,
             bytes_per_file >> 20,
-            rep.crash_at_secs,
-            rep.down_for_secs
+            crash_at.as_secs_f64(),
+            down_for.as_secs_f64(),
+            run.seed
         ),
         &["metric", "value"],
     );
-    t.row(vec!["fault-free write".into(), mbps(rep.fault_free_mbps)]);
+    t.row(vec!["fault-free write".into(), mbps(clean.mbps)]);
     t.row(vec![
         "fault-free time".into(),
-        format!("{:.3} s", rep.fault_free_secs),
+        format!("{:.3} s", clean.secs),
     ]);
-    t.row(vec!["faulted write".into(), mbps(rep.faulted_mbps)]);
+    t.row(vec!["faulted write".into(), mbps(faulted.mbps)]);
     t.row(vec![
         "faulted time".into(),
-        format!("{:.3} s", rep.faulted_secs),
+        format!("{:.3} s", faulted.secs),
     ]);
     t.row(vec![
         "goodput retained".into(),
-        format!(
-            "{:.1} %",
-            100.0 * rep.faulted_mbps / rep.fault_free_mbps.max(1e-9)
-        ),
+        format!("{:.1} %", 100.0 * faulted.mbps / clean.mbps.max(1e-9)),
     ]);
     t.row(vec![
         "ops failed over to replica".into(),
-        rep.failovers.to_string(),
+        faulted.failovers.to_string(),
     ]);
     t.row(vec![
         "mid-outage federated read".into(),
-        if rep.outage_read_ok {
+        if faulted.outage_read_ok {
             "bytes intact".into()
         } else {
             "MISMATCH".to_string()
@@ -75,48 +83,36 @@ fn main() {
     ]);
     t.row(vec![
         "reconciliation rounds".into(),
-        rep.ledger.rounds.to_string(),
+        faulted.reconcile.rounds.to_string(),
     ]);
     t.row(vec![
         "extents replayed".into(),
-        rep.ledger.entries.len().to_string(),
+        faulted.reconcile.entries.len().to_string(),
     ]);
     t.row(vec![
         "bytes replayed to primary".into(),
-        format!("{} MiB", rep.ledger.bytes >> 20),
+        format!("{} MiB", faulted.reconcile.bytes >> 20),
     ]);
     t.row(vec![
         "recovery time".into(),
-        format!("{:.3} s", rep.recovery.recovery_time.as_secs_f64()),
+        format!("{:.3} s", faulted.recovery.recovery_time.as_secs_f64()),
     ]);
-    for (s, r) in rep.repl.iter().enumerate() {
-        t.row(vec![
-            format!("shard {s} replicated"),
-            format!(
-                "{} extents / {} blocks / {} MiB ({} re-ships)",
-                r.enqueued,
-                r.shipped_blocks,
-                r.shipped_bytes >> 20,
-                r.reships
-            ),
-        ]);
+    for (s, (r, _)) in faulted.repl.iter().enumerate() {
+        t.row(vec![format!("shard {s} replicated"), shipped(r)]);
     }
     t.row(vec![
         "checksums (faulted vs fault-free)".into(),
-        if rep.converged() {
+        if converged {
             "bit-identical on primaries and replicas".into()
         } else {
             "DIVERGED".to_string()
         },
     ]);
-    for (i, sum) in rep.primary_sums.iter().enumerate() {
+    for (i, sum) in faulted.primary_sums.iter().enumerate() {
         t.row(vec![format!("file {i} adler32"), format!("{sum:08x}")]);
     }
     t.print();
 
-    println!("fault ledger (virtual time):");
-    for (at, what) in &rep.faults.ledger {
-        println!("  [{:9.3} s] {what}", (*at - Time::ZERO).as_secs_f64());
-    }
-    assert!(rep.converged(), "acked bytes lost: checksums diverged");
+    print_fault_ledger("fault ledger (virtual time)", &faulted.faults);
+    assert!(converged, "acked bytes lost: checksums diverged");
 }

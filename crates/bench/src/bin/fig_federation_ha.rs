@@ -16,85 +16,99 @@
 //! against `results/fig_federation_ha_quick.txt`.
 
 use semplar_bench::table::mbps;
-use semplar_bench::{fig_federation_ha, Table};
+use semplar_bench::{federation_run, flags, print_fault_ledger, shipped, FedRun, Table};
 use semplar_runtime::{Dur, Time};
+use semplar_srb::MembershipCfg;
+
+fn intact(ok: bool) -> &'static str {
+    if ok {
+        "bytes intact"
+    } else {
+        "MISMATCH"
+    }
+}
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let shards = 2usize;
+    let [quick] = flags(["--quick"]);
     let (files, bytes_per_file, chunk, crash_at, down_for) = if quick {
         (2usize, 6u64 << 20, 1u64 << 20, 800u64, 1_500u64)
     } else {
         (3usize, 16u64 << 20, 2u64 << 20, 2_500u64, 3_000u64)
     };
-    let (heartbeat, lease) = (50u64, 200u64);
-    let seed = 23u64;
-    let rep = fig_federation_ha(
-        shards,
+    let (crash_at, down_for) = (Dur::from_millis(crash_at), Dur::from_millis(down_for));
+    let membership = MembershipCfg {
+        heartbeat_every: Dur::from_millis(50),
+        lease_timeout: Dur::from_millis(200),
+        hop_delay: Dur::from_millis(1),
+        base_epoch: 1,
+        witnesses: 0,
+    };
+    let run = FedRun {
+        shards: 2,
         files,
         bytes_per_file,
         chunk,
-        seed,
-        Dur::from_millis(crash_at),
-        Dur::from_millis(down_for),
-        Dur::from_millis(heartbeat),
-        Dur::from_millis(lease),
-    );
+        seed: 23,
+        crash: None,
+        membership: None,
+    };
+    let clean = federation_run(run);
+    let failover = federation_run(FedRun {
+        crash: Some((crash_at, down_for)),
+        ..run
+    });
+    let promo = federation_run(FedRun {
+        crash: Some((crash_at, down_for)),
+        membership: Some(membership),
+        ..run
+    });
+    // Zero acked-byte loss across every arm: all four checksum vectors are
+    // bit-identical to the fault-free run.
+    let converged = [&failover, &promo].iter().all(|arm| {
+        arm.primary_sums == clean.primary_sums && arm.replica_sums == clean.primary_sums
+    });
 
     let mut t = Table::new(
         &format!(
-            "Federation HA ({shards} shards x primary+replica, 50 Mb/s client paths): \
+            "Federation HA ({} shards x primary+replica, 50 Mb/s client paths): \
              {files} x {} MiB files, owner of file 0 crashed at t={:.1}s for {:.1}s, \
-             heartbeat {}ms / lease {}ms, seed {seed}",
+             heartbeat {}ms / lease {}ms, seed {}",
+            run.shards,
             bytes_per_file >> 20,
-            rep.crash_at_secs,
-            rep.down_for_secs,
-            rep.heartbeat_ms,
-            rep.lease_ms
+            crash_at.as_secs_f64(),
+            down_for.as_secs_f64(),
+            membership.heartbeat_every.as_millis(),
+            membership.lease_timeout.as_millis(),
+            run.seed
         ),
         &["metric", "value"],
     );
-    t.row(vec!["fault-free write".into(), mbps(rep.fault_free_mbps)]);
-    t.row(vec![
-        "fault-free time".into(),
-        format!("{:.3} s", rep.fault_free_secs),
-    ]);
-    t.row(vec!["failover-only write".into(), mbps(rep.failover_mbps)]);
-    t.row(vec![
-        "failover-only time".into(),
-        format!("{:.3} s", rep.failover_secs),
-    ]);
-    t.row(vec!["promotion write".into(), mbps(rep.promo_mbps)]);
-    t.row(vec![
-        "promotion time".into(),
-        format!("{:.3} s", rep.promo_secs),
-    ]);
-    t.row(vec![
-        "goodput retained (failover-only)".into(),
-        format!(
-            "{:.1} %",
-            100.0 * rep.failover_mbps / rep.fault_free_mbps.max(1e-9)
-        ),
-    ]);
-    t.row(vec![
-        "goodput retained (promotion)".into(),
-        format!(
-            "{:.1} %",
-            100.0 * rep.promo_mbps / rep.fault_free_mbps.max(1e-9)
-        ),
-    ]);
+    for (name, arm) in [
+        ("fault-free", &clean),
+        ("failover-only", &failover),
+        ("promotion", &promo),
+    ] {
+        t.row(vec![format!("{name} write"), mbps(arm.mbps)]);
+        t.row(vec![format!("{name} time"), format!("{:.3} s", arm.secs)]);
+    }
+    for (name, arm) in [("failover-only", &failover), ("promotion", &promo)] {
+        t.row(vec![
+            format!("goodput retained ({name})"),
+            format!("{:.1} %", 100.0 * arm.mbps / clean.mbps.max(1e-9)),
+        ]);
+    }
     t.row(vec![
         "detoured ops (failover / promotion)".into(),
-        format!("{} / {}", rep.failovers[0], rep.failovers[1]),
+        format!("{} / {}", failover.failovers, promo.failovers),
     ]);
     t.row(vec![
         "divergence high-water (failover / promotion)".into(),
         format!(
             "{} / {} extents",
-            rep.div_high_water[0], rep.div_high_water[1]
+            failover.div_high_water, promo.div_high_water
         ),
     ]);
-    for tr in &rep.ledger.entries {
+    for tr in &promo.promotions.entries {
         t.row(vec![
             format!(
                 "[{:.3} s] shard {} {:?}",
@@ -108,97 +122,64 @@ fn main() {
             ),
         ]);
     }
+    let joined = |v: Vec<String>| v.join(" / ");
     t.row(vec![
         "final epochs".into(),
-        rep.epochs
-            .iter()
-            .map(|e| e.to_string())
-            .collect::<Vec<_>>()
-            .join(" / "),
+        joined(promo.epochs.iter().map(|e| e.to_string()).collect()),
     ]);
     t.row(vec![
         "final primary seats".into(),
-        rep.primaries
-            .iter()
-            .map(|p| p.to_string())
-            .collect::<Vec<_>>()
-            .join(" / "),
+        joined(promo.primaries.iter().map(|p| p.to_string()).collect()),
     ]);
     t.row(vec![
         "fenced writes rejected (old primary)".into(),
-        rep.fenced_rejects.to_string(),
+        promo.fenced_rejects.to_string(),
     ]);
     t.row(vec![
         "replica block cache (crashed shard)".into(),
         format!(
             "{} hits / {} misses",
-            rep.replica_cache.hits, rep.replica_cache.misses
+            promo.replica_cache.hits, promo.replica_cache.misses
         ),
     ]);
-    for (s, (fwd, rev)) in rep.repl.iter().enumerate() {
-        t.row(vec![
-            format!("shard {s} forward repl"),
-            format!(
-                "{} extents / {} blocks / {} MiB ({} re-ships)",
-                fwd.enqueued,
-                fwd.shipped_blocks,
-                fwd.shipped_bytes >> 20,
-                fwd.reships
-            ),
-        ]);
+    for (s, (fwd, rev)) in promo.repl.iter().enumerate() {
+        t.row(vec![format!("shard {s} forward repl"), shipped(fwd)]);
         t.row(vec![
             format!("shard {s} reverse repl"),
-            format!(
-                "{} extents / {} blocks / {} MiB ({} re-ships)",
-                rev.enqueued,
-                rev.shipped_blocks,
-                rev.shipped_bytes >> 20,
-                rev.reships
-            ),
+            shipped(rev.as_ref().expect("governed arm has reverse replicators")),
         ]);
     }
     t.row(vec![
         "mid-outage reads (failover / promotion)".into(),
         format!(
             "{} / {}",
-            if rep.outage_read_ok[0] {
-                "bytes intact"
-            } else {
-                "MISMATCH"
-            },
-            if rep.outage_read_ok[1] {
-                "bytes intact"
-            } else {
-                "MISMATCH"
-            },
+            intact(failover.outage_read_ok),
+            intact(promo.outage_read_ok)
         ),
     ]);
     t.row(vec![
         "checksums (all arms vs fault-free)".into(),
-        if rep.converged() {
+        if converged {
             "bit-identical on every seat".into()
         } else {
             "DIVERGED".to_string()
         },
     ]);
-    for (i, sum) in rep.promo_sums.0.iter().enumerate() {
+    for (i, sum) in promo.primary_sums.iter().enumerate() {
         t.row(vec![format!("file {i} adler32"), format!("{sum:08x}")]);
     }
     t.print();
 
-    println!("fault ledger (virtual time):");
-    for (at, what) in &rep.faults.ledger {
-        println!("  [{:9.3} s] {what}", (*at - Time::ZERO).as_secs_f64());
-    }
-    assert!(rep.converged(), "acked bytes lost: checksums diverged");
+    print_fault_ledger("fault ledger (virtual time)", &promo.faults);
+    assert!(converged, "acked bytes lost: checksums diverged");
     assert!(
-        rep.ledger.promotions().count() >= 1,
+        promo.promotions.promotions().count() >= 1,
         "lease expiry never promoted the replica"
     );
     assert!(
-        rep.promo_mbps > rep.failover_mbps,
-        "promotion arm did not beat failover-only: {:.3} vs {:.3} Mb/s",
-        rep.promo_mbps,
-        rep.failover_mbps
+        promo.secs < failover.secs,
+        "promotion arm did not beat failover-only: {:.3} vs {:.3} s",
+        promo.secs,
+        failover.secs
     );
 }

@@ -14,13 +14,13 @@
 //! deliberately broken invariant and prints the counterexample schedule
 //! trace the explorer pins on it, demonstrating the replay pipeline.
 
-use semplar_bench::Table;
+use semplar_bench::{flags, Table};
 use semplar_mc::{
     explore, BrokenInvariant, ExploreCfg, FederationScenario, Scenario, ScriptHook, Strategy,
 };
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let [quick] = flags(["--quick"]);
     let (depth, max_executions) = if quick { (14, 1500) } else { (20, 8000) };
     let seed = 7u64;
     let scenario = FederationScenario::quick(seed);

@@ -22,13 +22,13 @@
 
 use std::sync::Arc;
 
-use semplar::{SrbFs, SrbFsConfig};
+use semplar::{FedShard, SrbFs, SrbFsConfig};
 use semplar_mpi::Topology;
 use semplar_netsim::net::{BusId, BusSpec};
 use semplar_netsim::{Bw, Cpu, LinkId, Network};
 use semplar_runtime::{Dur, Runtime};
 use semplar_srb::vault::DiskSpec;
-use semplar_srb::{ConnRoute, PoolPolicy, RetryPolicy, SrbServer, SrbServerCfg};
+use semplar_srb::{ConnRoute, Replicator, RetryPolicy, SrbServer, SrbServerCfg};
 
 /// Static description of one client cluster.
 #[derive(Clone, Debug)]
@@ -361,12 +361,6 @@ impl Testbed {
         (self.wan_up, self.wan_down)
     }
 
-    /// The campus-uplink links, `(up, down)` — the hop between the cluster
-    /// and the WAN, a second fault-injection target.
-    pub fn uplink_links(&self) -> (LinkId, LinkId) {
-        (self.uplink_up, self.uplink_down)
-    }
-
     /// The WAN route from `node` to the server (per-stream caps included).
     pub fn route(&self, node: usize) -> ConnRoute {
         ConnRoute {
@@ -383,27 +377,7 @@ impl Testbed {
     pub fn srbfs(&self, node: usize) -> Arc<SrbFs> {
         SrbFs::new(
             self.server.clone(),
-            SrbFsConfig {
-                route: self.route(node),
-                user: USER.into(),
-                password: PASSWORD.into(),
-            },
-        )
-    }
-
-    /// An SRBFS mount for `node` with an explicit connection-pool policy —
-    /// `PoolPolicy::Shared` multiplexes every open through a bounded set of
-    /// streams instead of dialing one per open (the scale-out mode).
-    pub fn srbfs_pooled(&self, node: usize, policy: PoolPolicy) -> Arc<SrbFs> {
-        SrbFs::with_pool(
-            self.server.clone(),
-            SrbFsConfig {
-                route: self.route(node),
-                user: USER.into(),
-                password: PASSWORD.into(),
-            },
-            policy,
-            RetryPolicy::default(),
+            SrbFsConfig::new(self.route(node), USER, PASSWORD),
         )
     }
 
@@ -435,6 +409,106 @@ impl Testbed {
         self.rt.sleep(spec.seek);
         self.disk_net.transfer(&[self.disks[node]], bytes, cap);
         self.disk_inflight[node].fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// A federation testbed: primary/replica SRB server pairs on one network,
+/// each pair with its two client mounts (50 Mb/s, 10 ms paths) and the
+/// write-path replicators between its servers (1 Gb/s, 1 ms) — the
+/// [`FedShard`]s a [`semplar::FedFs`] is built from.
+pub struct FedTestbed {
+    /// The network every server, mount and replicator shares.
+    pub net: Arc<Network>,
+    /// One shard per server pair; each seat's server is its mount's
+    /// [`SrbFs::server`] (block caches and fault plans are installed there).
+    pub shards: Vec<FedShard>,
+}
+
+impl FedTestbed {
+    /// Build `shards` pairs. `reverse` wires every pair for membership
+    /// governance: a dormant replica→primary replicator beside the forward
+    /// one, and the `fed` replication account on both seats instead of the
+    /// replica alone. `lease_capacity` turns on read leases of that size on
+    /// every mount.
+    ///
+    /// Per pair the construction order is fixed — both servers, both
+    /// mounts, the forward replicator, then the reverse one — because
+    /// model-checked scenarios are schedule-sensitive, and because a
+    /// mount's lease hooks must be registered on its server before the
+    /// replicator's write hook.
+    pub fn new(
+        rt: &Arc<dyn Runtime>,
+        shards: usize,
+        reverse: bool,
+        lease_capacity: Option<u64>,
+    ) -> FedTestbed {
+        let net = Network::new(rt.clone());
+        let route = |name: String, bw: Bw, owd: Dur| ConnRoute {
+            fwd: vec![net.add_link(&format!("{name}-fwd"), bw, owd)],
+            rev: vec![net.add_link(&format!("{name}-rev"), bw, owd)],
+            send_cap: None,
+            recv_cap: None,
+            bus: None,
+        };
+        let shards = (0..shards)
+            .map(|s| {
+                let primary = SrbServer::new(net.clone(), SrbServerCfg::default());
+                let replica = SrbServer::new(net.clone(), SrbServerCfg::default());
+                primary.mcat().add_user("u", "p");
+                replica.mcat().add_user("u", "p");
+                replica.mcat().add_user("fed", "fed");
+                if reverse {
+                    primary.mcat().add_user("fed", "fed");
+                }
+                // Federated failover is the recovery: with no client retry
+                // a crashed primary refuses at once instead of the client
+                // backing off for seconds.
+                let client = |seat: &str| SrbFsConfig {
+                    retry: RetryPolicy::none(),
+                    lease_capacity,
+                    ..SrbFsConfig::new(
+                        route(
+                            format!("s{s}-client-{seat}"),
+                            Bw::mbps(50.0),
+                            Dur::from_millis(10),
+                        ),
+                        "u",
+                        "p",
+                    )
+                };
+                let primary_fs = SrbFs::new(primary.clone(), client("primary"));
+                let replica_fs = SrbFs::new(replica.clone(), client("replica"));
+                let repl_route =
+                    |name: &str| route(format!("s{s}-{name}"), Bw::gbps(1.0), Dur::from_millis(1));
+                let forward = Replicator::start(
+                    rt,
+                    primary.clone(),
+                    replica.clone(),
+                    repl_route("repl"),
+                    "fed",
+                    "fed",
+                    RetryPolicy::default(),
+                );
+                let reverse = reverse.then(|| {
+                    Replicator::start_inactive(
+                        rt,
+                        replica,
+                        primary,
+                        repl_route("repl-rev"),
+                        "fed",
+                        "fed",
+                        RetryPolicy::default(),
+                    )
+                });
+                FedShard {
+                    primary: primary_fs,
+                    replica: replica_fs,
+                    replicator: Some(forward),
+                    reverse,
+                }
+            })
+            .collect();
+        FedTestbed { net, shards }
     }
 }
 
@@ -634,6 +708,54 @@ mod tests {
         });
         assert!((t_disk.as_secs_f64() - 1.001).abs() < 1e-6, "{t_disk}");
         assert!((t_cpu.as_secs_f64() - 2.0).abs() < 1e-6, "{t_cpu}");
+    }
+
+    /// Failover-only vs governed wiring: governance adds the dormant
+    /// reverse replicator over its own path and the `fed` account on the
+    /// primary seat; everything else is the same testbed.
+    #[test]
+    fn fed_testbed_governed_wiring_adds_only_the_reverse_path() {
+        simulate(|rt| {
+            let plain = FedTestbed::new(&rt, 2, false, None);
+            let governed = FedTestbed::new(&rt, 2, true, None);
+            let has_fed = |fs: &Arc<SrbFs>| fs.server().mcat().authenticate("fed", "fed").is_ok();
+            for (p, g) in plain.shards.iter().zip(&governed.shards) {
+                assert!(p.replicator.is_some() && p.reverse.is_none());
+                assert!(g.replicator.is_some() && g.reverse.is_some());
+                assert!(has_fed(&p.replica) && !has_fed(&p.primary));
+                assert!(has_fed(&g.replica) && has_fed(&g.primary));
+            }
+            // Link ids count up from zero: after padding the plain network
+            // with the two reverse-path links per shard it lacks, the next
+            // link lands on the same id in both.
+            for _ in 0..4 {
+                plain.net.add_link("pad", Bw::mbps(1.0), Dur::ZERO);
+            }
+            assert_eq!(
+                plain.net.add_link("probe", Bw::mbps(1.0), Dur::ZERO),
+                governed.net.add_link("probe", Bw::mbps(1.0), Dur::ZERO)
+            );
+
+            // The reverse replicator is dormant: a write on the replica
+            // seat enqueues nothing, a write on the primary seat ships
+            // forward (and its echo on the replica is dropped too).
+            let shard = &governed.shards[0];
+            let (forward, reverse) = (
+                shard.replicator.as_ref().unwrap(),
+                shard.reverse.as_ref().unwrap(),
+            );
+            for (fs, path) in [
+                (&shard.replica, "/on-replica"),
+                (&shard.primary, "/on-primary"),
+            ] {
+                let f = File::open(&rt, fs, path, OpenFlags::CreateRw).unwrap();
+                f.write_at(0, &Payload::sized(4096)).unwrap();
+                f.close().unwrap();
+            }
+            forward.quiesce();
+            assert_eq!(forward.stats().enqueued, 1);
+            assert_eq!(reverse.stats().enqueued, 0);
+        });
     }
 
     #[test]

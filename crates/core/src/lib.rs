@@ -35,8 +35,6 @@ pub mod fedfs;
 pub mod file;
 pub mod lease;
 pub mod pipeline;
-pub mod pointer;
-pub mod prefetch;
 pub mod request;
 pub mod srbfs;
 pub mod stripe;
@@ -51,8 +49,6 @@ pub use lease::{LeaseCache, LeaseStats};
 pub use pipeline::{
     CompressCheckpoint, CompressedReader, CompressedWriter, ComputeModel, DEFAULT_BLOCK,
 };
-pub use pointer::{FilePointer, Whence};
-pub use prefetch::Prefetcher;
 pub use request::{Request, Status};
 pub use srbfs::{RecoveryStats, SrbFs, SrbFsConfig, RESUME_BLOCK};
 pub use stripe::{MultiRequest, StripeStats, StripeUnit, StripedFile};
@@ -286,17 +282,17 @@ mod tests {
         server.mcat().add_user("u", "p");
         SrbFs::new(
             server,
-            SrbFsConfig {
-                route: ConnRoute {
+            SrbFsConfig::new(
+                ConnRoute {
                     fwd: vec![up],
                     rev: vec![down],
                     send_cap: Some(Bw::mbps(cap_mbps)),
                     recv_cap: Some(Bw::mbps(cap_mbps)),
                     bus: None,
                 },
-                user: "u".into(),
-                password: "p".into(),
-            },
+                "u",
+                "p",
+            ),
         )
     }
 
@@ -404,20 +400,6 @@ mod tests {
     }
 
     #[test]
-    fn redundant_read_accepts_first_stream() {
-        simulate(|rt| {
-            let fs = MemFs::new(rt.clone());
-            let data: Vec<u8> = (0..5000u32).map(|i| (i % 256) as u8).collect();
-            fs.put("/r", data.clone());
-            let f =
-                StripedFile::open(&rt, &fs, "/r", OpenFlags::Read, 3, StripeUnit::Even).unwrap();
-            let got = f.redundant_read_at(0, 5000).unwrap();
-            assert_eq!(got.data().unwrap(), &data[..]);
-            f.close().unwrap();
-        });
-    }
-
-    #[test]
     fn compressed_writer_roundtrips() {
         simulate(|rt| {
             let fs = MemFs::new(rt.clone());
@@ -480,28 +462,54 @@ mod tests {
     }
 
     /// Build a server+fs pair (no stream caps) so tests can reach the
-    /// server for fault injection and server-side checksums.
-    fn srb_pair(rt: &Arc<dyn Runtime>) -> (Arc<semplar_srb::SrbServer>, Arc<SrbFs>) {
+    /// server for fault injection and server-side checksums. `tune` edits
+    /// the paper-default mount config before the mount is built.
+    fn srb_pair(
+        rt: &Arc<dyn Runtime>,
+        tune: impl FnOnce(&mut SrbFsConfig),
+    ) -> (Arc<semplar_srb::SrbServer>, Arc<SrbFs>) {
         let net = Network::new(rt.clone());
         let up = net.add_link("up", Bw::mbps(100.0), Dur::from_millis(5));
         let down = net.add_link("down", Bw::mbps(100.0), Dur::from_millis(5));
         let server = SrbServer::new(net, SrbServerCfg::default());
         server.mcat().add_user("u", "p");
-        let fs = SrbFs::new(
-            server.clone(),
-            SrbFsConfig {
-                route: ConnRoute {
-                    fwd: vec![up],
-                    rev: vec![down],
-                    send_cap: None,
-                    recv_cap: None,
-                    bus: None,
-                },
-                user: "u".into(),
-                password: "p".into(),
+        let mut cfg = SrbFsConfig::new(
+            ConnRoute {
+                fwd: vec![up],
+                rev: vec![down],
+                send_cap: None,
+                recv_cap: None,
+                bus: None,
             },
+            "u",
+            "p",
         );
+        tune(&mut cfg);
+        let fs = SrbFs::new(server.clone(), cfg);
         (server, fs)
+    }
+
+    /// `SrbFsConfig::new` is the mount `SrbFs::new` built before the
+    /// config carried these values: per-open streams, the default retry
+    /// policy, no stream routes, sieving off across holes, leases off.
+    #[test]
+    fn config_defaults_are_the_paper_mount() {
+        let cfg = SrbFsConfig::new(
+            ConnRoute {
+                fwd: vec![],
+                rev: vec![],
+                send_cap: None,
+                recv_cap: None,
+                bus: None,
+            },
+            "u",
+            "p",
+        );
+        assert_eq!(cfg.pool, semplar_srb::PoolPolicy::PerOpen);
+        assert_eq!(cfg.retry, semplar_srb::RetryPolicy::default());
+        assert!(cfg.stream_routes.is_empty());
+        assert_eq!(cfg.sieve_threshold, 0.0);
+        assert_eq!(cfg.lease_capacity, None);
     }
 
     /// Read leases end to end: the second read of a leased range touches
@@ -509,8 +517,7 @@ mod tests {
     #[test]
     fn leased_reads_are_served_locally_after_first_fetch() {
         simulate(|rt| {
-            let (_server, fs) = srb_pair(&rt);
-            fs.enable_read_leases(1 << 20);
+            let (_server, fs) = srb_pair(&rt, |c| c.lease_capacity = Some(1 << 20));
             let data: Vec<u8> = (0..20_000u32).map(|i| (i % 241) as u8).collect();
             let f = File::open(&rt, &fs, "/hot", OpenFlags::CreateRw).unwrap();
             f.write_at(0, &Payload::bytes(data.clone())).unwrap();
@@ -536,8 +543,7 @@ mod tests {
     #[test]
     fn overlapping_write_revokes_the_lease() {
         simulate(|rt| {
-            let (_server, fs) = srb_pair(&rt);
-            fs.enable_read_leases(1 << 20);
+            let (_server, fs) = srb_pair(&rt, |c| c.lease_capacity = Some(1 << 20));
             let f = File::open(&rt, &fs, "/coh", OpenFlags::CreateRw).unwrap();
             f.write_at(0, &Payload::bytes(vec![1u8; 1000])).unwrap();
             assert_eq!(
@@ -575,8 +581,9 @@ mod tests {
             fault in any::<bool>(),
         ) {
             simulate(move |rt| {
-                let (server, fs) = srb_pair(&rt);
-                fs.set_sieve_threshold([0.0, 0.5, 1.0][threshold_sel as usize]);
+                let (server, fs) = srb_pair(&rt, |c| {
+                    c.sieve_threshold = [0.0, 0.5, 1.0][threshold_sel as usize]
+                });
                 let mut extents = Vec::new();
                 let mut off = base;
                 for &(len, gap) in &lens {
@@ -648,8 +655,7 @@ mod tests {
             base in 0u64..512,
         ) {
             simulate(move |rt| {
-                let (_server, fs) = srb_pair(&rt);
-                fs.set_sieve_threshold(1.0);
+                let (_server, fs) = srb_pair(&rt, |c| c.sieve_threshold = 1.0);
                 let mut extents = Vec::new();
                 let mut off = base;
                 for &(len, gap) in &lens {

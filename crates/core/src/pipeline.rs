@@ -367,22 +367,23 @@ mod tests {
             let down = net.add_link("down", semplar_netsim::Bw::mbps(40.0), Dur::from_millis(5));
             let server = SrbServer::new(net, SrbServerCfg::default());
             server.mcat().add_user("u", "p");
-            // No retries: the first failure reaches the writer, like the
-            // prefetcher's fallback test.
-            let fs = SrbFs::with_retry(
+            // No retries: the first failure reaches the writer.
+            let fs = SrbFs::new(
                 server.clone(),
                 SrbFsConfig {
-                    route: ConnRoute {
-                        fwd: vec![up],
-                        rev: vec![down],
-                        send_cap: None,
-                        recv_cap: None,
-                        bus: None,
-                    },
-                    user: "u".into(),
-                    password: "p".into(),
+                    retry: RetryPolicy::none(),
+                    ..SrbFsConfig::new(
+                        ConnRoute {
+                            fwd: vec![up],
+                            rev: vec![down],
+                            send_cap: None,
+                            recv_cap: None,
+                            bus: None,
+                        },
+                        "u",
+                        "p",
+                    )
                 },
-                RetryPolicy::none(),
             );
             let codec = Lzf;
             let data: Vec<u8> = b"REMOTE-IO-".repeat(80_000); // 800 KB
@@ -450,17 +451,17 @@ mod tests {
             // settle_frame rides the backend's reconnect recovery.
             let fs = SrbFs::new(
                 server.clone(),
-                SrbFsConfig {
-                    route: ConnRoute {
+                SrbFsConfig::new(
+                    ConnRoute {
                         fwd: vec![up],
                         rev: vec![down],
                         send_cap: None,
                         recv_cap: None,
                         bus: None,
                     },
-                    user: "u".into(),
-                    password: "p".into(),
-                },
+                    "u",
+                    "p",
+                ),
             );
             let codec = Lzf;
             let data: Vec<u8> = b"GATTACA".repeat(100_000); // 700 KB

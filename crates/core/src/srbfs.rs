@@ -35,7 +35,7 @@ use semplar_srb::LeaseBreak;
 /// most one unacknowledged block (matches the replication chunk).
 pub const RESUME_BLOCK: u64 = 1 << 20;
 
-/// Connection settings for one client node.
+/// Everything that defines one mount, fixed when the mount is built.
 #[derive(Clone)]
 pub struct SrbFsConfig {
     /// How this node reaches the server.
@@ -44,6 +44,52 @@ pub struct SrbFsConfig {
     pub user: String,
     /// SRB password.
     pub password: String,
+    /// How opens map onto TCP streams. `PerOpen` reproduces the paper
+    /// exactly; `Shared` multiplexes opens over a bounded set of streams
+    /// for scale-out.
+    pub pool: PoolPolicy,
+    /// Pacing of reconnects after a transient failure
+    /// ([`RetryPolicy::none`] disables recovery).
+    pub retry: RetryPolicy,
+    /// Pin-indexed route table: stream `i` of a striped file (pin `i`)
+    /// dials `stream_routes[i % len]` instead of `route`, giving sibling
+    /// streams physically distinct paths — a multi-homed client, where a
+    /// single-link degrade hits one stream and not the others. Empty means
+    /// every open uses `route`.
+    pub stream_routes: Vec<ConnRoute>,
+    /// Data-sieving hole-fraction threshold, clamped to `[0, 1]`. A
+    /// coalesced list op whose merged extents leave a hole fraction at or
+    /// below this is served by one covering transfer (read: fetch and
+    /// slice; write: read-modify-write under the hole mask) instead of a
+    /// wire list. `0.0` sieves only fully contiguous runs; `1.0` always
+    /// moves one covering extent no matter how sparse the list is.
+    pub sieve_threshold: f64,
+    /// Capacity in payload bytes of the client-side read-lease cache;
+    /// `None` disables leases and every read goes to the wire.
+    /// Lease-granted full reads are kept locally and served with zero wire
+    /// round-trips until revoked; revocation arrives through the server's
+    /// write-hook broadcast (overlapping writes), its lease-break hooks
+    /// (unlink, server crash), and federation failover/reconcile
+    /// transitions.
+    pub lease_capacity: Option<u64>,
+}
+
+impl SrbFsConfig {
+    /// The paper's mount: one TCP stream per open
+    /// ([`PoolPolicy::PerOpen`]), the default [`RetryPolicy`], no stream
+    /// routes, no sieving across holes, no read leases.
+    pub fn new(route: ConnRoute, user: &str, password: &str) -> SrbFsConfig {
+        SrbFsConfig {
+            route,
+            user: user.into(),
+            password: password.into(),
+            pool: PoolPolicy::PerOpen,
+            retry: RetryPolicy::default(),
+            stream_routes: Vec::new(),
+            sieve_threshold: 0.0,
+            lease_capacity: None,
+        }
+    }
 }
 
 /// Client-side recovery counters, all in virtual time.
@@ -74,24 +120,10 @@ pub struct SrbFs {
     server: Arc<SrbServer>,
     cfg: SrbFsConfig,
     /// Sessions come from here; the pool also owns the [`RetryPolicy`]
-    /// pacing reconnects (moved down from this struct).
+    /// pacing reconnects.
     pool: Arc<ConnPool>,
-    /// Pin-indexed route table: stream `i` of a striped file (pin `i`)
-    /// dials `stream_routes[i % len]` instead of `cfg.route`, giving
-    /// sibling streams physically distinct paths — the setup where a
-    /// single-link degrade hits one stream and not the others. Empty (the
-    /// default) means every open uses `cfg.route`, exactly as before.
-    stream_routes: Vec<ConnRoute>,
-    /// Data-sieving hole-fraction threshold in `[0, 1]`. A coalesced list
-    /// op whose merged extents leave a hole fraction at or below this is
-    /// served by one covering transfer (read: fetch and slice; write:
-    /// read-modify-write under the hole mask) instead of a wire list. The
-    /// default `0.0` sieves only fully contiguous runs — any real hole
-    /// routes to list-I/O.
-    sieve: Mutex<f64>,
-    /// Client-side read-lease cache. `None` (the default) disables leases
-    /// entirely: reads go to the wire exactly as before, bit-identically.
-    lease: Mutex<Option<Arc<LeaseCache>>>,
+    /// The read-lease cache, when `cfg.lease_capacity` asked for one.
+    lease: Option<Arc<LeaseCache>>,
     recovery: Mutex<RecoveryStats>,
     /// Mount-wide membership-epoch stamp: every session this mount opens
     /// (admin, pooled, reconnected) carries it, so the membership layer can
@@ -102,82 +134,52 @@ pub struct SrbFs {
 }
 
 impl SrbFs {
-    /// An SRBFS mount that will connect to `server` using `cfg`, with the
-    /// default [`RetryPolicy`] and the paper-faithful
-    /// [`PoolPolicy::PerOpen`] (one TCP stream per open).
-    pub fn new(server: Arc<SrbServer>, cfg: SrbFsConfig) -> Arc<SrbFs> {
-        SrbFs::with_retry(server, cfg, RetryPolicy::default())
-    }
-
-    /// An SRBFS mount with an explicit retry policy
-    /// ([`RetryPolicy::none`] disables recovery).
-    pub fn with_retry(server: Arc<SrbServer>, cfg: SrbFsConfig, retry: RetryPolicy) -> Arc<SrbFs> {
-        SrbFs::with_pool(server, cfg, PoolPolicy::PerOpen, retry)
-    }
-
-    /// An SRBFS mount with an explicit connection-pool policy. `PerOpen`
-    /// reproduces the paper exactly; `Shared` multiplexes opens over a
-    /// bounded set of streams for scale-out.
-    pub fn with_pool(
-        server: Arc<SrbServer>,
-        cfg: SrbFsConfig,
-        policy: PoolPolicy,
-        retry: RetryPolicy,
-    ) -> Arc<SrbFs> {
-        SrbFs::with_stream_routes(server, cfg, Vec::new(), policy, retry)
-    }
-
-    /// An SRBFS mount whose pinned opens dial per-stream routes: stream
-    /// `i` (pin `i`) connects over `routes[i % routes.len()]`. Unpinned
-    /// opens use `cfg.route` as always. This models a multi-homed client
-    /// whose striped streams take physically distinct paths.
-    pub fn with_stream_routes(
-        server: Arc<SrbServer>,
-        cfg: SrbFsConfig,
-        routes: Vec<ConnRoute>,
-        policy: PoolPolicy,
-        retry: RetryPolicy,
-    ) -> Arc<SrbFs> {
-        let pool = ConnPool::new(server.clone(), &cfg.user, &cfg.password, policy, retry);
+    /// An SRBFS mount that will connect to `server` as `cfg` describes.
+    /// With leases on, the cache's revocation hooks are registered on
+    /// `server` here. Server hooks fire in registration order, so build a
+    /// leased mount before starting a `Replicator` on the same server.
+    pub fn new(server: Arc<SrbServer>, mut cfg: SrbFsConfig) -> Arc<SrbFs> {
+        cfg.sieve_threshold = cfg.sieve_threshold.clamp(0.0, 1.0);
+        let pool = ConnPool::new(
+            server.clone(),
+            &cfg.user,
+            &cfg.password,
+            cfg.pool,
+            cfg.retry.clone(),
+        );
+        let lease = cfg.lease_capacity.map(|capacity| {
+            let cache = Arc::new(LeaseCache::new(capacity));
+            let c = cache.clone();
+            server.set_write_hook(Arc::new(move |path, offset, len| {
+                c.invalidate_range(path, offset, offset + len);
+            }));
+            let c = cache.clone();
+            server.add_lease_break_hook(Arc::new(move |brk| match brk {
+                LeaseBreak::Unlink { path } => c.invalidate_path(path),
+                LeaseBreak::ServerLost => c.invalidate_all(),
+            }));
+            cache
+        });
         Arc::new(SrbFs {
             server,
             cfg,
             pool,
-            stream_routes: routes,
-            sieve: Mutex::new(0.0),
-            lease: Mutex::new(None),
+            lease,
             recovery: Mutex::new(RecoveryStats::default()),
             epoch: Arc::new(AtomicU64::new(0)),
             next_file: AtomicU64::new(0),
         })
     }
 
-    /// Set the data-sieving hole-fraction threshold (clamped to `[0, 1]`).
-    /// `0.0` disables sieving across holes; `1.0` always fetches/writes one
-    /// covering extent no matter how sparse the list is.
-    pub fn set_sieve_threshold(&self, threshold: f64) {
-        *self.sieve.lock() = threshold.clamp(0.0, 1.0);
-    }
-
-    /// Current data-sieving threshold.
-    pub fn sieve_threshold(&self) -> f64 {
-        *self.sieve.lock()
-    }
-
     /// The route an open with placement hint `pin` dials: the pin-indexed
     /// stream route when a table is configured, `cfg.route` otherwise.
     fn route_for(&self, pin: Option<usize>) -> &ConnRoute {
         match pin {
-            Some(p) if !self.stream_routes.is_empty() => {
-                &self.stream_routes[p % self.stream_routes.len()]
+            Some(p) if !self.cfg.stream_routes.is_empty() => {
+                &self.cfg.stream_routes[p % self.cfg.stream_routes.len()]
             }
             _ => &self.cfg.route,
         }
-    }
-
-    /// The connection pool behind this mount.
-    pub fn pool(&self) -> &Arc<ConnPool> {
-        &self.pool
     }
 
     /// The server this mount dials (membership governance, test assertions).
@@ -198,48 +200,16 @@ impl SrbFs {
         self.recovery.lock().clone()
     }
 
-    /// Turn on client-side read leases with a cache of `capacity` payload
-    /// bytes. Lease-granted full reads are kept locally and served with
-    /// zero wire round-trips until revoked; revocation arrives through the
-    /// server's write-hook broadcast (overlapping writes), its lease-break
-    /// hooks (unlink, server crash), and federation failover/reconcile
-    /// transitions. Returns the cache for stats inspection.
-    pub fn enable_read_leases(&self, capacity: u64) -> Arc<LeaseCache> {
-        let cache = Arc::new(LeaseCache::new(capacity));
-        *self.lease.lock() = Some(cache.clone());
-        let c = cache.clone();
-        self.server
-            .set_write_hook(Arc::new(move |path, offset, len| {
-                c.invalidate_range(path, offset, offset + len);
-            }));
-        let c = cache.clone();
-        self.server
-            .add_lease_break_hook(Arc::new(move |brk| match brk {
-                LeaseBreak::Unlink { path } => c.invalidate_path(path),
-                LeaseBreak::ServerLost => c.invalidate_all(),
-            }));
-        cache
-    }
-
-    /// The read-lease cache, when [`Self::enable_read_leases`] was called.
-    pub fn lease_cache(&self) -> Option<Arc<LeaseCache>> {
-        self.lease.lock().clone()
-    }
-
     /// Snapshot of the lease-cache counters (zeros when leases are off).
     pub fn lease_stats(&self) -> LeaseStats {
-        self.lease
-            .lock()
-            .as_ref()
-            .map(|c| c.stats())
-            .unwrap_or_default()
+        self.lease.as_ref().map(|c| c.stats()).unwrap_or_default()
     }
 
     /// Revoke cached lease bytes overlapping `[offset, offset+len)` of
     /// `path`. Federation calls this when a write lands on a *replica*
     /// (failover) — the primary's write-hook broadcast never fires for it.
     pub fn invalidate_lease_range(&self, path: &str, offset: u64, len: u64) {
-        if let Some(c) = self.lease.lock().as_ref() {
+        if let Some(c) = &self.lease {
             c.invalidate_range(path, offset, offset + len);
         }
     }
@@ -248,7 +218,7 @@ impl SrbFs {
     /// rounds and shard role transitions, where per-range accounting is not
     /// worth the complexity.
     pub fn invalidate_lease_all(&self) {
-        if let Some(c) = self.lease.lock().as_ref() {
+        if let Some(c) = &self.lease {
             c.invalidate_all();
         }
     }
@@ -475,8 +445,7 @@ impl AdioFile for SrbFile {
         // racing write can never leave stale bytes in the cache (the
         // payload is still returned — the server produced it, so it is a
         // legal linearization — it just isn't kept).
-        let lease = self.fs.lease.lock().clone();
-        if let Some(cache) = lease {
+        if let Some(cache) = self.fs.lease.clone() {
             if let Some(p) = cache.lookup(&self.path, offset, len) {
                 return Ok(p);
             }
@@ -551,7 +520,7 @@ impl AdioFile for SrbFile {
         let span = end - start;
         let useful: u64 = merged.iter().map(|&(_, l)| l).sum();
         let hole_frac = 1.0 - useful as f64 / span as f64;
-        let pieces: Vec<Payload> = if hole_frac <= self.fs.sieve_threshold() {
+        let pieces: Vec<Payload> = if hole_frac <= self.fs.cfg.sieve_threshold {
             // Data sieving: one covering fetch, then slice the runs out of
             // it. The meter hint caps goodput at the requested bytes — the
             // hole bytes ride the wire but are not application goodput.
@@ -622,7 +591,7 @@ impl AdioFile for SrbFile {
         let end = merged.last().map(|&(o, l)| o + l).unwrap();
         let span = end - start;
         let hole_frac = (span - total) as f64 / span as f64;
-        if sieve && hole_frac <= self.fs.sieve_threshold() && packed.data().is_some() {
+        if sieve && hole_frac <= self.fs.cfg.sieve_threshold && packed.data().is_some() {
             // Write-back sieving under the hole mask: fetch the covering
             // extent (pure overhead, metered at zero goodput), overlay the
             // caller's runs on it, and write the whole span back — one

@@ -104,10 +104,6 @@ pub struct StripedFile {
     /// without telemetry; the scheduler then weighs streams uniformly).
     meters: Arc<Vec<Option<Arc<IoMeter>>>>,
     unit: StripeUnit,
-    path: String,
-    /// Read fallback: a federated replica of the file on another server
-    /// (or any other [`AdioFs`]), consulted when every stream has failed.
-    replica: Arc<Mutex<Option<Box<dyn AdioFs>>>>,
     failovers: Arc<AtomicU64>,
     stats: Arc<Mutex<StripeStats>>,
 }
@@ -155,8 +151,6 @@ pub struct MultiRequest {
     base: u64,
     data: Option<Payload>,
     files: Arc<Vec<File>>,
-    path: String,
-    replica: Arc<Mutex<Option<Box<dyn AdioFs>>>>,
     failovers: Arc<AtomicU64>,
     /// Present iff the operation uses [`StripeUnit::Adaptive`]; then `reqs`
     /// stays empty and blocks live in the scheduler instead.
@@ -193,7 +187,7 @@ impl MultiRequest {
     }
 
     /// Wait for all blocks, then give transiently failed ones a second life
-    /// on a surviving stream (or, for reads, the replica).
+    /// on a surviving stream.
     fn settle_fixed(&self) -> IoResult<Vec<Status>> {
         let raw: Vec<IoResult<Status>> = self.reqs.iter().map(|r| r.wait()).collect();
         let mut out = Vec::with_capacity(raw.len());
@@ -209,8 +203,7 @@ impl MultiRequest {
     }
 
     /// Re-issue block `i` synchronously on the other streams in
-    /// deterministic order; reads additionally fall back to the replica.
-    /// Returns `orig` when nobody can serve the block.
+    /// deterministic order. Returns `orig` when none can serve the block.
     fn failover_block(&self, i: usize, orig: crate::adio::IoError) -> IoResult<Status> {
         let (stream, off, len) = self.layout[i];
         let n = self.files.len();
@@ -228,18 +221,6 @@ impl MultiRequest {
             if let Ok(st) = r {
                 self.failovers.fetch_add(1, Ordering::Relaxed);
                 return Ok(st);
-            }
-        }
-        if self.data.is_none() {
-            if let Some(fs) = self.replica.lock().as_ref() {
-                let mut f = fs.open(&self.path, OpenFlags::Read)?;
-                let p = f.read_at(off, len)?;
-                let _ = f.close();
-                self.failovers.fetch_add(1, Ordering::Relaxed);
-                return Ok(Status {
-                    bytes: p.len(),
-                    data: Some(p),
-                });
             }
         }
         Err(orig)
@@ -297,8 +278,7 @@ impl MultiRequest {
                     }
                     // Queue non-empty but nothing assignable: every stream
                     // is banned. Fall back to the synchronous drain (the
-                    // backends' own retry/reconnect is the second chance,
-                    // then the replica for reads).
+                    // backends' own retry/reconnect is the second chance).
                     self.drain_banned(&mut s)?;
                     continue;
                 }
@@ -455,7 +435,7 @@ impl MultiRequest {
 
     /// Every stream is banned and blocks remain: try each synchronously
     /// (the backend's internal reconnect+retry is the second chance), in
-    /// deterministic home-first order, then the replica for reads.
+    /// deterministic home-first order.
     fn drain_banned(&self, s: &mut AdaptiveSched) -> IoResult<()> {
         let n = self.files.len();
         while let Some(li) = s.queue.pop_front() {
@@ -479,20 +459,6 @@ impl MultiRequest {
                         break;
                     }
                     Err(e) => last_err = Some(e),
-                }
-            }
-            if served.is_none() && self.data.is_none() {
-                if let Some(fs) = self.replica.lock().as_ref() {
-                    let mut f = fs.open(&self.path, OpenFlags::Read)?;
-                    let p = f.read_at(off, len)?;
-                    let _ = f.close();
-                    served = Some((
-                        home,
-                        Status {
-                            bytes: p.len(),
-                            data: Some(p),
-                        },
-                    ));
                 }
             }
             match served {
@@ -596,8 +562,6 @@ impl StripedFile {
             files: Arc::new(files),
             meters: Arc::new(meters),
             unit,
-            path: path.to_string(),
-            replica: Arc::new(Mutex::new(None)),
             failovers: Arc::new(AtomicU64::new(0)),
             stats: Arc::new(Mutex::new(StripeStats {
                 blocks: vec![0; streams],
@@ -619,16 +583,8 @@ impl StripedFile {
         self.meters.as_ref().clone()
     }
 
-    /// Register a read fallback: a federated replica of this file reachable
-    /// through `fs` (typically an [`crate::SrbFs`] mount of a peer server
-    /// the object was replicated to). Blocks that fail on every stream are
-    /// served from here instead of surfacing the error.
-    pub fn set_replica(&self, fs: Box<dyn AdioFs>) {
-        *self.replica.lock() = Some(fs);
-    }
-
-    /// Blocks that were re-issued on another stream or the replica after
-    /// their home stream failed.
+    /// Blocks that were re-issued on another stream after their home
+    /// stream failed.
     pub fn failovers(&self) -> u64 {
         self.failovers.load(Ordering::Relaxed)
     }
@@ -701,8 +657,6 @@ impl StripedFile {
             base: offset,
             data: Some(data),
             files: self.files.clone(),
-            path: self.path.clone(),
-            replica: self.replica.clone(),
             failovers: self.failovers.clone(),
             sched: None,
         }
@@ -724,8 +678,6 @@ impl StripedFile {
             base: offset,
             data: None,
             files: self.files.clone(),
-            path: self.path.clone(),
-            replica: self.replica.clone(),
             failovers: self.failovers.clone(),
             sched: None,
         }
@@ -765,8 +717,6 @@ impl StripedFile {
             base,
             data,
             files: self.files.clone(),
-            path: self.path.clone(),
-            replica: self.replica.clone(),
             failovers: self.failovers.clone(),
             sched: Some(Mutex::new(sched)),
         };
@@ -882,21 +832,6 @@ impl StripedFile {
     /// Blocking striped read.
     pub fn read_at(&self, offset: u64, len: u64) -> IoResult<Payload> {
         self.iread_at(offset, len).wait_read()
-    }
-
-    /// Redundant read (the paper's §4.1/§9 latency-reduction idea,
-    /// implemented here as its stated future work): issue the **same** read
-    /// on every stream and accept whichever connection delivers first — the
-    /// others are ignored. With streams routed over paths of different
-    /// quality this trades bandwidth for tail latency.
-    pub fn redundant_read_at(&self, offset: u64, len: u64) -> IoResult<Payload> {
-        let reqs: Vec<Request> = self.files.iter().map(|f| f.iread_at(offset, len)).collect();
-        let rt = self.files[0].runtime().clone();
-        let (_winner, result) = Request::wait_any(&rt, &reqs);
-        // Losers complete in the background on their own I/O threads; their
-        // results are dropped, exactly as the paper describes.
-        let status = result?;
-        Ok(status.data.unwrap_or(Payload::sized(status.bytes)))
     }
 
     /// Close every stream.

@@ -24,15 +24,11 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use semplar::{
-    AdioFile, AdioFs, FedFs, FedShard, LeaseStats, OpenFlags, Payload, SrbFs, SrbFsConfig,
-};
+use semplar::{AdioFile, AdioFs, FedFs, LeaseStats, OpenFlags, Payload, SrbFs};
+use semplar_clusters::FedTestbed;
 use semplar_faults::{FaultPlan, FaultStats};
-use semplar_netsim::{Bw, Network};
 use semplar_runtime::{Dur, Runtime, SimRuntime};
-use semplar_srb::{
-    adler32, CacheSpec, ConnRoute, Replicator, RetryPolicy, SrbServer, SrbServerCfg,
-};
+use semplar_srb::{adler32, CacheSpec};
 
 use crate::scenario::Scenario;
 use crate::script::ScriptHook;
@@ -153,60 +149,16 @@ impl LeaseScenario {
 
     /// The workload body, run as the simulation's root actor.
     fn body(&self, rt: Arc<dyn Runtime>) -> Result<LeaseObservation, String> {
-        let net = Network::new(rt.clone());
-        let route = |name: &str, bw: f64, lat: u64| ConnRoute {
-            fwd: vec![net.add_link(&format!("{name}-f"), Bw::mbps(bw), Dur::from_millis(lat))],
-            rev: vec![net.add_link(&format!("{name}-r"), Bw::mbps(bw), Dur::from_millis(lat))],
-            send_cap: None,
-            recv_cap: None,
-            bus: None,
-        };
-        let spec = CacheSpec {
-            block: 64 << 10,
-            capacity: 4 << 20,
-        };
-        let primary = SrbServer::new(net.clone(), SrbServerCfg::default());
-        let replica = SrbServer::new(net.clone(), SrbServerCfg::default());
-        primary.set_block_cache(spec);
-        replica.set_block_cache(spec);
-        primary.mcat().add_user("u", "p");
-        replica.mcat().add_user("u", "p");
-        replica.mcat().add_user("fed", "fed");
-        let cfg = |r: ConnRoute| SrbFsConfig {
-            route: r,
-            user: "u".into(),
-            password: "p".into(),
-        };
-        let primary_fs = SrbFs::with_retry(
-            primary.clone(),
-            cfg(route("lp", 50.0, 10)),
-            RetryPolicy::none(),
-        );
-        let replica_fs = SrbFs::with_retry(
-            replica.clone(),
-            cfg(route("lr", 50.0, 10)),
-            RetryPolicy::none(),
-        );
-        primary_fs.enable_read_leases(8 << 20);
-        replica_fs.enable_read_leases(8 << 20);
-        let repl = Replicator::start(
-            &rt,
-            primary.clone(),
-            replica.clone(),
-            route("lx", 1000.0, 1),
-            "fed",
-            "fed",
-            RetryPolicy::default(),
-        );
-        let fed = FedFs::new(
-            &rt,
-            vec![FedShard {
-                primary: primary_fs,
-                replica: replica_fs,
-                replicator: Some(repl),
-                reverse: None,
-            }],
-        );
+        let FedTestbed { net, shards } = FedTestbed::new(&rt, 1, false, Some(8 << 20));
+        let primary = shards[0].primary.server().clone();
+        let replica = shards[0].replica.server().clone();
+        for server in [&primary, &replica] {
+            server.set_block_cache(CacheSpec {
+                block: 64 << 10,
+                capacity: 4 << 20,
+            });
+        }
+        let fed = FedFs::new(&rt, shards);
         fed.mk_coll_all("/lease")
             .map_err(|e| format!("mk /lease: {e:?}"))?;
         let path = "/lease/obj";

@@ -22,14 +22,11 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use semplar::{AdioFile, AdioFs, FedFs, FedShard, OpenFlags, Payload, SrbFs, SrbFsConfig};
+use semplar::{AdioFile, AdioFs, FedFs, OpenFlags, Payload};
+use semplar_clusters::FedTestbed;
 use semplar_faults::{FaultPlan, FaultStats};
-use semplar_netsim::{Bw, Network};
 use semplar_runtime::{Dur, Runtime, SimRuntime};
-use semplar_srb::{
-    adler32, ConnRoute, MembershipCfg, PromotionLedger, Replicator, RetryPolicy, SrbServer,
-    SrbServerCfg, TransitionKind,
-};
+use semplar_srb::{adler32, MembershipCfg, PromotionLedger, TransitionKind};
 
 use crate::script::ScriptHook;
 use crate::Scenario;
@@ -184,71 +181,14 @@ impl PromotionScenario {
 
     /// The workload body, run as the simulation's root actor.
     fn body(&self, rt: Arc<dyn Runtime>) -> Result<PromotionObservation, String> {
-        let net = Network::new(rt.clone());
-        let mut shards = Vec::with_capacity(self.shards);
-        let mut primaries: Vec<Arc<SrbServer>> = Vec::with_capacity(self.shards);
-        for s in 0..self.shards {
-            let route = |name: String, bw: f64, lat: u64| ConnRoute {
-                fwd: vec![net.add_link(&format!("{name}-f"), Bw::mbps(bw), Dur::from_millis(lat))],
-                rev: vec![net.add_link(&format!("{name}-r"), Bw::mbps(bw), Dur::from_millis(lat))],
-                send_cap: None,
-                recv_cap: None,
-                bus: None,
-            };
-            let primary = SrbServer::new(net.clone(), SrbServerCfg::default());
-            let replica = SrbServer::new(net.clone(), SrbServerCfg::default());
-            for srv in [&primary, &replica] {
-                srv.mcat().add_user("u", "p");
-                srv.mcat().add_user("fed", "fed");
-            }
-            let cfg = |r: ConnRoute| SrbFsConfig {
-                route: r,
-                user: "u".into(),
-                password: "p".into(),
-            };
-            let primary_fs = SrbFs::with_retry(
-                primary.clone(),
-                cfg(route(format!("s{s}p"), 50.0, 10)),
-                RetryPolicy::none(),
-            );
-            let replica_fs = SrbFs::with_retry(
-                replica.clone(),
-                cfg(route(format!("s{s}r"), 50.0, 10)),
-                RetryPolicy::none(),
-            );
-            let forward = Replicator::start(
-                &rt,
-                primary.clone(),
-                replica.clone(),
-                route(format!("s{s}x"), 1000.0, 1),
-                "fed",
-                "fed",
-                RetryPolicy::default(),
-            );
-            let reverse = Replicator::start_inactive(
-                &rt,
-                replica.clone(),
-                primary.clone(),
-                route(format!("s{s}v"), 1000.0, 1),
-                "fed",
-                "fed",
-                RetryPolicy::default(),
-            );
-            primaries.push(primary);
-            shards.push(FedShard {
-                primary: primary_fs,
-                replica: replica_fs,
-                replicator: Some(forward),
-                reverse: Some(reverse),
-            });
-        }
+        let FedTestbed { net, shards } = FedTestbed::new(&rt, self.shards, true, None);
         let fed = FedFs::new(&rt, shards);
         let membership = fed.enable_membership(self.membership);
         fed.mk_coll_all("/fed")
             .map_err(|e| format!("mk /fed: {e:?}"))?;
         let paths: Vec<String> = (0..self.files).map(|i| format!("/fed/ha{i}")).collect();
         let first_shard = fed.shard_of(&paths[0]);
-        let old_primary = primaries[first_shard].clone();
+        let old_primary = fed.shards()[first_shard].primary.server().clone();
         let inj = FaultPlan::new(self.seed)
             .server_crash_at(self.crash_at, self.crash_down_for)
             .inject(&rt, &net, &old_primary);

@@ -28,13 +28,11 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use semplar::{
-    AdioFile, AdioFs, FedFs, FedShard, OpenFlags, Payload, ReconcileLedger, SrbFs, SrbFsConfig,
-};
+use semplar::{AdioFile, AdioFs, FedFs, FedShard, OpenFlags, Payload, ReconcileLedger, SrbFs};
+use semplar_clusters::FedTestbed;
 use semplar_faults::{FaultPlan, FaultStats};
-use semplar_netsim::{Bw, Network};
 use semplar_runtime::{Dur, Runtime, SimRuntime};
-use semplar_srb::{adler32, ConnRoute, Replicator, RetryPolicy, SrbServer, SrbServerCfg};
+use semplar_srb::adler32;
 
 use crate::script::ScriptHook;
 
@@ -200,54 +198,7 @@ impl FederationScenario {
 
     /// The workload body, run as the simulation's root actor.
     fn body(&self, rt: Arc<dyn Runtime>) -> Result<RunObservation, String> {
-        let net = Network::new(rt.clone());
-        let mut shards = Vec::with_capacity(self.shards);
-        let mut primaries = Vec::with_capacity(self.shards);
-        for s in 0..self.shards {
-            let route = |name: String, bw: f64, lat: u64| ConnRoute {
-                fwd: vec![net.add_link(&format!("{name}-f"), Bw::mbps(bw), Dur::from_millis(lat))],
-                rev: vec![net.add_link(&format!("{name}-r"), Bw::mbps(bw), Dur::from_millis(lat))],
-                send_cap: None,
-                recv_cap: None,
-                bus: None,
-            };
-            let primary = SrbServer::new(net.clone(), SrbServerCfg::default());
-            let replica = SrbServer::new(net.clone(), SrbServerCfg::default());
-            primary.mcat().add_user("u", "p");
-            replica.mcat().add_user("u", "p");
-            replica.mcat().add_user("fed", "fed");
-            let cfg = |r: ConnRoute| SrbFsConfig {
-                route: r,
-                user: "u".into(),
-                password: "p".into(),
-            };
-            let primary_fs = SrbFs::with_retry(
-                primary.clone(),
-                cfg(route(format!("s{s}p"), 50.0, 10)),
-                RetryPolicy::none(),
-            );
-            let replica_fs = SrbFs::with_retry(
-                replica.clone(),
-                cfg(route(format!("s{s}r"), 50.0, 10)),
-                RetryPolicy::none(),
-            );
-            let repl = Replicator::start(
-                &rt,
-                primary.clone(),
-                replica,
-                route(format!("s{s}x"), 1000.0, 1),
-                "fed",
-                "fed",
-                RetryPolicy::default(),
-            );
-            primaries.push(primary);
-            shards.push(FedShard {
-                primary: primary_fs,
-                replica: replica_fs,
-                replicator: Some(repl),
-                reverse: None,
-            });
-        }
+        let FedTestbed { net, shards } = FedTestbed::new(&rt, self.shards, false, None);
         let fed = FedFs::new(&rt, shards);
         fed.mk_coll_all("/fed")
             .map_err(|e| format!("mk /fed: {e:?}"))?;
@@ -255,14 +206,14 @@ impl FederationScenario {
         let first_shard = fed.shard_of(&paths[0]);
         let mut injectors = vec![FaultPlan::new(self.seed)
             .server_crash_at(self.crash_at, self.crash_down_for)
-            .inject(&rt, &net, &primaries[first_shard])];
+            .inject(&rt, &net, fed.shards()[first_shard].primary.server())];
         if let Some((at, down_for)) = self.second_crash {
             // The overlapping outage lands on the *other* pair's primary.
             let other = (first_shard + 1) % self.shards;
             injectors.push(
                 FaultPlan::new(self.seed ^ 0xd0b1e)
                     .server_crash_at(at, down_for)
-                    .inject(&rt, &net, &primaries[other]),
+                    .inject(&rt, &net, fed.shards()[other].primary.server()),
             );
         }
         let inj = &injectors[0];

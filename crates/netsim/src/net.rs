@@ -157,7 +157,6 @@ pub struct NetStats {
 }
 
 struct LinkState {
-    name: String,
     cap: f64, // bits/s
     latency: Dur,
     bits_moved: f64,
@@ -279,10 +278,11 @@ impl Network {
     }
 
     /// Add a link with the given capacity and one-way latency contribution.
-    pub fn add_link(&self, name: &str, cap: Bw, latency: Dur) -> LinkId {
+    /// `_name` labels the link where the topology is built; links are
+    /// identified by their [`LinkId`] from here on and the name is not kept.
+    pub fn add_link(&self, _name: &str, cap: Bw, latency: Dur) -> LinkId {
         let mut g = self.inner.lock();
         g.links.push(LinkState {
-            name: name.to_string(),
             cap: cap.as_bps(),
             latency,
             bits_moved: 0.0,
@@ -816,11 +816,6 @@ impl Network {
         let lat = self.path_latency(path);
         self.rt.sleep(lat);
         self.transfer_opts(path, bytes, opts);
-    }
-
-    /// Human-readable description of a link (used in diagnostics).
-    pub fn link_name(&self, link: LinkId) -> String {
-        self.inner.lock().links[link.0].name.clone()
     }
 }
 

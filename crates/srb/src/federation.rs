@@ -266,11 +266,6 @@ impl Replicator {
         self.active.store(active, Ordering::SeqCst);
     }
 
-    /// True while the write hook enqueues replication work.
-    pub fn is_active(&self) -> bool {
-        self.active.load(Ordering::SeqCst)
-    }
-
     /// The shared epoch stamp the daemon's connections carry. The
     /// membership layer advances it so post-promotion ships are accepted by
     /// an epoch-fenced target once certified.

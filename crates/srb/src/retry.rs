@@ -16,7 +16,7 @@ use semplar_runtime::{Dur, Runtime};
 use crate::types::SrbResult;
 
 /// Exponential-backoff retry policy with deterministic jitter.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RetryPolicy {
     /// Attempts after the first failure (0 disables retrying).
     pub max_retries: u32,

@@ -435,11 +435,6 @@ impl SrbServer {
         cache
     }
 
-    /// The installed block cache, if any.
-    pub fn block_cache(&self) -> Option<Arc<BlockCache>> {
-        self.cache.lock().clone()
-    }
-
     /// Snapshot of the block cache counters (zeros when no cache is
     /// installed).
     pub fn cache_stats(&self) -> CacheStats {

@@ -78,7 +78,7 @@ struct MeterInner {
 
 /// Per-stream goodput telemetry, sampled on virtual time at exchange
 /// completion. One meter per [`Transport`]; the adaptive stripe scheduler
-/// and the prefetcher read them per stream.
+/// reads them per stream.
 ///
 /// Recording is passive — it never sleeps, locks the runtime, or otherwise
 /// perturbs virtual timing — so metered and unmetered runs are bit-identical.

@@ -758,7 +758,7 @@ mod tests {
                 clients: 100,
                 // 4 nodes x 7 shared streams: 28 is coprime-enough to the
                 // 5-tenant cycle that shared connections genuinely mix
-                // tenants (see fig_tenants_arm).
+                // tenants (see the fig_tenants binary).
                 streams_per_node: if tenant_aware { 2 } else { 7 },
                 inflight_per_stream: 8,
                 mix: TenantMix::new(&[

@@ -26,17 +26,17 @@ fn main() {
     server.mcat().add_user("blast", "pw");
     let fs = SrbFs::new(
         server,
-        SrbFsConfig {
-            route: ConnRoute {
+        SrbFsConfig::new(
+            ConnRoute {
                 fwd: vec![up],
                 rev: vec![down],
                 send_cap: None,
                 recv_cap: None,
                 bus: None,
             },
-            user: "blast".into(),
-            password: "pw".into(),
-        },
+            "blast",
+            "pw",
+        ),
     );
 
     // Database: 1 MB of EST text, k-mer indexed ONCE (as BLAST does);

@@ -26,17 +26,17 @@ fn main() {
     server.mcat().add_user("est", "pw");
     let fs = SrbFs::new(
         server.clone(),
-        SrbFsConfig {
-            route: ConnRoute {
+        SrbFsConfig::new(
+            ConnRoute {
                 fwd: vec![up],
                 rev: vec![down],
                 send_cap: None,
                 recv_cap: None,
                 bus: None,
             },
-            user: "est".into(),
-            password: "pw".into(),
-        },
+            "est",
+            "pw",
+        ),
     );
 
     // 8 MB of synthetic human-EST-like FASTA text.

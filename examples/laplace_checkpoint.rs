@@ -29,17 +29,17 @@ fn setup_fs(rt: &Arc<dyn Runtime>) -> Arc<SrbFs> {
     server.mcat().add_user("laplace", "pw");
     SrbFs::new(
         server,
-        SrbFsConfig {
-            route: ConnRoute {
+        SrbFsConfig::new(
+            ConnRoute {
                 fwd: vec![up],
                 rev: vec![down],
                 send_cap: None,
                 recv_cap: None,
                 bus: None,
             },
-            user: "laplace".into(),
-            password: "pw".into(),
-        },
+            "laplace",
+            "pw",
+        ),
     )
 }
 

@@ -30,17 +30,17 @@ fn main() {
     // 3. An SRBFS mount: every File::open creates its own TCP connection.
     let fs = SrbFs::new(
         server.clone(),
-        SrbFsConfig {
-            route: ConnRoute {
+        SrbFsConfig::new(
+            ConnRoute {
                 fwd: vec![up],
                 rev: vec![down],
                 send_cap: None,
                 recv_cap: None,
                 bus: None,
             },
-            user: "demo".into(),
-            password: "demo".into(),
-        },
+            "demo",
+            "demo",
+        ),
     );
 
     // 4. Create a collection in the MCAT namespace, then open a remote file

@@ -11,7 +11,7 @@ use semplar_repro::runtime::{simulate, Dur, Time};
 use semplar_repro::semplar::{
     OpenFlags, Payload, SrbFs, SrbFsConfig, StripeStats, StripeUnit, StripedFile,
 };
-use semplar_repro::srb::{adler32, ConnRoute, PoolPolicy, RetryPolicy, SrbServer, SrbServerCfg};
+use semplar_repro::srb::{adler32, ConnRoute, SrbServer, SrbServerCfg};
 
 /// A multi-homed client: one 50 Mb/s, 10 ms path per stream to the same
 /// server. Returns the per-stream routes and the uplink ids.
@@ -51,16 +51,12 @@ fn degrade_run(unit: StripeUnit, seed: u64, data: Arc<Vec<u8>>) -> DegradeTrace 
         let (routes, ups) = multihome(&net, 2);
         let server = SrbServer::new(net.clone(), SrbServerCfg::default());
         server.mcat().add_user("u", "p");
-        let fs = SrbFs::with_stream_routes(
+        let fs = SrbFs::new(
             server.clone(),
             SrbFsConfig {
-                route: routes[0].clone(),
-                user: "u".into(),
-                password: "p".into(),
+                stream_routes: routes.clone(),
+                ..SrbFsConfig::new(routes[0].clone(), "u", "p")
             },
-            routes.clone(),
-            PoolPolicy::PerOpen,
-            RetryPolicy::default(),
         );
         let plan = FaultPlan::new(seed).link_degrade_at(
             ups[0],
@@ -163,16 +159,12 @@ fn stream_routes_pin_streams_to_their_links() {
         let (routes, ups) = multihome(&net, 2);
         let server = SrbServer::new(net.clone(), SrbServerCfg::default());
         server.mcat().add_user("u", "p");
-        let fs = SrbFs::with_stream_routes(
+        let fs = SrbFs::new(
             server,
             SrbFsConfig {
-                route: routes[0].clone(),
-                user: "u".into(),
-                password: "p".into(),
+                stream_routes: routes.clone(),
+                ..SrbFsConfig::new(routes[0].clone(), "u", "p")
             },
-            routes.clone(),
-            PoolPolicy::PerOpen,
-            RetryPolicy::default(),
         );
         let f = StripedFile::open(&rt, &fs, "/pin", OpenFlags::CreateRw, 2, StripeUnit::Even)
             .expect("open striped file");

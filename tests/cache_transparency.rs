@@ -8,16 +8,13 @@
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
-use semplar::{AdioFile, AdioFs, FedFs, FedShard, SrbFs};
-use semplar_repro::clusters::{das2, Testbed};
+use semplar::{AdioFile, AdioFs, FedFs, FedShard, SrbFs, SrbFsConfig};
+use semplar_repro::clusters::{das2, FedTestbed, Testbed, PASSWORD, USER};
 use semplar_repro::faults::FaultPlan;
-use semplar_repro::netsim::{Bw, Network};
 use semplar_repro::runtime::{simulate, spawn, Dur};
 use semplar_repro::semplar;
 use semplar_repro::semplar::{File, OpenFlags, Payload};
-use semplar_repro::srb::{
-    adler32, CacheSpec, ConnRoute, Replicator, RetryPolicy, SrbServer, SrbServerCfg,
-};
+use semplar_repro::srb::{adler32, CacheSpec};
 
 /// The deterministic byte at `offset + k` of object `file`, version `v`.
 fn pattern(file: usize, v: usize, offset: u64, len: u64) -> Vec<u8> {
@@ -52,12 +49,17 @@ fn chaos_run(seed: u64, caches: bool) -> (Observed, u64, u64) {
                 capacity: 4 << 20,
             });
         }
-        let fs: Vec<Arc<SrbFs>> = (0..2).map(|n| tb.srbfs(n)).collect();
-        if caches {
-            for f in &fs {
-                f.enable_read_leases(8 << 20);
-            }
-        }
+        let fs: Vec<Arc<SrbFs>> = (0..2)
+            .map(|n| {
+                SrbFs::new(
+                    tb.server.clone(),
+                    SrbFsConfig {
+                        lease_capacity: caches.then_some(8 << 20),
+                        ..SrbFsConfig::new(tb.route(n), USER, PASSWORD)
+                    },
+                )
+            })
+            .collect();
         let (wan_up, _) = tb.wan_links();
         let plan = FaultPlan::new(seed)
             .link_flap(wan_up, Dur::from_millis(100), Dur::from_millis(200), 2)
@@ -183,72 +185,25 @@ const CHUNK: u64 = 256 << 10;
 /// serve pre-failover bytes.
 fn federation_run(seed: u64, caches: bool) -> (Vec<u32>, Vec<u32>, u64, u64) {
     simulate(move |rt| {
-        let net = Network::new(rt.clone());
-        let mut shards = Vec::new();
-        let mut primaries = Vec::new();
-        for s in 0..2usize {
-            let route = |name: String, bw: f64, lat: u64| ConnRoute {
-                fwd: vec![net.add_link(&format!("{name}-f"), Bw::mbps(bw), Dur::from_millis(lat))],
-                rev: vec![net.add_link(&format!("{name}-r"), Bw::mbps(bw), Dur::from_millis(lat))],
-                send_cap: None,
-                recv_cap: None,
-                bus: None,
-            };
-            let primary = SrbServer::new(net.clone(), SrbServerCfg::default());
-            let replica = SrbServer::new(net.clone(), SrbServerCfg::default());
-            if caches {
-                let spec = CacheSpec {
+        let FedTestbed { net, shards } = FedTestbed::new(&rt, 2, false, caches.then_some(8 << 20));
+        if caches {
+            for seat in shards.iter().flat_map(|s| [&s.primary, &s.replica]) {
+                seat.server().set_block_cache(CacheSpec {
                     block: 64 << 10,
                     capacity: 4 << 20,
-                };
-                primary.set_block_cache(spec);
-                replica.set_block_cache(spec);
+                });
             }
-            primary.mcat().add_user("u", "p");
-            replica.mcat().add_user("u", "p");
-            replica.mcat().add_user("fed", "fed");
-            let cfg = |r: ConnRoute| semplar::SrbFsConfig {
-                route: r,
-                user: "u".into(),
-                password: "p".into(),
-            };
-            let primary_fs = SrbFs::with_retry(
-                primary.clone(),
-                cfg(route(format!("s{s}p"), 50.0, 10)),
-                RetryPolicy::none(),
-            );
-            let replica_fs = SrbFs::with_retry(
-                replica.clone(),
-                cfg(route(format!("s{s}r"), 50.0, 10)),
-                RetryPolicy::none(),
-            );
-            if caches {
-                primary_fs.enable_read_leases(8 << 20);
-                replica_fs.enable_read_leases(8 << 20);
-            }
-            let repl = Replicator::start(
-                &rt,
-                primary.clone(),
-                replica,
-                route(format!("s{s}x"), 1000.0, 1),
-                "fed",
-                "fed",
-                RetryPolicy::default(),
-            );
-            primaries.push(primary);
-            shards.push(FedShard {
-                primary: primary_fs,
-                replica: replica_fs,
-                replicator: Some(repl),
-                reverse: None,
-            });
         }
         let fed = FedFs::new(&rt, shards);
         fed.mk_coll_all("/fed").expect("mk /fed");
         let paths: Vec<String> = (0..FILES).map(|i| format!("/fed/data{i}")).collect();
         let inj = FaultPlan::new(seed)
             .server_crash_at(Dur::from_millis(300), Dur::from_millis(500))
-            .inject(&rt, &net, &primaries[fed.shard_of(&paths[0])]);
+            .inject(
+                &rt,
+                &net,
+                fed.shards()[fed.shard_of(&paths[0])].primary.server(),
+            );
 
         let mut handles: Vec<Box<dyn AdioFile>> = paths
             .iter()

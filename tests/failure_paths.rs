@@ -3,16 +3,15 @@
 //! rather than wedging the virtual clock, and the recovery machinery must
 //! bring transfers through link flaps, server crashes, and dead streams.
 
-use semplar_repro::clusters::{das2, Testbed, PASSWORD, USER};
+use semplar_repro::clusters::{das2, FedTestbed, Testbed, PASSWORD, USER};
 use semplar_repro::faults::FaultPlan;
-use semplar_repro::netsim::Bw;
 use semplar_repro::runtime::sync::Barrier;
 use semplar_repro::runtime::{simulate, spawn, Dur, SimRuntime};
 use semplar_repro::semplar::{
-    File, IoError, MemFs, OpenFlags, Payload, RecoveryStats, SrbFs, SrbFsConfig, StripeUnit,
+    FedFs, File, IoError, MemFs, OpenFlags, Payload, RecoveryStats, SrbFs, SrbFsConfig, StripeUnit,
     StripedFile,
 };
-use semplar_repro::srb::{adler32, ConnRoute, RetryPolicy, SrbError, SrbServer, SrbServerCfg};
+use semplar_repro::srb::{adler32, RetryPolicy, SrbError};
 
 #[test]
 fn open_missing_file_fails_fast() {
@@ -257,14 +256,12 @@ fn link_flap_mid_transfer_stalls_then_resumes_byte_identically() {
 fn server_crash_mid_iwrite_surfaces_once_and_a_retry_succeeds() {
     simulate(|rt| {
         let tb = Testbed::new(rt.clone(), das2(), 1);
-        let fs = SrbFs::with_retry(
+        let fs = SrbFs::new(
             tb.server.clone(),
             SrbFsConfig {
-                route: tb.route(0),
-                user: "semplar".into(),
-                password: "hpdc06".into(),
+                retry: RetryPolicy::none(),
+                ..SrbFsConfig::new(tb.route(0), "semplar", "hpdc06")
             },
-            RetryPolicy::none(),
         );
         let data: Vec<u8> = (0..200_000u32).map(|i| (i * 7 % 251) as u8).collect();
 
@@ -289,72 +286,34 @@ fn server_crash_mid_iwrite_surfaces_once_and_a_retry_succeeds() {
     });
 }
 
-/// When every stream of a striped file is dead (primary crashed for good),
-/// a read falls over to a federated replica registered via `set_replica`
-/// and still returns the right bytes.
+/// When every stream of a striped file is dead (the shard's primary
+/// crashed for good), a striped read over a federated mount falls over to
+/// the shard's replica and still returns the right bytes. Replica
+/// read-failover lives in `FedFs`; `StripedFile` composes with it as with
+/// any other `AdioFs`.
 #[test]
 fn striped_read_fails_over_to_a_federated_replica() {
-    use semplar_repro::netsim::Network;
     simulate(|rt| {
-        let net = Network::new(rt.clone());
-        let link = |name: &str| {
-            (
-                net.add_link(&format!("{name}-up"), Bw::mbps(100.0), Dur::from_millis(5)),
-                net.add_link(
-                    &format!("{name}-down"),
-                    Bw::mbps(100.0),
-                    Dur::from_millis(5),
-                ),
-            )
-        };
-        let (cp_up, cp_down) = link("client-primary");
-        let (cr_up, cr_down) = link("client-replica");
-        let (pp_up, pp_down) = link("primary-peer");
-        let route = |up, down| ConnRoute {
-            fwd: vec![up],
-            rev: vec![down],
-            send_cap: None,
-            recv_cap: None,
-            bus: None,
-        };
+        let FedTestbed { shards, .. } = FedTestbed::new(&rt, 1, false, None);
+        let primary = shards[0].primary.server().clone();
+        let fed = FedFs::new(&rt, shards);
 
-        let primary = SrbServer::new(net.clone(), SrbServerCfg::default());
-        primary.mcat().add_user("u", "p");
-        let peer = SrbServer::new(
-            net.clone(),
-            SrbServerCfg {
-                name: "peer".into(),
-                ..SrbServerCfg::default()
-            },
-        );
-        peer.mcat().add_user("u", "p");
-        primary.add_peer("mirror", peer.clone(), route(pp_up, pp_down), "u", "p");
-
-        let cfg = |up, down| SrbFsConfig {
-            route: route(up, down),
-            user: "u".into(),
-            password: "p".into(),
-        };
-        let fs = SrbFs::with_retry(primary.clone(), cfg(cp_up, cp_down), RetryPolicy::none());
-
-        // Seed the object and replicate it to the peer.
+        // Seed the object and let the write-path replicator mirror it.
         let data: Vec<u8> = (0..500_000u32).map(|i| (i * 13 % 239) as u8).collect();
-        let f = File::open(&rt, &fs, "/d", OpenFlags::CreateRw).unwrap();
+        let f = File::open(&rt, &fed, "/d", OpenFlags::CreateRw).unwrap();
         f.write_at(0, &Payload::bytes(data.clone())).unwrap();
         f.close().unwrap();
-        let admin = fs.admin_conn().unwrap();
-        admin.replicate("/d", "mirror").unwrap();
-        admin.disconnect().unwrap();
+        let forward = fed.shards()[0].replicator.as_ref().unwrap();
+        forward.quiesce();
 
-        let sf = StripedFile::open(&rt, &fs, "/d", OpenFlags::Read, 2, StripeUnit::Even).unwrap();
-        sf.set_replica(Box::new(SrbFs::new(peer.clone(), cfg(cr_up, cr_down))));
+        let sf = StripedFile::open(&rt, &fed, "/d", OpenFlags::Read, 2, StripeUnit::Even).unwrap();
 
-        // Primary goes down for good: every stream and any reconnect is dead.
+        // Primary goes down for good: every stream's primary handle is dead.
         primary.crash();
 
         let got = sf.read_at(0, data.len() as u64).unwrap();
         assert_eq!(got.data().unwrap(), &data[..], "replica bytes differ");
-        assert!(sf.failovers() >= 1, "read did not use the failover path");
+        assert!(fed.failovers() >= 1, "read did not use the failover path");
         sf.close().unwrap();
     });
 }

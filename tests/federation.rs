@@ -8,11 +8,11 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use semplar::{AdioFile, AdioFs, FedFs, FedShard, OpenFlags, Payload, ReconcileLedger, SrbFs};
+use semplar_repro::clusters::FedTestbed;
 use semplar_repro::faults::FaultPlan;
-use semplar_repro::netsim::{Bw, Network};
 use semplar_repro::runtime::{simulate, Dur};
 use semplar_repro::semplar;
-use semplar_repro::srb::{adler32, ConnRoute, Replicator, RetryPolicy, SrbServer, SrbServerCfg};
+use semplar_repro::srb::adler32;
 
 const SHARDS: usize = 2;
 const FILES: usize = 2;
@@ -46,54 +46,7 @@ struct RunResult {
 /// restarts, exercising failover and reconciliation.
 fn federation_run(seed: u64, crash: Option<(Dur, Dur)>) -> RunResult {
     simulate(move |rt| {
-        let net = Network::new(rt.clone());
-        let mut shards = Vec::with_capacity(SHARDS);
-        let mut primaries = Vec::with_capacity(SHARDS);
-        for s in 0..SHARDS {
-            let route = |name: String, bw: f64, lat: u64| ConnRoute {
-                fwd: vec![net.add_link(&format!("{name}-f"), Bw::mbps(bw), Dur::from_millis(lat))],
-                rev: vec![net.add_link(&format!("{name}-r"), Bw::mbps(bw), Dur::from_millis(lat))],
-                send_cap: None,
-                recv_cap: None,
-                bus: None,
-            };
-            let primary = SrbServer::new(net.clone(), SrbServerCfg::default());
-            let replica = SrbServer::new(net.clone(), SrbServerCfg::default());
-            primary.mcat().add_user("u", "p");
-            replica.mcat().add_user("u", "p");
-            replica.mcat().add_user("fed", "fed");
-            let cfg = |r: ConnRoute| semplar::SrbFsConfig {
-                route: r,
-                user: "u".into(),
-                password: "p".into(),
-            };
-            let primary_fs = SrbFs::with_retry(
-                primary.clone(),
-                cfg(route(format!("s{s}p"), 50.0, 10)),
-                RetryPolicy::none(),
-            );
-            let replica_fs = SrbFs::with_retry(
-                replica.clone(),
-                cfg(route(format!("s{s}r"), 50.0, 10)),
-                RetryPolicy::none(),
-            );
-            let repl = Replicator::start(
-                &rt,
-                primary.clone(),
-                replica,
-                route(format!("s{s}x"), 1000.0, 1),
-                "fed",
-                "fed",
-                RetryPolicy::default(),
-            );
-            primaries.push(primary);
-            shards.push(FedShard {
-                primary: primary_fs,
-                replica: replica_fs,
-                replicator: Some(repl),
-                reverse: None,
-            });
-        }
+        let FedTestbed { net, shards } = FedTestbed::new(&rt, SHARDS, false, None);
         let fed = FedFs::new(&rt, shards);
         fed.mk_coll_all("/fed").expect("mk /fed");
         let paths: Vec<String> = (0..FILES).map(|i| format!("/fed/data{i}")).collect();
@@ -101,7 +54,7 @@ fn federation_run(seed: u64, crash: Option<(Dur, Dur)>) -> RunResult {
             FaultPlan::new(seed).server_crash_at(at, down_for).inject(
                 &rt,
                 &net,
-                &primaries[fed.shard_of(&paths[0])],
+                fed.shards()[fed.shard_of(&paths[0])].primary.server(),
             )
         });
 

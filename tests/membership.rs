@@ -12,10 +12,11 @@
 //! while traffic continues and cuts over atomically.
 
 use proptest::prelude::*;
+use semplar_repro::clusters::FedTestbed;
 use semplar_repro::mc::PromotionScenario;
 use semplar_repro::netsim::{Bw, Network};
 use semplar_repro::runtime::{simulate, Dur};
-use semplar_repro::semplar::{AdioFs, FedFs, FedShard, OpenFlags, Payload, SrbFs, SrbFsConfig};
+use semplar_repro::semplar::{AdioFs, FedFs, OpenFlags, Payload, SrbFs, SrbFsConfig};
 use semplar_repro::srb::{ConnRoute, RetryPolicy, SrbServer, SrbServerCfg, TransitionKind};
 use std::sync::atomic::Ordering;
 
@@ -91,14 +92,12 @@ fn fencing_refuses_stale_epoch_writes() {
         let server = SrbServer::new(net.clone(), SrbServerCfg::default());
         server.mcat().add_user("u", "p");
         server.enable_epoch_fencing(1);
-        let fs = SrbFs::with_retry(
+        let fs = SrbFs::new(
             server.clone(),
             SrbFsConfig {
-                route: route("fence"),
-                user: "u".into(),
-                password: "p".into(),
+                retry: RetryPolicy::none(),
+                ..SrbFsConfig::new(route("fence"), "u", "p")
             },
-            RetryPolicy::none(),
         );
         let stamp = fs.epoch_stamp();
         stamp.store(1, Ordering::SeqCst);
@@ -132,14 +131,12 @@ fn fencing_refuses_stale_epoch_writes() {
         server.crash();
         server.restart();
         assert!(server.is_fenced(), "restart must hard-fence");
-        let fresh = SrbFs::with_retry(
+        let fresh = SrbFs::new(
             server.clone(),
             SrbFsConfig {
-                route: route("fence2"),
-                user: "u".into(),
-                password: "p".into(),
+                retry: RetryPolicy::none(),
+                ..SrbFsConfig::new(route("fence2"), "u", "p")
             },
-            RetryPolicy::none(),
         );
         let rejects0 = server.fenced_rejects();
         let mut f = fresh.open("/za", OpenFlags::CreateRw).expect("reopen");
@@ -163,36 +160,7 @@ fn fencing_refuses_stale_epoch_writes() {
 #[test]
 fn live_resharding_migrates_and_cuts_over() {
     simulate(|rt| {
-        let net = Network::new(rt.clone());
-        let mut shards = Vec::new();
-        for s in 0..3usize {
-            let route = |name: String| ConnRoute {
-                fwd: vec![net.add_link(&format!("{name}-f"), Bw::mbps(200.0), Dur::from_millis(1))],
-                rev: vec![net.add_link(&format!("{name}-r"), Bw::mbps(200.0), Dur::from_millis(1))],
-                send_cap: None,
-                recv_cap: None,
-                bus: None,
-            };
-            let mk = |tag: &str| {
-                let server = SrbServer::new(net.clone(), SrbServerCfg::default());
-                server.mcat().add_user("u", "p");
-                SrbFs::with_retry(
-                    server,
-                    SrbFsConfig {
-                        route: route(format!("s{s}{tag}")),
-                        user: "u".into(),
-                        password: "p".into(),
-                    },
-                    RetryPolicy::none(),
-                )
-            };
-            shards.push(FedShard {
-                primary: mk("p"),
-                replica: mk("r"),
-                replicator: None,
-                reverse: None,
-            });
-        }
+        let shards = FedTestbed::new(&rt, 3, false, None).shards;
         let fed = FedFs::with_active_shards(&rt, shards, 2);
         fed.mk_coll_all("/fed").expect("mkcoll");
         let files = 8usize;
@@ -270,36 +238,7 @@ fn live_resharding_migrates_and_cuts_over() {
 #[test]
 fn resharding_never_loses_acked_writes() {
     simulate(|rt| {
-        let net = Network::new(rt.clone());
-        let mut shards = Vec::new();
-        for s in 0..3usize {
-            let route = |name: String| ConnRoute {
-                fwd: vec![net.add_link(&format!("{name}-f"), Bw::mbps(200.0), Dur::from_millis(1))],
-                rev: vec![net.add_link(&format!("{name}-r"), Bw::mbps(200.0), Dur::from_millis(1))],
-                send_cap: None,
-                recv_cap: None,
-                bus: None,
-            };
-            let mk = |tag: &str| {
-                let server = SrbServer::new(net.clone(), SrbServerCfg::default());
-                server.mcat().add_user("u", "p");
-                SrbFs::with_retry(
-                    server,
-                    SrbFsConfig {
-                        route: route(format!("w{s}{tag}")),
-                        user: "u".into(),
-                        password: "p".into(),
-                    },
-                    RetryPolicy::none(),
-                )
-            };
-            shards.push(FedShard {
-                primary: mk("p"),
-                replica: mk("r"),
-                replicator: None,
-                reverse: None,
-            });
-        }
+        let shards = FedTestbed::new(&rt, 3, false, None).shards;
         let fed = FedFs::with_active_shards(&rt, shards, 2);
         fed.mk_coll_all("/fed").expect("mkcoll");
         let files = 6usize;

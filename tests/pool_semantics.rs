@@ -4,9 +4,9 @@
 //! bytes a `PerOpen` (one-stream-per-open, paper-faithful) mount does.
 
 use proptest::prelude::*;
-use semplar_repro::clusters::{das2, Testbed};
+use semplar_repro::clusters::{das2, Testbed, PASSWORD, USER};
 use semplar_repro::runtime::{simulate, spawn};
-use semplar_repro::semplar::{OpenFlags, Payload, SrbFs, StripeUnit, StripedFile};
+use semplar_repro::semplar::{OpenFlags, Payload, SrbFs, SrbFsConfig, StripeUnit, StripedFile};
 use semplar_repro::srb::PoolPolicy;
 use std::sync::Arc;
 
@@ -57,7 +57,13 @@ fn run_plan(plan: &Plan, policy: Option<PoolPolicy>) -> (Vec<u8>, u32, u64) {
         let mounts: Vec<Arc<SrbFs>> = (0..plan.writers)
             .map(|n| match policy {
                 None => tb.srbfs(n),
-                Some(p) => tb.srbfs_pooled(n, p),
+                Some(pool) => SrbFs::new(
+                    tb.server.clone(),
+                    SrbFsConfig {
+                        pool,
+                        ..SrbFsConfig::new(tb.route(n), USER, PASSWORD)
+                    },
+                ),
             })
             .collect();
         let setup = mounts[0].admin_conn().unwrap();
