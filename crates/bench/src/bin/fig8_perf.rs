@@ -92,7 +92,7 @@ fn main() {
         println!(
             "{name}: scheduler — {} clock advances, {} peak actors, \
              {} choice points / {} alternatives (exploration hook inactive)",
-            sim.clock_advances, sim.max_actors, sim.choice_points, sim.choice_alternatives,
+            sim.clock_advances, sim.peak_live_actors, sim.choice_points, sim.choice_alternatives,
         );
         println!(
             "{name}: engine — {} thread actors spawned (peak {}), \

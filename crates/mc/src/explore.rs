@@ -17,6 +17,11 @@
 //! fingerprint covers the clock, every actor's blocking state, and the
 //! pending event multiset, which is exactly the state a schedule decision
 //! can depend on.
+//!
+//! A scenario that is not a function of its schedule shows up as a
+//! scripted index out of range for its point; that run fails with
+//! `schedule diverged at point k (wanted i of n)` (see [`ScriptHook`]) and
+//! is reported like any other violation, with the trace that led there.
 
 use std::collections::{HashSet, VecDeque};
 
@@ -197,12 +202,36 @@ pub fn explore(scenario: &dyn Scenario, cfg: &ExploreCfg) -> ExploreReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Arc;
 
     use semplar_runtime::{spawn, Dur, SimRuntime};
 
-    /// A toy scenario: three actors sleep to within one window of each
-    /// other, then record their completion order. The "invariant" is
+    /// `n` actors sleep to within one window of each other, then record
+    /// their completion order.
+    fn race(hook: Arc<ScriptHook>, n: usize) -> Vec<usize> {
+        let sim = SimRuntime::new();
+        sim.set_schedule_hook(hook, Dur::from_micros(10));
+        sim.run_root(move |rt| {
+            let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
+            let mut hs = Vec::new();
+            for i in 0..n {
+                let rt2 = rt.clone();
+                let o = order.clone();
+                hs.push(spawn(&rt, &format!("t{i}"), move || {
+                    rt2.sleep(Dur::from_micros(5 + i as u64));
+                    o.lock().push(i);
+                }));
+            }
+            for h in hs {
+                h.join_unwrap();
+            }
+            let o = order.lock().clone();
+            o
+        })
+    }
+
+    /// A toy scenario: a three-way [`race`]. The "invariant" is
     /// configurable so tests can inject a violation.
     struct Toy {
         /// Completion orders treated as violations.
@@ -214,29 +243,36 @@ mod tests {
             "toy"
         }
         fn run(&self, hook: Arc<ScriptHook>) -> Result<(), String> {
-            let sim = SimRuntime::new();
-            sim.set_schedule_hook(hook, Dur::from_micros(10));
-            let order = sim.run_root(|rt| {
-                let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
-                let mut hs = Vec::new();
-                for i in 0..3usize {
-                    let rt2 = rt.clone();
-                    let o = order.clone();
-                    hs.push(spawn(&rt, &format!("t{i}"), move || {
-                        rt2.sleep(Dur::from_micros(5 + i as u64));
-                        o.lock().push(i);
-                    }));
-                }
-                for h in hs {
-                    h.join_unwrap();
-                }
-                let o = order.lock().clone();
-                o
-            });
+            let order = race(hook, 3);
             if self.forbidden.contains(&order) {
                 return Err(format!("forbidden order {order:?}"));
             }
             Ok(())
+        }
+    }
+
+    /// Not a function of its schedule: the first execution races three
+    /// actors, every later one only two.
+    struct Shrinking {
+        runs: AtomicUsize,
+    }
+
+    impl Scenario for Shrinking {
+        fn name(&self) -> &str {
+            "shrinking"
+        }
+        fn run(&self, hook: Arc<ScriptHook>) -> Result<(), String> {
+            let n = if self.runs.fetch_add(1, Ordering::SeqCst) == 0 {
+                3
+            } else {
+                2
+            };
+            std::panic::catch_unwind(move || race(hook, n))
+                .map(|_| ())
+                .map_err(|p| match p.downcast::<String>() {
+                    Ok(msg) => format!("simulation panicked: {msg}"),
+                    Err(_) => "simulation panicked".to_string(),
+                })
         }
     }
 
@@ -381,6 +417,52 @@ mod tests {
         assert_eq!(replay, Err("forbidden order [2, 1, 0]".to_string()));
         // And the default schedule passes.
         assert_eq!(toy.run(ScriptHook::default_schedule()), Ok(()));
+    }
+
+    #[test]
+    fn a_diverging_scenario_is_reported_not_followed() {
+        let sc = Shrinking {
+            runs: AtomicUsize::new(0),
+        };
+        let report = explore(&sc, &ExploreCfg::default());
+        // The first run offers index 2 at point 0; no later run has such
+        // an event, and must fail rather than quietly take another.
+        assert_eq!(report.violations, 1);
+        let trace = report.counterexample.expect("divergence is reported");
+        assert!(
+            trace
+                .violation
+                .ends_with("schedule diverged at point 0 (wanted 2 of 2)"),
+            "{}",
+            trace.violation
+        );
+    }
+
+    #[test]
+    fn same_script_same_observed_order_under_host_load() {
+        let stop = Arc::new(AtomicBool::new(false));
+        let spinners: Vec<_> = (0..4)
+            .map(|_| {
+                let stop = stop.clone();
+                std::thread::spawn(move || {
+                    while !stop.load(Ordering::Relaxed) {
+                        std::hint::spin_loop();
+                    }
+                })
+            })
+            .collect();
+        let runs: Vec<_> = (0..10)
+            .map(|_| {
+                let hook = ScriptHook::follow(vec![2, 1]);
+                (race(hook.clone(), 3), hook.records())
+            })
+            .collect();
+        stop.store(true, Ordering::Relaxed);
+        for s in spinners {
+            s.join().unwrap();
+        }
+        assert_eq!(runs[0].0, vec![2, 1, 0]);
+        assert!(runs.iter().all(|r| r == &runs[0]), "{runs:?}");
     }
 
     #[test]

@@ -41,10 +41,11 @@ pub struct ScriptHook {
 }
 
 impl ScriptHook {
-    /// A hook that follows `script` and then defaults. Indices out of
-    /// range for their point are clamped to the last eligible slot (this
-    /// can only happen if the scenario itself is nondeterministic, which
-    /// the explorer treats as a soft divergence rather than a crash).
+    /// A hook that follows `script` and then defaults. The engine is
+    /// deterministic, so a scripted index out of range for its point means
+    /// the scenario is not a function of its schedule: the run fails with
+    /// `schedule diverged at point k (wanted i of n)` instead of carrying
+    /// on along a schedule nobody asked for.
     pub fn follow(script: Vec<usize>) -> Arc<ScriptHook> {
         Arc::new(ScriptHook {
             script,
@@ -66,8 +67,13 @@ impl ScriptHook {
 impl ScheduleHook for ScriptHook {
     fn choose(&self, _now: Time, fingerprint: u64, eligible: &[Choice]) -> usize {
         let mut recs = self.records.lock();
-        let want = self.script.get(recs.len()).copied().unwrap_or(0);
-        let chosen = want.min(eligible.len() - 1);
+        let chosen = self.script.get(recs.len()).copied().unwrap_or(0);
+        assert!(
+            chosen < eligible.len(),
+            "schedule diverged at point {} (wanted {chosen} of {})",
+            recs.len(),
+            eligible.len()
+        );
         recs.push(ChoiceRecord {
             alternatives: eligible.len(),
             chosen,
@@ -95,10 +101,10 @@ mod tests {
 
     #[test]
     fn follows_script_then_defaults_and_records() {
-        let hook = ScriptHook::follow(vec![1, 9]);
+        let hook = ScriptHook::follow(vec![1, 2]);
         let elig = vec![choice("a"), choice("b"), choice("c")];
         assert_eq!(hook.choose(Time::ZERO, 11, &elig), 1);
-        assert_eq!(hook.choose(Time::ZERO, 22, &elig), 2, "9 clamps to 2");
+        assert_eq!(hook.choose(Time::ZERO, 22, &elig), 2);
         assert_eq!(
             hook.choose(Time::ZERO, 33, &elig),
             0,
@@ -113,5 +119,14 @@ mod tests {
         assert_eq!(recs[0].eligible, ["a/sleep", "b/sleep", "c/sleep"]);
         assert_eq!(recs[1].chosen, 2);
         assert_eq!(recs[2].chosen, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "schedule diverged at point 1 (wanted 9 of 3)")]
+    fn an_out_of_range_scripted_index_fails_the_run() {
+        let hook = ScriptHook::follow(vec![1, 9]);
+        let elig = vec![choice("a"), choice("b"), choice("c")];
+        assert_eq!(hook.choose(Time::ZERO, 11, &elig), 1);
+        hook.choose(Time::ZERO, 22, &elig);
     }
 }

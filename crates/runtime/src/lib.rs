@@ -8,9 +8,10 @@
 //! SDSC SRB server over real wide-area networks. This crate provides the
 //! piece that makes a faithful laptop-scale reproduction possible: a
 //! **virtual-time runtime** ([`SimRuntime`]) in which every simulated thread
-//! is a real OS thread, all blocking goes through the engine, and the clock
-//! jumps forward only when every actor is blocked. The *identical* library
-//! code also runs under the wall-clock backend ([`RealRuntime`]).
+//! is a real OS thread, all blocking goes through the engine, one actor runs
+//! at a time in an order the program alone decides, and the clock jumps
+//! forward only when every actor is blocked. The *identical* library code
+//! also runs under the wall-clock backend ([`RealRuntime`]).
 //!
 //! ```
 //! use semplar_runtime::{simulate, Dur};
@@ -35,6 +36,6 @@ pub mod trace;
 pub use real::RealRuntime;
 pub use runtime::{spawn, Event, EventApi, JoinHandle, JoinResult, Runtime, Wake};
 pub use sim::{set_quiet_panics, simulate, Choice, ScheduleHook, SimRuntime, SimStats};
-pub use task::{Gate, Task, TaskCtx, TaskExecutor, TaskHandle, TaskStats, TaskStep, Waker};
+pub use task::{Task, TaskCtx, TaskExecutor, TaskHandle, TaskStats, TaskStep, Waker};
 pub use time::{Dur, Time};
 pub use trace::{Span, Trace};

@@ -75,10 +75,6 @@ impl Runtime for RealRuntime {
             cond: Condvar::new(),
         })
     }
-
-    fn is_simulated(&self) -> bool {
-        false
-    }
 }
 
 struct RealEventInner {

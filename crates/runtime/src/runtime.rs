@@ -6,9 +6,10 @@
 //! interchangeable execution modes:
 //!
 //! * [`SimRuntime`](crate::SimRuntime): virtual time. Every simulated thread
-//!   is a real OS thread; the clock jumps to the next pending timer whenever
-//!   all registered actors are blocked. Experiments over transoceanic links
-//!   finish in milliseconds of wall time and produce stable timings.
+//!   is a real OS thread, one of which runs at a time; the clock jumps to
+//!   the next pending timer whenever all registered actors are blocked.
+//!   Experiments over transoceanic links finish in milliseconds of wall time
+//!   and produce the same interleaving, hence the same timings, every run.
 //! * [`RealRuntime`](crate::RealRuntime): wall-clock time, plain
 //!   `std::thread` primitives. Used by unit tests and the runnable examples.
 //!
@@ -162,10 +163,6 @@ pub trait Runtime: Send + Sync {
 
     /// Create a fresh event cell bound to this runtime.
     fn event(&self) -> Event;
-
-    /// True when running under virtual time. Workload code uses this to
-    /// decide whether to charge modelled compute time or burn real CPU.
-    fn is_simulated(&self) -> bool;
 
     /// Declare an explorable schedule point labelled `tag`. A no-op (zero
     /// cost, no blocking) everywhere except under a virtual-time runtime

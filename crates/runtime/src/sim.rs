@@ -4,17 +4,35 @@
 //!
 //! Every simulated entity (an MPI rank, an SRB server connection handler, a
 //! SEMPLAR I/O thread) is a **real OS thread** registered with the engine as
-//! an *actor*. Actors may only block through the engine — via
-//! [`Runtime::sleep`], or by waiting on an engine-created [`Event`]. The
-//! engine keeps a count of *runnable* actors; when the last runnable actor
-//! blocks, the virtual clock jumps to the earliest pending timer and the
-//! corresponding sleepers are released. Virtual time therefore advances in
-//! discrete hops and never passes while any actor still has work to do.
+//! an *actor*, and the engine is a plain discrete-event dispatcher whose
+//! coroutines happen to be those threads. Exactly one actor holds the
+//! *baton* and runs; every other actor's thread is parked. Actors may only
+//! block through the engine — via [`Runtime::sleep`], or by waiting on an
+//! engine-created [`Event`] — and the baton moves only when its holder
+//! blocks or exits. Then one loop, `dispatch`, hands it on:
 //!
-//! If every actor is blocked and no timer is pending, the simulation has
+//! * to the head of the **ready queue** — actors woken by a signal, a
+//!   broadcast or a timer, and freshly spawned children, in the order they
+//!   were woken — or,
+//! * when nobody is ready, it fires exactly **one** pending event, the
+//!   earliest by `(due time, arm order)`, moving the virtual clock to its
+//!   due time; the woken actor becomes ready and gets the baton.
+//!
+//! Waking only enqueues: a signalled waiter runs after its signaller blocks,
+//! a child after its spawner blocks. Virtual time therefore advances in
+//! discrete hops, never passes while any actor still has work to do, and the
+//! whole interleaving — same-instant order included — is a function of the
+//! program, not of the host's thread scheduler. The price is host
+//! parallelism: actors never burn CPU side by side.
+//!
+//! A [`ScheduleHook`] replaces only the "earliest" in the second bullet with
+//! its own pick among the events due within a window; the default schedule
+//! is the hook that always picks index 0.
+//!
+//! If every actor is blocked and no event is pending, the simulation has
 //! genuinely deadlocked; the engine panics with a table of every actor and
-//! what it is blocked on, then poisons itself so all other actors unwind
-//! too.
+//! what it is blocked on, then poisons itself. Poison voids the baton: every
+//! parked actor is released at once, sees the poison and unwinds.
 //!
 //! # Why threads rather than an event loop?
 //!
@@ -26,10 +44,11 @@
 //! tests, examples) without modification.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering as AtOrd};
 use std::sync::Arc;
+use std::thread::Thread;
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
@@ -64,6 +83,9 @@ struct ShutdownSignal;
 
 /// One blocked wait. All fields are only mutated while the engine lock is
 /// held; the atomics exist purely to avoid `unsafe` interior mutability.
+/// A slot is pending only while its owner is blocked on it: registering it
+/// (in an event's waiter list, the timer heap) and blocking happen under
+/// one hold of the engine lock.
 struct WaitSlot {
     state: AtomicU8,
     actor: u64,
@@ -72,19 +94,11 @@ struct WaitSlot {
 }
 
 impl WaitSlot {
-    fn new(actor: u64) -> Arc<WaitSlot> {
+    fn new(actor: u64, tag: Option<&str>) -> Arc<WaitSlot> {
         Arc::new(WaitSlot {
             state: AtomicU8::new(SLOT_PENDING),
             actor,
-            tag: None,
-        })
-    }
-
-    fn tagged(actor: u64, tag: &str) -> Arc<WaitSlot> {
-        Arc::new(WaitSlot {
-            state: AtomicU8::new(SLOT_PENDING),
-            actor,
-            tag: Some(Arc::from(tag)),
+            tag: tag.map(Arc::from),
         })
     }
 
@@ -147,13 +161,13 @@ impl Choice {
 
 /// A pluggable scheduler for systematic exploration.
 ///
-/// When installed via [`SimRuntime::set_schedule_hook`], the engine stops
-/// waking same-window timers all at once in timestamp order. Instead, at
-/// every instant where the clock must advance it collects *every* pending
-/// event due within `window` of the earliest one and asks the hook which
-/// to fire next; the chosen actor runs until it blocks again, then the
-/// remaining (still-eligible) events plus any newly due ones form the next
-/// choice point. Choosing index 0 always reproduces the default schedule:
+/// The dispatcher fires one pending event whenever no actor is ready. With
+/// a hook installed via [`SimRuntime::set_schedule_hook`], "which one" is
+/// the hook's decision: the engine collects *every* pending event due
+/// within `window` of the earliest one and asks the hook which to fire
+/// next; the chosen actor runs until it blocks again, then the remaining
+/// (still-eligible) events plus any newly due ones form the next choice
+/// point. Choosing index 0 always reproduces the default schedule:
 /// eligible events are presented sorted by `(effective time, arm order)`.
 ///
 /// `choose` is called with the engine lock held: it must not call back
@@ -169,32 +183,36 @@ pub trait ScheduleHook: Send + Sync {
 
 struct ActorInfo {
     name: String,
-    /// True while the actor counts toward `runnable`.
-    counted: bool,
-    /// What the actor is blocked on, for deadlock diagnostics.
-    blocked_on: Option<&'static str>,
     /// Daemon actors (e.g. server connection handlers parked on their
     /// request channel) do not keep the simulation alive: when only daemons
     /// remain blocked and no timer is pending, they are unwound cleanly.
     daemon: bool,
+    /// What the actor is blocked on (for diagnostics) and the wait itself
+    /// (so poison and quiescence can release it); `None` while the actor
+    /// runs or sits in the ready queue.
+    blocked: Option<(&'static str, Arc<WaitSlot>)>,
+    /// The actor's OS thread, once it has started: what a hand-off unparks.
+    thread: Option<Thread>,
 }
 
 #[derive(Default)]
 struct EngineState {
     now: u64,
-    runnable: usize,
-    actors: HashMap<u64, ActorInfo>,
+    /// The baton: the one actor executing simulation code.
+    running: Option<u64>,
+    /// Actors woken (or spawned) but not yet run, in wake order.
+    ready: VecDeque<u64>,
+    /// Keyed by actor id, so iteration is in spawn order.
+    actors: BTreeMap<u64, ActorInfo>,
     next_actor: u64,
     timers: BinaryHeap<TimerEntry>,
     next_seq: u64,
-    /// Every currently blocked slot, so a poisoned engine can wake them all.
-    blocked_slots: HashMap<u64, Arc<WaitSlot>>,
-    next_slot: u64,
     poisoned: bool,
     /// Human-readable cause of the poisoning (first panic / deadlock).
     poison_cause: String,
     clock_advances: u64,
-    max_actors: usize,
+    /// Largest number of simultaneously registered thread actors.
+    peak_live_actors: usize,
     timers_armed: u64,
     /// Thread actors ever spawned (root + spawn + spawn_daemon).
     actors_spawned: u64,
@@ -204,14 +222,14 @@ struct EngineState {
     live_tasks: usize,
     /// Largest number of simultaneously live event-driven tasks.
     peak_live_tasks: usize,
-    /// Systematic-exploration scheduler, if installed. `None` keeps the
-    /// engine on the plain wake-everything-at-the-instant path.
+    /// Systematic-exploration scheduler, if installed. `None` fires the
+    /// earliest pending event, which is what a hook picking index 0 does.
     hook: Option<Arc<dyn ScheduleHook>>,
     /// Eligibility window (ns): pending events within this much of the
     /// earliest one are presented together as one choice point.
     hook_window: u64,
     /// Events pulled into an eligible set but not yet fired (the hook
-    /// deferred them past their due time).
+    /// deferred them past their due time). Always empty without a hook.
     deferred: Vec<TimerEntry>,
     /// Choice points faced (≥ 2 eligible events with a hook installed).
     choice_points: u64,
@@ -221,7 +239,9 @@ struct EngineState {
 
 struct Engine {
     state: Mutex<EngineState>,
-    cond: Condvar,
+    /// Signalled once, when the last actor exits, for [`SimRuntime::wait_done`];
+    /// actors never wait on it (each parks on its own thread).
+    done: Condvar,
 }
 
 impl Engine {
@@ -234,131 +254,128 @@ impl Engine {
         })
     }
 
-    fn wake_locked(&self, st: &mut EngineState, slot: &Arc<WaitSlot>, reason: u8) {
+    /// Mark `slot` woken and queue its owner behind every actor already
+    /// ready. Never moves the baton.
+    fn wake(&self, st: &mut EngineState, slot: &WaitSlot, reason: u8) {
         if slot.is_woken() {
             return;
         }
         slot.state.store(reason, AtOrd::Relaxed);
         if let Some(info) = st.actors.get_mut(&slot.actor) {
-            if !info.counted {
-                info.counted = true;
-                info.blocked_on = None;
-                st.runnable += 1;
+            info.blocked = None;
+            st.ready.push_back(slot.actor);
+        }
+    }
+
+    /// The one scheduler. With the baton free, hand it to the next ready
+    /// actor; while nobody is ready, fire one pending event. A no-op while
+    /// an actor holds the baton, so callers that may run outside the
+    /// simulation (a harness thread spawning or signalling) call it
+    /// unconditionally.
+    fn dispatch(&self, st: &mut EngineState) {
+        if st.poisoned || st.running.is_some() {
+            return;
+        }
+        loop {
+            if let Some(id) = st.ready.pop_front() {
+                st.running = Some(id);
+                // Our own timer may have been the next event; and a child
+                // whose thread has not started yet finds the baton when it
+                // does.
+                if CURRENT_ACTOR.with(|c| c.get()) != Some(id) {
+                    if let Some(t) = &st.actors[&id].thread {
+                        t.unpark();
+                    }
+                }
+                return;
             }
-        }
-        self.cond.notify_all();
-    }
-
-    /// Advance the clock while no actor is runnable. Must be called with the
-    /// lock held, immediately after decrementing `runnable`.
-    fn advance_locked(&self, st: &mut EngineState) {
-        match st.hook.clone() {
-            None => self.advance_plain_locked(st),
-            Some(hook) => self.advance_hooked_locked(st, &hook),
-        }
-        if st.actors.is_empty() {
-            // Simulation finished; release anyone in wait_done().
-            self.cond.notify_all();
-        }
-    }
-
-    /// The default schedule: jump to the earliest pending timer and wake
-    /// every waiter due at exactly that instant at once.
-    fn advance_plain_locked(&self, st: &mut EngineState) {
-        while st.runnable == 0 && !st.actors.is_empty() {
-            // Drop timers whose waiters were already woken by a signal.
-            while st.timers.peek().map(|e| e.slot.is_woken()).unwrap_or(false) {
-                st.timers.pop();
+            if st.actors.is_empty() {
+                return;
             }
             // Daemons do not keep the simulation alive: once every
             // non-daemon actor has exited, a daemon's pending timer (a
             // heartbeat loop, a periodic monitor) must not advance the
             // clock forever. Unwind instead.
-            if st.timers.peek().is_none() || st.actors.values().all(|a| a.daemon) {
-                self.quiesce_or_deadlock_locked(st);
-                return;
+            if st.actors.values().all(|a| a.daemon) {
+                self.quiesce(st);
+                continue;
             }
-            let t = st.timers.peek().expect("checked above").at;
-            debug_assert!(t >= st.now, "timer in the past");
-            st.now = t;
-            st.clock_advances += 1;
-            while let Some(e) = st.timers.peek() {
-                if e.at != t {
-                    break;
-                }
-                let e = st.timers.pop().expect("peeked");
-                let slot = e.slot;
-                self.wake_locked(st, &slot, SLOT_TIMEOUT);
+            // Drop events whose waiters were already woken by a signal.
+            st.deferred.retain(|e| !e.slot.is_woken());
+            while st.timers.peek().is_some_and(|e| e.slot.is_woken()) {
+                st.timers.pop();
             }
+            if st.deferred.is_empty() && st.timers.peek().is_none() {
+                self.deadlock(st);
+            }
+            let e = match st.hook.clone() {
+                None => st.timers.pop().expect("pending set checked non-empty"),
+                Some(hook) => self.choose_event(st, &*hook),
+            };
+            // A deferred event's due time may be in the past, in which
+            // case it fires "now".
+            if e.at > st.now {
+                st.now = e.at;
+                st.clock_advances += 1;
+            }
+            self.wake(st, &e.slot, SLOT_TIMEOUT);
         }
     }
 
     /// The exploration schedule: collect every pending event due within
-    /// `hook_window` of the earliest, let the [`ScheduleHook`] pick one,
-    /// fire only that, and re-collect when the woken actor blocks again.
-    /// Events the hook passes over stay eligible (they fire late, at the
-    /// chosen event's time) — that is exactly the delivery-order freedom a
-    /// message-level model checker explores.
-    fn advance_hooked_locked(&self, st: &mut EngineState, hook: &Arc<dyn ScheduleHook>) {
-        while st.runnable == 0 && !st.actors.is_empty() {
-            st.deferred.retain(|e| !e.slot.is_woken());
-            while st.timers.peek().map(|e| e.slot.is_woken()).unwrap_or(false) {
+    /// `hook_window` of the earliest and let the [`ScheduleHook`] pick the
+    /// one to fire. Events the hook passes over stay eligible (they fire
+    /// late, at the chosen event's time) — that is exactly the
+    /// delivery-order freedom a message-level model checker explores.
+    fn choose_event(&self, st: &mut EngineState, hook: &dyn ScheduleHook) -> TimerEntry {
+        let now = st.now;
+        // Earliest effective wake time over every pending event.
+        let heap_min = st.timers.peek().map(|e| e.at);
+        let def_min = st.deferred.iter().map(|e| e.at.max(now)).min();
+        let base = heap_min
+            .into_iter()
+            .chain(def_min)
+            .min()
+            .expect("pending set checked non-empty");
+        let cutoff = base.saturating_add(st.hook_window);
+        while let Some(e) = st.timers.peek() {
+            if e.slot.is_woken() {
                 st.timers.pop();
+                continue;
             }
-            // As in the plain schedule: pending daemon timers must not keep
-            // a finished simulation spinning.
-            if (st.deferred.is_empty() && st.timers.peek().is_none())
-                || st.actors.values().all(|a| a.daemon)
-            {
-                self.quiesce_or_deadlock_locked(st);
-                return;
+            if e.at > cutoff {
+                break;
             }
-            // Earliest effective wake time over every pending event; a
-            // deferred event's due time may be in the past, in which case
-            // it would fire "now".
-            let heap_min = st.timers.peek().map(|e| e.at);
-            let def_min = st.deferred.iter().map(|e| e.at.max(st.now)).min();
-            let base = match (heap_min, def_min) {
-                (Some(h), Some(d)) => h.min(d),
-                (Some(h), None) => h,
-                (None, Some(d)) => d,
-                (None, None) => unreachable!("pending set checked non-empty"),
-            };
-            let cutoff = base.saturating_add(st.hook_window);
-            while let Some(e) = st.timers.peek() {
-                if e.slot.is_woken() {
-                    st.timers.pop();
-                    continue;
-                }
-                if e.at > cutoff {
-                    break;
-                }
-                let e = st.timers.pop().expect("peeked");
-                st.deferred.push(e);
-            }
-            // Deterministic presentation order: index 0 is always what the
-            // default schedule would fire next.
-            let now = st.now;
-            st.deferred.sort_by_key(|e| (e.at.max(now), e.seq));
-            let idx = if st.deferred.len() == 1 {
-                0
-            } else {
-                let eligible: Vec<Choice> = st
-                    .deferred
-                    .iter()
-                    .map(|e| {
-                        let info = st.actors.get(&e.slot.actor);
-                        Choice {
-                            actor: info.map(|a| a.name.clone()).unwrap_or_default(),
-                            blocked_on: info.and_then(|a| a.blocked_on).unwrap_or("(exiting)"),
-                            at: Time(e.at.max(now)),
-                            tag: e.slot.tag.clone(),
-                        }
-                    })
-                    .collect();
-                st.choice_points += 1;
-                st.choice_alternatives += eligible.len() as u64;
-                let fp = fingerprint_locked(st);
+            let e = st.timers.pop().expect("peeked");
+            st.deferred.push(e);
+        }
+        // Deterministic presentation order: index 0 is always what the
+        // default schedule would fire next.
+        st.deferred.sort_by_key(|e| (e.at.max(now), e.seq));
+        let idx = if st.deferred.len() == 1 {
+            0
+        } else {
+            let eligible: Vec<Choice> = st
+                .deferred
+                .iter()
+                .map(|e| {
+                    let info = st.actors.get(&e.slot.actor);
+                    Choice {
+                        actor: info.map(|a| a.name.clone()).unwrap_or_default(),
+                        blocked_on: info
+                            .and_then(|a| a.blocked.as_ref())
+                            .map_or("(exiting)", |b| b.0),
+                        at: Time(e.at.max(now)),
+                        tag: e.slot.tag.clone(),
+                    }
+                })
+                .collect();
+            st.choice_points += 1;
+            st.choice_alternatives += eligible.len() as u64;
+            let fp = fingerprint_locked(st);
+            // A hook that panics or picks out of range fails the run like a
+            // deadlock does: poison first, so no parked actor is stranded.
+            catch_unwind(AssertUnwindSafe(|| {
                 let i = hook.choose(Time(now), fp, &eligible);
                 assert!(
                     i < eligible.len(),
@@ -366,93 +383,111 @@ impl Engine {
                     eligible.len()
                 );
                 i
-            };
-            let e = st.deferred.remove(idx);
-            let t = e.at.max(st.now);
-            if t > st.now {
-                st.now = t;
-                st.clock_advances += 1;
-            }
-            self.wake_locked(st, &e.slot, SLOT_TIMEOUT);
+            }))
+            .unwrap_or_else(|p| {
+                self.poison(st, &panic_message(&*p));
+                resume_unwind(p)
+            })
+        };
+        st.deferred.remove(idx)
+    }
+
+    /// Only blocked daemons remain: the simulation is complete. Unwind them
+    /// cleanly; they become ready in actor-id order.
+    fn quiesce(&self, st: &mut EngineState) {
+        let slots: Vec<_> = st
+            .actors
+            .values()
+            .filter_map(|a| a.blocked.as_ref().map(|b| b.1.clone()))
+            .collect();
+        for s in slots {
+            self.wake(st, &s, SLOT_SHUTDOWN);
         }
     }
 
-    /// No pending event and nobody runnable: unwind cleanly if only parked
-    /// daemons remain, otherwise report the deadlock and poison.
-    fn quiesce_or_deadlock_locked(&self, st: &mut EngineState) {
-        if st.actors.values().all(|a| a.daemon) {
-            // Quiescence: only parked daemons remain. Unwind them
-            // cleanly; the simulation is complete.
-            let slots: Vec<_> = st.blocked_slots.values().cloned().collect();
-            for s in slots {
-                self.wake_locked(st, &s, SLOT_SHUTDOWN);
-            }
-            return;
-        }
+    /// Every actor is blocked and nothing can wake one: report and poison.
+    fn deadlock(&self, st: &mut EngineState) -> ! {
         let mut table = String::new();
-        let mut actors: Vec<_> = st.actors.iter().collect();
-        actors.sort_by_key(|(id, _)| **id);
-        for (id, a) in actors {
+        for (id, a) in &st.actors {
             table.push_str(&format!(
                 "\n  actor #{id} {:?}: blocked on {}",
                 a.name,
-                a.blocked_on.unwrap_or("(exiting)")
+                a.blocked.as_ref().map_or("(exiting)", |b| b.0)
             ));
         }
         let msg = format!(
             "simulation deadlock at {}: every actor is blocked and no timer is pending{table}",
             Time(st.now)
         );
-        self.poison_locked(st, &msg);
+        self.poison(st, &msg);
         panic!("{msg}");
     }
 
-    fn poison_locked(&self, st: &mut EngineState, cause: &str) {
+    /// Void the baton: release every parked actor, ready or blocked, to see
+    /// the poison and unwind. `dispatch` does nothing from here on.
+    fn poison(&self, st: &mut EngineState, cause: &str) {
         if !st.poisoned {
             st.poisoned = true;
             st.poison_cause = cause.to_string();
         }
-        let slots: Vec<_> = st.blocked_slots.values().cloned().collect();
-        for s in slots {
-            self.wake_locked(st, &s, SLOT_SIGNALED);
+        for a in st.actors.values_mut() {
+            if let Some((_, slot)) = a.blocked.take() {
+                slot.state.store(SLOT_SIGNALED, AtOrd::Relaxed);
+            }
+            if let Some(t) = &a.thread {
+                t.unpark();
+            }
         }
-        self.cond.notify_all();
     }
 
-    /// Block the current actor on `slot`, with the engine lock already held.
-    /// Returns the wake reason.
-    fn block_locked(
+    /// Park the calling actor's thread until it holds the baton (or the
+    /// engine is poisoned).
+    fn park_until_running<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, EngineState>,
+        me: u64,
+    ) -> MutexGuard<'a, EngineState> {
+        while st.running != Some(me) && !st.poisoned {
+            drop(st);
+            std::thread::park();
+            st = self.state.lock();
+        }
+        if st.poisoned {
+            panic!("simulation poisoned: {}", st.poison_cause);
+        }
+        st
+    }
+
+    /// First thing on a new actor's thread: publish where to unpark it,
+    /// then wait for the baton like any other ready actor.
+    fn start(&self, id: u64) {
+        let mut st = self.state.lock();
+        let info = st.actors.get_mut(&id).expect("actor registered by spawn");
+        info.thread = Some(std::thread::current());
+        self.park_until_running(st, id);
+    }
+
+    /// Block the current actor on `slot` and pass the baton on. Takes the
+    /// engine lock the caller registered the slot under. Returns the wake
+    /// reason.
+    fn block(
         &self,
-        st: &mut MutexGuard<'_, EngineState>,
+        mut st: MutexGuard<'_, EngineState>,
         slot: &Arc<WaitSlot>,
         why: &'static str,
     ) -> Wake {
         if st.poisoned {
             panic!("simulation poisoned: {}", st.poison_cause);
         }
-        let slot_id = st.next_slot;
-        st.next_slot += 1;
-        st.blocked_slots.insert(slot_id, slot.clone());
-        {
-            let info = st
-                .actors
-                .get_mut(&slot.actor)
-                .expect("blocking actor not registered");
-            debug_assert!(info.counted, "actor blocked twice");
-            info.counted = false;
-            info.blocked_on = Some(why);
-        }
-        st.runnable -= 1;
-        if st.runnable == 0 {
-            self.advance_locked(st);
-        }
-        while !slot.is_woken() {
-            self.cond.wait(st);
-        }
-        st.blocked_slots.remove(&slot_id);
-        if st.poisoned {
-            panic!("simulation poisoned: {}", st.poison_cause);
-        }
+        debug_assert_eq!(st.running, Some(slot.actor), "blocking without the baton");
+        let info = st
+            .actors
+            .get_mut(&slot.actor)
+            .expect("blocking actor not registered");
+        info.blocked = Some((why, slot.clone()));
+        st.running = None;
+        self.dispatch(&mut st);
+        drop(self.park_until_running(st, slot.actor));
         match slot.state.load(AtOrd::Relaxed) {
             SLOT_SIGNALED => Wake::Signaled,
             SLOT_TIMEOUT => Wake::Timeout,
@@ -461,7 +496,7 @@ impl Engine {
         }
     }
 
-    fn push_timer_locked(&self, st: &mut EngineState, at: u64, slot: Arc<WaitSlot>) {
+    fn push_timer(&self, st: &mut EngineState, at: u64, slot: Arc<WaitSlot>) {
         let seq = st.next_seq;
         st.next_seq += 1;
         st.timers_armed += 1;
@@ -470,29 +505,35 @@ impl Engine {
 
     fn schedule_point(&self, tag: &str) {
         let mut st = self.state.lock();
-        // Without a hook this is free: no timer, no serialization, the
-        // default path stays bit-identical.
+        // Without a hook this is free: no timer, no hand-off.
         if st.hook.is_none() {
             return;
         }
-        let slot = WaitSlot::tagged(self.current_actor(), tag);
+        let slot = WaitSlot::new(self.current_actor(), Some(tag));
         let at = st.now;
-        self.push_timer_locked(&mut st, at, slot.clone());
-        self.block_locked(&mut st, &slot, "schedule point");
+        self.push_timer(&mut st, at, slot.clone());
+        self.block(st, &slot, "schedule point");
     }
 
-    fn actor_exit(&self, id: u64) {
+    fn exit(&self, id: u64) {
         let mut st = self.state.lock();
-        if let Some(info) = st.actors.remove(&id) {
-            if info.counted {
-                st.runnable -= 1;
-            }
+        st.actors.remove(&id);
+        if st.running == Some(id) {
+            st.running = None;
         }
-        if st.runnable == 0 {
-            self.advance_locked(&mut st);
+        self.dispatch(&mut st);
+        if st.actors.is_empty() {
+            // Simulation finished; release anyone in wait_done().
+            self.done.notify_all();
         }
-        self.cond.notify_all();
     }
+}
+
+fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
+    p.downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| p.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".into())
 }
 
 /// Counters describing a finished (or running) simulation.
@@ -500,13 +541,10 @@ impl Engine {
 pub struct SimStats {
     /// How many times the virtual clock hopped forward.
     pub clock_advances: u64,
-    /// The largest number of concurrently registered actors.
-    pub max_actors: usize,
     /// Thread actors ever spawned over the run — every one of these cost
     /// a real OS thread.
     pub actors_spawned: u64,
-    /// The largest number of simultaneously live thread actors (alias of
-    /// `max_actors`, named for symmetry with `peak_live_tasks`).
+    /// The largest number of simultaneously live thread actors.
     pub peak_live_actors: usize,
     /// Event-driven tasks ever spawned on
     /// [`TaskExecutor`](crate::task::TaskExecutor)s bound to this runtime —
@@ -527,23 +565,19 @@ pub struct SimStats {
 }
 
 /// Hash the schedulable state of the engine: the instant, every actor's
-/// name / runnability / block reason (as an order-independent multiset),
-/// and the pending eligible set. Two runs that reach the same fingerprint
+/// name / block reason (as an order-independent multiset; at a choice point
+/// every actor is blocked), and the pending eligible set. Two runs that reach the same fingerprint
 /// at a choice point are (to this abstraction) in the same state, so a
 /// model checker can prune the repeat subtree.
 fn fingerprint_locked(st: &EngineState) -> u64 {
     use std::collections::hash_map::DefaultHasher;
     use std::hash::{Hash, Hasher};
-    let mut actors: Vec<(&str, bool, &str, bool)> = st
+    let mut actors: Vec<(&str, &str, bool)> = st
         .actors
         .values()
         .map(|a| {
-            (
-                a.name.as_str(),
-                a.counted,
-                a.blocked_on.unwrap_or("(exiting)"),
-                a.daemon,
-            )
+            let why = a.blocked.as_ref().map_or("(exiting)", |b| b.0);
+            (a.name.as_str(), why, a.daemon)
         })
         .collect();
     actors.sort_unstable();
@@ -601,7 +635,7 @@ impl SimRuntime {
         SimRuntime {
             eng: Arc::new(Engine {
                 state: Mutex::new(EngineState::default()),
-                cond: Condvar::new(),
+                done: Condvar::new(),
             }),
         }
     }
@@ -618,7 +652,7 @@ impl SimRuntime {
     pub fn wait_done(&self) {
         let mut st = self.eng.state.lock();
         while !st.actors.is_empty() {
-            self.eng.cond.wait(&mut st);
+            self.eng.done.wait(&mut st);
         }
     }
 
@@ -650,9 +684,8 @@ impl SimRuntime {
         let st = self.eng.state.lock();
         SimStats {
             clock_advances: st.clock_advances,
-            max_actors: st.max_actors,
             actors_spawned: st.actors_spawned,
-            peak_live_actors: st.max_actors,
+            peak_live_actors: st.peak_live_actors,
             tasks_spawned: st.tasks_spawned,
             peak_live_tasks: st.peak_live_tasks,
             timers_armed: st.timers_armed,
@@ -693,12 +726,11 @@ impl Runtime for SimRuntime {
         if d.is_zero() {
             return;
         }
-        let actor = self.eng.current_actor();
-        let slot = WaitSlot::new(actor);
+        let slot = WaitSlot::new(self.eng.current_actor(), None);
         let mut st = self.eng.state.lock();
         let at = st.now.saturating_add(d.as_nanos());
-        self.eng.push_timer_locked(&mut st, at, slot.clone());
-        self.eng.block_locked(&mut st, &slot, "sleep");
+        self.eng.push_timer(&mut st, at, slot.clone());
+        self.eng.block(st, &slot, "sleep");
     }
 
     fn spawn(&self, name: &str, f: Box<dyn FnOnce() + Send + 'static>) -> JoinHandle {
@@ -714,10 +746,6 @@ impl Runtime for SimRuntime {
             eng: self.eng.clone(),
             inner: Mutex::new(EventInner::default()),
         })
-    }
-
-    fn is_simulated(&self) -> bool {
-        true
     }
 
     fn schedule_point(&self, tag: &str) {
@@ -757,14 +785,17 @@ impl SimRuntime {
                 id,
                 ActorInfo {
                     name: name.to_string(),
-                    counted: true,
-                    blocked_on: None,
                     daemon,
+                    blocked: None,
+                    thread: None,
                 },
             );
-            st.runnable += 1;
             st.actors_spawned += 1;
-            st.max_actors = st.max_actors.max(st.actors.len());
+            st.peak_live_actors = st.peak_live_actors.max(st.actors.len());
+            // The child first runs when its spawner blocks; a spawner
+            // outside the simulation finds the baton free and starts it.
+            st.ready.push_back(id);
+            self.eng.dispatch(&mut st);
             id
         };
         let eng = self.eng.clone();
@@ -772,28 +803,26 @@ impl SimRuntime {
             .name(format!("sim:{name}"))
             .spawn(move || {
                 CURRENT_ACTOR.with(|c| c.set(Some(id)));
-                let r = catch_unwind(AssertUnwindSafe(f));
+                let r = catch_unwind(AssertUnwindSafe(|| {
+                    eng.start(id);
+                    f()
+                }));
                 let payload = match r {
                     Ok(()) => None,
                     Err(p) if p.is::<ShutdownSignal>() => None, // clean daemon unwind
                     Err(p) => {
                         // Poison so the rest of the simulation unwinds instead
                         // of hanging on events this actor will never signal.
-                        let cause = p
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| p.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".into());
-                        let mut st = eng.state.lock();
-                        eng.poison_locked(&mut st, &format!("panic in an actor: {cause}"));
+                        let cause = format!("panic in an actor: {}", panic_message(&*p));
+                        eng.poison(&mut eng.state.lock(), &cause);
                         Some(p)
                     }
                 };
                 // Publish completion *before* deregistering: a joiner must be
-                // runnable again before our exit can trigger clock advance,
-                // otherwise the engine would see a spurious deadlock.
+                // ready before our exit passes the baton on, otherwise the
+                // engine would see a spurious deadlock.
                 exit.finish(payload);
-                eng.actor_exit(id);
+                eng.exit(id);
             })
             .expect("spawn sim actor thread");
         handle.set_thread(t);
@@ -818,7 +847,7 @@ struct SimEvent {
 
 impl EventApi for SimEvent {
     fn wait(&self) {
-        let mut st = self.eng.state.lock();
+        let st = self.eng.state.lock();
         let slot = {
             let mut inner = self.inner.lock();
             if inner.permits > 0 {
@@ -828,11 +857,11 @@ impl EventApi for SimEvent {
             // Only a registered actor may actually block; non-actor threads
             // (e.g. the harness thread joining after wait_done) succeed above
             // because the permit is already banked.
-            let slot = WaitSlot::new(self.eng.current_actor());
+            let slot = WaitSlot::new(self.eng.current_actor(), None);
             inner.waiters.push_back(slot.clone());
             slot
         };
-        self.eng.block_locked(&mut st, &slot, "event wait");
+        self.eng.block(st, &slot, "event wait");
     }
 
     fn wait_timeout(&self, d: Dur) -> Wake {
@@ -846,42 +875,38 @@ impl EventApi for SimEvent {
             if d.is_zero() {
                 return Wake::Timeout;
             }
-            let slot = WaitSlot::new(self.eng.current_actor());
+            let slot = WaitSlot::new(self.eng.current_actor(), None);
             inner.waiters.push_back(slot.clone());
             slot
         };
         if d != Dur::MAX {
             let at = st.now.saturating_add(d.as_nanos());
-            self.eng.push_timer_locked(&mut st, at, slot.clone());
+            self.eng.push_timer(&mut st, at, slot.clone());
         }
-        self.eng
-            .block_locked(&mut st, &slot, "event wait (timeout)")
+        self.eng.block(st, &slot, "event wait (timeout)")
     }
 
     fn signal(&self) {
         let mut st = self.eng.state.lock();
         let mut inner = self.inner.lock();
-        loop {
-            match inner.waiters.pop_front() {
-                Some(w) if w.is_woken() => continue, // raced with a timeout
-                Some(w) => {
-                    self.eng.wake_locked(&mut st, &w, SLOT_SIGNALED);
-                    return;
-                }
-                None => {
-                    inner.permits += 1;
-                    return;
-                }
-            }
+        // Skip waiters a timeout already woke.
+        let waiter = std::iter::from_fn(|| inner.waiters.pop_front()).find(|w| !w.is_woken());
+        match waiter {
+            Some(w) => self.eng.wake(&mut st, &w, SLOT_SIGNALED),
+            None => inner.permits += 1,
         }
+        drop(inner);
+        self.eng.dispatch(&mut st);
     }
 
     fn notify_all(&self) {
         let mut st = self.eng.state.lock();
         let mut inner = self.inner.lock();
         while let Some(w) = inner.waiters.pop_front() {
-            self.eng.wake_locked(&mut st, &w, SLOT_SIGNALED);
+            self.eng.wake(&mut st, &w, SLOT_SIGNALED);
         }
+        drop(inner);
+        self.eng.dispatch(&mut st);
     }
 }
 
@@ -1131,9 +1156,120 @@ mod tests {
         });
         let s = sim.stats();
         assert!(s.clock_advances >= 2);
-        assert!(s.max_actors >= 2);
+        assert!(s.peak_live_actors >= 2);
         // Two sleeps arm two timers (timed waits would count here too).
         assert!(s.timers_armed >= 2, "{}", s.timers_armed);
+    }
+
+    #[test]
+    fn children_run_in_spawn_order_after_the_spawner_blocks() {
+        let log = simulate(|rt| {
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let hs: Vec<_> = (0..5)
+                .map(|i| {
+                    let l = log.clone();
+                    spawn(&rt, &format!("c{i}"), move || l.lock().push(i))
+                })
+                .collect();
+            log.lock().push(99); // the spawner still holds the baton
+            for h in hs {
+                h.join_unwrap();
+            }
+            let got = log.lock().clone();
+            got
+        });
+        assert_eq!(log, vec![99, 0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn signalled_waiters_run_fifo_after_the_signaller_blocks() {
+        let log = simulate(|rt| {
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let evs: Vec<Event> = (0..4).map(|_| rt.event()).collect();
+            let hs: Vec<_> = (0..4)
+                .map(|i| {
+                    let (ev, l) = (evs[i].clone(), log.clone());
+                    spawn(&rt, &format!("w{i}"), move || {
+                        ev.wait();
+                        l.lock().push(i);
+                    })
+                })
+                .collect();
+            rt.sleep(Dur::from_millis(1)); // all four are parked on their events
+            for i in [2, 0, 3, 1] {
+                evs[i].signal();
+            }
+            log.lock().push(99); // signalling only enqueues
+            for h in hs {
+                h.join_unwrap();
+            }
+            let got = log.lock().clone();
+            got
+        });
+        assert_eq!(log, vec![99, 2, 0, 3, 1], "wake order, not spawn order");
+    }
+
+    #[test]
+    fn threads_outside_the_simulation_can_spawn_and_signal() {
+        // No run_root: the harness thread spawns the first actor itself
+        // (which must start the dispatcher) and later signals an event a
+        // parked actor waits on, while the root holds the baton in a
+        // host-level wait the two channels sequence.
+        let sim = SimRuntime::new();
+        let rt = sim.handle();
+        let ev = rt.event();
+        let (parked_tx, parked_rx) = std::sync::mpsc::channel();
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let woke = Arc::new(Mutex::new(None));
+        let (rt2, ev2, woke2) = (rt.clone(), ev.clone(), woke.clone());
+        let root = rt.spawn(
+            "root",
+            Box::new(move || {
+                let rt3 = rt2.clone();
+                let waiter = spawn(&rt2, "waiter", move || {
+                    *woke2.lock() = Some((ev2.wait_timeout(Dur::MAX), rt3.now()));
+                });
+                rt2.sleep(Dur::from_millis(1)); // the waiter is parked now
+                parked_tx.send(()).unwrap();
+                go_rx.recv().unwrap();
+                waiter.join_unwrap();
+            }),
+        );
+        parked_rx.recv().unwrap();
+        ev.signal();
+        go_tx.send(()).unwrap();
+        sim.wait_done();
+        root.join_unwrap();
+        let at = Time::ZERO + Dur::from_millis(1);
+        assert_eq!(*woke.lock(), Some((Wake::Signaled, at)));
+    }
+
+    #[test]
+    fn a_panic_releases_ready_and_blocked_actors() {
+        let sim = SimRuntime::new();
+        let rt = sim.handle();
+        let children = Arc::new(Mutex::new(Vec::new()));
+        let ready_ran = Arc::new(AtomicBool::new(false));
+        let (rt2, c2, ran2) = (rt.clone(), children.clone(), ready_ran.clone());
+        let root = rt.spawn(
+            "root",
+            Box::new(move || {
+                let ev = rt2.event();
+                c2.lock().push(spawn(&rt2, "blocked", move || ev.wait()));
+                rt2.sleep(Dur::from_millis(1)); // "blocked" is parked on its event
+                c2.lock().push(spawn(&rt2, "ready", move || {
+                    ran2.store(true, AO::SeqCst);
+                }));
+                panic!("boom"); // "ready" is queued but has never held the baton
+            }),
+        );
+        sim.wait_done(); // must not hang on either child
+        let msg = |h: JoinHandle| panic_message(&*h.join().unwrap_err());
+        assert_eq!(msg(root), "boom");
+        for h in children.lock().drain(..) {
+            assert_eq!(msg(h), "simulation poisoned: panic in an actor: boom");
+        }
+        assert!(!ready_ran.load(AO::SeqCst), "ran in a poisoned simulation");
     }
 
     #[test]
@@ -1189,16 +1325,44 @@ mod tests {
         (got, stats)
     }
 
+    /// Panics at the first choice point.
+    struct Bomb;
+    impl ScheduleHook for Bomb {
+        fn choose(&self, _now: Time, _fp: u64, _eligible: &[Choice]) -> usize {
+            panic!("hook-bomb")
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "simulation poisoned: hook-bomb")]
+    fn a_panicking_hook_fails_the_run_instead_of_stranding_it() {
+        let sim = SimRuntime::new();
+        sim.set_schedule_hook(Arc::new(Bomb), Dur::ZERO);
+        sim.run_root(|rt| {
+            for i in 0..2 {
+                let rt2 = rt.clone();
+                spawn(&rt, &format!("s{i}"), move || {
+                    rt2.sleep(Dur::from_micros(10))
+                });
+            }
+            // Exits without ever blocking, so the choice between the two
+            // sleepers is faced inside its exit — outside any actor body.
+            spawn(&rt, "last", || {});
+            rt.sleep(Dur::from_secs(1));
+        });
+    }
+
     #[test]
     fn hook_default_choice_reproduces_plain_order() {
-        let (mut plain, pstats) = ordered_sleepers(None, vec![30, 10, 10, 20]);
-        let (mut hooked, hstats) =
+        let (plain, pstats) = ordered_sleepers(None, vec![30, 10, 10, 20]);
+        let (hooked, hstats) =
             ordered_sleepers(Some((Arc::new(PickFirst), Dur::ZERO)), vec![30, 10, 10, 20]);
-        // The plain schedule wakes same-instant sleepers together and lets
-        // their OS threads race to the log; normalize simultaneous entries
-        // so the comparison pins the schedule, not the thread lottery.
-        plain.sort_by_key(|&(i, t)| (t, i));
-        hooked.sort_by_key(|&(i, t)| (t, i));
+        // Exact order, same-instant pair included: the two 10µs sleepers
+        // fire in arm order on both paths.
+        assert_eq!(
+            plain,
+            vec![(1, 10_000), (2, 10_000), (3, 20_000), (0, 30_000)]
+        );
         assert_eq!(
             plain, hooked,
             "picking index 0 must be the default schedule"

@@ -223,58 +223,6 @@ impl Barrier {
     }
 }
 
-struct WaitGroupInner {
-    count: usize,
-}
-
-/// Go-style wait group: `add` before spawning, `done` in each worker,
-/// `wait` to join them all.
-pub struct WaitGroup {
-    inner: Mutex<WaitGroupInner>,
-    ev: Event,
-}
-
-impl WaitGroup {
-    /// An empty wait group.
-    pub fn new(rt: &Arc<dyn Runtime>) -> Arc<WaitGroup> {
-        Arc::new(WaitGroup {
-            inner: Mutex::new(WaitGroupInner { count: 0 }),
-            ev: rt.event(),
-        })
-    }
-
-    /// Register `n` more outstanding tasks.
-    pub fn add(&self, n: usize) {
-        self.inner.lock().count += n;
-    }
-
-    /// Mark one task complete.
-    pub fn done(&self) {
-        let zero = {
-            let mut g = self.inner.lock();
-            assert!(g.count > 0, "WaitGroup::done without matching add");
-            g.count -= 1;
-            g.count == 0
-        };
-        if zero {
-            self.ev.notify_all();
-            self.ev.signal();
-        }
-    }
-
-    /// Block until the outstanding count reaches zero.
-    pub fn wait(&self) {
-        loop {
-            if self.inner.lock().count == 0 {
-                // Cascade the permit so every other waiter wakes too.
-                self.ev.signal();
-                return;
-            }
-            self.ev.wait();
-        }
-    }
-}
-
 /// A runtime-aware mutual-exclusion lock.
 ///
 /// Unlike `parking_lot::Mutex`, blocking on an `RtMutex` goes through the
@@ -508,31 +456,6 @@ mod tests {
             }
             h.join_unwrap();
             assert!(leader_count <= 5);
-        });
-    }
-
-    #[test]
-    fn waitgroup_waits_for_all() {
-        both_runtimes(|rt| {
-            let wg = WaitGroup::new(&rt);
-            let n = Arc::new(Mutex::new(0usize));
-            wg.add(8);
-            let mut hs = Vec::new();
-            for i in 0..8u64 {
-                let wg2 = wg.clone();
-                let n2 = n.clone();
-                let rt2 = rt.clone();
-                hs.push(spawn(&rt, &format!("w{i}"), move || {
-                    rt2.sleep(Dur::from_micros(i));
-                    *n2.lock() += 1;
-                    wg2.done();
-                }));
-            }
-            wg.wait();
-            assert_eq!(*n.lock(), 8);
-            for h in hs {
-                h.join_unwrap();
-            }
         });
     }
 

@@ -430,89 +430,6 @@ impl Task for Tombstone {
     }
 }
 
-/// A rendezvous for tasks (and threads): opens once `target` participants
-/// have arrived, then stays open.
-///
-/// The thread-world analogue is [`Barrier`](crate::sync::Barrier), but a
-/// task cannot block in `poll` — it calls [`Gate::arrive`] once, parks,
-/// and is woken when the gate opens. Blocking actors can join the same
-/// rendezvous via [`Gate::wait_blocking`].
-pub struct Gate {
-    target: usize,
-    inner: Mutex<GateState>,
-    opened: Event,
-}
-
-struct GateState {
-    arrived: usize,
-    open: bool,
-    wakers: Vec<Waker>,
-}
-
-impl Gate {
-    /// A gate that opens at `target` arrivals.
-    pub fn new(rt: &Arc<dyn Runtime>, target: usize) -> Arc<Gate> {
-        Arc::new(Gate {
-            target,
-            inner: Mutex::new(GateState {
-                arrived: 0,
-                open: target == 0,
-                wakers: Vec::new(),
-            }),
-            opened: rt.event(),
-        })
-    }
-
-    /// Register one arrival. Returns `true` if the gate is open after it
-    /// (the caller need not park). Call once per participant; re-polls
-    /// should use [`Gate::is_open`].
-    pub fn arrive(&self, waker: &Waker) -> bool {
-        self.arrive_inner(Some(waker))
-    }
-
-    fn arrive_inner(&self, waker: Option<&Waker>) -> bool {
-        let wakers = {
-            let mut st = self.inner.lock();
-            st.arrived += 1;
-            if st.open {
-                return true;
-            }
-            if st.arrived < self.target {
-                if let Some(w) = waker {
-                    st.wakers.push(w.clone());
-                }
-                return false;
-            }
-            st.open = true;
-            std::mem::take(&mut st.wakers)
-        };
-        for w in &wakers {
-            w.wake();
-        }
-        // Release every blocking waiter. Permits are banked so a waiter
-        // that re-checks between the flag flip and its wait cannot hang;
-        // excess permits on an opened gate are harmless.
-        self.opened.notify_all();
-        self.opened.signal_n(self.target);
-        true
-    }
-
-    /// True once `target` arrivals have been registered.
-    pub fn is_open(&self) -> bool {
-        self.inner.lock().open
-    }
-
-    /// Block the calling actor until the gate opens. Counts as an arrival.
-    pub fn wait_blocking(&self) {
-        if self.arrive_inner(None) {
-            return;
-        }
-        while !self.is_open() {
-            self.opened.wait();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -685,70 +602,5 @@ mod tests {
             .join();
             assert_eq!(log.lock().len(), 2);
         });
-    }
-
-    #[test]
-    fn gate_opens_for_tasks_and_threads() {
-        // 3 tasks + 1 blocking actor rendezvous; all proceed at the
-        // latest arrival.
-        let opened_at = Arc::new(Mutex::new(Vec::new()));
-        let o2 = opened_at.clone();
-        simulate(move |rt| {
-            let ex = TaskExecutor::new(&rt, "ex");
-            let gate = Gate::new(&rt, 4);
-            struct Arriver {
-                gate: Arc<Gate>,
-                delay: Dur,
-                state: u8,
-                out: Arc<Mutex<Vec<Time>>>,
-            }
-            impl Task for Arriver {
-                fn poll(&mut self, cx: &mut TaskCtx<'_>) -> TaskStep {
-                    match self.state {
-                        0 => {
-                            self.state = 1;
-                            TaskStep::Sleep(self.delay)
-                        }
-                        1 => {
-                            self.state = 2;
-                            if self.gate.arrive(&cx.waker) {
-                                self.out.lock().push(cx.now);
-                                TaskStep::Done
-                            } else {
-                                TaskStep::Park
-                            }
-                        }
-                        _ => {
-                            if self.gate.is_open() {
-                                self.out.lock().push(cx.now);
-                                TaskStep::Done
-                            } else {
-                                TaskStep::Park
-                            }
-                        }
-                    }
-                }
-            }
-            let mut hs = Vec::new();
-            for i in 0..3u64 {
-                hs.push(ex.spawn(Box::new(Arriver {
-                    gate: gate.clone(),
-                    delay: Dur::from_millis(10 * (i + 1)),
-                    state: 0,
-                    out: o2.clone(),
-                })));
-            }
-            rt.sleep(Dur::from_millis(40));
-            gate.wait_blocking();
-            for h in hs {
-                h.join();
-            }
-        });
-        let times = opened_at.lock().clone();
-        assert_eq!(times.len(), 3);
-        // Nobody passed before the last arrival at t=40ms.
-        assert!(times
-            .iter()
-            .all(|t| *t >= Time::ZERO + Dur::from_millis(40)));
     }
 }

@@ -2,8 +2,8 @@
 //! interleaved sleeps, channel traffic, barriers, and mutex work must always
 //! drain without deadlock, preserve causality, and conserve messages.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -66,6 +66,73 @@ fn chaotic_actor_mix_always_drains() {
             "seed {seed}: lost or duplicated messages"
         );
         assert_eq!(sent.load(Ordering::SeqCst), 240);
+    }
+}
+
+/// Six producers wake on the same twenty instants and feed one channel
+/// drained by two consumers; returns every `(virtual ns, consumer,
+/// message)` in the order it was logged.
+fn same_instant_collision_log() -> Vec<(u64, u64, u64)> {
+    simulate(|rt| {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let ch: Channel<u64> = Channel::new(&rt);
+        let producers: Vec<_> = (0..6u64)
+            .map(|p| {
+                let (rt2, ch2) = (rt.clone(), ch.clone());
+                spawn(&rt, &format!("prod{p}"), move || {
+                    for i in 0..20 {
+                        rt2.sleep(Dur::from_micros(10));
+                        ch2.send(p * 100 + i).unwrap();
+                    }
+                })
+            })
+            .collect();
+        let consumers: Vec<_> = (0..2u64)
+            .map(|c| {
+                let (rt2, ch2, log2) = (rt.clone(), ch.clone(), log.clone());
+                spawn(&rt, &format!("cons{c}"), move || {
+                    while let Ok(m) = ch2.recv() {
+                        log2.lock().unwrap().push((rt2.now().as_nanos(), c, m));
+                    }
+                })
+            })
+            .collect();
+        for p in producers {
+            p.join_unwrap();
+        }
+        ch.close();
+        for c in consumers {
+            c.join_unwrap();
+        }
+        let got = log.lock().unwrap().clone();
+        got
+    })
+}
+
+#[test]
+fn same_instant_order_repeats_under_host_load() {
+    // Spinning host threads keep the OS scheduler busy reshuffling the
+    // actor threads; the interleaving must not notice.
+    let stop = Arc::new(AtomicBool::new(false));
+    let spinners: Vec<_> = (0..4)
+        .map(|_| {
+            let stop = stop.clone();
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    std::hint::spin_loop();
+                }
+            })
+        })
+        .collect();
+    let first = same_instant_collision_log();
+    let repeats: Vec<_> = (0..10).map(|_| same_instant_collision_log()).collect();
+    stop.store(true, Ordering::Relaxed);
+    for s in spinners {
+        s.join().unwrap();
+    }
+    assert_eq!(first.len(), 120);
+    for (i, r) in repeats.iter().enumerate() {
+        assert_eq!(r, &first, "repeat {i} interleaved differently");
     }
 }
 

@@ -10,9 +10,13 @@
 //! the model checker in the tree. Second, exploration itself is
 //! deterministic and the counterexample pipeline round-trips.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use semplar_repro::mc::{
-    explore, BrokenInvariant, ExploreCfg, FederationScenario, McTrace, Scenario, ScriptHook,
+    explore, BrokenInvariant, ChoiceRecord, ExploreCfg, FederationScenario, LeaseScenario, McTrace,
+    PromotionScenario, Scenario, ScriptHook,
 };
 use semplar_repro::runtime::Dur;
 
@@ -95,4 +99,56 @@ fn counterexample_trace_replays_deterministically() {
         Ok(()),
         "same schedule, invariant restored: must pass"
     );
+}
+
+/// Run `observe` twice under one script that leaves the default schedule
+/// at each of the first three choice points (taking the last eligible
+/// event instead of the first); return both runs' decisions and outcomes.
+fn twice_under_one_script<O>(
+    observe: impl Fn(Arc<ScriptHook>) -> Result<O, String>,
+) -> [(Vec<ChoiceRecord>, Result<O, String>); 2] {
+    let mut script = Vec::new();
+    for _ in 0..3 {
+        let probe = ScriptHook::follow(script.clone());
+        observe(probe.clone()).expect("probe run");
+        match probe.records().get(script.len()) {
+            Some(point) => script.push(point.alternatives - 1),
+            None => break,
+        }
+    }
+    assert!(!script.is_empty(), "scenario surfaced no choice point");
+    [(); 2].map(|()| {
+        let hook = ScriptHook::follow(script.clone());
+        let outcome = observe(hook.clone());
+        (hook.records(), outcome)
+    })
+}
+
+/// The model checker's own invariant, same script ⇒ same observed order:
+/// with spinning host threads competing for the CPUs, every scenario run
+/// twice under one script faces the same choice points with the same
+/// eligible events and fingerprints, and observes the same outcome.
+#[test]
+fn same_script_same_observed_order_under_host_load() {
+    let stop = Arc::new(AtomicBool::new(false));
+    let spinners: Vec<_> = (0..4)
+        .map(|_| {
+            let stop = stop.clone();
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    std::hint::spin_loop();
+                }
+            })
+        })
+        .collect();
+    let fed = twice_under_one_script(|h| FederationScenario::quick(7).observe(Some(h)));
+    let promo = twice_under_one_script(|h| PromotionScenario::quick(7).observe(Some(h)));
+    let lease = twice_under_one_script(|h| LeaseScenario::quick(7).observe(Some(h)));
+    stop.store(true, Ordering::Relaxed);
+    for s in spinners {
+        s.join().unwrap();
+    }
+    assert_eq!(fed[0], fed[1], "federation");
+    assert_eq!(promo[0], promo[1], "promotion");
+    assert_eq!(lease[0], lease[1], "lease");
 }
