@@ -180,7 +180,11 @@ impl LeaseCache {
         st.files.entry(path.to_string()).or_default().insert(
             offset,
             Entry {
-                data: data.clone(),
+                // Own the bytes: a view would keep its whole source buffer
+                // (a server cache block, a sieved span) alive in here.
+                data: data
+                    .data()
+                    .map_or_else(|| data.clone(), |d| Payload::bytes(d.into())),
                 stamp,
             },
         );

@@ -90,7 +90,11 @@ pub struct CompressedWriter<'a> {
     sized_output: bool,
     offset: u64,
     inflight: VecDeque<Frame>,
+    /// Input short of a block, waiting for the rest of it.
     pending: Vec<u8>,
+    /// Where every block is compressed, header first; the frame that ships
+    /// is an exact-size copy, so this allocation is reused across blocks.
+    scratch: Vec<u8>,
     bytes_in: u64,
     bytes_out: u64,
     /// Input/wire bytes acknowledged so far — the checkpoint frontier.
@@ -115,6 +119,7 @@ impl<'a> CompressedWriter<'a> {
             offset: 0,
             inflight: VecDeque::new(),
             pending: Vec::new(),
+            scratch: Vec::new(),
             bytes_in: 0,
             bytes_out: 0,
             acked_raw: 0,
@@ -140,9 +145,9 @@ impl<'a> CompressedWriter<'a> {
         w
     }
 
-    /// Override the block size.
+    /// Override the block size (the frame header stores it as a `u32`).
     pub fn block_size(mut self, block: usize) -> Self {
-        assert!(block > 0);
+        assert!(block > 0 && block < u32::MAX as usize);
         self.block = block;
         self
     }
@@ -169,6 +174,13 @@ impl<'a> CompressedWriter<'a> {
     /// Append data to the stream; full blocks are compressed and dispatched.
     pub fn write(&mut self, mut data: &[u8]) -> IoResult<()> {
         while !data.is_empty() {
+            if self.pending.is_empty() && data.len() >= self.block {
+                // A whole block goes straight from the caller's slice.
+                let (block, rest) = data.split_at(self.block);
+                self.dispatch(block)?;
+                data = rest;
+                continue;
+            }
             let take = (self.block - self.pending.len()).min(data.len());
             self.pending.extend_from_slice(&data[..take]);
             data = &data[take..];
@@ -182,24 +194,25 @@ impl<'a> CompressedWriter<'a> {
 
     fn dispatch(&mut self, block: &[u8]) -> IoResult<()> {
         // Compress (really), then charge the modelled CPU time.
-        let mut frame = Vec::with_capacity(block.len() / 2 + 8);
+        let frame = &mut self.scratch;
+        frame.clear();
         frame.extend_from_slice(&[0u8; 8]);
-        self.codec.compress(block, &mut frame);
-        let clen = (frame.len() - 8) as u32;
+        self.codec.compress(block, frame);
+        let clen = u32::try_from(frame.len() - 8).expect("frame fits its u32 header");
         frame[0..4].copy_from_slice(&clen.to_le_bytes());
         frame[4..8].copy_from_slice(&(block.len() as u32).to_le_bytes());
-        if let Some(m) = &self.model {
-            m.charge(block.len() as u64);
-        }
-        self.bytes_in += block.len() as u64;
-        self.bytes_out += frame.len() as u64;
-
         let len = frame.len() as u64;
         let payload = if self.sized_output {
             Payload::sized(len)
         } else {
-            Payload::bytes(frame)
+            // Exact-size: the scratch keeps its worst-case capacity.
+            Payload::bytes(frame.clone())
         };
+        if let Some(m) = &self.model {
+            m.charge(block.len() as u64);
+        }
+        self.bytes_in += block.len() as u64;
+        self.bytes_out += len;
         if self.depth == 0 {
             // Synchronous baseline: compression and the remote write both sit
             // in the critical path.

@@ -146,58 +146,49 @@ impl BlockCache {
         let first = offset / block;
         let last = (offset + len - 1) / block;
 
-        // Pass 1: classify hits and misses under the lock, cloning hit
-        // payloads out so eviction during the fetch can't disturb assembly.
-        let mut resident: HashMap<u64, Payload> = HashMap::new();
-        let mut missing: Vec<u64> = Vec::new();
+        // Pass 1, under the lock: clone resident blocks out, so eviction
+        // during the fetch can't disturb assembly, and move their LRU
+        // stamps to the front, in block order (deterministic).
+        let mut blocks: Vec<Option<Payload>> = Vec::new();
         let version = {
             let mut st = self.state.lock();
             for idx in first..=last {
-                match st.blocks.get(&(obj_id, idx)) {
-                    Some(b) => {
-                        resident.insert(idx, b.data.clone());
-                    }
-                    None => missing.push(idx),
-                }
-            }
-            // Touch the resident blocks: move their LRU stamps to the
-            // front, in block order (deterministic).
-            for idx in first..=last {
-                if !resident.contains_key(&idx) {
-                    continue;
-                }
-                st.tick += 1;
-                let t = st.tick;
                 let key = (obj_id, idx);
-                let old = st
+                let t = st.tick + 1;
+                let hit = st
                     .blocks
                     .get_mut(&key)
-                    .map(|b| std::mem::replace(&mut b.stamp, t));
-                if let Some(old) = old {
+                    .map(|b| (b.data.clone(), std::mem::replace(&mut b.stamp, t)));
+                blocks.push(hit.map(|(data, old)| {
+                    st.tick = t;
                     st.lru_order.remove(&old);
                     st.lru_order.insert(t, key);
-                }
+                    data
+                }));
             }
             *st.versions.get(&obj_id).unwrap_or(&0)
         };
 
-        let fetched: Vec<(u64, Payload)> = if missing.is_empty() {
+        let missing: Vec<u64> = (first..=last)
+            .zip(&blocks)
+            .filter_map(|(idx, b)| b.is_none().then_some(idx))
+            .collect();
+        if missing.is_empty() {
             self.hits.fetch_add(1, Ordering::SeqCst);
-            Vec::new()
         } else {
             self.misses.fetch_add(1, Ordering::SeqCst);
             let extents: Vec<(u64, u64)> =
                 missing.iter().map(|&idx| (idx * block, block)).collect();
-            let payloads = vault.read_extents(obj_id, &extents);
-            let fetched: Vec<(u64, Payload)> = missing.iter().copied().zip(payloads).collect();
+            let fetched = vault.read_extents(obj_id, &extents);
             let mut st = self.state.lock();
-            if *st.versions.get(&obj_id).unwrap_or(&0) == version {
-                for (idx, p) in &fetched {
-                    self.insert_block(&mut st, (obj_id, *idx), p.clone());
+            let fresh = *st.versions.get(&obj_id).unwrap_or(&0) == version;
+            for (&idx, p) in missing.iter().zip(fetched) {
+                if fresh {
+                    self.insert_block(&mut st, (obj_id, idx), p.clone());
                 }
+                blocks[(idx - first) as usize] = Some(p);
             }
-            fetched
-        };
+        }
 
         // Assemble the result exactly as the vault would have: walk blocks
         // in order, slice out the requested range, stop at EOF (a block
@@ -205,37 +196,31 @@ impl BlockCache {
         let mut pieces: Vec<Payload> = Vec::new();
         let end = offset + len;
         let mut saved = 0u64;
-        'walk: for idx in first..=last {
-            let from_cache = resident.contains_key(&idx);
-            let data = resident.get(&idx).cloned().or_else(|| {
-                fetched
-                    .iter()
-                    .find(|(i, _)| *i == idx)
-                    .map(|(_, p)| p.clone())
-            });
-            let data = match data {
-                Some(d) => d,
-                None => break 'walk, // unreachable: every idx is hit or miss
-            };
+        for (idx, data) in (first..=last).zip(blocks) {
             let blk_start = idx * block;
             let want_start = offset.max(blk_start) - blk_start;
             let want_len = end.min(blk_start + block) - (blk_start + want_start);
-            let piece = data.slice(want_start, want_len);
+            let piece = data.expect("hit or fetched").slice(want_start, want_len);
             let got = piece.len();
-            if from_cache {
+            if !missing.contains(&idx) {
                 saved += got;
             }
             if got > 0 {
                 pieces.push(piece);
             }
             if got < want_len {
-                break 'walk; // EOF inside this block
+                break; // EOF inside this block
             }
         }
         self.bytes_saved.fetch_add(saved, Ordering::SeqCst);
 
-        // Concatenate: all-real pieces keep their bytes; any sparse piece
-        // degrades the whole result to size-only, mirroring the vault.
+        // A read inside one block — the common hit — is that block's view,
+        // no bytes copied. Otherwise concatenate: all-real pieces keep
+        // their bytes; any sparse piece degrades the whole result to
+        // size-only, mirroring the vault.
+        if pieces.len() == 1 {
+            return pieces.swap_remove(0);
+        }
         let total: u64 = pieces.iter().map(|p| p.len()).sum();
         if pieces.iter().all(|p| p.data().is_some()) {
             let mut out = Vec::with_capacity(total as usize);

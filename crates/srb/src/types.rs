@@ -1,5 +1,6 @@
 //! Common SRB data types: payloads, errors, metadata records.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The bytes carried by a read or write.
@@ -12,10 +13,16 @@ use std::sync::Arc;
 /// to compress), and [`Payload::Sized`] carries only a length (used by the
 /// large bandwidth sweeps). The wire/disk cost model treats them
 /// identically.
+///
+/// Real data is a *view*: a range of a shared, immutable buffer, so
+/// [`clone`](Clone::clone) and [`slice`](Payload::slice) copy nothing. A view
+/// keeps its whole buffer alive — whatever outlives the request that made a
+/// payload (the vault, the block cache, a client's lease cache) copies the
+/// bytes into a buffer of its own instead of holding the view.
 #[derive(Clone, Debug)]
 pub enum Payload {
-    /// Real bytes (cheaply clonable).
-    Bytes(Arc<Vec<u8>>),
+    /// Real bytes: this range of the shared buffer.
+    Bytes(Arc<Vec<u8>>, Range<usize>),
     /// A size-only stand-in for `len` bytes.
     Sized(u64),
 }
@@ -23,7 +30,8 @@ pub enum Payload {
 impl Payload {
     /// A payload owning real data.
     pub fn bytes(v: Vec<u8>) -> Payload {
-        Payload::Bytes(Arc::new(v))
+        let all = 0..v.len();
+        Payload::Bytes(Arc::new(v), all)
     }
 
     /// A size-only payload of `len` bytes.
@@ -34,7 +42,7 @@ impl Payload {
     /// Length in bytes.
     pub fn len(&self) -> u64 {
         match self {
-            Payload::Bytes(b) => b.len() as u64,
+            Payload::Bytes(_, view) => view.len() as u64,
             Payload::Sized(n) => *n,
         }
     }
@@ -47,20 +55,23 @@ impl Payload {
     /// The real data, if this payload carries any.
     pub fn data(&self) -> Option<&[u8]> {
         match self {
-            Payload::Bytes(b) => Some(b),
+            Payload::Bytes(buf, view) => Some(&buf[view.clone()]),
             Payload::Sized(_) => None,
         }
     }
 
     /// A sub-range `[start, start+len)` of this payload, clamped to its
-    /// length. Used by striped I/O to split one logical operation across
-    /// streams.
+    /// length: a narrower view of the same buffer, no bytes copied. Used by
+    /// striped I/O to split one logical operation across streams.
     pub fn slice(&self, start: u64, len: u64) -> Payload {
         let total = self.len();
         let start = start.min(total);
         let len = len.min(total - start);
         match self {
-            Payload::Bytes(b) => Payload::bytes(b[start as usize..(start + len) as usize].to_vec()),
+            Payload::Bytes(buf, view) => {
+                let from = view.start + start as usize;
+                Payload::Bytes(buf.clone(), from..from + len as usize)
+            }
             Payload::Sized(_) => Payload::sized(len),
         }
     }
@@ -92,7 +103,7 @@ impl From<Vec<u8>> for Payload {
 
 impl From<&[u8]> for Payload {
     fn from(v: &[u8]) -> Payload {
-        Payload::bytes(v.to_vec())
+        Payload::bytes(v.into())
     }
 }
 
@@ -217,6 +228,23 @@ mod tests {
     fn payload_data_access() {
         assert_eq!(Payload::bytes(vec![9, 8]).data(), Some(&[9u8, 8][..]));
         assert_eq!(Payload::sized(10).data(), None);
+    }
+
+    #[test]
+    fn payload_views_share_one_buffer() {
+        let p = Payload::bytes((0..100u8).collect());
+        let v = p.slice(10, 50);
+        assert_eq!((v.len(), v.is_empty()), (50, false));
+        assert_eq!(v.data().unwrap(), &(10..60u8).collect::<Vec<_>>()[..]);
+        // A slice of a slice is relative to the inner view, and clamps to it.
+        let vv = v.slice(45, 20);
+        assert_eq!(vv.data().unwrap(), &[55u8, 56, 57, 58, 59][..]);
+        let past = v.slice(70, 5);
+        assert_eq!((past.len(), past.is_empty()), (0, true));
+        assert_eq!(past.data(), Some(&[][..]));
+        // Same allocation throughout: nothing was copied.
+        let base = p.data().unwrap().as_ptr() as usize;
+        assert_eq!(vv.data().unwrap().as_ptr() as usize, base + 55);
     }
 
     #[test]

@@ -32,6 +32,35 @@ impl ObjData {
             ObjData::Sparse(n) => *n,
         }
     }
+
+    /// Overlay `piece` at `offset`, growing the object as needed. Any
+    /// size-only piece degrades the object to a sparse extent: the big
+    /// bandwidth sweeps never read data back byte-for-byte.
+    fn store(&mut self, offset: u64, piece: &Payload) {
+        let end = offset + piece.len();
+        match (piece.data(), &mut *self) {
+            (Some(data), ObjData::Real(v)) => {
+                if (v.len() as u64) < end {
+                    v.resize(end as usize, 0);
+                }
+                v[offset as usize..end as usize].copy_from_slice(data);
+            }
+            _ => *self = ObjData::Sparse(self.len().max(end)),
+        }
+    }
+
+    /// `[offset, offset + len)` truncated at EOF, POSIX-style, as a payload
+    /// with a buffer of its own.
+    fn load(&self, offset: u64, len: u64) -> Payload {
+        match self {
+            ObjData::Real(v) => {
+                let start = (offset as usize).min(v.len());
+                let end = ((offset + len) as usize).min(v.len());
+                Payload::bytes(v[start..end].to_vec())
+            }
+            ObjData::Sparse(n) => Payload::sized(n.saturating_sub(offset).min(len)),
+        }
+    }
 }
 
 /// Disk performance parameters.
@@ -139,41 +168,16 @@ impl Vault {
         self.charge_disk(payload.len());
         let mut g = self.objects.lock();
         let obj = g.entry(obj_id).or_insert(ObjData::Real(Vec::new()));
-        let end = offset + payload.len();
-        match (payload.data(), &mut *obj) {
-            (Some(data), ObjData::Real(v)) => {
-                if (v.len() as u64) < end {
-                    v.resize(end as usize, 0);
-                }
-                v[offset as usize..end as usize].copy_from_slice(data);
-            }
-            // Any size-only write degrades the object to a sparse extent:
-            // the big bandwidth sweeps never read data back byte-for-byte.
-            _ => {
-                let new_len = obj.len().max(end);
-                *obj = ObjData::Sparse(new_len);
-            }
-        }
+        obj.store(offset, payload);
         obj.len()
     }
 
     /// Read `len` bytes at `offset`, charging disk time. Reads past the end
     /// are truncated, POSIX-style.
     pub fn read(&self, obj_id: u64, offset: u64, len: u64) -> Payload {
-        let out = {
-            let g = self.objects.lock();
-            match g.get(&obj_id) {
-                None => Payload::sized(0),
-                Some(ObjData::Real(v)) => {
-                    let start = (offset as usize).min(v.len());
-                    let end = ((offset + len) as usize).min(v.len());
-                    Payload::bytes(v[start..end].to_vec())
-                }
-                Some(ObjData::Sparse(n)) => {
-                    let avail = n.saturating_sub(offset).min(len);
-                    Payload::sized(avail)
-                }
-            }
+        let out = match self.objects.lock().get(&obj_id) {
+            None => Payload::sized(0),
+            Some(obj) => obj.load(offset, len),
         };
         self.charge_disk(out.len());
         out
@@ -190,23 +194,8 @@ impl Vault {
         let obj = g.entry(obj_id).or_insert(ObjData::Real(Vec::new()));
         let mut cursor = 0u64;
         for &(offset, len) in extents {
-            let piece = payload.slice(cursor, len);
+            obj.store(offset, &payload.slice(cursor, len));
             cursor += len;
-            let end = offset + piece.len();
-            match (piece.data(), &mut *obj) {
-                (Some(data), ObjData::Real(v)) => {
-                    if (v.len() as u64) < end {
-                        v.resize(end as usize, 0);
-                    }
-                    v[offset as usize..end as usize].copy_from_slice(data);
-                }
-                // Same degradation rule as single writes: any size-only
-                // piece turns the object into a sparse extent.
-                _ => {
-                    let new_len = obj.len().max(end);
-                    *obj = ObjData::Sparse(new_len);
-                }
-            }
         }
         obj.len()
     }
@@ -253,15 +242,7 @@ impl Vault {
                 .iter()
                 .map(|&(offset, len)| match g.get(&obj_id) {
                     None => Payload::sized(0),
-                    Some(ObjData::Real(v)) => {
-                        let start = (offset as usize).min(v.len());
-                        let end = ((offset + len) as usize).min(v.len());
-                        Payload::bytes(v[start..end].to_vec())
-                    }
-                    Some(ObjData::Sparse(n)) => {
-                        let avail = n.saturating_sub(offset).min(len);
-                        Payload::sized(avail)
-                    }
+                    Some(obj) => obj.load(offset, len),
                 })
                 .collect()
         };
