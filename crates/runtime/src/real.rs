@@ -5,13 +5,14 @@
 //! thread and `now` reads a monotonic clock. Unit tests and the runnable
 //! examples use this backend; the WAN-scale experiments use virtual time.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex};
 
 use crate::runtime::{Event, EventApi, JoinHandle, Runtime, Wake};
+use crate::task::{TaskCell, TaskCtx, TaskStep, Waker, WakerKind};
 use crate::time::{Dur, Time};
 
 /// Wall-clock runtime. `now()` is measured from construction.
@@ -63,6 +64,33 @@ impl Runtime for RealRuntime {
             .expect("spawn thread");
         handle.set_thread(t);
         handle
+    }
+
+    /// A task is a loop on a thread of its own: poll, then sleep or wait on
+    /// the event its [`Waker`] signals, which also cuts a sleep short.
+    fn spawn_task(&self, mut cell: TaskCell) {
+        let mut task = cell.task.take().expect("a fresh cell holds its task");
+        let (rt, wake, name) = (self.handle(), self.event(), cell.label());
+        let poll_loop = move || loop {
+            let waker = Waker(WakerKind::Real(wake.clone()));
+            let now = rt.now();
+            match task.poll(&mut TaskCtx {
+                rt: &rt,
+                now,
+                waker,
+            }) {
+                TaskStep::Sleep(d) => drop(wake.wait_timeout(d)),
+                TaskStep::Park => wake.wait(),
+                TaskStep::Done => return,
+            }
+        };
+        // Joiners are released when the loop ends, by `Done` or by a panic.
+        let run = move || {
+            let r = catch_unwind(AssertUnwindSafe(poll_loop));
+            cell.finish();
+            r.unwrap_or_else(|p| resume_unwind(p));
+        };
+        self.spawn(&name, Box::new(run));
     }
 
     fn event(&self) -> Event {

@@ -5,9 +5,11 @@
 //! sleeps only through a [`Runtime`] handle. This gives us two
 //! interchangeable execution modes:
 //!
-//! * [`SimRuntime`](crate::SimRuntime): virtual time. Every simulated thread
-//!   is a real OS thread, one of which runs at a time; the clock jumps to
-//!   the next pending timer whenever all registered actors are blocked.
+//! * [`SimRuntime`](crate::SimRuntime): virtual time. Code that needs a
+//!   stack (the paper's compute and I/O threads, an MPI rank, a server
+//!   handler) is a real OS thread, one of which runs at a time; a
+//!   [`Task`](crate::Task) state machine is polled by the dispatcher. The
+//!   clock jumps to the next pending timer whenever all actors are blocked.
 //!   Experiments over transoceanic links finish in milliseconds of wall time
 //!   and produce the same interleaving, hence the same timings, every run.
 //! * [`RealRuntime`](crate::RealRuntime): wall-clock time, plain
@@ -22,6 +24,7 @@
 use std::any::Any;
 use std::sync::Arc;
 
+use crate::task::TaskCell;
 use crate::time::{Dur, Time};
 
 /// Why a blocked waiter resumed.
@@ -174,14 +177,12 @@ pub trait Runtime: Send + Sync {
     /// replication block, replaying a reconcile extent, firing a fault.
     fn schedule_point(&self, _tag: &str) {}
 
-    /// Bookkeeping hook: an event-driven [`Task`](crate::task::Task) was
-    /// spawned on an executor bound to this runtime. Default no-op; the
-    /// virtual-time runtime counts tasks separately from thread actors in
-    /// [`SimStats`](crate::SimStats).
-    fn task_spawned(&self) {}
-
-    /// Bookkeeping hook: an event-driven task completed. Default no-op.
-    fn task_finished(&self) {}
+    /// Take on an event-driven [`Task`](crate::task::Task): poll it now and
+    /// after every sleep or wake it asks for, until it is done. Called by
+    /// [`TaskExecutor::spawn`](crate::TaskExecutor::spawn). The virtual-time
+    /// runtime makes the task an actor of its own dispatcher, counted apart
+    /// from thread actors in [`SimStats`](crate::SimStats).
+    fn spawn_task(&self, cell: TaskCell);
 }
 
 /// Convenience: spawn with a closure instead of a boxed closure.

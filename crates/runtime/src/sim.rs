@@ -2,21 +2,26 @@
 //!
 //! # Model
 //!
-//! Every simulated entity (an MPI rank, an SRB server connection handler, a
-//! SEMPLAR I/O thread) is a **real OS thread** registered with the engine as
-//! an *actor*, and the engine is a plain discrete-event dispatcher whose
-//! coroutines happen to be those threads. Exactly one actor holds the
-//! *baton* and runs; every other actor's thread is parked. Actors may only
-//! block through the engine — via [`Runtime::sleep`], or by waiting on an
-//! engine-created [`Event`] — and the baton moves only when its holder
-//! blocks or exits. Then one loop, `dispatch`, hands it on:
+//! The engine is a plain discrete-event dispatcher over *actors*. An actor
+//! with a stack (an MPI rank, an SRB server connection handler, a SEMPLAR
+//! I/O thread) is a **real OS thread**, the engine's coroutine; one that
+//! only ever waits (a swarm client session) is a poll-style
+//! [`Task`](crate::Task) state machine. Exactly one actor holds the *baton*
+//! and runs; every other thread is parked. Actors may only block through
+//! the engine — a thread via [`Runtime::sleep`] or an engine-created
+//! [`Event`], a task by returning a [`TaskStep`] — and the baton moves only
+//! when its holder blocks or exits. Then one loop, `dispatch`, hands it on:
 //!
 //! * to the head of the **ready queue** — actors woken by a signal, a
-//!   broadcast or a timer, and freshly spawned children, in the order they
-//!   were woken — or,
+//!   broadcast, a [`Waker`] or a timer, and freshly spawned ones, in the
+//!   order they were woken — or,
 //! * when nobody is ready, it fires exactly **one** pending event, the
 //!   earliest by `(due time, arm order)`, moving the virtual clock to its
 //!   due time; the woken actor becomes ready and gets the baton.
+//!
+//! A thread gets the baton by being unparked; a task is polled on the spot
+//! by whichever thread is dispatching, and the loop goes on: a thread is
+//! parked only when the next ready actor *is* a thread.
 //!
 //! Waking only enqueues: a signalled waiter runs after its signaller blocks,
 //! a child after its spawner blocks. Virtual time therefore advances in
@@ -34,15 +39,18 @@
 //! what it is blocked on, then poisons itself. Poison voids the baton: every
 //! parked actor is released at once, sees the poison and unwinds.
 //!
-//! # Why threads rather than an event loop?
+//! # Why threads at all, rather than an event loop?
 //!
 //! The point of this reproduction is to run the *actual* SEMPLAR
 //! implementation — compute thread, FIFO I/O queue, condition-variable
 //! wakeups (Fig. 2 of the paper) — not a model of it. Mapping each simulated
 //! thread onto a real thread lets the identical library code run under
 //! virtual time (for the WAN-scale experiments) and wall-clock time (unit
-//! tests, examples) without modification.
+//! tests, examples) without modification. So threads are for code that
+//! needs a stack — those compute and I/O threads, MPI ranks,
+//! `CompressedWriter`, server handlers — and a state machine costs none.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -53,6 +61,7 @@ use std::thread::Thread;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::runtime::{Event, EventApi, JoinHandle, Runtime, Wake};
+use crate::task::{TaskCell, TaskCtx, TaskStep, Waker, WakerKind};
 use crate::time::{Dur, Time};
 
 thread_local! {
@@ -182,7 +191,6 @@ pub trait ScheduleHook: Send + Sync {
 }
 
 struct ActorInfo {
-    name: String,
     /// Daemon actors (e.g. server connection handlers parked on their
     /// request channel) do not keep the simulation alive: when only daemons
     /// remain blocked and no timer is pending, they are unwound cleanly.
@@ -191,8 +199,40 @@ struct ActorInfo {
     /// (so poison and quiescence can release it); `None` while the actor
     /// runs or sits in the ready queue.
     blocked: Option<(&'static str, Arc<WaitSlot>)>,
-    /// The actor's OS thread, once it has started: what a hand-off unparks.
+    /// A thread actor's OS thread, once it has started: what a hand-off
+    /// unparks.
     thread: Option<Thread>,
+    body: Body,
+}
+
+/// What runs when an actor gets the baton.
+enum Body {
+    /// Code with a stack, on a thread of its own, under this name.
+    Thread(String),
+    /// A state machine the dispatcher polls inline.
+    Task(TaskCell),
+}
+
+impl ActorInfo {
+    fn new(daemon: bool, body: Body) -> ActorInfo {
+        ActorInfo {
+            daemon,
+            blocked: None,
+            thread: None,
+            body,
+        }
+    }
+
+    fn name(&self) -> Cow<'_, str> {
+        match &self.body {
+            Body::Thread(name) => Cow::Borrowed(name),
+            Body::Task(cell) => Cow::Owned(cell.label()),
+        }
+    }
+
+    fn blocked_on(&self) -> &'static str {
+        self.blocked.as_ref().map_or("(exiting)", |b| b.0)
+    }
 }
 
 #[derive(Default)]
@@ -200,6 +240,9 @@ struct EngineState {
     now: u64,
     /// The baton: the one actor executing simulation code.
     running: Option<u64>,
+    /// The task being polled was woken meanwhile: whatever step that poll
+    /// returns, the task goes to the back of the ready queue, not to sleep.
+    rewake: bool,
     /// Actors woken (or spawned) but not yet run, in wake order.
     ready: VecDeque<u64>,
     /// Keyed by actor id, so iteration is in spawn order.
@@ -210,18 +253,13 @@ struct EngineState {
     poisoned: bool,
     /// Human-readable cause of the poisoning (first panic / deadlock).
     poison_cause: String,
-    clock_advances: u64,
-    /// Largest number of simultaneously registered thread actors.
-    peak_live_actors: usize,
-    timers_armed: u64,
-    /// Thread actors ever spawned (root + spawn + spawn_daemon).
-    actors_spawned: u64,
-    /// Event-driven tasks ever reported via [`Runtime::task_spawned`].
-    tasks_spawned: u64,
-    /// Currently live event-driven tasks.
+    /// The counters [`SimRuntime::stats`] reports.
+    stats: SimStats,
+    /// Live thread actors, live tasks, and live non-daemon actors of either
+    /// kind: the simulation is complete when the last reaches zero.
+    live_threads: usize,
     live_tasks: usize,
-    /// Largest number of simultaneously live event-driven tasks.
-    peak_live_tasks: usize,
+    live_nondaemon: usize,
     /// Systematic-exploration scheduler, if installed. `None` fires the
     /// earliest pending event, which is what a hook picking index 0 does.
     hook: Option<Arc<dyn ScheduleHook>>,
@@ -231,17 +269,45 @@ struct EngineState {
     /// Events pulled into an eligible set but not yet fired (the hook
     /// deferred them past their due time). Always empty without a hook.
     deferred: Vec<TimerEntry>,
-    /// Choice points faced (≥ 2 eligible events with a hook installed).
-    choice_points: u64,
-    /// Total alternatives across all choice points.
-    choice_alternatives: u64,
 }
 
-struct Engine {
+pub(crate) struct Engine {
     state: Mutex<EngineState>,
-    /// Signalled once, when the last actor exits, for [`SimRuntime::wait_done`];
+    /// Signalled when the last actor may have left, for [`SimRuntime::wait_done`];
     /// actors never wait on it (each parks on its own thread).
     done: Condvar,
+}
+
+type Guard<'a> = MutexGuard<'a, EngineState>;
+
+impl EngineState {
+    /// Enter `info` as a new actor at the back of the ready queue: it first
+    /// runs when its spawner blocks; a spawner outside the simulation finds
+    /// the baton free and starts it.
+    fn register(&mut self, info: ActorInfo) -> u64 {
+        if self.poisoned {
+            panic!("cannot spawn into a poisoned simulation");
+        }
+        let id = self.next_actor;
+        self.next_actor += 1;
+        self.live_nondaemon += usize::from(!info.daemon);
+        self.actors.insert(id, info);
+        self.ready.push_back(id);
+        id
+    }
+
+    fn task_cell(&mut self, id: u64) -> &mut TaskCell {
+        match self.actors.get_mut(&id).map(|a| &mut a.body) {
+            Some(Body::Task(cell)) => cell,
+            _ => unreachable!("actor #{id} is not a registered task"),
+        }
+    }
+
+    /// Record that actor `id`, about to give up the baton, waits on `slot`.
+    fn block_on(&mut self, id: u64, why: &'static str, slot: &Arc<WaitSlot>) {
+        let info = self.actors.get_mut(&id).expect("blocking actor registered");
+        info.blocked = Some((why, slot.clone()));
+    }
 }
 
 impl Engine {
@@ -268,36 +334,36 @@ impl Engine {
     }
 
     /// The one scheduler. With the baton free, hand it to the next ready
-    /// actor; while nobody is ready, fire one pending event. A no-op while
-    /// an actor holds the baton, so callers that may run outside the
+    /// actor — unpark a thread and return, or poll a task here and go on —
+    /// and while nobody is ready, fire one pending event. A no-op while an
+    /// actor holds the baton, so callers that may run outside the
     /// simulation (a harness thread spawning or signalling) call it
-    /// unconditionally.
-    fn dispatch(&self, st: &mut EngineState) {
-        if st.poisoned || st.running.is_some() {
-            return;
-        }
-        loop {
+    /// unconditionally. Takes the engine lock and gives it back: it is
+    /// released around each poll.
+    fn dispatch<'a>(self: &'a Arc<Self>, mut st: Guard<'a>) -> Guard<'a> {
+        while !st.poisoned && st.running.is_none() {
             if let Some(id) = st.ready.pop_front() {
                 st.running = Some(id);
-                // Our own timer may have been the next event; and a child
-                // whose thread has not started yet finds the baton when it
-                // does.
-                if CURRENT_ACTOR.with(|c| c.get()) != Some(id) {
-                    if let Some(t) = &st.actors[&id].thread {
-                        t.unpark();
-                    }
+                let info = &st.actors[&id];
+                if let Body::Task(_) = info.body {
+                    st = self.poll_task(st, id);
+                } else if CURRENT_ACTOR.with(|c| c.get()) != Some(id) {
+                    // (Our own timer may have been the next event; and a
+                    // child whose thread has not started yet finds the
+                    // baton when it does.)
+                    info.thread.iter().for_each(Thread::unpark);
                 }
-                return;
+                continue;
             }
             if st.actors.is_empty() {
-                return;
+                break;
             }
             // Daemons do not keep the simulation alive: once every
             // non-daemon actor has exited, a daemon's pending timer (a
             // heartbeat loop, a periodic monitor) must not advance the
             // clock forever. Unwind instead.
-            if st.actors.values().all(|a| a.daemon) {
-                self.quiesce(st);
+            if st.live_nondaemon == 0 {
+                self.quiesce(&mut st);
                 continue;
             }
             // Drop events whose waiters were already woken by a signal.
@@ -306,20 +372,101 @@ impl Engine {
                 st.timers.pop();
             }
             if st.deferred.is_empty() && st.timers.peek().is_none() {
-                self.deadlock(st);
+                self.deadlock(&mut st);
             }
             let e = match st.hook.clone() {
                 None => st.timers.pop().expect("pending set checked non-empty"),
-                Some(hook) => self.choose_event(st, &*hook),
+                Some(hook) => self.choose_event(&mut st, &*hook),
             };
             // A deferred event's due time may be in the past, in which
             // case it fires "now".
             if e.at > st.now {
                 st.now = e.at;
-                st.clock_advances += 1;
+                st.stats.clock_advances += 1;
             }
-            self.wake(st, &e.slot, SLOT_TIMEOUT);
+            self.wake(&mut st, &e.slot, SLOT_TIMEOUT);
         }
+        st
+    }
+
+    /// Poll task `id`, which holds the baton, on this thread with the engine
+    /// unlocked; then apply the step it returns and free the baton. For the
+    /// poll the task's id is the thread's current actor, so a blocking call
+    /// made inside it reaches `block` under that id and is refused there.
+    fn poll_task<'a>(self: &'a Arc<Self>, mut st: Guard<'a>, id: u64) -> Guard<'a> {
+        let now = Time(st.now);
+        st.rewake = false;
+        let cell = st.task_cell(id);
+        let mut task = cell.task.take().expect("one poll of a task at a time");
+        let rt = cell.rt().clone();
+        drop(st);
+        let outer = CURRENT_ACTOR.with(|c| c.replace(Some(id)));
+        let waker = Waker(WakerKind::Sim(self.clone(), id));
+        let mut cx = TaskCtx {
+            rt: &rt,
+            now,
+            waker,
+        };
+        let step = catch_unwind(AssertUnwindSafe(|| task.poll(&mut cx)));
+        CURRENT_ACTOR.with(|c| c.set(outer));
+        let mut st = self.state.lock();
+        match step {
+            Err(p) => {
+                let name = st.actors[&id].name().into_owned();
+                let cause = format!("panic in a task {name}: {}", panic_message(&*p));
+                self.poison(&mut st, &cause);
+                drop(st);
+                resume_unwind(p)
+            }
+            Ok(TaskStep::Done) => {
+                // Publish completion *before* freeing the baton, for the
+                // reason a thread does (see `spawn_inner`): the joiner must
+                // be ready before the dispatcher looks for someone to run.
+                let info = st.actors.remove(&id).expect("polled task registered");
+                drop(st);
+                if let Body::Task(cell) = &info.body {
+                    cell.finish();
+                }
+                drop((info, task));
+                st = self.state.lock();
+                st.live_tasks -= 1;
+                st.live_nondaemon -= 1;
+                if st.actors.is_empty() {
+                    self.done.notify_all();
+                }
+            }
+            Ok(step) => {
+                st.task_cell(id).task = Some(task);
+                if st.rewake {
+                    st.ready.push_back(id);
+                } else {
+                    let slot = WaitSlot::new(id, None);
+                    let why = if let TaskStep::Sleep(d) = step {
+                        self.push_timer(&mut st, now.0.saturating_add(d.as_nanos()), slot.clone());
+                        "task sleep"
+                    } else {
+                        "task park"
+                    };
+                    st.block_on(id, why, &slot);
+                }
+            }
+        }
+        st.running = None;
+        st
+    }
+
+    /// [`Waker::wake`]. A blocked task gets the engine's own `wake`, which
+    /// cuts a sleep short (its stale timer is swept like any other); the
+    /// task being polled is noted for re-queueing; one already ready needs
+    /// nothing, and one that has finished is no actor: nothing is touched.
+    pub(crate) fn wake_task(self: &Arc<Self>, id: u64) {
+        let mut st = self.state.lock();
+        if st.running == Some(id) {
+            st.rewake = true;
+        } else if let Some((_, slot)) = st.actors.get(&id).and_then(|a| a.blocked.clone()) {
+            self.wake(&mut st, &slot, SLOT_SIGNALED);
+        }
+        drop(self.dispatch(st));
     }
 
     /// The exploration schedule: collect every pending event due within
@@ -361,17 +508,15 @@ impl Engine {
                 .map(|e| {
                     let info = st.actors.get(&e.slot.actor);
                     Choice {
-                        actor: info.map(|a| a.name.clone()).unwrap_or_default(),
-                        blocked_on: info
-                            .and_then(|a| a.blocked.as_ref())
-                            .map_or("(exiting)", |b| b.0),
+                        actor: info.map(|a| a.name().into_owned()).unwrap_or_default(),
+                        blocked_on: info.map_or("(exiting)", ActorInfo::blocked_on),
                         at: Time(e.at.max(now)),
                         tag: e.slot.tag.clone(),
                     }
                 })
                 .collect();
-            st.choice_points += 1;
-            st.choice_alternatives += eligible.len() as u64;
+            st.stats.choice_points += 1;
+            st.stats.choice_alternatives += eligible.len() as u64;
             let fp = fingerprint_locked(st);
             // A hook that panics or picks out of range fails the run like a
             // deadlock does: poison first, so no parked actor is stranded.
@@ -406,14 +551,19 @@ impl Engine {
     }
 
     /// Every actor is blocked and nothing can wake one: report and poison.
+    /// The table is capped — a hung swarm is 10⁵ parked tasks.
     fn deadlock(&self, st: &mut EngineState) -> ! {
+        const ROWS: usize = 32;
         let mut table = String::new();
-        for (id, a) in &st.actors {
-            table.push_str(&format!(
-                "\n  actor #{id} {:?}: blocked on {}",
-                a.name,
-                a.blocked.as_ref().map_or("(exiting)", |b| b.0)
-            ));
+        for (id, a) in st.actors.iter().take(ROWS) {
+            let (name, why) = (a.name(), a.blocked_on());
+            table.push_str(&format!("\n  actor #{id} {name:?}: blocked on {why}"));
+        }
+        let more = st.actors.len().saturating_sub(ROWS);
+        if more > 0 {
+            let parked = st.actors.values().filter(|a| a.blocked_on() == "task park");
+            let parked = parked.count();
+            table.push_str(&format!("\n  … and {more} more ({parked} tasks parked)"));
         }
         let msg = format!(
             "simulation deadlock at {}: every actor is blocked and no timer is pending{table}",
@@ -423,8 +573,9 @@ impl Engine {
         panic!("{msg}");
     }
 
-    /// Void the baton: release every parked actor, ready or blocked, to see
-    /// the poison and unwind. `dispatch` does nothing from here on.
+    /// Void the baton: release every parked thread, ready or blocked, to see
+    /// the poison and unwind. `dispatch` does nothing from here on, so no
+    /// task is polled again; [`SimRuntime::wait_done`] drops them.
     fn poison(&self, st: &mut EngineState, cause: &str) {
         if !st.poisoned {
             st.poisoned = true;
@@ -434,19 +585,16 @@ impl Engine {
             if let Some((_, slot)) = a.blocked.take() {
                 slot.state.store(SLOT_SIGNALED, AtOrd::Relaxed);
             }
-            if let Some(t) = &a.thread {
-                t.unpark();
-            }
+            a.thread.iter().for_each(Thread::unpark);
+        }
+        if st.live_threads == 0 {
+            self.done.notify_all();
         }
     }
 
     /// Park the calling actor's thread until it holds the baton (or the
     /// engine is poisoned).
-    fn park_until_running<'a>(
-        &'a self,
-        mut st: MutexGuard<'a, EngineState>,
-        me: u64,
-    ) -> MutexGuard<'a, EngineState> {
+    fn park_until_running<'a>(&'a self, mut st: Guard<'a>, me: u64) -> Guard<'a> {
         while st.running != Some(me) && !st.poisoned {
             drop(st);
             std::thread::park();
@@ -470,23 +618,24 @@ impl Engine {
     /// Block the current actor on `slot` and pass the baton on. Takes the
     /// engine lock the caller registered the slot under. Returns the wake
     /// reason.
-    fn block(
-        &self,
-        mut st: MutexGuard<'_, EngineState>,
-        slot: &Arc<WaitSlot>,
-        why: &'static str,
-    ) -> Wake {
+    fn block(self: &Arc<Self>, mut st: Guard<'_>, slot: &Arc<WaitSlot>, why: &'static str) -> Wake {
         if st.poisoned {
             panic!("simulation poisoned: {}", st.poison_cause);
         }
         debug_assert_eq!(st.running, Some(slot.actor), "blocking without the baton");
-        let info = st
-            .actors
-            .get_mut(&slot.actor)
-            .expect("blocking actor not registered");
-        info.blocked = Some((why, slot.clone()));
+        if let Some(Body::Task(cell)) = st.actors.get(&slot.actor).map(|a| &a.body) {
+            // The caller is a thread polling this task: parking it here
+            // would strand the baton it holds on the task's behalf.
+            let msg = format!(
+                "Task::poll blocked through the runtime ({}: {why})",
+                cell.label()
+            );
+            self.poison(&mut st, &msg);
+            panic!("{msg}");
+        }
+        st.block_on(slot.actor, why, slot);
         st.running = None;
-        self.dispatch(&mut st);
+        let st = self.dispatch(st);
         drop(self.park_until_running(st, slot.actor));
         match slot.state.load(AtOrd::Relaxed) {
             SLOT_SIGNALED => Wake::Signaled,
@@ -499,11 +648,11 @@ impl Engine {
     fn push_timer(&self, st: &mut EngineState, at: u64, slot: Arc<WaitSlot>) {
         let seq = st.next_seq;
         st.next_seq += 1;
-        st.timers_armed += 1;
+        st.stats.timers_armed += 1;
         st.timers.push(TimerEntry { at, seq, slot });
     }
 
-    fn schedule_point(&self, tag: &str) {
+    fn schedule_point(self: &Arc<Self>, tag: &str) {
         let mut st = self.state.lock();
         // Without a hook this is free: no timer, no hand-off.
         if st.hook.is_none() {
@@ -515,21 +664,23 @@ impl Engine {
         self.block(st, &slot, "schedule point");
     }
 
-    fn exit(&self, id: u64) {
+    fn exit(self: &Arc<Self>, id: u64) {
         let mut st = self.state.lock();
-        st.actors.remove(&id);
+        let info = st.actors.remove(&id).expect("exiting actor registered");
+        st.live_threads -= 1;
+        st.live_nondaemon -= usize::from(!info.daemon);
         if st.running == Some(id) {
             st.running = None;
         }
-        self.dispatch(&mut st);
-        if st.actors.is_empty() {
-            // Simulation finished; release anyone in wait_done().
+        let st = self.dispatch(st);
+        if st.live_threads == 0 {
+            // Perhaps the last actor; let anyone in wait_done() look.
             self.done.notify_all();
         }
     }
 }
 
-fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     p.downcast_ref::<&str>()
         .map(|s| s.to_string())
         .or_else(|| p.downcast_ref::<String>().cloned())
@@ -572,13 +723,10 @@ pub struct SimStats {
 fn fingerprint_locked(st: &EngineState) -> u64 {
     use std::collections::hash_map::DefaultHasher;
     use std::hash::{Hash, Hasher};
-    let mut actors: Vec<(&str, &str, bool)> = st
+    let mut actors: Vec<(Cow<'_, str>, &str, bool)> = st
         .actors
         .values()
-        .map(|a| {
-            let why = a.blocked.as_ref().map_or("(exiting)", |b| b.0);
-            (a.name.as_str(), why, a.daemon)
-        })
+        .map(|a| (a.name(), a.blocked_on(), a.daemon))
         .collect();
     actors.sort_unstable();
     let mut pending: Vec<(u64, &str)> = st
@@ -648,12 +796,17 @@ impl SimRuntime {
     }
 
     /// Block the *calling OS thread* (which must not be an actor) until every
-    /// actor has exited.
+    /// actor has exited — every thread actor, if the simulation was
+    /// poisoned: the tasks it stranded are dropped here, after the engine
+    /// lock, because a state machine's destructor may signal an event.
     pub fn wait_done(&self) {
         let mut st = self.eng.state.lock();
-        while !st.actors.is_empty() {
+        while st.live_threads > 0 || !(st.poisoned || st.actors.is_empty()) {
             self.eng.done.wait(&mut st);
         }
+        let stranded = std::mem::take(&mut st.actors);
+        drop(st);
+        drop(stranded);
     }
 
     /// Spawn `f` as the root actor, wait for the whole simulation to finish,
@@ -681,17 +834,7 @@ impl SimRuntime {
 
     /// Simulation counters.
     pub fn stats(&self) -> SimStats {
-        let st = self.eng.state.lock();
-        SimStats {
-            clock_advances: st.clock_advances,
-            actors_spawned: st.actors_spawned,
-            peak_live_actors: st.peak_live_actors,
-            tasks_spawned: st.tasks_spawned,
-            peak_live_tasks: st.peak_live_tasks,
-            timers_armed: st.timers_armed,
-            choice_points: st.choice_points,
-            choice_alternatives: st.choice_alternatives,
-        }
+        self.eng.state.lock().stats
     }
 
     /// Install a [`ScheduleHook`] for systematic exploration. `window` is
@@ -752,16 +895,13 @@ impl Runtime for SimRuntime {
         self.eng.schedule_point(tag);
     }
 
-    fn task_spawned(&self) {
+    fn spawn_task(&self, cell: TaskCell) {
         let mut st = self.eng.state.lock();
-        st.tasks_spawned += 1;
+        st.register(ActorInfo::new(false, Body::Task(cell)));
+        st.stats.tasks_spawned += 1;
         st.live_tasks += 1;
-        st.peak_live_tasks = st.peak_live_tasks.max(st.live_tasks);
-    }
-
-    fn task_finished(&self) {
-        let mut st = self.eng.state.lock();
-        st.live_tasks = st.live_tasks.saturating_sub(1);
+        st.stats.peak_live_tasks = st.stats.peak_live_tasks.max(st.live_tasks);
+        drop(self.eng.dispatch(st));
     }
 }
 
@@ -776,26 +916,11 @@ impl SimRuntime {
         let (mut handle, exit) = JoinHandle::new(done);
         let id = {
             let mut st = self.eng.state.lock();
-            if st.poisoned {
-                panic!("cannot spawn into a poisoned simulation");
-            }
-            let id = st.next_actor;
-            st.next_actor += 1;
-            st.actors.insert(
-                id,
-                ActorInfo {
-                    name: name.to_string(),
-                    daemon,
-                    blocked: None,
-                    thread: None,
-                },
-            );
-            st.actors_spawned += 1;
-            st.peak_live_actors = st.peak_live_actors.max(st.actors.len());
-            // The child first runs when its spawner blocks; a spawner
-            // outside the simulation finds the baton free and starts it.
-            st.ready.push_back(id);
-            self.eng.dispatch(&mut st);
+            let id = st.register(ActorInfo::new(daemon, Body::Thread(name.to_string())));
+            st.stats.actors_spawned += 1;
+            st.live_threads += 1;
+            st.stats.peak_live_actors = st.stats.peak_live_actors.max(st.live_threads);
+            drop(self.eng.dispatch(st));
             id
         };
         let eng = self.eng.clone();
@@ -896,7 +1021,7 @@ impl EventApi for SimEvent {
             None => inner.permits += 1,
         }
         drop(inner);
-        self.eng.dispatch(&mut st);
+        drop(self.eng.dispatch(st));
     }
 
     fn notify_all(&self) {
@@ -906,7 +1031,7 @@ impl EventApi for SimEvent {
             self.eng.wake(&mut st, &w, SLOT_SIGNALED);
         }
         drop(inner);
-        self.eng.dispatch(&mut st);
+        drop(self.eng.dispatch(st));
     }
 }
 

@@ -10,8 +10,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::runtime::{Event, Runtime, Wake};
-use crate::time::Dur;
+use crate::runtime::{Event, Runtime};
 
 /// Error returned by [`Channel`] operations once the channel is closed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -86,31 +85,6 @@ impl<T> Channel<T> {
                 }
             }
             self.items.wait();
-        }
-    }
-
-    /// Dequeue without blocking.
-    pub fn try_recv(&self) -> Option<T> {
-        self.inner.lock().q.pop_front()
-    }
-
-    /// Dequeue, giving up after `d`.
-    pub fn recv_timeout(&self, d: Dur) -> Result<Option<T>, Closed> {
-        loop {
-            {
-                let mut g = self.inner.lock();
-                if let Some(v) = g.q.pop_front() {
-                    return Ok(Some(v));
-                }
-                if g.closed {
-                    return Err(Closed);
-                }
-            }
-            // NOTE: a spurious broadcast wake restarts the full timeout; all
-            // users of this method treat the timeout as advisory.
-            if self.items.wait_timeout(d) == Wake::Timeout {
-                return Ok(self.inner.lock().q.pop_front());
-            }
         }
     }
 
@@ -337,7 +311,7 @@ mod tests {
     use super::*;
     use crate::runtime::spawn;
     use crate::sim::simulate;
-    use crate::RealRuntime;
+    use crate::{Dur, RealRuntime};
 
     fn both_runtimes(test: impl Fn(Arc<dyn Runtime>) + Send + Sync + Clone + 'static) {
         test(RealRuntime::new().handle());

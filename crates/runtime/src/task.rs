@@ -1,13 +1,14 @@
-//! Event-driven micro-actors ("tasks") multiplexed onto one engine actor.
+//! Event-driven micro-actors ("tasks"): the actor body that costs no thread.
 //!
-//! The virtual-time engine maps every actor onto a real OS thread — faithful
-//! to the paper's thread-per-connection SEMPLAR client, but a hard ceiling on
-//! how many simulated entities one process can host (`fig_scale` tops out
-//! around 4×10³ threads). A [`Task`] is the event-driven alternative: a
-//! poll-style state machine owned by a [`TaskExecutor`], which drives *all*
-//! of its tasks from a single engine actor. An idle task costs its state
-//! machine plus a queue slot — a few hundred bytes — so one executor can
-//! host 10⁵–10⁶ concurrent sessions.
+//! A thread actor is the right price for code that needs a stack (the
+//! paper's compute and I/O threads, an MPI rank) and a hard ceiling for
+//! entities that only ever wait: `fig_scale` tops out around 4×10³ threads.
+//! A [`Task`] is a poll-style state machine instead. The virtual-time
+//! engine's dispatcher polls it inline, on whichever thread just gave up the
+//! baton, from the ready queue and timer heap that schedule threads too; an
+//! idle task costs its state machine plus a map entry — a few hundred
+//! bytes — so one simulation hosts 10⁵–10⁶ concurrent sessions. (Under
+//! wall-clock time each task is a small loop on a thread of its own.)
 //!
 //! Tasks cooperate instead of blocking:
 //!
@@ -16,27 +17,23 @@
 //! * A parked task is woken by its [`Waker`] — a cheap clonable handle that
 //!   completion callbacks (e.g. a transport response demultiplexer) invoke
 //!   from any actor. Wakes are coalesced: waking a task twice before it is
-//!   polled queues it once.
+//!   polled queues it once; a wake also cuts a sleep short.
 //! * **`poll` must not block through the runtime.** No sleeps, no event
-//!   waits, no synchronous I/O — any of those would stall every other task
-//!   on the executor. Uncontended fast paths (banked semaphore permits,
-//!   free mutexes) are fine.
+//!   waits, no synchronous I/O: the polling thread holds the baton on the
+//!   task's behalf, so the engine panics with `Task::poll blocked through
+//!   the runtime` and fails the run. Uncontended fast paths (banked
+//!   semaphore permits, free mutexes) are fine.
 //!
-//! The executor keeps the simulation faithful: its driver actor sleeps via
-//! the engine exactly until the earliest task deadline, so virtual time
-//! advances identically whether entities are threads or tasks, and the
-//! whole schedule stays deterministic (ready tasks run in wake order,
-//! timers in `(due, arm-order)`).
+//! Virtual time advances identically whether entities are threads or tasks,
+//! and the schedule stays deterministic: woken tasks and threads run in wake
+//! order, all timers fire in `(due, arm-order)`, and a task's reaches a
+//! [`ScheduleHook`](crate::ScheduleHook) as `<executor>/<n>/task sleep`.
 
-use std::collections::{BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicBool, Ordering as AtOrd};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::runtime::{Event, Runtime};
-use crate::sync::Channel;
-use crate::time::{Dur, Time};
+use crate::{sim::Engine, Dur, Event, Runtime, Time};
 
 /// What a task wants after one poll.
 #[derive(Debug)]
@@ -46,14 +43,13 @@ pub enum TaskStep {
     Sleep(Dur),
     /// Park until [`Waker::wake`] is called (a completion callback will
     /// deliver it). A task that parks without having handed its waker to
-    /// anyone sleeps forever — the executor cannot tell the difference.
+    /// anyone sleeps forever: a row of the engine's deadlock report.
     Park,
     /// The task is finished; drop it and release its join handle.
     Done,
 }
 
-/// An event-driven micro-actor: a state machine polled by a
-/// [`TaskExecutor`].
+/// An event-driven micro-actor: a state machine polled by its runtime.
 pub trait Task: Send + 'static {
     /// Advance the machine as far as it can go without blocking, then say
     /// what to do next. `cx` carries the current virtual time and the
@@ -63,7 +59,7 @@ pub trait Task: Send + 'static {
 
 /// Per-poll context handed to [`Task::poll`].
 pub struct TaskCtx<'a> {
-    /// The runtime driving the executor (for `now`, spawning helpers, …).
+    /// The runtime the task runs on (for `now`, spawning helpers, …).
     /// Do **not** call blocking operations (`sleep`, `Event::wait`) on it
     /// from inside `poll`.
     pub rt: &'a Arc<dyn Runtime>,
@@ -74,86 +70,30 @@ pub struct TaskCtx<'a> {
     pub waker: Waker,
 }
 
-struct WakerInner {
-    id: u64,
-    ready: Channel<u64>,
-    queued: AtomicBool,
-}
-
 /// A cheap clonable handle that re-queues its task for polling.
 ///
 /// Safe to invoke from any actor (a demux daemon, another task's poll, a
 /// timer) and idempotent between polls: waking an already-queued task is a
-/// no-op.
+/// no-op, and so is waking one that has finished.
 #[derive(Clone)]
-pub struct Waker {
-    inner: Arc<WakerInner>,
+pub struct Waker(pub(crate) WakerKind);
+
+#[derive(Clone)]
+pub(crate) enum WakerKind {
+    /// Actor `id` of a virtual-time engine.
+    Sim(Arc<Engine>, u64),
+    /// The event a wall-clock task's thread waits on between polls.
+    Real(Event),
 }
 
 impl Waker {
     /// Queue the task for another poll (coalesced).
     pub fn wake(&self) {
-        if !self.inner.queued.swap(true, AtOrd::SeqCst) {
-            // The executor may already have shut down (task finished and
-            // executor drained) — a stray late wake is harmless.
-            let _ = self.inner.ready.send(self.inner.id);
+        match &self.0 {
+            WakerKind::Sim(eng, id) => eng.wake_task(*id),
+            WakerKind::Real(wake) => wake.signal(),
         }
     }
-}
-
-struct TaskEntry {
-    task: Box<dyn Task>,
-    waker: Waker,
-    done: Event,
-    /// Set while the task sits in the sleeper heap, so a stray wake cannot
-    /// double-poll it ahead of its deadline.
-    sleeping: bool,
-}
-
-/// One armed task timer. Reversed ordering so the max-heap pops the
-/// earliest `(due, seq)` first — same idiom as the engine's timer heap.
-struct Sleeper {
-    due: u64,
-    seq: u64,
-    id: u64,
-}
-
-impl PartialEq for Sleeper {
-    fn eq(&self, other: &Self) -> bool {
-        (self.due, self.seq) == (other.due, other.seq)
-    }
-}
-impl Eq for Sleeper {}
-impl PartialOrd for Sleeper {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Sleeper {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (other.due, other.seq).cmp(&(self.due, self.seq))
-    }
-}
-
-#[derive(Default)]
-struct ExecState {
-    tasks: HashMap<u64, TaskEntry>,
-    sleepers: BinaryHeap<Sleeper>,
-    next_id: u64,
-    next_seq: u64,
-    /// True while a driver actor is alive. The driver exits when its last
-    /// task completes and is respawned by the next `spawn`.
-    driver_live: bool,
-    driver_gen: u64,
-    spawned_total: u64,
-    peak_live: usize,
-}
-
-struct ExecInner {
-    rt: Arc<dyn Runtime>,
-    name: String,
-    ready: Channel<u64>,
-    state: Mutex<ExecState>,
 }
 
 /// Lifetime counters for one executor.
@@ -167,274 +107,102 @@ pub struct TaskStats {
     pub live: usize,
 }
 
-/// Completion handle for one spawned task.
-pub struct TaskHandle {
+/// A spawned task as its runtime keeps it: the state machine, taken out for
+/// each poll, plus what names it and publishes its completion. Built by
+/// [`TaskExecutor::spawn`], consumed by [`Runtime::spawn_task`].
+pub struct TaskCell {
+    pub(crate) task: Option<Box<dyn Task>>,
+    exec: Arc<ExecShared>,
+    n: u64,
     done: Event,
 }
+
+/// What a [`TaskExecutor`] shares with the tasks it spawned.
+struct ExecShared {
+    rt: Arc<dyn Runtime>,
+    name: String,
+    stats: Mutex<TaskStats>,
+}
+
+impl TaskCell {
+    /// The runtime to hand the task in its [`TaskCtx`].
+    pub(crate) fn rt(&self) -> &Arc<dyn Runtime> {
+        &self.exec.rt
+    }
+
+    /// `<executor>/<n>`, for a [`Choice`](crate::Choice), a deadlock row or
+    /// a panic. Formatted on demand: 10⁵ idle tasks carry no 10⁵ strings.
+    pub(crate) fn label(&self) -> String {
+        format!("{}/{}", self.exec.name, self.n)
+    }
+
+    /// The task returned [`TaskStep::Done`]: release its joiners.
+    pub(crate) fn finish(&self) {
+        self.exec.stats.lock().live -= 1;
+        self.done.signal();
+        // Keep signalling so multiple joiners all wake.
+        self.done.notify_all();
+    }
+}
+
+/// Completion handle for one spawned task.
+pub struct TaskHandle(Event);
 
 impl TaskHandle {
     /// Block the calling *actor* (not task) until the task completes.
     pub fn join(&self) {
-        self.done.wait();
+        self.0.wait();
     }
 }
 
-/// Drives any number of [`Task`]s from a single engine actor.
-///
-/// The driver actor is spawned lazily on the first task and exits when the
-/// last live task completes, so an executor parked in a finished
-/// simulation holds no thread. All tasks of one executor run on one
-/// thread: their polls are serialized, which is what makes short
+/// Spawns [`Task`]s onto a runtime under one name and counts them; the
+/// runtime schedules them (see the module docs). Under virtual time one
+/// actor runs at a time, so polls never overlap — which is what makes short
 /// uncontended lock fast-paths safe inside `poll`.
-pub struct TaskExecutor {
-    inner: Arc<ExecInner>,
-}
+pub struct TaskExecutor(Arc<ExecShared>);
 
 impl TaskExecutor {
-    /// An executor whose driver actor is named `name` in diagnostics.
+    /// An executor whose tasks are named `name/<n>` in diagnostics, `n`
+    /// counting from 0 in spawn order.
     pub fn new(rt: &Arc<dyn Runtime>, name: &str) -> TaskExecutor {
-        TaskExecutor {
-            inner: Arc::new(ExecInner {
-                rt: rt.clone(),
-                name: name.to_string(),
-                ready: Channel::new(rt),
-                state: Mutex::new(ExecState::default()),
-            }),
-        }
+        TaskExecutor(Arc::new(ExecShared {
+            rt: rt.clone(),
+            name: name.to_string(),
+            stats: Mutex::default(),
+        }))
     }
 
-    /// Spawn a task. It is queued immediately and first polled when the
-    /// driver actor runs.
+    /// Spawn a task. It is queued immediately and first polled once the
+    /// spawner blocks, behind every actor already ready.
     pub fn spawn(&self, task: Box<dyn Task>) -> TaskHandle {
-        let inner = &self.inner;
-        let done = inner.rt.event();
-        let (start_driver, gen) = {
-            let mut st = inner.state.lock();
-            let id = st.next_id;
-            st.next_id += 1;
-            let waker = Waker {
-                inner: Arc::new(WakerInner {
-                    id,
-                    ready: inner.ready.clone(),
-                    queued: AtomicBool::new(false),
-                }),
-            };
-            st.tasks.insert(
-                id,
-                TaskEntry {
-                    task,
-                    waker: waker.clone(),
-                    done: done.clone(),
-                    sleeping: false,
-                },
-            );
-            st.spawned_total += 1;
-            st.peak_live = st.peak_live.max(st.tasks.len());
-            let start = if st.driver_live {
-                false
-            } else {
-                st.driver_live = true;
-                st.driver_gen += 1;
-                true
-            };
-            // First poll comes through the ready queue like any wake.
-            waker.wake();
-            (start, st.driver_gen)
+        let n = {
+            let mut st = self.0.stats.lock();
+            st.spawned += 1;
+            st.live += 1;
+            st.peak_live = st.peak_live.max(st.live);
+            st.spawned - 1
         };
-        inner.rt.task_spawned();
-        if start_driver {
-            let inner2 = inner.clone();
-            let label = format!("{}/driver-{gen}", inner.name);
-            inner.rt.spawn(&label, Box::new(move || drive(inner2)));
-        }
-        TaskHandle { done }
+        let done = self.0.rt.event();
+        self.0.rt.spawn_task(TaskCell {
+            task: Some(task),
+            exec: self.0.clone(),
+            n,
+            done: done.clone(),
+        });
+        TaskHandle(done)
     }
 
     /// Lifetime counters.
     pub fn stats(&self) -> TaskStats {
-        let st = self.inner.state.lock();
-        TaskStats {
-            spawned: st.spawned_total,
-            peak_live: st.peak_live,
-            live: st.tasks.len(),
-        }
-    }
-}
-
-/// The driver loop: runs ready tasks, sleeps to the earliest task
-/// deadline, exits when no task is left.
-fn drive(inner: Arc<ExecInner>) {
-    let rt = inner.rt.clone();
-    loop {
-        // Fire every sleeper whose deadline has arrived.
-        let now = rt.now();
-        loop {
-            let id = {
-                let mut st = inner.state.lock();
-                match st.sleepers.peek() {
-                    Some(s) if s.due <= now.as_nanos() => {
-                        let s = st.sleepers.pop().expect("peeked");
-                        if let Some(e) = st.tasks.get_mut(&s.id) {
-                            if e.sleeping {
-                                e.sleeping = false;
-                                Some(s.id)
-                            } else {
-                                None // woken early; already queued
-                            }
-                        } else {
-                            None
-                        }
-                    }
-                    _ => break,
-                }
-            };
-            if let Some(id) = id {
-                poll_one(&inner, &rt, id);
-            }
-        }
-        // Drain the ready queue (tasks woken by completions or spawns).
-        while let Some(id) = inner.ready.try_recv() {
-            let runnable = {
-                let mut st = inner.state.lock();
-                match st.tasks.get_mut(&id) {
-                    Some(e) => {
-                        e.waker.inner.queued.store(false, AtOrd::SeqCst);
-                        if e.sleeping {
-                            // Woken ahead of a pending timer: cancel it so
-                            // the stale heap entry is ignored on pop.
-                            e.sleeping = false;
-                        }
-                        true
-                    }
-                    None => false, // late wake for a finished task
-                }
-            };
-            if runnable {
-                poll_one(&inner, &rt, id);
-            }
-        }
-        // Nothing ready: sleep to the next deadline, or park on the ready
-        // channel, or exit if no tasks remain.
-        let next_due = {
-            let mut st = inner.state.lock();
-            // Drop cancelled heap entries so they don't wake us spuriously.
-            while let Some(s) = st.sleepers.peek() {
-                let stale = st.tasks.get(&s.id).map(|e| !e.sleeping).unwrap_or(true);
-                if stale {
-                    st.sleepers.pop();
-                } else {
-                    break;
-                }
-            }
-            if !inner.ready.is_empty() {
-                continue; // raced with a wake while holding the lock
-            }
-            if st.tasks.is_empty() {
-                st.driver_live = false;
-                return;
-            }
-            st.sleepers.peek().map(|s| s.due)
-        };
-        match next_due {
-            Some(due) => {
-                let now = rt.now().as_nanos();
-                if due > now {
-                    // recv_timeout doubles as the timer: an early wake
-                    // delivers a ready id, the timeout fires the sleeper.
-                    if let Ok(Some(id)) = inner.ready.recv_timeout(Dur::from_nanos(due - now)) {
-                        requeue_front(&inner, id);
-                    }
-                }
-            }
-            None => {
-                // All tasks parked: wait indefinitely for a wake.
-                match inner.ready.recv() {
-                    Ok(id) => requeue_front(&inner, id),
-                    Err(_) => return, // channel closed: runtime tearing down
-                }
-            }
-        }
-    }
-}
-
-/// A ready id pulled out by the blocking waits goes back to the front of
-/// the loop via a direct poll (the queue flag is still set, keeping
-/// coalescing correct until we clear it).
-fn requeue_front(inner: &Arc<ExecInner>, id: u64) {
-    let rt = inner.rt.clone();
-    let runnable = {
-        let mut st = inner.state.lock();
-        match st.tasks.get_mut(&id) {
-            Some(e) => {
-                e.waker.inner.queued.store(false, AtOrd::SeqCst);
-                e.sleeping = false;
-                true
-            }
-            None => false,
-        }
-    };
-    if runnable {
-        poll_one(inner, &rt, id);
-    }
-}
-
-fn poll_one(inner: &Arc<ExecInner>, rt: &Arc<dyn Runtime>, id: u64) {
-    // Take the task out so `poll` runs without the executor lock held —
-    // completion callbacks fired during the poll may wake other tasks.
-    let (mut task, waker) = {
-        let mut st = inner.state.lock();
-        match st.tasks.get_mut(&id) {
-            Some(e) => {
-                let placeholder: Box<dyn Task> = Box::new(Tombstone);
-                (std::mem::replace(&mut e.task, placeholder), e.waker.clone())
-            }
-            None => return,
-        }
-    };
-    let mut cx = TaskCtx {
-        rt,
-        now: rt.now(),
-        waker,
-    };
-    let step = task.poll(&mut cx);
-    let mut st = inner.state.lock();
-    let Some(e) = st.tasks.get_mut(&id) else {
-        return;
-    };
-    e.task = task;
-    match step {
-        TaskStep::Sleep(d) => {
-            let due = cx.now.as_nanos().saturating_add(d.as_nanos());
-            e.sleeping = true;
-            let seq = st.next_seq;
-            st.next_seq += 1;
-            st.sleepers.push(Sleeper { due, seq, id });
-        }
-        TaskStep::Park => {}
-        TaskStep::Done => {
-            let e = st.tasks.remove(&id).expect("present above");
-            drop(st);
-            e.done.signal();
-            e.done.notify_all();
-            inner.rt.task_finished();
-        }
-    }
-}
-
-/// Placeholder task briefly occupying a slot while the real machine is
-/// being polled; it is never itself polled.
-struct Tombstone;
-impl Task for Tombstone {
-    fn poll(&mut self, _cx: &mut TaskCtx<'_>) -> TaskStep {
-        unreachable!("tombstone task polled")
+        *self.0.stats.lock()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::simulate;
-    use std::sync::atomic::AtomicUsize;
+    use crate::sim::{panic_message, simulate, SimRuntime};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering as AtOrd};
 
     /// Sleeps `n` times then finishes.
     struct Napper {
@@ -490,10 +258,11 @@ mod tests {
         );
     }
 
-    /// Parks until an external completion wakes it.
+    /// Parks until an external completion wakes it, through the waker it
+    /// publishes from `cx.waker`.
     struct WaitsForSignal {
         delivered: Arc<AtomicBool>,
-        armed: bool,
+        published: Arc<Mutex<Option<Waker>>>,
         out: Arc<Mutex<Option<Time>>>,
     }
     impl Task for WaitsForSignal {
@@ -502,7 +271,7 @@ mod tests {
                 *self.out.lock() = Some(cx.now);
                 return TaskStep::Done;
             }
-            self.armed = true;
+            *self.published.lock() = Some(cx.waker.clone());
             TaskStep::Park
         }
     }
@@ -514,23 +283,17 @@ mod tests {
         simulate(move |rt| {
             let ex = TaskExecutor::new(&rt, "ex");
             let delivered = Arc::new(AtomicBool::new(false));
-            let d2 = delivered.clone();
+            let published = Arc::new(Mutex::new(None));
             let h = ex.spawn(Box::new(WaitsForSignal {
-                delivered,
-                armed: false,
+                delivered: delivered.clone(),
+                published: published.clone(),
                 out: o2.clone(),
             }));
-            // Fish the waker out via a second task is overkill here: wake
-            // through a helper actor that flips the flag then re-queues.
-            let waker = {
-                // Reach the waker through the executor state.
-                let st = ex.inner.state.lock();
-                st.tasks.values().next().unwrap().waker.clone()
-            };
             let rt2 = rt.clone();
             crate::runtime::spawn(&rt, "completer", move || {
                 rt2.sleep(Dur::from_millis(25));
-                d2.store(true, AtOrd::SeqCst);
+                delivered.store(true, AtOrd::SeqCst);
+                let waker: Waker = published.lock().clone().expect("parked by now");
                 waker.wake();
             });
             h.join();
@@ -578,29 +341,246 @@ mod tests {
         assert_eq!(done.load(AtOrd::SeqCst), 100_000);
     }
 
+    /// Publishes its waker, then naps once and finishes.
+    struct PublishThenNap {
+        published: Arc<Mutex<Option<Waker>>>,
+        slept: bool,
+    }
+    impl Task for PublishThenNap {
+        fn poll(&mut self, cx: &mut TaskCtx<'_>) -> TaskStep {
+            *self.published.lock() = Some(cx.waker.clone());
+            if std::mem::replace(&mut self.slept, true) {
+                return TaskStep::Done;
+            }
+            TaskStep::Sleep(Dur::from_millis(1))
+        }
+    }
+
     #[test]
-    fn driver_exits_and_respawns_between_waves() {
-        simulate(|rt| {
+    fn late_wakes_touch_nothing_and_a_second_wave_runs_clean() {
+        let sim = SimRuntime::new();
+        sim.run_root(|rt| {
             let ex = TaskExecutor::new(&rt, "waves");
-            let log = Arc::new(Mutex::new(Vec::new()));
-            ex.spawn(Box::new(Napper {
-                left: 1,
-                step: Dur::from_millis(1),
-                log: log.clone(),
-                id: 1,
-            }))
-            .join();
+            let published = Arc::new(Mutex::new(None));
+            let wave = || {
+                ex.spawn(Box::new(PublishThenNap {
+                    published: published.clone(),
+                    slept: false,
+                }))
+                .join();
+            };
+            wave();
+            // A completion racing a finished session: the task is gone, and
+            // each wake must be a lookup that finds nothing and keeps nothing.
+            let stale: Waker = published.lock().take().expect("published at first poll");
+            for _ in 0..10_000 {
+                stale.wake();
+            }
             rt.sleep(Dur::from_millis(5));
-            // First wave drained; the driver actor has exited. A second
-            // spawn must bring it back.
-            ex.spawn(Box::new(Napper {
-                left: 1,
-                step: Dur::from_millis(1),
-                log: log.clone(),
-                id: 2,
-            }))
-            .join();
-            assert_eq!(log.lock().len(), 2);
+            wave();
+            assert_eq!(rt.now(), Time::ZERO + Dur::from_millis(7));
+            let st = ex.stats();
+            assert_eq!((st.spawned, st.live), (2, 0));
         });
+        // Two naps and the root's sleep: no timer, advance or actor was made
+        // of the late wakes, and no thread of the executor's.
+        let s = sim.stats();
+        assert_eq!((s.timers_armed, s.clock_advances), (3, 3));
+        assert_eq!((s.actors_spawned, s.tasks_spawned), (1, 2));
+    }
+
+    /// Run `root` as the root actor beside a thread actor blocked for good;
+    /// return how the root ended and how the bystander did.
+    fn run_beside_a_bystander(
+        root: impl FnOnce(Arc<dyn Runtime>) + Send + 'static,
+    ) -> (String, String) {
+        let sim = SimRuntime::new();
+        let rt = sim.handle();
+        let bystander = Arc::new(Mutex::new(None));
+        let (rt2, b2) = (rt.clone(), bystander.clone());
+        let root = rt.spawn(
+            "root",
+            Box::new(move || {
+                let ev = rt2.event();
+                *b2.lock() = Some(crate::runtime::spawn(&rt2, "bystander", move || ev.wait()));
+                rt2.sleep(Dur::from_millis(1)); // the bystander is parked now
+                root(rt2);
+            }),
+        );
+        sim.wait_done(); // must not hang on the bystander or on a task
+        let msg = |h: crate::JoinHandle| panic_message(&*h.join().expect_err("the run must fail"));
+        let bystander = bystander.lock().take().expect("bystander spawned");
+        (msg(root), msg(bystander))
+    }
+
+    /// Breaks the rule: sleeps through the runtime inside `poll`.
+    struct BlocksInPoll;
+    impl Task for BlocksInPoll {
+        fn poll(&mut self, cx: &mut TaskCtx<'_>) -> TaskStep {
+            cx.rt.sleep(Dur::from_millis(1));
+            TaskStep::Done
+        }
+    }
+
+    #[test]
+    fn a_poll_that_blocks_through_the_runtime_panics_and_poisons() {
+        let (root, bystander) = run_beside_a_bystander(|rt| {
+            let ex = TaskExecutor::new(&rt, "ex");
+            ex.spawn(Box::new(Napper {
+                left: 0,
+                step: Dur::ZERO,
+                log: Default::default(),
+                id: 0,
+            }));
+            ex.spawn(Box::new(BlocksInPoll)).join(); // polled inside this join
+        });
+        let what = "Task::poll blocked through the runtime (ex/1: sleep)";
+        assert_eq!(root, what);
+        assert_eq!(bystander, format!("simulation poisoned: {what}"));
+    }
+
+    struct PanicsInPoll;
+    impl Task for PanicsInPoll {
+        fn poll(&mut self, _cx: &mut TaskCtx<'_>) -> TaskStep {
+            panic!("boom-7")
+        }
+    }
+
+    #[test]
+    fn a_panicking_poll_poisons_and_unwinds_the_polling_thread() {
+        let (root, bystander) = run_beside_a_bystander(|rt| {
+            TaskExecutor::new(&rt, "ex")
+                .spawn(Box::new(PanicsInPoll))
+                .join();
+        });
+        assert_eq!(root, "boom-7", "the unwind resumes on the thread polling");
+        assert_eq!(
+            bystander,
+            "simulation poisoned: panic in a task ex/0: boom-7"
+        );
+    }
+
+    /// Parks at once, its waker handed to nobody.
+    struct ParksForGood;
+    impl Task for ParksForGood {
+        fn poll(&mut self, _cx: &mut TaskCtx<'_>) -> TaskStep {
+            TaskStep::Park
+        }
+    }
+
+    #[test]
+    fn a_hung_swarm_is_a_deadlock_that_names_its_tasks() {
+        let hang = |n: usize| {
+            run_beside_a_bystander(move |rt| {
+                let ex = TaskExecutor::new(&rt, "swarm");
+                let hs: Vec<_> = (0..n).map(|_| ex.spawn(Box::new(ParksForGood))).collect();
+                hs[0].join();
+            })
+            .0
+        };
+        let two = hang(2);
+        assert!(two.starts_with("simulation deadlock at 0.001000s"), "{two}");
+        for row in [
+            "actor #2 \"swarm/0\": blocked on task park",
+            "actor #3 \"swarm/1\": blocked on task park",
+        ] {
+            assert!(two.contains(row), "{two}");
+        }
+        assert!(!two.contains("more"), "{two}");
+        // root, bystander and the first 30 tasks make the 32 rows.
+        let many = hang(100);
+        assert!(many.contains("\"swarm/29\"") && !many.contains("\"swarm/30\""));
+        assert!(
+            many.ends_with("\n  … and 70 more (100 tasks parked)"),
+            "{many}"
+        );
+    }
+
+    /// Always pick the last eligible event, and keep what was offered.
+    #[derive(Default)]
+    struct PickLast(Mutex<Vec<Vec<String>>>);
+    impl crate::ScheduleHook for PickLast {
+        fn choose(&self, _now: Time, _fp: u64, eligible: &[crate::Choice]) -> usize {
+            let labels = eligible.iter().map(crate::Choice::label).collect();
+            self.0.lock().push(labels);
+            eligible.len() - 1
+        }
+    }
+
+    #[test]
+    fn task_timers_are_choices_a_schedule_hook_can_reorder() {
+        let order = |hook: Option<Arc<PickLast>>| {
+            let sim = SimRuntime::new();
+            if let Some(h) = hook {
+                sim.set_schedule_hook(h, Dur::ZERO);
+            }
+            sim.run_root(|rt| {
+                let ex = TaskExecutor::new(&rt, "ex");
+                let log = Arc::new(Mutex::new(Vec::new()));
+                let hs: Vec<_> = (0..2)
+                    .map(|id| {
+                        ex.spawn(Box::new(Napper {
+                            left: 1,
+                            step: Dur::from_millis(5),
+                            log: log.clone(),
+                            id,
+                        }))
+                    })
+                    .collect();
+                hs.iter().for_each(TaskHandle::join);
+                let got: Vec<u32> = log.lock().iter().map(|&(id, _)| id).collect();
+                got
+            })
+        };
+        assert_eq!(order(None), [0, 1], "arm order without a hook");
+        let hook = Arc::new(PickLast::default());
+        assert_eq!(order(Some(hook.clone())), [1, 0]);
+        assert_eq!(
+            *hook.0.lock(),
+            [["ex/0/task sleep", "ex/1/task sleep"]],
+            "one choice point, both tasks offered"
+        );
+    }
+
+    #[test]
+    fn tasks_run_on_the_wall_clock_runtime_too() {
+        let rt: Arc<dyn Runtime> = crate::RealRuntime::new().handle();
+        let ex = TaskExecutor::new(&rt, "real");
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let nap = ex.spawn(Box::new(Napper {
+            left: 2,
+            step: Dur::from_millis(5),
+            log: log.clone(),
+            id: 1,
+        }));
+        let delivered = Arc::new(AtomicBool::new(false));
+        let published = Arc::new(Mutex::new(None));
+        let out = Arc::new(Mutex::new(None));
+        let wait = ex.spawn(Box::new(WaitsForSignal {
+            delivered: delivered.clone(),
+            published: published.clone(),
+            out: out.clone(),
+        }));
+        nap.join();
+        let (_, at) = log.lock()[0];
+        assert!(
+            at >= Time::ZERO + Dur::from_millis(10),
+            "two 5 ms naps: {at}"
+        );
+        // The waiter has been polled by now or will be; either way it cannot
+        // finish before the flag is up, and the wake after it releases it.
+        let waker: Waker = loop {
+            match published.lock().clone() {
+                Some(w) => break w,
+                None => std::thread::yield_now(),
+            }
+        };
+        assert_eq!(ex.stats().live, 1);
+        delivered.store(true, AtOrd::SeqCst);
+        waker.wake();
+        wait.join();
+        assert!(out.lock().is_some());
+        let st = ex.stats();
+        assert_eq!((st.spawned, st.peak_live, st.live), (2, 2, 0));
     }
 }

@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use semplar_runtime::sync::{Barrier, Channel, RtMutex};
-use semplar_runtime::{simulate, spawn, Dur};
+use semplar_runtime::{simulate, spawn, Dur, Task, TaskCtx, TaskExecutor, TaskStep};
 
 #[test]
 fn chaotic_actor_mix_always_drains() {
@@ -69,24 +69,56 @@ fn chaotic_actor_mix_always_drains() {
     }
 }
 
+/// A producer as a state machine: the thread producers' loop, one
+/// iteration per poll.
+struct TaskProducer {
+    p: u64,
+    sent: u64,
+    ch: Channel<u64>,
+}
+
+impl Task for TaskProducer {
+    fn poll(&mut self, _cx: &mut TaskCtx<'_>) -> TaskStep {
+        if self.sent > 0 {
+            self.ch.send(self.p * 100 + self.sent - 1).unwrap();
+        }
+        if self.sent == 20 {
+            return TaskStep::Done;
+        }
+        self.sent += 1;
+        TaskStep::Sleep(Dur::from_micros(10))
+    }
+}
+
 /// Six producers wake on the same twenty instants and feed one channel
 /// drained by two consumers; returns every `(virtual ns, consumer,
-/// message)` in the order it was logged.
-fn same_instant_collision_log() -> Vec<(u64, u64, u64)> {
-    simulate(|rt| {
+/// message)` in the order it was logged. With `mixed`, every other
+/// producer is a task, so the same instants collide across both kinds of
+/// actor body.
+fn same_instant_collision_log(mixed: bool) -> Vec<(u64, u64, u64)> {
+    simulate(move |rt| {
         let log = Arc::new(Mutex::new(Vec::new()));
         let ch: Channel<u64> = Channel::new(&rt);
-        let producers: Vec<_> = (0..6u64)
-            .map(|p| {
-                let (rt2, ch2) = (rt.clone(), ch.clone());
-                spawn(&rt, &format!("prod{p}"), move || {
-                    for i in 0..20 {
-                        rt2.sleep(Dur::from_micros(10));
-                        ch2.send(p * 100 + i).unwrap();
-                    }
-                })
-            })
-            .collect();
+        let ex = TaskExecutor::new(&rt, "prod");
+        let (mut producers, mut task_producers) = (Vec::new(), Vec::new());
+        for p in 0..6u64 {
+            let (rt2, ch2) = (rt.clone(), ch.clone());
+            if mixed && p % 2 == 1 {
+                let task = TaskProducer {
+                    p,
+                    sent: 0,
+                    ch: ch2,
+                };
+                task_producers.push(ex.spawn(Box::new(task)));
+                continue;
+            }
+            producers.push(spawn(&rt, &format!("prod{p}"), move || {
+                for i in 0..20 {
+                    rt2.sleep(Dur::from_micros(10));
+                    ch2.send(p * 100 + i).unwrap();
+                }
+            }));
+        }
         let consumers: Vec<_> = (0..2u64)
             .map(|c| {
                 let (rt2, ch2, log2) = (rt.clone(), ch.clone(), log.clone());
@@ -99,6 +131,9 @@ fn same_instant_collision_log() -> Vec<(u64, u64, u64)> {
             .collect();
         for p in producers {
             p.join_unwrap();
+        }
+        for p in task_producers {
+            p.join();
         }
         ch.close();
         for c in consumers {
@@ -124,16 +159,31 @@ fn same_instant_order_repeats_under_host_load() {
             })
         })
         .collect();
-    let first = same_instant_collision_log();
-    let repeats: Vec<_> = (0..10).map(|_| same_instant_collision_log()).collect();
+    let runs = [false, true].map(|mixed| {
+        let first = same_instant_collision_log(mixed);
+        let repeats: Vec<_> = (0..10).map(|_| same_instant_collision_log(mixed)).collect();
+        (mixed, first, repeats)
+    });
     stop.store(true, Ordering::Relaxed);
     for s in spinners {
         s.join().unwrap();
     }
-    assert_eq!(first.len(), 120);
-    for (i, r) in repeats.iter().enumerate() {
-        assert_eq!(r, &first, "repeat {i} interleaved differently");
+    for (mixed, first, repeats) in &runs {
+        assert_eq!(first.len(), 120);
+        for (i, r) in repeats.iter().enumerate() {
+            assert_eq!(
+                r, first,
+                "mixed={mixed}: repeat {i} interleaved differently"
+            );
+        }
     }
+    // Same instants, same messages, whichever kind of body sent them.
+    let sorted = |log: &[(u64, u64, u64)]| {
+        let mut v: Vec<_> = log.iter().map(|&(t, _, m)| (t, m)).collect();
+        v.sort_unstable();
+        v
+    };
+    assert_eq!(sorted(&runs[0].1), sorted(&runs[1].1));
 }
 
 #[test]

@@ -11,14 +11,16 @@
 //! deterministic and the counterexample pipeline round-trips.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
+use semplar_repro::clusters::{das2, Testbed};
 use semplar_repro::mc::{
     explore, BrokenInvariant, ChoiceRecord, ExploreCfg, FederationScenario, LeaseScenario, McTrace,
     PromotionScenario, Scenario, ScriptHook,
 };
-use semplar_repro::runtime::Dur;
+use semplar_repro::runtime::{Dur, SimRuntime, Task, TaskCtx, TaskExecutor, TaskStep};
+use semplar_repro::workloads::{run_swarm, SwarmParams};
 
 fn scenario(seed: u64, crash_ms: u64, down_ms: u64) -> FederationScenario {
     let mut sc = FederationScenario::quick(seed);
@@ -54,6 +56,122 @@ proptest! {
         prop_assert_eq!(&plain.replica_sums, &hooked.replica_sums);
         prop_assert_eq!(plain, hooked, "full observation must be bit-identical");
     }
+
+    /// The same pin for a swarm, whose sessions are tasks: their timers are
+    /// choices now, and index 0 at each is still the plain engine's order.
+    #[test]
+    fn default_strategy_reproduces_a_swarm(seed in 0u64..1000) {
+        let swarm = |hook: Option<Arc<ScriptHook>>| {
+            let sim = SimRuntime::new();
+            if let Some(h) = hook {
+                // Arrivals never tie, so give the hook a window that
+                // gathers neighbouring sessions' timers into one point.
+                sim.set_schedule_hook(h, Dur::from_micros(300));
+            }
+            let report = sim.run_root(move |rt| {
+                let params = SwarmParams {
+                    clients: 6,
+                    streams_per_node: 3,
+                    think: Dur::from_micros(50),
+                    seed,
+                    ..SwarmParams::quick()
+                };
+                run_swarm(&Testbed::new(rt, das2(), 2), &params)
+            });
+            (format!("{report:?}"), sim.stats().choice_points)
+        };
+        let (plain, plain_points) = swarm(None);
+        let hook = ScriptHook::default_schedule();
+        let (hooked, hooked_points) = swarm(Some(hook.clone()));
+        prop_assert_eq!(plain_points, 0, "plain engine has no choice points");
+        prop_assert!(hooked_points > 0, "hook saw no choice points");
+        let offered = hook.records().into_iter().flat_map(|r| r.eligible);
+        prop_assert!(
+            offered.filter(|l| l.ends_with("/task sleep")).count() >= 2,
+            "no point offered the hook two sessions' timers"
+        );
+        prop_assert!(plain.contains("ok: true") && !plain.contains("ok: false"));
+        prop_assert_eq!(plain, hooked);
+    }
+}
+
+/// Two tasks of one executor nap 5 ms and so come due at one instant; the
+/// planted invariant claims the one spawned first always finishes first.
+struct TwoTaskRace {
+    planted: bool,
+}
+
+struct Napper {
+    id: u32,
+    slept: bool,
+    finished: Arc<Mutex<Vec<u32>>>,
+}
+
+impl Task for Napper {
+    fn poll(&mut self, _cx: &mut TaskCtx<'_>) -> TaskStep {
+        if std::mem::replace(&mut self.slept, true) {
+            self.finished.lock().unwrap().push(self.id);
+            return TaskStep::Done;
+        }
+        TaskStep::Sleep(Dur::from_millis(5))
+    }
+}
+
+impl Scenario for TwoTaskRace {
+    fn name(&self) -> &str {
+        "two-task-race"
+    }
+
+    fn run(&self, hook: Arc<ScriptHook>) -> Result<(), String> {
+        let sim = SimRuntime::new();
+        sim.set_schedule_hook(hook, Dur::ZERO);
+        let finished = sim.run_root(|rt| {
+            let ex = TaskExecutor::new(&rt, "race");
+            let finished = Arc::new(Mutex::new(Vec::new()));
+            let hs: Vec<_> = (0..2)
+                .map(|id| {
+                    ex.spawn(Box::new(Napper {
+                        id,
+                        slept: false,
+                        finished: finished.clone(),
+                    }))
+                })
+                .collect();
+            hs.iter().for_each(|h| h.join());
+            let order = finished.lock().unwrap().clone();
+            order
+        });
+        if self.planted && finished != [0, 1] {
+            return Err(format!("task 0 must finish first, saw {finished:?}"));
+        }
+        Ok(())
+    }
+}
+
+/// Task timers are explorable: `explore` reorders two tasks of one
+/// executor that come due together, finds the planted violation, and its
+/// trace replays to it; the default schedule is clean.
+#[test]
+fn explore_finds_a_two_task_same_instant_race() {
+    let racy = TwoTaskRace { planted: true };
+    assert_eq!(racy.run(ScriptHook::default_schedule()), Ok(()));
+    let report = explore(&racy, &ExploreCfg::default());
+    assert_eq!(report.violations, 1);
+    let trace = report.counterexample.expect("violation must be found");
+    let trace = McTrace::parse(&trace.serialize()).expect("trace parses");
+    let replay = ScriptHook::follow(trace.choices.clone());
+    assert_eq!(
+        racy.run(replay.clone()),
+        Err("task 0 must finish first, saw [1, 0]".into())
+    );
+    let point = &replay.records()[0];
+    assert_eq!(point.eligible, ["race/0/task sleep", "race/1/task sleep"]);
+    assert_eq!(point.label, "race/1/task sleep");
+    assert_eq!(
+        TwoTaskRace { planted: false }.run(ScriptHook::follow(trace.choices)),
+        Ok(()),
+        "same schedule, invariant restored: must pass"
+    );
 }
 
 /// Bounded exploration of the federation crash scenario is deterministic:
