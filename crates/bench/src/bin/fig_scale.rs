@@ -30,8 +30,8 @@ fn aggregate_mbps(clients: usize, bytes: u64, secs: f64) -> f64 {
 /// Actor-mode scale-out: the sessions arrive open-loop (heavy-tailed gaps
 /// around 500 µs, seeded), each opens its own object over the node's
 /// shared pool, writes 64 KiB, closes, and retires — all as poll-style
-/// tasks on a single executor, so the OS-thread footprint is the node
-/// count plus the pool daemons, not the client count.
+/// tasks on a single executor, as are the streams' demultiplexers and
+/// senders and the server's handlers: the run is one OS thread.
 fn run_actors(quick: bool) {
     let bytes = 64 * 1024u64;
     let (streams, inflight) = (8, 64);

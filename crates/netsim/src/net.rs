@@ -4,7 +4,9 @@
 //! moves data by calling [`Network::transfer`] (or the latency-inclusive
 //! [`Network::send_message`]): the engine inserts a flow, recomputes the
 //! max-min fair allocation, and the calling actor sleeps until its flow
-//! drains. Whenever any flow starts or finishes, every affected flow's
+//! drains. Each of the two is one step machine (`poll_flow`, and over it
+//! [`Network::poll_message`], which a task calls from its own `poll`) that a
+//! thread drives by blocking in every step it returns. Whenever any flow starts or finishes, every affected flow's
 //! progress is settled at the current instant and its owner re-arms its
 //! completion timer against the new rate — a standard fluid ("piecewise
 //! constant rate") model.
@@ -27,7 +29,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use semplar_runtime::{Dur, Event, Runtime, Time};
+use semplar_runtime::{Dur, Event, Runtime, TaskStep, Time};
 
 use crate::fair::{max_min_rates, FlowSpec, Workspace};
 
@@ -732,90 +734,161 @@ impl Network {
     /// Move `bytes` through `path` with full options (per-flow cap and I/O
     /// bus tags for the contention model).
     pub fn transfer_opts(&self, path: &[LinkId], bytes: u64, opts: &XferOpts) {
-        self.transfer_units_opts(
-            path,
-            bytes as f64 * 8.0,
-            opts.cap.map(|b| b.as_bps()),
-            &opts.buses,
-        );
+        self.drain(self.begin_opts(path, bytes, opts));
     }
 
     /// Like [`Network::transfer`] but in raw capacity units (used by the CPU
     /// model, where a "unit" is one core-nanosecond of work).
     pub fn transfer_units(&self, path: &[LinkId], units: f64, flow_cap: Option<f64>) {
-        self.transfer_units_opts(path, units, flow_cap, &[]);
+        self.drain(self.begin_units(path, units, flow_cap, &[]));
     }
 
-    fn transfer_units_opts(
+    /// The blocking driver of `poll_flow`.
+    fn drain(&self, flow: Option<Flow>) {
+        let Some(flow) = flow else { return };
+        while let Some(step) = self.poll_flow(&flow) {
+            step.block(&self.rt);
+        }
+    }
+
+    /// Start moving `bytes` through `path` without blocking: the flow is
+    /// inserted and every rate it disturbs recomputed now; its owner — a
+    /// task's [`Message`], or a thread in [`Network::transfer_opts`] — then
+    /// drives it with `poll_flow`. `None` when there is nothing to move:
+    /// an empty transfer is no flow and no event.
+    fn begin_opts(&self, path: &[LinkId], bytes: u64, opts: &XferOpts) -> Option<Flow> {
+        let cap = opts.cap.map(|b| b.as_bps());
+        self.begin_units(path, bytes as f64 * 8.0, cap, &opts.buses)
+    }
+
+    fn begin_units(
         &self,
         path: &[LinkId],
         units: f64,
         flow_cap: Option<f64>,
         buses: &[(BusId, DeviceClass)],
-    ) {
+    ) -> Option<Flow> {
         if units <= 0.0 {
-            return;
+            return None;
         }
         let ev = self.rt.event();
-        let slot = {
-            let mut g = self.inner.lock();
-            let now = self.rt.now();
-            Self::begin_flow_locked(
-                &mut g,
-                now,
-                path.iter().map(|l| l.0).collect(),
-                flow_cap,
-                units,
-                ev.clone(),
-                buses.iter().map(|&(b, c)| (b.0, c)).collect(),
-            )
-        };
-        loop {
-            let wait = {
-                let mut g = self.inner.lock();
-                let now = self.rt.now();
-                match g.mode {
-                    // The batch engine settles the world at every poll (the
-                    // original behaviour); the incremental engine settles
-                    // only this flow — nobody else's rate is changing.
-                    AllocMode::Batch => Self::settle_all(&mut g, now),
-                    AllocMode::Incremental => Self::settle_flow(&mut g, slot, now),
-                }
-                let f = g.slots[slot].as_ref().expect("own flow vanished");
-                if f.bits_rem <= DONE_BITS {
-                    Self::end_flow_locked(&mut g, now, slot);
-                    return;
-                }
-                if f.rate <= MIN_RATE {
-                    None // stalled: wait for a recompute signal
-                } else {
-                    // +1ns guards against round-down re-poll spinning.
-                    Some(Dur::from_secs_f64(f.bits_rem / f.rate) + Dur::from_nanos(1))
-                }
-            };
-            match wait {
-                Some(d) => {
-                    let _ = ev.wait_timeout(d);
-                }
-                None => ev.wait(),
-            }
+        let mut g = self.inner.lock();
+        let now = self.rt.now();
+        let slot = Self::begin_flow_locked(
+            &mut g,
+            now,
+            path.iter().map(|l| l.0).collect(),
+            flow_cap,
+            units,
+            ev.clone(),
+            buses.iter().map(|&(b, c)| (b.0, c)).collect(),
+        );
+        Some(Flow { slot, ev })
+    }
+
+    /// Settle `flow` to the present. `None`: it has drained, and has been
+    /// removed and its bandwidth redistributed — do not poll it again.
+    /// Otherwise the step to block in before the next poll: until the flow
+    /// would drain at its current rate, or — stalled — until a recompute
+    /// signals a new one; a rate change cuts either short.
+    fn poll_flow(&self, flow: &Flow) -> Option<TaskStep> {
+        let mut g = self.inner.lock();
+        let now = self.rt.now();
+        match g.mode {
+            // The batch engine settles the world at every poll (the
+            // original behaviour); the incremental engine settles
+            // only this flow — nobody else's rate is changing.
+            AllocMode::Batch => Self::settle_all(&mut g, now),
+            AllocMode::Incremental => Self::settle_flow(&mut g, flow.slot, now),
         }
+        let f = g.slots[flow.slot].as_ref().expect("own flow vanished");
+        if f.bits_rem <= DONE_BITS {
+            Self::end_flow_locked(&mut g, now, flow.slot);
+            return None;
+        }
+        // +1ns guards against round-down re-poll spinning.
+        let wait = (f.rate > MIN_RATE)
+            .then(|| Dur::from_secs_f64(f.bits_rem / f.rate) + Dur::from_nanos(1));
+        Some(TaskStep::Wait(flow.ev.clone(), wait))
     }
 
     /// Deliver a `bytes`-sized message over `path`: one-way latency plus the
     /// fluid transfer time. This is the building block for protocol messages
     /// (SRB requests/responses, MPI sends).
     pub fn send_message(&self, path: &[LinkId], bytes: u64, flow_cap: Option<Bw>) {
-        let lat = self.path_latency(path);
-        self.rt.sleep(lat);
-        self.transfer(path, bytes, flow_cap);
+        let opts = XferOpts {
+            cap: flow_cap,
+            buses: Vec::new(),
+        };
+        self.send_message_opts(path, bytes, &opts);
     }
 
     /// [`Network::send_message`] with bus tags for the contention model.
     pub fn send_message_opts(&self, path: &[LinkId], bytes: u64, opts: &XferOpts) {
-        let lat = self.path_latency(path);
-        self.rt.sleep(lat);
-        self.transfer_opts(path, bytes, opts);
+        let mut msg = Message::new(bytes);
+        while let Some(step) = self.poll_message(&mut msg, path, opts) {
+            step.block(&self.rt);
+        }
+    }
+
+    /// Advance `msg` on its way over `path`: `None` once it has been
+    /// delivered, otherwise the step to block in before the next poll.
+    pub fn poll_message(
+        &self,
+        msg: &mut Message,
+        path: &[LinkId],
+        opts: &XferOpts,
+    ) -> Option<TaskStep> {
+        loop {
+            match &msg.0 {
+                &MsgState::New(bytes) => {
+                    msg.0 = MsgState::Latent(bytes);
+                    let lat = self.path_latency(path);
+                    if !lat.is_zero() {
+                        return Some(TaskStep::Sleep(lat));
+                    }
+                }
+                &MsgState::Latent(bytes) => {
+                    msg.0 = MsgState::Wire(self.begin_opts(path, bytes, opts));
+                }
+                MsgState::Wire(flow) => {
+                    let step = flow.as_ref().and_then(|f| self.poll_flow(f));
+                    if step.is_none() {
+                        msg.0 = MsgState::Wire(None);
+                    }
+                    return step;
+                }
+            }
+        }
+    }
+}
+
+/// A transfer in progress on a [`Network`]: made by `begin_opts`, driven
+/// by `poll_flow`.
+struct Flow {
+    slot: usize,
+    /// Signalled whenever a recompute changes this flow's rate.
+    ev: Event,
+}
+
+/// One protocol message in flight — the one-way latency, then the fluid
+/// transfer — as a step machine: [`Network::poll_message`] drives it, from
+/// a task's `poll` or from the blocking [`Network::send_message_opts`].
+pub struct Message(MsgState);
+
+enum MsgState {
+    /// Not sent yet.
+    New(u64),
+    /// The latency has been slept (or was zero); the bytes go next.
+    Latent(u64),
+    /// On the wire; `None` once delivered (or with nothing to move).
+    Wire(Option<Flow>),
+}
+
+impl Message {
+    /// A message of `bytes` bytes, not yet sent.
+    pub fn new(bytes: u64) -> Message {
+        Message(MsgState::New(bytes))
     }
 }
 
@@ -968,6 +1041,71 @@ mod tests {
             rt.now() - t0
         });
         assert!((secs(elapsed) - 1.0).abs() < 1e-6, "{elapsed}");
+    }
+
+    /// A message sent by a task: `poll_message` driven from `poll`, where a
+    /// thread would block in `send_message_opts`.
+    struct Send {
+        net: Arc<Network>,
+        path: Vec<LinkId>,
+        msg: Message,
+        done: Arc<Mutex<Vec<(u64, Time)>>>,
+        id: u64,
+    }
+    impl semplar_runtime::Task for Send {
+        fn poll(&mut self, cx: &mut semplar_runtime::TaskCtx<'_>) -> TaskStep {
+            let opts = XferOpts::default();
+            match self.net.poll_message(&mut self.msg, &self.path, &opts) {
+                Some(step) => step,
+                None => {
+                    self.done.lock().push((self.id, cx.now));
+                    TaskStep::Done
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_task_polling_a_flow_and_a_thread_blocking_in_it_keep_the_same_time() {
+        // Three competing messages — 1, 2 and 3 MB over one 8 Mb/s link
+        // with latency, so every departure re-rates the others — sent by
+        // threads, or the second of them by a task.
+        let run = |task: bool| {
+            let sim = semplar_runtime::SimRuntime::new();
+            let out = sim.run_root(move |rt| {
+                let net = Network::new(rt.clone());
+                let l = net.add_link("wan", Bw::mbps(8.0), Dur::from_millis(5));
+                let done = Arc::new(Mutex::new(Vec::new()));
+                let ex = semplar_runtime::TaskExecutor::new(&rt, "send");
+                let (mut threads, mut tasks) = (Vec::new(), Vec::new());
+                for id in 1..=3u64 {
+                    let (net2, done2, rt2) = (net.clone(), done.clone(), rt.clone());
+                    if task && id == 2 {
+                        tasks.push(ex.spawn(Box::new(Send {
+                            net: net2,
+                            path: vec![l],
+                            msg: Message::new(id * 1_000_000),
+                            done: done2,
+                            id,
+                        })));
+                        continue;
+                    }
+                    threads.push(spawn(&rt, &format!("send{id}"), move || {
+                        net2.send_message(&[l], id * 1_000_000, None);
+                        done2.lock().push((id, rt2.now()));
+                    }));
+                }
+                threads.into_iter().for_each(|h| h.join_unwrap());
+                tasks.iter().for_each(|h| h.join());
+                let finished = done.lock().clone();
+                (finished, net.stats().recomputes, net.stats().signals)
+            });
+            let s = sim.stats();
+            (out, s.clock_advances, s.timers_armed)
+        };
+        let threads = run(false);
+        assert_eq!((threads.0).0.len(), 3);
+        assert_eq!(run(true), threads, "completion instants and engine work");
     }
 
     #[test]

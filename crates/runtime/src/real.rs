@@ -67,21 +67,26 @@ impl Runtime for RealRuntime {
     }
 
     /// A task is a loop on a thread of its own: poll, then sleep or wait on
-    /// the event its [`Waker`] signals, which also cuts a sleep short.
+    /// the event its [`Waker`] signals, which also cuts a sleep short — or
+    /// on the event the task itself names.
     fn spawn_task(&self, mut cell: TaskCell) {
         let mut task = cell.task.take().expect("a fresh cell holds its task");
         let (rt, wake, name) = (self.handle(), self.event(), cell.label());
+        let mut waited = None;
         let poll_loop = move || loop {
             let waker = Waker(WakerKind::Real(wake.clone()));
             let now = rt.now();
-            match task.poll(&mut TaskCtx {
+            let step = task.poll(&mut TaskCtx {
                 rt: &rt,
                 now,
                 waker,
-            }) {
+                wake: waited.take(),
+            });
+            match step {
                 TaskStep::Sleep(d) => drop(wake.wait_timeout(d)),
                 TaskStep::Park => wake.wait(),
                 TaskStep::Done => return,
+                wait @ TaskStep::Wait(..) => waited = wait.block(&rt),
             }
         };
         // Joiners are released when the loop ends, by `Done` or by a panic.
@@ -179,6 +184,10 @@ impl EventApi for RealEvent {
         g.broadcast_gen += 1;
         drop(g);
         self.cond.notify_all();
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
     }
 }
 

@@ -6,10 +6,12 @@
 //! interchangeable execution modes:
 //!
 //! * [`SimRuntime`](crate::SimRuntime): virtual time. Code that needs a
-//!   stack (the paper's compute and I/O threads, an MPI rank, a server
-//!   handler) is a real OS thread, one of which runs at a time; a
-//!   [`Task`](crate::Task) state machine is polled by the dispatcher. The
-//!   clock jumps to the next pending timer whenever all actors are blocked.
+//!   stack (the paper's compute and I/O threads, an MPI rank) is a real OS
+//!   thread, one of which runs at a time; an entity that only waits (a
+//!   server's connection handler, a stream's demultiplexer and sender, a
+//!   swarm client) is a [`Task`](crate::Task) state machine polled by the
+//!   dispatcher. The clock jumps to the next pending timer whenever all
+//!   actors are blocked.
 //!   Experiments over transoceanic links finish in milliseconds of wall time
 //!   and produce the same interleaving, hence the same timings, every run.
 //! * [`RealRuntime`](crate::RealRuntime): wall-clock time, plain
@@ -63,6 +65,11 @@ pub trait EventApi: Send + Sync {
 
     /// Wake every currently blocked waiter without banking permits.
     fn notify_all(&self);
+
+    /// The concrete cell, so the engine that made it can block a
+    /// [`Task`](crate::Task) on it ([`TaskStep::Wait`](crate::TaskStep::Wait)).
+    #[doc(hidden)]
+    fn as_any(&self) -> &dyn Any;
 }
 
 /// A shared handle to an event cell.
@@ -157,7 +164,7 @@ pub trait Runtime: Send + Sync {
     /// Spawn a *daemon* actor: one that does not keep the simulation alive.
     /// Under virtual time, when only daemons remain blocked with no pending
     /// timer, they are unwound cleanly and the simulation completes. Use for
-    /// server-side connection handlers and other request-driven loops.
+    /// request-driven loops that need a stack.
     /// Under wall-clock time this is a plain spawn (daemon threads simply
     /// die with the process).
     fn spawn_daemon(&self, name: &str, f: Box<dyn FnOnce() + Send + 'static>) -> JoinHandle {

@@ -3,14 +3,15 @@
 //! # Model
 //!
 //! The engine is a plain discrete-event dispatcher over *actors*. An actor
-//! with a stack (an MPI rank, an SRB server connection handler, a SEMPLAR
-//! I/O thread) is a **real OS thread**, the engine's coroutine; one that
-//! only ever waits (a swarm client session) is a poll-style
-//! [`Task`](crate::Task) state machine. Exactly one actor holds the *baton*
-//! and runs; every other thread is parked. Actors may only block through
-//! the engine — a thread via [`Runtime::sleep`] or an engine-created
-//! [`Event`], a task by returning a [`TaskStep`] — and the baton moves only
-//! when its holder blocks or exits. Then one loop, `dispatch`, hands it on:
+//! with a stack (an MPI rank, a SEMPLAR compute or I/O thread) is a **real
+//! OS thread**, the engine's coroutine; one that only ever waits (a swarm
+//! client session, a server connection handler, a stream's demultiplexer and
+//! sender) is a poll-style [`Task`](crate::Task) state machine. Exactly one
+//! actor holds the *baton* and runs; every other thread is parked. Actors
+//! may only block through the engine — a thread via [`Runtime::sleep`] or an
+//! engine-created [`Event`], a task by returning a [`TaskStep`] that sleeps
+//! or waits on such an event — and the baton moves only when its holder
+//! blocks or exits. Then one loop, `dispatch`, hands it on:
 //!
 //! * to the head of the **ready queue** — actors woken by a signal, a
 //!   broadcast, a [`Waker`] or a timer, and freshly spawned ones, in the
@@ -48,7 +49,7 @@
 //! virtual time (for the WAN-scale experiments) and wall-clock time (unit
 //! tests, examples) without modification. So threads are for code that
 //! needs a stack — those compute and I/O threads, MPI ranks,
-//! `CompressedWriter`, server handlers — and a state machine costs none.
+//! `CompressedWriter` — and a state machine costs none.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -85,6 +86,8 @@ const SLOT_PENDING: u8 = 0;
 const SLOT_SIGNALED: u8 = 1;
 const SLOT_TIMEOUT: u8 = 2;
 const SLOT_SHUTDOWN: u8 = 3;
+/// A [`Waker`] cut the wait short: neither a permit nor the timeout.
+const SLOT_WAKER: u8 = 4;
 
 /// Panic payload used to unwind daemon actors at simulation quiescence.
 /// The spawn wrapper recognizes it and treats the exit as clean.
@@ -95,7 +98,7 @@ struct ShutdownSignal;
 /// A slot is pending only while its owner is blocked on it: registering it
 /// (in an event's waiter list, the timer heap) and blocking happen under
 /// one hold of the engine lock.
-struct WaitSlot {
+pub(crate) struct WaitSlot {
     state: AtomicU8,
     actor: u64,
     /// Explicit [`Runtime::schedule_point`] label, if this wait is one.
@@ -113,6 +116,15 @@ impl WaitSlot {
 
     fn is_woken(&self) -> bool {
         self.state.load(AtOrd::Relaxed) != SLOT_PENDING
+    }
+
+    /// How the wait ended, as the waiter is told.
+    fn wake(&self) -> Option<Wake> {
+        match self.state.load(AtOrd::Relaxed) {
+            SLOT_SIGNALED => Some(Wake::Signaled),
+            SLOT_TIMEOUT => Some(Wake::Timeout),
+            _ => None,
+        }
     }
 }
 
@@ -191,9 +203,9 @@ pub trait ScheduleHook: Send + Sync {
 }
 
 struct ActorInfo {
-    /// Daemon actors (e.g. server connection handlers parked on their
+    /// Daemon actors (e.g. server connection handlers idle on their
     /// request channel) do not keep the simulation alive: when only daemons
-    /// remain blocked and no timer is pending, they are unwound cleanly.
+    /// remain, the blocked ones are unwound (threads) or dropped (tasks).
     daemon: bool,
     /// What the actor is blocked on (for diagnostics) and the wait itself
     /// (so poison and quiescence can release it); `None` while the actor
@@ -363,7 +375,7 @@ impl Engine {
             // heartbeat loop, a periodic monitor) must not advance the
             // clock forever. Unwind instead.
             if st.live_nondaemon == 0 {
-                self.quiesce(&mut st);
+                st = self.quiesce(st);
                 continue;
             }
             // Drop events whose waiters were already woken by a signal.
@@ -390,35 +402,39 @@ impl Engine {
     }
 
     /// Poll task `id`, which holds the baton, on this thread with the engine
-    /// unlocked; then apply the step it returns and free the baton. For the
-    /// poll the task's id is the thread's current actor, so a blocking call
-    /// made inside it reaches `block` under that id and is refused there.
+    /// unlocked; then apply the step it returns and free the baton — unless
+    /// a banked permit (or a zero timeout) ends the wait it asks for at
+    /// once, as a thread's `wait()` returns without yielding: then it is
+    /// polled again, baton kept. For the poll the task's id is the thread's
+    /// current actor, so a blocking call made inside it reaches `block`
+    /// under that id and is refused there.
     fn poll_task<'a>(self: &'a Arc<Self>, mut st: Guard<'a>, id: u64) -> Guard<'a> {
         let now = Time(st.now);
-        st.rewake = false;
         let cell = st.task_cell(id);
         let mut task = cell.task.take().expect("one poll of a task at a time");
+        let mut wake = cell.wait.take().and_then(|slot| slot.wake());
         let rt = cell.rt().clone();
-        drop(st);
-        let outer = CURRENT_ACTOR.with(|c| c.replace(Some(id)));
-        let waker = Waker(WakerKind::Sim(self.clone(), id));
-        let mut cx = TaskCtx {
-            rt: &rt,
-            now,
-            waker,
-        };
-        let step = catch_unwind(AssertUnwindSafe(|| task.poll(&mut cx)));
-        CURRENT_ACTOR.with(|c| c.set(outer));
-        let mut st = self.state.lock();
-        match step {
-            Err(p) => {
+        loop {
+            st.rewake = false;
+            drop(st);
+            let outer = CURRENT_ACTOR.with(|c| c.replace(Some(id)));
+            let waker = Waker(WakerKind::Sim(self.clone(), id));
+            let mut cx = TaskCtx {
+                rt: &rt,
+                now,
+                waker,
+                wake,
+            };
+            let step = catch_unwind(AssertUnwindSafe(|| task.poll(&mut cx)));
+            CURRENT_ACTOR.with(|c| c.set(outer));
+            st = self.state.lock();
+            let step = step.unwrap_or_else(|p| {
                 let name = st.actors[&id].name().into_owned();
                 let cause = format!("panic in a task {name}: {}", panic_message(&*p));
                 self.poison(&mut st, &cause);
-                drop(st);
                 resume_unwind(p)
-            }
-            Ok(TaskStep::Done) => {
+            });
+            if let TaskStep::Done = step {
                 // Publish completion *before* freeing the baton, for the
                 // reason a thread does (see `spawn_inner`): the joiner must
                 // be ready before the dispatcher looks for someone to run.
@@ -427,44 +443,66 @@ impl Engine {
                 if let Body::Task(cell) = &info.body {
                     cell.finish();
                 }
+                let daemon = info.daemon;
                 drop((info, task));
                 st = self.state.lock();
                 st.live_tasks -= 1;
-                st.live_nondaemon -= 1;
+                st.live_nondaemon -= usize::from(!daemon);
                 if st.actors.is_empty() {
                     self.done.notify_all();
                 }
+                break;
             }
-            Ok(step) => {
+            if st.rewake {
                 st.task_cell(id).task = Some(task);
-                if st.rewake {
-                    st.ready.push_back(id);
-                } else {
-                    let slot = WaitSlot::new(id, None);
-                    let why = if let TaskStep::Sleep(d) = step {
-                        self.push_timer(&mut st, now.0.saturating_add(d.as_nanos()), slot.clone());
-                        "task sleep"
-                    } else {
-                        "task park"
-                    };
-                    st.block_on(id, why, &slot);
-                }
+                st.ready.push_back(id);
+                break;
             }
+            let waited = matches!(step, TaskStep::Wait(..));
+            let (slot, why) = match step {
+                TaskStep::Wait(ev, timeout) => {
+                    let sim = ev.as_any().downcast_ref::<SimEvent>();
+                    let Some(sim) = sim.filter(|e| Arc::ptr_eq(&e.eng, self)) else {
+                        let msg = "TaskStep::Wait on an event of another runtime";
+                        self.poison(&mut st, msg);
+                        panic!("{msg}");
+                    };
+                    match sim.begin_wait(&mut st, timeout, || id) {
+                        Ok(w) => {
+                            wake = Some(w);
+                            continue;
+                        }
+                        Err(blocked) => blocked,
+                    }
+                }
+                TaskStep::Sleep(d) => {
+                    let slot = WaitSlot::new(id, None);
+                    self.push_timer(&mut st, now.0.saturating_add(d.as_nanos()), slot.clone());
+                    (slot, "task sleep")
+                }
+                _ => (WaitSlot::new(id, None), "task park"),
+            };
+            let cell = st.task_cell(id);
+            cell.task = Some(task);
+            cell.wait = waited.then(|| slot.clone());
+            st.block_on(id, why, &slot);
+            break;
         }
         st.running = None;
         st
     }
 
     /// [`Waker::wake`]. A blocked task gets the engine's own `wake`, which
-    /// cuts a sleep short (its stale timer is swept like any other); the
-    /// task being polled is noted for re-queueing; one already ready needs
-    /// nothing, and one that has finished is no actor: nothing is touched.
+    /// cuts a sleep or an event wait short (its stale timer and waiter entry
+    /// are swept like any other); the task being polled is noted for
+    /// re-queueing; one already ready needs nothing, and one that has
+    /// finished is no actor: nothing is touched.
     pub(crate) fn wake_task(self: &Arc<Self>, id: u64) {
         let mut st = self.state.lock();
         if st.running == Some(id) {
             st.rewake = true;
         } else if let Some((_, slot)) = st.actors.get(&id).and_then(|a| a.blocked.clone()) {
-            self.wake(&mut st, &slot, SLOT_SIGNALED);
+            self.wake(&mut st, &slot, SLOT_WAKER);
         }
         drop(self.dispatch(st));
     }
@@ -537,17 +575,38 @@ impl Engine {
         st.deferred.remove(idx)
     }
 
-    /// Only blocked daemons remain: the simulation is complete. Unwind them
-    /// cleanly; they become ready in actor-id order.
-    fn quiesce(&self, st: &mut EngineState) {
-        let slots: Vec<_> = st
+    /// Only blocked daemons remain: the simulation is complete. Threads are
+    /// woken to unwind, in actor-id order. Tasks are taken off the table —
+    /// their slots marked, so the waiter entries and timers they leave are
+    /// skipped — and dropped with the engine unlocked and the baton
+    /// withheld: a state machine's destructor may signal an event.
+    fn quiesce<'a>(&'a self, mut st: Guard<'a>) -> Guard<'a> {
+        let blocked: Vec<_> = st
             .actors
-            .values()
-            .filter_map(|a| a.blocked.as_ref().map(|b| b.1.clone()))
+            .iter()
+            .filter_map(|(&id, a)| Some((id, a.blocked.as_ref()?.1.clone())))
             .collect();
-        for s in slots {
-            self.wake(st, &s, SLOT_SHUTDOWN);
+        let mut tasks = Vec::new();
+        for (id, slot) in blocked {
+            if let Body::Thread(_) = st.actors[&id].body {
+                self.wake(&mut st, &slot, SLOT_SHUTDOWN);
+            } else {
+                slot.state.store(SLOT_SHUTDOWN, AtOrd::Relaxed);
+                tasks.extend(st.actors.remove(&id));
+                st.live_tasks -= 1;
+            }
         }
+        if !tasks.is_empty() {
+            st.running = Some(u64::MAX);
+            drop(st);
+            drop(tasks);
+            st = self.state.lock();
+            st.running = None;
+            if st.actors.is_empty() {
+                self.done.notify_all();
+            }
+        }
+        st
     }
 
     /// Every actor is blocked and nothing can wake one: report and poison.
@@ -561,8 +620,8 @@ impl Engine {
         }
         let more = st.actors.len().saturating_sub(ROWS);
         if more > 0 {
-            let parked = st.actors.values().filter(|a| a.blocked_on() == "task park");
-            let parked = parked.count();
+            let is_task = |a: &&ActorInfo| matches!(a.body, Body::Task(_));
+            let parked = st.actors.values().filter(is_task).count();
             table.push_str(&format!("\n  … and {more} more ({parked} tasks parked)"));
         }
         let msg = format!(
@@ -637,12 +696,9 @@ impl Engine {
         st.running = None;
         let st = self.dispatch(st);
         drop(self.park_until_running(st, slot.actor));
-        match slot.state.load(AtOrd::Relaxed) {
-            SLOT_SIGNALED => Wake::Signaled,
-            SLOT_TIMEOUT => Wake::Timeout,
-            SLOT_SHUTDOWN => std::panic::panic_any(ShutdownSignal),
-            _ => unreachable!("woken slot left pending"),
-        }
+        debug_assert!(slot.is_woken(), "woken slot left pending");
+        slot.wake()
+            .unwrap_or_else(|| std::panic::panic_any(ShutdownSignal))
     }
 
     fn push_timer(&self, st: &mut EngineState, at: u64, slot: Arc<WaitSlot>) {
@@ -897,7 +953,7 @@ impl Runtime for SimRuntime {
 
     fn spawn_task(&self, cell: TaskCell) {
         let mut st = self.eng.state.lock();
-        st.register(ActorInfo::new(false, Body::Task(cell)));
+        st.register(ActorInfo::new(cell.daemon, Body::Task(cell)));
         st.stats.tasks_spawned += 1;
         st.live_tasks += 1;
         st.stats.peak_live_tasks = st.stats.peak_live_tasks.max(st.live_tasks);
@@ -970,45 +1026,53 @@ struct SimEvent {
     inner: Mutex<EventInner>,
 }
 
+impl SimEvent {
+    /// The front half of `wait()` (`timeout` `None`) and `wait_timeout(d)`,
+    /// for a thread and for a task alike: take a banked permit or time out
+    /// at once, else join the waiter queue, arm the timeout, and say what
+    /// to block on. `actor` is asked only then: a thread outside the
+    /// simulation (a harness joining after `wait_done`) finds its permit.
+    fn begin_wait(
+        &self,
+        st: &mut EngineState,
+        timeout: Option<Dur>,
+        actor: impl FnOnce() -> u64,
+    ) -> Result<Wake, (Arc<WaitSlot>, &'static str)> {
+        let mut inner = self.inner.lock();
+        if inner.permits > 0 {
+            inner.permits -= 1;
+            return Ok(Wake::Signaled);
+        }
+        if timeout == Some(Dur::ZERO) {
+            return Ok(Wake::Timeout);
+        }
+        let slot = WaitSlot::new(actor(), None);
+        inner.waiters.push_back(slot.clone());
+        let Some(d) = timeout else {
+            return Err((slot, "event wait"));
+        };
+        if d != Dur::MAX {
+            let at = st.now.saturating_add(d.as_nanos());
+            self.eng.push_timer(st, at, slot.clone());
+        }
+        Err((slot, "event wait (timeout)"))
+    }
+}
+
 impl EventApi for SimEvent {
     fn wait(&self) {
-        let st = self.eng.state.lock();
-        let slot = {
-            let mut inner = self.inner.lock();
-            if inner.permits > 0 {
-                inner.permits -= 1;
-                return;
-            }
-            // Only a registered actor may actually block; non-actor threads
-            // (e.g. the harness thread joining after wait_done) succeed above
-            // because the permit is already banked.
-            let slot = WaitSlot::new(self.eng.current_actor(), None);
-            inner.waiters.push_back(slot.clone());
-            slot
-        };
-        self.eng.block(st, &slot, "event wait");
+        let mut st = self.eng.state.lock();
+        if let Err((slot, why)) = self.begin_wait(&mut st, None, || self.eng.current_actor()) {
+            self.eng.block(st, &slot, why);
+        }
     }
 
     fn wait_timeout(&self, d: Dur) -> Wake {
         let mut st = self.eng.state.lock();
-        let slot = {
-            let mut inner = self.inner.lock();
-            if inner.permits > 0 {
-                inner.permits -= 1;
-                return Wake::Signaled;
-            }
-            if d.is_zero() {
-                return Wake::Timeout;
-            }
-            let slot = WaitSlot::new(self.eng.current_actor(), None);
-            inner.waiters.push_back(slot.clone());
-            slot
-        };
-        if d != Dur::MAX {
-            let at = st.now.saturating_add(d.as_nanos());
-            self.eng.push_timer(&mut st, at, slot.clone());
+        match self.begin_wait(&mut st, Some(d), || self.eng.current_actor()) {
+            Ok(wake) => wake,
+            Err((slot, why)) => self.eng.block(st, &slot, why),
         }
-        self.eng.block(st, &slot, "event wait (timeout)")
     }
 
     fn signal(&self) {
@@ -1032,6 +1096,10 @@ impl EventApi for SimEvent {
         }
         drop(inner);
         drop(self.eng.dispatch(st));
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
     }
 }
 

@@ -11,6 +11,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::runtime::{Event, Runtime};
+use crate::task::TaskStep;
 
 /// Error returned by [`Channel`] operations once the channel is closed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -72,20 +73,31 @@ impl<T> Channel<T> {
         Ok(())
     }
 
+    /// Dequeue without blocking: `None` while the channel is open and empty.
+    fn try_recv(&self) -> Option<Result<T, Closed>> {
+        let mut g = self.inner.lock();
+        match g.q.pop_front() {
+            Some(v) => Some(Ok(v)),
+            None => g.closed.then_some(Err(Closed)),
+        }
+    }
+
     /// Dequeue, blocking until an item arrives or the channel closes empty.
     pub fn recv(&self) -> Result<T, Closed> {
         loop {
-            {
-                let mut g = self.inner.lock();
-                if let Some(v) = g.q.pop_front() {
-                    return Ok(v);
-                }
-                if g.closed {
-                    return Err(Closed);
-                }
+            if let Some(r) = self.try_recv() {
+                return r;
             }
             self.items.wait();
         }
+    }
+
+    /// [`Channel::recv`] for a [`Task`](crate::Task): the item (or
+    /// [`Closed`]), or the step that blocks where `recv` would — return it
+    /// from `poll` and call this again when polled next.
+    pub fn poll_recv(&self) -> Result<Result<T, Closed>, TaskStep> {
+        self.try_recv()
+            .ok_or_else(|| TaskStep::Wait(self.items.clone(), None))
     }
 
     /// Close the channel: senders fail, receivers drain then see [`Closed`].
@@ -130,6 +142,13 @@ impl Semaphore {
     /// Consume one permit, blocking until available.
     pub fn acquire(&self) {
         self.ev.wait();
+    }
+
+    /// [`Semaphore::acquire`] for a [`Task`](crate::Task): the step that
+    /// blocks where `acquire` would. The permit is the task's once a poll
+    /// sees [`TaskCtx::wake`](crate::TaskCtx::wake) ` == Some(Wake::Signaled)`.
+    pub fn acquire_step(&self) -> TaskStep {
+        TaskStep::Wait(self.ev.clone(), None)
     }
 
     /// Release one permit.

@@ -3,17 +3,23 @@
 //! A thread actor is the right price for code that needs a stack (the
 //! paper's compute and I/O threads, an MPI rank) and a hard ceiling for
 //! entities that only ever wait: `fig_scale` tops out around 4×10³ threads.
-//! A [`Task`] is a poll-style state machine instead. The virtual-time
-//! engine's dispatcher polls it inline, on whichever thread just gave up the
-//! baton, from the ready queue and timer heap that schedule threads too; an
-//! idle task costs its state machine plus a map entry — a few hundred
-//! bytes — so one simulation hosts 10⁵–10⁶ concurrent sessions. (Under
-//! wall-clock time each task is a small loop on a thread of its own.)
+//! A [`Task`] is a poll-style state machine instead — a swarm client, a
+//! server's connection handler, a stream's demultiplexer and sender. The
+//! virtual-time engine's dispatcher polls it inline, on whichever thread
+//! just gave up the baton, from the ready queue and timer heap that schedule
+//! threads too; an idle task costs its state machine plus a map entry — a
+//! few hundred bytes — so one simulation hosts 10⁵–10⁶ concurrent sessions.
+//! (Under wall-clock time each task is a small loop on a thread of its own.)
 //!
 //! Tasks cooperate instead of blocking:
 //!
 //! * [`Task::poll`] runs the machine until it cannot progress, then returns
-//!   a [`TaskStep`]: sleep for a duration, park until woken, or done.
+//!   a [`TaskStep`]: sleep for a duration, wait on an [`Event`] exactly as a
+//!   thread would, park until woken, or done.
+//! * A task in [`TaskStep::Wait`] sits in the event's waiter queue among the
+//!   threads blocked on the same cell and is released in arrival order; a
+//!   banked permit is consumed on the spot and the task polled again before
+//!   any other actor runs, which is what `wait()` returning at once is.
 //! * A parked task is woken by its [`Waker`] — a cheap clonable handle that
 //!   completion callbacks (e.g. a transport response demultiplexer) invoke
 //!   from any actor. Wakes are coalesced: waking a task twice before it is
@@ -27,26 +33,49 @@
 //! Virtual time advances identically whether entities are threads or tasks,
 //! and the schedule stays deterministic: woken tasks and threads run in wake
 //! order, all timers fire in `(due, arm-order)`, and a task's reaches a
-//! [`ScheduleHook`](crate::ScheduleHook) as `<executor>/<n>/task sleep`.
+//! [`ScheduleHook`](crate::ScheduleHook) as `<executor>/<n>/task sleep` or
+//! `<executor>/<n>/event wait (timeout)`.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::{sim::Engine, Dur, Event, Runtime, Time};
+use crate::sim::{Engine, WaitSlot};
+use crate::{Dur, Event, Runtime, Time, Wake};
 
 /// What a task wants after one poll.
-#[derive(Debug)]
 pub enum TaskStep {
     /// Re-poll after `d` of virtual time (a modelled delay: an arrival
-    /// offset, a think time, a retry backoff).
+    /// offset, a think time, a retry backoff). `Sleep(ZERO)` still yields:
+    /// a machine standing in for a thread's `sleep` skips a zero delay.
     Sleep(Dur),
+    /// Block exactly as a thread would in `event.wait()` (`None`) or
+    /// `event.wait_timeout(d)`: same waiter queue, same timer. The next
+    /// poll's [`TaskCtx::wake`] says how the wait ended.
+    Wait(Event, Option<Dur>),
     /// Park until [`Waker::wake`] is called (a completion callback will
     /// deliver it). A task that parks without having handed its waker to
     /// anyone sleeps forever: a row of the engine's deadlock report.
     Park,
     /// The task is finished; drop it and release its join handle.
     Done,
+}
+
+impl TaskStep {
+    /// Carry the step out by blocking the calling thread actor: how a
+    /// thread drives a step machine a task would be polled through.
+    pub fn block(self, rt: &Arc<dyn Runtime>) -> Option<Wake> {
+        match self {
+            TaskStep::Sleep(d) => rt.sleep(d),
+            TaskStep::Wait(ev, Some(d)) => return Some(ev.wait_timeout(d)),
+            TaskStep::Wait(ev, None) => {
+                ev.wait();
+                return Some(Wake::Signaled);
+            }
+            TaskStep::Park | TaskStep::Done => unreachable!("only a task parks or finishes"),
+        }
+        None
+    }
 }
 
 /// An event-driven micro-actor: a state machine polled by its runtime.
@@ -68,11 +97,15 @@ pub struct TaskCtx<'a> {
     /// The polled task's waker. Clone into any completion callback that
     /// should un-park the task.
     pub waker: Waker,
+    /// How the [`TaskStep::Wait`] this poll resumes from ended; `None` after
+    /// any other step. A machine that waited for a *permit* holds one only
+    /// if this is [`Wake::Signaled`].
+    pub wake: Option<Wake>,
 }
 
 /// A cheap clonable handle that re-queues its task for polling.
 ///
-/// Safe to invoke from any actor (a demux daemon, another task's poll, a
+/// Safe to invoke from any actor (another task's poll, a thread, a
 /// timer) and idempotent between polls: waking an already-queued task is a
 /// no-op, and so is waking one that has finished.
 #[derive(Clone)]
@@ -112,6 +145,11 @@ pub struct TaskStats {
 /// [`TaskExecutor::spawn`], consumed by [`Runtime::spawn_task`].
 pub struct TaskCell {
     pub(crate) task: Option<Box<dyn Task>>,
+    /// The wait the task is blocked in, if its last step was a
+    /// [`TaskStep::Wait`]: read for the next poll's [`TaskCtx::wake`].
+    pub(crate) wait: Option<Arc<WaitSlot>>,
+    /// A daemon task does not keep the simulation alive.
+    pub(crate) daemon: bool,
     exec: Arc<ExecShared>,
     n: u64,
     done: Event,
@@ -175,6 +213,17 @@ impl TaskExecutor {
     /// Spawn a task. It is queued immediately and first polled once the
     /// spawner blocks, behind every actor already ready.
     pub fn spawn(&self, task: Box<dyn Task>) -> TaskHandle {
+        self.spawn_inner(task, false)
+    }
+
+    /// Spawn a *daemon* task: one that does not keep the simulation alive
+    /// (a connection handler idle on its request channel); once only
+    /// daemons remain it is dropped where it waits.
+    pub fn spawn_daemon(&self, task: Box<dyn Task>) -> TaskHandle {
+        self.spawn_inner(task, true)
+    }
+
+    fn spawn_inner(&self, task: Box<dyn Task>, daemon: bool) -> TaskHandle {
         let n = {
             let mut st = self.0.stats.lock();
             st.spawned += 1;
@@ -185,6 +234,8 @@ impl TaskExecutor {
         let done = self.0.rt.event();
         self.0.rt.spawn_task(TaskCell {
             task: Some(task),
+            wait: None,
+            daemon,
             exec: self.0.clone(),
             n,
             done: done.clone(),
@@ -542,6 +593,209 @@ mod tests {
         );
     }
 
+    /// A task written as its `poll` closure.
+    struct FnTask<F>(F);
+    impl<F: FnMut(&mut TaskCtx<'_>) -> TaskStep + Send + 'static> Task for FnTask<F> {
+        fn poll(&mut self, cx: &mut TaskCtx<'_>) -> TaskStep {
+            (self.0)(cx)
+        }
+    }
+
+    /// `(tag, how the wait ended, when)` per finished [`waits_once`].
+    type WaitLog = Arc<Mutex<Vec<(&'static str, Option<Wake>, Time)>>>;
+
+    /// Waits on `ev` once (as `ev.wait()` / `ev.wait_timeout(d)` would),
+    /// logs it and finishes.
+    fn waits_once(
+        ev: &Event,
+        timeout: Option<Dur>,
+        tag: &'static str,
+        log: &WaitLog,
+    ) -> Box<dyn Task> {
+        let (ev, log, mut waited) = (ev.clone(), log.clone(), false);
+        Box::new(FnTask(move |cx: &mut TaskCtx<'_>| {
+            if !std::mem::replace(&mut waited, true) {
+                return TaskStep::Wait(ev.clone(), timeout);
+            }
+            log.lock().push((tag, cx.wake, cx.now));
+            TaskStep::Done
+        }))
+    }
+
+    #[test]
+    fn a_thread_and_a_task_on_one_event_are_released_in_arrival_order() {
+        let order = |task_first: bool| {
+            simulate(move |rt| {
+                let ex = TaskExecutor::new(&rt, "ex");
+                let log = Arc::new(Mutex::new(Vec::new()));
+                let ev = rt.event();
+                let thread = |rt: &Arc<dyn Runtime>| {
+                    let (ev, log, rt2) = (ev.clone(), log.clone(), rt.clone());
+                    crate::runtime::spawn(rt, "thread", move || {
+                        ev.wait();
+                        log.lock().push(("thread", Some(Wake::Signaled), rt2.now()));
+                    })
+                };
+                // Spawn order is first-run order, hence arrival order.
+                let (h, t) = if task_first {
+                    let h = ex.spawn(waits_once(&ev, None, "task", &log));
+                    (h, thread(&rt))
+                } else {
+                    let t = thread(&rt);
+                    (ex.spawn(waits_once(&ev, None, "task", &log)), t)
+                };
+                rt.sleep(Dur::from_millis(1)); // both are waiting now
+                ev.signal();
+                rt.sleep(Dur::from_millis(1)); // one permit, one waiter released
+                ev.signal();
+                h.join();
+                t.join_unwrap();
+                let got = log.lock().clone();
+                got
+            })
+        };
+        let at = |ms| Time::ZERO + Dur::from_millis(ms);
+        let (task, thread) = ("task", "thread");
+        let s = Some(Wake::Signaled);
+        assert_eq!(order(true), [(task, s, at(1)), (thread, s, at(2))]);
+        assert_eq!(order(false), [(thread, s, at(1)), (task, s, at(2))]);
+    }
+
+    #[test]
+    fn a_wait_on_a_banked_permit_is_repolled_before_any_other_ready_actor() {
+        let log = simulate(|rt| {
+            let ex = TaskExecutor::new(&rt, "ex");
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let ev = rt.event();
+            ev.signal(); // banked: `ev.wait()` would return without yielding
+            let h = ex.spawn(waits_once(&ev, None, "waiter", &log));
+            let (log2, rt2) = (log.clone(), rt.clone());
+            let other = crate::runtime::spawn(&rt, "other", move || {
+                log2.lock().push(("other", None, rt2.now()));
+            });
+            h.join(); // both are ready, the task first
+            other.join_unwrap();
+            let got = log.lock().clone();
+            got
+        });
+        assert_eq!(
+            log,
+            [
+                ("waiter", Some(Wake::Signaled), Time::ZERO),
+                ("other", None, Time::ZERO)
+            ]
+        );
+    }
+
+    #[test]
+    fn a_timed_out_wait_sees_timeout_and_leaves_no_waiter_behind() {
+        let sim = SimRuntime::new();
+        let log = sim.run_root(|rt| {
+            let ex = TaskExecutor::new(&rt, "ex");
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let ev = rt.event();
+            let d = Dur::from_millis(3);
+            ex.spawn(waits_once(&ev, Some(d), "timed", &log)).join();
+            // The expired wait's queue entry must not swallow this signal.
+            let h = ex.spawn(waits_once(&ev, Some(Dur::MAX), "later", &log));
+            rt.sleep(Dur::from_millis(1));
+            ev.signal();
+            h.join();
+            // A zero timeout is a poll of the permit count, not a wait.
+            ex.spawn(waits_once(&ev, Some(Dur::ZERO), "zero", &log))
+                .join();
+            let got = log.lock().clone();
+            got
+        });
+        let at = |ms| Time::ZERO + Dur::from_millis(ms);
+        assert_eq!(
+            log,
+            [
+                ("timed", Some(Wake::Timeout), at(3)),
+                ("later", Some(Wake::Signaled), at(4)),
+                ("zero", Some(Wake::Timeout), at(4)),
+            ]
+        );
+        // One timer for the timed wait, one for the root's sleep; `MAX` and
+        // zero arm none.
+        assert_eq!(sim.stats().timers_armed, 2);
+    }
+
+    /// Signals `.0` when dropped.
+    struct SignalOnDrop(Event);
+    impl Drop for SignalOnDrop {
+        fn drop(&mut self) {
+            self.0.signal();
+        }
+    }
+
+    #[test]
+    fn a_blocked_daemon_task_neither_outlives_the_run_nor_drops_under_the_engine_lock() {
+        let sim = SimRuntime::new();
+        let (ex, dropped) = sim.run_root(|rt| {
+            let ex = TaskExecutor::new(&rt, "daemons");
+            let (never, dropped) = (rt.event(), rt.event());
+            let guard = SignalOnDrop(dropped.clone());
+            ex.spawn_daemon(Box::new(FnTask(move |_: &mut TaskCtx<'_>| {
+                let _held = &guard;
+                TaskStep::Wait(never.clone(), None)
+            })));
+            // A second one asleep: its pending timer must not run the clock.
+            ex.spawn_daemon(Box::new(FnTask(|_: &mut TaskCtx<'_>| {
+                TaskStep::Sleep(Dur::from_secs(3600))
+            })));
+            rt.sleep(Dur::from_millis(2));
+            (ex, dropped)
+        });
+        // `run_root` returned, so the daemons kept nothing alive; and the
+        // destructor's `signal` — which takes the engine lock — has run.
+        assert_eq!(dropped.wait_timeout(Dur::ZERO), Wake::Signaled);
+        let s = sim.stats();
+        assert_eq!((s.clock_advances, s.tasks_spawned), (1, 2));
+        assert_eq!(ex.stats().spawned, 2);
+    }
+
+    #[test]
+    fn a_daemon_task_that_finishes_leaves_the_live_count_alone() {
+        // The root must still be able to finish the run after a daemon task
+        // returned `Done`: only non-daemons count towards completion.
+        let end = simulate(|rt| {
+            let ex = TaskExecutor::new(&rt, "ex");
+            ex.spawn_daemon(Box::new(FnTask(|_: &mut TaskCtx<'_>| TaskStep::Done)))
+                .join();
+            let h = ex.spawn(Box::new(Napper {
+                left: 1,
+                step: Dur::from_millis(4),
+                log: Default::default(),
+                id: 0,
+            }));
+            h.join();
+            rt.now()
+        });
+        assert_eq!(end, Time::ZERO + Dur::from_millis(4));
+    }
+
+    #[test]
+    fn a_hung_server_is_a_deadlock_that_names_what_its_tasks_wait_on() {
+        let report = run_beside_a_bystander(|rt| {
+            let ex = TaskExecutor::new(&rt, "orion/conn");
+            let never = rt.event();
+            let hs: Vec<_> = (0..40)
+                .map(|_| ex.spawn(waits_once(&never, None, "", &Default::default())))
+                .collect();
+            hs[0].join();
+        })
+        .0;
+        assert!(
+            report.contains("actor #7 \"orion/conn/5\": blocked on event wait"),
+            "{report}"
+        );
+        assert!(
+            report.ends_with("\n  … and 10 more (40 tasks parked)"),
+            "{report}"
+        );
+    }
+
     #[test]
     fn tasks_run_on_the_wall_clock_runtime_too() {
         let rt: Arc<dyn Runtime> = crate::RealRuntime::new().handle();
@@ -582,5 +836,20 @@ mod tests {
         assert!(out.lock().is_some());
         let st = ex.stats();
         assert_eq!((st.spawned, st.peak_live, st.live), (2, 2, 0));
+        // A task blocked on an event: a timeout first, then a signal.
+        let (ev, waits) = (rt.event(), Arc::new(Mutex::new(Vec::new())));
+        let d = Some(Dur::from_millis(5));
+        ex.spawn(waits_once(&ev, d, "timed", &waits)).join();
+        let h = ex.spawn(waits_once(&ev, None, "signalled", &waits));
+        ev.signal();
+        h.join();
+        let how: Vec<_> = waits.lock().iter().map(|&(tag, w, _)| (tag, w)).collect();
+        assert_eq!(
+            how,
+            [
+                ("timed", Some(Wake::Timeout)),
+                ("signalled", Some(Wake::Signaled))
+            ]
+        );
     }
 }

@@ -90,12 +90,33 @@ impl Task for TaskProducer {
     }
 }
 
+/// A consumer as a state machine: blocked in [`Channel::poll_recv`] where
+/// the thread consumers block in `recv`.
+struct TaskConsumer {
+    c: u64,
+    ch: Channel<u64>,
+    log: Arc<Mutex<Vec<(u64, u64, u64)>>>,
+}
+
+impl Task for TaskConsumer {
+    fn poll(&mut self, cx: &mut TaskCtx<'_>) -> TaskStep {
+        loop {
+            match self.ch.poll_recv() {
+                Ok(Ok(m)) => (self.log.lock().unwrap()).push((cx.now.as_nanos(), self.c, m)),
+                Ok(Err(_)) => return TaskStep::Done,
+                Err(wait) => return wait,
+            }
+        }
+    }
+}
+
 /// Six producers wake on the same twenty instants and feed one channel
 /// drained by two consumers; returns every `(virtual ns, consumer,
 /// message)` in the order it was logged. With `mixed`, every other
 /// producer is a task, so the same instants collide across both kinds of
-/// actor body.
-fn same_instant_collision_log(mixed: bool) -> Vec<(u64, u64, u64)> {
+/// actor body; with `task_consumer`, so is the second consumer, and a
+/// thread and a task share the channel's waiter queue.
+fn same_instant_collision_log(mixed: bool, task_consumer: bool) -> Vec<(u64, u64, u64)> {
     simulate(move |rt| {
         let log = Arc::new(Mutex::new(Vec::new()));
         let ch: Channel<u64> = Channel::new(&rt);
@@ -119,16 +140,24 @@ fn same_instant_collision_log(mixed: bool) -> Vec<(u64, u64, u64)> {
                 }
             }));
         }
-        let consumers: Vec<_> = (0..2u64)
-            .map(|c| {
-                let (rt2, ch2, log2) = (rt.clone(), ch.clone(), log.clone());
-                spawn(&rt, &format!("cons{c}"), move || {
-                    while let Ok(m) = ch2.recv() {
-                        log2.lock().unwrap().push((rt2.now().as_nanos(), c, m));
-                    }
-                })
-            })
-            .collect();
+        let (mut consumers, mut task_consumers) = (Vec::new(), Vec::new());
+        for c in 0..2u64 {
+            let (rt2, ch2, log2) = (rt.clone(), ch.clone(), log.clone());
+            if task_consumer && c == 1 {
+                let task = TaskConsumer {
+                    c,
+                    ch: ch2,
+                    log: log2,
+                };
+                task_consumers.push(ex.spawn(Box::new(task)));
+                continue;
+            }
+            consumers.push(spawn(&rt, &format!("cons{c}"), move || {
+                while let Ok(m) = ch2.recv() {
+                    log2.lock().unwrap().push((rt2.now().as_nanos(), c, m));
+                }
+            }));
+        }
         for p in producers {
             p.join_unwrap();
         }
@@ -138,6 +167,9 @@ fn same_instant_collision_log(mixed: bool) -> Vec<(u64, u64, u64)> {
         ch.close();
         for c in consumers {
             c.join_unwrap();
+        }
+        for c in task_consumers {
+            c.join();
         }
         let got = log.lock().unwrap().clone();
         got
@@ -159,24 +191,25 @@ fn same_instant_order_repeats_under_host_load() {
             })
         })
         .collect();
-    let runs = [false, true].map(|mixed| {
-        let first = same_instant_collision_log(mixed);
-        let repeats: Vec<_> = (0..10).map(|_| same_instant_collision_log(mixed)).collect();
-        (mixed, first, repeats)
+    let runs = [(false, false), (true, false), (true, true)].map(|(mixed, task_consumer)| {
+        let run = || same_instant_collision_log(mixed, task_consumer);
+        let first = run();
+        let repeats: Vec<_> = (0..10).map(|_| run()).collect();
+        ((mixed, task_consumer), first, repeats)
     });
     stop.store(true, Ordering::Relaxed);
     for s in spinners {
         s.join().unwrap();
     }
-    for (mixed, first, repeats) in &runs {
+    for (arm, first, repeats) in &runs {
         assert_eq!(first.len(), 120);
         for (i, r) in repeats.iter().enumerate() {
-            assert_eq!(
-                r, first,
-                "mixed={mixed}: repeat {i} interleaved differently"
-            );
+            assert_eq!(r, first, "{arm:?}: repeat {i} interleaved differently");
         }
     }
+    // A task blocked where a thread would be takes the thread's place in
+    // every queue: consumer for consumer, the log does not change.
+    assert_eq!(runs[1].1, runs[2].1);
     // Same instants, same messages, whichever kind of body sent them.
     let sorted = |log: &[(u64, u64, u64)]| {
         let mut v: Vec<_> = log.iter().map(|&(t, _, m)| (t, m)).collect();

@@ -1,8 +1,8 @@
 //! Server-side block cache in front of the vault.
 //!
 //! A fixed-capacity, write-through cache of aligned blocks. Hot-set reads
-//! that hit entirely in cache skip [`crate::vault::Vault::charge_disk`]
-//! (no seek, no disk transfer); misses fetch only the missing blocks in a
+//! that hit entirely in cache skip the disk charge (no seek, no disk
+//! transfer); misses fetch only the missing blocks in a
 //! single vault pass via [`crate::vault::Vault::read_extents`]. Writes go
 //! straight to the vault (write-through) and invalidate the overlapping
 //! blocks, so replication, reconciliation, and checksums never see cache
@@ -86,6 +86,20 @@ struct State {
     versions: HashMap<u64, u64>,
 }
 
+/// A read that missed, between its lookup ([`BlockCache::begin_read`]) and
+/// its fill ([`BlockCache::finish_read`]).
+pub struct ReadMiss {
+    /// The missing blocks, as vault extents to fetch in one pass.
+    pub extents: Vec<(u64, u64)>,
+    obj_id: u64,
+    offset: u64,
+    len: u64,
+    /// The object's invalidation counter at lookup time.
+    version: u64,
+    /// One entry per block of the read, `None` where missing.
+    blocks: Vec<Option<Payload>>,
+}
+
 /// A deterministic fixed-capacity block cache. See the module docs.
 pub struct BlockCache {
     spec: CacheSpec,
@@ -137,18 +151,28 @@ impl BlockCache {
     /// one pass (one seek) and inserted. Returns exactly what
     /// `vault.read(obj_id, offset, len)` would have returned.
     pub fn serve_read(&self, vault: &Vault, obj_id: u64, offset: u64, len: u64) -> Payload {
+        self.begin_read(obj_id, offset, len).unwrap_or_else(|miss| {
+            let fetched = vault.read_extents(obj_id, &miss.extents);
+            self.finish_read(miss, fetched)
+        })
+    }
+
+    /// The lookup half of [`BlockCache::serve_read`]: the data on a hit,
+    /// otherwise the extents to fetch from the vault — in one pass — and
+    /// hand to [`BlockCache::finish_read`].
+    pub fn begin_read(&self, obj_id: u64, offset: u64, len: u64) -> Result<Payload, ReadMiss> {
         if len == 0 {
             // Zero-length reads carry no bytes; skip the disk like a hit
             // but don't count them in the stats.
-            return Payload::bytes(Vec::new());
+            return Ok(Payload::bytes(Vec::new()));
         }
         let block = self.spec.block;
         let first = offset / block;
         let last = (offset + len - 1) / block;
 
-        // Pass 1, under the lock: clone resident blocks out, so eviction
-        // during the fetch can't disturb assembly, and move their LRU
-        // stamps to the front, in block order (deterministic).
+        // Under the lock: clone resident blocks out, so eviction during
+        // the fetch can't disturb assembly, and move their LRU stamps to
+        // the front, in block order (deterministic).
         let mut blocks: Vec<Option<Payload>> = Vec::new();
         let version = {
             let mut st = self.state.lock();
@@ -169,40 +193,62 @@ impl BlockCache {
             *st.versions.get(&obj_id).unwrap_or(&0)
         };
 
-        let missing: Vec<u64> = (first..=last)
+        let extents: Vec<(u64, u64)> = (first..=last)
             .zip(&blocks)
-            .filter_map(|(idx, b)| b.is_none().then_some(idx))
+            .filter_map(|(idx, b)| b.is_none().then_some((idx * block, block)))
             .collect();
-        if missing.is_empty() {
+        let read = ReadMiss {
+            extents,
+            obj_id,
+            offset,
+            len,
+            version,
+            blocks,
+        };
+        if read.extents.is_empty() {
             self.hits.fetch_add(1, Ordering::SeqCst);
+            Ok(self.assemble(read))
         } else {
             self.misses.fetch_add(1, Ordering::SeqCst);
-            let extents: Vec<(u64, u64)> =
-                missing.iter().map(|&idx| (idx * block, block)).collect();
-            let fetched = vault.read_extents(obj_id, &extents);
+            Err(read)
+        }
+    }
+
+    /// The fill half of [`BlockCache::serve_read`]: `fetched` is what the
+    /// vault returned for `miss.extents`. The blocks are inserted unless an
+    /// invalidation reached the object since the lookup.
+    pub fn finish_read(&self, mut miss: ReadMiss, fetched: Vec<Payload>) -> Payload {
+        let block = self.spec.block;
+        let first = miss.offset / block;
+        {
             let mut st = self.state.lock();
-            let fresh = *st.versions.get(&obj_id).unwrap_or(&0) == version;
-            for (&idx, p) in missing.iter().zip(fetched) {
+            let fresh = *st.versions.get(&miss.obj_id).unwrap_or(&0) == miss.version;
+            for (&(start, _), p) in miss.extents.iter().zip(fetched) {
+                let idx = start / block;
                 if fresh {
-                    self.insert_block(&mut st, (obj_id, idx), p.clone());
+                    self.insert_block(&mut st, (miss.obj_id, idx), p.clone());
                 }
-                blocks[(idx - first) as usize] = Some(p);
+                miss.blocks[(idx - first) as usize] = Some(p);
             }
         }
+        self.assemble(miss)
+    }
 
-        // Assemble the result exactly as the vault would have: walk blocks
-        // in order, slice out the requested range, stop at EOF (a block
-        // shorter than the requested in-block range).
+    /// Assemble the result exactly as the vault would have: walk blocks
+    /// in order, slice out the requested range, stop at EOF (a block
+    /// shorter than the requested in-block range).
+    fn assemble(&self, read: ReadMiss) -> Payload {
+        let block = self.spec.block;
+        let (offset, end) = (read.offset, read.offset + read.len);
         let mut pieces: Vec<Payload> = Vec::new();
-        let end = offset + len;
         let mut saved = 0u64;
-        for (idx, data) in (first..=last).zip(blocks) {
+        for (idx, data) in (offset / block..).zip(read.blocks) {
             let blk_start = idx * block;
             let want_start = offset.max(blk_start) - blk_start;
             let want_len = end.min(blk_start + block) - (blk_start + want_start);
             let piece = data.expect("hit or fetched").slice(want_start, want_len);
             let got = piece.len();
-            if !missing.contains(&idx) {
+            if !read.extents.iter().any(|&(start, _)| start == blk_start) {
                 saved += got;
             }
             if got > 0 {

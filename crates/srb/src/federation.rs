@@ -537,14 +537,11 @@ mod tests {
             assert_eq!(st.reships, 0);
 
             // The replica's bytes are bit-identical to the primary's.
-            let p_sum = primary
-                .vault()
-                .checksum(primary.mcat().lookup("/fed/obj").unwrap().obj_id)
-                .unwrap();
-            let r_sum = replica
-                .vault()
-                .checksum(replica.mcat().lookup("/fed/obj").unwrap().obj_id)
-                .unwrap();
+            let sum = |s: &Arc<SrbServer>| {
+                let id = s.mcat().lookup("/fed/obj").unwrap().obj_id;
+                adler32(&s.vault().bytes_of(id).unwrap())
+            };
+            let (p_sum, r_sum) = (sum(&primary), sum(&replica));
             assert_eq!(p_sum, r_sum);
             let mut expect = data;
             expect[1000..1000 + 4096].copy_from_slice(&[7u8; 4096]);
@@ -582,10 +579,8 @@ mod tests {
 
             repl.quiesce();
             assert!(repl.stats().reships >= 1, "{:?}", repl.stats());
-            let r_sum = replica
-                .vault()
-                .checksum(replica.mcat().lookup("/obj").unwrap().obj_id)
-                .unwrap();
+            let id = replica.mcat().lookup("/obj").unwrap().obj_id;
+            let r_sum = adler32(&replica.vault().bytes_of(id).unwrap());
             assert_eq!(r_sum, adler32(&data), "replica bytes intact after reset");
             conn.disconnect().unwrap();
         });

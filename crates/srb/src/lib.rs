@@ -64,10 +64,16 @@ mod tests {
 
     /// A client one 10 ms / 100 Mb/s hop away from the server.
     fn setup(rt: &Arc<dyn Runtime>) -> (Arc<SrbServer>, ConnRoute) {
+        let (_, server, route) = setup_net(rt);
+        (server, route)
+    }
+
+    /// [`setup`], plus the network: `route.fwd[0]` is the client's uplink.
+    pub(crate) fn setup_net(rt: &Arc<dyn Runtime>) -> (Arc<Network>, Arc<SrbServer>, ConnRoute) {
         let net = Network::new(rt.clone());
         let up = net.add_link("uplink-up", Bw::mbps(100.0), Dur::from_millis(10));
         let down = net.add_link("uplink-down", Bw::mbps(100.0), Dur::from_millis(10));
-        let server = SrbServer::new(net, SrbServerCfg::default());
+        let server = SrbServer::new(net.clone(), SrbServerCfg::default());
         server.mcat().add_user("alin", "pw");
         let route = ConnRoute {
             fwd: vec![up],
@@ -76,7 +82,7 @@ mod tests {
             recv_cap: None,
             bus: None,
         };
-        (server, route)
+        (net, server, route)
     }
 
     #[test]
@@ -89,6 +95,68 @@ mod tests {
                 Some(SrbError::PermissionDenied)
             ));
             assert_eq!(server.stats().connections, 1);
+        });
+    }
+
+    #[test]
+    fn a_handler_serves_a_round_trip_on_the_wall_clock_runtime() {
+        // The same state machine, each on a thread of its own: every `Wait`
+        // and `Sleep` it returns is carried out by blocking.
+        let rt: Arc<dyn Runtime> = semplar_runtime::RealRuntime::new().handle();
+        let net = Network::new(rt.clone());
+        let l = net.add_link("lan", Bw::gbps(1.0), Dur::from_micros(50));
+        let server = SrbServer::new(net, SrbServerCfg::default());
+        server.mcat().add_user("alin", "pw");
+        let route = ConnRoute {
+            fwd: vec![l],
+            rev: vec![l],
+            send_cap: None,
+            recv_cap: None,
+            bus: None,
+        };
+        let conn = server.connect(route, "alin", "pw").unwrap();
+        let fd = conn.open("/real", OpenFlags::CreateRw).unwrap();
+        let data: Vec<u8> = (0..100_000u32).map(|i| (i % 253) as u8).collect();
+        assert_eq!(
+            conn.write(fd, 0, Payload::bytes(data.clone())).unwrap(),
+            100_000
+        );
+        assert_eq!(
+            conn.read(fd, 10, 1000).unwrap().data().unwrap(),
+            &data[10..1010]
+        );
+        assert_eq!(conn.checksum("/real").unwrap(), adler32(&data));
+        conn.close_fd(fd).unwrap();
+        conn.disconnect().unwrap();
+        assert_eq!(server.stats().requests, 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "actor #1 \"orion/conn/0\": blocked on event wait")]
+    fn a_hang_reports_the_idle_handler_by_connection_and_what_it_waits_on() {
+        simulate(|rt| {
+            let (server, route) = setup(&rt);
+            let _conn = server.connect(route, "alin", "pw").unwrap();
+            rt.event().wait(); // the client never sends; nothing else can run
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "Task::poll blocked through the runtime (bad/0: sleep)")]
+    fn a_task_that_charges_the_vault_by_blocking_fails_the_run() {
+        struct BlockingWrite(Arc<Vault>);
+        impl semplar_runtime::Task for BlockingWrite {
+            fn poll(&mut self, _: &mut semplar_runtime::TaskCtx<'_>) -> semplar_runtime::TaskStep {
+                // What a handler must not do: `poll_disk` is for tasks.
+                self.0.write(1, 0, &Payload::sized(4096));
+                semplar_runtime::TaskStep::Done
+            }
+        }
+        simulate(|rt| {
+            let vault = Vault::new(rt.clone(), DiskSpec::default());
+            semplar_runtime::TaskExecutor::new(&rt, "bad")
+                .spawn(Box::new(BlockingWrite(vault)))
+                .join();
         });
     }
 

@@ -106,24 +106,28 @@ impl TenantScheduler {
     /// blasting megabyte writes drains its credit quickly while tenants
     /// issuing header-sized ops glide through.
     pub fn admit(&self, tenant: TenantId, cost: u64) {
-        let ev = {
-            let mut st = self.state.lock();
-            let ev = self.rt.event();
-            st.tenants
-                .entry(tenant)
-                .or_insert_with(TenantQ::default_q)
-                .queue
-                .push_back(Ticket {
-                    ev: ev.clone(),
-                    cost,
-                });
-            if !st.active.contains(&tenant) {
-                st.active.push_back(tenant);
-            }
-            self.dispatch(&mut st);
-            ev
-        };
-        ev.wait();
+        self.enqueue(tenant, cost).wait();
+    }
+
+    /// Queue a request for admission without blocking: the returned event
+    /// is signalled once, when DRR grants the slot. [`TenantScheduler::admit`]
+    /// waits on it; a connection handler returns the wait from its `poll`.
+    pub fn enqueue(&self, tenant: TenantId, cost: u64) -> Arc<dyn EventApi> {
+        let mut st = self.state.lock();
+        let ev = self.rt.event();
+        st.tenants
+            .entry(tenant)
+            .or_insert_with(TenantQ::default_q)
+            .queue
+            .push_back(Ticket {
+                ev: ev.clone(),
+                cost,
+            });
+        if !st.active.contains(&tenant) {
+            st.active.push_back(tenant);
+        }
+        self.dispatch(&mut st);
+        ev
     }
 
     /// Release the service slot `admit` granted and credit `served` bytes

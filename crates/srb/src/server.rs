@@ -2,31 +2,41 @@
 //!
 //! Models `orion.sdsc.edu` (§5 of the paper): a large SMP with several
 //! gigabit NICs fronting an MCAT and a storage vault. Each accepted client
-//! connection gets its own handler actor — the analogue of the per-
-//! connection server thread — which serializes that connection's requests,
-//! charges per-operation processing overhead, performs vault/MCAT work, and
+//! connection gets its own handler — the analogue of the per-connection
+//! server thread — which serializes that connection's requests, charges
+//! per-operation processing overhead, performs vault/MCAT work, and
 //! transmits the response over the connection's reverse path through one of
 //! the server NICs (assigned round-robin at connect time, like IP-level
 //! load balancing across `orion`'s interfaces).
+//!
+//! A handler only ever waits, so it is a [`Task`], not a thread: a state
+//! machine over *receive → overhead → admission → disk → wire* whose every
+//! state is one place a per-connection thread would block, on the same
+//! event. Serving a request is therefore split: `SrbServer::begin` does
+//! everything up to the request's one disk charge without blocking, the
+//! handler charges it, and a continuation finishes. Only `Replicate` — a
+//! whole nested client session against a peer — needs a stack, and borrows
+//! one for as long as it runs.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use semplar_netsim::net::Message;
 use semplar_netsim::net::{BusId, DeviceClass, XferOpts};
 use semplar_netsim::{Bw, LinkId, Network};
-use semplar_runtime::sync::Channel;
-use semplar_runtime::{Dur, Runtime};
+use semplar_runtime::sync::{Channel, Closed};
+use semplar_runtime::{Dur, Event, Runtime, Task, TaskCtx, TaskExecutor, TaskStep, Wake};
 
 use crate::cache::{BlockCache, CacheSpec, CacheStats};
 use crate::client::SrbConn;
 use crate::mcat::Mcat;
-use crate::proto::{ReqFrame, Request, RespFrame, Response, SessionId, WIRE_HDR};
+use crate::proto::{ReqFrame, Request, RespFrame, Response, SessionId, TenantId, WIRE_HDR};
 use crate::qos::TenantScheduler;
 use crate::transport::Transport;
-use crate::types::{OpenFlags, SrbError, SrbResult};
-use crate::vault::{DiskSpec, Vault};
+use crate::types::{adler32, OpenFlags, Payload, SrbError, SrbResult};
+use crate::vault::{DiskOp, DiskSpec, Vault};
 
 /// Server sizing parameters.
 #[derive(Clone, Debug)]
@@ -113,6 +123,26 @@ struct SessionSpace {
     next_fd: u32,
 }
 
+impl SessionSpace {
+    /// The object behind `fd`, if it is open for reading.
+    fn readable(&self, fd: u32) -> SrbResult<u64> {
+        let e = self.fds.get(&fd).ok_or(SrbError::BadFd(fd))?;
+        if !e.flags.readable() {
+            return Err(SrbError::InvalidArg("fd not open for read".into()));
+        }
+        Ok(e.obj_id)
+    }
+
+    /// The object behind `fd` and its path, if it is open for writing.
+    fn writable(&self, fd: u32) -> SrbResult<(u64, String)> {
+        let e = self.fds.get(&fd).ok_or(SrbError::BadFd(fd))?;
+        if !e.flags.writable() {
+            return Err(SrbError::InvalidArg("fd not open for write".into()));
+        }
+        Ok((e.obj_id, e.path.clone()))
+    }
+}
+
 impl Default for SessionSpace {
     fn default() -> Self {
         SessionSpace {
@@ -175,6 +205,8 @@ pub struct SrbServer {
     next_conn: AtomicU64,
     mcat: Arc<Mcat>,
     vault: Arc<Vault>,
+    /// Spawns the connection handlers: handler `n` serves connection `n`.
+    handlers: TaskExecutor,
     peers: Mutex<std::collections::HashMap<String, Peer>>,
     /// Channels of every live connection, keyed by connection id, so a
     /// crash or a per-connection reset can sever them from the outside.
@@ -230,6 +262,7 @@ impl SrbServer {
             .map(|i| net.add_link(&format!("{}/nic{i}-out", cfg.name), cfg.nic_bw, Dur::ZERO))
             .collect();
         let vault = Vault::new(rt.clone(), cfg.disk);
+        let handlers = TaskExecutor::new(&rt, &format!("{}/conn", cfg.name));
         Arc::new(SrbServer {
             rt,
             net,
@@ -240,6 +273,7 @@ impl SrbServer {
             next_conn: AtomicU64::new(0),
             mcat: Arc::new(Mcat::new()),
             vault,
+            handlers,
             peers: Mutex::new(Default::default()),
             live_conns: Mutex::new(Default::default()),
             crashed: AtomicBool::new(false),
@@ -377,7 +411,7 @@ impl SrbServer {
         let rec = self.mcat.lookup(path)?;
         // Federation: this server acts as a *client* of the peer. The
         // connection, transfer, and the peer's disk work all charge real
-        // (virtual) time to this handler actor.
+        // (virtual) time to the stack the handler borrowed for it.
         let conn = peer_server.connect(route, &user, &password)?;
         // mkdir -p the parent collections on the peer.
         let mut prefix = String::new();
@@ -414,8 +448,8 @@ impl SrbServer {
     /// Register an observer called after every completed vault write with
     /// `(path, offset, len)`. Hooks accumulate — federation's replication
     /// queue and client lease revocation each register one and all of them
-    /// fire per write, in registration order. A hook runs on the
-    /// connection-handler actor and must not block.
+    /// fire per write, in registration order. A hook runs inside the
+    /// connection handler's poll and must not block.
     pub fn set_write_hook(&self, hook: WriteHook) {
         self.write_hooks.lock().push(hook);
     }
@@ -464,7 +498,7 @@ impl SrbServer {
     }
 
     /// Install per-tenant deficit-round-robin fair queueing. Every request
-    /// is then admitted under its frame's [`TenantId`](crate::proto::TenantId)
+    /// is then admitted under its frame's [`TenantId`]
     /// before the handler charges vault and NIC time, so tenants share the
     /// server's bottlenecks in proportion to the scheduler's quanta rather
     /// than their offered load. Keep the `TenantScheduler` handle to read
@@ -584,7 +618,7 @@ impl SrbServer {
     /// Shared connection plumbing: refuse if crashed, assign a NIC, charge
     /// the TCP + SRB handshake (one round trip) to the caller, authenticate,
     /// register the stream's channels, and spawn the per-connection handler
-    /// actor. Returns the forward path and channel pair for the transport.
+    /// task. Returns the forward path and channel pair for the transport.
     fn establish(
         self: &Arc<Self>,
         route: &ConnRoute,
@@ -621,20 +655,19 @@ impl SrbServer {
             .lock()
             .insert(conn_id, (req_ch.clone(), resp_ch.clone()));
 
-        let server = self.clone();
-        let handler_req = req_ch.clone();
-        let handler_resp = resp_ch.clone();
-        let rev2 = rev.clone();
-        let rev_opts = route.opts(route.recv_cap);
-        // Daemon: an idle connection handler parked on its request channel
+        // Daemon: an idle connection handler waiting on its request channel
         // must not keep the simulation alive (clients that crash or never
         // disconnect would otherwise wedge the virtual clock).
-        self.rt.spawn_daemon(
-            &format!("{}/conn-{conn_id}", self.cfg.name),
-            Box::new(move || {
-                server.serve_connection(conn_id, handler_req, handler_resp, rev2, rev_opts);
-            }),
-        );
+        self.handlers.spawn_daemon(Box::new(Handler {
+            server: self.clone(),
+            conn_id,
+            req_ch: req_ch.clone(),
+            resp_ch: resp_ch.clone(),
+            rev,
+            rev_opts: route.opts(route.recv_cap),
+            sessions: Default::default(),
+            state: Serving::Idle,
+        }));
 
         Ok((fwd, (req_ch, resp_ch), conn_id))
     }
@@ -681,106 +714,24 @@ impl SrbServer {
         ))
     }
 
-    fn serve_connection(
-        &self,
-        conn_id: u64,
-        req_ch: Channel<ReqFrame>,
-        resp_ch: Channel<RespFrame>,
-        rev: Vec<LinkId>,
-        rev_opts: XferOpts,
-    ) {
-        // One fd namespace per session on this stream; exclusive streams
-        // only ever populate session 0.
-        let mut sessions: std::collections::HashMap<SessionId, SessionSpace> = Default::default();
-        // Loop until the client disconnects, drops the channel, or a fault
-        // severs the connection from outside.
-        while let Ok(frame) = req_ch.recv() {
-            self.requests.fetch_add(1, Ordering::Relaxed);
-            self.trace_request(conn_id, &frame);
-            self.rt.sleep(self.cfg.op_overhead);
-            let req_wire = frame.wire_size();
-            let ReqFrame {
-                seq,
-                session,
-                tenant,
-                epoch,
-                req,
-            } = frame;
-            // Per-tenant fair queueing (when installed) gates the vault +
-            // response-NIC stage: the handler parks here until DRR grants
-            // this tenant a service slot. The DRR cost is the bytes the
-            // request moves through the gated stage — its own wire size
-            // plus, for reads, the response payload it pulls — so megabyte
-            // writes *and* megabyte reads drain a tenant's credit while
-            // header-sized ops glide through.
-            let qos = self.qos.lock().clone();
-            if let Some(q) = &qos {
-                let cost = req_wire
-                    + match &req {
-                        Request::Read { len, .. } => *len,
-                        Request::ReadList { extents, .. } => extents.iter().map(|&(_, l)| l).sum(),
-                        _ => 0,
-                    };
-                q.admit(tenant, cost);
-            }
-            let last = matches!(req, Request::Disconnect);
-            let (resp, lease) = if matches!(req, Request::EndSession) {
-                sessions.remove(&session);
-                (Response::Ok, None)
-            } else if let Some(e) = self.fence_check(epoch, &req) {
-                (Response::Error(e), None)
-            } else {
-                let space = sessions.entry(session).or_default();
-                self.handle(req, space)
-            };
-            let frame = RespFrame {
-                seq,
-                session,
-                lease,
-                resp,
-            };
-            self.net
-                .send_message_opts(&rev, frame.wire_size(), &rev_opts);
-            if let Some(q) = &qos {
-                q.done(tenant, req_wire + frame.wire_size());
-            }
-            if resp_ch.send(frame).is_err() {
-                break;
-            }
-            if last {
-                break;
-            }
-        }
-        self.live_conns.lock().remove(&conn_id);
-    }
-
-    fn handle(&self, req: Request, space: &mut SessionSpace) -> (Response, Option<u64>) {
-        match self.handle_inner(req, space) {
-            Ok(r) => r,
-            Err(e) => (Response::Error(e), None),
-        }
-    }
-
-    /// Serve one request; returns the response plus, for reads, the lease
-    /// grant (the object's write epoch sampled before the read).
-    fn handle_inner(
-        &self,
-        req: Request,
-        space: &mut SessionSpace,
-    ) -> SrbResult<(Response, Option<u64>)> {
+    /// The non-blocking first phase of serving `req`: everything up to the
+    /// request's one disk charge. An `Err` is the reply to a request refused
+    /// outright.
+    fn begin(&self, req: Request, space: &mut SessionSpace) -> SrbResult<Served> {
+        let reply = |resp| Ok(Served::Reply(resp, None));
         match req {
             Request::MkColl(p) => {
                 self.mcat.mk_coll(&p)?;
-                Ok((Response::Ok, None))
+                reply(Response::Ok)
             }
             Request::RmColl(p) => {
                 self.mcat.rm_coll(&p)?;
-                Ok((Response::Ok, None))
+                reply(Response::Ok)
             }
             Request::Create(p) => {
                 let id = self.mcat.create_obj(&p, &self.cfg.resource)?;
                 self.vault.create(id);
-                Ok((Response::Ok, None))
+                reply(Response::Ok)
             }
             Request::Open(p, flags) => {
                 let rec = match self.mcat.lookup(&p) {
@@ -808,87 +759,64 @@ impl SrbServer {
                         flags,
                     },
                 );
-                Ok((Response::Fd(fd), None))
+                reply(Response::Fd(fd))
             }
             Request::Close(fd) => {
                 space.fds.remove(&fd).ok_or(SrbError::BadFd(fd))?;
-                Ok((Response::Ok, None))
+                reply(Response::Ok)
             }
             Request::Read { fd, offset, len } => {
-                let obj_id = {
-                    let e = space.fds.get(&fd).ok_or(SrbError::BadFd(fd))?;
-                    if !e.flags.readable() {
-                        return Err(SrbError::InvalidArg("fd not open for read".into()));
-                    }
-                    e.obj_id
-                };
+                let obj_id = space.readable(fd)?;
                 // Lease grant: sample the write epoch BEFORE the read. If a
                 // write slips in during the disk access the grant is already
                 // stale — the conservative direction. (Sampling after could
                 // stamp a fresh epoch onto pre-write bytes.)
-                let grant = self.lease_epoch(obj_id);
-                let cache = self.cache.lock().clone();
-                let data = match &cache {
-                    Some(c) => c.serve_read(&self.vault, obj_id, offset, len),
-                    None => self.vault.read(obj_id, offset, len),
+                let grant = Some(self.lease_epoch(obj_id));
+                // The bytes are the vault's as of now; the disk time they
+                // cost is charged before they go out.
+                let Some(cache) = self.cache.lock().clone() else {
+                    let data = self.vault.load(obj_id, offset, len);
+                    return Ok(Served::disk(data.len(), move |srv| {
+                        Ok(srv.read_done(data, grant))
+                    }));
                 };
-                self.bytes_read.fetch_add(data.len(), Ordering::Relaxed);
-                Ok((Response::Data(data), Some(grant)))
+                match cache.begin_read(obj_id, offset, len) {
+                    Ok(data) => {
+                        let (resp, lease) = self.read_done(data, grant);
+                        Ok(Served::Reply(resp, lease))
+                    }
+                    Err(miss) => {
+                        let fetched = self.vault.load_extents(obj_id, &miss.extents);
+                        let bytes = fetched.iter().map(|p| p.len()).sum();
+                        Ok(Served::disk(bytes, move |srv| {
+                            Ok(srv.read_done(cache.finish_read(miss, fetched), grant))
+                        }))
+                    }
+                }
             }
             Request::Write {
                 fd,
                 offset,
                 payload,
             } => {
-                let (obj_id, path) = {
-                    let e = space.fds.get(&fd).ok_or(SrbError::BadFd(fd))?;
-                    if !e.flags.writable() {
-                        return Err(SrbError::InvalidArg("fd not open for write".into()));
-                    }
-                    (e.obj_id, e.path.clone())
-                };
-                let n = payload.len();
-                // For cache invalidation the dirty range starts at the
-                // write offset or the old EOF, whichever is lower: a write
-                // past EOF zero-fills the gap, so cached EOF-short blocks
-                // in `[old_size, offset)` are stale too.
-                let old_size = self.vault.size(obj_id);
-                let new_size = self.vault.write(obj_id, offset, &payload);
-                if let Some(c) = self.cache.lock().clone() {
-                    c.invalidate_range(obj_id, old_size.min(offset), offset + n);
-                }
-                self.bump_lease_epoch(obj_id);
-                self.mcat.update_size(&path, new_size)?;
-                self.bytes_written.fetch_add(n, Ordering::Relaxed);
-                self.fire_write_hooks(&path, offset, n);
-                Ok((Response::Written(n), None))
+                let (obj_id, path) = space.writable(fd)?;
+                Ok(self.begin_write(obj_id, path, vec![(offset, payload.len())], payload))
             }
             Request::ReadList { fd, extents } => {
-                let obj_id = {
-                    let e = space.fds.get(&fd).ok_or(SrbError::BadFd(fd))?;
-                    if !e.flags.readable() {
-                        return Err(SrbError::InvalidArg("fd not open for read".into()));
-                    }
-                    e.obj_id
-                };
+                let obj_id = space.readable(fd)?;
                 // One vault pass for the whole list: a single seek plus one
                 // packed transfer, instead of a disk pass per extent.
-                let data = self.vault.read_list(obj_id, &extents);
-                self.bytes_read.fetch_add(data.len(), Ordering::Relaxed);
-                Ok((Response::Data(data), None))
+                let data = self.vault.load_list(obj_id, &extents);
+                Ok(Served::disk(data.len(), move |srv| {
+                    Ok(srv.read_done(data, None))
+                }))
             }
             Request::WriteList {
                 fd,
                 extents,
                 payload,
             } => {
-                let (obj_id, path) = {
-                    let e = space.fds.get(&fd).ok_or(SrbError::BadFd(fd))?;
-                    if !e.flags.writable() {
-                        return Err(SrbError::InvalidArg("fd not open for write".into()));
-                    }
-                    (e.obj_id, e.path.clone())
-                };
+                let (obj_id, path) = space.writable(fd)?;
                 let total: u64 = extents.iter().map(|&(_, l)| l).sum();
                 if total != payload.len() {
                     return Err(SrbError::InvalidArg(format!(
@@ -896,26 +824,9 @@ impl SrbServer {
                         payload.len()
                     )));
                 }
-                let old_size = self.vault.size(obj_id);
-                let new_size = self.vault.write_list(obj_id, &extents, &payload);
-                if let Some(c) = self.cache.lock().clone() {
-                    // One conservative sweep over the whole dirtied span
-                    // (including any zero-filled gap past the old EOF).
-                    let lo = extents.iter().map(|&(o, _)| o).min().unwrap_or(0);
-                    let hi = extents.iter().map(|&(o, l)| o + l).max().unwrap_or(0);
-                    c.invalidate_range(obj_id, old_size.min(lo), hi);
-                }
-                self.bump_lease_epoch(obj_id);
-                self.mcat.update_size(&path, new_size)?;
-                self.bytes_written.fetch_add(total, Ordering::Relaxed);
-                // Fire per extent so replication ships exactly the packed
-                // bytes — never the holes between extents.
-                for &(off, len) in &extents {
-                    self.fire_write_hooks(&path, off, len);
-                }
-                Ok((Response::Written(total), None))
+                Ok(self.begin_write(obj_id, path, extents, payload))
             }
-            Request::Stat(p) => Ok((Response::Stat(self.mcat.stat(&p)?), None)),
+            Request::Stat(p) => reply(Response::Stat(self.mcat.stat(&p)?)),
             Request::Unlink(p) => {
                 let id = self.mcat.unlink(&p)?;
                 self.vault.remove(id);
@@ -927,21 +838,285 @@ impl SrbServer {
                 for h in &breaks {
                     h(&LeaseBreak::Unlink { path: p.clone() });
                 }
-                Ok((Response::Ok, None))
+                reply(Response::Ok)
             }
-            Request::List(p) => Ok((Response::Names(self.mcat.list(&p)?), None)),
+            Request::List(p) => reply(Response::Names(self.mcat.list(&p)?)),
             Request::Checksum(p) => {
+                // A full disk read of the object, then the sum of the bytes
+                // it held when the read began.
                 let rec = self.mcat.lookup(&p)?;
-                Ok((Response::Checksum(self.vault.checksum(rec.obj_id)?), None))
+                let data = self.vault.bytes_of(rec.obj_id)?;
+                Ok(Served::disk(data.len() as u64, move |_| {
+                    Ok((Response::Checksum(adler32(&data)), None))
+                }))
             }
-            Request::Replicate { path, peer } => {
-                self.replicate(&path, &peer)?;
-                Ok((Response::Ok, None))
-            }
-            // EndSession is resolved in `serve_connection` (it retires the
-            // whole session space); reaching here means a stray frame.
-            Request::EndSession => Ok((Response::Ok, None)),
-            Request::Disconnect => Ok((Response::Ok, None)),
+            Request::Replicate { path, peer } => Ok(Served::Stack(path, peer)),
+            // EndSession is resolved by the handler (it retires the whole
+            // session space); reaching here means a stray frame.
+            Request::EndSession | Request::Disconnect => reply(Response::Ok),
         }
+    }
+
+    /// A write of `payload`, packed back-to-back for `extents` (one extent
+    /// for a plain write): one disk charge for the packed bytes, then the
+    /// store and everything that must see it.
+    fn begin_write(
+        &self,
+        obj_id: u64,
+        path: String,
+        extents: Vec<(u64, u64)>,
+        payload: Payload,
+    ) -> Served {
+        let total = payload.len();
+        // For cache invalidation the dirty range starts at the lowest write
+        // offset or the old EOF, whichever is lower: a write past EOF
+        // zero-fills the gap, so cached EOF-short blocks in between are
+        // stale too.
+        let old_size = self.vault.size(obj_id);
+        Served::disk(total, move |srv| {
+            let new_size = srv.vault.store_list(obj_id, &extents, &payload);
+            if let Some(c) = srv.cache.lock().clone() {
+                // One conservative sweep over the whole dirtied span.
+                let lo = extents.iter().map(|&(o, _)| o).min().unwrap_or(0);
+                let hi = extents.iter().map(|&(o, l)| o + l).max().unwrap_or(0);
+                c.invalidate_range(obj_id, old_size.min(lo), hi);
+            }
+            srv.bump_lease_epoch(obj_id);
+            srv.mcat.update_size(&path, new_size)?;
+            srv.bytes_written.fetch_add(total, Ordering::Relaxed);
+            // Fire per extent so replication ships exactly the packed
+            // bytes — never the holes between extents.
+            for &(off, len) in &extents {
+                srv.fire_write_hooks(&path, off, len);
+            }
+            Ok((Response::Written(total), None))
+        })
+    }
+
+    fn read_done(&self, data: Payload, grant: Option<u64>) -> Reply {
+        self.bytes_read.fetch_add(data.len(), Ordering::Relaxed);
+        (Response::Data(data), grant)
+    }
+}
+
+/// A response and, for reads, its lease grant (the object's write epoch
+/// sampled before the read).
+type Reply = (Response, Option<u64>);
+
+/// The rest of a request, run once its disk charge has been paid.
+type Finish = Box<dyn FnOnce(&SrbServer) -> SrbResult<Reply> + Send>;
+
+/// What is left of a request after [`SrbServer::begin`].
+enum Served {
+    /// Nothing: answered from the catalog (or the cache) alone.
+    Reply(Response, Option<u64>),
+    /// One disk operation of so many bytes, then the continuation.
+    Disk(u64, Finish),
+    /// `Replicate { path, peer }`: a nested blocking client session, which
+    /// needs a stack.
+    Stack(String, String),
+}
+
+impl Served {
+    fn disk(
+        bytes: u64,
+        finish: impl FnOnce(&SrbServer) -> SrbResult<Reply> + Send + 'static,
+    ) -> Served {
+        Served::Disk(bytes, Box::new(finish))
+    }
+}
+
+/// The frame fields a request's reply needs, kept while it is served.
+struct Job {
+    seq: u64,
+    session: SessionId,
+    tenant: TenantId,
+    req_wire: u64,
+    /// `Disconnect`: the handler ends after replying.
+    last: bool,
+    /// The fair-queueing gate this request was admitted through, if any.
+    qos: Option<Arc<TenantScheduler>>,
+}
+
+/// Where a connection handler is blocked: each state is one blocking call
+/// of the per-connection server thread it stands for.
+enum Serving {
+    /// `req_ch.recv()`.
+    Idle,
+    /// `sleep(op_overhead)`.
+    Overhead(ReqFrame),
+    /// `qos.admit()`: waiting for DRR to signal the ticket.
+    Admit(Job, u64, Request, Event),
+    /// The request's disk charge; the continuation finishes it.
+    Disk(Job, DiskOp, Finish),
+    /// `replicate()` running on a borrowed stack, which leaves its result
+    /// in the slot and signals the event.
+    Stack(Job, Event, Arc<Mutex<Option<SrbResult<()>>>>),
+    /// The response on its way over the reverse path.
+    Wire(Job, RespFrame, Message),
+}
+
+/// One connection's handler: serves its requests strictly in arrival order,
+/// one at a time, until the client disconnects, drops the channel, or a
+/// fault severs the connection from outside.
+struct Handler {
+    server: Arc<SrbServer>,
+    conn_id: u64,
+    req_ch: Channel<ReqFrame>,
+    resp_ch: Channel<RespFrame>,
+    rev: Vec<LinkId>,
+    rev_opts: XferOpts,
+    /// One fd namespace per session on this stream; exclusive streams only
+    /// ever populate session 0.
+    sessions: std::collections::HashMap<SessionId, SessionSpace>,
+    state: Serving,
+}
+
+impl Handler {
+    /// Past admission: resolve the request as far as its disk charge.
+    fn serve(&mut self, job: Job, epoch: u64, req: Request) -> Serving {
+        let srv = &self.server;
+        let served = if matches!(req, Request::EndSession) {
+            self.sessions.remove(&job.session);
+            Ok(Served::Reply(Response::Ok, None))
+        } else if let Some(e) = srv.fence_check(epoch, &req) {
+            Err(e)
+        } else {
+            srv.begin(req, self.sessions.entry(job.session).or_default())
+        };
+        match served {
+            Ok(Served::Reply(resp, lease)) => Self::reply(job, resp, lease),
+            Ok(Served::Disk(bytes, finish)) => Serving::Disk(job, DiskOp::new(bytes), finish),
+            Ok(Served::Stack(path, peer)) => {
+                let (done, out) = (srv.rt.event(), Arc::new(Mutex::new(None)));
+                let (srv2, done2, out2) = (srv.clone(), done.clone(), out.clone());
+                srv.rt.spawn_daemon(
+                    &format!("{}/conn-{}/stack", srv.cfg.name, self.conn_id),
+                    Box::new(move || {
+                        let r = srv2.replicate(&path, &peer);
+                        *out2.lock() = Some(r);
+                        done2.signal();
+                    }),
+                );
+                Serving::Stack(job, done, out)
+            }
+            Err(e) => Self::reply(job, Response::Error(e), None),
+        }
+    }
+
+    fn reply(job: Job, resp: Response, lease: Option<u64>) -> Serving {
+        let frame = RespFrame {
+            seq: job.seq,
+            session: job.session,
+            lease,
+            resp,
+        };
+        let msg = Message::new(frame.wire_size());
+        Serving::Wire(job, frame, msg)
+    }
+}
+
+impl Task for Handler {
+    fn poll(&mut self, cx: &mut TaskCtx<'_>) -> TaskStep {
+        let srv = self.server.clone();
+        loop {
+            self.state = match std::mem::replace(&mut self.state, Serving::Idle) {
+                Serving::Idle => match self.req_ch.poll_recv() {
+                    Err(wait) => return wait,
+                    Ok(Err(Closed)) => break,
+                    Ok(Ok(frame)) => {
+                        srv.requests.fetch_add(1, Ordering::Relaxed);
+                        srv.trace_request(self.conn_id, &frame);
+                        if !srv.cfg.op_overhead.is_zero() {
+                            self.state = Serving::Overhead(frame);
+                            return TaskStep::Sleep(srv.cfg.op_overhead);
+                        }
+                        Serving::Overhead(frame)
+                    }
+                },
+                Serving::Overhead(frame) => {
+                    let req_wire = frame.wire_size();
+                    let ReqFrame {
+                        seq,
+                        session,
+                        tenant,
+                        epoch,
+                        req,
+                    } = frame;
+                    // Per-tenant fair queueing (when installed) gates the
+                    // vault + response-NIC stage: the handler waits here
+                    // until DRR grants this tenant a service slot. The DRR
+                    // cost is the bytes the request moves through the gated
+                    // stage — its own wire size plus, for reads, the
+                    // response payload it pulls — so megabyte writes *and*
+                    // megabyte reads drain a tenant's credit while
+                    // header-sized ops glide through.
+                    let qos = srv.qos.lock().clone();
+                    let ticket = qos.as_ref().map(|q| {
+                        let pulled = match &req {
+                            Request::Read { len, .. } => *len,
+                            Request::ReadList { extents, .. } => {
+                                extents.iter().map(|&(_, l)| l).sum()
+                            }
+                            _ => 0,
+                        };
+                        q.enqueue(tenant, req_wire + pulled)
+                    });
+                    let job = Job {
+                        seq,
+                        session,
+                        tenant,
+                        req_wire,
+                        last: matches!(req, Request::Disconnect),
+                        qos,
+                    };
+                    match ticket {
+                        None => self.serve(job, epoch, req),
+                        Some(ticket) => {
+                            self.state = Serving::Admit(job, epoch, req, ticket.clone());
+                            return TaskStep::Wait(ticket, None);
+                        }
+                    }
+                }
+                Serving::Admit(job, epoch, req, ticket) => {
+                    if cx.wake != Some(Wake::Signaled) {
+                        self.state = Serving::Admit(job, epoch, req, ticket.clone());
+                        return TaskStep::Wait(ticket, None);
+                    }
+                    self.serve(job, epoch, req)
+                }
+                Serving::Disk(job, mut op, finish) => {
+                    if let Some(step) = srv.vault.poll_disk(&mut op) {
+                        self.state = Serving::Disk(job, op, finish);
+                        return step;
+                    }
+                    let (resp, lease) = finish(&srv).unwrap_or_else(|e| (Response::Error(e), None));
+                    Self::reply(job, resp, lease)
+                }
+                Serving::Stack(job, done, out) => {
+                    let Some(r) = out.lock().take() else {
+                        self.state = Serving::Stack(job, done.clone(), out.clone());
+                        return TaskStep::Wait(done, None);
+                    };
+                    let resp = r.map_or_else(Response::Error, |()| Response::Ok);
+                    Self::reply(job, resp, None)
+                }
+                Serving::Wire(job, frame, mut msg) => {
+                    if let Some(step) = srv.net.poll_message(&mut msg, &self.rev, &self.rev_opts) {
+                        self.state = Serving::Wire(job, frame, msg);
+                        return step;
+                    }
+                    if let Some(q) = &job.qos {
+                        q.done(job.tenant, job.req_wire + frame.wire_size());
+                    }
+                    if self.resp_ch.send(frame).is_err() || job.last {
+                        break;
+                    }
+                    Serving::Idle
+                }
+            };
+        }
+        srv.live_conns.lock().remove(&self.conn_id);
+        TaskStep::Done
     }
 }

@@ -15,29 +15,36 @@
 //! * **Multiplexed** — many sessions share the stream. Each exchange takes a
 //!   stream-unique `seq` tag, sends under a send-side lock (a TCP stream
 //!   serializes bytes, so concurrent frames must queue for the wire), and
-//!   parks on a per-exchange cell; a demultiplexer daemon routes tagged
-//!   responses back to their issuers. An `inflight` semaphore bounds
-//!   outstanding exchanges per stream, and the FIFO-ish wakeup order of the
-//!   runtime semaphore gives fair tag scheduling across sessions.
+//!   parks on a per-exchange cell; a demultiplexer routes tagged responses
+//!   back to their issuers. An `inflight` semaphore bounds outstanding
+//!   exchanges per stream, and the FIFO-ish wakeup order of the runtime
+//!   semaphore gives fair tag scheduling across sessions.
+//!
+//! A multiplexed stream's two helpers only ever wait, so they are
+//! [`Task`]s, not threads, spawned under the stream's label: the `Demux`
+//! (blocked where a thread would sit in `resp_ch.recv()`) and, from the
+//! first asynchronous submit on, the `Sender` (a job queue, then the
+//! inflight permit, the send lock and the wire — the blocking calls of a
+//! synchronous exchange, made on the submitter's behalf).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use semplar_netsim::net::XferOpts;
+use semplar_netsim::net::{Message, XferOpts};
 use semplar_netsim::{LinkId, Network};
 use semplar_runtime::sync::{Channel, Closed, OnceCellBlocking, RtMutex, Semaphore};
-use semplar_runtime::Runtime;
+use semplar_runtime::{Runtime, Task, TaskCtx, TaskExecutor, TaskStep, Wake};
 
 use crate::proto::{ReqFrame, Request, RespFrame, Response, SessionId, TenantId};
 
 type RespCell = Arc<OnceCellBlocking<Option<RespFrame>>>;
 
 /// Completion to run when an async submit's tagged response arrives (or the
-/// stream dies, delivering `None`). Runs on the demux daemon: it must not
-/// block through the runtime — store the result and wake a task.
+/// stream dies, delivering `None`). Runs inside the demultiplexer's poll: it
+/// must not block through the runtime — store the result and wake a task.
 pub type SubmitCallback = Box<dyn FnOnce(Option<Response>) + Send>;
 
 /// One in-flight exchange awaiting its tagged response: a parked thread's
@@ -45,7 +52,12 @@ pub type SubmitCallback = Box<dyn FnOnce(Option<Response>) + Send>;
 /// completion callback.
 enum Pending {
     Cell(RespCell),
-    Callback(SubmitCallback),
+    Callback {
+        cb: SubmitCallback,
+        /// The submit's inflight permit, once the [`Sender`] has taken one
+        /// for it: whoever settles the exchange gives it back.
+        permit: bool,
+    },
 }
 
 /// EWMA smoothing factor for the per-stream goodput/latency estimates. A
@@ -139,23 +151,183 @@ impl IoMeter {
 enum Mode {
     /// One exchange at a time; timing-identical to the pre-split client.
     Exclusive { lock: RtMutex<()> },
-    /// Tagged exchanges share the stream; a demux daemon routes responses.
-    Multiplexed {
-        /// In-flight exchanges awaiting their tagged response.
-        pending: Arc<Mutex<HashMap<u64, Pending>>>,
-        /// Bounds outstanding exchanges on this stream.
-        inflight: Semaphore,
-        /// Serializes frames onto the wire — one TCP stream sends bytes in
-        /// order, so concurrent exchanges queue for the forward path.
-        send_lock: RtMutex<()>,
-        /// Set by the demux daemon when the stream dies.
-        dead: Arc<AtomicBool>,
-        /// Queue feeding the lazily spawned sender daemon that charges
-        /// forward transfers on behalf of async submits. `None` until the
-        /// first [`Transport::submit_hinted`]; purely synchronous
-        /// transports never pay for the extra daemon.
-        sender: Mutex<Option<Channel<ReqFrame>>>,
-    },
+    /// Tagged exchanges share the stream; a demux task routes responses.
+    Multiplexed(Arc<Mux>),
+}
+
+/// What the exchanges sharing one multiplexed stream share.
+struct Mux {
+    /// In-flight exchanges awaiting their tagged response, by `seq`: a
+    /// stream's death fails them in the order they were issued.
+    pending: Mutex<BTreeMap<u64, Pending>>,
+    /// Bounds outstanding exchanges on this stream.
+    inflight: Semaphore,
+    /// Serializes frames onto the wire — one TCP stream sends bytes in
+    /// order, so concurrent exchanges queue for the forward path. One
+    /// permit: a lock its holder can keep across polls.
+    send_lock: Semaphore,
+    /// Set by the demux task when the stream dies.
+    dead: AtomicBool,
+    /// Queue feeding the lazily spawned [`Sender`] that charges forward
+    /// transfers on behalf of async submits. `None` until the first
+    /// [`Transport::submit_hinted`].
+    sender: Mutex<Option<Channel<ReqFrame>>>,
+    /// Spawns this stream's tasks, named `<label>/<n>`: the demux is 0.
+    tasks: TaskExecutor,
+}
+
+impl Mux {
+    /// Deliver `frame` — `None`: the stream died — to the exchange `entry`
+    /// stood for.
+    fn settle(&self, entry: Pending, frame: Option<RespFrame>) {
+        match entry {
+            Pending::Cell(cell) => cell.set(frame),
+            Pending::Callback { cb, permit } => {
+                if permit {
+                    self.inflight.release();
+                }
+                cb(frame.map(|f| f.resp));
+            }
+        }
+    }
+
+    /// Fail the exchange tagged `seq`, unless it has been settled already.
+    fn fail(&self, seq: u64) {
+        let entry = self.pending.lock().remove(&seq);
+        if let Some(entry) = entry {
+            self.settle(entry, None);
+        }
+    }
+}
+
+/// Routes tagged responses to the exchange that issued them. A daemon,
+/// because an idle shared stream must not keep the simulation alive. On
+/// stream death it marks the transport dead *while holding the pending
+/// lock* (so no exchange can register a cell afterwards) and then fails
+/// every parked exchange.
+struct Demux {
+    resp_ch: Channel<RespFrame>,
+    mux: Arc<Mux>,
+}
+
+impl Task for Demux {
+    fn poll(&mut self, _cx: &mut TaskCtx<'_>) -> TaskStep {
+        let mux = &self.mux;
+        loop {
+            let frame = match self.resp_ch.poll_recv() {
+                Err(wait) => return wait,
+                Ok(Err(Closed)) => break,
+                Ok(Ok(frame)) => frame,
+            };
+            let entry = mux.pending.lock().remove(&frame.seq);
+            if let Some(entry) = entry {
+                mux.settle(entry, Some(frame));
+            }
+        }
+        let orphans = {
+            let mut g = mux.pending.lock();
+            mux.dead.store(true, Ordering::SeqCst);
+            std::mem::take(&mut *g)
+        };
+        for entry in orphans.into_values() {
+            mux.settle(entry, None);
+        }
+        TaskStep::Done
+    }
+}
+
+/// Where a [`Sender`] is blocked: each state is one blocking call of a
+/// synchronous exchange's send half.
+enum Sending {
+    /// `jobs.recv()`.
+    Idle,
+    /// `inflight.acquire()`.
+    Permit(ReqFrame),
+    /// `send_lock.acquire()`.
+    Lock(ReqFrame),
+    /// The frame on its way over the forward path.
+    Wire(ReqFrame, Message),
+}
+
+/// Serializes async submits onto the wire in submission order, charging
+/// each forward transfer; the inflight permit it takes for a submit is the
+/// exchange's from the send until it is settled. A dead stream gets no more
+/// bytes: a frame dequeued after the cut is failed on the spot, and one the
+/// cut caught queueing for the permit or the lock is dropped there.
+struct Sender {
+    transport: Arc<Transport>,
+    jobs: Channel<ReqFrame>,
+    state: Sending,
+}
+
+impl Task for Sender {
+    fn poll(&mut self, cx: &mut TaskCtx<'_>) -> TaskStep {
+        let t = &self.transport;
+        let Mode::Multiplexed(mux) = &t.mode else {
+            unreachable!("sender on a non-multiplexed transport");
+        };
+        // A permit is ours only if the wait for it ended in a signal.
+        let granted = cx.wake == Some(Wake::Signaled);
+        loop {
+            self.state = match std::mem::replace(&mut self.state, Sending::Idle) {
+                Sending::Idle => match self.jobs.poll_recv() {
+                    Err(wait) => return wait,
+                    Ok(Err(Closed)) => return TaskStep::Done,
+                    Ok(Ok(frame)) if !t.is_alive() => {
+                        mux.fail(frame.seq);
+                        Sending::Idle
+                    }
+                    Ok(Ok(frame)) => {
+                        self.state = Sending::Permit(frame);
+                        return mux.inflight.acquire_step();
+                    }
+                },
+                Sending::Permit(frame) if !granted => {
+                    self.state = Sending::Permit(frame);
+                    return mux.inflight.acquire_step();
+                }
+                Sending::Permit(frame) => {
+                    self.state = Sending::Lock(frame);
+                    return mux.send_lock.acquire_step();
+                }
+                Sending::Lock(frame) if !granted => {
+                    self.state = Sending::Lock(frame);
+                    return mux.send_lock.acquire_step();
+                }
+                Sending::Lock(frame) => {
+                    let claimed = match mux.pending.lock().get_mut(&frame.seq) {
+                        Some(Pending::Callback { permit, .. }) if t.is_alive() => {
+                            *permit = true;
+                            true
+                        }
+                        _ => false,
+                    };
+                    if claimed {
+                        let msg = Message::new(frame.wire_size());
+                        Sending::Wire(frame, msg)
+                    } else {
+                        mux.send_lock.release();
+                        mux.inflight.release();
+                        mux.fail(frame.seq);
+                        Sending::Idle
+                    }
+                }
+                Sending::Wire(frame, mut msg) => {
+                    if let Some(step) = t.net.poll_message(&mut msg, &t.fwd, &t.fwd_opts) {
+                        self.state = Sending::Wire(frame, msg);
+                        return step;
+                    }
+                    let seq = frame.seq;
+                    let sent = t.req_ch.send(frame).is_ok();
+                    mux.send_lock.release();
+                    if !sent {
+                        mux.fail(seq);
+                    }
+                    Sending::Idle
+                }
+            };
+        }
+    }
 }
 
 /// A physical stream to the server: the forward link path plus the
@@ -171,8 +343,6 @@ pub struct Transport {
     next_session: AtomicU64,
     mode: Mode,
     meter: Arc<IoMeter>,
-    /// Diagnostic label (the demux daemon's name); names the sender daemon.
-    label: String,
 }
 
 impl Transport {
@@ -184,25 +354,12 @@ impl Transport {
         fwd_opts: XferOpts,
         chans: (Channel<ReqFrame>, Channel<RespFrame>),
     ) -> Arc<Transport> {
-        let (req_ch, resp_ch) = chans;
         let lock = RtMutex::new(&rt, ());
-        Arc::new(Transport {
-            rt,
-            net,
-            fwd,
-            fwd_opts,
-            req_ch,
-            resp_ch,
-            next_seq: AtomicU64::new(0),
-            next_session: AtomicU64::new(0),
-            mode: Mode::Exclusive { lock },
-            meter: IoMeter::new(),
-            label: String::new(),
-        })
+        Self::new(rt, net, fwd, fwd_opts, chans, Mode::Exclusive { lock })
     }
 
     /// A multiplexed transport carrying up to `max_inflight` concurrent
-    /// exchanges. Spawns the demultiplexer daemon (named `label`).
+    /// exchanges. Spawns the demultiplexer, task 0 of executor `label`.
     pub(crate) fn multiplexed(
         rt: Arc<dyn Runtime>,
         net: Arc<Network>,
@@ -212,54 +369,29 @@ impl Transport {
         label: &str,
         max_inflight: usize,
     ) -> Arc<Transport> {
-        let (req_ch, resp_ch) = chans;
-        let pending: Arc<Mutex<HashMap<u64, Pending>>> = Arc::new(Mutex::new(Default::default()));
-        let dead = Arc::new(AtomicBool::new(false));
-        let inflight = Semaphore::new(&rt, max_inflight.max(1));
-        let send_lock = RtMutex::new(&rt, ());
+        let mux = Arc::new(Mux {
+            pending: Default::default(),
+            inflight: Semaphore::new(&rt, max_inflight.max(1)),
+            send_lock: Semaphore::new(&rt, 1),
+            dead: AtomicBool::new(false),
+            sender: Mutex::new(None),
+            tasks: TaskExecutor::new(&rt, label),
+        });
+        mux.tasks.spawn_daemon(Box::new(Demux {
+            resp_ch: chans.1.clone(),
+            mux: mux.clone(),
+        }));
+        Self::new(rt, net, fwd, fwd_opts, chans, Mode::Multiplexed(mux))
+    }
 
-        // Demux daemon: routes tagged responses to the exchange that issued
-        // them. A daemon because an idle shared stream must not keep the
-        // simulation alive. On stream death it marks the transport dead
-        // *while holding the pending lock* (so no exchange can register a
-        // cell afterwards) and then fails every parked exchange.
-        let demux_pending = pending.clone();
-        let demux_dead = dead.clone();
-        let demux_resp = resp_ch.clone();
-        let demux_inflight = inflight.clone();
-        rt.spawn_daemon(
-            label,
-            Box::new(move || {
-                while let Ok(frame) = demux_resp.recv() {
-                    let entry = demux_pending.lock().remove(&frame.seq);
-                    match entry {
-                        Some(Pending::Cell(cell)) => cell.set(Some(frame)),
-                        Some(Pending::Callback(cb)) => {
-                            // Async submits hold their inflight permit from
-                            // the sender daemon's send to this completion.
-                            demux_inflight.release();
-                            cb(Some(frame.resp));
-                        }
-                        None => {}
-                    }
-                }
-                let orphans: Vec<Pending> = {
-                    let mut g = demux_pending.lock();
-                    demux_dead.store(true, Ordering::SeqCst);
-                    g.drain().map(|(_, c)| c).collect()
-                };
-                for entry in orphans {
-                    match entry {
-                        Pending::Cell(cell) => cell.set(None),
-                        Pending::Callback(cb) => {
-                            demux_inflight.release();
-                            cb(None);
-                        }
-                    }
-                }
-            }),
-        );
-
+    fn new(
+        rt: Arc<dyn Runtime>,
+        net: Arc<Network>,
+        fwd: Vec<LinkId>,
+        fwd_opts: XferOpts,
+        (req_ch, resp_ch): (Channel<ReqFrame>, Channel<RespFrame>),
+        mode: Mode,
+    ) -> Arc<Transport> {
         Arc::new(Transport {
             rt,
             net,
@@ -269,15 +401,8 @@ impl Transport {
             resp_ch,
             next_seq: AtomicU64::new(0),
             next_session: AtomicU64::new(0),
-            mode: Mode::Multiplexed {
-                pending,
-                inflight,
-                send_lock,
-                dead,
-                sender: Mutex::new(None),
-            },
+            mode,
             meter: IoMeter::new(),
-            label: label.to_string(),
         })
     }
 
@@ -346,16 +471,17 @@ impl Transport {
                 };
                 send()
             }
-            Mode::Multiplexed {
-                pending,
-                inflight,
-                send_lock,
-                dead,
-                ..
-            } => {
-                inflight.acquire();
-                let r = self.exchange_mux(pending, send_lock, dead, session, tenant, epoch, req);
-                inflight.release();
+            Mode::Multiplexed(mux) => {
+                mux.inflight.acquire();
+                let frame = ReqFrame {
+                    seq: self.next_seq.fetch_add(1, Ordering::Relaxed),
+                    session,
+                    tenant,
+                    epoch,
+                    req,
+                };
+                let r = self.exchange_mux(mux, frame);
+                mux.inflight.release();
                 r.map(|frame| (frame.resp, frame.lease))
             }
         };
@@ -374,53 +500,33 @@ impl Transport {
         r
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn exchange_mux(
-        &self,
-        pending: &Mutex<HashMap<u64, Pending>>,
-        send_lock: &RtMutex<()>,
-        dead: &AtomicBool,
-        session: SessionId,
-        tenant: TenantId,
-        epoch: u64,
-        req: Request,
-    ) -> Result<RespFrame, Closed> {
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
+    fn exchange_mux(&self, mux: &Mux, frame: ReqFrame) -> Result<RespFrame, Closed> {
+        let seq = frame.seq;
         let cell: RespCell = OnceCellBlocking::new(&self.rt);
         {
             // Registering under the pending lock pairs with the demux
-            // daemon's dead-marking under the same lock: either the daemon
+            // task's dead-marking under the same lock: either the demux
             // sees this cell when it drains, or we see `dead` here.
-            let mut g = pending.lock();
-            if dead.load(Ordering::SeqCst) {
+            let mut g = mux.pending.lock();
+            if mux.dead.load(Ordering::SeqCst) {
                 return Err(Closed);
             }
             g.insert(seq, Pending::Cell(cell.clone()));
         }
-        let frame = ReqFrame {
-            seq,
-            session,
-            tenant,
-            epoch,
-            req,
-        };
-        {
-            let _g = send_lock.lock();
-            self.net
-                .send_message_opts(&self.fwd, frame.wire_size(), &self.fwd_opts);
-            if self.req_ch.send(frame).is_err() {
-                pending.lock().remove(&seq);
-                return Err(Closed);
-            }
+        mux.send_lock.acquire();
+        self.net
+            .send_message_opts(&self.fwd, frame.wire_size(), &self.fwd_opts);
+        let sent = self.req_ch.send(frame).is_ok();
+        mux.send_lock.release();
+        if !sent {
+            mux.pending.lock().remove(&seq);
+            return Err(Closed);
         }
-        match cell.wait() {
-            Some(resp) => Ok(resp),
-            None => Err(Closed),
-        }
+        cell.wait().ok_or(Closed)
     }
 
     /// Submit one exchange **without blocking the caller**: the request is
-    /// handed to this stream's sender daemon (which queues for the inflight
+    /// handed to this stream's [`Sender`] (which queues for the inflight
     /// budget and charges the forward transfer on the caller's behalf) and
     /// `cb` runs when the tagged response arrives — or with `None` if the
     /// stream dies first. Only multiplexed transports support this; the
@@ -439,13 +545,7 @@ impl Transport {
         useful: Option<u64>,
         cb: SubmitCallback,
     ) {
-        let Mode::Multiplexed {
-            pending,
-            dead,
-            sender,
-            ..
-        } = &self.mode
-        else {
+        let Mode::Multiplexed(mux) = &self.mode else {
             panic!("async submit requires a multiplexed transport");
         };
         let t0 = self.rt.now();
@@ -468,13 +568,13 @@ impl Transport {
         });
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         {
-            let mut g = pending.lock();
-            if dead.load(Ordering::SeqCst) {
+            let mut g = mux.pending.lock();
+            if mux.dead.load(Ordering::SeqCst) {
                 drop(g);
                 cb(None);
                 return;
             }
-            g.insert(seq, Pending::Callback(cb));
+            g.insert(seq, Pending::Callback { cb, permit: false });
         }
         let frame = ReqFrame {
             seq,
@@ -484,62 +584,23 @@ impl Transport {
             req,
         };
         let jobs = {
-            let mut g = sender.lock();
-            match &*g {
-                Some(ch) => ch.clone(),
-                None => {
-                    let ch: Channel<ReqFrame> = Channel::new(&self.rt);
-                    *g = Some(ch.clone());
-                    self.spawn_sender(ch.clone());
-                    ch
-                }
-            }
+            let mut g = mux.sender.lock();
+            g.get_or_insert_with(|| {
+                let jobs: Channel<ReqFrame> = Channel::new(&self.rt);
+                mux.tasks.spawn_daemon(Box::new(Sender {
+                    transport: self.clone(),
+                    jobs: jobs.clone(),
+                    state: Sending::Idle,
+                }));
+                jobs
+            })
+            .clone()
         };
         if jobs.send(frame).is_err() {
             // Sender shut down (stream severed): fail through the pending
             // map so the demux drain / this path never double-fires.
-            if let Some(Pending::Callback(cb)) = pending.lock().remove(&seq) {
-                cb(None);
-            }
+            mux.fail(seq);
         }
-    }
-
-    /// The sender daemon: serializes async submits onto the wire in
-    /// submission order, charging each forward transfer and holding an
-    /// inflight permit from send until the demux daemon sees the response.
-    fn spawn_sender(self: &Arc<Self>, jobs: Channel<ReqFrame>) {
-        let me = self.clone();
-        let name = format!("{}/sender", self.label);
-        self.rt.spawn_daemon(
-            &name,
-            Box::new(move || {
-                let Mode::Multiplexed {
-                    inflight,
-                    send_lock,
-                    pending,
-                    ..
-                } = &me.mode
-                else {
-                    unreachable!("sender daemon on a non-multiplexed transport");
-                };
-                while let Ok(frame) = jobs.recv() {
-                    inflight.acquire();
-                    let seq = frame.seq;
-                    let sent = {
-                        let _g = send_lock.lock();
-                        me.net
-                            .send_message_opts(&me.fwd, frame.wire_size(), &me.fwd_opts);
-                        me.req_ch.send(frame).is_ok()
-                    };
-                    if !sent {
-                        inflight.release();
-                        if let Some(Pending::Callback(cb)) = pending.lock().remove(&seq) {
-                            cb(None);
-                        }
-                    }
-                }
-            }),
-        );
     }
 
     /// This stream's goodput telemetry. The meter is owned by the transport
@@ -550,15 +611,15 @@ impl Transport {
     }
 
     /// True while the stream can still carry exchanges. Checks the channel
-    /// itself as well as the demux daemon's flag, so a sever is visible to
-    /// the pool immediately — not only after the daemon has been scheduled.
+    /// itself as well as the demux task's flag, so a sever is visible to
+    /// the pool immediately — not only after the demux has been polled.
     pub fn is_alive(&self) -> bool {
         if self.req_ch.is_closed() || self.resp_ch.is_closed() {
             return false;
         }
         match &self.mode {
             Mode::Exclusive { .. } => true,
-            Mode::Multiplexed { dead, .. } => !dead.load(Ordering::SeqCst),
+            Mode::Multiplexed(mux) => !mux.dead.load(Ordering::SeqCst),
         }
     }
 
@@ -571,5 +632,138 @@ impl Transport {
     /// The runtime this transport charges time against.
     pub fn runtime(&self) -> &Arc<dyn Runtime> {
         &self.rt
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tests::setup_net;
+    use crate::types::{OpenFlags, Payload};
+    use semplar_runtime::{simulate, spawn, Dur};
+
+    const MB: u64 = 1_000_000;
+
+    /// `sem` holds exactly `n` permits: `n` acquires succeed at once and
+    /// one more blocks until a release.
+    fn assert_permits(rt: &Arc<dyn Runtime>, sem: &Semaphore, n: usize, what: &str) {
+        let t0 = rt.now();
+        (0..n).for_each(|_| sem.acquire()); // short of `n`, a deadlock panic
+        let extra = Arc::new(AtomicBool::new(false));
+        let (sem2, extra2) = (sem.clone(), extra.clone());
+        let h = spawn(rt, "one-more", move || {
+            sem2.acquire();
+            extra2.store(true, Ordering::SeqCst);
+        });
+        rt.sleep(Dur::from_millis(1));
+        assert!(!extra.load(Ordering::SeqCst), "{what}: more than {n}");
+        (0..=n).for_each(|_| sem.release());
+        h.join_unwrap();
+        assert_eq!(
+            rt.now() - t0,
+            Dur::from_millis(1),
+            "{what}: an acquire waited"
+        );
+    }
+
+    /// How each async write ended, in completion order: `(index, acked)`.
+    type Log = Arc<Mutex<Vec<(u64, bool)>>>;
+
+    /// Submit a sized 1 MB write at `i` MB; its completion logs `i`.
+    fn submit_write(t: &Arc<Transport>, fd: u32, i: u64, log: &Log) {
+        let req = Request::Write {
+            fd,
+            offset: i * MB,
+            payload: Payload::sized(MB),
+        };
+        let log = log.clone();
+        let cb = Box::new(move |r: Option<Response>| log.lock().push((i, r.is_some())));
+        t.submit_hinted(SessionId(0), TenantId::default(), 0, req, None, cb);
+    }
+
+    /// One multiplexed stream `max_inflight` deep with `/f` open on it.
+    fn stream(
+        rt: &Arc<dyn Runtime>,
+        max_inflight: usize,
+    ) -> (Arc<Network>, Arc<crate::SrbServer>, Arc<Transport>, u32) {
+        let (net, server, route) = setup_net(rt);
+        let t = server
+            .connect_transport(route, "alin", "pw", max_inflight)
+            .unwrap();
+        let open = Request::Open("/f".into(), OpenFlags::CreateRw);
+        let Ok(Response::Fd(fd)) = t.exchange(t.open_session(), open) else {
+            panic!("open failed");
+        };
+        (net, server, t, fd)
+    }
+
+    #[test]
+    fn a_dead_stream_gets_no_more_bytes_and_fails_its_submits_in_seq_order() {
+        simulate(|rt| {
+            let (net, server, t, fd) = stream(&rt, 8);
+            let up = t.fwd[0];
+            let log = Log::default();
+            let before = net.link_bits_moved(up);
+            (0..4).for_each(|i| submit_write(&t, fd, i, &log));
+            // 10 ms of latency, then 80 ms of wire per frame: the cut finds
+            // the first frame half sent and three queued behind it.
+            rt.sleep(Dur::from_millis(50));
+            let cut = rt.now();
+            assert_eq!(server.reset_all_connections(), 1);
+            rt.sleep(Dur::from_millis(1));
+            // Every completion has fired, once, failed, in issue order, at
+            // the instant of the cut.
+            assert_eq!(*log.lock(), [0, 1, 2, 3].map(|i| (i, false)));
+            assert_eq!(rt.now() - cut, Dur::from_millis(1));
+            rt.sleep(Dur::from_secs(1));
+            assert_eq!(log.lock().len(), 4, "a completion fired twice");
+            // The frame on the wire at the cut ran out; nothing followed it.
+            let moved = net.link_bits_moved(up) - before;
+            let frame = 8.0 * MB as f64;
+            assert!((frame..frame + 1e4).contains(&moved), "{moved} bits");
+            assert!(!t.is_alive());
+        });
+    }
+
+    #[test]
+    fn permits_are_conserved_whichever_state_the_cut_finds_the_sender_in() {
+        // (what the sender is blocked in at the cut, inflight depth, async
+        // submits, a synchronous 1 MB exchange holding the send lock, when)
+        for (state, depth, submits, sync_holder, cut_ms) in [
+            ("wire", 8, 4, false, 50),
+            ("permit", 1, 2, false, 95),
+            ("lock", 8, 2, true, 50),
+        ] {
+            simulate(move |rt| {
+                let (_, server, t, fd) = stream(&rt, depth);
+                let log = Log::default();
+                let holder = sync_holder.then(|| {
+                    let t2 = t.clone();
+                    spawn(&rt, "sync", move || {
+                        let payload = Payload::sized(MB);
+                        let req = Request::Write {
+                            fd,
+                            offset: 9 * MB,
+                            payload,
+                        };
+                        assert!(t2.exchange(SessionId(0), req).is_err());
+                    })
+                });
+                rt.sleep(Dur::from_millis(1)); // the holder has the lock
+                (0..submits).for_each(|i| submit_write(&t, fd, i, &log));
+                rt.sleep(Dur::from_millis(cut_ms));
+                assert_eq!(server.reset_all_connections(), 1);
+                rt.sleep(Dur::from_secs(1));
+                holder.into_iter().for_each(|h| h.join_unwrap());
+                let want: Vec<_> = (0..submits).map(|i| (i, false)).collect();
+                assert_eq!(*log.lock(), want, "{state}");
+                let Mode::Multiplexed(mux) = &t.mode else {
+                    unreachable!()
+                };
+                assert!(mux.pending.lock().is_empty(), "{state}");
+                assert_permits(&rt, &mux.inflight, depth, state);
+                assert_permits(&rt, &mux.send_lock, 1, state);
+            });
+        }
     }
 }

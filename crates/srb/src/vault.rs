@@ -3,7 +3,10 @@
 //! A vault couples an object store with a disk model — a single shared
 //! bandwidth resource plus a per-operation seek latency, so concurrent
 //! connection handlers contend for the spindle the way SEMPLAR's parallel
-//! TCP streams contend for `orion`'s storage backend.
+//! TCP streams contend for `orion`'s storage backend. The two halves are
+//! separable: [`Vault::poll_disk`] charges an operation's time, the pure
+//! `store`/`load` forms move its data, and [`Vault::write`] /
+//! [`Vault::read`] are both for a caller with a stack to block on.
 //!
 //! Objects store either real bytes or a sparse size-only extent, mirroring
 //! [`crate::types::Payload`] — the timing model only needs sizes,
@@ -15,10 +18,11 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use semplar_netsim::net::{Message, XferOpts};
 use semplar_netsim::{Bw, LinkId, Network};
-use semplar_runtime::{Dur, Runtime};
+use semplar_runtime::{Dur, Runtime, TaskStep};
 
-use crate::types::Payload;
+use crate::types::{Payload, SrbError};
 
 enum ObjData {
     Real(Vec<u8>),
@@ -109,7 +113,7 @@ impl Vault {
     /// Create a vault with the given disk characteristics.
     pub fn new(rt: Arc<dyn Runtime>, spec: DiskSpec) -> Arc<Vault> {
         let disk_net = Network::new(rt.clone());
-        let disk = disk_net.add_link("disk", spec.bandwidth, Dur::ZERO);
+        let disk = disk_net.add_link("disk", spec.bandwidth, spec.seek);
         Arc::new(Vault {
             rt,
             disk_net,
@@ -139,12 +143,31 @@ impl Vault {
         Some(Bw::bps(aggregate / k as f64))
     }
 
+    /// Advance one disk operation: `None` once its time has been charged,
+    /// otherwise the step to block in before the next poll. The operation
+    /// counts as in flight from its first poll to its last, and is a
+    /// message over the disk link — whose latency is the seek — capped by
+    /// the concurrency sampled at the start.
+    pub fn poll_disk(&self, op: &mut DiskOp) -> Option<TaskStep> {
+        let in_flight = &self.in_flight;
+        let k = *(op.k).get_or_insert_with(|| in_flight.fetch_add(1, Ordering::SeqCst) + 1);
+        let opts = XferOpts {
+            cap: self.concurrency_cap(k),
+            buses: Vec::new(),
+        };
+        let step = (self.disk_net).poll_message(&mut op.msg, &[self.disk], &opts);
+        if step.is_none() {
+            in_flight.fetch_sub(1, Ordering::SeqCst);
+        }
+        step
+    }
+
+    /// The blocking driver of [`Vault::poll_disk`].
     fn charge_disk(&self, bytes: u64) {
-        let k = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-        self.rt.sleep(self.spec.seek);
-        self.disk_net
-            .transfer(&[self.disk], bytes, self.concurrency_cap(k));
-        self.in_flight.fetch_sub(1, Ordering::SeqCst);
+        let mut op = DiskOp::new(bytes);
+        while let Some(step) = self.poll_disk(&mut op) {
+            step.block(&self.rt);
+        }
     }
 
     /// Fault injection: occupy the disk with `bytes` of competing traffic,
@@ -166,66 +189,13 @@ impl Vault {
     /// object size.
     pub fn write(&self, obj_id: u64, offset: u64, payload: &Payload) -> u64 {
         self.charge_disk(payload.len());
-        let mut g = self.objects.lock();
-        let obj = g.entry(obj_id).or_insert(ObjData::Real(Vec::new()));
-        obj.store(offset, payload);
-        obj.len()
+        self.store(obj_id, offset, payload)
     }
 
     /// Read `len` bytes at `offset`, charging disk time. Reads past the end
     /// are truncated, POSIX-style.
     pub fn read(&self, obj_id: u64, offset: u64, len: u64) -> Payload {
-        let out = match self.objects.lock().get(&obj_id) {
-            None => Payload::sized(0),
-            Some(obj) => obj.load(offset, len),
-        };
-        self.charge_disk(out.len());
-        out
-    }
-
-    /// Write a packed list of extents in one vault pass: one seek plus one
-    /// disk transfer for the packed bytes, instead of a seek per extent.
-    /// `payload` holds the extents' data back-to-back in list order; its
-    /// length must match the sum of the extent lengths. Returns the new
-    /// object size.
-    pub fn write_list(&self, obj_id: u64, extents: &[(u64, u64)], payload: &Payload) -> u64 {
-        self.charge_disk(payload.len());
-        let mut g = self.objects.lock();
-        let obj = g.entry(obj_id).or_insert(ObjData::Real(Vec::new()));
-        let mut cursor = 0u64;
-        for &(offset, len) in extents {
-            obj.store(offset, &payload.slice(cursor, len));
-            cursor += len;
-        }
-        obj.len()
-    }
-
-    /// Read a list of extents in one vault pass, packing the results
-    /// back-to-back in list order (each extent truncated at EOF,
-    /// POSIX-style). One seek plus one disk transfer for the packed bytes.
-    pub fn read_list(&self, obj_id: u64, extents: &[(u64, u64)]) -> Payload {
-        let out = {
-            let g = self.objects.lock();
-            match g.get(&obj_id) {
-                None => Payload::sized(0),
-                Some(ObjData::Real(v)) => {
-                    let mut packed = Vec::new();
-                    for &(offset, len) in extents {
-                        let start = (offset as usize).min(v.len());
-                        let end = ((offset + len) as usize).min(v.len());
-                        packed.extend_from_slice(&v[start..end]);
-                    }
-                    Payload::bytes(packed)
-                }
-                Some(ObjData::Sparse(n)) => {
-                    let total: u64 = extents
-                        .iter()
-                        .map(|&(offset, len)| n.saturating_sub(offset).min(len))
-                        .sum();
-                    Payload::sized(total)
-                }
-            }
-        };
+        let out = self.load(obj_id, offset, len);
         self.charge_disk(out.len());
         out
     }
@@ -236,41 +206,89 @@ impl Vault {
     /// block-cache miss path: a cache fill wants the missing blocks as
     /// separate payloads without paying a seek per block.
     pub fn read_extents(&self, obj_id: u64, extents: &[(u64, u64)]) -> Vec<Payload> {
-        let out: Vec<Payload> = {
-            let g = self.objects.lock();
-            extents
-                .iter()
-                .map(|&(offset, len)| match g.get(&obj_id) {
-                    None => Payload::sized(0),
-                    Some(obj) => obj.load(offset, len),
-                })
-                .collect()
-        };
-        let total: u64 = out.iter().map(|p| p.len()).sum();
-        self.charge_disk(total);
+        let out = self.load_extents(obj_id, extents);
+        self.charge_disk(out.iter().map(|p| p.len()).sum());
         out
     }
 
-    /// Adler-32 of a whole object, charging a full disk read. Errors on
-    /// sparse (size-only) objects — there are no bytes to sum.
-    pub fn checksum(&self, obj_id: u64) -> Result<u32, crate::types::SrbError> {
-        let data = {
-            let g = self.objects.lock();
-            match g.get(&obj_id) {
-                None | Some(ObjData::Real(_)) => g.get(&obj_id).and_then(|o| match o {
-                    ObjData::Real(v) => Some(v.clone()),
-                    ObjData::Sparse(_) => None,
-                }),
-                Some(ObjData::Sparse(_)) => {
-                    return Err(crate::types::SrbError::InvalidArg(
-                        "cannot checksum a sparse (size-only) object".into(),
-                    ))
+    // The store itself, free of disk time: a connection handler charges
+    // one `DiskOp` per request and does the data half of it with these.
+
+    /// Overlay `payload` at `offset`. Returns the new object size.
+    pub fn store(&self, obj_id: u64, offset: u64, payload: &Payload) -> u64 {
+        self.store_list(obj_id, &[(offset, payload.len())], payload)
+    }
+
+    /// Overlay a packed list of extents: `payload` holds the extents' data
+    /// back-to-back in list order; its length must match the sum of the
+    /// extent lengths. Returns the new object size.
+    pub fn store_list(&self, obj_id: u64, extents: &[(u64, u64)], payload: &Payload) -> u64 {
+        let mut g = self.objects.lock();
+        let obj = g.entry(obj_id).or_insert(ObjData::Real(Vec::new()));
+        let mut cursor = 0u64;
+        for &(offset, len) in extents {
+            obj.store(offset, &payload.slice(cursor, len));
+            cursor += len;
+        }
+        obj.len()
+    }
+
+    /// `[offset, offset + len)` of the object, truncated at EOF.
+    pub fn load(&self, obj_id: u64, offset: u64, len: u64) -> Payload {
+        match self.objects.lock().get(&obj_id) {
+            None => Payload::sized(0),
+            Some(obj) => obj.load(offset, len),
+        }
+    }
+
+    /// One payload per extent, each truncated at EOF.
+    pub fn load_extents(&self, obj_id: u64, extents: &[(u64, u64)]) -> Vec<Payload> {
+        let g = self.objects.lock();
+        extents
+            .iter()
+            .map(|&(offset, len)| match g.get(&obj_id) {
+                None => Payload::sized(0),
+                Some(obj) => obj.load(offset, len),
+            })
+            .collect()
+    }
+
+    /// The extents packed back-to-back in list order, each truncated at
+    /// EOF: what one list-I/O read returns.
+    pub fn load_list(&self, obj_id: u64, extents: &[(u64, u64)]) -> Payload {
+        let g = self.objects.lock();
+        match g.get(&obj_id) {
+            None => Payload::sized(0),
+            Some(ObjData::Real(v)) => {
+                let mut packed = Vec::new();
+                for &(offset, len) in extents {
+                    let start = (offset as usize).min(v.len());
+                    let end = ((offset + len) as usize).min(v.len());
+                    packed.extend_from_slice(&v[start..end]);
                 }
+                Payload::bytes(packed)
             }
-        };
-        let data = data.unwrap_or_default();
-        self.charge_disk(data.len() as u64);
-        Ok(crate::types::adler32(&data))
+            Some(ObjData::Sparse(n)) => {
+                let total: u64 = extents
+                    .iter()
+                    .map(|&(offset, len)| n.saturating_sub(offset).min(len))
+                    .sum();
+                Payload::sized(total)
+            }
+        }
+    }
+
+    /// A copy of the whole object's bytes (empty if absent), for its
+    /// checksum. Errors on sparse (size-only) objects — there are no bytes
+    /// to sum.
+    pub fn bytes_of(&self, obj_id: u64) -> Result<Vec<u8>, SrbError> {
+        match self.objects.lock().get(&obj_id) {
+            None => Ok(Vec::new()),
+            Some(ObjData::Real(v)) => Ok(v.clone()),
+            Some(ObjData::Sparse(_)) => Err(SrbError::InvalidArg(
+                "cannot checksum a sparse (size-only) object".into(),
+            )),
+        }
     }
 
     /// Current size of an object (0 if absent).
@@ -284,10 +302,27 @@ impl Vault {
     }
 }
 
+/// One disk operation's time — seek, then the transfer — as a step
+/// machine: [`Vault::poll_disk`] drives it, from a connection handler's
+/// `poll` or from the blocking [`Vault::write`] / [`Vault::read`].
+pub struct DiskOp {
+    msg: Message,
+    /// Operations in flight when this one started, itself included.
+    k: Option<usize>,
+}
+
+impl DiskOp {
+    /// An operation moving `bytes` to or from the disk, not yet started.
+    pub fn new(bytes: u64) -> DiskOp {
+        let msg = Message::new(bytes);
+        DiskOp { msg, k: None }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use semplar_runtime::simulate;
+    use semplar_runtime::{simulate, Time};
 
     fn test_vault(rt: Arc<dyn Runtime>) -> Arc<Vault> {
         Vault::new(
@@ -463,6 +498,44 @@ mod tests {
             );
             // One seek (1 ms) for the whole list, not one per extent.
             assert!(took < Dur::from_millis(2), "{took}");
+        });
+    }
+
+    #[test]
+    fn the_pure_forms_move_the_data_and_poll_disk_charges_the_time() {
+        simulate(|rt| {
+            let v = test_vault(rt.clone());
+            v.create(1);
+            // Packed list store, then every way of reading it back: free.
+            let packed = Payload::bytes((0..30u8).collect());
+            assert_eq!(v.store_list(1, &[(0, 10), (50, 20)], &packed), 70);
+            assert_eq!(
+                v.load(1, 5, 10).data().unwrap(),
+                &[5, 6, 7, 8, 9, 0, 0, 0, 0, 0]
+            );
+            let list = v.load_list(1, &[(50, 5), (0, 3), (65, 99)]);
+            assert_eq!(
+                list.data().unwrap(),
+                &[10, 11, 12, 13, 14, 0, 1, 2, 25, 26, 27, 28, 29]
+            );
+            assert_eq!(
+                v.load_extents(1, &[(0, 1), (69, 9)])[1].data().unwrap(),
+                &[29]
+            );
+            assert_eq!(v.bytes_of(1).unwrap().len(), 70);
+            v.store(2, 0, &Payload::sized(8));
+            assert!(v.bytes_of(2).is_err(), "nothing to sum in a sized object");
+            assert_eq!(rt.now(), Time::ZERO);
+            // One operation's time: the 1 ms seek, then 1 MB at 100 MB/s.
+            let mut op = DiskOp::new(1_000_000);
+            while let Some(step) = v.poll_disk(&mut op) {
+                step.block(&rt);
+            }
+            assert!(
+                (rt.now().as_secs_f64() - 0.011).abs() < 1e-6,
+                "{}",
+                rt.now()
+            );
         });
     }
 

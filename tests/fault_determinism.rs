@@ -10,6 +10,8 @@ use semplar_repro::clusters::{das2, Testbed};
 use semplar_repro::faults::{FaultPlan, FaultStats};
 use semplar_repro::runtime::{simulate, spawn, Dur, Time};
 use semplar_repro::semplar::{File, OpenFlags, Payload, RecoveryStats};
+use semplar_repro::srb::proto::Request;
+use semplar_repro::srb::{ConnPool, PoolPolicy, RetryPolicy};
 
 /// Everything observable about one chaos run.
 #[derive(Debug, PartialEq)]
@@ -95,5 +97,64 @@ proptest! {
                 .collect();
             prop_assert_eq!(*got, semplar_repro::srb::adler32(&data));
         }
+    }
+}
+
+/// Two sessions on one shared stream each have three 256 KiB writes in
+/// flight — issued interleaved, so stream order is not session order — when
+/// every connection is reset: the order `(virtual ns, session, write, acked)`
+/// in which the completions fire.
+fn shared_stream_cut_log() -> Vec<(u64, usize, u64, bool)> {
+    simulate(|rt| {
+        let tb = Testbed::new(rt.clone(), das2(), 1);
+        let policy = PoolPolicy::Shared {
+            max_streams: 1,
+            max_inflight: 8,
+        };
+        let none = RetryPolicy::none();
+        let pool = ConnPool::new(tb.server.clone(), "semplar", "hpdc06", policy, none);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let conns: Vec<_> = (0..2)
+            .map(|s| {
+                let conn = pool.session(&tb.route(0), None).unwrap();
+                let fd = conn.open(&format!("/s{s}"), OpenFlags::CreateRw).unwrap();
+                (conn, fd)
+            })
+            .collect();
+        for i in 0..3u64 {
+            for (s, (conn, fd)) in conns.iter().enumerate() {
+                let (log, rt2) = (log.clone(), rt.clone());
+                let req = Request::Write {
+                    fd: *fd,
+                    offset: i << 18,
+                    payload: Payload::sized(1 << 18),
+                };
+                let done = move |r: Result<_, _>| {
+                    let at = rt2.now().as_nanos();
+                    log.lock().unwrap().push((at, s, i, r.is_ok()));
+                };
+                conn.submit(req, Box::new(done)).unwrap();
+            }
+        }
+        FaultPlan::new(7)
+            .conn_reset_at(Dur::from_millis(100))
+            .inject(&rt, &tb.net, &tb.server);
+        rt.sleep(Dur::from_secs(2));
+        let got = log.lock().unwrap().clone();
+        got
+    })
+}
+
+#[test]
+fn a_cut_fails_a_shared_streams_exchanges_in_the_same_order_every_run() {
+    let first = shared_stream_cut_log();
+    let failed = first.iter().filter(|&&(.., ok)| !ok).count();
+    assert_eq!(first.len(), 6);
+    assert!(failed >= 4, "only {failed} in flight at the cut: {first:?}");
+    // The failures are in issue order — `seq` order on the stream.
+    let order: Vec<_> = first.iter().filter(|e| !e.3).map(|e| (e.2, e.1)).collect();
+    assert!(order.windows(2).all(|w| w[0] < w[1]), "{first:?}");
+    for i in 0..10 {
+        assert_eq!(shared_stream_cut_log(), first, "repeat {i}");
     }
 }

@@ -19,7 +19,8 @@ use semplar_repro::mc::{
     explore, BrokenInvariant, ChoiceRecord, ExploreCfg, FederationScenario, LeaseScenario, McTrace,
     PromotionScenario, Scenario, ScriptHook,
 };
-use semplar_repro::runtime::{Dur, SimRuntime, Task, TaskCtx, TaskExecutor, TaskStep};
+use semplar_repro::runtime::{spawn, Dur, SimRuntime, Task, TaskCtx, TaskExecutor, TaskStep};
+use semplar_repro::semplar::{OpenFlags, Payload};
 use semplar_repro::workloads::{run_swarm, SwarmParams};
 
 fn scenario(seed: u64, crash_ms: u64, down_ms: u64) -> FederationScenario {
@@ -171,6 +172,78 @@ fn explore_finds_a_two_task_same_instant_race() {
         TwoTaskRace { planted: false }.run(ScriptHook::follow(trace.choices)),
         Ok(()),
         "same schedule, invariant restored: must pass"
+    );
+}
+
+/// Two clients on two nodes write 1 MB each from the same instant over
+/// symmetric paths, so their connection handlers' timers tie at every stage
+/// — the overhead sleep, the seek, the transfer on the disk they share.
+/// Returns the order the writes were acknowledged in.
+fn two_handlers_in_lockstep(hook: Arc<ScriptHook>) -> Vec<usize> {
+    let sim = SimRuntime::new();
+    sim.set_schedule_hook(hook, Dur::ZERO);
+    sim.run_root(|rt| {
+        let tb = Testbed::new(rt.clone(), das2(), 2);
+        let acked = Arc::new(Mutex::new(Vec::new()));
+        let conns: Vec<_> = (0..2)
+            .map(|node| {
+                let conn = tb.server.connect(tb.route(node), "semplar", "hpdc06");
+                let conn = conn.unwrap();
+                let fd = conn
+                    .open(&format!("/o{node}"), OpenFlags::CreateRw)
+                    .unwrap();
+                (node, conn, fd)
+            })
+            .collect();
+        let clients: Vec<_> = conns
+            .into_iter()
+            .map(|(node, conn, fd)| {
+                let acked = acked.clone();
+                spawn(&rt, &format!("client{node}"), move || {
+                    conn.write(fd, 0, Payload::sized(1 << 20)).unwrap();
+                    acked.lock().unwrap().push(node);
+                })
+            })
+            .collect();
+        clients.into_iter().for_each(|c| c.join_unwrap());
+        let order = acked.lock().unwrap().clone();
+        order
+    })
+}
+
+/// Server-side timers are explorable: handlers are tasks, so their
+/// same-instant disk completions reach the hook as one choice point
+/// labelled with the handlers' names, and taking the other branch there
+/// reorders the acknowledgements.
+#[test]
+fn two_handlers_disk_completions_are_one_choice_point() {
+    let stock = ScriptHook::default_schedule();
+    // (The second flow's arrival re-rates the first, whose handler re-arms
+    // behind it: the stock schedule completes connection 1's first.)
+    assert_eq!(two_handlers_in_lockstep(stock.clone()), [1, 0]);
+    let records = stock.records();
+    let tied = |r: &ChoiceRecord, why: &str| {
+        let mut offered = r.eligible.clone();
+        offered.sort();
+        offered == [0, 1].map(|c| format!("orion/conn/{c}/{why}"))
+    };
+    let sleeps = records.iter().filter(|r| tied(r, "task sleep"));
+    assert_eq!(sleeps.count(), 3, "overhead, seek, response latency");
+    // The first tied flow wait between the handlers is the disk's: the
+    // responses go out only after it.
+    let disk = records
+        .iter()
+        .position(|r| tied(r, "event wait (timeout)"))
+        .expect("the disk completions tie");
+    assert_eq!(records[disk].label, "orion/conn/1/event wait (timeout)");
+    // Let connection 0's transfer complete first: it answers first.
+    let mut script: Vec<_> = records[..disk].iter().map(|r| r.chosen).collect();
+    script.push(1);
+    let flipped = ScriptHook::follow(script);
+    assert_eq!(two_handlers_in_lockstep(flipped.clone()), [0, 1]);
+    assert_eq!(
+        flipped.records()[disk].label,
+        "orion/conn/0/event wait (timeout)"
     );
 }
 
