@@ -19,8 +19,8 @@ use semplar_workloads::{estgen, run_compress, CompressMode, CompressParams};
 
 fn main() {
     let [quick] = flags(["--quick"]);
-    // Crash timing mirrors fig_availability: late enough that the ranks
-    // have re-established the connections the reset severed.
+    // The crash lands on the connections the ranks re-established after
+    // the reset (at +2 s), while the write is still running.
     let (procs, file_bytes, crash_at) = if quick {
         (2, 8 << 20, Dur::from_secs(8))
     } else {

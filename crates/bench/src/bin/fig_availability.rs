@@ -66,14 +66,13 @@ fn shared_write(
 
 fn main() {
     let [quick] = flags(["--quick"]);
-    // The crash is timed to land after the ranks have re-established the
-    // connections the reset severed (notice latency scales with the
-    // payload still in flight, hence with bytes per process).
-    let (procs, bytes, crash_at) = if quick {
-        (2, 4 << 20, Dur::from_secs(8))
-    } else {
-        (4, 8 << 20, Dur::from_secs(16))
-    };
+    // The crash lands 4 s after the reset. A cut is noticed when it
+    // happens, so by then every rank has backed off (100 ms base delay),
+    // redialed and resumed its write; and the write is still running,
+    // because at either size even the fault-free one takes longer than
+    // the 6 s the crash waits (7.5 s quick, 13.4 s full).
+    let crash_at = Dur::from_secs(6);
+    let (procs, bytes) = if quick { (2, 4 << 20) } else { (4, 8 << 20) };
     let streams = 2;
     let seed = 7u64;
 

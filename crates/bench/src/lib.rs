@@ -85,10 +85,9 @@ pub fn mean_ratio(pairs: impl Iterator<Item = (f64, f64)>) -> f64 {
 /// that restarts after `down_for` — starting at the four offsets of `at`,
 /// in that order, from the moment the plan is injected.
 ///
-/// The wire model charges a send's full transfer time to the sender, so a
-/// client pushing a large payload into a severed connection only observes
-/// the cut when that charge completes — place the crash after the
-/// post-reset reconnects to hit live connections again.
+/// A cut is noticed when it happens, so the reset's reconnects follow it
+/// by a backoff and a handshake: place the crash after them, and before
+/// the run ends, to hit live connections again.
 pub fn availability_plan(seed: u64, wan_up: LinkId, at: [Dur; 4], down_for: Dur) -> FaultPlan {
     let [flap, stall, reset, crash] = at;
     FaultPlan::new(seed)

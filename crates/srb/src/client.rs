@@ -1,13 +1,14 @@
 //! The SRB client session: a POSIX-like remote file API over a transport.
 //!
-//! Pre-refactor, [`SrbConn`] *was* the TCP connection (the paper's SEMPLAR
-//! opens one per `MPI_File_open`, and two when double-streaming, §7.2).
-//! After the session/transport split it is a logical session — an fd
-//! namespace on the server plus the acked-byte ledger recovery resumes from
-//! — bound to a [`Transport`](crate::transport::Transport) that may be
-//! exclusive to this session (the default, timing-identical to the old
-//! one-stream-per-open behaviour) or shared with other sessions through a
-//! [`ConnPool`](crate::pool::ConnPool).
+//! An [`SrbConn`] is a logical session — an fd namespace on the server plus
+//! the acked-byte ledger recovery resumes from — bound to a
+//! [`Transport`](crate::transport::Transport) stream. A session from
+//! [`SrbServer::connect`](crate::server::SrbServer::connect) owns its stream
+//! (the paper's SEMPLAR dials one per `MPI_File_open`, and two when
+//! double-streaming, §7.2) and tears it down on `disconnect`; a session from
+//! a [`ConnPool`](crate::pool::ConnPool) slot shares the slot's stream with
+//! other sessions and only retires its own namespace. Every call is
+//! [`SrbConn::submit`]'s exchange, waited for.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -15,21 +16,19 @@ use std::sync::Arc;
 use semplar_runtime::Runtime;
 
 use crate::pool::SlotTicket;
-use crate::proto::{Request, Response, SessionId, TenantId};
+use crate::proto::{Request, RespFrame, Response, SessionId, TenantId};
 use crate::transport::Transport;
 use crate::types::{ObjStat, OpenFlags, Payload, SrbError, SrbResult};
 
 /// A live session with an SRB server. Obtain via
-/// [`SrbServer::connect`](crate::server::SrbServer::connect) (exclusive
-/// stream) or [`ConnPool::session`](crate::pool::ConnPool::session).
+/// [`SrbServer::connect`](crate::server::SrbServer::connect) (a stream of
+/// its own) or [`ConnPool::session`](crate::pool::ConnPool::session).
 pub struct SrbConn {
     transport: Arc<Transport>,
     session: SessionId,
-    /// Exclusive sessions own their stream: `disconnect` tears the whole
-    /// transport down. Shared sessions only retire their fd namespace.
-    exclusive: bool,
     /// Which pool slot the transport came from, for transport-level
-    /// reconnect. `None` for unpooled / `PerOpen` sessions.
+    /// reconnect. `None`: the session owns its stream, and `disconnect`
+    /// tears the whole transport down instead of retiring one fd namespace.
     origin: Option<SlotTicket>,
     /// Cumulative payload bytes the server has acknowledged on this
     /// session (successful reads + writes). Reported inside
@@ -48,29 +47,29 @@ pub struct SrbConn {
     epoch: parking_lot::Mutex<Arc<AtomicU64>>,
 }
 
-impl SrbConn {
-    /// A session that owns its transport outright (pre-refactor semantics).
-    pub(crate) fn exclusive(transport: Arc<Transport>) -> SrbConn {
-        let session = transport.open_session();
-        SrbConn {
-            transport,
-            session,
-            exclusive: true,
-            origin: None,
-            acked: Arc::new(AtomicU64::new(0)),
-            tenant: AtomicU32::new(0),
-            epoch: parking_lot::Mutex::new(Arc::new(AtomicU64::new(0))),
-        }
-    }
+/// What a completed exchange means for the session's ledger: credit the
+/// payload bytes a response acknowledges, or report the cut with the bytes
+/// acknowledged so far.
+fn settle(acked: &AtomicU64, frame: Option<RespFrame>) -> SrbResult<RespFrame> {
+    match frame.as_ref().map(|f| &f.resp) {
+        Some(Response::Written(n)) => acked.fetch_add(*n, Ordering::Relaxed),
+        Some(Response::Data(p)) => acked.fetch_add(p.len(), Ordering::Relaxed),
+        _ => 0,
+    };
+    frame.ok_or_else(|| SrbError::Disconnected {
+        acked: acked.load(Ordering::Relaxed),
+    })
+}
 
-    /// A session multiplexed onto a pooled transport.
-    pub(crate) fn session_on(transport: Arc<Transport>, origin: SlotTicket) -> SrbConn {
+impl SrbConn {
+    /// A session on `transport`: one of a pool slot's (`origin`), or the
+    /// stream's owner.
+    pub(crate) fn on(transport: Arc<Transport>, origin: Option<SlotTicket>) -> SrbConn {
         let session = transport.open_session();
         SrbConn {
             transport,
             session,
-            exclusive: false,
-            origin: Some(origin),
+            origin,
             acked: Arc::new(AtomicU64::new(0)),
             tenant: AtomicU32::new(0),
             epoch: parking_lot::Mutex::new(Arc::new(AtomicU64::new(0))),
@@ -106,9 +105,9 @@ impl SrbConn {
         self.epoch.lock().load(Ordering::Relaxed)
     }
 
-    /// Issue one synchronous request/response exchange. Charges the request
-    /// transmission to the caller; the server handler charges processing,
-    /// disk, and the response transmission before replying.
+    /// Issue one synchronous request/response exchange: the forward
+    /// transfer, the server's processing, disk and response transfer all
+    /// pass before it returns.
     fn call(&self, req: Request) -> SrbResult<Response> {
         self.call_hinted(req, None)
     }
@@ -117,29 +116,21 @@ impl SrbConn {
     /// `useful` — the sieving path transfers covering extents whose slack
     /// must not count as application goodput.
     fn call_hinted(&self, req: Request, useful: Option<u64>) -> SrbResult<Response> {
-        let cut = |acked: &AtomicU64| SrbError::Disconnected {
-            acked: acked.load(Ordering::Relaxed),
-        };
-        let resp = self
+        self.call_granted(req, useful).map(|(resp, _)| resp)
+    }
+
+    /// Like [`SrbConn::call_hinted`], also returning the response header's
+    /// lease grant.
+    fn call_granted(
+        &self,
+        req: Request,
+        useful: Option<u64>,
+    ) -> SrbResult<(Response, Option<u64>)> {
+        let (tenant, epoch) = (self.tenant(), self.current_epoch());
+        let frame = self
             .transport
-            .exchange_hinted(
-                self.session,
-                self.tenant(),
-                self.current_epoch(),
-                req,
-                useful,
-            )
-            .map_err(|_| cut(&self.acked))?;
-        match &resp {
-            Response::Written(n) => {
-                self.acked.fetch_add(*n, Ordering::Relaxed);
-            }
-            Response::Data(p) => {
-                self.acked.fetch_add(p.len(), Ordering::Relaxed);
-            }
-            _ => {}
-        }
-        Ok(resp)
+            .exchange_granted(self.session, tenant, epoch, req, useful);
+        settle(&self.acked, frame).map(|f| (f.resp, f.lease))
     }
 
     /// Issue a request asynchronously: the call returns as soon as the
@@ -148,41 +139,19 @@ impl SrbConn {
     /// as `Err(Disconnected)`) arrives. This is the event-driven client
     /// path — a task-mode actor submits here and its waker runs inside
     /// `complete`, so ten-thousand idle sessions hold no blocked thread.
-    ///
-    /// Only valid on multiplexed (pooled) transports; exclusive streams
-    /// are strictly synchronous and panic here.
     pub fn submit(
         &self,
         req: Request,
         complete: Box<dyn FnOnce(SrbResult<Response>) + Send>,
     ) -> SrbResult<()> {
         let acked = Arc::clone(&self.acked);
-        self.transport.submit_hinted(
+        self.transport.submit(
             self.session,
             self.tenant(),
             self.current_epoch(),
             req,
             None,
-            Box::new(move |resp| {
-                let out = match resp {
-                    Some(resp) => {
-                        match &resp {
-                            Response::Written(n) => {
-                                acked.fetch_add(*n, Ordering::Relaxed);
-                            }
-                            Response::Data(p) => {
-                                acked.fetch_add(p.len(), Ordering::Relaxed);
-                            }
-                            _ => {}
-                        }
-                        Ok(resp)
-                    }
-                    None => Err(SrbError::Disconnected {
-                        acked: acked.load(Ordering::Relaxed),
-                    }),
-                };
-                complete(out);
-            }),
+            Box::new(move |frame| complete(settle(&acked, frame).map(|f| f.resp))),
         );
         Ok(())
     }
@@ -252,26 +221,10 @@ impl SrbConn {
     /// bytes until the lease is revoked (write-hook broadcast) or broken
     /// (unlink, server loss, shard failover).
     pub fn read_leased(&self, fd: u32, offset: u64, len: u64) -> SrbResult<(Payload, Option<u64>)> {
-        let cut = |acked: &std::sync::atomic::AtomicU64| SrbError::Disconnected {
-            acked: acked.load(Ordering::Relaxed),
-        };
-        let (resp, grant) = self
-            .transport
-            .exchange_granted(
-                self.session,
-                self.tenant(),
-                self.current_epoch(),
-                Request::Read { fd, offset, len },
-                None,
-            )
-            .map_err(|_| cut(&self.acked))?;
-        match resp {
-            Response::Data(p) => {
-                self.acked.fetch_add(p.len(), Ordering::Relaxed);
-                Ok((p, grant))
-            }
-            Response::Error(e) => Err(e),
-            other => Err(SrbError::InvalidArg(format!("unexpected reply {other:?}"))),
+        match self.call_granted(Request::Read { fd, offset, len }, None)? {
+            (Response::Data(p), grant) => Ok((p, grant)),
+            (Response::Error(e), _) => Err(e),
+            (other, _) => Err(SrbError::InvalidArg(format!("unexpected reply {other:?}"))),
         }
     }
 
@@ -412,12 +365,12 @@ impl SrbConn {
         })
     }
 
-    /// Gracefully end the session. On an exclusive stream this tears the
-    /// connection down; on a shared stream it only retires this session's
-    /// fd namespace, leaving the transport to its other sessions. Further
-    /// calls fail with [`SrbError::Disconnected`].
+    /// Gracefully end the session. A session that owns its stream tears
+    /// the connection down; one on a pool slot only retires its fd
+    /// namespace, leaving the stream to the slot's other sessions. Further
+    /// calls on a torn-down stream fail with [`SrbError::Disconnected`].
     pub fn disconnect(&self) -> SrbResult<()> {
-        if self.exclusive {
+        if self.origin.is_none() {
             let r = self.expect_ok(Request::Disconnect);
             self.transport.close();
             r

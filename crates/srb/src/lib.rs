@@ -13,8 +13,10 @@
 //! * [`Vault`] — the object store with a shared-disk bandwidth model;
 //! * [`SrbServer`] — per-connection handler actors behind round-robin NICs;
 //! * [`SrbConn`] — the client handle: a logical *session* bound to a
-//!   [`Transport`] stream, exclusively (one stream per open, the paper's
-//!   behaviour) or multiplexed through a [`ConnPool`].
+//!   [`Transport`] stream — its own (one stream per open, the paper's
+//!   behaviour) or a [`ConnPool`] slot's, shared with other sessions.
+//!   Every call is one tagged exchange: [`SrbConn::submit`], or that plus a
+//!   wait.
 //!
 //! The protocol's cost structure (a full RTT per synchronous call, payload
 //! transfer under per-stream TCP window caps, disk and NIC sharing at the
@@ -58,8 +60,9 @@ pub use vault::{DiskSpec, Vault};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
     use semplar_netsim::{Bw, Network};
-    use semplar_runtime::{simulate, spawn, Dur, Runtime};
+    use semplar_runtime::{simulate, spawn, Dur, Runtime, SimRuntime};
     use std::sync::Arc;
 
     /// A client one 10 ms / 100 Mb/s hop away from the server.
@@ -579,6 +582,89 @@ mod tests {
             },
             RetryPolicy::none(),
         )
+    }
+
+    /// Submit a `len`-byte write at offset 0; its completion logs the
+    /// bytes the server acknowledged, `None` for a cut.
+    fn submit_write(conn: &SrbConn, fd: u32, len: u64, log: &Arc<Mutex<Vec<Option<u64>>>>) {
+        let log = log.clone();
+        let req = proto::Request::Write {
+            fd,
+            offset: 0,
+            payload: Payload::sized(len),
+        };
+        let done = move |r: SrbResult<proto::Response>| {
+            log.lock().push(match r {
+                Ok(proto::Response::Written(n)) => Some(n),
+                _ => None,
+            })
+        };
+        conn.submit(req, Box::new(done)).unwrap();
+    }
+
+    #[test]
+    fn submit_completes_on_a_session_that_owns_its_stream() {
+        simulate(|rt| {
+            let (server, route) = setup(&rt);
+            let conn = server.connect(route, "alin", "pw").unwrap();
+            let fd = conn.open("/f", OpenFlags::CreateRw).unwrap();
+            let log = Arc::default();
+            submit_write(&conn, fd, 100, &log);
+            submit_write(&conn, fd, 200, &log);
+            // Queued, not waited for; the blocking call behind them is
+            // answered third on the depth-1 stream.
+            assert!(log.lock().is_empty());
+            assert_eq!(conn.stat("/f").unwrap().size, 200);
+            assert_eq!(*log.lock(), [Some(100), Some(200)]);
+            assert_eq!(conn.acked_bytes(), 300);
+            conn.disconnect().unwrap();
+        });
+    }
+
+    /// The most tasks alive at once over a run of `f`. One stream is three:
+    /// the server's handler, the client's demux and its sender.
+    fn peak_live_tasks(f: impl FnOnce(Arc<dyn Runtime>) + Send + 'static) -> usize {
+        let sim = SimRuntime::new();
+        sim.run_root(f);
+        sim.stats().peak_live_tasks
+    }
+
+    #[test]
+    fn a_disconnected_stream_leaves_no_task_behind() {
+        let peak = peak_live_tasks(|rt| {
+            let (server, route) = setup(&rt);
+            for i in 0..200 {
+                let conn = server.connect(route.clone(), "alin", "pw").unwrap();
+                let fd = conn.open("/f", OpenFlags::CreateRw).unwrap();
+                conn.write(fd, i * 100, Payload::sized(100)).unwrap();
+                conn.disconnect().unwrap();
+            }
+        });
+        assert_eq!(peak, 3, "200 per-open cycles, one stream at a time");
+    }
+
+    #[test]
+    fn a_redialed_slot_leaves_no_task_of_the_dead_stream_behind() {
+        let peak = peak_live_tasks(|rt| {
+            let (server, route) = setup(&rt);
+            let pool = shared_pool(&server, 1);
+            let mut conn = pool.session(&route, None).unwrap();
+            let log = Arc::default();
+            for round in 1..=20 {
+                let fd = conn.open("/f", OpenFlags::CreateRw).unwrap();
+                // The cut finds the frame 5 ms into its 10 ms of latency.
+                submit_write(&conn, fd, 4096, &log);
+                rt.sleep(Dur::from_millis(5));
+                assert_eq!(server.reset_all_connections(), 1);
+                rt.sleep(Dur::from_millis(1));
+                assert_eq!(*log.lock(), vec![None; round]);
+                // The frame runs out before the slot is redialed.
+                rt.sleep(Dur::from_millis(10));
+                conn = pool.reconnect(&route, &conn).unwrap().0;
+            }
+            assert_eq!(server.stats().connections, 21);
+        });
+        assert_eq!(peak, 3, "21 streams on one slot, one at a time");
     }
 
     #[test]

@@ -1,23 +1,21 @@
-//! Connection pooling: how sessions get bound to transports.
+//! Connection pooling: how sessions get bound to streams.
 //!
-//! The ROADMAP north-star of thousands of simulated clients needs the
-//! one-TCP-stream-per-`MPI_File_open` coupling (paper §3.2) broken. The
-//! pool owns that decision via [`PoolPolicy`]:
+//! The paper's client dials one TCP stream per `MPI_File_open` (§3.2), so a
+//! server's footprint grows with open files. The pool owns that decision
+//! via [`PoolPolicy`]:
 //!
-//! * [`PoolPolicy::PerOpen`] — every session gets its own exclusive stream,
-//!   exactly the paper's SEMPLAR behaviour. The pool adds *no* locking or
-//!   state on this path, so the request stream and virtual timing are
-//!   bit-identical to the pre-refactor client.
-//! * [`PoolPolicy::Shared`] — sessions multiplex over at most `max_streams`
-//!   transports per route, each carrying up to `max_inflight` concurrent
-//!   tagged exchanges. The server sees `max_streams` connections (and runs
-//!   that many handler actors) no matter how many clients open files.
+//! * [`PoolPolicy::PerOpen`] — every session dials a stream of its own
+//!   through [`SrbServer::connect`], exactly the paper's SEMPLAR behaviour.
+//!   The pool keeps no state for such a session.
+//! * [`PoolPolicy::Shared`] — sessions share at most `max_streams` streams
+//!   per route (the pool's *slots*), each carrying up to `max_inflight`
+//!   concurrent tagged exchanges. The server sees `max_streams` connections
+//!   (and runs that many handlers) no matter how many clients open files.
 //!
-//! The pool also owns transport-level recovery: when a shared stream dies,
-//! the first session to notice reconnects it and every other session on
-//! that slot piggybacks on the fresh transport instead of dialing its own
-//! — one link flap, one handshake. The [`RetryPolicy`] that used to live in
-//! `SrbFs` moves down here so recovery pacing is a property of the pool.
+//! The pool also owns transport-level recovery: when a slot's stream dies,
+//! the first session to notice redials it and every other session on that
+//! slot rebinds to the fresh stream instead of dialing its own — one link
+//! flap, one handshake. The [`RetryPolicy`] pacing recovery is the pool's.
 
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
@@ -34,7 +32,7 @@ use crate::types::SrbResult;
 /// How the pool maps sessions onto transports.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PoolPolicy {
-    /// One exclusive stream per session (paper-faithful default).
+    /// One stream per session, dialed at open (paper-faithful default).
     PerOpen,
     /// Multiplex sessions over a bounded set of shared streams per route.
     Shared {
@@ -116,7 +114,7 @@ impl ConnPool {
     }
 
     /// The retry policy governing reconnect pacing for sessions from this
-    /// pool (moved down from `SrbFs`).
+    /// pool.
     pub fn retry(&self) -> &RetryPolicy {
         &self.retry
     }
@@ -132,28 +130,13 @@ impl ConnPool {
     /// to land sibling streams on distinct transports); unpinned sessions
     /// go to the least-assigned slot.
     pub fn session(&self, route: &ConnRoute, pin: Option<usize>) -> SrbResult<SrbConn> {
-        let PoolPolicy::Shared {
-            max_streams,
-            max_inflight,
-        } = self.policy
-        else {
-            return self
-                .server
-                .connect(route.clone(), &self.user, &self.password);
+        let Some((max_streams, max_inflight)) = self.shared() else {
+            return self.dial_own(route);
         };
-        let max_streams = max_streams.max(1);
         let key = route_key(route);
         let mut g = self.groups.lock();
-        let group = g.entry(key).or_insert_with(|| RouteGroup {
-            route: route.clone(),
-            slots: (0..max_streams)
-                .map(|_| Slot {
-                    transport: None,
-                    assigned: 0,
-                })
-                .collect(),
-        });
-        let idx = match pin {
+        let group = Self::group(&mut g, key, route, max_streams);
+        let slot = match pin {
             Some(p) => p % max_streams,
             // Least-assigned slot, lowest index on ties: deterministic
             // round-robin-ish placement.
@@ -161,18 +144,12 @@ impl ConnPool {
                 .min_by_key(|&i| (group.slots[i].assigned, i))
                 .expect("max_streams >= 1"),
         };
-        let ticket = Self::bind(
-            &self.server,
-            &self.user,
-            &self.password,
-            key,
-            group,
-            idx,
-            max_inflight,
-        )?;
-        let transport = group.slots[idx].transport.clone().unwrap();
-        drop(g);
-        Ok(SrbConn::session_on(transport, ticket))
+        let ticket = SlotTicket {
+            route_key: key,
+            slot,
+        };
+        self.ensure_live(group, slot, max_inflight)?;
+        Ok(Self::bind(group, ticket))
     }
 
     /// Pre-dial every slot for `route` in index order, paying all the
@@ -180,19 +157,45 @@ impl ConnPool {
     /// that pinned sessions find their transports already established —
     /// slot `i` is always connection `i` at the server no matter how the
     /// clients themselves get scheduled. No-op under [`PoolPolicy::PerOpen`]
-    /// (exclusive streams are not pool state). Returns streams dialed.
+    /// (a session's own stream is not pool state). Returns streams dialed.
     pub fn warm(&self, route: &ConnRoute) -> SrbResult<usize> {
-        let PoolPolicy::Shared {
-            max_streams,
-            max_inflight,
-        } = self.policy
-        else {
+        let Some((max_streams, max_inflight)) = self.shared() else {
             return Ok(0);
         };
-        let max_streams = max_streams.max(1);
-        let key = route_key(route);
         let mut g = self.groups.lock();
-        let group = g.entry(key).or_insert_with(|| RouteGroup {
+        let group = Self::group(&mut g, route_key(route), route, max_streams);
+        let mut dialed = 0;
+        for slot in 0..max_streams {
+            dialed += usize::from(self.ensure_live(group, slot, max_inflight)?);
+        }
+        Ok(dialed)
+    }
+
+    /// `(max_streams, max_inflight)` of a shared pool, at least one slot.
+    fn shared(&self) -> Option<(usize, usize)> {
+        match self.policy {
+            PoolPolicy::PerOpen => None,
+            PoolPolicy::Shared {
+                max_streams,
+                max_inflight,
+            } => Some((max_streams.max(1), max_inflight)),
+        }
+    }
+
+    /// A session on a stream of its own, outside the pool's slots.
+    fn dial_own(&self, route: &ConnRoute) -> SrbResult<SrbConn> {
+        self.server
+            .connect(route.clone(), &self.user, &self.password)
+    }
+
+    /// `route`'s slot group, created empty on first use.
+    fn group<'a>(
+        groups: &'a mut BTreeMap<u64, RouteGroup>,
+        key: u64,
+        route: &ConnRoute,
+        max_streams: usize,
+    ) -> &'a mut RouteGroup {
+        groups.entry(key).or_insert_with(|| RouteGroup {
             route: route.clone(),
             slots: (0..max_streams)
                 .map(|_| Slot {
@@ -200,46 +203,39 @@ impl ConnPool {
                     assigned: 0,
                 })
                 .collect(),
-        });
-        let mut dialed = 0;
-        for idx in 0..max_streams {
-            let slot = &mut group.slots[idx];
-            if !slot.transport.as_ref().is_some_and(|t| t.is_alive()) {
-                let t = self.server.connect_transport(
-                    group.route.clone(),
-                    &self.user,
-                    &self.password,
-                    max_inflight,
-                )?;
-                slot.transport = Some(t);
-                dialed += 1;
-            }
-        }
-        Ok(dialed)
+        })
     }
 
-    /// Ensure slot `idx` has a live transport (dialing one if needed) and
-    /// account one more session on it. Returns the bind ticket.
-    fn bind(
-        server: &Arc<SrbServer>,
-        user: &str,
-        password: &str,
-        route_key: u64,
+    /// Ensure `slot` carries a live stream; `true` if that took a dial.
+    fn ensure_live(
+        &self,
         group: &mut RouteGroup,
-        idx: usize,
+        slot: usize,
         max_inflight: usize,
-    ) -> SrbResult<SlotTicket> {
-        let slot = &mut group.slots[idx];
-        let live = slot.transport.as_ref().is_some_and(|t| t.is_alive());
-        if !live {
-            let t = server.connect_transport(group.route.clone(), user, password, max_inflight)?;
-            slot.transport = Some(t);
+    ) -> SrbResult<bool> {
+        let stream = &mut group.slots[slot].transport;
+        if stream.as_ref().is_some_and(|t| t.is_alive()) {
+            return Ok(false);
         }
+        *stream = Some(self.server.connect_transport(
+            group.route.clone(),
+            &self.user,
+            &self.password,
+            max_inflight,
+        )?);
+        Ok(true)
+    }
+
+    /// One more session on `ticket`'s slot, over the stream
+    /// [`ConnPool::ensure_live`] left there.
+    fn bind(group: &mut RouteGroup, ticket: SlotTicket) -> SrbConn {
+        let slot = &mut group.slots[ticket.slot];
         slot.assigned += 1;
-        Ok(SlotTicket {
-            route_key,
-            slot: idx,
-        })
+        let transport = slot
+            .transport
+            .clone()
+            .expect("slot bound before it is live");
+        SrbConn::on(transport, Some(ticket))
     }
 
     /// Replace a severed session with a fresh one. Returns the new session
@@ -247,40 +243,24 @@ impl ConnPool {
     /// a stream some other session (or an earlier call) already redialed,
     /// so no new handshake was paid by the server for this caller.
     ///
-    /// Unpooled sessions (`PerOpen`, or pre-pool callers) always dial a
-    /// fresh exclusive stream over `route`.
+    /// A session that owned its stream (`PerOpen`, or dialed outside any
+    /// pool) always dials a fresh one over `route`.
     pub fn reconnect(&self, route: &ConnRoute, old: &SrbConn) -> SrbResult<(SrbConn, bool)> {
-        let (PoolPolicy::Shared { max_inflight, .. }, Some(ticket)) = (self.policy, old.origin())
-        else {
-            return self
-                .server
-                .connect(route.clone(), &self.user, &self.password)
-                .map(|c| (c, false));
+        let (Some((_, max_inflight)), Some(&ticket)) = (self.shared(), old.origin()) else {
+            return self.dial_own(route).map(|c| (c, false));
         };
         let mut g = self.groups.lock();
         let group = g
             .get_mut(&ticket.route_key)
             .expect("pooled session's route group must exist");
-        let slot = &mut group.slots[ticket.slot];
         // Shared iff the slot already carries a live stream — whether a
         // sibling session redialed it or the flap never reached this slot.
-        let shared = slot.transport.as_ref().is_some_and(|t| t.is_alive());
-        let new_ticket = Self::bind(
-            &self.server,
-            &self.user,
-            &self.password,
-            ticket.route_key,
-            group,
-            ticket.slot,
-            max_inflight,
-        )?;
-        let transport = group.slots[ticket.slot].transport.clone().unwrap();
-        drop(g);
-        Ok((SrbConn::session_on(transport, new_ticket), shared))
+        let shared = !self.ensure_live(group, ticket.slot, max_inflight)?;
+        Ok((Self::bind(group, ticket), shared))
     }
 
     /// Live pooled streams (transports whose stream is still up). Always 0
-    /// under `PerOpen` — exclusive streams are not pool state.
+    /// under `PerOpen` — a session's own stream is not pool state.
     pub fn live_streams(&self) -> usize {
         self.groups
             .lock()

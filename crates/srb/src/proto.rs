@@ -19,9 +19,8 @@ pub const WIRE_HDR: u64 = 256;
 /// A logical session identifier, scoped to one transport stream.
 ///
 /// The server keeps one fd namespace per `(connection, session)` pair so
-/// pooled clients multiplexed over a shared stream cannot observe each
-/// other's descriptors. Exclusive (per-open) transports carry exactly one
-/// session, id 0.
+/// pooled clients sharing a stream cannot observe each other's
+/// descriptors. A per-open stream carries exactly one session, id 0.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SessionId(pub u64);
 
@@ -184,8 +183,8 @@ pub enum Request {
         peer: String,
     },
     /// Retire one session's fd namespace without tearing the stream down.
-    /// Only meaningful on shared (multiplexed) transports; exclusive
-    /// connections use [`Request::Disconnect`].
+    /// What a session on a pool slot's shared stream ends with; one that
+    /// owns its stream sends [`Request::Disconnect`].
     EndSession,
     /// Tear the connection down.
     Disconnect,

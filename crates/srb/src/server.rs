@@ -147,8 +147,7 @@ impl Default for SessionSpace {
     fn default() -> Self {
         SessionSpace {
             fds: Default::default(),
-            // First descriptor is 3, like the pre-refactor per-connection
-            // table (0-2 notionally taken by stdio).
+            // First descriptor is 3 (0-2 notionally taken by stdio).
             next_fd: 3,
         }
     }
@@ -208,9 +207,9 @@ pub struct SrbServer {
     /// Spawns the connection handlers: handler `n` serves connection `n`.
     handlers: TaskExecutor,
     peers: Mutex<std::collections::HashMap<String, Peer>>,
-    /// Channels of every live connection, keyed by connection id, so a
-    /// crash or a per-connection reset can sever them from the outside.
-    live_conns: Mutex<std::collections::HashMap<u64, ConnChannels>>,
+    /// Channels of every live connection, by connection id, so a crash or
+    /// a reset can sever them from the outside — in that order.
+    live_conns: Mutex<std::collections::BTreeMap<u64, ConnChannels>>,
     /// While set, the server refuses new connections (fault injection).
     crashed: AtomicBool,
     /// When enabled, every request is recorded (per connection, in arrival
@@ -317,11 +316,7 @@ impl SrbServer {
     /// lost. Returns the number of connections severed.
     pub fn crash(&self) -> usize {
         self.crashed.store(true, Ordering::SeqCst);
-        let conns: Vec<_> = self.live_conns.lock().drain().collect();
-        for (_, (req_ch, resp_ch)) in &conns {
-            req_ch.close();
-            resp_ch.close();
-        }
+        let severed = self.reset_all_connections();
         // The block cache is volatile server memory: a crash loses it, and
         // the restarted server warms up from a cold cache.
         if let Some(c) = self.cache.lock().as_ref() {
@@ -335,7 +330,7 @@ impl SrbServer {
         for h in &breaks {
             h(&LeaseBreak::ServerLost);
         }
-        conns.len()
+        severed
     }
 
     /// Fault injection: bring a crashed server back. Connections severed by
@@ -363,10 +358,11 @@ impl SrbServer {
     }
 
     /// Fault injection: sever every live connection (an RST on each TCP
-    /// stream) without taking the server down. Returns how many were cut.
+    /// stream) without taking the server down, in connection order — the
+    /// order their waiters are released in. Returns how many were cut.
     pub fn reset_all_connections(&self) -> usize {
-        let conns: Vec<_> = self.live_conns.lock().drain().collect();
-        for (_, (req_ch, resp_ch)) in &conns {
+        let conns = std::mem::take(&mut *self.live_conns.lock());
+        for (req_ch, resp_ch) in conns.values() {
             req_ch.close();
             resp_ch.close();
         }
@@ -672,29 +668,22 @@ impl SrbServer {
         Ok((fwd, (req_ch, resp_ch), conn_id))
     }
 
-    /// Establish an exclusive connection: one stream, one session, one
-    /// exchange at a time — the pre-refactor behaviour, and what the
-    /// `PerOpen` pool policy uses.
+    /// Dial a stream of its own for one session: one exchange at a time,
+    /// torn down by [`SrbConn::disconnect`] — the paper's connection per
+    /// `MPI_File_open`, and what the `PerOpen` pool policy uses.
     pub fn connect(
         self: &Arc<Self>,
         route: ConnRoute,
         user: &str,
         password: &str,
     ) -> SrbResult<SrbConn> {
-        let (fwd, chans, _conn_id) = self.establish(&route, user, password)?;
-        let transport = Transport::exclusive(
-            self.rt.clone(),
-            self.net.clone(),
-            fwd,
-            route.opts(route.send_cap),
-            chans,
-        );
-        Ok(SrbConn::exclusive(transport))
+        let transport = self.connect_transport(route, user, password, 1)?;
+        Ok(SrbConn::on(transport, None))
     }
 
-    /// Establish a multiplexed stream carrying up to `max_inflight`
-    /// concurrent tagged exchanges. Sessions are opened on it through a
-    /// [`ConnPool`](crate::pool::ConnPool).
+    /// Dial a stream carrying up to `max_inflight` concurrent tagged
+    /// exchanges. A [`ConnPool`](crate::pool::ConnPool) slot opens its
+    /// sessions on one.
     pub fn connect_transport(
         self: &Arc<Self>,
         route: ConnRoute,
@@ -703,7 +692,7 @@ impl SrbServer {
         max_inflight: usize,
     ) -> SrbResult<Arc<Transport>> {
         let (fwd, chans, conn_id) = self.establish(&route, user, password)?;
-        Ok(Transport::multiplexed(
+        Ok(Transport::new(
             self.rt.clone(),
             self.net.clone(),
             fwd,
@@ -966,8 +955,8 @@ struct Handler {
     resp_ch: Channel<RespFrame>,
     rev: Vec<LinkId>,
     rev_opts: XferOpts,
-    /// One fd namespace per session on this stream; exclusive streams only
-    /// ever populate session 0.
+    /// One fd namespace per session on this stream; a per-open stream only
+    /// ever populates session 0.
     sessions: std::collections::HashMap<SessionId, SessionSpace>,
     state: Serving,
 }

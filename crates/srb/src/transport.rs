@@ -1,31 +1,31 @@
 //! The transport layer: one physical stream carrying tagged exchanges.
 //!
-//! Pre-refactor, `SrbConn` owned the raw exchange machinery (links, channel
-//! pair, serializing lock) directly — one TCP stream per logical connection,
-//! one exchange in flight. This module extracts that machinery into
-//! [`Transport`] so the session layer above it can be bound to a stream in
-//! two ways:
+//! A [`Transport`] is a TCP stream to the server: the forward link path, the
+//! request/response channel pair registered with the server's handler, and
+//! the map of exchanges awaiting their response. Every exchange takes a
+//! stream-unique `seq` tag and goes through [`Transport::submit`], which
+//! registers its completion and queues its frame; nothing else puts a frame
+//! on the wire. [`Transport::exchange`] is a `submit` whose completion fills
+//! a cell, followed by a wait on that cell — the paper's blocking call is
+//! its asynchronous primitive plus `MPIO_Wait`.
 //!
-//! * **Exclusive** — the stream belongs to exactly one session and carries
-//!   one exchange at a time behind a runtime lock. The operation sequence
-//!   (lock, charge forward transfer, enqueue, block on response) is
-//!   instruction-for-instruction the pre-refactor `SrbConn::call`, so the
-//!   default `PerOpen` pool policy produces a bit-identical request stream
-//!   and identical virtual timing.
-//! * **Multiplexed** — many sessions share the stream. Each exchange takes a
-//!   stream-unique `seq` tag, sends under a send-side lock (a TCP stream
-//!   serializes bytes, so concurrent frames must queue for the wire), and
-//!   parks on a per-exchange cell; a demultiplexer routes tagged responses
-//!   back to their issuers. An `inflight` semaphore bounds outstanding
-//!   exchanges per stream, and the FIFO-ish wakeup order of the runtime
-//!   semaphore gives fair tag scheduling across sessions.
+//! Streams differ only in depth and owner. `max_inflight` bounds the
+//! exchanges outstanding at once: 1 for the stream a
+//! [`SrbServer::connect`](crate::SrbServer::connect) session owns (one
+//! stream per open, one exchange at a time — the paper's client), more for a
+//! [`ConnPool`](crate::ConnPool) slot whose sessions share it.
 //!
-//! A multiplexed stream's two helpers only ever wait, so they are
-//! [`Task`]s, not threads, spawned under the stream's label: the `Demux`
-//! (blocked where a thread would sit in `resp_ch.recv()`) and, from the
-//! first asynchronous submit on, the `Sender` (a job queue, then the
-//! inflight permit, the send lock and the wire — the blocking calls of a
-//! synchronous exchange, made on the submitter's behalf).
+//! A stream's two helpers only ever wait, so they are [`Task`]s, not
+//! threads, spawned with the stream under its label. The `Sender` (task 1)
+//! takes frames off the job queue in submission order and, for each, waits
+//! for an inflight permit and then drives the frame over the forward path:
+//! one TCP stream sends its bytes in order, and one sender sends one frame
+//! at a time. The `Demux` (task 0) waits on the response channel and settles
+//! the pending exchange each response's `seq` names. When the stream is
+//! severed the demux marks it dead under the pending lock, closes the job
+//! queue and fails every pending exchange in `seq` order, at that instant:
+//! a frame already on the wire runs out, nothing follows it, and both tasks
+//! finish.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -35,29 +35,28 @@ use parking_lot::Mutex;
 
 use semplar_netsim::net::{Message, XferOpts};
 use semplar_netsim::{LinkId, Network};
-use semplar_runtime::sync::{Channel, Closed, OnceCellBlocking, RtMutex, Semaphore};
-use semplar_runtime::{Runtime, Task, TaskCtx, TaskExecutor, TaskStep, Wake};
+use semplar_runtime::sync::{Channel, Closed, OnceCellBlocking, Semaphore};
+use semplar_runtime::{Runtime, Task, TaskCtx, TaskExecutor, TaskStep, Time, Wake};
 
 use crate::proto::{ReqFrame, Request, RespFrame, Response, SessionId, TenantId};
 
-type RespCell = Arc<OnceCellBlocking<Option<RespFrame>>>;
+/// Completion of one exchange: its tagged response frame, or `None` if the
+/// stream died first. Runs inside the demultiplexer's poll (or, on a dead
+/// stream, inside `submit`): it must not block through the runtime — store
+/// the result and wake whoever waits for it.
+pub(crate) type Completion = Box<dyn FnOnce(Option<RespFrame>) + Send>;
 
-/// Completion to run when an async submit's tagged response arrives (or the
-/// stream dies, delivering `None`). Runs inside the demultiplexer's poll: it
-/// must not block through the runtime — store the result and wake a task.
-pub type SubmitCallback = Box<dyn FnOnce(Option<Response>) + Send>;
-
-/// One in-flight exchange awaiting its tagged response: a parked thread's
-/// cell (synchronous [`Transport::exchange`]) or an event-driven submit's
-/// completion callback.
-enum Pending {
-    Cell(RespCell),
-    Callback {
-        cb: SubmitCallback,
-        /// The submit's inflight permit, once the [`Sender`] has taken one
-        /// for it: whoever settles the exchange gives it back.
-        permit: bool,
-    },
+/// One exchange awaiting its tagged response, from `submit` until whoever
+/// settles it.
+struct Pending {
+    complete: Completion,
+    /// Set once the [`Sender`] has taken an inflight permit for this
+    /// exchange: whoever settles the entry gives the permit back.
+    permit: bool,
+    /// When it was submitted, and the cap on the payload bytes the meter
+    /// may count for it.
+    t0: Time,
+    useful: Option<u64>,
 }
 
 /// EWMA smoothing factor for the per-stream goodput/latency estimates. A
@@ -148,156 +147,88 @@ impl IoMeter {
     }
 }
 
-enum Mode {
-    /// One exchange at a time; timing-identical to the pre-split client.
-    Exclusive { lock: RtMutex<()> },
-    /// Tagged exchanges share the stream; a demux task routes responses.
-    Multiplexed(Arc<Mux>),
-}
-
-/// What the exchanges sharing one multiplexed stream share.
-struct Mux {
-    /// In-flight exchanges awaiting their tagged response, by `seq`: a
-    /// stream's death fails them in the order they were issued.
-    pending: Mutex<BTreeMap<u64, Pending>>,
-    /// Bounds outstanding exchanges on this stream.
-    inflight: Semaphore,
-    /// Serializes frames onto the wire — one TCP stream sends bytes in
-    /// order, so concurrent exchanges queue for the forward path. One
-    /// permit: a lock its holder can keep across polls.
-    send_lock: Semaphore,
-    /// Set by the demux task when the stream dies.
-    dead: AtomicBool,
-    /// Queue feeding the lazily spawned [`Sender`] that charges forward
-    /// transfers on behalf of async submits. `None` until the first
-    /// [`Transport::submit_hinted`].
-    sender: Mutex<Option<Channel<ReqFrame>>>,
-    /// Spawns this stream's tasks, named `<label>/<n>`: the demux is 0.
-    tasks: TaskExecutor,
-}
-
-impl Mux {
-    /// Deliver `frame` — `None`: the stream died — to the exchange `entry`
-    /// stood for.
-    fn settle(&self, entry: Pending, frame: Option<RespFrame>) {
-        match entry {
-            Pending::Cell(cell) => cell.set(frame),
-            Pending::Callback { cb, permit } => {
-                if permit {
-                    self.inflight.release();
-                }
-                cb(frame.map(|f| f.resp));
-            }
-        }
-    }
-
-    /// Fail the exchange tagged `seq`, unless it has been settled already.
-    fn fail(&self, seq: u64) {
-        let entry = self.pending.lock().remove(&seq);
-        if let Some(entry) = entry {
-            self.settle(entry, None);
-        }
-    }
-}
-
 /// Routes tagged responses to the exchange that issued them. A daemon,
-/// because an idle shared stream must not keep the simulation alive. On
-/// stream death it marks the transport dead *while holding the pending
-/// lock* (so no exchange can register a cell afterwards) and then fails
-/// every parked exchange.
-struct Demux {
-    resp_ch: Channel<RespFrame>,
-    mux: Arc<Mux>,
-}
+/// because an idle stream must not keep the simulation alive. On stream
+/// death it marks the transport dead *while holding the pending lock* (so no
+/// exchange can register afterwards), closes the job queue (so the sender
+/// finishes too) and then fails every pending exchange.
+struct Demux(Arc<Transport>);
 
 impl Task for Demux {
     fn poll(&mut self, _cx: &mut TaskCtx<'_>) -> TaskStep {
-        let mux = &self.mux;
+        let t = &self.0;
         loop {
-            let frame = match self.resp_ch.poll_recv() {
+            let frame = match t.resp_ch.poll_recv() {
                 Err(wait) => return wait,
                 Ok(Err(Closed)) => break,
                 Ok(Ok(frame)) => frame,
             };
-            let entry = mux.pending.lock().remove(&frame.seq);
+            let entry = t.pending.lock().remove(&frame.seq);
             if let Some(entry) = entry {
-                mux.settle(entry, Some(frame));
+                t.settle(entry, Some(frame));
             }
         }
         let orphans = {
-            let mut g = mux.pending.lock();
-            mux.dead.store(true, Ordering::SeqCst);
+            let mut g = t.pending.lock();
+            t.dead.store(true, Ordering::SeqCst);
             std::mem::take(&mut *g)
         };
+        t.jobs.close();
         for entry in orphans.into_values() {
-            mux.settle(entry, None);
+            t.settle(entry, None);
         }
         TaskStep::Done
     }
 }
 
-/// Where a [`Sender`] is blocked: each state is one blocking call of a
-/// synchronous exchange's send half.
+/// Where a [`Sender`] is blocked.
 enum Sending {
-    /// `jobs.recv()`.
+    /// On the job queue.
     Idle,
-    /// `inflight.acquire()`.
+    /// On the inflight semaphore, for this frame's permit.
     Permit(ReqFrame),
-    /// `send_lock.acquire()`.
-    Lock(ReqFrame),
     /// The frame on its way over the forward path.
     Wire(ReqFrame, Message),
 }
 
-/// Serializes async submits onto the wire in submission order, charging
-/// each forward transfer; the inflight permit it takes for a submit is the
-/// exchange's from the send until it is settled. A dead stream gets no more
-/// bytes: a frame dequeued after the cut is failed on the spot, and one the
-/// cut caught queueing for the permit or the lock is dropped there.
+/// Puts the stream's frames on the wire, one at a time in submission order,
+/// charging each forward transfer; the inflight permit it takes for a frame
+/// is the exchange's from the send until it is settled. A dead stream gets
+/// no more bytes: a frame dequeued after the cut is failed on the spot, and
+/// one the cut caught waiting for its permit is dropped there. Finishes
+/// when the job queue is closed and drained.
 struct Sender {
     transport: Arc<Transport>,
-    jobs: Channel<ReqFrame>,
     state: Sending,
 }
 
 impl Task for Sender {
     fn poll(&mut self, cx: &mut TaskCtx<'_>) -> TaskStep {
         let t = &self.transport;
-        let Mode::Multiplexed(mux) = &t.mode else {
-            unreachable!("sender on a non-multiplexed transport");
-        };
         // A permit is ours only if the wait for it ended in a signal.
         let granted = cx.wake == Some(Wake::Signaled);
         loop {
             self.state = match std::mem::replace(&mut self.state, Sending::Idle) {
-                Sending::Idle => match self.jobs.poll_recv() {
+                Sending::Idle => match t.jobs.poll_recv() {
                     Err(wait) => return wait,
                     Ok(Err(Closed)) => return TaskStep::Done,
                     Ok(Ok(frame)) if !t.is_alive() => {
-                        mux.fail(frame.seq);
+                        t.fail(frame.seq);
                         Sending::Idle
                     }
                     Ok(Ok(frame)) => {
                         self.state = Sending::Permit(frame);
-                        return mux.inflight.acquire_step();
+                        return t.inflight.acquire_step();
                     }
                 },
                 Sending::Permit(frame) if !granted => {
                     self.state = Sending::Permit(frame);
-                    return mux.inflight.acquire_step();
+                    return t.inflight.acquire_step();
                 }
                 Sending::Permit(frame) => {
-                    self.state = Sending::Lock(frame);
-                    return mux.send_lock.acquire_step();
-                }
-                Sending::Lock(frame) if !granted => {
-                    self.state = Sending::Lock(frame);
-                    return mux.send_lock.acquire_step();
-                }
-                Sending::Lock(frame) => {
-                    let claimed = match mux.pending.lock().get_mut(&frame.seq) {
-                        Some(Pending::Callback { permit, .. }) if t.is_alive() => {
-                            *permit = true;
+                    let claimed = match t.pending.lock().get_mut(&frame.seq) {
+                        Some(entry) if t.is_alive() => {
+                            entry.permit = true;
                             true
                         }
                         _ => false,
@@ -306,9 +237,8 @@ impl Task for Sender {
                         let msg = Message::new(frame.wire_size());
                         Sending::Wire(frame, msg)
                     } else {
-                        mux.send_lock.release();
-                        mux.inflight.release();
-                        mux.fail(frame.seq);
+                        t.inflight.release();
+                        t.fail(frame.seq);
                         Sending::Idle
                     }
                 }
@@ -318,10 +248,8 @@ impl Task for Sender {
                         return step;
                     }
                     let seq = frame.seq;
-                    let sent = t.req_ch.send(frame).is_ok();
-                    mux.send_lock.release();
-                    if !sent {
-                        mux.fail(seq);
+                    if t.req_ch.send(frame).is_err() {
+                        t.fail(seq);
                     }
                     Sending::Idle
                 }
@@ -330,8 +258,9 @@ impl Task for Sender {
     }
 }
 
-/// A physical stream to the server: the forward link path plus the
-/// request/response channel pair registered with the server's handler.
+/// A physical stream to the server: the forward link path, the
+/// request/response channel pair registered with the server's handler, and
+/// what the exchanges sharing the stream share.
 pub struct Transport {
     rt: Arc<dyn Runtime>,
     net: Arc<Network>,
@@ -341,59 +270,32 @@ pub struct Transport {
     resp_ch: Channel<RespFrame>,
     next_seq: AtomicU64,
     next_session: AtomicU64,
-    mode: Mode,
+    /// Exchanges awaiting their tagged response, by `seq`: a stream's death
+    /// fails them in the order they were issued.
+    pending: Mutex<BTreeMap<u64, Pending>>,
+    /// Bounds outstanding exchanges on this stream.
+    inflight: Semaphore,
+    /// Set by the demux task when the stream dies.
+    dead: AtomicBool,
+    /// Frames queued for the [`Sender`], in submission order.
+    jobs: Channel<ReqFrame>,
     meter: Arc<IoMeter>,
 }
 
 impl Transport {
-    /// An exclusive (one-session) transport — the pre-refactor connection.
-    pub(crate) fn exclusive(
-        rt: Arc<dyn Runtime>,
-        net: Arc<Network>,
-        fwd: Vec<LinkId>,
-        fwd_opts: XferOpts,
-        chans: (Channel<ReqFrame>, Channel<RespFrame>),
-    ) -> Arc<Transport> {
-        let lock = RtMutex::new(&rt, ());
-        Self::new(rt, net, fwd, fwd_opts, chans, Mode::Exclusive { lock })
-    }
-
-    /// A multiplexed transport carrying up to `max_inflight` concurrent
-    /// exchanges. Spawns the demultiplexer, task 0 of executor `label`.
-    pub(crate) fn multiplexed(
-        rt: Arc<dyn Runtime>,
-        net: Arc<Network>,
-        fwd: Vec<LinkId>,
-        fwd_opts: XferOpts,
-        chans: (Channel<ReqFrame>, Channel<RespFrame>),
-        label: &str,
-        max_inflight: usize,
-    ) -> Arc<Transport> {
-        let mux = Arc::new(Mux {
-            pending: Default::default(),
-            inflight: Semaphore::new(&rt, max_inflight.max(1)),
-            send_lock: Semaphore::new(&rt, 1),
-            dead: AtomicBool::new(false),
-            sender: Mutex::new(None),
-            tasks: TaskExecutor::new(&rt, label),
-        });
-        mux.tasks.spawn_daemon(Box::new(Demux {
-            resp_ch: chans.1.clone(),
-            mux: mux.clone(),
-        }));
-        Self::new(rt, net, fwd, fwd_opts, chans, Mode::Multiplexed(mux))
-    }
-
-    fn new(
+    /// A stream carrying up to `max_inflight` concurrent exchanges. Spawns
+    /// its demultiplexer and its sender, tasks 0 and 1 of executor `label`.
+    pub(crate) fn new(
         rt: Arc<dyn Runtime>,
         net: Arc<Network>,
         fwd: Vec<LinkId>,
         fwd_opts: XferOpts,
         (req_ch, resp_ch): (Channel<ReqFrame>, Channel<RespFrame>),
-        mode: Mode,
+        label: &str,
+        max_inflight: usize,
     ) -> Arc<Transport> {
-        Arc::new(Transport {
-            rt,
+        let tasks = TaskExecutor::new(&rt, label);
+        let t = Arc::new(Transport {
             net,
             fwd,
             fwd_opts,
@@ -401,180 +303,98 @@ impl Transport {
             resp_ch,
             next_seq: AtomicU64::new(0),
             next_session: AtomicU64::new(0),
-            mode,
+            pending: Default::default(),
+            inflight: Semaphore::new(&rt, max_inflight.max(1)),
+            dead: AtomicBool::new(false),
+            jobs: Channel::new(&rt),
             meter: IoMeter::new(),
-        })
+            rt,
+        });
+        tasks.spawn_daemon(Box::new(Demux(t.clone())));
+        tasks.spawn_daemon(Box::new(Sender {
+            transport: t.clone(),
+            state: Sending::Idle,
+        }));
+        t
     }
 
-    /// Allocate the next session id on this transport. Exclusive transports
-    /// call this exactly once (session 0).
+    /// Allocate the next session id on this transport.
     pub fn open_session(&self) -> SessionId {
         SessionId(self.next_session.fetch_add(1, Ordering::Relaxed))
     }
 
-    /// One tagged request/response exchange on behalf of `session`. Charges
-    /// the forward transfer to the caller; the server handler charges
-    /// processing, disk, and the response transfer before replying. Fails
-    /// with [`Closed`] when the stream is severed.
-    pub fn exchange(&self, session: SessionId, req: Request) -> Result<Response, Closed> {
-        self.exchange_hinted(session, TenantId::default(), 0, req, None)
-    }
-
-    /// Like [`Transport::exchange`], but meters at most `useful` payload
-    /// bytes when the hint is given. Sieved transfers use this so the
-    /// covering extent's slack — bytes fetched or written only to bridge
-    /// holes — never inflates the goodput estimate: the meter sees the
-    /// application's bytes, the wire still carries the whole transfer.
-    pub(crate) fn exchange_hinted(
-        &self,
-        session: SessionId,
-        tenant: TenantId,
-        epoch: u64,
-        req: Request,
-        useful: Option<u64>,
-    ) -> Result<Response, Closed> {
-        self.exchange_granted(session, tenant, epoch, req, useful)
-            .map(|(resp, _)| resp)
-    }
-
-    /// Like [`Transport::exchange_hinted`], but also surfaces the response
-    /// frame's lease grant (the header field the server stamps on reads).
-    /// Clients that cache lease-granted reads call this; everything else
-    /// goes through [`Transport::exchange_hinted`] and drops the grant.
-    pub(crate) fn exchange_granted(
-        &self,
-        session: SessionId,
-        tenant: TenantId,
-        epoch: u64,
-        req: Request,
-        useful: Option<u64>,
-    ) -> Result<(Response, Option<u64>), Closed> {
-        let t0 = self.rt.now();
-        let r = match &self.mode {
-            Mode::Exclusive { lock } => {
-                let _g = lock.lock();
-                let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-                let frame = ReqFrame {
-                    seq,
-                    session,
-                    tenant,
-                    epoch,
-                    req,
-                };
-                let send = || -> Result<(Response, Option<u64>), Closed> {
-                    self.net
-                        .send_message_opts(&self.fwd, frame.wire_size(), &self.fwd_opts);
-                    self.req_ch.send(frame).map_err(|_| Closed)?;
-                    let resp = self.resp_ch.recv().map_err(|_| Closed)?;
-                    debug_assert_eq!(resp.seq, seq, "exclusive stream reordered a response");
-                    Ok((resp.resp, resp.lease))
-                };
-                send()
-            }
-            Mode::Multiplexed(mux) => {
-                mux.inflight.acquire();
-                let frame = ReqFrame {
-                    seq: self.next_seq.fetch_add(1, Ordering::Relaxed),
-                    session,
-                    tenant,
-                    epoch,
-                    req,
-                };
-                let r = self.exchange_mux(mux, frame);
-                mux.inflight.release();
-                r.map(|frame| (frame.resp, frame.lease))
-            }
-        };
-        if let Ok((resp, _)) = &r {
-            // Payload bytes the exchange actually moved: data received
-            // for reads, bytes the server acknowledged for writes.
-            let actual = match resp {
+    /// Deliver `frame` — `None`: the stream died — to the exchange `entry`
+    /// stood for, returning its permit and metering a completed exchange.
+    fn settle(&self, entry: Pending, frame: Option<RespFrame>) {
+        if entry.permit {
+            self.inflight.release();
+        }
+        if let Some(frame) = &frame {
+            // Payload bytes the exchange actually moved: data received for
+            // reads, bytes the server acknowledged for writes.
+            let actual = match &frame.resp {
                 Response::Data(p) => p.len(),
                 Response::Written(n) => *n,
                 _ => 0,
             };
-            let bytes = useful.map_or(actual, |u| u.min(actual));
-            self.meter
-                .complete(bytes, (self.rt.now() - t0).as_secs_f64());
+            let bytes = entry.useful.map_or(actual, |u| u.min(actual));
+            let elapsed = self.rt.now() - entry.t0;
+            self.meter.complete(bytes, elapsed.as_secs_f64());
         }
-        r
+        (entry.complete)(frame);
     }
 
-    fn exchange_mux(&self, mux: &Mux, frame: ReqFrame) -> Result<RespFrame, Closed> {
-        let seq = frame.seq;
-        let cell: RespCell = OnceCellBlocking::new(&self.rt);
-        {
-            // Registering under the pending lock pairs with the demux
-            // task's dead-marking under the same lock: either the demux
-            // sees this cell when it drains, or we see `dead` here.
-            let mut g = mux.pending.lock();
-            if mux.dead.load(Ordering::SeqCst) {
-                return Err(Closed);
-            }
-            g.insert(seq, Pending::Cell(cell.clone()));
+    /// Fail the exchange tagged `seq`, unless it has been settled already.
+    fn fail(&self, seq: u64) {
+        let entry = self.pending.lock().remove(&seq);
+        if let Some(entry) = entry {
+            self.settle(entry, None);
         }
-        mux.send_lock.acquire();
-        self.net
-            .send_message_opts(&self.fwd, frame.wire_size(), &self.fwd_opts);
-        let sent = self.req_ch.send(frame).is_ok();
-        mux.send_lock.release();
-        if !sent {
-            mux.pending.lock().remove(&seq);
-            return Err(Closed);
-        }
-        cell.wait().ok_or(Closed)
     }
 
-    /// Submit one exchange **without blocking the caller**: the request is
-    /// handed to this stream's [`Sender`] (which queues for the inflight
-    /// budget and charges the forward transfer on the caller's behalf) and
-    /// `cb` runs when the tagged response arrives — or with `None` if the
-    /// stream dies first. Only multiplexed transports support this; the
-    /// exclusive mode's whole point is its serialized blocking timing.
+    /// Submit one exchange on behalf of `session` **without blocking the
+    /// caller**: the request is queued for this stream's [`Sender`] (which
+    /// waits for the inflight budget and charges the forward transfer; the
+    /// server handler charges processing, disk and the response transfer
+    /// before replying) and `complete` runs when the tagged response arrives
+    /// — or with `None` if the stream dies first, or is dead already.
     ///
-    /// This is the client half of the paper's asynchronous primitives at
-    /// transport granularity: an event-driven session issues `submit` and
-    /// parks its state machine, and the completion wakes it — no thread
-    /// pinned per outstanding operation.
-    pub(crate) fn submit_hinted(
-        self: &Arc<Self>,
+    /// This is the paper's asynchronous primitive at transport granularity:
+    /// an event-driven session submits and parks its state machine, and the
+    /// completion wakes it — no thread pinned per outstanding operation.
+    ///
+    /// The meter counts at most `useful` payload bytes when the hint is
+    /// given. Sieved transfers use this so the covering extent's slack —
+    /// bytes moved only to bridge holes — never inflates the goodput
+    /// estimate: the meter sees the application's bytes, the wire still
+    /// carries the whole transfer.
+    pub(crate) fn submit(
+        &self,
         session: SessionId,
         tenant: TenantId,
         epoch: u64,
         req: Request,
         useful: Option<u64>,
-        cb: SubmitCallback,
+        complete: Completion,
     ) {
-        let Mode::Multiplexed(mux) = &self.mode else {
-            panic!("async submit requires a multiplexed transport");
-        };
-        let t0 = self.rt.now();
-        // Wrap the completion with meter accounting, mirroring
-        // `exchange_hinted`'s bookkeeping (payload bytes capped by the
-        // `useful` hint; elapsed time spans submit → response).
-        let meter = self.meter.clone();
-        let rt = self.rt.clone();
-        let cb: SubmitCallback = Box::new(move |resp: Option<Response>| {
-            if let Some(r) = &resp {
-                let actual = match r {
-                    Response::Data(p) => p.len(),
-                    Response::Written(n) => *n,
-                    _ => 0,
-                };
-                let bytes = useful.map_or(actual, |u| u.min(actual));
-                meter.complete(bytes, (rt.now() - t0).as_secs_f64());
-            }
-            cb(resp);
-        });
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         {
-            let mut g = mux.pending.lock();
-            if mux.dead.load(Ordering::SeqCst) {
+            // Registering under the pending lock pairs with the demux
+            // task's dead-marking under the same lock: either the demux
+            // sees this entry when it drains, or we see `dead` here.
+            let mut g = self.pending.lock();
+            if self.dead.load(Ordering::SeqCst) {
                 drop(g);
-                cb(None);
+                complete(None);
                 return;
             }
-            g.insert(seq, Pending::Callback { cb, permit: false });
+            let entry = Pending {
+                complete,
+                permit: false,
+                t0: self.rt.now(),
+                useful,
+            };
+            g.insert(seq, entry);
         }
         let frame = ReqFrame {
             seq,
@@ -583,24 +403,37 @@ impl Transport {
             epoch,
             req,
         };
-        let jobs = {
-            let mut g = mux.sender.lock();
-            g.get_or_insert_with(|| {
-                let jobs: Channel<ReqFrame> = Channel::new(&self.rt);
-                mux.tasks.spawn_daemon(Box::new(Sender {
-                    transport: self.clone(),
-                    jobs: jobs.clone(),
-                    state: Sending::Idle,
-                }));
-                jobs
-            })
-            .clone()
-        };
-        if jobs.send(frame).is_err() {
-            // Sender shut down (stream severed): fail through the pending
-            // map so the demux drain / this path never double-fires.
-            mux.fail(seq);
+        if self.jobs.send(frame).is_err() {
+            self.fail(seq);
         }
+    }
+
+    /// One blocking exchange: [`Transport::submit`], then wait for the
+    /// completion. Returns the whole response frame, lease grant included
+    /// (the header field the server stamps on reads) — or `None` when the
+    /// stream is severed, at the instant it is.
+    pub(crate) fn exchange_granted(
+        &self,
+        session: SessionId,
+        tenant: TenantId,
+        epoch: u64,
+        req: Request,
+        useful: Option<u64>,
+    ) -> Option<RespFrame> {
+        let cell = OnceCellBlocking::new(&self.rt);
+        let done = cell.clone();
+        let complete = Box::new(move |frame| done.set(frame));
+        self.submit(session, tenant, epoch, req, useful, complete);
+        cell.wait()
+    }
+
+    /// [`Transport::exchange_granted`] for an untagged, un-epoched request,
+    /// keeping only the response. Fails with [`Closed`] when the stream is
+    /// severed.
+    pub fn exchange(&self, session: SessionId, req: Request) -> Result<Response, Closed> {
+        self.exchange_granted(session, TenantId::default(), 0, req, None)
+            .map(|frame| frame.resp)
+            .ok_or(Closed)
     }
 
     /// This stream's goodput telemetry. The meter is owned by the transport
@@ -614,19 +447,15 @@ impl Transport {
     /// itself as well as the demux task's flag, so a sever is visible to
     /// the pool immediately — not only after the demux has been polled.
     pub fn is_alive(&self) -> bool {
-        if self.req_ch.is_closed() || self.resp_ch.is_closed() {
-            return false;
-        }
-        match &self.mode {
-            Mode::Exclusive { .. } => true,
-            Mode::Multiplexed(mux) => !mux.dead.load(Ordering::SeqCst),
-        }
+        !(self.req_ch.is_closed() || self.resp_ch.is_closed() || self.dead.load(Ordering::SeqCst))
     }
 
-    /// Sever the stream from the client side (both channel directions).
+    /// Sever the stream from the client side: both channel directions, and
+    /// the job queue.
     pub fn close(&self) {
         self.req_ch.close();
         self.resp_ch.close();
+        self.jobs.close();
     }
 
     /// The runtime this transport charges time against.
@@ -640,7 +469,7 @@ mod tests {
     use super::*;
     use crate::tests::setup_net;
     use crate::types::{OpenFlags, Payload};
-    use semplar_runtime::{simulate, spawn, Dur};
+    use semplar_runtime::{simulate, spawn, Dur, SimRuntime};
 
     const MB: u64 = 1_000_000;
 
@@ -666,22 +495,43 @@ mod tests {
         );
     }
 
-    /// How each async write ended, in completion order: `(index, acked)`.
+    /// How each 1 MB write ended, in completion order: `(index, acked)`.
     type Log = Arc<Mutex<Vec<(u64, bool)>>>;
 
-    /// Submit a sized 1 MB write at `i` MB; its completion logs `i`.
-    fn submit_write(t: &Arc<Transport>, fd: u32, i: u64, log: &Log) {
-        let req = Request::Write {
+    /// A sized 1 MB write at `i` MB.
+    fn write_req(fd: u32, i: u64) -> Request {
+        Request::Write {
             fd,
             offset: i * MB,
             payload: Payload::sized(MB),
-        };
-        let log = log.clone();
-        let cb = Box::new(move |r: Option<Response>| log.lock().push((i, r.is_some())));
-        t.submit_hinted(SessionId(0), TenantId::default(), 0, req, None, cb);
+        }
     }
 
-    /// One multiplexed stream `max_inflight` deep with `/f` open on it.
+    /// Submit write `i`; its completion logs it.
+    fn submit_write(t: &Arc<Transport>, fd: u32, i: u64, log: &Log) {
+        let log = log.clone();
+        let complete = Box::new(move |r: Option<RespFrame>| log.lock().push((i, r.is_some())));
+        let tenant = TenantId::default();
+        t.submit(SessionId(0), tenant, 0, write_req(fd, i), None, complete);
+    }
+
+    /// Issue write `i` as a thread's blocking exchange, which logs it on
+    /// return; the exchange is cut, and returns `after` the thread started.
+    fn spawn_blocking_write(t: &Arc<Transport>, fd: u32, i: u64, log: &Log, after: Dur) {
+        let (t, log, rt) = (t.clone(), log.clone(), t.rt.clone());
+        let t0 = rt.now();
+        spawn(&rt.clone(), "blocking", move || {
+            let r = t.exchange(SessionId(0), write_req(fd, i));
+            log.lock().push((i, r.is_ok()));
+            assert_eq!(
+                rt.now() - t0,
+                after,
+                "the waiter was not released at the cut"
+            );
+        });
+    }
+
+    /// One stream `max_inflight` deep with `/f` open on it.
     fn stream(
         rt: &Arc<dyn Runtime>,
         max_inflight: usize,
@@ -699,71 +549,81 @@ mod tests {
 
     #[test]
     fn a_dead_stream_gets_no_more_bytes_and_fails_its_submits_in_seq_order() {
-        simulate(|rt| {
-            let (net, server, t, fd) = stream(&rt, 8);
-            let up = t.fwd[0];
-            let log = Log::default();
-            let before = net.link_bits_moved(up);
-            (0..4).for_each(|i| submit_write(&t, fd, i, &log));
-            // 10 ms of latency, then 80 ms of wire per frame: the cut finds
-            // the first frame half sent and three queued behind it.
-            rt.sleep(Dur::from_millis(50));
-            let cut = rt.now();
-            assert_eq!(server.reset_all_connections(), 1);
-            rt.sleep(Dur::from_millis(1));
-            // Every completion has fired, once, failed, in issue order, at
-            // the instant of the cut.
-            assert_eq!(*log.lock(), [0, 1, 2, 3].map(|i| (i, false)));
-            assert_eq!(rt.now() - cut, Dur::from_millis(1));
-            rt.sleep(Dur::from_secs(1));
-            assert_eq!(log.lock().len(), 4, "a completion fired twice");
-            // The frame on the wire at the cut ran out; nothing followed it.
-            let moved = net.link_bits_moved(up) - before;
-            let frame = 8.0 * MB as f64;
-            assert!((frame..frame + 1e4).contains(&moved), "{moved} bits");
-            assert!(!t.is_alive());
-        });
+        // The first of four writes is a submit, or a thread's blocking
+        // exchange (woken by its completion, so it logs after the rest).
+        for (blocking, order) in [(false, [0, 1, 2, 3]), (true, [1, 2, 3, 0])] {
+            simulate(move |rt| {
+                let (net, server, t, fd) = stream(&rt, 8);
+                let up = t.fwd[0];
+                let log = Log::default();
+                let before = net.link_bits_moved(up);
+                if blocking {
+                    spawn_blocking_write(&t, fd, 0, &log, Dur::from_millis(50));
+                } else {
+                    submit_write(&t, fd, 0, &log);
+                }
+                rt.sleep(Dur::from_millis(1));
+                (1..4).for_each(|i| submit_write(&t, fd, i, &log));
+                // 10 ms of latency, then 80 ms of wire per frame: the cut
+                // finds the first frame half sent and three queued behind it.
+                rt.sleep(Dur::from_millis(49));
+                let cut = rt.now();
+                assert_eq!(server.reset_all_connections(), 1);
+                rt.sleep(Dur::from_millis(1));
+                // Every completion has fired, once, failed, in issue order,
+                // at the instant of the cut.
+                assert_eq!(*log.lock(), order.map(|i| (i, false)));
+                assert_eq!(rt.now() - cut, Dur::from_millis(1));
+                rt.sleep(Dur::from_secs(1));
+                assert_eq!(log.lock().len(), 4, "a completion fired twice");
+                // The frame on the wire at the cut ran out; nothing followed
+                // it — nor does a blocking exchange on the dead stream, which
+                // returns at once.
+                let now = rt.now();
+                assert!(t.exchange(SessionId(0), write_req(fd, 4)).is_err());
+                assert_eq!(rt.now(), now);
+                let moved = net.link_bits_moved(up) - before;
+                let frame = 8.0 * MB as f64;
+                assert!((frame..frame + 1e4).contains(&moved), "{moved} bits");
+                assert!(!t.is_alive());
+            });
+        }
     }
 
     #[test]
     fn permits_are_conserved_whichever_state_the_cut_finds_the_sender_in() {
         // (what the sender is blocked in at the cut, inflight depth, async
-        // submits, a synchronous 1 MB exchange holding the send lock, when)
-        for (state, depth, submits, sync_holder, cut_ms) in [
+        // submits, a blocking 1 MB exchange issued between the first two,
+        // when)
+        for (state, depth, submits, blocking, cut_ms) in [
             ("wire", 8, 4, false, 50),
             ("permit", 1, 2, false, 95),
-            ("lock", 8, 2, true, 50),
+            ("permit, for a blocked thread", 1, 2, true, 95),
         ] {
-            simulate(move |rt| {
+            let sim = SimRuntime::new();
+            sim.run_root(move |rt| {
                 let (_, server, t, fd) = stream(&rt, depth);
                 let log = Log::default();
-                let holder = sync_holder.then(|| {
-                    let t2 = t.clone();
-                    spawn(&rt, "sync", move || {
-                        let payload = Payload::sized(MB);
-                        let req = Request::Write {
-                            fd,
-                            offset: 9 * MB,
-                            payload,
-                        };
-                        assert!(t2.exchange(SessionId(0), req).is_err());
-                    })
-                });
-                rt.sleep(Dur::from_millis(1)); // the holder has the lock
-                (0..submits).for_each(|i| submit_write(&t, fd, i, &log));
+                submit_write(&t, fd, 0, &log);
+                if blocking {
+                    let after = Dur::from_millis(1 + cut_ms);
+                    spawn_blocking_write(&t, fd, 9, &log, after);
+                }
+                rt.sleep(Dur::from_millis(1)); // the thread has submitted
+                (1..submits).for_each(|i| submit_write(&t, fd, i, &log));
                 rt.sleep(Dur::from_millis(cut_ms));
                 assert_eq!(server.reset_all_connections(), 1);
                 rt.sleep(Dur::from_secs(1));
-                holder.into_iter().for_each(|h| h.join_unwrap());
-                let want: Vec<_> = (0..submits).map(|i| (i, false)).collect();
+                let mut want: Vec<_> = (0..submits).map(|i| (i, false)).collect();
+                want.extend(blocking.then_some((9, false)));
                 assert_eq!(*log.lock(), want, "{state}");
-                let Mode::Multiplexed(mux) = &t.mode else {
-                    unreachable!()
-                };
-                assert!(mux.pending.lock().is_empty(), "{state}");
-                assert_permits(&rt, &mux.inflight, depth, state);
-                assert_permits(&rt, &mux.send_lock, 1, state);
+                assert!(t.pending.lock().is_empty(), "{state}");
+                assert_permits(&rt, &t.inflight, depth, state);
+                // The dead stream's handler, demux and sender are gone: a
+                // second stream's three take their places.
+                stream(&rt, depth);
             });
+            assert_eq!(sim.stats().peak_live_tasks, 3, "{state}");
         }
     }
 }

@@ -1,8 +1,10 @@
-//! Golden-trace test: the request stream a `PerOpen`-style client emits is
-//! byte-identical to the pre-refactor client. The fixture under
-//! `tests/golden/peropen.trace` was captured *before* the session/transport
-//! split; this test replays the same workload and compares the server-side
-//! request trace (per-connection order, tags, wire sizes) line for line.
+//! Golden-trace test: the request stream a per-open client puts on the
+//! wire. `tests/golden/peropen.trace` is the server-side request trace
+//! (per-connection order, session and `seq` tags, wire sizes) of the
+//! workload below — two `SrbServer::connect` sessions, each on a stream of
+//! its own — and this test replays the workload and compares line for line.
+//! A second test adds a list-I/O session and checks the other two are
+//! untouched.
 //!
 //! Regenerate with `SEMPLAR_WRITE_GOLDEN=1 cargo test -p semplar-srb
 //! --test golden_trace` — only do that intentionally: the point of the
@@ -95,7 +97,7 @@ fn peropen_request_stream_matches_pre_refactor_golden() {
     let want = std::fs::read_to_string(path).expect("golden fixture present");
     assert_eq!(
         got, want,
-        "PerOpen request stream drifted from the pre-refactor golden trace"
+        "PerOpen request stream drifted from the golden trace"
     );
 }
 

@@ -100,17 +100,14 @@ proptest! {
     }
 }
 
-/// Two sessions on one shared stream each have three 256 KiB writes in
-/// flight — issued interleaved, so stream order is not session order — when
-/// every connection is reset: the order `(virtual ns, session, write, acked)`
-/// in which the completions fire.
-fn shared_stream_cut_log() -> Vec<(u64, usize, u64, bool)> {
-    simulate(|rt| {
+/// Two sessions — on one shared stream, or under `PerOpen` on a stream
+/// each — have three 256 KiB writes apiece submitted, issued interleaved, so
+/// a shared stream's order is not session order, when every connection is
+/// reset: the order `(virtual ns, session, write, acked)` in which the
+/// completions fire.
+fn stream_cut_log(policy: PoolPolicy) -> Vec<(u64, usize, u64, bool)> {
+    simulate(move |rt| {
         let tb = Testbed::new(rt.clone(), das2(), 1);
-        let policy = PoolPolicy::Shared {
-            max_streams: 1,
-            max_inflight: 8,
-        };
         let none = RetryPolicy::none();
         let pool = ConnPool::new(tb.server.clone(), "semplar", "hpdc06", policy, none);
         let log = Arc::new(Mutex::new(Vec::new()));
@@ -147,14 +144,27 @@ fn shared_stream_cut_log() -> Vec<(u64, usize, u64, bool)> {
 
 #[test]
 fn a_cut_fails_a_shared_streams_exchanges_in_the_same_order_every_run() {
-    let first = shared_stream_cut_log();
-    let failed = first.iter().filter(|&&(.., ok)| !ok).count();
-    assert_eq!(first.len(), 6);
-    assert!(failed >= 4, "only {failed} in flight at the cut: {first:?}");
-    // The failures are in issue order — `seq` order on the stream.
-    let order: Vec<_> = first.iter().filter(|e| !e.3).map(|e| (e.2, e.1)).collect();
-    assert!(order.windows(2).all(|w| w[0] < w[1]), "{first:?}");
-    for i in 0..10 {
-        assert_eq!(shared_stream_cut_log(), first, "repeat {i}");
+    let shared = PoolPolicy::Shared {
+        max_streams: 1,
+        max_inflight: 8,
+    };
+    for policy in [shared, PoolPolicy::PerOpen] {
+        let first = stream_cut_log(policy);
+        let failed = first.iter().filter(|&&(.., ok)| !ok).count();
+        assert_eq!(first.len(), 6);
+        assert!(failed >= 4, "only {failed} in flight at the cut: {first:?}");
+        // The failures are in issue order — `seq` order — on each stream.
+        let stream = |session: usize| match policy {
+            PoolPolicy::Shared { .. } => 0,
+            PoolPolicy::PerOpen => session,
+        };
+        for on in 0..2 {
+            let cut = first.iter().filter(|e| !e.3 && stream(e.1) == on);
+            let order: Vec<_> = cut.map(|e| (e.2, e.1)).collect();
+            assert!(order.windows(2).all(|w| w[0] < w[1]), "{first:?}");
+        }
+        for i in 0..10 {
+            assert_eq!(stream_cut_log(policy), first, "{policy:?}, repeat {i}");
+        }
     }
 }

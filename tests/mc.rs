@@ -211,10 +211,11 @@ fn two_handlers_in_lockstep(hook: Arc<ScriptHook>) -> Vec<usize> {
     })
 }
 
-/// Server-side timers are explorable: handlers are tasks, so their
-/// same-instant disk completions reach the hook as one choice point
-/// labelled with the handlers' names, and taking the other branch there
-/// reorders the acknowledgements.
+/// A connection's timers are explorable at both ends: handlers are tasks,
+/// so their same-instant disk completions reach the hook as one choice
+/// point labelled with the handlers' names, and taking the other branch
+/// there reorders the acknowledgements; a per-open stream's sender is a
+/// task too, offered under the stream's label.
 #[test]
 fn two_handlers_disk_completions_are_one_choice_point() {
     let stock = ScriptHook::default_schedule();
@@ -229,6 +230,16 @@ fn two_handlers_disk_completions_are_one_choice_point() {
     };
     let sleeps = records.iter().filter(|r| tied(r, "task sleep"));
     assert_eq!(sleeps.count(), 3, "overhead, seek, response latency");
+    // So are the client side's: each `connect` stream's sender is task 1
+    // under the stream's label, and the two frames' latency sleeps and wire
+    // transfers tie. (A demultiplexer waits untimed: it arms nothing for
+    // the hook to reorder.)
+    let offered = |r: &ChoiceRecord, why: &str| {
+        r.eligible == [0, 1].map(|c| format!("orion/mux-{c}/1/{why}"))
+    };
+    assert!(offered(&records[0], "task sleep"), "{:?}", records[0]);
+    let wire = "event wait (timeout)";
+    assert!(offered(&records[1], wire), "{:?}", records[1]);
     // The first tied flow wait between the handlers is the disk's: the
     // responses go out only after it.
     let disk = records
