@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use semplar_bench::table::mbps;
-use semplar_bench::{availability_plan, flags, print_fault_ledger, settle, with_testbed, Table};
+use semplar_bench::{availability_plan, flags, print_fault_ledger, with_testbed, Table};
 use semplar_clusters::das2;
 use semplar_runtime::Dur;
 use semplar_workloads::{estgen, run_compress, CompressMode, CompressParams};
@@ -49,7 +49,7 @@ fn main() {
         let inj = availability_plan(seed, tb.wan_links().0, at, Dur::from_millis(400))
             .inject(&tb.rt, &tb.net, &tb.server);
         let faulted = run_compress(&tb, procs, data, params);
-        settle(&tb.rt, &inj);
+        inj.wait();
         (base, faulted, inj.stats())
     });
 

@@ -10,7 +10,7 @@ use std::sync::{Arc, Mutex};
 
 use semplar::{OpenFlags, Payload, RecoveryStats, SrbFs, StripeUnit, StripedFile};
 use semplar_bench::table::mbps;
-use semplar_bench::{availability_plan, flags, print_fault_ledger, settle, with_testbed, Table};
+use semplar_bench::{availability_plan, flags, print_fault_ledger, with_testbed, Table};
 use semplar_clusters::{das2, Testbed};
 use semplar_runtime::{spawn, Dur};
 
@@ -87,7 +87,7 @@ fn main() {
         let inj = availability_plan(seed, tb.wan_links().0, at, Dur::from_millis(400))
             .inject(&tb.rt, &tb.net, &tb.server);
         let (faulted_mbps, rec) = shared_write(&tb, procs, bytes, streams, "/avail-faulted");
-        settle(&tb.rt, &inj);
+        inj.wait();
         (baseline_mbps, faulted_mbps, rec, inj.stats())
     });
 

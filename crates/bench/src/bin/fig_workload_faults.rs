@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use semplar_bench::{availability_plan, flags, print_fault_ledger, settle, with_testbed, Table};
+use semplar_bench::{availability_plan, flags, print_fault_ledger, with_testbed, Table};
 use semplar_clusters::{das2, Testbed};
 use semplar_faults::FaultStats;
 use semplar_runtime::Dur;
@@ -41,7 +41,7 @@ fn arm(tb: &Arc<Testbed>, seed: u64, run: impl Fn() -> Phases) -> Arm {
     let inj =
         availability_plan(seed, tb.wan_links().0, at, s(0.6)).inject(&tb.rt, &tb.net, &tb.server);
     let faulted = run();
-    settle(&tb.rt, &inj);
+    inj.wait();
     Arm {
         clean,
         faulted,

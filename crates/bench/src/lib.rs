@@ -15,9 +15,9 @@ use std::sync::Arc;
 
 use semplar::{AdioFile, AdioFs, FedFs, OpenFlags, Payload, ReconcileLedger, RecoveryStats};
 use semplar_clusters::{ClusterSpec, FedTestbed, Testbed};
-use semplar_faults::{FaultInjector, FaultPlan, FaultStats};
+use semplar_faults::{FaultPlan, FaultStats};
 use semplar_netsim::LinkId;
-use semplar_runtime::{Dur, Runtime, SimRuntime, SimStats, Time};
+use semplar_runtime::{Dur, SimRuntime, SimStats, Time};
 use semplar_srb::{CacheSpec, CacheStats, MembershipCfg, PromotionLedger, ReplStats};
 
 pub mod table;
@@ -95,13 +95,6 @@ pub fn availability_plan(seed: u64, wan_up: LinkId, at: [Dur; 4], down_for: Dur)
         .vault_stall_at(stall, 4 << 20)
         .conn_reset_at(reset)
         .server_crash_at(crash, down_for)
-}
-
-/// Sleep (virtual time) until every event of the injector's plan has fired.
-pub fn settle(rt: &Arc<dyn Runtime>, inj: &FaultInjector) {
-    while !inj.done() {
-        rt.sleep(Dur::from_millis(100));
-    }
 }
 
 /// Print an injector's ledger, one event per line, under `title`.
@@ -269,28 +262,13 @@ pub fn federation_run(run: FedRun) -> FedArm {
         for mut h in handles {
             h.close().expect("close federated");
         }
-        // Let the plan finish (the restart may land after the writes). A
-        // deposed primary restarts hard-fenced until membership certifies
-        // it back in as the shard's replica; wait for that rejoin. Then
-        // replay whatever divergence remains and settle replication in
-        // both directions.
+        // Let the plan finish (the restart may land after the writes), then
+        // let the federation converge: a deposed primary is certified back
+        // in, the divergence is replayed and replication drained.
         if let Some(inj) = &inj {
-            settle(&rt, inj);
+            inj.wait();
         }
-        let mut rounds = 0;
-        while crashed.primary.server().is_fenced() {
-            rounds += 1;
-            assert!(rounds < 600, "deposed primary never rejoined");
-            rt.sleep(Dur::from_millis(10));
-        }
-        while !fed.reconcile() {
-            rt.sleep(Dur::from_millis(50));
-        }
-        for shard in fed.shards() {
-            for repl in [&shard.replicator, &shard.reverse].into_iter().flatten() {
-                repl.quiesce();
-            }
-        }
+        fed.converge().expect("federation converges");
         let sums = |seat: usize| -> Vec<u32> {
             paths
                 .iter()

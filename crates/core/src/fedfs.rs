@@ -28,16 +28,15 @@
 //!   [`RecoveryStats::reconciles`]/[`RecoveryStats::reconciled_bytes`].
 //!   Replayed writes re-enter the primary's write hook, so the replicator
 //!   re-ships them and both copies converge bit-identically.
-//! * **Membership (opt-in)** — [`FedFs::enable_membership`] puts every
-//!   shard under the `srb::membership` lease/epoch protocol. A primary
-//!   outage that outlives the lease then *promotes* the replica: roles
-//!   swap, the divergence backlog drains asynchronously through the
-//!   shard's reverse replicator (new primary → old primary) instead of
-//!   synchronously in the client path, and the deposed primary is fenced
-//!   by epoch until it rejoins as replica. Without membership, none of
-//!   this machinery runs and behaviour is bit-identical to the
-//!   failover-only federation.
-//! * **Live re-sharding (opt-in)** — [`FedFs::begin_reshard`] migrates the
+//! * **Membership** — [`FedFs::enable_membership`] puts every shard under
+//!   the `srb::membership` lease/epoch protocol. A primary outage that
+//!   outlives the lease then *promotes* the replica: roles swap, the
+//!   divergence backlog drains asynchronously through the shard's reverse
+//!   replicator (new primary → old primary) instead of synchronously in
+//!   the client path, and the deposed primary is fenced by epoch until it
+//!   rejoins as replica. Without it, roles never move: the replica serves
+//!   an outage and the primary is reconciled when it returns.
+//! * **Live re-sharding** — [`FedFs::begin_reshard`] migrates the
 //!   namespace onto a different number of active shards *under traffic*: a
 //!   daemon copies moving paths to their new owners, writes keep routing
 //!   to the old owner (dirtied extents are chased; a write still on the
@@ -46,6 +45,11 @@
 //!   as fallback), and the cutover to the new [`ShardMap`] version is
 //!   atomic — at an epoch bump when membership is enabled, so writes
 //!   routed by the old map are fenced.
+//!
+//! Reconcile replay and the re-shard copies are one block copier, and
+//! nothing here polls the clock: a copy waits on the events that end what
+//! refused it, and [`FedFs::converge`] is the one wait for the whole
+//! federation to settle.
 //!
 //! Shard mounts should be built with [`RetryPolicy::none`]
 //! (federated failover *is* the recovery — a crashed primary then refuses
@@ -59,7 +63,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use semplar_runtime::Runtime;
+use semplar_runtime::{Dur, Event, Runtime, Wake};
 use semplar_srb::{
     IoMeter, Membership, MembershipCfg, OpenFlags, Payload, Replicator, ShardMap, SrbError,
 };
@@ -134,6 +138,8 @@ struct ShardState {
     /// generation they bound under and rebind when it moved — a handle
     /// bound to a deposed primary must not fail over *to* it.
     role_gen: AtomicU64,
+    /// Notified as each reconciliation round ends.
+    replayed: Event,
 }
 
 /// Live re-sharding state while a migration is in flight.
@@ -152,7 +158,12 @@ struct RemapState {
     /// to reach zero, or it could take its clean check inside that
     /// window, delete the old owner's copy, and lose the acked bytes.
     inflight: usize,
+    /// Notified as each of those writes completes.
+    write_done: Event,
 }
+
+/// How long [`FedFs::converge`] waits for a crashed or fenced seat.
+const CONVERGE_BOUND: Dur = Dur::from_secs(10);
 
 /// A federated filesystem over N shards — see the module docs.
 pub struct FedFs {
@@ -172,11 +183,7 @@ pub struct FedFs {
     div_high_water: AtomicU64,
     membership: Mutex<Option<Arc<Membership>>>,
     remap: Mutex<Option<RemapState>>,
-    mig_moved_paths: AtomicU64,
-    mig_moved_bytes: AtomicU64,
-    mig_dirty_replays: AtomicU64,
-    mig_double_reads: AtomicU64,
-    mig_completed: AtomicU64,
+    migration: Mutex<MigrationStats>,
 }
 
 impl FedFs {
@@ -218,6 +225,7 @@ impl FedFs {
                 quiesced: AtomicBool::new(false),
                 primary_seat: AtomicUsize::new(0),
                 role_gen: AtomicU64::new(0),
+                replayed: rt.event(),
             })
             .collect();
         Arc::new(FedFs {
@@ -231,11 +239,7 @@ impl FedFs {
             div_high_water: AtomicU64::new(0),
             membership: Mutex::new(None),
             remap: Mutex::new(None),
-            mig_moved_paths: AtomicU64::new(0),
-            mig_moved_bytes: AtomicU64::new(0),
-            mig_dirty_replays: AtomicU64::new(0),
-            mig_double_reads: AtomicU64::new(0),
-            mig_completed: AtomicU64::new(0),
+            migration: Mutex::default(),
         })
     }
 
@@ -356,6 +360,10 @@ impl FedFs {
         // Roles changed under live readers: coherence over warmth.
         self.shards[shard].primary.invalidate_lease_all();
         self.shards[shard].replica.invalidate_lease_all();
+        // A copy waiting for the deposed seat to come back now routes to
+        // the new primary instead.
+        let deposed = self.seat_fs(shard, 1 - new_primary).server();
+        deposed.state_changed().notify_all();
         drained
     }
 
@@ -404,11 +412,33 @@ impl FedFs {
         self.div_high_water.load(Ordering::Relaxed)
     }
 
-    /// Try to reconcile every shard. Returns true when no divergence
-    /// remains — every extent written to a replica during an outage has
-    /// been replayed to its primary.
-    pub fn reconcile(&self) -> bool {
-        (0..self.shards.len()).all(|i| self.try_reconcile(i))
+    /// Block until the federation is at rest: every seat up and unfenced,
+    /// every divergence queue replayed (every extent written to a replica
+    /// during an outage is on its primary), every replicator drained. It
+    /// waits on the first blocked seat's
+    /// [`state_changed`](semplar_srb::SrbServer::state_changed) event,
+    /// never on a timer; `Err` if a seat is still down or fenced after
+    /// [`CONVERGE_BOUND`], or if the replay then fails.
+    pub fn converge(&self) -> IoResult<()> {
+        let deadline = self.rt.now() + CONVERGE_BOUND;
+        let stuck = Err(IoError::Srb(SrbError::Disconnected { acked: 0 }));
+        let seats = || self.shards.iter().flat_map(|s| [&s.primary, &s.replica]);
+        while let Some(fs) = seats().find(|fs| fs.server().is_crashed() || fs.server().is_fenced())
+        {
+            let left = deadline.since(self.rt.now());
+            if left.is_zero() || fs.server().state_changed().wait_timeout(left) == Wake::Timeout {
+                return stuck;
+            }
+        }
+        if !(0..self.shards.len()).all(|i| self.try_reconcile(i)) {
+            return stuck;
+        }
+        for shard in &self.shards {
+            for repl in [&shard.replicator, &shard.reverse].into_iter().flatten() {
+                repl.quiesce();
+            }
+        }
+        Ok(())
     }
 
     /// True while ops on `shard` must keep using the replica: divergence
@@ -469,8 +499,9 @@ impl FedFs {
         let mut failed = false;
         let mut rest = pending.into_iter();
         for (path, offset, len) in rest.by_ref() {
-            match self.replay_extent(shard, &path, offset, len) {
-                Ok(()) => {
+            let (src, dst) = (self.replica_fs(shard), self.primary_fs(shard));
+            match self.copy_blocks(src, dst, &path, offset, len, "reconcile/resume-block") {
+                Ok(_) => {
                     replayed_bytes += len;
                     replayed.push((path, offset, len));
                 }
@@ -518,46 +549,45 @@ impl FedFs {
             st.recovery_time += self.rt.now() - t0;
         }
         state.reconciling.store(false, Ordering::SeqCst);
+        state.replayed.notify_all();
         !failed
     }
 
-    /// Replay one divergent extent: read it from the replica, write it to
-    /// the primary (created if it was born on the replica during the
-    /// outage). The primary's write hook fires for the replayed blocks, so
-    /// the replicator re-ships them — idempotent, and it keeps the pair
-    /// converged.
-    fn replay_extent(&self, shard: usize, path: &str, offset: u64, len: u64) -> IoResult<()> {
-        // Probe the primary first (instant refusal while crashed) so a
-        // dead primary costs nothing — no replica reads are wasted.
-        let mut dst = self.primary_fs(shard).open(path, OpenFlags::CreateRw)?;
-        let mut src = self.replica_fs(shard).open(path, OpenFlags::Read)?;
-        let mut done = 0u64;
-        let result = loop {
-            if done >= len {
-                break Ok(());
-            }
+    /// The one block copier between mounts: `[offset, offset + len)` of
+    /// `path` from `src` to `dst` (created there if missing) in
+    /// [`RESUME_BLOCK`] blocks, each a schedule point named `tag`, until
+    /// `len` or a short read (so `u64::MAX` copies the whole object).
+    /// Returns the bytes copied. Writes on `dst` fire its write hook, so its
+    /// replicator re-ships them and keeps that pair converged.
+    fn copy_blocks(
+        &self,
+        src: &Arc<SrbFs>,
+        dst: &Arc<SrbFs>,
+        path: &str,
+        offset: u64,
+        len: u64,
+        tag: &str,
+    ) -> IoResult<u64> {
+        // Probe the destination first (instant refusal while crashed) so a
+        // dead one costs nothing — no source reads are wasted.
+        let mut dst = dst.open(path, OpenFlags::CreateRw)?;
+        let mut src = src.open(path, OpenFlags::Read)?;
+        let mut copy = |mut done: u64| loop {
             let blk = RESUME_BLOCK.min(len - done);
-            // Under a schedule hook, each resume-block replay is an
-            // explorable choice against concurrent ships and faults.
-            self.rt.schedule_point("reconcile/resume-block");
-            let data = match src.read_at(offset + done, blk) {
-                Ok(d) => d,
-                Err(e) => break Err(e),
-            };
-            if data.is_empty() {
-                // Replica object shorter than the recorded extent (can only
-                // happen for sparse test payloads); nothing left to copy.
-                break Ok(());
+            if blk == 0 {
+                return Ok(done);
             }
-            let n = data.len();
-            if let Err(e) = dst.write_at(offset + done, &data) {
-                break Err(e);
+            self.rt.schedule_point(tag);
+            let data = src.read_at(offset + done, blk)?;
+            if !data.is_empty() {
+                dst.write_at(offset + done, &data)?;
             }
-            done += n;
-            if n < blk {
-                break Ok(());
+            done += data.len();
+            if data.len() < blk {
+                return Ok(done);
             }
         };
+        let result = copy(0);
         let _ = src.close();
         let _ = dst.close();
         result
@@ -596,6 +626,7 @@ impl FedFs {
                 moving,
                 dirty: VecDeque::new(),
                 inflight: 0,
+                write_done: self.rt.event(),
             });
         }
         let fed = self.clone();
@@ -610,13 +641,7 @@ impl FedFs {
 
     /// Snapshot of the re-sharding counters.
     pub fn migration_stats(&self) -> MigrationStats {
-        MigrationStats {
-            moved_paths: self.mig_moved_paths.load(Ordering::Relaxed),
-            moved_bytes: self.mig_moved_bytes.load(Ordering::Relaxed),
-            dirty_replays: self.mig_dirty_replays.load(Ordering::Relaxed),
-            double_routed_reads: self.mig_double_reads.load(Ordering::Relaxed),
-            completed: self.mig_completed.load(Ordering::Relaxed),
-        }
+        *self.migration.lock()
     }
 
     /// If `path` is mid-migration, its `(old_shard, new_shard)` owners.
@@ -661,6 +686,7 @@ impl FedFs {
             }
             if pinned {
                 r.inflight -= 1;
+                r.write_done.notify_all();
             }
         }
     }
@@ -668,174 +694,116 @@ impl FedFs {
     /// Record a read of a mid-migration path (double-routed).
     fn note_remap_read(&self, path: &str) {
         if self.moving_owners(path).is_some() {
-            self.mig_double_reads.fetch_add(1, Ordering::Relaxed);
+            self.migration.lock().double_routed_reads += 1;
         }
     }
 
-    /// The migrator daemon: snapshot-copy every moving path, chase the
-    /// dirty tail, then cut the map over atomically.
+    /// The migrator daemon: copy every moving path whole (the snapshot),
+    /// chase the dirty tail until it is dry, then cut the map over
+    /// atomically.
     fn migrate(self: Arc<Self>) {
-        let moving: Vec<(String, usize, usize)> = self
-            .remap
-            .lock()
-            .as_ref()
-            .map(|r| r.moving.clone())
-            .unwrap_or_default();
-        for (path, a, b) in &moving {
-            self.rt.schedule_point("reshard/copy-path");
-            if let Some(bytes) = self.copy_path(path, *a, *b) {
-                self.mig_moved_paths.fetch_add(1, Ordering::Relaxed);
-                self.mig_moved_bytes.fetch_add(bytes, Ordering::Relaxed);
-            }
-        }
+        let moving = self.remap.lock().as_ref().map(|r| r.moving.clone());
+        let moving = moving.expect("set by begin_reshard");
+        let mut batch: Vec<_> = moving
+            .iter()
+            .map(|(p, ..)| (p.clone(), 0, u64::MAX))
+            .collect();
         loop {
-            let batch: Vec<(String, u64, u64)> = {
-                let mut remap = self.remap.lock();
-                match remap.as_mut() {
-                    Some(r) => r.dirty.drain(..).collect(),
-                    None => return,
+            for (path, offset, len) in batch {
+                let (tag, snapshot) = match len {
+                    u64::MAX => ("reshard/copy-path", true),
+                    _ => ("reshard/dirty-replay", false),
+                };
+                self.rt.schedule_point(tag);
+                // Only writes to moving paths dirty the tail.
+                let (_, a, b) = moving.iter().find(|(p, ..)| *p == path).expect("moving");
+                if let Some(bytes) = self.move_extent(&path, *a, *b, offset, len) {
+                    let mut st = self.migration.lock();
+                    st.moved_bytes += bytes;
+                    st.moved_paths += snapshot as u64;
+                    st.dirty_replays += !snapshot as u64;
                 }
-            };
-            if batch.is_empty() {
-                // Atomic cutover: flip the map while holding both the
-                // routing lock and the remap lock, but only if no write
-                // dirtied the tail in between and none is still on the
-                // wire (its dirty extent is recorded only after the ack —
-                // cutting over inside that window would drop acked bytes
-                // with the old owner's copy). Nothing here blocks on
-                // virtual time, so the flip is a single scheduling step.
-                let mut map = self.map.lock();
-                let mut remap = self.remap.lock();
-                let clean = remap
-                    .as_ref()
-                    .map(|r| r.dirty.is_empty() && r.inflight == 0)
-                    .unwrap_or(false);
-                if clean {
-                    let st = remap.take().expect("remap checked above");
-                    *map = st.to;
-                    drop(remap);
-                    drop(map);
-                    // Epoch bump fences writes still routed by the old map
-                    // (when membership governs the federation).
-                    if let Some(m) = self.membership.lock().clone() {
-                        m.note_reshard();
-                    }
-                    // The map swap above IS the cutover; count it before
-                    // the (time-consuming) cleanup below, so observers who
-                    // saw `resharding()` go false read a settled counter.
-                    self.mig_completed.fetch_add(1, Ordering::Relaxed);
-                    // The old owners' copies are garbage now; drop them so
-                    // a stale route cannot read a frozen object.
-                    for (path, a, _) in &st.moving {
-                        let _ = self.primary_fs(*a).delete(path);
-                        let _ = self.replica_fs(*a).delete(path);
-                    }
-                    return;
-                }
+            }
+            // Atomic cutover: flip the map under both the routing and the
+            // remap lock, but only if no write dirtied the tail and none is
+            // still on the wire (its dirty extent is recorded only after the
+            // ack — cutting over inside that window would drop acked bytes
+            // with the old owner's copy). Nothing here blocks on virtual
+            // time, so the flip is a single scheduling step.
+            let mut map = self.map.lock();
+            let mut remap = self.remap.lock();
+            let r = remap.as_mut().expect("only the migrator ends a re-shard");
+            batch = r.dirty.drain(..).collect();
+            if !batch.is_empty() || r.inflight > 0 {
+                let write_done = r.write_done.clone();
                 drop(remap);
                 drop(map);
-                // An in-flight write is blocked on the wire (or a fence);
-                // let it finish on virtual time before re-checking.
-                self.rt.sleep(semplar_runtime::Dur::from_millis(1));
+                if batch.is_empty() {
+                    // A write is still on the wire (or behind a fence): its
+                    // completion may dirty the tail, so re-check then.
+                    write_done.wait();
+                }
                 continue;
             }
-            for (path, off, len) in batch {
-                self.rt.schedule_point("reshard/dirty-replay");
-                if let Some((a, b)) = moving
-                    .iter()
-                    .find(|(p, _, _)| *p == path)
-                    .map(|&(_, a, b)| (a, b))
-                {
-                    if self.copy_extent(&path, a, b, off, len).is_some() {
-                        self.mig_dirty_replays.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+            let st = remap.take().expect("remap checked above");
+            *map = st.to;
+            drop(remap);
+            drop(map);
+            // Epoch bump fences writes still routed by the old map (when
+            // membership governs the federation).
+            if let Some(m) = self.membership.lock().clone() {
+                m.note_reshard();
             }
+            // The map swap above IS the cutover; count it before the
+            // (time-consuming) cleanup below, so observers who saw
+            // `resharding()` go false read a settled counter.
+            self.migration.lock().completed += 1;
+            // The old owners' copies are garbage now; drop them so a stale
+            // route cannot read a frozen object.
+            for (path, a, _) in &st.moving {
+                let _ = self.primary_fs(*a).delete(path);
+                let _ = self.replica_fs(*a).delete(path);
+            }
+            return;
         }
     }
 
-    /// Copy the whole current extent of `path` from shard `a` to shard `b`.
-    /// Returns the bytes copied, or `None` if the object does not exist on
-    /// the old owner (never created; nothing to move).
-    fn copy_path(&self, path: &str, a: usize, b: usize) -> Option<u64> {
+    /// Copy `[offset, offset + len)` of a moving `path` from its old owner
+    /// `a` to its new owner `b`. `a`'s divergence is replayed first, so its
+    /// primary holds every acked byte; whatever refuses is waited out, for
+    /// as long as it takes. Returns the bytes copied, or `None` if the
+    /// object does not exist on `a` or the copy fails for good.
+    fn move_extent(&self, path: &str, a: usize, b: usize, offset: u64, len: u64) -> Option<u64> {
         loop {
-            let size = {
-                let mut src = match self.primary_fs(a).open(path, OpenFlags::Read) {
-                    Ok(f) => f,
-                    Err(e) if FedFs::routable(&e) => {
-                        self.rt.sleep(semplar_runtime::Dur::from_millis(10));
-                        continue;
+            if self.try_reconcile(a) {
+                let (src, dst) = (self.primary_fs(a), self.primary_fs(b));
+                match self.copy_blocks(src, dst, path, offset, len, "reshard/copy-block") {
+                    Ok(n) => return Some(n),
+                    Err(e) if FedFs::routable(&e) => {}
+                    Err(e) => {
+                        // A missing source leaves behind the empty object
+                        // the copy created on the destination.
+                        if matches!(e, IoError::Srb(SrbError::NotFound(_))) {
+                            let _ = dst.delete(path);
+                        }
+                        return None;
                     }
-                    Err(_) => return None,
-                };
-                let n = src.size();
-                let _ = src.close();
-                match n {
-                    Ok(n) => n,
-                    Err(_) => return None,
                 }
-            };
-            match self.copy_extent(path, a, b, 0, size) {
-                Some(n) => return Some(n),
-                None => return None,
+            }
+            // Wait for what refused to change: a seat down or fenced comes
+            // back (or is deposed), a replay in flight ends. A cut with
+            // every seat up is retried at once.
+            let seats = [self.primary_fs(a), self.replica_fs(a), self.primary_fs(b)];
+            let state = &self.state[a];
+            match seats
+                .iter()
+                .find(|fs| fs.server().is_crashed() || fs.server().is_fenced())
+            {
+                Some(fs) => fs.server().state_changed().wait(),
+                None if state.reconciling.load(Ordering::SeqCst) => state.replayed.wait(),
+                None => {}
             }
         }
-    }
-
-    /// Copy `[offset, offset+len)` of `path` from shard `a`'s primary to
-    /// shard `b`'s primary in [`RESUME_BLOCK`] blocks, outwaiting transient
-    /// failures. Returns bytes copied (`None` if the object vanished).
-    fn copy_extent(&self, path: &str, a: usize, b: usize, offset: u64, len: u64) -> Option<u64> {
-        let mut done = 0u64;
-        while done < len {
-            let blk = RESUME_BLOCK.min(len - done);
-            self.rt.schedule_point("reshard/copy-block");
-            let data = {
-                let mut src = match self.primary_fs(a).open(path, OpenFlags::Read) {
-                    Ok(f) => f,
-                    Err(e) if FedFs::routable(&e) => {
-                        self.rt.sleep(semplar_runtime::Dur::from_millis(10));
-                        continue;
-                    }
-                    Err(_) => return None,
-                };
-                let r = src.read_at(offset + done, blk);
-                let _ = src.close();
-                match r {
-                    Ok(d) => d,
-                    Err(e) if FedFs::routable(&e) => {
-                        self.rt.sleep(semplar_runtime::Dur::from_millis(10));
-                        continue;
-                    }
-                    Err(_) => return None,
-                }
-            };
-            if data.is_empty() {
-                break;
-            }
-            let n = data.len();
-            let mut dst = match self.primary_fs(b).open(path, OpenFlags::CreateRw) {
-                Ok(f) => f,
-                Err(e) if FedFs::routable(&e) => {
-                    self.rt.sleep(semplar_runtime::Dur::from_millis(10));
-                    continue;
-                }
-                Err(_) => return None,
-            };
-            let w = dst.write_at(offset + done, &data);
-            let _ = dst.close();
-            match w {
-                Ok(_) => done += n,
-                Err(e) if FedFs::routable(&e) => {
-                    self.rt.sleep(semplar_runtime::Dur::from_millis(10));
-                }
-                Err(_) => return None,
-            }
-            if n < blk {
-                break;
-            }
-        }
-        Some(done)
     }
 
     /// Fallback read for a mid-migration path whose old owner is
@@ -955,28 +923,29 @@ impl FedFile {
         Ok(self.replica.as_mut().expect("replica handle just opened"))
     }
 
-    /// Re-route if the world changed since the handles were bound: a
-    /// promotion swapped the shard's roles (role generation moved), or a
-    /// re-shard cutover moved the path to a different shard (map version
-    /// moved). Stale handles are dropped; the next use rebinds against the
-    /// current owner/roles. Neither version ever moves without membership
-    /// or re-sharding, so this is pure bookkeeping on the classic path.
-    fn refresh_route(&mut self) {
+    /// Refuse a closed handle, and re-route one whose world changed since
+    /// its handles were bound: a promotion swapped the shard's roles (role
+    /// generation moved), or a re-shard cutover moved the path to a
+    /// different shard (map version moved). Stale handles are dropped; the
+    /// next use rebinds against the current owner/roles. Neither version
+    /// ever moves without membership or re-sharding.
+    fn refresh_route(&mut self) -> IoResult<()> {
+        if self.closed {
+            return Err(IoError::Closed);
+        }
         let ver = self.fed.map_version();
-        if ver != self.map_version {
+        let moved = ver != self.map_version;
+        if moved {
             self.map_version = ver;
             self.shard = self.fed.shard_of(&self.path);
-            self.primary = None;
-            self.replica = None;
-            self.gen = self.fed.role_gen(self.shard);
-            return;
         }
         let gen = self.fed.role_gen(self.shard);
-        if gen != self.gen {
+        if moved || gen != self.gen {
             self.gen = gen;
             self.primary = None;
             self.replica = None;
         }
+        Ok(())
     }
 
     /// Write `data` to the failover seat and queue the extent for replay —
@@ -1046,28 +1015,37 @@ impl FedFile {
     /// failover, minus the re-shard bookkeeping (the caller pins the
     /// cutover open around this whole call).
     fn write_at_routed(&mut self, offset: u64, data: &Payload) -> IoResult<u64> {
-        if self.settle() {
-            match self.open_primary().and_then(|()| {
-                self.primary
-                    .as_mut()
-                    .expect("primary bound by open_primary")
-                    .write_at(offset, data)
-            }) {
-                Ok(n) => return Ok(n),
-                Err(e) if FedFs::routable(&e) => {
-                    self.fed.note_failover();
-                    self.primary = None;
-                }
-                Err(e) => return Err(e),
-            }
-        } else {
-            self.fed.note_failover();
+        if let Some(r) = self.on_primary(|f| f.write_at(offset, data)) {
+            return r;
         }
         // The whole payload goes to the replica. Any prefix the primary
         // acknowledged before the cut is also in the extent — replay is
         // idempotent (same bytes, same offsets), so the overlap is
         // harmless and no acked byte can be lost.
         self.write_failover(offset, data)
+    }
+
+    /// Run `op` on the primary handle if the shard settles. `Some` is the
+    /// answer; `None` means fail over — the failover is counted and a
+    /// handle that failed routably is dropped.
+    fn on_primary<T>(
+        &mut self,
+        op: impl FnOnce(&mut Box<dyn AdioFile>) -> IoResult<T>,
+    ) -> Option<IoResult<T>> {
+        if self.settle() {
+            let r = self.open_primary().and_then(|()| {
+                op(self
+                    .primary
+                    .as_mut()
+                    .expect("primary bound by open_primary"))
+            });
+            match r {
+                Err(e) if FedFs::routable(&e) => self.primary = None,
+                r => return Some(r),
+            }
+        }
+        self.fed.note_failover();
+        None
     }
 
     /// Reconcile-first: replay any divergence on this shard before
@@ -1090,27 +1068,10 @@ impl FedFile {
 
 impl AdioFile for FedFile {
     fn read_at(&mut self, offset: u64, len: u64) -> IoResult<Payload> {
-        if self.closed {
-            return Err(IoError::Closed);
-        }
-        self.refresh_route();
+        self.refresh_route()?;
         self.fed.note_remap_read(&self.path);
-        if self.settle() {
-            match self.open_primary().and_then(|()| {
-                self.primary
-                    .as_mut()
-                    .expect("primary bound by open_primary")
-                    .read_at(offset, len)
-            }) {
-                Ok(p) => return Ok(p),
-                Err(e) if FedFs::routable(&e) => {
-                    self.fed.note_failover();
-                    self.primary = None;
-                }
-                Err(e) => return Err(e),
-            }
-        } else {
-            self.fed.note_failover();
+        if let Some(r) = self.on_primary(|f| f.read_at(offset, len)) {
+            return r;
         }
         // Failover read: make sure everything the primary acked reached
         // the replica, then serve from it.
@@ -1130,10 +1091,7 @@ impl AdioFile for FedFile {
     }
 
     fn write_at(&mut self, offset: u64, data: &Payload) -> IoResult<u64> {
-        if self.closed {
-            return Err(IoError::Closed);
-        }
-        self.refresh_route();
+        self.refresh_route()?;
         // Pin the re-shard cutover open *before* the write goes on the
         // wire: the server applies and acks before this client resumes, so
         // recording the dirty extent only afterwards would leave a window
@@ -1150,26 +1108,9 @@ impl AdioFile for FedFile {
     }
 
     fn size(&mut self) -> IoResult<u64> {
-        if self.closed {
-            return Err(IoError::Closed);
-        }
-        self.refresh_route();
-        if self.settle() {
-            match self.open_primary().and_then(|()| {
-                self.primary
-                    .as_mut()
-                    .expect("primary bound by open_primary")
-                    .size()
-            }) {
-                Ok(n) => return Ok(n),
-                Err(e) if FedFs::routable(&e) => {
-                    self.fed.note_failover();
-                    self.primary = None;
-                }
-                Err(e) => return Err(e),
-            }
-        } else {
-            self.fed.note_failover();
+        self.refresh_route()?;
+        if let Some(r) = self.on_primary(|f| f.size()) {
+            return r;
         }
         self.fed.quiesce_for_reads(self.shard);
         self.replica_file()?.size()

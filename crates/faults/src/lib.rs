@@ -26,6 +26,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use semplar_netsim::{Bw, LinkId, Network};
+use semplar_runtime::sync::OnceCellBlocking;
 use semplar_runtime::{Dur, Runtime, Time};
 use semplar_srb::SrbServer;
 
@@ -291,11 +292,11 @@ impl FaultPlan {
         let mut events = self.events.clone();
         // Stable: simultaneous events fire in insertion order.
         events.sort_by_key(|e| e.at());
-        let total = events.len();
         let stats = Arc::new(Mutex::new(FaultStats::default()));
+        let finished = OnceCellBlocking::new(rt);
         let handle = FaultInjector {
             stats: stats.clone(),
-            total,
+            finished: finished.clone(),
         };
         let rt2 = rt.clone();
         let net = net.clone();
@@ -395,6 +396,7 @@ impl FaultPlan {
                     st.conns_severed += severed as u64;
                     st.ledger.push((now, entry));
                 }
+                finished.set(());
             }),
         );
         handle
@@ -404,7 +406,8 @@ impl FaultPlan {
 /// Handle to a running (or finished) injector.
 pub struct FaultInjector {
     stats: Arc<Mutex<FaultStats>>,
-    total: usize,
+    /// Set once the plan's last event has been injected.
+    finished: Arc<OnceCellBlocking<()>>,
 }
 
 impl FaultInjector {
@@ -420,7 +423,13 @@ impl FaultInjector {
 
     /// True once every scheduled event has been injected.
     pub fn done(&self) -> bool {
-        self.injected() == self.total
+        self.finished.get().is_some()
+    }
+
+    /// Block until every scheduled event has been injected: returns at the
+    /// instant of the plan's last event (at once if it is past).
+    pub fn wait(&self) {
+        self.finished.wait();
     }
 }
 
@@ -484,6 +493,26 @@ mod tests {
         assert_eq!(stats.restarts, 1);
         assert!(stats.ledger[0].1.contains("server 1 crash"));
         assert!(stats.ledger[1].1.contains("server 1 restart"));
+    }
+
+    #[test]
+    fn wait_returns_at_the_instant_of_the_last_event() {
+        use semplar_srb::SrbServerCfg;
+        simulate(|rt| {
+            let net = Network::new(rt.clone());
+            let s = SrbServer::new(net.clone(), SrbServerCfg::default());
+            let t0 = rt.now();
+            let inj = FaultPlan::new(5)
+                .server_crash_at(Dur::from_millis(30), Dur::from_millis(47))
+                .conn_reset_at(Dur::from_millis(12))
+                .inject(&rt, &net, &s);
+            assert!(!inj.done());
+            inj.wait();
+            assert_eq!(rt.now(), t0 + Dur::from_millis(77));
+            assert!(inj.done() && !s.is_crashed());
+            inj.wait(); // past: returns at once
+            assert_eq!(rt.now(), t0 + Dur::from_millis(77));
+        });
     }
 
     #[test]

@@ -208,27 +208,9 @@ impl LeaseScenario {
         w.close().map_err(|e| format!("close writer: {e:?}"))?;
         r.close().map_err(|e| format!("close reader: {e:?}"))?;
 
-        let mut waited = 0;
-        while !inj.done() {
-            waited += 1;
-            if waited > 600 {
-                return Err("fault injector stalled".to_string());
-            }
-            rt.sleep(Dur::from_millis(10));
-        }
-        let mut rounds = 0;
-        while !fed.reconcile() {
-            rounds += 1;
-            if rounds > 400 {
-                return Err("reconcile did not converge".to_string());
-            }
-            rt.sleep(Dur::from_millis(50));
-        }
-        for shard in fed.shards() {
-            if let Some(repl) = &shard.replicator {
-                repl.quiesce();
-            }
-        }
+        inj.wait();
+        fed.converge()
+            .map_err(|e| format!("federation did not converge: {e}"))?;
 
         // Invariant 2: both sides converge to the final version's bytes.
         let sum_on = |fs: &Arc<SrbFs>| -> Result<u32, String> {

@@ -16,7 +16,7 @@
 //! 1. **No acked byte lost** — a mid-outage read through the federation
 //!    returns exactly the written prefix, and final checksums on every
 //!    primary *and* replica equal the checksum of the written pattern.
-//! 2. **Reconcile converges** — within a bounded number of rounds the
+//! 2. **Reconcile converges** — within `FedFs::converge`'s bound the
 //!    divergence queues drain.
 //! 3. **Primary/replica convergence** — post-reconcile checksums match
 //!    across the pair.
@@ -30,7 +30,7 @@ use std::sync::Arc;
 
 use semplar::{AdioFile, AdioFs, FedFs, FedShard, OpenFlags, Payload, ReconcileLedger, SrbFs};
 use semplar_clusters::FedTestbed;
-use semplar_faults::{FaultPlan, FaultStats};
+use semplar_faults::{FaultInjector, FaultPlan, FaultStats};
 use semplar_runtime::{Dur, Runtime, SimRuntime};
 use semplar_srb::adler32;
 
@@ -268,32 +268,14 @@ impl FederationScenario {
         for mut h in handles {
             h.close().map_err(|e| format!("close: {e:?}"))?;
         }
-        // Every injector must finish (crash + restart) in bounded time.
-        let mut waited = 0;
-        while injectors.iter().any(|i| !i.done()) {
-            waited += 1;
-            if waited > 600 {
-                return Err("fault injector stalled".to_string());
-            }
-            rt.sleep(Dur::from_millis(10));
-        }
-        // Invariant 2: reconciliation converges in bounded rounds.
-        let mut rounds = 0;
-        while !fed.reconcile() {
-            rounds += 1;
-            if rounds > 400 {
-                return Err(format!(
-                    "reconcile did not converge: {} divergent extents after {rounds} rounds",
-                    fed.divergent_extents()
-                ));
-            }
-            rt.sleep(Dur::from_millis(50));
-        }
-        for shard in fed.shards() {
-            if let Some(repl) = &shard.replicator {
-                repl.quiesce();
-            }
-        }
+        injectors.iter().for_each(FaultInjector::wait);
+        // Invariant 2: the federation converges in bounded virtual time.
+        fed.converge().map_err(|e| {
+            format!(
+                "federation did not converge ({e}): {} divergent extents",
+                fed.divergent_extents()
+            )
+        })?;
         if fed.divergent_extents() != 0 {
             return Err("divergence queue not drained after reconcile".to_string());
         }

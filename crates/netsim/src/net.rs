@@ -210,7 +210,7 @@ struct NetInner {
     comp_links: Vec<usize>,
     bfs_stack: Vec<usize>,
     newly_contended: Vec<usize>,
-    to_signal: Vec<Event>,
+    to_signal: Vec<usize>,
     stats: NetStats,
 }
 
@@ -528,20 +528,23 @@ impl Network {
             };
             if rate_changed(f.rate, eff) {
                 f.rate = eff;
-                g.to_signal.push(f.ev.clone());
+                g.to_signal.push(slot);
             }
         }
         g.stats.recomputes += 1;
         g.stats.flows_touched += ids.len() as u64;
         g.stats.signals += g.to_signal.len() as u64;
         g.stats.alloc_nanos += t0.elapsed().as_nanos() as u64;
-        // Signal after releasing all flow borrows; each owner re-polls and
-        // re-arms its completion timer against the new rate. Signals bank a
-        // permit, so an owner that has not blocked yet cannot miss one.
-        for i in 0..g.to_signal.len() {
-            g.to_signal[i].signal();
+        Self::signal_rate_changes(g);
+    }
+
+    /// Signal every flow in `to_signal`: its owner re-polls and re-arms its
+    /// completion timer against the new rate. Signals bank a permit, so an
+    /// owner that has not blocked yet cannot miss one.
+    fn signal_rate_changes(g: &mut NetInner) {
+        for s in g.to_signal.drain(..) {
+            g.slots[s].iter().for_each(|f| f.ev.signal());
         }
-        g.to_signal.clear();
     }
 
     /// Incremental engine: walk the connected component around the event,
@@ -643,7 +646,7 @@ impl Network {
             };
             if rate_changed(f.rate, eff) {
                 f.rate = eff;
-                g.to_signal.push(f.ev.clone());
+                g.to_signal.push(s);
             }
         }
         // WAN flows newly penalized by the arrival but living in another
@@ -663,7 +666,7 @@ impl Network {
             let eff = f.alloc_rate * f.penalty;
             if rate_changed(f.rate, eff) {
                 f.rate = eff;
-                g.to_signal.push(f.ev.clone());
+                g.to_signal.push(w);
             }
         }
         g.newly_contended.clear();
@@ -672,10 +675,7 @@ impl Network {
         g.stats.settles_skipped += skipped;
         g.stats.signals += g.to_signal.len() as u64;
         g.stats.alloc_nanos += t0.elapsed().as_nanos() as u64;
-        for i in 0..g.to_signal.len() {
-            g.to_signal[i].signal();
-        }
-        g.to_signal.clear();
+        Self::signal_rate_changes(g);
     }
 
     /// Start a flow at `now`: settle (batch: everything; incremental: the

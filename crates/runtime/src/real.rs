@@ -102,7 +102,6 @@ impl Runtime for RealRuntime {
         Arc::new(RealEvent {
             inner: Mutex::new(RealEventInner {
                 permits: 0,
-                waiters: 0,
                 broadcast_gen: 0,
             }),
             cond: Condvar::new(),
@@ -112,7 +111,6 @@ impl Runtime for RealRuntime {
 
 struct RealEventInner {
     permits: usize,
-    waiters: usize,
     /// Incremented on every `notify_all`; waiters that observe a change
     /// return as signaled even without a permit (matching the sim contract
     /// that broadcasts release current waiters without banking permits).
@@ -126,32 +124,16 @@ struct RealEvent {
 
 impl EventApi for RealEvent {
     fn wait(&self) {
-        let mut g = self.inner.lock();
-        let gen0 = g.broadcast_gen;
-        g.waiters += 1;
-        loop {
-            if g.permits > 0 {
-                g.permits -= 1;
-                break;
-            }
-            if g.broadcast_gen != gen0 {
-                break;
-            }
-            self.cond.wait(&mut g);
-        }
-        g.waiters -= 1;
+        self.wait_timeout(Dur::MAX);
     }
 
     fn wait_timeout(&self, d: Dur) -> Wake {
-        let deadline = Instant::now()
-            + std::time::Duration::from_nanos(d.as_nanos().min(
-                // Cap so `Instant + Duration` cannot overflow on any platform.
-                60 * 60 * 24 * 365 * 1_000_000_000,
-            ));
+        // A year at most, so `Instant + Duration` cannot overflow anywhere.
+        let year = 60 * 60 * 24 * 365 * 1_000_000_000;
+        let deadline = Instant::now() + std::time::Duration::from_nanos(d.as_nanos().min(year));
         let mut g = self.inner.lock();
-        let gen0 = g.broadcast_gen;
-        g.waiters += 1;
-        let wake = loop {
+        let (gen0, mut timed_out) = (g.broadcast_gen, false);
+        loop {
             if g.permits > 0 {
                 g.permits -= 1;
                 break Wake::Signaled;
@@ -159,17 +141,12 @@ impl EventApi for RealEvent {
             if g.broadcast_gen != gen0 {
                 break Wake::Signaled;
             }
-            if self.cond.wait_until(&mut g, deadline).timed_out() {
-                // One final re-check: a signal may have raced the timeout.
-                if g.permits > 0 {
-                    g.permits -= 1;
-                    break Wake::Signaled;
-                }
+            if timed_out {
                 break Wake::Timeout;
             }
-        };
-        g.waiters -= 1;
-        wake
+            // Once timed out, re-check once: a signal may race the timeout.
+            timed_out = self.cond.wait_until(&mut g, deadline).timed_out();
+        }
     }
 
     fn signal(&self) {

@@ -53,9 +53,9 @@
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering as AtOrd};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering as AtOrd};
 use std::sync::Arc;
 use std::thread::Thread;
 
@@ -257,9 +257,9 @@ struct EngineState {
     rewake: bool,
     /// Actors woken (or spawned) but not yet run, in wake order.
     ready: VecDeque<u64>,
-    /// Keyed by actor id, so iteration is in spawn order.
-    actors: BTreeMap<u64, ActorInfo>,
-    next_actor: u64,
+    /// Indexed by actor id — ids are dense and never reused — so a lookup
+    /// is an index and iteration is in spawn order; `None` once it has left.
+    actors: Vec<Option<ActorInfo>>,
     timers: BinaryHeap<TimerEntry>,
     next_seq: u64,
     poisoned: bool,
@@ -285,6 +285,8 @@ struct EngineState {
 
 pub(crate) struct Engine {
     state: Mutex<EngineState>,
+    /// `EngineState::now`, for [`Runtime::now`] without the lock.
+    clock: AtomicU64,
     /// Signalled when the last actor may have left, for [`SimRuntime::wait_done`];
     /// actors never wait on it (each parks on its own thread).
     done: Condvar,
@@ -300,25 +302,39 @@ impl EngineState {
         if self.poisoned {
             panic!("cannot spawn into a poisoned simulation");
         }
-        let id = self.next_actor;
-        self.next_actor += 1;
+        let id = self.actors.len() as u64;
         self.live_nondaemon += usize::from(!info.daemon);
-        self.actors.insert(id, info);
+        self.actors.push(Some(info));
         self.ready.push_back(id);
         id
     }
 
+    /// Actor `id`, unless it has left.
+    fn actor(&mut self, id: u64) -> Option<&mut ActorInfo> {
+        self.actors.get_mut(id as usize)?.as_mut()
+    }
+
+    /// Actors that have not left: the simulation is over at zero.
+    fn live(&self) -> usize {
+        self.live_threads + self.live_tasks
+    }
+
+    /// The actors that have not left, with their ids, in spawn order.
+    fn live_actors(&self) -> impl Iterator<Item = (u64, &ActorInfo)> {
+        (self.actors.iter().enumerate()).filter_map(|(id, a)| Some((id as u64, a.as_ref()?)))
+    }
+
     fn task_cell(&mut self, id: u64) -> &mut TaskCell {
-        match self.actors.get_mut(&id).map(|a| &mut a.body) {
+        match self.actor(id).map(|a| &mut a.body) {
             Some(Body::Task(cell)) => cell,
             _ => unreachable!("actor #{id} is not a registered task"),
         }
     }
 
     /// Record that actor `id`, about to give up the baton, waits on `slot`.
-    fn block_on(&mut self, id: u64, why: &'static str, slot: &Arc<WaitSlot>) {
-        let info = self.actors.get_mut(&id).expect("blocking actor registered");
-        info.blocked = Some((why, slot.clone()));
+    fn block_on(&mut self, id: u64, why: &'static str, slot: Arc<WaitSlot>) {
+        let info = self.actor(id).expect("blocking actor registered");
+        info.blocked = Some((why, slot));
     }
 }
 
@@ -339,7 +355,7 @@ impl Engine {
             return;
         }
         slot.state.store(reason, AtOrd::Relaxed);
-        if let Some(info) = st.actors.get_mut(&slot.actor) {
+        if let Some(info) = st.actor(slot.actor) {
             info.blocked = None;
             st.ready.push_back(slot.actor);
         }
@@ -356,7 +372,7 @@ impl Engine {
         while !st.poisoned && st.running.is_none() {
             if let Some(id) = st.ready.pop_front() {
                 st.running = Some(id);
-                let info = &st.actors[&id];
+                let info = st.actor(id).expect("ready actor registered");
                 if let Body::Task(_) = info.body {
                     st = self.poll_task(st, id);
                 } else if CURRENT_ACTOR.with(|c| c.get()) != Some(id) {
@@ -367,7 +383,7 @@ impl Engine {
                 }
                 continue;
             }
-            if st.actors.is_empty() {
+            if st.live() == 0 {
                 break;
             }
             // Daemons do not keep the simulation alive: once every
@@ -394,6 +410,7 @@ impl Engine {
             // case it fires "now".
             if e.at > st.now {
                 st.now = e.at;
+                self.clock.store(e.at, AtOrd::Relaxed);
                 st.stats.clock_advances += 1;
             }
             self.wake(&mut st, &e.slot, SLOT_TIMEOUT);
@@ -429,7 +446,7 @@ impl Engine {
             CURRENT_ACTOR.with(|c| c.set(outer));
             st = self.state.lock();
             let step = step.unwrap_or_else(|p| {
-                let name = st.actors[&id].name().into_owned();
+                let name = st.task_cell(id).label();
                 let cause = format!("panic in a task {name}: {}", panic_message(&*p));
                 self.poison(&mut st, &cause);
                 resume_unwind(p)
@@ -438,7 +455,7 @@ impl Engine {
                 // Publish completion *before* freeing the baton, for the
                 // reason a thread does (see `spawn_inner`): the joiner must
                 // be ready before the dispatcher looks for someone to run.
-                let info = st.actors.remove(&id).expect("polled task registered");
+                let info = st.actors[id as usize].take().expect("polled task");
                 drop(st);
                 if let Body::Task(cell) = &info.body {
                     cell.finish();
@@ -448,7 +465,7 @@ impl Engine {
                 st = self.state.lock();
                 st.live_tasks -= 1;
                 st.live_nondaemon -= usize::from(!daemon);
-                if st.actors.is_empty() {
+                if st.live() == 0 {
                     self.done.notify_all();
                 }
                 break;
@@ -485,7 +502,7 @@ impl Engine {
             let cell = st.task_cell(id);
             cell.task = Some(task);
             cell.wait = waited.then(|| slot.clone());
-            st.block_on(id, why, &slot);
+            st.block_on(id, why, slot);
             break;
         }
         st.running = None;
@@ -501,7 +518,7 @@ impl Engine {
         let mut st = self.state.lock();
         if st.running == Some(id) {
             st.rewake = true;
-        } else if let Some((_, slot)) = st.actors.get(&id).and_then(|a| a.blocked.clone()) {
+        } else if let Some((_, slot)) = st.actor(id).and_then(|a| a.blocked.clone()) {
             self.wake(&mut st, &slot, SLOT_WAKER);
         }
         drop(self.dispatch(st));
@@ -544,7 +561,7 @@ impl Engine {
                 .deferred
                 .iter()
                 .map(|e| {
-                    let info = st.actors.get(&e.slot.actor);
+                    let info = st.actors[e.slot.actor as usize].as_ref();
                     Choice {
                         actor: info.map(|a| a.name().into_owned()).unwrap_or_default(),
                         blocked_on: info.map_or("(exiting)", ActorInfo::blocked_on),
@@ -582,17 +599,16 @@ impl Engine {
     /// withheld: a state machine's destructor may signal an event.
     fn quiesce<'a>(&'a self, mut st: Guard<'a>) -> Guard<'a> {
         let blocked: Vec<_> = st
-            .actors
-            .iter()
-            .filter_map(|(&id, a)| Some((id, a.blocked.as_ref()?.1.clone())))
+            .live_actors()
+            .filter_map(|(id, a)| Some((id, a.blocked.as_ref()?.1.clone())))
             .collect();
         let mut tasks = Vec::new();
         for (id, slot) in blocked {
-            if let Body::Thread(_) = st.actors[&id].body {
+            if let Some(Body::Thread(_)) = st.actor(id).map(|a| &a.body) {
                 self.wake(&mut st, &slot, SLOT_SHUTDOWN);
             } else {
                 slot.state.store(SLOT_SHUTDOWN, AtOrd::Relaxed);
-                tasks.extend(st.actors.remove(&id));
+                tasks.extend(st.actors[id as usize].take());
                 st.live_tasks -= 1;
             }
         }
@@ -602,7 +618,7 @@ impl Engine {
             drop(tasks);
             st = self.state.lock();
             st.running = None;
-            if st.actors.is_empty() {
+            if st.live() == 0 {
                 self.done.notify_all();
             }
         }
@@ -614,14 +630,13 @@ impl Engine {
     fn deadlock(&self, st: &mut EngineState) -> ! {
         const ROWS: usize = 32;
         let mut table = String::new();
-        for (id, a) in st.actors.iter().take(ROWS) {
+        for (id, a) in st.live_actors().take(ROWS) {
             let (name, why) = (a.name(), a.blocked_on());
             table.push_str(&format!("\n  actor #{id} {name:?}: blocked on {why}"));
         }
-        let more = st.actors.len().saturating_sub(ROWS);
+        let more = st.live().saturating_sub(ROWS);
         if more > 0 {
-            let is_task = |a: &&ActorInfo| matches!(a.body, Body::Task(_));
-            let parked = st.actors.values().filter(is_task).count();
+            let parked = st.live_tasks;
             table.push_str(&format!("\n  … and {more} more ({parked} tasks parked)"));
         }
         let msg = format!(
@@ -640,7 +655,7 @@ impl Engine {
             st.poisoned = true;
             st.poison_cause = cause.to_string();
         }
-        for a in st.actors.values_mut() {
+        for a in st.actors.iter_mut().flatten() {
             if let Some((_, slot)) = a.blocked.take() {
                 slot.state.store(SLOT_SIGNALED, AtOrd::Relaxed);
             }
@@ -669,7 +684,7 @@ impl Engine {
     /// then wait for the baton like any other ready actor.
     fn start(&self, id: u64) {
         let mut st = self.state.lock();
-        let info = st.actors.get_mut(&id).expect("actor registered by spawn");
+        let info = st.actor(id).expect("actor registered by spawn");
         info.thread = Some(std::thread::current());
         self.park_until_running(st, id);
     }
@@ -682,7 +697,7 @@ impl Engine {
             panic!("simulation poisoned: {}", st.poison_cause);
         }
         debug_assert_eq!(st.running, Some(slot.actor), "blocking without the baton");
-        if let Some(Body::Task(cell)) = st.actors.get(&slot.actor).map(|a| &a.body) {
+        if let Some(Body::Task(cell)) = st.actor(slot.actor).map(|a| &a.body) {
             // The caller is a thread polling this task: parking it here
             // would strand the baton it holds on the task's behalf.
             let msg = format!(
@@ -692,7 +707,7 @@ impl Engine {
             self.poison(&mut st, &msg);
             panic!("{msg}");
         }
-        st.block_on(slot.actor, why, slot);
+        st.block_on(slot.actor, why, slot.clone());
         st.running = None;
         let st = self.dispatch(st);
         drop(self.park_until_running(st, slot.actor));
@@ -722,7 +737,7 @@ impl Engine {
 
     fn exit(self: &Arc<Self>, id: u64) {
         let mut st = self.state.lock();
-        let info = st.actors.remove(&id).expect("exiting actor registered");
+        let info = st.actors[id as usize].take().expect("exiting actor");
         st.live_threads -= 1;
         st.live_nondaemon -= usize::from(!info.daemon);
         if st.running == Some(id) {
@@ -780,9 +795,8 @@ fn fingerprint_locked(st: &EngineState) -> u64 {
     use std::collections::hash_map::DefaultHasher;
     use std::hash::{Hash, Hasher};
     let mut actors: Vec<(Cow<'_, str>, &str, bool)> = st
-        .actors
-        .values()
-        .map(|a| (a.name(), a.blocked_on(), a.daemon))
+        .live_actors()
+        .map(|(_, a)| (a.name(), a.blocked_on(), a.daemon))
         .collect();
     actors.sort_unstable();
     let mut pending: Vec<(u64, &str)> = st
@@ -839,6 +853,7 @@ impl SimRuntime {
         SimRuntime {
             eng: Arc::new(Engine {
                 state: Mutex::new(EngineState::default()),
+                clock: AtomicU64::new(0),
                 done: Condvar::new(),
             }),
         }
@@ -857,7 +872,7 @@ impl SimRuntime {
     /// lock, because a state machine's destructor may signal an event.
     pub fn wait_done(&self) {
         let mut st = self.eng.state.lock();
-        while st.live_threads > 0 || !(st.poisoned || st.actors.is_empty()) {
+        while st.live_threads > 0 || !(st.poisoned || st.live() == 0) {
             self.eng.done.wait(&mut st);
         }
         let stranded = std::mem::take(&mut st.actors);
@@ -918,7 +933,7 @@ where
 
 impl Runtime for SimRuntime {
     fn now(&self) -> Time {
-        Time(self.eng.state.lock().now)
+        Time(self.eng.clock.load(AtOrd::Relaxed))
     }
 
     fn sleep(&self, d: Dur) {
@@ -1076,13 +1091,20 @@ impl EventApi for SimEvent {
     }
 
     fn signal(&self) {
+        self.signal_n(1);
+    }
+
+    /// `n` signals under one hold of the engine lock.
+    fn signal_n(&self, n: usize) {
         let mut st = self.eng.state.lock();
         let mut inner = self.inner.lock();
-        // Skip waiters a timeout already woke.
-        let waiter = std::iter::from_fn(|| inner.waiters.pop_front()).find(|w| !w.is_woken());
-        match waiter {
-            Some(w) => self.eng.wake(&mut st, &w, SLOT_SIGNALED),
-            None => inner.permits += 1,
+        for _ in 0..n {
+            // Skip waiters a timeout already woke.
+            let waiter = std::iter::from_fn(|| inner.waiters.pop_front()).find(|w| !w.is_woken());
+            match waiter {
+                Some(w) => self.eng.wake(&mut st, &w, SLOT_SIGNALED),
+                None => inner.permits += 1,
+            }
         }
         drop(inner);
         drop(self.eng.dispatch(st));

@@ -7,7 +7,7 @@
 //! server's connection handler, a stream's demultiplexer and sender. The
 //! virtual-time engine's dispatcher polls it inline, on whichever thread
 //! just gave up the baton, from the ready queue and timer heap that schedule
-//! threads too; an idle task costs its state machine plus a map entry — a
+//! threads too; an idle task costs its state machine plus a table slot — a
 //! few hundred bytes — so one simulation hosts 10⁵–10⁶ concurrent sessions.
 //! (Under wall-clock time each task is a small loop on a thread of its own.)
 //!

@@ -10,15 +10,17 @@
 //!   shard for any N, with no coordination and no shared state, so any
 //!   client computes the same placement (the sharded-MCAT analogue of SRB
 //!   zone federation).
-//! * [`Replicator`] — asynchronous write-path replication from a shard
-//!   primary to its replica. It hangs off the primary's
+//! * [`Replicator`] — the one server-to-server copier. A shard primary's
+//!   replicator hangs off its
 //!   [write hook](crate::server::SrbServer::set_write_hook): every durable
-//!   vault write enqueues its extent, and a daemon ships the bytes to the
-//!   replica in acked [`REPL_BLOCK`]-sized blocks. A block is *retained
-//!   until acked* — transient failures redial and re-ship the same bytes
-//!   (the `CompressedWriter` frame-retention idiom applied to replication)
-//!   — so everything the primary ever acknowledged eventually reaches the
-//!   replica, and reads can fail over with zero acked-byte loss.
+//!   vault write enqueues its extent. A federated peer's replicator
+//!   (`SrbServer::add_peer`) keeps its hook off and ships what `Replicate`
+//!   asks for. Either way a daemon ships the bytes in acked
+//!   [`REPL_BLOCK`]-sized blocks, each *retained until acked* — transient
+//!   failures redial and re-ship the same bytes (the `CompressedWriter`
+//!   frame-retention idiom applied to replication) — so everything the
+//!   source ever acknowledged eventually reaches the target, and reads can
+//!   fail over with zero acked-byte loss.
 //!
 //! The client-side half (shard-routed mounts, replica failover on reads and
 //! writes, and restart reconciliation) lives in `semplar::fedfs`, built on
@@ -28,13 +30,16 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use semplar_runtime::sync::Channel;
-use semplar_runtime::Runtime;
+use parking_lot::Mutex;
+use semplar_runtime::sync::{Channel, OnceCellBlocking};
+use semplar_runtime::{Event, Runtime};
 
 use crate::client::SrbConn;
+use crate::mcat::Mcat;
 use crate::retry::RetryPolicy;
 use crate::server::{ConnRoute, SrbServer};
 use crate::types::{OpenFlags, Payload, SrbError, SrbResult};
+use crate::vault::Vault;
 
 /// Replication block size: extents are shipped to the replica in acked
 /// blocks of at most this many bytes (the same 1 MiB granularity as the
@@ -90,12 +95,17 @@ impl ShardMap {
     }
 }
 
+/// How a shipped job ended, filled in before its event is signalled: `Ok`
+/// once its last block is acked.
+pub(crate) type Outcome = Arc<Mutex<Option<SrbResult<()>>>>;
+
 /// One replication work item: an extent of `path` that became durable on
-/// the primary and must reach the replica.
+/// the primary and must reach the replica, and who waits for it, if anyone.
 struct ReplJob {
     path: String,
     offset: u64,
     len: u64,
+    done: Option<(Event, Outcome)>,
 }
 
 /// Cumulative replicator counters.
@@ -119,24 +129,28 @@ pub struct ReplStats {
     pub queue_high_water: u64,
 }
 
-/// Asynchronous write-path replication from a shard primary to its replica.
+/// Asynchronous replication from a source server to a target.
 ///
-/// Construction registers a write hook on the primary and spawns a daemon
-/// that drains the queue on virtual time. The daemon acts as a *client* of
-/// the replica over `route`: connection setup, WAN transfer, and the
-/// replica's disk work all charge time to it, never to the writer whose
-/// write triggered the job — replication is invisible to the compute path
-/// (the TASIO shape).
+/// Construction registers a write hook on the source and spawns a daemon
+/// that drains the queue on virtual time, reading the source's catalog and
+/// vault (it holds those, not the server) and acting as a *client* of the
+/// target over `route`: connection setup, WAN transfer, and the target's
+/// disk work all charge time to it, never to the writer whose write
+/// triggered the job — replication is invisible to the compute path (the
+/// TASIO shape).
 pub struct Replicator {
     rt: Arc<dyn Runtime>,
-    primary: Arc<SrbServer>,
+    mcat: Arc<Mcat>,
+    vault: Arc<Vault>,
     replica: Arc<SrbServer>,
     route: ConnRoute,
     user: String,
     password: String,
     retry: RetryPolicy,
     jobs: Channel<ReplJob>,
-    busy: AtomicBool,
+    /// Jobs enqueued whose last block is not yet acked, and the cell the
+    /// next drain sets (made by the first `quiesce` that has to wait).
+    drain: Mutex<(usize, Option<Arc<OnceCellBlocking<()>>>)>,
     /// While clear, the write hook drops events instead of enqueuing them.
     /// Membership gates replicator direction with this: only the *current*
     /// primary's forward replicator is active, so a deposed primary's
@@ -205,14 +219,15 @@ impl Replicator {
     ) -> Arc<Replicator> {
         let repl = Arc::new(Replicator {
             rt: rt.clone(),
-            primary: primary.clone(),
+            mcat: primary.mcat().clone(),
+            vault: primary.vault().clone(),
             replica,
             route,
             user: user.to_string(),
             password: password.to_string(),
             retry,
             jobs: Channel::new(rt),
-            busy: AtomicBool::new(false),
+            drain: Mutex::default(),
             active: AtomicBool::new(active),
             epoch: Arc::new(AtomicU64::new(0)),
             enqueued: AtomicU64::new(0),
@@ -224,10 +239,9 @@ impl Replicator {
         });
         let hook = repl.clone();
         primary.set_write_hook(Arc::new(move |path, offset, len| {
-            if !hook.active.load(Ordering::SeqCst) {
-                return;
+            if hook.active.load(Ordering::SeqCst) {
+                hook.enqueue_extent(path, offset, len);
             }
-            hook.push_job(path.to_string(), offset, len);
         }));
         let daemon = repl.clone();
         rt.spawn_daemon("federation/replicator", Box::new(move || daemon.run()));
@@ -246,9 +260,17 @@ impl Replicator {
         }
     }
 
-    fn push_job(&self, path: String, offset: u64, len: u64) {
+    fn push_job(&self, path: &str, offset: u64, len: u64, done: Option<(Event, Outcome)>) {
         self.enqueued.fetch_add(1, Ordering::Relaxed);
-        let _ = self.jobs.send(ReplJob { path, offset, len });
+        // Pending from here until its last block is acked.
+        self.drain.lock().0 += 1;
+        let path = path.to_string();
+        let _ = self.jobs.send(ReplJob {
+            path,
+            offset,
+            len,
+            done,
+        });
         self.high_water
             .fetch_max(self.jobs.len() as u64, Ordering::Relaxed);
     }
@@ -257,7 +279,17 @@ impl Replicator {
     /// uses this at promotion to drain the deposed primary's divergence
     /// backlog into the *reverse* replicator (new primary → old primary).
     pub fn enqueue_extent(&self, path: &str, offset: u64, len: u64) {
-        self.push_job(path.to_string(), offset, len);
+        self.push_job(path, offset, len, None);
+    }
+
+    /// Ship the first `len` bytes of `path` (a whole object: `Replicate`).
+    /// The event is signalled once the outcome is in: `Ok` when the last
+    /// block is acked, the error if the object vanished or the target
+    /// refused for good.
+    pub(crate) fn ship(&self, path: &str, len: u64) -> (Event, Outcome) {
+        let (done, out) = (self.rt.event(), Outcome::default());
+        self.push_job(path, 0, len, Some((done.clone(), out.clone())));
+        (done, out)
     }
 
     /// Gate the write hook: while inactive, write events are dropped
@@ -273,23 +305,19 @@ impl Replicator {
         self.epoch.clone()
     }
 
-    /// Extents queued or currently being shipped.
-    pub fn pending(&self) -> usize {
-        self.jobs.len() + self.busy.load(Ordering::SeqCst) as usize
-    }
-
     /// Block (on virtual time) until the replication queue is fully
-    /// drained: every extent acked by the primary so far is durable on the
-    /// replica when this returns.
+    /// drained: every extent enqueued so far is durable on the replica
+    /// when this returns — at the instant its last block is acked.
     pub fn quiesce(&self) {
-        while self.pending() > 0 {
-            self.rt.sleep(semplar_runtime::Dur::from_millis(10));
-        }
-    }
-
-    /// Stop the daemon after the queue drains (drops further hook events).
-    pub fn stop(&self) {
-        self.jobs.close();
+        let drained = {
+            let mut d = self.drain.lock();
+            if d.0 == 0 {
+                return;
+            }
+            d.1.get_or_insert_with(|| OnceCellBlocking::new(&self.rt))
+                .clone()
+        };
+        drained.wait();
     }
 
     fn run(self: Arc<Self>) {
@@ -297,9 +325,18 @@ impl Replicator {
         let mut fds: HashMap<String, u32> = HashMap::new();
         let mut colls: HashSet<String> = HashSet::new();
         while let Ok(job) = self.jobs.recv() {
-            self.busy.store(true, Ordering::SeqCst);
-            self.ship_job(&job, &mut conn, &mut fds, &mut colls);
-            self.busy.store(false, Ordering::SeqCst);
+            let r = self.ship_job(&job, &mut conn, &mut fds, &mut colls);
+            if let Some((done, out)) = job.done {
+                *out.lock() = Some(r);
+                done.signal();
+            }
+            let mut d = self.drain.lock();
+            d.0 -= 1;
+            let pending = d.0;
+            if let Some(drained) = d.1.take_if(|_| pending == 0) {
+                drop(d);
+                drained.set(());
+            }
         }
     }
 
@@ -309,62 +346,56 @@ impl Replicator {
         conn: &mut Option<SrbConn>,
         fds: &mut HashMap<String, u32>,
         colls: &mut HashSet<String>,
-    ) {
-        // The primary's vault is authoritative and survives crashes, so
-        // shipping continues even while the primary is refusing clients.
-        let rec = match self.primary.mcat().lookup(&job.path) {
-            Ok(r) => r,
-            Err(_) => {
-                self.skipped.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-        };
+    ) -> SrbResult<()> {
+        // The source's vault is authoritative and survives crashes, so
+        // shipping continues even while the source is refusing clients.
+        let rec = self.mcat.lookup(&job.path).inspect_err(|_| {
+            self.skipped.fetch_add(1, Ordering::Relaxed);
+        })?;
         let end = job.offset + job.len;
         let mut off = job.offset;
-        while off < end {
+        // At least one block, so even an empty object reaches the target.
+        loop {
             let len = REPL_BLOCK.min(end - off);
             // Under a schedule hook, when to ship each block (relative to
             // faults and reconcile replay) is an explorable choice.
             self.rt.schedule_point("replicator/ship-block");
             // Read once; the block is retained in memory until the replica
             // acks it, so a failed ship replays the exact same bytes.
-            let data = self.primary.vault().read(rec.obj_id, off, len);
+            let data = self.vault.read(rec.obj_id, off, len);
             let key = rec.obj_id ^ off;
             let mut attempt = 0u32;
             loop {
                 match self.ship_block(conn, fds, colls, &job.path, off, data.clone()) {
                     Ok(()) => break,
-                    Err(e) if e.is_transient() => {
-                        // Sever the cached stream and replay the retained
-                        // block after a deterministic backoff. Never give
-                        // up: the replica coming back is the only way the
-                        // queue drains, and faults here are injected ones.
-                        *conn = None;
-                        fds.clear();
+                    // Replay the retained block after a deterministic
+                    // backoff, over a fresh stream if this one was cut.
+                    // Never give up: the target coming back is the only way
+                    // the queue drains, and faults here are injected ones.
+                    // A target that restarted fenced (`StaleEpoch`) is
+                    // outwaited too: unlike client writes, the replicator
+                    // *must* land the block once membership certifies it.
+                    Err(e) if e.is_transient() || matches!(e, SrbError::StaleEpoch { .. }) => {
+                        if e.is_transient() {
+                            *conn = None;
+                            fds.clear();
+                        }
                         self.reships.fetch_add(1, Ordering::Relaxed);
                         self.rt.sleep(self.retry.backoff(key, attempt.min(8)));
                         attempt += 1;
                     }
-                    Err(SrbError::StaleEpoch { .. }) => {
-                        // The target restarted fenced and has not been
-                        // re-certified yet. Unlike client writes, the
-                        // replicator *must* outwait the fence — membership
-                        // certifies the target as part of its rejoin, and
-                        // the retained block then lands. The stream itself
-                        // is healthy; just back off and replay.
-                        self.reships.fetch_add(1, Ordering::Relaxed);
-                        self.rt.sleep(self.retry.backoff(key, attempt.min(8)));
-                        attempt += 1;
-                    }
-                    Err(_) => {
+                    Err(e) => {
                         self.skipped.fetch_add(1, Ordering::Relaxed);
-                        return;
+                        return Err(e);
                     }
                 }
             }
             self.shipped_blocks.fetch_add(1, Ordering::Relaxed);
             self.shipped_bytes.fetch_add(data.len(), Ordering::Relaxed);
             off += len;
+            if off >= end {
+                return Ok(());
+            }
         }
     }
 
@@ -546,6 +577,37 @@ mod tests {
             let mut expect = data;
             expect[1000..1000 + 4096].copy_from_slice(&[7u8; 4096]);
             assert_eq!(p_sum, adler32(&expect));
+        });
+    }
+
+    #[test]
+    fn quiesce_returns_the_instant_the_last_block_is_acked() {
+        simulate(|rt| {
+            let (primary, replica, c_route, r_route) = pair(&rt);
+            let landed = Arc::new(Mutex::new(None));
+            let (landed2, rt2) = (landed.clone(), rt.clone());
+            replica.set_write_hook(Arc::new(move |_, _, _| *landed2.lock() = Some(rt2.now())));
+            let repl = Replicator::start(
+                &rt,
+                primary.clone(),
+                replica,
+                r_route,
+                "fed",
+                "fed",
+                RetryPolicy::default(),
+            );
+            let conn = primary.connect(c_route, "u", "p").unwrap();
+            let fd = conn.open("/one", OpenFlags::CreateRw).unwrap();
+            conn.write(fd, 0, Payload::sized(4096)).unwrap();
+            repl.quiesce();
+            // The ack trails the block landing on the replica by the return
+            // hop's 1 ms latency and the response's few µs on the wire.
+            let landed = landed.lock().expect("the block reached the replica");
+            let lag = rt.now() - landed;
+            assert_eq!(repl.stats().shipped_blocks, 1);
+            assert!(lag >= Dur::from_millis(1), "{lag}");
+            assert!(lag < Dur::from_micros(1_050), "{lag}");
+            conn.disconnect().unwrap();
         });
     }
 

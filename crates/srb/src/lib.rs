@@ -405,6 +405,83 @@ mod tests {
         });
     }
 
+    /// [`setup`]'s server and client route, with a peer `"mirror"` one
+    /// 1 Gb/s, 1 ms hop away; last, the route from the server to the peer.
+    fn peered(rt: &Arc<dyn Runtime>) -> (Arc<SrbServer>, Arc<SrbServer>, ConnRoute, ConnRoute) {
+        let (net, primary, route) = setup_net(rt);
+        let peer = SrbServer::new(
+            net.clone(),
+            SrbServerCfg {
+                name: "peer".into(),
+                ..SrbServerCfg::default()
+            },
+        );
+        peer.mcat().add_user("fed-svc", "secret");
+        let fed = ConnRoute {
+            fwd: vec![net.add_link("fed-up", Bw::gbps(1.0), Dur::from_millis(1))],
+            rev: vec![net.add_link("fed-down", Bw::gbps(1.0), Dur::from_millis(1))],
+            send_cap: None,
+            recv_cap: None,
+            bus: None,
+        };
+        primary.add_peer("mirror", peer.clone(), fed.clone(), "fed-svc", "secret");
+        (primary, peer, route, fed)
+    }
+
+    /// Write `len` patterned bytes to `path` through `conn`; return them.
+    fn write_object(conn: &SrbConn, path: &str, len: u32) -> Vec<u8> {
+        let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+        let fd = conn.open(path, OpenFlags::CreateRw).unwrap();
+        conn.write(fd, 0, Payload::bytes(data.clone())).unwrap();
+        conn.close_fd(fd).unwrap();
+        data
+    }
+
+    #[test]
+    fn a_replicate_whose_peer_crashes_mid_copy_completes_after_the_restart() {
+        simulate(|rt| {
+            let (primary, peer, route, fed) = peered(&rt);
+            let conn = primary.connect(route, "alin", "pw").unwrap();
+            let data = write_object(&conn, "/obj", 3_000_000);
+            // The first of three 1 MiB blocks is on the wire 20 ms in.
+            let (rt2, peer2) = (rt.clone(), peer.clone());
+            let chaos = spawn(&rt, "chaos", move || {
+                rt2.sleep(Dur::from_millis(20));
+                assert!(peer2.crash() >= 1, "the copy's stream was live");
+                rt2.sleep(Dur::from_millis(300));
+                peer2.restart();
+            });
+            let t0 = rt.now();
+            conn.replicate("/obj", "mirror").unwrap();
+            assert!(rt.now() - t0 > Dur::from_millis(320), "outwaited the crash");
+            chaos.join_unwrap();
+            assert_eq!(conn.stat("/obj").unwrap().replicas, 2);
+            conn.disconnect().unwrap();
+            let pconn = peer.connect(fed, "fed-svc", "secret").unwrap();
+            assert_eq!(pconn.checksum("/obj").unwrap(), types::adler32(&data));
+            pconn.disconnect().unwrap();
+        });
+    }
+
+    #[test]
+    fn serving_a_replicate_spawns_no_actor() {
+        let actors = |replicates: usize| {
+            let sim = SimRuntime::new();
+            sim.run_root(move |rt| {
+                let (primary, _, route, _) = peered(&rt);
+                let conn = primary.connect(route, "alin", "pw").unwrap();
+                write_object(&conn, "/obj", 100_000);
+                for _ in 0..replicates {
+                    conn.replicate("/obj", "mirror").unwrap();
+                }
+                conn.disconnect().unwrap();
+            });
+            sim.stats().actors_spawned
+        };
+        // The peer's replicator is the one thread `add_peer` starts.
+        assert_eq!(actors(3), actors(0));
+    }
+
     #[test]
     fn replication_charges_transfer_time() {
         let elapsed = simulate(|rt| {

@@ -37,8 +37,8 @@
 //!   only flips which direction is active.
 //!
 //! Everything here is opt-in: without a [`Membership`] instance no server
-//! fences, no daemon runs, and every byte of the simulation is identical to
-//! the pre-membership tree.
+//! fences, no daemon runs, frames carry epoch 0, and a shard's roles never
+//! move.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;

@@ -8,9 +8,9 @@
 //! install in front of request service: each request is admitted under its
 //! session's [`TenantId`](crate::proto::TenantId) with a byte cost, tenants
 //! take turns spending a per-round `quantum` of bytes, and at most `width`
-//! requests occupy the vault/NIC stage at once. An uninstalled scheduler
-//! (the default) costs nothing and leaves the server's behaviour
-//! bit-identical to the pre-QoS code.
+//! requests occupy the vault/NIC stage at once. Without one (the default)
+//! the server admits every request as it arrives and charges nothing for
+//! admission.
 //!
 //! DRR (Shreedhar & Varghese) rather than WFQ because its state is a pair
 //! of integers per tenant and its grant order is a pure function of arrival

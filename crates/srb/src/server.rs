@@ -13,10 +13,9 @@
 //! machine over *receive → overhead → admission → disk → wire* whose every
 //! state is one place a per-connection thread would block, on the same
 //! event. Serving a request is therefore split: `SrbServer::begin` does
-//! everything up to the request's one disk charge without blocking, the
-//! handler charges it, and a continuation finishes. Only `Replicate` — a
-//! whole nested client session against a peer — needs a stack, and borrows
-//! one for as long as it runs.
+//! everything up to the one thing the request waits for — its disk charge,
+//! or for `Replicate` the peer replicator's completion — without blocking,
+//! the handler waits it out, and a continuation finishes.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -31,9 +30,11 @@ use semplar_runtime::{Dur, Event, Runtime, Task, TaskCtx, TaskExecutor, TaskStep
 
 use crate::cache::{BlockCache, CacheSpec, CacheStats};
 use crate::client::SrbConn;
+use crate::federation::Replicator;
 use crate::mcat::Mcat;
 use crate::proto::{ReqFrame, Request, RespFrame, Response, SessionId, TenantId, WIRE_HDR};
 use crate::qos::TenantScheduler;
+use crate::retry::RetryPolicy;
 use crate::transport::Transport;
 use crate::types::{adler32, OpenFlags, Payload, SrbError, SrbResult};
 use crate::vault::{DiskOp, DiskSpec, Vault};
@@ -153,13 +154,6 @@ impl Default for SessionSpace {
     }
 }
 
-struct Peer {
-    server: Arc<SrbServer>,
-    route: ConnRoute,
-    user: String,
-    password: String,
-}
-
 /// Both directions of one live connection, as registered for fault injection.
 type ConnChannels = (Channel<ReqFrame>, Channel<RespFrame>);
 
@@ -206,12 +200,14 @@ pub struct SrbServer {
     vault: Arc<Vault>,
     /// Spawns the connection handlers: handler `n` serves connection `n`.
     handlers: TaskExecutor,
-    peers: Mutex<std::collections::HashMap<String, Peer>>,
+    /// The replicator `Replicate` ships through, by peer name.
+    peers: Mutex<std::collections::HashMap<String, Arc<Replicator>>>,
     /// Channels of every live connection, by connection id, so a crash or
     /// a reset can sever them from the outside — in that order.
     live_conns: Mutex<std::collections::BTreeMap<u64, ConnChannels>>,
     /// While set, the server refuses new connections (fault injection).
     crashed: AtomicBool,
+    state_changed: Event,
     /// When enabled, every request is recorded (per connection, in arrival
     /// order) — the golden-trace tests pin the wire behaviour with this.
     trace: Mutex<Option<RequestTrace>>,
@@ -224,15 +220,14 @@ pub struct SrbServer {
     /// *before* touching the vault and return it as their lease grant.
     lease_epochs: Mutex<std::collections::HashMap<u64, u64>>,
     /// Optional block cache in front of the vault. `None` (the default)
-    /// leaves the read path bit-identical to the uncached server.
+    /// sends every read to the disk.
     cache: Mutex<Option<Arc<BlockCache>>>,
     /// Optional per-tenant fair queueing across the vault + NIC stage.
-    /// `None` (the default) skips admission entirely and leaves request
-    /// service bit-identical to the pre-QoS server.
+    /// `None` (the default) serves each connection's requests as they
+    /// arrive, with no admission step.
     qos: Mutex<Option<Arc<TenantScheduler>>>,
     /// Minimum membership epoch this server accepts on data mutations.
-    /// `0` (the default) disables epoch fencing entirely and leaves request
-    /// handling bit-identical to the pre-membership server.
+    /// `0` (the default) checks no epoch and never fences.
     min_epoch: AtomicU64,
     /// When set, [`SrbServer::restart`] hard-fences the server: every data
     /// mutation is refused until [`SrbServer::certify_epoch`] re-certifies
@@ -263,6 +258,7 @@ impl SrbServer {
         let vault = Vault::new(rt.clone(), cfg.disk);
         let handlers = TaskExecutor::new(&rt, &format!("{}/conn", cfg.name));
         Arc::new(SrbServer {
+            state_changed: rt.event(),
             rt,
             net,
             cfg,
@@ -344,11 +340,19 @@ impl SrbServer {
             self.fenced.store(true, Ordering::SeqCst);
         }
         self.crashed.store(false, Ordering::SeqCst);
+        self.state_changed.notify_all();
     }
 
     /// True while the server is down.
     pub fn is_crashed(&self) -> bool {
         self.crashed.load(Ordering::SeqCst)
+    }
+
+    /// Notified (every waiter released, no permit banked) on each restart
+    /// and [`SrbServer::certify_epoch`]: wait on it, then re-check
+    /// [`SrbServer::is_crashed`] / [`SrbServer::is_fenced`].
+    pub fn state_changed(&self) -> &Event {
+        &self.state_changed
     }
 
     /// Connections currently registered with the server (established and
@@ -369,76 +373,27 @@ impl SrbServer {
         conns.len()
     }
 
-    /// Register a federated peer this server can replicate objects to
-    /// (paper §8). `route` is the network path from this server to the
-    /// peer; the credentials are the service account used for federation.
+    /// Register a federated peer to replicate objects to (paper §8): a
+    /// [`Replicator`] with its write hook off ships what `Replicate` asks
+    /// for, over `route` under the peer's federation service account.
     pub fn add_peer(
-        &self,
+        self: &Arc<Self>,
         name: &str,
         server: Arc<SrbServer>,
         route: ConnRoute,
         user: &str,
         password: &str,
     ) {
-        self.peers.lock().insert(
-            name.to_string(),
-            Peer {
-                server,
-                route,
-                user: user.to_string(),
-                password: password.to_string(),
-            },
+        let repl = Replicator::start_inactive(
+            &self.rt,
+            self.clone(),
+            server,
+            route,
+            user,
+            password,
+            RetryPolicy::default(),
         );
-    }
-
-    fn replicate(&self, path: &str, peer_name: &str) -> SrbResult<()> {
-        let (peer_server, route, user, password) = {
-            let g = self.peers.lock();
-            let p = g
-                .get(peer_name)
-                .ok_or_else(|| SrbError::NotFound(format!("peer {peer_name}")))?;
-            (
-                p.server.clone(),
-                p.route.clone(),
-                p.user.clone(),
-                p.password.clone(),
-            )
-        };
-        let rec = self.mcat.lookup(path)?;
-        // Federation: this server acts as a *client* of the peer. The
-        // connection, transfer, and the peer's disk work all charge real
-        // (virtual) time to the stack the handler borrowed for it.
-        let conn = peer_server.connect(route, &user, &password)?;
-        // mkdir -p the parent collections on the peer.
-        let mut prefix = String::new();
-        for comp in path.split('/').filter(|c| !c.is_empty()) {
-            let next = format!("{prefix}/{comp}");
-            if next != path {
-                match conn.mk_coll(&next) {
-                    Ok(()) | Err(SrbError::AlreadyExists(_)) => {}
-                    Err(e) => {
-                        let _ = conn.disconnect();
-                        return Err(e);
-                    }
-                }
-            }
-            prefix = next;
-        }
-        let fd = conn.open(path, OpenFlags::CreateRw)?;
-        // Stream the object in 1 MiB chunks (disk read here, WAN transfer
-        // and peer disk write inside `conn.write`).
-        const CHUNK: u64 = 1 << 20;
-        let mut off = 0u64;
-        while off < rec.size {
-            let len = CHUNK.min(rec.size - off);
-            let data = self.vault.read(rec.obj_id, off, len);
-            conn.write(fd, off, data)?;
-            off += len;
-        }
-        conn.close_fd(fd)?;
-        conn.disconnect()?;
-        self.mcat.add_replica(path)?;
-        Ok(())
+        self.peers.lock().insert(name.to_string(), repl);
     }
 
     /// Register an observer called after every completed vault write with
@@ -522,6 +477,7 @@ impl SrbServer {
     pub fn certify_epoch(&self, epoch: u64) {
         self.min_epoch.fetch_max(epoch.max(1), Ordering::SeqCst);
         self.fenced.store(false, Ordering::SeqCst);
+        self.state_changed.notify_all();
     }
 
     /// The certified minimum epoch (0 = fencing disabled).
@@ -549,7 +505,7 @@ impl SrbServer {
     fn fence_check(&self, epoch: u64, req: &Request) -> Option<SrbError> {
         let min = self.min_epoch.load(Ordering::SeqCst);
         if min == 0 {
-            return None; // fencing disabled: pre-membership behaviour
+            return None; // no epoch certified: nothing is fenced
         }
         if !matches!(
             req,
@@ -839,7 +795,18 @@ impl SrbServer {
                     Ok((Response::Checksum(adler32(&data)), None))
                 }))
             }
-            Request::Replicate { path, peer } => Ok(Served::Stack(path, peer)),
+            Request::Replicate { path, peer } => {
+                let repl = self.peers.lock().get(&peer).cloned();
+                let repl = repl.ok_or_else(|| SrbError::NotFound(format!("peer {peer}")))?;
+                // The reply waits for the peer's replicator to ack it all.
+                let (done, out) = repl.ship(&path, self.mcat.lookup(&path)?.size);
+                let finish = move |srv: &SrbServer| {
+                    out.lock().take().expect("signalled with the outcome")?;
+                    srv.mcat.add_replica(&path)?;
+                    Ok((Response::Ok, None))
+                };
+                Ok(Served::Wait(done, Box::new(finish)))
+            }
             // EndSession is resolved by the handler (it retires the whole
             // session space); reaching here means a stray frame.
             Request::EndSession | Request::Disconnect => reply(Response::Ok),
@@ -892,7 +859,7 @@ impl SrbServer {
 /// sampled before the read).
 type Reply = (Response, Option<u64>);
 
-/// The rest of a request, run once its disk charge has been paid.
+/// The rest of a request, run once its disk charge or its wait is over.
 type Finish = Box<dyn FnOnce(&SrbServer) -> SrbResult<Reply> + Send>;
 
 /// What is left of a request after [`SrbServer::begin`].
@@ -901,9 +868,8 @@ enum Served {
     Reply(Response, Option<u64>),
     /// One disk operation of so many bytes, then the continuation.
     Disk(u64, Finish),
-    /// `Replicate { path, peer }`: a nested blocking client session, which
-    /// needs a stack.
-    Stack(String, String),
+    /// A signal on the event (work done elsewhere), then the continuation.
+    Wait(Event, Finish),
 }
 
 impl Served {
@@ -938,9 +904,8 @@ enum Serving {
     Admit(Job, u64, Request, Event),
     /// The request's disk charge; the continuation finishes it.
     Disk(Job, DiskOp, Finish),
-    /// `replicate()` running on a borrowed stack, which leaves its result
-    /// in the slot and signals the event.
-    Stack(Job, Event, Arc<Mutex<Option<SrbResult<()>>>>),
+    /// The event of [`Served::Wait`]; the continuation finishes it.
+    Wait(Job, Event, Finish),
     /// The response on its way over the reverse path.
     Wire(Job, RespFrame, Message),
 }
@@ -974,26 +939,15 @@ impl Handler {
             srv.begin(req, self.sessions.entry(job.session).or_default())
         };
         match served {
-            Ok(Served::Reply(resp, lease)) => Self::reply(job, resp, lease),
+            Ok(Served::Reply(resp, lease)) => Self::reply(job, Ok((resp, lease))),
             Ok(Served::Disk(bytes, finish)) => Serving::Disk(job, DiskOp::new(bytes), finish),
-            Ok(Served::Stack(path, peer)) => {
-                let (done, out) = (srv.rt.event(), Arc::new(Mutex::new(None)));
-                let (srv2, done2, out2) = (srv.clone(), done.clone(), out.clone());
-                srv.rt.spawn_daemon(
-                    &format!("{}/conn-{}/stack", srv.cfg.name, self.conn_id),
-                    Box::new(move || {
-                        let r = srv2.replicate(&path, &peer);
-                        *out2.lock() = Some(r);
-                        done2.signal();
-                    }),
-                );
-                Serving::Stack(job, done, out)
-            }
-            Err(e) => Self::reply(job, Response::Error(e), None),
+            Ok(Served::Wait(ev, finish)) => Serving::Wait(job, ev, finish),
+            Err(e) => Self::reply(job, Err(e)),
         }
     }
 
-    fn reply(job: Job, resp: Response, lease: Option<u64>) -> Serving {
+    fn reply(job: Job, outcome: SrbResult<Reply>) -> Serving {
+        let (resp, lease) = outcome.unwrap_or_else(|e| (Response::Error(e), None));
         let frame = RespFrame {
             seq: job.seq,
             session: job.session,
@@ -1009,6 +963,8 @@ impl Task for Handler {
     fn poll(&mut self, cx: &mut TaskCtx<'_>) -> TaskStep {
         let srv = self.server.clone();
         loop {
+            // How this poll's wait ended: for the state that asked only.
+            let wake = cx.wake.take();
             self.state = match std::mem::replace(&mut self.state, Serving::Idle) {
                 Serving::Idle => match self.req_ch.poll_recv() {
                     Err(wait) => return wait,
@@ -1068,7 +1024,7 @@ impl Task for Handler {
                     }
                 }
                 Serving::Admit(job, epoch, req, ticket) => {
-                    if cx.wake != Some(Wake::Signaled) {
+                    if wake != Some(Wake::Signaled) {
                         self.state = Serving::Admit(job, epoch, req, ticket.clone());
                         return TaskStep::Wait(ticket, None);
                     }
@@ -1079,16 +1035,14 @@ impl Task for Handler {
                         self.state = Serving::Disk(job, op, finish);
                         return step;
                     }
-                    let (resp, lease) = finish(&srv).unwrap_or_else(|e| (Response::Error(e), None));
-                    Self::reply(job, resp, lease)
+                    Self::reply(job, finish(&srv))
                 }
-                Serving::Stack(job, done, out) => {
-                    let Some(r) = out.lock().take() else {
-                        self.state = Serving::Stack(job, done.clone(), out.clone());
-                        return TaskStep::Wait(done, None);
-                    };
-                    let resp = r.map_or_else(Response::Error, |()| Response::Ok);
-                    Self::reply(job, resp, None)
+                Serving::Wait(job, ev, finish) => {
+                    if wake != Some(Wake::Signaled) {
+                        self.state = Serving::Wait(job, ev.clone(), finish);
+                        return TaskStep::Wait(ev, None);
+                    }
+                    Self::reply(job, finish(&srv))
                 }
                 Serving::Wire(job, frame, mut msg) => {
                     if let Some(step) = srv.net.poll_message(&mut msg, &self.rev, &self.rev_opts) {

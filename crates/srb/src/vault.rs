@@ -81,8 +81,7 @@ pub struct DiskSpec {
     /// operation samples `k` at its start and is capped at its `1/k` share
     /// of that degraded aggregate for its whole transfer, which keeps the
     /// model deterministic. `0.0` (the default) disables the cap entirely:
-    /// concurrent operations share the full bandwidth max-min fairly,
-    /// bit-identical to the pre-degradation model.
+    /// concurrent operations share the full bandwidth max-min fairly.
     pub degradation: f64,
 }
 

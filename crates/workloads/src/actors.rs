@@ -154,8 +154,7 @@ fn zipf_rank(seed: u64, client: u64, n: usize, theta: f64) -> usize {
 }
 
 /// The object path client `i` opens: its private `{coll}/c{i}` without
-/// skew (bit-identical to the pre-skew swarm), a Zipf-ranked member of the
-/// shared hot set with it.
+/// skew, a Zipf-ranked member of the shared hot set with it.
 fn path_for(p: &SwarmParams, client: usize) -> String {
     match p.skew {
         None => format!("{}/c{}", p.coll, client),
@@ -206,7 +205,7 @@ pub struct SwarmParams {
     pub per_tenant_streams: bool,
     /// Optional access skew: route clients onto a shared Zipf-weighted hot
     /// set instead of private per-client objects. `None` (the default)
-    /// leaves the request stream bit-identical to the pre-skew swarm.
+    /// gives every client an object of its own.
     pub skew: Option<AccessSkew>,
 }
 

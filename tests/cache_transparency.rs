@@ -93,9 +93,7 @@ fn chaos_run(seed: u64, caches: bool) -> (Observed, u64, u64) {
         for h in handles {
             h.join_unwrap();
         }
-        while !inj.done() {
-            rt.sleep(Dur::from_millis(50));
-        }
+        inj.wait();
 
         // Cross-client coherence, sequenced on the main thread so the
         // expected bytes are unambiguous: fs0 reads (and may lease) the
@@ -230,12 +228,8 @@ fn federation_run(seed: u64, caches: bool) -> (Vec<u32>, Vec<u32>, u64, u64) {
         }
         assert!(inj.stats().injected() >= 1, "crash never landed");
         assert!(failover_read, "no read ever crossed the failover");
-        while !inj.done() {
-            rt.sleep(Dur::from_millis(100));
-        }
-        while !fed.reconcile() {
-            rt.sleep(Dur::from_millis(50));
-        }
+        inj.wait();
+        fed.converge().expect("federation converges");
 
         // Post-reconcile overwrite of the chunk the lease is warmest on:
         // the re-read must see the new bytes, not the pre-failover lease.
@@ -251,11 +245,7 @@ fn federation_run(seed: u64, caches: bool) -> (Vec<u32>, Vec<u32>, u64, u64) {
         for mut h in handles {
             h.close().expect("close");
         }
-        for shard in fed.shards() {
-            if let Some(repl) = &shard.replicator {
-                repl.quiesce();
-            }
-        }
+        fed.converge().expect("replication drains");
 
         let sums = |pick: fn(&FedShard) -> &Arc<SrbFs>| -> Vec<u32> {
             paths

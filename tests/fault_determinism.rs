@@ -56,9 +56,7 @@ fn chaos_run(seed: u64) -> RunTrace {
         for h in handles {
             h.join_unwrap();
         }
-        while !inj.done() {
-            rt.sleep(Dur::from_millis(50));
-        }
+        inj.wait();
 
         let conn = tb.server.connect(tb.route(0), "semplar", "hpdc06").unwrap();
         let checksums = (0..2)

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use semplar::{AdioFile, AdioFs, FedFs, FedShard, OpenFlags, Payload, ReconcileLedger, SrbFs};
 use semplar_repro::clusters::FedTestbed;
 use semplar_repro::faults::FaultPlan;
-use semplar_repro::runtime::{simulate, Dur};
+use semplar_repro::runtime::{simulate, spawn, Dur};
 use semplar_repro::semplar;
 use semplar_repro::srb::adler32;
 
@@ -87,18 +87,9 @@ fn federation_run(seed: u64, crash: Option<(Dur, Dur)>) -> RunResult {
         }
         if let Some(inj) = &inj {
             assert!(inj.stats().injected() >= 1, "crash never landed");
-            while !inj.done() {
-                rt.sleep(Dur::from_millis(100));
-            }
+            inj.wait();
         }
-        while !fed.reconcile() {
-            rt.sleep(Dur::from_millis(50));
-        }
-        for shard in fed.shards() {
-            if let Some(repl) = &shard.replicator {
-                repl.quiesce();
-            }
-        }
+        fed.converge().expect("federation converges");
         if crash.is_some() {
             assert!(outage_read_checked, "outage never observed by a failover");
         }
@@ -207,6 +198,34 @@ proptest! {
         // divergence before reconciliation drained it.
         prop_assert!(run.failovers == 0 || run.div_high_water >= 1);
     }
+}
+
+/// `converge` waits on the crashed primary's state event, not a timer: the
+/// restart releases it at that instant, and a primary that never restarts
+/// fails it at its 10 s bound instead of spinning forever.
+#[test]
+fn converge_waits_for_a_restart_and_fails_at_its_bound_without_one() {
+    let run = |restart_after: Option<Dur>| {
+        simulate(move |rt| {
+            let FedTestbed { shards, .. } = FedTestbed::new(&rt, SHARDS, false, None);
+            let fed = FedFs::new(&rt, shards);
+            let server = fed.shards()[0].primary.server().clone();
+            server.crash();
+            let rt2 = rt.clone();
+            if let Some(d) = restart_after {
+                spawn(&rt, "restart", move || {
+                    rt2.sleep(d);
+                    server.restart();
+                });
+            }
+            let t0 = rt.now();
+            let converged = fed.converge().is_ok();
+            (converged, rt.now() - t0)
+        })
+    };
+    let restart = Dur::from_millis(250);
+    assert_eq!(run(Some(restart)), (true, restart));
+    assert_eq!(run(None), (false, Dur::from_secs(10)));
 }
 
 /// Same seed ⇒ bit-identical recovery: the reconciliation ledger (entries,

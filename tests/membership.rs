@@ -13,12 +13,16 @@
 
 use proptest::prelude::*;
 use semplar_repro::clusters::FedTestbed;
+use semplar_repro::faults::{FaultInjector, FaultPlan};
 use semplar_repro::mc::PromotionScenario;
 use semplar_repro::netsim::{Bw, Network};
-use semplar_repro::runtime::{simulate, Dur};
+use semplar_repro::runtime::{simulate, Dur, Runtime};
 use semplar_repro::semplar::{AdioFs, FedFs, OpenFlags, Payload, SrbFs, SrbFsConfig};
-use semplar_repro::srb::{ConnRoute, RetryPolicy, SrbServer, SrbServerCfg, TransitionKind};
+use semplar_repro::srb::{
+    ConnRoute, RetryPolicy, ShardMap, SrbServer, SrbServerCfg, TransitionKind,
+};
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
@@ -156,11 +160,18 @@ fn fencing_refuses_stale_epoch_writes() {
 /// routing over two migrates its namespace onto all three while reads
 /// continue. Mid-migration reads of moving paths are double-routed; the
 /// cutover bumps the map version atomically; afterwards every file reads
-/// back bit-identically from its (possibly new) owner.
+/// back bit-identically from its (possibly new) owner — also when an old
+/// owner crashes for 300 ms early in the migration.
 #[test]
 fn live_resharding_migrates_and_cuts_over() {
-    simulate(|rt| {
-        let shards = FedTestbed::new(&rt, 3, false, None).shards;
+    live_resharding(None);
+    live_resharding(Some(Dur::from_millis(40)));
+}
+
+/// The live re-shard, with `crash_old_owner(crash)`.
+fn live_resharding(crash: Option<Dur>) {
+    simulate(move |rt| {
+        let FedTestbed { net, shards } = FedTestbed::new(&rt, 3, false, None);
         let fed = FedFs::with_active_shards(&rt, shards, 2);
         fed.mk_coll_all("/fed").expect("mkcoll");
         let files = 8usize;
@@ -182,6 +193,7 @@ fn live_resharding_migrates_and_cuts_over() {
         let v0 = fed.map_version();
         let owners_before: Vec<usize> = paths.iter().map(|p| fed.shard_of(p)).collect();
         fed.begin_reshard(3, &paths);
+        let inj = crash_old_owner(&rt, &net, &fed, &paths, crash);
         assert!(fed.resharding());
         // Keep reading while the migrator copies underneath: every read of
         // a moving path is double-routed and must return current bytes.
@@ -200,6 +212,7 @@ fn live_resharding_migrates_and_cuts_over() {
             rt.sleep(Dur::from_millis(5));
             assert!(reads < 10_000, "re-shard never completed");
         }
+        inj.iter().for_each(FaultInjector::wait);
         let stats = fed.migration_stats();
         let owners_after: Vec<usize> = paths.iter().map(|p| fed.shard_of(p)).collect();
         assert_eq!(stats.completed, 1, "cutover never committed");
@@ -222,7 +235,8 @@ fn live_resharding_migrates_and_cuts_over() {
             let mut f = fed.open(p, OpenFlags::Read).expect("final open");
             assert_eq!(
                 f.read_at(0, len).expect("final read").data(),
-                Some(&pattern(i)[..])
+                Some(&pattern(i)[..]),
+                "{p} after a crash at {crash:?}"
             );
             f.close().expect("close");
         }
@@ -234,11 +248,19 @@ fn live_resharding_migrates_and_cuts_over() {
 /// attempts cutover. A write still on the wire pins the cutover open
 /// until its extent reaches the dirty tail (the server acks *before* the
 /// client resumes, so recording it after the fact leaves a loss window);
-/// afterwards every file must read back exactly as the write history says.
+/// afterwards every file must read back exactly as the write history says
+/// — also when an old owner crashes for 300 ms early in the migration, so
+/// writes to its paths fail over and are replayed before they are copied.
 #[test]
 fn resharding_never_loses_acked_writes() {
-    simulate(|rt| {
-        let shards = FedTestbed::new(&rt, 3, false, None).shards;
+    resharding_writes(None);
+    resharding_writes(Some(Dur::from_millis(40)));
+}
+
+/// The racing writes, with `crash_old_owner(crash)`.
+fn resharding_writes(crash: Option<Dur>) {
+    simulate(move |rt| {
+        let FedTestbed { net, shards } = FedTestbed::new(&rt, 3, false, None);
         let fed = FedFs::with_active_shards(&rt, shards, 2);
         fed.mk_coll_all("/fed").expect("mkcoll");
         let files = 6usize;
@@ -263,6 +285,7 @@ fn resharding_never_loses_acked_writes() {
             f.close().expect("close");
         }
         fed.begin_reshard(3, &paths);
+        let inj = crash_old_owner(&rt, &net, &fed, &paths, crash);
         // Keep overwriting rotating chunks of every path while the
         // migrator runs, for the first rounds — each write races the
         // snapshot copy, the dirty chase, and the cutover clean check —
@@ -289,6 +312,7 @@ fn resharding_never_loses_acked_writes() {
             rt.sleep(Dur::from_millis(2));
             assert!(round < 10_000, "re-shard never completed under writes");
         }
+        inj.iter().for_each(FaultInjector::wait);
         assert_eq!(
             fed.migration_stats().completed,
             1,
@@ -301,9 +325,43 @@ fn resharding_never_loses_acked_writes() {
             assert_eq!(
                 f.read_at(0, len).expect("final read").data(),
                 Some(&model[i][..]),
-                "acked bytes lost across the cutover on {p}"
+                "acked bytes lost across the cutover on {p} (crash at {crash:?})"
             );
             f.close().expect("close");
         }
     });
+}
+
+/// With `crash` set, crash the old owner of the first path a re-shard onto
+/// three shards moves — its primary, for 300 ms, `crash` from now.
+fn crash_old_owner(
+    rt: &Arc<dyn Runtime>,
+    net: &Arc<Network>,
+    fed: &Arc<FedFs>,
+    paths: &[String],
+    crash: Option<Dur>,
+) -> Option<FaultInjector> {
+    let at = crash?;
+    let old = fed.shard_map();
+    let moving = paths
+        .iter()
+        .find(|p| ShardMap::new(3).shard_of(p) != old.shard_of(p))
+        .expect("the map change moves a path");
+    let owner = fed.shards()[old.shard_of(moving)].primary.server();
+    let plan = FaultPlan::new(1).server_crash_at(at, Dur::from_millis(300));
+    Some(plan.inject(rt, net, owner))
+}
+
+/// The old owner may crash at any instant of a migration: every file still
+/// reads back exactly as written. The sweep crosses the whole migration
+/// window (1.87 s fault-free) in 25 ms steps. A copier that treats any
+/// error as "the object never existed" fails it: a crash 45–60 ms in (and
+/// again 435–450 ms and 1,245–1,260 ms in) cuts a size probe that follows
+/// a path's snapshot open, the path is left out of the copy, and the
+/// cutover deletes its only copies.
+#[test]
+fn resharding_survives_an_old_owner_crash_at_any_instant() {
+    for at in (0..1_875).step_by(25) {
+        live_resharding(Some(Dur::from_millis(at)));
+    }
 }
