@@ -14,116 +14,13 @@
 //! (the transoceanic path, the OSC NAT host, or the SRB server NICs)
 //! saturates.
 
-/// One flow: the link indices it traverses plus an optional per-flow cap in
-/// capacity units per second.
-#[derive(Clone, Debug)]
-pub struct FlowSpec<'a> {
-    /// Indices into the link capacity array. May be empty for a purely
-    /// cap-limited flow (e.g. the CPU model's single implicit resource).
-    pub path: &'a [usize],
-    /// Per-flow rate ceiling (`None` = unlimited).
-    pub cap: Option<f64>,
-}
-
 /// Rate assigned to a flow with an empty path and no cap. Effectively
 /// "infinitely fast" while staying comfortably inside `f64`.
 pub const UNCONSTRAINED_RATE: f64 = 1e30;
 
-/// Compute max-min fair rates.
-///
-/// `link_caps[l]` is link `l`'s capacity. Returns one rate per flow, in the
-/// same units. Zero-capacity links yield zero rates for their flows.
-pub fn max_min_rates(link_caps: &[f64], flows: &[FlowSpec<'_>]) -> Vec<f64> {
-    let nf = flows.len();
-    let nl = link_caps.len();
-    let mut rates = vec![0.0f64; nf];
-    if nf == 0 {
-        return rates;
-    }
-    let mut fixed = vec![false; nf];
-    let mut residual: Vec<f64> = link_caps.to_vec();
-    let mut count = vec![0usize; nl];
-    for f in flows {
-        for &l in f.path {
-            count[l] += 1;
-        }
-    }
-    let mut remaining = nf;
-    while remaining > 0 {
-        // The tightest link share among links still carrying unfixed flows.
-        let mut best_share = f64::INFINITY;
-        let mut best_link = usize::MAX;
-        for l in 0..nl {
-            if count[l] > 0 {
-                let share = (residual[l]).max(0.0) / count[l] as f64;
-                if share < best_share {
-                    best_share = share;
-                    best_link = l;
-                }
-            }
-        }
-        // A flow whose own cap binds before the link share is frozen at its
-        // cap first — one flow per round, smallest cap first (ties to the
-        // smallest flow index). Freezing strictly in value order keeps the
-        // arithmetic sequence per link independent of how the rest of the
-        // network groups into rounds, so solving a connected component alone
-        // yields bit-identical rates to solving the whole network.
-        let mut best_cap = f64::INFINITY;
-        let mut best_capped = usize::MAX;
-        for (i, f) in flows.iter().enumerate() {
-            if fixed[i] {
-                continue;
-            }
-            let effective_cap = match f.cap {
-                Some(c) => c,
-                None if f.path.is_empty() => UNCONSTRAINED_RATE,
-                None => continue,
-            };
-            if effective_cap < best_cap {
-                best_cap = effective_cap;
-                best_capped = i;
-            }
-        }
-        if best_capped != usize::MAX && best_cap <= best_share {
-            rates[best_capped] = best_cap;
-            fixed[best_capped] = true;
-            remaining -= 1;
-            for &l in flows[best_capped].path {
-                residual[l] -= best_cap;
-                count[l] -= 1;
-            }
-            continue;
-        }
-        if best_link == usize::MAX {
-            // Remaining flows have no finite constraint at all.
-            for (i, f) in flows.iter().enumerate() {
-                if !fixed[i] {
-                    rates[i] = f.cap.unwrap_or(UNCONSTRAINED_RATE);
-                    fixed[i] = true;
-                }
-            }
-            break;
-        }
-        // Freeze every unfixed flow on the bottleneck link at the fair share.
-        for (i, f) in flows.iter().enumerate() {
-            if fixed[i] || !f.path.contains(&best_link) {
-                continue;
-            }
-            rates[i] = best_share;
-            fixed[i] = true;
-            remaining -= 1;
-            for &l in f.path {
-                residual[l] -= best_share;
-                count[l] -= 1;
-            }
-        }
-    }
-    rates
-}
-
 /// Heap entry for a link's current fair share. Ordered so that a max-heap
 /// pops the *smallest* share first, ties broken toward the smallest link
-/// index — the same choice [`max_min_rates`]'s linear scan makes.
+/// index — the same choice the reference solver's linear scan makes.
 struct LinkEntry {
     share: f64,
     link: u32,
@@ -177,18 +74,17 @@ impl PartialOrd for CapEntry {
 
 /// Reusable scratch for the heap-based progressive-filling solver.
 ///
-/// [`max_min_rates`] is O(F²·L) per call and allocates five vectors; this
-/// solver is O((F + P)·log L) for F flows with P total path entries, and a
-/// long-lived `Workspace` allocates nothing in steady state. It is the
-/// engine behind the incremental recompute path in
-/// [`crate::net::Network`]: the caller registers only the links and flows of
-/// one connected component and solves that component alone.
+/// This is the solver the network runs. The test-only reference solver in
+/// `mod reference` is O(F²·L) per call and allocates five vectors; this one is O((F + P)·log L) for F flows with P total path
+/// entries, and a long-lived `Workspace` allocates nothing in steady state.
+/// [`crate::net::Network`] registers only the links and flows of one
+/// connected component and solves that component alone.
 ///
-/// The freeze decisions replicate [`max_min_rates`] exactly — the same
+/// The freeze decisions replicate the reference solver's exactly — the same
 /// bottleneck selection (smallest share, then smallest link index) and the
 /// same one-at-a-time cap-before-share freeze order (smallest cap, then
 /// smallest flow index) — so for a given component the computed rates are
-/// bit-identical to a whole-network batch solve. Freezing strictly in value
+/// bit-identical to a whole-network solve. Freezing strictly in value
 /// order is what makes the solve component-decomposable at the ulp level:
 /// the arithmetic sequence applied to each link never depends on how freezes
 /// in *other* components interleave (components never share links).
@@ -347,7 +243,7 @@ impl Workspace {
             }
             // A cap-bound flow freezes before the link share — one per
             // round, smallest cap first (ties to the smallest flow index),
-            // matching [`max_min_rates`]' value-ordered freeze sequence.
+            // matching the reference solver's value-ordered freeze sequence.
             let mut froze_cap = false;
             while let Some(top) = self.capped.peek() {
                 if self.fixed[top.flow as usize] {
@@ -419,7 +315,119 @@ impl Workspace {
 }
 
 #[cfg(test)]
+/// The whole-network progressive-filling solver, O(F²·L) per call: the
+/// oracle the tests hold [`Workspace`] and the network's incremental
+/// engine to, bit for bit.
+pub(crate) mod reference {
+    use super::UNCONSTRAINED_RATE;
+
+    /// One flow: the link indices it traverses plus an optional per-flow
+    /// cap in capacity units per second.
+    #[derive(Clone, Debug)]
+    pub struct FlowSpec<'a> {
+        /// Indices into the link capacity array. May be empty for a purely
+        /// cap-limited flow (e.g. the CPU model's single implicit resource).
+        pub path: &'a [usize],
+        /// Per-flow rate ceiling (`None` = unlimited).
+        pub cap: Option<f64>,
+    }
+
+    /// Compute max-min fair rates.
+    ///
+    /// `link_caps[l]` is link `l`'s capacity. Returns one rate per flow, in
+    /// the same units. Zero-capacity links yield zero rates for their flows.
+    pub fn max_min_rates(link_caps: &[f64], flows: &[FlowSpec<'_>]) -> Vec<f64> {
+        let nf = flows.len();
+        let nl = link_caps.len();
+        let mut rates = vec![0.0f64; nf];
+        if nf == 0 {
+            return rates;
+        }
+        let mut fixed = vec![false; nf];
+        let mut residual: Vec<f64> = link_caps.to_vec();
+        let mut count = vec![0usize; nl];
+        for f in flows {
+            for &l in f.path {
+                count[l] += 1;
+            }
+        }
+        let mut remaining = nf;
+        while remaining > 0 {
+            // The tightest share among links still carrying unfixed flows.
+            let mut best_share = f64::INFINITY;
+            let mut best_link = usize::MAX;
+            for l in 0..nl {
+                if count[l] > 0 {
+                    let share = (residual[l]).max(0.0) / count[l] as f64;
+                    if share < best_share {
+                        best_share = share;
+                        best_link = l;
+                    }
+                }
+            }
+            // A flow whose own cap binds before the link share is frozen at
+            // its cap first — one flow per round, smallest cap first (ties to
+            // the smallest flow index). Freezing strictly in value order keeps
+            // the arithmetic sequence per link independent of how the rest of
+            // the network groups into rounds, so solving a connected component
+            // alone yields bit-identical rates to solving the whole network.
+            let mut best_cap = f64::INFINITY;
+            let mut best_capped = usize::MAX;
+            for (i, f) in flows.iter().enumerate() {
+                if fixed[i] {
+                    continue;
+                }
+                let effective_cap = match f.cap {
+                    Some(c) => c,
+                    None if f.path.is_empty() => UNCONSTRAINED_RATE,
+                    None => continue,
+                };
+                if effective_cap < best_cap {
+                    best_cap = effective_cap;
+                    best_capped = i;
+                }
+            }
+            if best_capped != usize::MAX && best_cap <= best_share {
+                rates[best_capped] = best_cap;
+                fixed[best_capped] = true;
+                remaining -= 1;
+                for &l in flows[best_capped].path {
+                    residual[l] -= best_cap;
+                    count[l] -= 1;
+                }
+                continue;
+            }
+            if best_link == usize::MAX {
+                // Remaining flows have no finite constraint at all.
+                for (i, f) in flows.iter().enumerate() {
+                    if !fixed[i] {
+                        rates[i] = f.cap.unwrap_or(UNCONSTRAINED_RATE);
+                        fixed[i] = true;
+                    }
+                }
+                break;
+            }
+            // Freeze every unfixed flow on the bottleneck link at its share.
+            for (i, f) in flows.iter().enumerate() {
+                if fixed[i] || !f.path.contains(&best_link) {
+                    continue;
+                }
+                rates[i] = best_share;
+                fixed[i] = true;
+                remaining -= 1;
+                for &l in f.path {
+                    residual[l] -= best_share;
+                    count[l] -= 1;
+                }
+            }
+        }
+        rates
+    }
+}
+
+#[cfg(test)]
 mod tests {
+    use super::reference::{max_min_rates, FlowSpec};
     use super::*;
 
     fn rates(caps: &[f64], flows: &[(&[usize], Option<f64>)]) -> Vec<f64> {
@@ -608,7 +616,7 @@ mod tests {
             /// on arbitrary whole-network inputs: same freeze decisions,
             /// same arithmetic order, hence identical `f64` results.
             #[test]
-            fn workspace_matches_batch(
+            fn workspace_matches_reference(
                 caps in proptest::collection::vec(0.0f64..1000.0, 1..6),
                 flow_seeds in proptest::collection::vec(
                     (proptest::collection::vec(0usize..6, 0..4), proptest::option::of(0.01f64..500.0)),
@@ -630,16 +638,16 @@ mod tests {
                     .zip(flow_seeds.iter())
                     .map(|(p, (_, cap))| (p.as_slice(), *cap))
                     .collect();
-                let batch = rates(&caps, &flows);
+                let reference = rates(&caps, &flows);
                 let fast = ws_rates(&caps, &flows);
-                for (i, (a, b)) in batch.iter().zip(&fast).enumerate() {
+                for (i, (a, b)) in reference.iter().zip(&fast).enumerate() {
                     prop_assert_eq!(a.to_bits(), b.to_bits(),
                         "flow {} diverged: {} vs {}", i, a, b);
                 }
             }
 
-            /// No link is ever oversubscribed, and rates are non-negative
-            /// and respect per-flow caps.
+            /// The shipped solver never oversubscribes a link, and its
+            /// rates are non-negative and respect per-flow caps.
             #[test]
             fn allocation_is_feasible(
                 caps in proptest::collection::vec(0.1f64..1000.0, 1..6),
@@ -658,23 +666,23 @@ mod tests {
                         v
                     })
                     .collect();
-                let specs: Vec<FlowSpec> = paths
+                let flows: Vec<(&[usize], Option<f64>)> = paths
                     .iter()
                     .zip(flow_seeds.iter())
-                    .map(|(p, (_, cap))| FlowSpec { path: p, cap: *cap })
+                    .map(|(p, (_, cap))| (p.as_slice(), *cap))
                     .collect();
-                let r = max_min_rates(&caps, &specs);
-                for (i, spec) in specs.iter().enumerate() {
+                let r = ws_rates(&caps, &flows);
+                for (i, &(_, cap)) in flows.iter().enumerate() {
                     prop_assert!(r[i] >= -1e-9);
-                    if let Some(c) = spec.cap {
+                    if let Some(c) = cap {
                         prop_assert!(r[i] <= c * (1.0 + 1e-9));
                     }
                 }
                 for (l, &cap) in caps.iter().enumerate() {
-                    let load: f64 = specs
+                    let load: f64 = flows
                         .iter()
                         .enumerate()
-                        .filter(|(_, s)| s.path.contains(&l))
+                        .filter(|(_, (path, _))| path.contains(&l))
                         .map(|(i, _)| r[i])
                         .sum();
                     prop_assert!(load <= cap * (1.0 + 1e-6) + 1e-6,
@@ -693,8 +701,8 @@ mod tests {
                 // share of the tightest link.
                 let nl = caps.len();
                 let path: Vec<usize> = (0..nl).collect();
-                let specs: Vec<FlowSpec> = (0..nflows).map(|_| FlowSpec { path: &path, cap: None }).collect();
-                let r = max_min_rates(&caps, &specs);
+                let flows: Vec<(&[usize], Option<f64>)> = (0..nflows).map(|_| (&path[..], None)).collect();
+                let r = ws_rates(&caps, &flows);
                 let tightest = caps.iter().cloned().fold(f64::INFINITY, f64::min);
                 let want = tightest / nflows as f64;
                 for &x in &r {

@@ -27,5 +27,4 @@ pub mod fair;
 pub mod net;
 
 pub use cpu::Cpu;
-pub use fair::{max_min_rates, FlowSpec};
 pub use net::{AllocMode, Bw, LinkId, NetStats, Network};
