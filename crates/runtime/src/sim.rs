@@ -20,9 +20,10 @@
 //!   earliest by `(due time, arm order)`, moving the virtual clock to its
 //!   due time; the woken actor becomes ready and gets the baton.
 //!
-//! A thread gets the baton by being unparked; a task is polled on the spot
-//! by whichever thread is dispatching, and the loop goes on: a thread is
-//! parked only when the next ready actor *is* a thread.
+//! A thread gets the baton by being unparked, once the dispatcher has let go
+//! of the engine lock; a task is polled on the spot by whichever thread is
+//! dispatching, and the loop goes on: a thread is parked only when the next
+//! ready actor *is* a thread.
 //!
 //! Waking only enqueues: a signalled waiter runs after its signaller blocks,
 //! a child after its spawner blocks. Virtual time therefore advances in
@@ -252,6 +253,9 @@ struct EngineState {
     now: u64,
     /// The baton: the one actor executing simulation code.
     running: Option<u64>,
+    /// The thread `dispatch` just gave the baton to, for `release` to
+    /// unpark once the lock is down.
+    handoff: Option<Thread>,
     /// The task being polled was woken meanwhile: whatever step that poll
     /// returns, the task goes to the back of the ready queue, not to sleep.
     rewake: bool,
@@ -362,12 +366,12 @@ impl Engine {
     }
 
     /// The one scheduler. With the baton free, hand it to the next ready
-    /// actor — unpark a thread and return, or poll a task here and go on —
-    /// and while nobody is ready, fire one pending event. A no-op while an
-    /// actor holds the baton, so callers that may run outside the
-    /// simulation (a harness thread spawning or signalling) call it
-    /// unconditionally. Takes the engine lock and gives it back: it is
-    /// released around each poll.
+    /// actor — note a thread in `handoff` and return, or poll a task here
+    /// and go on — and while nobody is ready, fire one pending event. A
+    /// no-op while an actor holds the baton, so callers that may run outside
+    /// the simulation (a harness thread spawning or signalling) call it
+    /// unconditionally, and pass the guard it returns to `release`. Takes
+    /// the engine lock and gives it back: it is released around each poll.
     fn dispatch<'a>(self: &'a Arc<Self>, mut st: Guard<'a>) -> Guard<'a> {
         while !st.poisoned && st.running.is_none() {
             if let Some(id) = st.ready.pop_front() {
@@ -379,7 +383,7 @@ impl Engine {
                     // (Our own timer may have been the next event; and a
                     // child whose thread has not started yet finds the
                     // baton when it does.)
-                    info.thread.iter().for_each(Thread::unpark);
+                    st.handoff = info.thread.clone();
                 }
                 continue;
             }
@@ -416,6 +420,15 @@ impl Engine {
             self.wake(&mut st, &e.slot, SLOT_TIMEOUT);
         }
         st
+    }
+
+    /// Drop the engine lock, then unpark the thread `dispatch` handed the
+    /// baton to. Woken under the lock, on one CPU it would preempt its
+    /// waker only to wait for the mutex the waker still holds.
+    fn release(&self, mut st: Guard<'_>) {
+        let next = st.handoff.take();
+        drop(st);
+        next.iter().for_each(Thread::unpark);
     }
 
     /// Poll task `id`, which holds the baton, on this thread with the engine
@@ -521,7 +534,7 @@ impl Engine {
         } else if let Some((_, slot)) = st.actor(id).and_then(|a| a.blocked.clone()) {
             self.wake(&mut st, &slot, SLOT_WAKER);
         }
-        drop(self.dispatch(st));
+        self.release(self.dispatch(st));
     }
 
     /// The exploration schedule: collect every pending event due within
@@ -667,10 +680,10 @@ impl Engine {
     }
 
     /// Park the calling actor's thread until it holds the baton (or the
-    /// engine is poisoned).
+    /// engine is poisoned), first waking whoever `dispatch` handed it to.
     fn park_until_running<'a>(&'a self, mut st: Guard<'a>, me: u64) -> Guard<'a> {
         while st.running != Some(me) && !st.poisoned {
-            drop(st);
+            self.release(st);
             std::thread::park();
             st = self.state.lock();
         }
@@ -748,6 +761,7 @@ impl Engine {
             // Perhaps the last actor; let anyone in wait_done() look.
             self.done.notify_all();
         }
+        self.release(st);
     }
 }
 
@@ -972,7 +986,7 @@ impl Runtime for SimRuntime {
         st.stats.tasks_spawned += 1;
         st.live_tasks += 1;
         st.stats.peak_live_tasks = st.stats.peak_live_tasks.max(st.live_tasks);
-        drop(self.eng.dispatch(st));
+        self.eng.release(self.eng.dispatch(st));
     }
 }
 
@@ -991,7 +1005,7 @@ impl SimRuntime {
             st.stats.actors_spawned += 1;
             st.live_threads += 1;
             st.stats.peak_live_actors = st.stats.peak_live_actors.max(st.live_threads);
-            drop(self.eng.dispatch(st));
+            self.eng.release(self.eng.dispatch(st));
             id
         };
         let eng = self.eng.clone();
@@ -1107,7 +1121,7 @@ impl EventApi for SimEvent {
             }
         }
         drop(inner);
-        drop(self.eng.dispatch(st));
+        self.eng.release(self.eng.dispatch(st));
     }
 
     fn notify_all(&self) {
@@ -1117,7 +1131,7 @@ impl EventApi for SimEvent {
             self.eng.wake(&mut st, &w, SLOT_SIGNALED);
         }
         drop(inner);
-        drop(self.eng.dispatch(st));
+        self.eng.release(self.eng.dispatch(st));
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -1663,5 +1677,157 @@ mod tests {
         // eligible set against sleeper 0's wake, and PickLast keeps
         // deferring the earliest — actor 1 finishes first.
         assert_eq!(*order.lock(), vec![1, 0]);
+    }
+
+    const ROUNDS: usize = 200;
+
+    /// Run `case` on a thread of its own and fail, naming `entry`, unless it
+    /// finishes within 10 s: a hand-off that never unparks its successor
+    /// strands the baton, and the suite would hang instead of failing.
+    fn under_watchdog(entry: &str, case: impl FnOnce() + Send + 'static) {
+        use std::sync::mpsc::RecvTimeoutError;
+        let (tx, rx) = std::sync::mpsc::channel();
+        let h = std::thread::spawn(move || {
+            case();
+            let _ = tx.send(());
+        });
+        // A hung case's thread is left behind: joining it would hang too.
+        let finished = rx.recv_timeout(std::time::Duration::from_secs(10));
+        if let Err(RecvTimeoutError::Timeout) = finished {
+            panic!("baton stranded: {entry} hung for 10 s");
+        }
+        if let Err(p) = h.join() {
+            panic!("{entry}: {}", panic_message(&*p));
+        }
+    }
+
+    /// The root builds the case with `setup`, then holds the baton in a
+    /// host-level wait while this (harness) thread calls the poke it
+    /// returned, `ROUNDS` times. After each poke the root sleeps, and its
+    /// block hands the baton to whichever thread the poke made ready.
+    fn poked_from_the_harness<P: FnMut() + Send + 'static>(
+        setup: impl FnOnce(&Arc<dyn Runtime>) -> P + Send + 'static,
+    ) {
+        use std::sync::mpsc::channel;
+        let sim = SimRuntime::new();
+        let rt = sim.handle();
+        let ((poke_tx, poke_rx), (held_tx, held_rx), (go_tx, go_rx)) =
+            (channel(), channel(), channel());
+        let rt2 = rt.clone();
+        let root = rt.spawn(
+            "root",
+            Box::new(move || {
+                poke_tx.send(setup(&rt2)).unwrap();
+                for _ in 0..ROUNDS {
+                    rt2.sleep(Dur::from_micros(1)); // whoever was poked runs
+                    held_tx.send(()).unwrap();
+                    go_rx.recv().unwrap();
+                }
+                rt2.sleep(Dur::from_micros(1));
+            }),
+        );
+        let mut poke = poke_rx.recv().unwrap();
+        for _ in 0..ROUNDS {
+            held_rx.recv().unwrap();
+            poke();
+            go_tx.send(()).unwrap();
+        }
+        sim.wait_done();
+        root.join_unwrap();
+    }
+
+    /// A thread that waits on `ev` `ROUNDS` times, counting in `n`.
+    fn waits_rounds(rt: &Arc<dyn Runtime>, ev: &Event, n: &Arc<AtomicUsize>) {
+        let (ev, n) = (ev.clone(), n.clone());
+        spawn(rt, "waiter", move || {
+            for _ in 0..ROUNDS {
+                ev.wait();
+                n.fetch_add(1, AO::SeqCst);
+            }
+        });
+    }
+
+    /// Signals `ev` at every poll but the first, publishing its waker each
+    /// time; parks until woken, and is done after `ROUNDS` wakes.
+    struct SignalsWhenWoken {
+        ev: Event,
+        waker: Arc<Mutex<Option<Waker>>>,
+        polls: usize,
+    }
+    impl crate::Task for SignalsWhenWoken {
+        fn poll(&mut self, cx: &mut TaskCtx<'_>) -> TaskStep {
+            if self.polls > 0 {
+                self.ev.signal();
+            }
+            self.polls += 1;
+            *self.waker.lock() = Some(cx.waker.clone());
+            if self.polls > ROUNDS {
+                TaskStep::Done
+            } else {
+                TaskStep::Park
+            }
+        }
+    }
+
+    #[test]
+    fn every_thread_to_thread_hand_off_wakes_its_successor() {
+        under_watchdog("a thread blocking", || {
+            simulate(|rt| {
+                let (ping, pong) = (rt.event(), rt.event());
+                let (ping2, pong2) = (ping.clone(), pong.clone());
+                let peer = spawn(&rt, "peer", move || {
+                    for _ in 0..ROUNDS {
+                        ping2.wait();
+                        pong2.signal();
+                    }
+                });
+                for _ in 0..ROUNDS {
+                    ping.signal();
+                    pong.wait();
+                }
+                peer.join_unwrap();
+            })
+        });
+        under_watchdog("a thread exiting", || {
+            simulate(|rt| (0..ROUNDS).for_each(|_| spawn(&rt, "child", || {}).join_unwrap()))
+        });
+        let ran = Arc::new(AtomicUsize::new(0));
+        let n = ran.clone();
+        under_watchdog("spawn from a harness thread", move || {
+            poked_from_the_harness(move |rt| {
+                let rt = rt.clone();
+                move || {
+                    let n = n.clone();
+                    spawn(&rt, "late", move || {
+                        n.fetch_add(1, AO::SeqCst);
+                    });
+                }
+            })
+        });
+        assert_eq!(ran.swap(0, AO::SeqCst), ROUNDS);
+        let n = ran.clone();
+        under_watchdog("Event::signal from a harness thread", move || {
+            poked_from_the_harness(move |rt| {
+                let ev = rt.event();
+                waits_rounds(rt, &ev, &n);
+                move || ev.signal()
+            })
+        });
+        assert_eq!(ran.swap(0, AO::SeqCst), ROUNDS);
+        let n = ran.clone();
+        under_watchdog("Waker::wake from a harness thread", move || {
+            poked_from_the_harness(move |rt| {
+                let (ev, waker) = (rt.event(), Arc::new(Mutex::new(None)));
+                waits_rounds(rt, &ev, &n);
+                let task = SignalsWhenWoken {
+                    ev,
+                    waker: waker.clone(),
+                    polls: 0,
+                };
+                crate::TaskExecutor::new(rt, "poked").spawn(Box::new(task));
+                move || waker.lock().clone().expect("first poll done").wake()
+            })
+        });
+        assert_eq!(ran.load(AO::SeqCst), ROUNDS);
     }
 }

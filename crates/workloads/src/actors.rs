@@ -311,11 +311,20 @@ impl SwarmReport {
     }
 }
 
-/// The deterministic per-client payload pattern (checksum fixture).
+/// The deterministic per-client payload pattern (checksum fixture): byte
+/// `k` is `(client·131 + op·31 + k) mod 251`, copied out of one 0..251
+/// cycle a slice at a time.
 fn client_bytes(client: usize, op: u32, len: u64) -> Vec<u8> {
-    (0..len)
-        .map(|k| ((client as u64 * 131 + op as u64 * 31 + k) % 251) as u8)
-        .collect()
+    let cycle: [u8; 251] = std::array::from_fn(|i| i as u8);
+    let len = len as usize;
+    let mut out = Vec::with_capacity(len);
+    let mut from = ((client as u64 * 131 + op as u64 * 31) % 251) as usize;
+    while out.len() < len {
+        let n = (cycle.len() - from).min(len - out.len());
+        out.extend_from_slice(&cycle[from..from + n]);
+        from = 0;
+    }
+    out
 }
 
 fn payload_for(p: &SwarmParams, shape: OpShape, client: usize, op: u32) -> Payload {
@@ -643,6 +652,25 @@ mod tests {
             abuse: None,
             per_tenant_streams: false,
             skew: None,
+        }
+    }
+
+    #[test]
+    fn client_bytes_match_the_per_byte_formula() {
+        // The pattern as first written, one `% 251` per byte: the oracle.
+        let oracle = |client: usize, op: u32, len: u64| -> Vec<u8> {
+            (0..len)
+                .map(|k| ((client as u64 * 131 + op as u64 * 31 + k) % 251) as u8)
+                .collect()
+        };
+        for (client, op) in [(0, 0), (1, 0), (0, 1), (7, 3), (250, 9), (99_999, 4)] {
+            for len in [0, 1, 250, 251, 252, 64 << 10] {
+                assert_eq!(
+                    client_bytes(client, op, len),
+                    oracle(client, op, len),
+                    "client {client} op {op} len {len}"
+                );
+            }
         }
     }
 
