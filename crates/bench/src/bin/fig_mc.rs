@@ -1,9 +1,10 @@
 //! Bounded model checking of the federation recovery protocol.
 //!
 //! Explores the 2-shard mid-write crash/reconcile scenario over every
-//! reachable schedule up to a depth bound: fault injection timing,
-//! replicator block-ship order, and reconcile resume-block replay points
-//! are all explorable events. Each execution re-runs the whole scenario
+//! reachable schedule up to a depth bound: fault timing (the injector
+//! task's timer), replicator block-ship order, reconcile resume-block
+//! replay points and every task's timers are all explorable events. Each
+//! execution re-runs the whole scenario
 //! from scratch under a scripted schedule and checks the recovery
 //! invariants (no acked byte lost, reconcile converges, primary/replica
 //! checksums equal, no deadlock, bounded divergence queue).
@@ -15,22 +16,18 @@
 //! trace the explorer pins on it, demonstrating the replay pipeline.
 
 use semplar_bench::{flags, Table};
-use semplar_mc::{
-    explore, BrokenInvariant, ExploreCfg, FederationScenario, Scenario, ScriptHook, Strategy,
-};
+use semplar_mc::{explore, BrokenInvariant, ExploreCfg, FederationScenario, Scenario, ScriptHook};
 
 fn main() {
     let [quick] = flags(["--quick"]);
-    let (depth, max_executions) = if quick { (14, 1500) } else { (20, 8000) };
+    let (depth, max_executions) = if quick { (13, 1500) } else { (20, 8000) };
     let seed = 7u64;
     let scenario = FederationScenario::quick(seed);
     let cfg = ExploreCfg {
-        strategy: Strategy::Dfs,
         depth,
         max_executions,
         prune_visited: true,
         stop_on_violation: false,
-        por: false,
     };
     let report = explore(&scenario, &cfg);
 

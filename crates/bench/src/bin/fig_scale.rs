@@ -2,24 +2,25 @@
 //! per-open connections (paper-faithful, one TCP stream per open) vs the
 //! shared multiplexed pool (`PoolPolicy::Shared`).
 //!
-//! `--actors` switches to the event-driven client substrate: sessions are
-//! poll-style tasks on one executor instead of thread actors, which
-//! pushes the axis to 10⁵ clients (`results/fig_scale_actors*.txt`).
+//! Every client is a poll-style task, not a thread: the whole run is one OS
+//! thread whatever the client count. The default figure opens a file per
+//! client and then writes them all at once, under either policy;
+//! `--actors` runs open-loop sessions over the shared pool instead, out to
+//! 10⁵ clients (`results/fig_scale_actors*.txt`).
 //!
 //! Either way the run is entirely in virtual time and fault-free, so the
-//! output is bit-identical across invocations — CI diffs the `--quick`
-//! variants against `results/fig_scale_quick.txt` and
-//! `results/fig_scale_actors_quick.txt`.
+//! output is bit-identical across invocations — CI diffs every variant
+//! against its `results/fig_scale*.txt`. The engine's counters go to
+//! stderr.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use semplar::{AdioFs, OpenFlags, Payload, SrbFs, SrbFsConfig};
 use semplar_bench::{engine_footer, flags, with_testbed, Table};
 use semplar_clusters::{das2, PASSWORD, USER};
-use semplar_runtime::sync::Barrier;
-use semplar_runtime::{spawn, Dur};
-use semplar_srb::{PoolPolicy, TenantId};
-use semplar_workloads::{run_swarm, SwarmParams, TenantMix};
+use semplar_runtime::{Event, SimStats, Task, TaskCtx, TaskExecutor, TaskHandle, TaskStep};
+use semplar_srb::proto::{Request, Response};
+use semplar_srb::{ConnPool, OpenFlags, Payload, PoolPolicy, RetryPolicy, SrbConn, SrbResult};
+use semplar_workloads::{run_swarm, SwarmParams};
 
 const NODES: usize = 16;
 
@@ -27,11 +28,9 @@ fn aggregate_mbps(clients: usize, bytes: u64, secs: f64) -> f64 {
     (clients as u64 * bytes) as f64 * 8.0 / 1e6 / secs
 }
 
-/// Actor-mode scale-out: the sessions arrive open-loop (heavy-tailed gaps
-/// around 500 µs, seeded), each opens its own object over the node's
-/// shared pool, writes 64 KiB, closes, and retires — all as poll-style
-/// tasks on a single executor, as are the streams' demultiplexers and
-/// senders and the server's handlers: the run is one OS thread.
+/// Actor-mode scale-out: sessions arrive open-loop (heavy-tailed gaps
+/// around 500 µs, seeded), and each opens its own object over the node's
+/// shared pool, writes 64 KiB, closes and retires.
 fn run_actors(quick: bool) {
     let bytes = 64 * 1024u64;
     let (streams, inflight) = (8, 64);
@@ -53,22 +52,16 @@ fn run_actors(quick: bool) {
     let mut engine_lines = Vec::new();
     for &clients in scales {
         let ((completed, connections, secs), sim) = with_testbed(das2(), NODES, move |tb| {
+            // One tenant, 500 µs gaps, seed 42, as `quick`; one write each.
             let params = SwarmParams {
                 clients,
                 streams_per_node: streams,
                 inflight_per_stream: inflight,
-                mix: TenantMix::single(TenantId(1)),
                 writes: 1,
                 reads: 0,
                 bytes_per_op: bytes,
-                mean_gap: Dur::from_micros(500),
-                think: Dur::ZERO,
-                seed: 42,
-                real_payload: false,
                 coll: "/scale".into(),
-                abuse: None,
-                per_tenant_streams: false,
-                skew: None,
+                ..SwarmParams::quick()
             };
             let report = run_swarm(&tb, &params);
             (
@@ -102,67 +95,105 @@ fn run_actors(quick: bool) {
     }
 }
 
-/// Thread-actor scale-out: `NODES * procs` lightweight clients each open
-/// their own object and, after a global barrier, write `bytes`
-/// concurrently. `PerOpen` is the paper-faithful mount (every open dials
-/// its own TCP connection, §4 of the paper); `Shared` multiplexes all of a
-/// node's sessions over a bounded stream set. The WAN is the shared
-/// bottleneck either way, so the aggregate bandwidth should match while
-/// the server's connection footprint collapses from `clients` to
-/// `NODES * max_streams`. Returns (connections accepted, live handlers
-/// while every client held its file open, write-phase seconds).
-fn run_threads(procs: usize, bytes: u64, pool: PoolPolicy) -> (u64, usize, f64) {
-    let clients = NODES * procs;
+/// One scale-out client: open its own object, signal `opened`, wait for
+/// `go`, write, close the file and end the session. Each request is
+/// submitted on its session and its reply awaited by parking.
+struct Client {
+    conn: SrbConn,
+    path: String,
+    bytes: u64,
+    /// Requests submitted so far; the one after the open waits for `go`.
+    step: u8,
+    fd: u32,
+    reply: Arc<Mutex<Option<SrbResult<Response>>>>,
+    opened: Event,
+    go: Event,
+}
+
+impl Task for Client {
+    fn poll(&mut self, cx: &mut TaskCtx<'_>) -> TaskStep {
+        if !matches!(self.step, 0 | 2) {
+            let Some(reply) = self.reply.lock().unwrap().take() else {
+                return TaskStep::Park;
+            };
+            match reply.unwrap_or_else(|e| panic!("{}: {e}", self.path)) {
+                Response::Fd(fd) => self.fd = fd,
+                Response::Written(_) | Response::Ok => {}
+                other => panic!("{}: unexpected reply {other:?}", self.path),
+            }
+        }
+        self.step += 1;
+        let (fd, payload) = (self.fd, Payload::sized(self.bytes));
+        let req = match self.step {
+            1 => Request::Open(self.path.clone(), OpenFlags::CreateRw),
+            2 => {
+                self.opened.signal();
+                return TaskStep::Wait(self.go.clone(), None);
+            }
+            3 => Request::Write {
+                fd,
+                offset: 0,
+                payload,
+            },
+            4 => Request::Close(fd),
+            5 => Request::Disconnect,
+            _ => return TaskStep::Done,
+        };
+        let (reply, waker) = (self.reply.clone(), cx.waker.clone());
+        let complete = move |r| {
+            *reply.lock().unwrap() = Some(r);
+            waker.wake();
+        };
+        self.conn.submit(req, Box::new(complete)).expect("submit");
+        TaskStep::Park
+    }
+}
+
+/// `NODES * procs` clients each open their own object and, once every file
+/// is open, write `bytes` at once. `PerOpen` is the paper's mount (every
+/// open dials its own TCP connection, §4); `Shared` multiplexes a node's
+/// sessions over a bounded stream set. The WAN is the bottleneck either
+/// way, so aggregate bandwidth should match while the server's footprint
+/// collapses from `clients` to `NODES * max_streams`. Returns (connections
+/// accepted, live handlers with every file open, write-phase seconds).
+fn run_clients(procs: usize, bytes: u64, policy: PoolPolicy) -> ((u64, usize, f64), SimStats) {
     with_testbed(das2(), NODES, move |tb| {
-        let rt = tb.rt.clone();
-        let mounts: Vec<Arc<SrbFs>> = (0..NODES)
-            .map(|n| {
-                SrbFs::new(
-                    tb.server.clone(),
-                    SrbFsConfig {
-                        pool,
-                        ..SrbFsConfig::new(tb.route(n), USER, PASSWORD)
-                    },
-                )
-            })
-            .collect();
-        let setup = mounts[0].admin_conn().unwrap();
+        let (rt, server) = (tb.rt.clone(), tb.server.clone());
+        let setup = server.connect(tb.route(0), USER, PASSWORD).unwrap();
         setup.mk_coll("/scale").unwrap();
         setup.disconnect().unwrap();
-
-        // Clients rendezvous twice: `opened` marks every file open (the
-        // server's peak footprint), `go` releases the write phase.
-        let opened = Barrier::new(&rt, clients + 1);
-        let go = Barrier::new(&rt, clients + 1);
-        let handles: Vec<_> = (0..NODES)
-            .flat_map(|n| (0..procs).map(move |p| (n, p)))
-            .map(|(n, p)| {
-                let fs = mounts[n].clone();
-                let opened = opened.clone();
-                let go = go.clone();
-                spawn(&rt, &format!("cl{n}-{p}"), move || {
-                    let mut f = fs
-                        .open(&format!("/scale/n{n}p{p}"), OpenFlags::CreateRw)
-                        .unwrap();
-                    opened.wait();
-                    go.wait();
-                    f.write_at(0, &Payload::sized(bytes)).unwrap();
-                    f.close().unwrap();
-                })
+        // The root dials every client's session, node by node. Clients then
+        // rendezvous twice: each signals `opened` with its file open (the
+        // server's peak footprint), and `go` releases the write phase.
+        let pools: Vec<_> = (0..NODES)
+            .map(|_| ConnPool::new(server.clone(), USER, PASSWORD, policy, RetryPolicy::none()))
+            .collect();
+        let (opened, go) = (rt.event(), rt.event());
+        let clients: Vec<_> = (0..NODES * procs)
+            .map(|i| Client {
+                conn: pools[i / procs]
+                    .session(&tb.route(i / procs), None)
+                    .unwrap(),
+                path: format!("/scale/n{}p{}", i / procs, i % procs),
+                bytes,
+                step: 0,
+                fd: 0,
+                reply: Default::default(),
+                opened: opened.clone(),
+                go: go.clone(),
             })
             .collect();
-
-        opened.wait();
-        let live = tb.server.live_conn_count();
-        let conns = tb.server.stats().connections;
+        let tasks = TaskExecutor::new(&rt, "client");
+        let handles: Vec<TaskHandle> = (clients.into_iter())
+            .map(|c| tasks.spawn(Box::new(c)))
+            .collect();
+        handles.iter().for_each(|_| opened.wait());
+        let (live, conns) = (server.live_conn_count(), server.stats().connections);
         let t0 = rt.now();
-        go.wait();
-        for h in handles {
-            h.join_unwrap();
-        }
+        go.signal_n(handles.len());
+        handles.iter().for_each(TaskHandle::join);
         (conns, live, (rt.now() - t0).as_secs_f64())
     })
-    .0
 }
 
 fn main() {
@@ -201,11 +232,12 @@ fn main() {
             ),
         ] {
             let clients = NODES * procs;
-            let (connections, live, secs) = run_threads(procs, bytes, pool);
+            let ((connections, live, secs), sim) = run_clients(procs, bytes, pool);
             let mbps = aggregate_mbps(clients, bytes, secs);
             eprintln!(
                 "fig_scale: {clients} clients / {policy}: {connections} conns, \
-                 {live} live, {mbps:.1} Mb/s"
+                 {live} live, {mbps:.1} Mb/s; {}",
+                engine_footer(&sim)
             );
             t.row(vec![
                 clients.to_string(),

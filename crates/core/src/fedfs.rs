@@ -342,10 +342,11 @@ impl FedFs {
 
     /// Promotion callback from the membership monitor: swap the shard's
     /// roles and hand back the divergence backlog for the reverse
-    /// replicator to drain. Runs on the monitor daemon; the role bump and
-    /// the queue drain are atomic under the divergence lock so an
-    /// in-flight failover write either lands in the drained batch or sees
-    /// the new role and routes itself (see [`FedFile::write_failover`]).
+    /// replicator to drain. Runs inside the monitor task's poll, so it must
+    /// not block; the role bump and the queue drain are atomic under the
+    /// divergence lock so an in-flight failover write either lands in the
+    /// drained batch or sees the new role and routes itself (see
+    /// [`FedFile::write_failover`]).
     fn on_promoted(&self, shard: usize, new_primary: usize) -> Vec<(String, u64, u64)> {
         let state = &self.state[shard];
         let drained: Vec<(String, u64, u64)> = {

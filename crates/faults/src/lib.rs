@@ -8,10 +8,12 @@
 //! [`FaultPlan`] is a list of [`FaultEvent`]s with virtual-time stamps,
 //! built either explicitly (`server_crash_at`) or from a seeded RNG
 //! (`link_flap` spreads its outages with deterministic jitter). Injecting
-//! the plan spawns a daemon actor that replays it against live targets —
-//! the [`Network`]'s link capacities, the [`SrbServer`]'s connection state,
-//! the vault's disk — and keeps a [`FaultStats`] ledger of everything it
-//! did, stamped in virtual time.
+//! the plan spawns a daemon task that sleeps to each event in turn and
+//! applies it to live targets — the [`Network`]'s link capacities, the
+//! [`SrbServer`]'s connection state, the vault's disk — and keeps a
+//! [`FaultStats`] ledger of everything it did, stamped in virtual time. It
+//! costs no thread, and under a schedule hook its timer is the choice point
+//! that moves a fault against the workload's events.
 //!
 //! Because the clock is virtual and the jitter is seeded, the same plan
 //! over the same workload produces bit-identical fault timings, ledgers,
@@ -27,8 +29,9 @@ use parking_lot::Mutex;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use semplar_netsim::{Bw, LinkId, Network};
 use semplar_runtime::sync::OnceCellBlocking;
-use semplar_runtime::{Dur, Runtime, Time};
-use semplar_srb::SrbServer;
+use semplar_runtime::{Dur, Runtime, Task, TaskCtx, TaskExecutor, TaskStep, Time};
+use semplar_srb::vault::DiskOp;
+use semplar_srb::{SrbServer, Vault};
 
 /// One scheduled fault. `at` is virtual time since injection.
 #[derive(Clone, Debug, PartialEq)]
@@ -146,7 +149,6 @@ impl FaultStats {
 /// ```
 #[derive(Clone, Debug)]
 pub struct FaultPlan {
-    seed: u64,
     rng: StdRng,
     events: Vec<FaultEvent>,
 }
@@ -156,15 +158,9 @@ impl FaultPlan {
     /// makes (flap jitter), so equal seeds build equal plans.
     pub fn new(seed: u64) -> FaultPlan {
         FaultPlan {
-            seed,
             rng: StdRng::seed_from_u64(seed),
             events: Vec::new(),
         }
-    }
-
-    /// The seed this plan was built with.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// The scheduled events, in insertion order.
@@ -250,10 +246,10 @@ impl FaultPlan {
         self
     }
 
-    /// Spawn the injector daemon: it replays this plan's events in time
+    /// Spawn the injector task: it replays this plan's events in time
     /// order against `net` and `server`, starting the clock at the moment
-    /// of this call. The daemon does not keep the simulation alive past
-    /// the workload. Returns a handle for reading the [`FaultStats`].
+    /// of this call. It does not keep the simulation alive past the
+    /// workload. Returns a handle for reading the [`FaultStats`].
     pub fn inject(
         &self,
         rt: &Arc<dyn Runtime>,
@@ -298,108 +294,125 @@ impl FaultPlan {
             stats: stats.clone(),
             finished: finished.clone(),
         };
-        let rt2 = rt.clone();
-        let net = net.clone();
-        let servers: Vec<Arc<SrbServer>> = servers.to_vec();
-        rt.spawn_daemon(
-            "faults/injector",
-            Box::new(move || {
-                let start = rt2.now();
-                // Original capacities of links we have faulted, for LinkUp.
-                let mut saved: HashMap<LinkId, Bw> = HashMap::new();
-                for ev in events {
-                    let due = start + ev.at();
-                    let now = rt2.now();
-                    if due > now {
-                        rt2.sleep(due - now);
-                    }
-                    // Under a schedule hook, the injection instant itself is
-                    // an explorable choice: the model checker may defer the
-                    // fault past other events in its window.
-                    let tag = match &ev {
-                        FaultEvent::LinkDown { .. } => "fault/link-down",
-                        FaultEvent::LinkUp { .. } => "fault/link-up",
-                        FaultEvent::LinkDegrade { .. } => "fault/link-degrade",
-                        FaultEvent::ServerCrash { .. } => "fault/server-crash",
-                        FaultEvent::ServerRestart { .. } => "fault/server-restart",
-                        FaultEvent::ConnReset { .. } => "fault/conn-reset",
-                        FaultEvent::VaultStall { .. } => "fault/vault-stall",
-                    };
-                    rt2.schedule_point(tag);
-                    let now = rt2.now();
-                    let (entry, severed) = match &ev {
-                        FaultEvent::LinkDown { link, .. } => {
-                            saved
-                                .entry(*link)
-                                .or_insert_with(|| net.link_capacity(*link));
-                            net.set_link_capacity(*link, Bw::ZERO);
-                            (format!("link {:?} down", link), 0)
-                        }
-                        FaultEvent::LinkUp { link, .. } => {
-                            if let Some(cap) = saved.remove(link) {
-                                net.set_link_capacity(*link, cap);
-                            }
-                            (format!("link {:?} up", link), 0)
-                        }
-                        FaultEvent::LinkDegrade { link, factor, .. } => {
-                            let cap = net.link_capacity(*link);
-                            saved.entry(*link).or_insert(cap);
-                            net.set_link_capacity(*link, Bw::bps(cap.as_bps() * factor));
-                            (format!("link {:?} degraded x{}", link, factor), 0)
-                        }
-                        FaultEvent::ServerCrash { server, .. } => {
-                            let n = servers[*server].crash();
-                            // Committed ledgers predate multi-server plans:
-                            // keep the index-0 wording byte-identical.
-                            let who = if *server == 0 {
-                                "server".to_string()
-                            } else {
-                                format!("server {server}")
-                            };
-                            (format!("{who} crash ({n} conns severed)"), n)
-                        }
-                        FaultEvent::ServerRestart { server, .. } => {
-                            servers[*server].restart();
-                            let who = if *server == 0 {
-                                "server".to_string()
-                            } else {
-                                format!("server {server}")
-                            };
-                            (format!("{who} restart"), 0)
-                        }
-                        FaultEvent::ConnReset { .. } => {
-                            let n = servers[0].reset_all_connections();
-                            (format!("connection reset ({n} conns severed)"), n)
-                        }
-                        FaultEvent::VaultStall { bytes, .. } => {
-                            // The stall must occupy the disk without
-                            // delaying the rest of the schedule.
-                            let vault = servers[0].vault().clone();
-                            let bytes = *bytes;
-                            rt2.spawn_daemon(
-                                "faults/vault-stall",
-                                Box::new(move || vault.inject_load(bytes)),
-                            );
-                            (format!("vault stall ({bytes} bytes)"), 0)
-                        }
-                    };
-                    let mut st = stats.lock();
-                    match &ev {
-                        FaultEvent::LinkDown { .. } => st.link_downs += 1,
-                        FaultEvent::LinkUp { .. } => st.link_ups += 1,
-                        FaultEvent::LinkDegrade { .. } => st.degrades += 1,
-                        FaultEvent::ServerCrash { .. } => st.crashes += 1,
-                        FaultEvent::ServerRestart { .. } => st.restarts += 1,
-                        FaultEvent::ConnReset { .. } => st.resets += 1,
-                        FaultEvent::VaultStall { .. } => st.stalls += 1,
-                    }
-                    st.conns_severed += severed as u64;
-                    st.ledger.push((now, entry));
-                }
-                finished.set(());
-            }),
-        );
+        TaskExecutor::new(rt, "faults/injector").spawn_daemon(Box::new(Injector {
+            start: rt.now(),
+            events: events.into_iter().peekable(),
+            net: net.clone(),
+            servers: servers.to_vec(),
+            saved: HashMap::new(),
+            stalls: TaskExecutor::new(rt, "faults/vault-stall"),
+            stats,
+            finished,
+        }));
         handle
+    }
+}
+
+/// The injector: sleeps to the next due event and applies it, so a schedule
+/// hook sees each fault instant as this task's timer.
+struct Injector {
+    start: Time,
+    /// The plan, in time order, from the next event on.
+    events: std::iter::Peekable<std::vec::IntoIter<FaultEvent>>,
+    net: Arc<Network>,
+    servers: Vec<Arc<SrbServer>>,
+    /// Original capacities of links we have faulted, for LinkUp.
+    saved: HashMap<LinkId, Bw>,
+    /// Where vault stalls run, off the schedule's critical path.
+    stalls: TaskExecutor,
+    stats: Arc<Mutex<FaultStats>>,
+    finished: Arc<OnceCellBlocking<()>>,
+}
+
+impl Injector {
+    /// Apply `ev` now; returns the ledger entry and the connections severed.
+    fn apply(&mut self, ev: &FaultEvent) -> (String, usize) {
+        let (net, servers) = (&self.net, &self.servers);
+        // Committed ledgers predate multi-server plans: keep the index-0
+        // wording byte-identical.
+        let who = |server: usize| match server {
+            0 => "server".to_string(),
+            s => format!("server {s}"),
+        };
+        match *ev {
+            FaultEvent::LinkDown { link, .. } => {
+                self.saved
+                    .entry(link)
+                    .or_insert_with(|| net.link_capacity(link));
+                net.set_link_capacity(link, Bw::ZERO);
+                (format!("link {:?} down", link), 0)
+            }
+            FaultEvent::LinkUp { link, .. } => {
+                if let Some(cap) = self.saved.remove(&link) {
+                    net.set_link_capacity(link, cap);
+                }
+                (format!("link {:?} up", link), 0)
+            }
+            FaultEvent::LinkDegrade { link, factor, .. } => {
+                let cap = net.link_capacity(link);
+                self.saved.entry(link).or_insert(cap);
+                net.set_link_capacity(link, Bw::bps(cap.as_bps() * factor));
+                (format!("link {:?} degraded x{}", link, factor), 0)
+            }
+            FaultEvent::ServerCrash { server, .. } => {
+                let n = servers[server].crash();
+                (format!("{} crash ({n} conns severed)", who(server)), n)
+            }
+            FaultEvent::ServerRestart { server, .. } => {
+                servers[server].restart();
+                (format!("{} restart", who(server)), 0)
+            }
+            FaultEvent::ConnReset { .. } => {
+                let n = servers[0].reset_all_connections();
+                (format!("connection reset ({n} conns severed)"), n)
+            }
+            FaultEvent::VaultStall { bytes, .. } => {
+                self.stalls.spawn_daemon(Box::new(VaultStall {
+                    vault: servers[0].vault().clone(),
+                    op: DiskOp::new(bytes),
+                }));
+                (format!("vault stall ({bytes} bytes)"), 0)
+            }
+        }
+    }
+}
+
+impl Task for Injector {
+    fn poll(&mut self, cx: &mut TaskCtx<'_>) -> TaskStep {
+        while let Some(due) = self.events.peek().map(|ev| self.start + ev.at()) {
+            if due > cx.now {
+                return TaskStep::Sleep(due - cx.now);
+            }
+            let ev = self.events.next().expect("peeked");
+            let (entry, severed) = self.apply(&ev);
+            let mut st = self.stats.lock();
+            match ev {
+                FaultEvent::LinkDown { .. } => st.link_downs += 1,
+                FaultEvent::LinkUp { .. } => st.link_ups += 1,
+                FaultEvent::LinkDegrade { .. } => st.degrades += 1,
+                FaultEvent::ServerCrash { .. } => st.crashes += 1,
+                FaultEvent::ServerRestart { .. } => st.restarts += 1,
+                FaultEvent::ConnReset { .. } => st.resets += 1,
+                FaultEvent::VaultStall { .. } => st.stalls += 1,
+            }
+            st.conns_severed += severed as u64;
+            st.ledger.push((cx.now, entry));
+        }
+        self.finished.set(());
+        TaskStep::Done
+    }
+}
+
+/// The slow-vault fault: `op`'s competing bytes occupy the disk, sharing it
+/// max-min fairly with the vault's own reads and writes until they drain.
+struct VaultStall {
+    vault: Arc<Vault>,
+    op: DiskOp,
+}
+
+impl Task for VaultStall {
+    fn poll(&mut self, _cx: &mut TaskCtx<'_>) -> TaskStep {
+        self.vault.poll_disk(&mut self.op).unwrap_or(TaskStep::Done)
     }
 }
 
@@ -414,11 +427,6 @@ impl FaultInjector {
     /// Snapshot of the ledger so far.
     pub fn stats(&self) -> FaultStats {
         self.stats.lock().clone()
-    }
-
-    /// Events injected so far.
-    pub fn injected(&self) -> usize {
-        self.stats.lock().injected()
     }
 
     /// True once every scheduled event has been injected.
@@ -513,6 +521,43 @@ mod tests {
             inj.wait(); // past: returns at once
             assert_eq!(rt.now(), t0 + Dur::from_millis(77));
         });
+    }
+
+    #[test]
+    fn injecting_a_plan_spawns_no_thread() {
+        use semplar_netsim::Bw;
+        use semplar_runtime::SimRuntime;
+        use semplar_srb::SrbServerCfg;
+
+        let ms = Dur::from_millis;
+        let sim = SimRuntime::new();
+        let stats = sim.run_root(move |rt| {
+            let net = Network::new(rt.clone());
+            let link = net.add_link("l", Bw::mbps(10.0), Dur::ZERO);
+            let s = SrbServer::new(net.clone(), SrbServerCfg::default());
+            let t0 = rt.now();
+            // One event of every kind; the degrade brings its own LinkUp.
+            let inj = FaultPlan::new(9)
+                .event(FaultEvent::LinkDown { at: ms(1), link })
+                .event(FaultEvent::LinkUp { at: ms(2), link })
+                .link_degrade_at(link, ms(3), 0.5, ms(1))
+                .server_crash_at(ms(5), ms(1))
+                .conn_reset_at(ms(7))
+                .vault_stall_at(ms(8), 1 << 20)
+                .inject(&rt, &net, &s);
+            inj.wait();
+            assert_eq!(rt.now(), t0 + ms(8), "returns at the last event");
+            inj.stats()
+        });
+        let kinds = |s: &FaultStats| {
+            let links = (s.link_downs, s.link_ups, s.degrades);
+            (links, s.crashes, s.restarts, s.resets, s.stalls)
+        };
+        assert_eq!(kinds(&stats), ((1, 2, 1), 1, 1, 1, 1));
+        // The root is the run's one thread; the injector and the stall that
+        // is still draining when the run ends are tasks.
+        let st = sim.stats();
+        assert_eq!((st.actors_spawned, st.tasks_spawned), (1, 2));
     }
 
     #[test]

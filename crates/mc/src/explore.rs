@@ -1,6 +1,7 @@
 //! Bounded systematic exploration.
 //!
-//! The explorer enumerates schedules by *stateless re-execution*: each
+//! The explorer enumerates schedules depth-first by *stateless
+//! re-execution*: each
 //! candidate schedule is a prefix of choice indices, executed from scratch
 //! against a fresh virtual-time simulation with a [`ScriptHook`]. After an
 //! execution, every choice point the run revealed **beyond** its scripted
@@ -23,26 +24,15 @@
 //! `schedule diverged at point k (wanted i of n)` (see [`ScriptHook`]) and
 //! is reported like any other violation, with the trace that led there.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 
 use crate::scenario::Scenario;
 use crate::script::ScriptHook;
 use crate::trace::McTrace;
 
-/// Worklist discipline for the exploration frontier.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Strategy {
-    /// Depth-first: dives to the depth bound quickly; smallest frontier.
-    Dfs,
-    /// Breadth-first: finds shallow counterexamples first.
-    Bfs,
-}
-
 /// Bounds and knobs for one exploration.
 #[derive(Clone, Debug)]
 pub struct ExploreCfg {
-    /// Worklist discipline.
-    pub strategy: Strategy,
     /// Maximum choice-point depth expanded (points beyond it always take
     /// the default event).
     pub depth: usize,
@@ -53,24 +43,15 @@ pub struct ExploreCfg {
     pub prune_visited: bool,
     /// Stop at the first invariant violation instead of exploring on.
     pub stop_on_violation: bool,
-    /// Partial-order reduction: skip alternatives that the scenario's
-    /// [`Scenario::commutes`] oracle declares independent of the event the
-    /// default schedule took at the same point (the swapped interleaving
-    /// is a transposition of one already explored). Off by default — the
-    /// committed `fig_mc` summaries predate the reduction and must not
-    /// change.
-    pub por: bool,
 }
 
 impl Default for ExploreCfg {
     fn default() -> ExploreCfg {
         ExploreCfg {
-            strategy: Strategy::Dfs,
             depth: 8,
             max_executions: 2000,
             prune_visited: true,
             stop_on_violation: true,
-            por: false,
         }
     }
 }
@@ -94,21 +75,14 @@ pub struct ExploreReport {
     pub unique_states: u64,
     /// Alternatives skipped by visited-state pruning.
     pub pruned: u64,
-    /// Alternatives skipped by partial-order reduction (commuting pairs).
-    pub pruned_por: u64,
-    /// Whether partial-order reduction was enabled for this exploration.
-    pub por: bool,
     /// True when `max_executions` cut the frontier short.
     pub truncated: bool,
 }
 
 impl ExploreReport {
-    /// The deterministic one-line summary diffed by CI. The
-    /// `pruned_por` field only appears when the reduction was enabled,
-    /// so summaries from POR-off runs — including every committed
-    /// `fig_mc` output — render exactly as they did before POR existed.
+    /// The deterministic one-line summary diffed by CI.
     pub fn summary(&self) -> String {
-        let mut s = format!(
+        format!(
             "executions={} violations={} choice_points={} max_alternatives={} \
              max_points_per_run={} unique_states={} pruned={} truncated={}",
             self.executions,
@@ -119,29 +93,18 @@ impl ExploreReport {
             self.unique_states,
             self.pruned,
             self.truncated,
-        );
-        if self.por {
-            s.push_str(&format!(" pruned_por={}", self.pruned_por));
-        }
-        s
+        )
     }
 }
 
 /// Run a bounded exploration of `scenario` under `cfg`.
 pub fn explore(scenario: &dyn Scenario, cfg: &ExploreCfg) -> ExploreReport {
     semplar_runtime::set_quiet_panics(true);
-    let mut report = ExploreReport {
-        por: cfg.por,
-        ..ExploreReport::default()
-    };
-    let mut worklist: VecDeque<Vec<usize>> = VecDeque::new();
-    worklist.push_back(Vec::new());
+    let mut report = ExploreReport::default();
+    let mut worklist: Vec<Vec<usize>> = vec![Vec::new()];
     let mut expanded: HashSet<(u64, usize)> = HashSet::new();
     let mut states: HashSet<u64> = HashSet::new();
-    while let Some(prefix) = match cfg.strategy {
-        Strategy::Dfs => worklist.pop_back(),
-        Strategy::Bfs => worklist.pop_front(),
-    } {
+    while let Some(prefix) = worklist.pop() {
         if report.executions >= cfg.max_executions {
             report.truncated = true;
             break;
@@ -171,26 +134,13 @@ pub fn explore(scenario: &dyn Scenario, cfg: &ExploreCfg) -> ExploreReport {
         // Expand only points this run decided freshly (beyond its prefix).
         for i in prefix.len()..records.len().min(cfg.depth) {
             for alt in 1..records[i].alternatives {
-                // Partial-order reduction: if the alternative commutes
-                // with the event this run took here, the schedule that
-                // fires it first is a transposition of one in the
-                // explored subtree — same successor state, nothing new.
-                if cfg.por
-                    && scenario.commutes(
-                        &records[i].eligible[records[i].chosen],
-                        &records[i].eligible[alt],
-                    )
-                {
-                    report.pruned_por += 1;
-                    continue;
-                }
                 if cfg.prune_visited && !expanded.insert((records[i].fingerprint, alt)) {
                     report.pruned += 1;
                     continue;
                 }
                 let mut next: Vec<usize> = records[..i].iter().map(|r| r.chosen).collect();
                 next.push(alt);
-                worklist.push_back(next);
+                worklist.push(next);
             }
         }
     }
@@ -276,54 +226,6 @@ mod tests {
         }
     }
 
-    /// Two independent groups of two actors: `a0,a1` race onto one order
-    /// vector, `b0,b1` onto another. Cross-group pairs touch disjoint
-    /// state and commute; same-group pairs race on a shared vec and must
-    /// stay ordered. The "invariant" forbids configurable group-a orders.
-    struct TwoGroups {
-        forbidden_a: Vec<Vec<usize>>,
-    }
-
-    impl Scenario for TwoGroups {
-        fn name(&self) -> &str {
-            "two-groups"
-        }
-        fn run(&self, hook: Arc<ScriptHook>) -> Result<(), String> {
-            let sim = SimRuntime::new();
-            sim.set_schedule_hook(hook, Dur::from_micros(10));
-            let order_a = sim.run_root(|rt| {
-                let oa = Arc::new(parking_lot::Mutex::new(Vec::new()));
-                let ob = Arc::new(parking_lot::Mutex::new(Vec::new()));
-                let mut hs = Vec::new();
-                for (group, o) in [("a", &oa), ("b", &ob)] {
-                    for i in 0..2usize {
-                        let rt2 = rt.clone();
-                        let o = o.clone();
-                        hs.push(spawn(&rt, &format!("{group}{i}"), move || {
-                            rt2.sleep(Dur::from_micros(5 + i as u64));
-                            o.lock().push(i);
-                        }));
-                    }
-                }
-                for h in hs {
-                    h.join_unwrap();
-                }
-                let o = oa.lock().clone();
-                o
-            });
-            if self.forbidden_a.contains(&order_a) {
-                return Err(format!("forbidden group-a order {order_a:?}"));
-            }
-            Ok(())
-        }
-        fn commutes(&self, a: &str, b: &str) -> bool {
-            // Labels are `a0/sleep`, `b1/sleep`, ...: cross-group events
-            // write disjoint vectors, same-group events race.
-            let group = |l: &str| l.as_bytes().first().copied();
-            group(a) != group(b)
-        }
-    }
-
     #[test]
     fn explores_every_permutation_of_a_three_way_race() {
         let report = explore(
@@ -340,56 +242,6 @@ mod tests {
         assert!(report.counterexample.is_none());
         assert_eq!(report.max_alternatives, 3);
         assert!(!report.truncated);
-    }
-
-    #[test]
-    fn por_prunes_commuting_interleavings_without_losing_coverage() {
-        let mk = |por| ExploreCfg {
-            por,
-            prune_visited: false,
-            stop_on_violation: false,
-            ..ExploreCfg::default()
-        };
-        // Same-group races fully explored either way: the reversed
-        // group-a order is reachable only by reordering a0/a1, which the
-        // oracle refuses to prune — POR must still find the violation.
-        let sc = TwoGroups {
-            forbidden_a: vec![vec![1, 0]],
-        };
-        let full = explore(&sc, &mk(false));
-        let por = explore(&sc, &mk(true));
-        assert!(full.violations > 0);
-        assert!(
-            por.violations > 0,
-            "POR pruned the only path to the violation"
-        );
-        assert!(por.pruned_por > 0, "oracle never fired");
-        assert!(
-            por.executions < full.executions,
-            "POR executed {} schedules, full exploration {}",
-            por.executions,
-            full.executions
-        );
-        assert!(!full.por);
-        assert!(por.por);
-    }
-
-    #[test]
-    fn por_field_appears_in_summaries_only_when_enabled() {
-        let off = explore(&Toy { forbidden: vec![] }, &ExploreCfg::default());
-        assert!(!off.summary().contains("pruned_por"));
-        let on = explore(
-            &Toy { forbidden: vec![] },
-            &ExploreCfg {
-                por: true,
-                ..ExploreCfg::default()
-            },
-        );
-        // The toy's oracle is the default (nothing commutes): POR runs
-        // the identical exploration, only the summary grows the field.
-        assert!(on.summary().ends_with("pruned_por=0"));
-        assert_eq!(off.executions, on.executions);
-        assert_eq!(off.unique_states, on.unique_states);
     }
 
     #[test]
@@ -463,19 +315,6 @@ mod tests {
         }
         assert_eq!(runs[0].0, vec![2, 1, 0]);
         assert!(runs.iter().all(|r| r == &runs[0]), "{runs:?}");
-    }
-
-    #[test]
-    fn bfs_visits_the_same_interleavings_as_dfs() {
-        let mk = |strategy| ExploreCfg {
-            strategy,
-            prune_visited: false,
-            ..ExploreCfg::default()
-        };
-        let d = explore(&Toy { forbidden: vec![] }, &mk(Strategy::Dfs));
-        let b = explore(&Toy { forbidden: vec![] }, &mk(Strategy::Bfs));
-        assert_eq!(d.executions, b.executions);
-        assert_eq!(d.unique_states, b.unique_states);
     }
 
     #[test]

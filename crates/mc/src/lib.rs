@@ -8,13 +8,15 @@
 //! The seeded fault plans used by the regression suite explore exactly one
 //! interleaving per seed. This crate explores *all* of them, up to a
 //! bound: [`SimRuntime`](semplar_runtime::SimRuntime) exposes a schedule
-//! hook that is consulted whenever more than one wake/timer/fault event is
-//! eligible within a window, and protocol code marks its decision points
-//! (`fault/server-crash`, `replicator/ship-block`,
-//! `reconcile/resume-block`) with
+//! hook that is consulted whenever more than one timer is eligible within
+//! a window. A task's timers are choices under its own label
+//! (`faults/injector/0/task sleep` is when the next fault lands,
+//! `membership/monitor/<shard>/task sleep` a heartbeat or vote hop), and
+//! thread code marks its decision points (`replicator/ship-block`,
+//! `reconcile/resume-block`, `reshard/copy-block`) with
 //! [`schedule_point`](semplar_runtime::Runtime::schedule_point). The
 //! [`explore`] driver enumerates schedules by stateless re-execution —
-//! DFS or BFS over prefixes of choice indices, visited-state hashing for
+//! depth-first over prefixes of choice indices, visited-state hashing for
 //! pruning — runs a bounded [`Scenario`] under each, checks its
 //! invariants, and on violation emits a serialized [`McTrace`] that
 //! replays the exact interleaving as a failing test.
@@ -36,7 +38,7 @@ mod scenario;
 mod script;
 mod trace;
 
-pub use explore::{explore, ExploreCfg, ExploreReport, Strategy};
+pub use explore::{explore, ExploreCfg, ExploreReport};
 pub use lease::{LeaseBroken, LeaseObservation, LeaseScenario};
 pub use promotion::{PromotionObservation, PromotionScenario};
 pub use scenario::{BrokenInvariant, FederationScenario, RunObservation, Scenario};

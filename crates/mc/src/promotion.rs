@@ -320,15 +320,6 @@ impl Scenario for PromotionScenario {
     fn run(&self, hook: Arc<ScriptHook>) -> Result<(), String> {
         self.observe(Some(hook)).map(|_| ())
     }
-
-    /// Same argument as [`FederationScenario`](crate::FederationScenario):
-    /// two ship-block events eligible together belong to different
-    /// replicator daemons with disjoint targets, so they commute. All
-    /// membership points (heartbeats, vote rounds) share the shard
-    /// governance state and stay ordered.
-    fn commutes(&self, a: &str, b: &str) -> bool {
-        a == "replicator/ship-block" && b == "replicator/ship-block"
-    }
 }
 
 #[cfg(test)]
@@ -377,7 +368,6 @@ mod tests {
             &ExploreCfg {
                 depth: 3,
                 max_executions: 8,
-                por: true,
                 ..ExploreCfg::default()
             },
         );

@@ -44,21 +44,6 @@ pub trait Scenario: Send + Sync {
     /// Execute one schedule from scratch. `Ok(())` means every invariant
     /// held; `Err` carries the violation message.
     fn run(&self, hook: Arc<ScriptHook>) -> Result<(), String>;
-
-    /// The partial-order-reduction oracle: do the events labelled `a` and
-    /// `b` **commute** — read and write fully disjoint state, so that
-    /// firing them in either order reaches the same state?
-    ///
-    /// When [`ExploreCfg::por`](crate::ExploreCfg) is set, the explorer
-    /// skips expanding an alternative that commutes with the event the
-    /// default schedule took at the same point: the swapped interleaving
-    /// is a transposition of one already in the explored subtree. The
-    /// default says nothing commutes, which disables the reduction —
-    /// override it only for label pairs where disjointness is a protocol
-    /// guarantee, because a wrong `true` here silently unsouds the search.
-    fn commutes(&self, _a: &str, _b: &str) -> bool {
-        false
-    }
 }
 
 /// A deliberately broken invariant, used to prove the counterexample
@@ -341,17 +326,6 @@ impl Scenario for FederationScenario {
     fn run(&self, hook: Arc<ScriptHook>) -> Result<(), String> {
         self.observe(Some(hook)).map(|_| ())
     }
-
-    /// Two `replicator/ship-block` events eligible at the same point are
-    /// necessarily **different shards'** replicator daemons (one actor
-    /// blocks at most once), and each ships a block into its own
-    /// replica's vault and its own divergence ledger — fully disjoint
-    /// state, so the pair commutes. Everything else (crash injection,
-    /// reconcile resumption, workload timers) shares state with its
-    /// neighbours and stays ordered.
-    fn commutes(&self, a: &str, b: &str) -> bool {
-        a == "replicator/ship-block" && b == "replicator/ship-block"
-    }
 }
 
 #[cfg(test)]
@@ -406,7 +380,6 @@ mod tests {
             &ExploreCfg {
                 depth: 3,
                 max_executions: 10,
-                por: true,
                 ..ExploreCfg::default()
             },
         );

@@ -26,9 +26,7 @@ pub struct ChoiceRecord {
     /// `actor/reason` for plain timers).
     pub label: String,
     /// Labels of **every** eligible event at this point, in engine order
-    /// (`eligible[chosen] == label`). The explorer's partial-order
-    /// reduction consults these to decide whether an unexplored
-    /// alternative commutes with the event the default schedule took.
+    /// (`eligible[chosen] == label`).
     pub eligible: Vec<String>,
 }
 

@@ -107,7 +107,7 @@ mod tests {
             violation: "checksum mismatch on /fed/data0".into(),
             choices: vec![0, 2, 1],
             points: vec![
-                (2, "fault/server-crash".into()),
+                (2, "faults/injector/0/task sleep".into()),
                 (3, "replicator/ship-block".into()),
                 (2, "reconcile/resume-block".into()),
             ],

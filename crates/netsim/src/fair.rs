@@ -207,15 +207,16 @@ impl Workspace {
                 self.push_share(l);
             }
         }
-        self.capped.clear();
-        for (f, &c) in self.flow_cap.iter().enumerate() {
-            if c.is_finite() {
-                self.capped.push(CapEntry {
-                    cap: c,
-                    flow: f as u32,
-                });
-            }
-        }
+        // Heapified in one pass, not one push per window-capped flow.
+        let mut capped = std::mem::take(&mut self.capped).into_vec();
+        capped.clear();
+        capped.extend(self.flow_cap.iter().enumerate().filter_map(|(f, &c)| {
+            c.is_finite().then_some(CapEntry {
+                cap: c,
+                flow: f as u32,
+            })
+        }));
+        self.capped = capped.into();
 
         let mut remaining = nf;
         while remaining > 0 {
@@ -291,7 +292,9 @@ impl Workspace {
                 break;
             }
             // Freeze the bottleneck link's unfixed members at the fair share.
+            // When they are all the flows left, no share is asked for again.
             let bl = best_link as usize;
+            let last = self.count[bl] == remaining;
             let (ms, me) = (self.start[bl] as usize, self.pos[bl] as usize);
             for k in ms..me {
                 let f = self.members[k] as usize;
@@ -305,7 +308,7 @@ impl Workspace {
                     let l = self.path_flat[j as usize] as usize;
                     self.residual[l] -= best_share;
                     self.count[l] -= 1;
-                    if l != bl && self.count[l] > 0 {
+                    if !last && l != bl && self.count[l] > 0 {
                         self.push_share(l);
                     }
                 }

@@ -175,6 +175,8 @@ struct FlowState {
     buses: Vec<(usize, DeviceClass)>,
     /// Sticky contention flag (see [`BusSpec`]).
     contended: bool,
+    /// `ev` was signalled since the owner last polled the flow.
+    notified: bool,
 }
 
 struct BusState {
@@ -407,6 +409,7 @@ impl Network {
             ev,
             buses,
             contended: false,
+            notified: false,
         });
         g.active += 1;
         // Contention trigger: only an arrival can newly satisfy the
@@ -466,10 +469,14 @@ impl Network {
 
     /// Signal every flow in `to_signal`: its owner re-polls and re-arms its
     /// completion timer against the new rate. Signals bank a permit, so an
-    /// owner that has not blocked yet cannot miss one.
+    /// owner that has not blocked yet cannot miss one; one not yet polled
+    /// since its last signal will read the latest rate anyway.
     fn signal_rate_changes(g: &mut NetInner) {
         for s in g.to_signal.drain(..) {
-            g.slots[s].iter().for_each(|f| f.ev.signal());
+            if let Some(f) = g.slots[s].as_mut().filter(|f| !f.notified) {
+                f.notified = true;
+                f.ev.signal();
+            }
         }
     }
 
@@ -705,7 +712,8 @@ impl Network {
         let now = self.rt.now();
         // Only this flow: nobody else's rate is changing.
         Self::settle_flow(&mut g, flow.slot, now);
-        let f = g.slots[flow.slot].as_ref().expect("own flow vanished");
+        let f = g.slots[flow.slot].as_mut().expect("own flow vanished");
+        f.notified = false;
         if f.bits_rem <= DONE_BITS {
             Self::end_flow_locked(&mut g, now, flow.slot);
             return None;

@@ -734,6 +734,11 @@ impl Engine {
         st.next_seq += 1;
         st.stats.timers_armed += 1;
         st.timers.push(TimerEntry { at, seq, slot });
+        // A wake that beats a timer leaves its entry behind; an actor has at
+        // most one live one, so sweep once stale ones are most of the heap.
+        if st.timers.len() > 2 * st.live() + 64 {
+            st.timers.retain(|e| !e.slot.is_woken());
+        }
     }
 
     fn schedule_point(self: &Arc<Self>, tag: &str) {

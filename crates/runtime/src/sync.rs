@@ -315,13 +315,21 @@ impl<T: Clone> OnceCellBlocking<T> {
     /// Block until the value is published, then return a clone.
     pub fn wait(&self) -> T {
         loop {
-            if let Some(v) = self.slot.lock().clone() {
-                // Cascade the permit so every other waiter wakes too.
-                self.ev.signal();
+            if let Ok(v) = self.poll_wait() {
                 return v;
             }
             self.ev.wait();
         }
+    }
+
+    /// [`OnceCellBlocking::wait`] for a [`Task`](crate::Task): the value,
+    /// or the step that blocks where `wait` would — return it from `poll`
+    /// and call this again when polled next.
+    pub fn poll_wait(&self) -> Result<T, TaskStep> {
+        let v = (self.slot.lock().clone()).ok_or_else(|| TaskStep::Wait(self.ev.clone(), None))?;
+        // Cascade the permit so every other waiter wakes too.
+        self.ev.signal();
+        Ok(v)
     }
 }
 

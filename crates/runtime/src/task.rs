@@ -1,10 +1,10 @@
 //! Event-driven micro-actors ("tasks"): the actor body that costs no thread.
 //!
 //! A thread actor is the right price for code that needs a stack (the
-//! paper's compute and I/O threads, an MPI rank) and a hard ceiling for
-//! entities that only ever wait: `fig_scale` tops out around 4×10³ threads.
-//! A [`Task`] is a poll-style state machine instead — a swarm client, a
-//! server's connection handler, a stream's demultiplexer and sender. The
+//! paper's compute and I/O threads, an MPI rank) and a needless one for
+//! entities that only ever wait. A [`Task`] is a poll-style state machine
+//! instead — a scale-out client, a server's connection handler, a stream's
+//! demultiplexer and sender, the fault injector, a membership monitor. The
 //! virtual-time engine's dispatcher polls it inline, on whichever thread
 //! just gave up the baton, from the ready queue and timer heap that schedule
 //! threads too; an idle task costs its state machine plus a table slot — a

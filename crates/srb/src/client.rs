@@ -13,6 +13,7 @@
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use semplar_runtime::sync::OnceCellBlocking;
 use semplar_runtime::Runtime;
 
 use crate::pool::SlotTicket;
@@ -139,19 +140,31 @@ impl SrbConn {
     /// as `Err(Disconnected)`) arrives. This is the event-driven client
     /// path — a task-mode actor submits here and its waker runs inside
     /// `complete`, so ten-thousand idle sessions hold no blocked thread.
+    ///
+    /// [`Request::Disconnect`] ends the session as [`SrbConn::disconnect`]
+    /// does: a session on a pool slot sends `EndSession` instead, and one
+    /// that owns its stream closes it once the reply (or the cut) is in.
     pub fn submit(
         &self,
         req: Request,
         complete: Box<dyn FnOnce(SrbResult<Response>) + Send>,
     ) -> SrbResult<()> {
         let acked = Arc::clone(&self.acked);
+        let (req, owned) = match req {
+            Request::Disconnect if self.origin.is_some() => (Request::EndSession, None),
+            Request::Disconnect => (req, Some(Arc::clone(&self.transport))),
+            req => (req, None),
+        };
         self.transport.submit(
             self.session,
             self.tenant(),
             self.current_epoch(),
             req,
             None,
-            Box::new(move |frame| complete(settle(&acked, frame).map(|f| f.resp))),
+            Box::new(move |frame| {
+                complete(settle(&acked, frame).map(|f| f.resp));
+                owned.iter().for_each(|t| t.close());
+            }),
         );
         Ok(())
     }
@@ -369,14 +382,13 @@ impl SrbConn {
     /// the connection down; one on a pool slot only retires its fd
     /// namespace, leaving the stream to the slot's other sessions. Further
     /// calls on a torn-down stream fail with [`SrbError::Disconnected`].
+    /// A [`SrbConn::submit`] of [`Request::Disconnect`], waited for (the
+    /// server answers a session's end with `Ok`).
     pub fn disconnect(&self) -> SrbResult<()> {
-        if self.origin.is_none() {
-            let r = self.expect_ok(Request::Disconnect);
-            self.transport.close();
-            r
-        } else {
-            self.expect_ok(Request::EndSession)
-        }
+        let reply = OnceCellBlocking::new(self.runtime());
+        let cell = reply.clone();
+        self.submit(Request::Disconnect, Box::new(move |r| cell.set(r)))?;
+        reply.wait().map(drop)
     }
 
     /// The runtime this session charges time against.

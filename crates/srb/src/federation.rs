@@ -309,15 +309,18 @@ impl Replicator {
     /// drained: every extent enqueued so far is durable on the replica
     /// when this returns — at the instant its last block is acked.
     pub fn quiesce(&self) {
-        let drained = {
-            let mut d = self.drain.lock();
-            if d.0 == 0 {
-                return;
-            }
-            d.1.get_or_insert_with(|| OnceCellBlocking::new(&self.rt))
-                .clone()
-        };
-        drained.wait();
+        if let Some(drained) = self.drained() {
+            drained.wait();
+        }
+    }
+
+    /// The non-blocking half of [`Replicator::quiesce`]: `None` once every
+    /// extent enqueued so far is acked, else the cell its last ack sets.
+    pub fn drained(&self) -> Option<Arc<OnceCellBlocking<()>>> {
+        let mut d = self.drain.lock();
+        let (pending, cell) = &mut *d;
+        let fresh = || OnceCellBlocking::new(&self.rt);
+        (*pending > 0).then(|| cell.get_or_insert_with(fresh).clone())
     }
 
     fn run(self: Arc<Self>) {

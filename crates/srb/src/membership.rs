@@ -1,15 +1,15 @@
 //! Shard membership: leases, epochs, quorum promotion, and fencing.
 //!
-//! The federation's replica (PR 5) only ever *served reads*: a long primary
-//! outage grew the divergence queue without bound because no one else could
-//! accept writes. This module turns each primary/replica pair into a
-//! governed shard with a real high-availability protocol, entirely on
-//! virtual time so every run is deterministic and explorable:
+//! Without it a shard's replica only serves reads, and a long primary outage
+//! grows the divergence queue without bound. This module turns each
+//! primary/replica pair into a governed shard with a high-availability
+//! protocol, entirely on virtual time so every run is deterministic and
+//! explorable:
 //!
-//! * **Leases & heartbeats** — a per-shard monitor daemon heartbeats the
-//!   current primary every [`MembershipCfg::heartbeat_every`]. A primary
-//!   that misses heartbeats for [`MembershipCfg::lease_timeout`] loses its
-//!   lease.
+//! * **Leases & heartbeats** — a per-shard monitor heartbeats the current
+//!   primary every [`MembershipCfg::heartbeat_every`]. A primary that misses
+//!   heartbeats for [`MembershipCfg::lease_timeout`] loses its lease. The
+//!   monitor only sleeps and waits: it is a task, `membership/monitor/<n>`.
 //! * **Quorum promotion** — on lease expiry the monitor runs a collapsed,
 //!   deterministic Bracha-style reliable-broadcast vote over all federation
 //!   seats (every server in every governed shard, plus optional witness
@@ -37,14 +37,15 @@
 //!   only flips which direction is active.
 //!
 //! Everything here is opt-in: without a [`Membership`] instance no server
-//! fences, no daemon runs, frames carry epoch 0, and a shard's roles never
+//! fences, no monitor runs, frames carry epoch 0, and a shard's roles never
 //! move.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use semplar_runtime::{Dur, Runtime, Time};
+use semplar_runtime::sync::OnceCellBlocking;
+use semplar_runtime::{Dur, Runtime, Task, TaskCtx, TaskExecutor, TaskStep, Time};
 
 use crate::federation::Replicator;
 use crate::server::SrbServer;
@@ -162,7 +163,7 @@ struct ShardGov {
     hook: Mutex<Option<PromotionHook>>,
 }
 
-/// The membership service: per-shard monitor daemons plus the shared vote
+/// The membership service: per-shard monitor tasks plus the shared vote
 /// and ledger state. One instance governs an entire federation.
 pub struct Membership {
     rt: Arc<dyn Runtime>,
@@ -175,7 +176,7 @@ impl Membership {
     /// Put `pairs` under membership governance: enable epoch fencing on
     /// every seat at [`MembershipCfg::base_epoch`], stamp both replicators
     /// of each pair into the epoch, deactivate the reverse replicators
-    /// (seat 0 starts as primary), and spawn one monitor daemon per shard.
+    /// (seat 0 starts as primary), and spawn one monitor task per shard.
     pub fn start(
         rt: &Arc<dyn Runtime>,
         cfg: MembershipCfg,
@@ -219,12 +220,13 @@ impl Membership {
             shards,
             ledger: Mutex::new(PromotionLedger::default()),
         });
-        for s in 0..m.shards.len() {
-            let me = m.clone();
-            rt.spawn_daemon(
-                &format!("membership/monitor-{s}"),
-                Box::new(move || me.monitor(s)),
-            );
+        let monitors = TaskExecutor::new(rt, "membership/monitor");
+        for shard in 0..m.shards.len() {
+            monitors.spawn_daemon(Box::new(Monitor {
+                m: m.clone(),
+                shard,
+                watch: Watch::Start,
+            }));
         }
         m
     }
@@ -306,87 +308,37 @@ impl Membership {
                 .count()
     }
 
-    /// Per-shard monitor: heartbeat the primary, certify fenced rejoiners,
-    /// depose and replace a primary whose lease expired.
-    fn monitor(self: Arc<Self>, shard: usize) {
-        loop {
-            self.rt.sleep(self.cfg.heartbeat_every);
-            self.rt.schedule_point("membership/heartbeat");
-            let gov = &self.shards[shard];
-            let p = gov.primary.load(Ordering::SeqCst);
-            let r = 1 - p;
-            if !gov.servers[p].is_crashed() {
-                *gov.last_beat.lock() = self.rt.now();
-                // A restarted seat comes back hard-fenced; certify it into
-                // the current epoch so it can serve again. The primary
-                // itself hits this after a sub-lease blip; the deposed
-                // primary hits it below, after promotion, as a rejoin.
-                for seat in [p, r] {
-                    if gov.servers[seat].is_fenced() && !gov.servers[seat].is_crashed() {
-                        self.certify_rejoin(shard, seat);
-                    }
+    /// A heartbeat: refresh a live primary's lease and certify fenced
+    /// rejoiners; `true` once the lease expired and a live replica stands.
+    fn beat(&self, shard: usize) -> bool {
+        let gov = &self.shards[shard];
+        let p = gov.primary.load(Ordering::SeqCst);
+        let r = 1 - p;
+        if !gov.servers[p].is_crashed() {
+            *gov.last_beat.lock() = self.rt.now();
+            // A restarted seat comes back hard-fenced; certify it into the
+            // current epoch so it can serve again. The primary itself hits
+            // this after a sub-lease blip; the deposed primary hits it
+            // after promotion, as a rejoin.
+            for seat in [p, r] {
+                if gov.servers[seat].is_fenced() && !gov.servers[seat].is_crashed() {
+                    self.certify_rejoin(shard, seat);
                 }
-                continue;
             }
-            let silent = self.rt.now().since(*gov.last_beat.lock());
-            if silent < self.cfg.lease_timeout {
-                continue;
-            }
-            // Lease expired. The replica can only take over if it is alive
-            // and the federation can still form a quorum.
-            self.rt.schedule_point("membership/lease-expiry");
-            if gov.servers[r].is_crashed() {
-                continue;
-            }
-            if let Some((echoes, readies)) = self.vote() {
-                self.promote(shard, r, echoes, readies);
-            }
+            return false;
         }
+        let silent = self.rt.now().since(*gov.last_beat.lock());
+        // The replica can only take over if it is alive.
+        silent >= self.cfg.lease_timeout && !gov.servers[r].is_crashed()
     }
 
-    /// Collapsed deterministic Bracha vote. Returns `(echoes, readies)` on
-    /// delivery, `None` if the thresholds cannot be met with the seats
-    /// currently live. n seats, f = ⌊(n−1)/3⌋ tolerated faults,
-    /// echo ≥ ⌈(n+f+1)/2⌉, ready ≥ 2f+1 (f+1 amplification implied).
-    fn vote(&self) -> Option<(u32, u32)> {
-        let n = self.seat_count();
-        let f = (n - 1) / 3;
-        let echo_needed = (n + f + 1).div_ceil(2);
-        let ready_needed = 2 * f + 1;
-        // Send round: the monitor (on behalf of the expiring lease)
-        // proposes the promotion to every seat.
-        self.rt.sleep(self.cfg.hop_delay);
-        self.rt.schedule_point("membership/vote-send");
-        // Echo round: every live, honest seat echoes the proposal.
-        let echoes = self.live_seats();
-        self.rt.sleep(self.cfg.hop_delay);
-        self.rt.schedule_point("membership/vote-echo");
-        if echoes < echo_needed {
-            return None;
-        }
-        // Ready round: seats that saw an echo quorum broadcast ready; the
-        // f+1 amplification rule lets stragglers join, so every live seat
-        // ends up ready.
-        let readies = self.live_seats();
-        self.rt.sleep(self.cfg.hop_delay);
-        self.rt.schedule_point("membership/vote-ready");
-        if readies < ready_needed {
-            return None;
-        }
-        Some((echoes as u32, readies as u32))
-    }
-
-    /// Commit a delivered promotion: drain the forward replicator, flip
+    /// Commit a delivered promotion, the forward replicator drained: flip
     /// replication direction, hand the divergence backlog to the reverse
     /// replicator, certify the new primary into the bumped epoch, and
     /// advance every registered stamp.
-    fn promote(self: &Arc<Self>, shard: usize, new_primary: usize, echoes: u32, readies: u32) {
+    fn promote(&self, shard: usize, echoes: u32, readies: u32) {
         let gov = &self.shards[shard];
-        // Everything the old primary ever acked must reach the new primary
-        // before it takes authority — the old primary's vault survives its
-        // crash, so the forward queue can always drain. This is the
-        // zero-acked-byte-loss half of the protocol.
-        gov.forward.quiesce();
+        let new_primary = 1 - gov.primary.load(Ordering::SeqCst);
         gov.forward.set_active(false);
         // Activate the reverse direction *before* the client layer starts
         // routing writes to the new primary, so no post-promotion write can
@@ -423,7 +375,7 @@ impl Membership {
     /// Certify a restarted, hard-fenced seat into the current epoch. If it
     /// was a deposed primary, its stale writes have been fenced since the
     /// restart; from here it serves as the shard's replica.
-    fn certify_rejoin(self: &Arc<Self>, shard: usize, seat: usize) {
+    fn certify_rejoin(&self, shard: usize, seat: usize) {
         let gov = &self.shards[shard];
         let epoch = gov.epoch.load(Ordering::SeqCst);
         gov.servers[seat].certify_epoch(epoch);
@@ -436,5 +388,69 @@ impl Membership {
             readies: 0,
             kind: TransitionKind::Rejoined,
         });
+    }
+}
+
+/// Where a shard's monitor waits: spawned, between heartbeats, in the hop
+/// of the send, echo or ready round (with the votes gathered), or — the
+/// vote delivered — for the forward replicator to drain (`None` once it
+/// has): everything the old primary ever acked must reach the new primary
+/// before it takes authority. Its vault survives the crash, so the queue
+/// can always drain; this is the zero-acked-byte-loss half of the protocol.
+enum Watch {
+    Start,
+    Beat,
+    Send,
+    Echo(u32),
+    Ready(u32, u32),
+    Drain(u32, u32, Option<Arc<OnceCellBlocking<()>>>),
+}
+
+/// A shard's monitor. Its collapsed, deterministic Bracha vote: n seats,
+/// f = ⌊(n−1)/3⌋ faults, echo ≥ ⌈(n+f+1)/2⌉, ready ≥ 2f+1.
+struct Monitor {
+    m: Arc<Membership>,
+    shard: usize,
+    watch: Watch,
+}
+
+impl Task for Monitor {
+    fn poll(&mut self, _cx: &mut TaskCtx<'_>) -> TaskStep {
+        let (m, shard) = (&self.m, self.shard);
+        let n = m.seat_count();
+        let f = (n - 1) / 3;
+        let hop = || Some(TaskStep::Sleep(m.cfg.hop_delay));
+        let heartbeat = || Some(TaskStep::Sleep(m.cfg.heartbeat_every));
+        let live = || m.live_seats() as u32;
+        loop {
+            let (watch, step) = match std::mem::replace(&mut self.watch, Watch::Beat) {
+                Watch::Beat if m.beat(shard) => (Watch::Send, hop()),
+                // Every live, honest seat echoes the proposal.
+                Watch::Send => (Watch::Echo(live()), hop()),
+                // Seats that saw an echo quorum broadcast ready; the f+1
+                // rule lets stragglers join, so every live seat is ready.
+                Watch::Echo(e) if e as usize >= (n + f + 1).div_ceil(2) => {
+                    (Watch::Ready(e, live()), hop())
+                }
+                Watch::Ready(e, r) if r as usize > 2 * f => {
+                    (Watch::Drain(e, r, m.shards[shard].forward.drained()), None)
+                }
+                Watch::Drain(e, r, Some(cell)) => match cell.poll_wait() {
+                    Err(wait) => (Watch::Drain(e, r, Some(cell)), Some(wait)),
+                    Ok(()) => (Watch::Drain(e, r, None), None),
+                },
+                Watch::Drain(e, r, None) => {
+                    m.promote(shard, e, r);
+                    (Watch::Beat, heartbeat())
+                }
+                // Spawned, a live or unreplaceable primary, or a vote short
+                // of quorum.
+                _ => (Watch::Beat, heartbeat()),
+            };
+            self.watch = watch;
+            if let Some(step) = step {
+                return step;
+            }
+        }
     }
 }

@@ -169,14 +169,6 @@ impl Vault {
         }
     }
 
-    /// Fault injection: occupy the disk with `bytes` of competing traffic,
-    /// charged to the calling actor. While this drains, concurrent vault
-    /// reads and writes share the disk link max-min fairly with it — the
-    /// "slow vault" fault — and speed back up the moment it completes.
-    pub fn inject_load(&self, bytes: u64) {
-        self.charge_disk(bytes);
-    }
-
     /// Allocate an empty object slot.
     pub fn create(&self, obj_id: u64) {
         self.objects

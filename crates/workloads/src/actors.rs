@@ -1,13 +1,12 @@
 //! Event-driven client swarms: the 10⁵-client scale workload.
 //!
-//! The paper's SEMPLAR client is a thread per connection, and so was every
-//! workload in this repo — which caps `fig_scale` around 4×10³ clients
-//! (each simulated client is a real OS thread under the virtual-time
-//! engine). This module drives the same open → write/read-loop → close
-//! session as a poll-style [`Task`] state machine instead: submissions go
-//! through the pooled transport's asynchronous path
-//! ([`SrbConn::submit`]), the response demultiplexer wakes the actor, and
-//! an idle session costs a few hundred bytes rather than a thread stack.
+//! The paper's SEMPLAR client is a thread per connection; a simulated
+//! client only waits, so it need not hold a stack. This module drives the
+//! paper's open → write/read-loop → close session as a poll-style [`Task`]
+//! state machine: submissions go through the pooled transport's
+//! asynchronous path ([`SrbConn::submit`]), the response demultiplexer
+//! wakes the actor, and an idle session costs a few hundred bytes rather
+//! than a thread stack, so one simulation hosts 10⁵ of them.
 //!
 //! Arrivals are open-loop and heavy-tailed ([`heavy_tailed_arrivals`]):
 //! an exponential body with a bounded Pareto tail, the burst-and-lull

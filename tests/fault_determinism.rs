@@ -3,11 +3,13 @@
 //! `FaultStats` ledger (times and all), the same recovery counters, the
 //! same final file bytes, and the same end-of-run clock.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 use semplar_repro::clusters::{das2, Testbed};
 use semplar_repro::faults::{FaultPlan, FaultStats};
+use semplar_repro::mc::PromotionScenario;
 use semplar_repro::runtime::{simulate, spawn, Dur, Time};
 use semplar_repro::semplar::{File, OpenFlags, Payload, RecoveryStats};
 use semplar_repro::srb::proto::Request;
@@ -164,5 +166,42 @@ fn a_cut_fails_a_shared_streams_exchanges_in_the_same_order_every_run() {
         for i in 0..10 {
             assert_eq!(stream_cut_log(policy), first, "{policy:?}, repeat {i}");
         }
+    }
+}
+
+/// The promotion drill — a primary crash, lease expiry, the vote, the
+/// promotion and the deposed primary's fenced rejoin — replays the same
+/// membership and fault ledgers and the same checksums ten times over while
+/// spinning threads compete for the host's CPUs: the monitor and the
+/// injector are tasks, and their order is the engine's, not the host's.
+#[test]
+fn a_promotion_replays_the_same_history_under_host_load() {
+    let stop = Arc::new(AtomicBool::new(false));
+    let spinners: Vec<_> = (0..4)
+        .map(|_| {
+            let stop = stop.clone();
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    std::hint::spin_loop();
+                }
+            })
+        })
+        .collect();
+    let drill = PromotionScenario::quick(5);
+    let runs: Vec<_> = (0..10)
+        .map(|_| {
+            drill
+                .observe(None)
+                .expect("the drill upholds its invariants")
+        })
+        .collect();
+    stop.store(true, Ordering::Relaxed);
+    for s in spinners {
+        s.join().unwrap();
+    }
+    assert_eq!(runs[0].ledger.promotions().count(), 1);
+    assert_eq!(runs[0].primary_sums, runs[0].replica_sums);
+    for (i, run) in runs.iter().enumerate() {
+        assert_eq!(run, &runs[0], "repeat {i}");
     }
 }

@@ -16,10 +16,10 @@ use semplar_repro::clusters::FedTestbed;
 use semplar_repro::faults::{FaultInjector, FaultPlan};
 use semplar_repro::mc::PromotionScenario;
 use semplar_repro::netsim::{Bw, Network};
-use semplar_repro::runtime::{simulate, Dur, Runtime};
+use semplar_repro::runtime::{simulate, Dur, Runtime, SimRuntime};
 use semplar_repro::semplar::{AdioFs, FedFs, OpenFlags, Payload, SrbFs, SrbFsConfig};
 use semplar_repro::srb::{
-    ConnRoute, RetryPolicy, ShardMap, SrbServer, SrbServerCfg, TransitionKind,
+    ConnRoute, MembershipCfg, RetryPolicy, ShardMap, SrbServer, SrbServerCfg, TransitionKind,
 };
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -76,6 +76,29 @@ fn promotion_commits_exactly_one_epoch_bump() {
     assert_eq!(obs.final_epochs[p.shard], 2);
     assert_eq!(obs.final_primaries[p.shard], 1);
     assert_eq!(obs.primary_sums, obs.replica_sums, "seats diverged");
+}
+
+/// Governance costs no thread: starting membership over a federation and
+/// promoting a replica through its primary's crash spawns tasks only — the
+/// monitors and the fault injector.
+#[test]
+fn governing_a_federation_spawns_no_thread() {
+    let sim = Arc::new(SimRuntime::new());
+    let engine = sim.clone();
+    let (threads, promotions) = sim.run_root(move |rt| {
+        let FedTestbed { net, shards } = FedTestbed::new(&rt, 2, true, None);
+        let fed = FedFs::new(&rt, shards);
+        let before = engine.stats().actors_spawned;
+        let membership = fed.enable_membership(MembershipCfg::default());
+        let primary = fed.shards()[0].primary.server().clone();
+        FaultPlan::new(1)
+            .server_crash_at(Dur::from_millis(10), Dur::from_millis(300))
+            .inject(&rt, &net, &primary)
+            .wait();
+        let threads = engine.stats().actors_spawned - before;
+        (threads, membership.ledger().promotions().count())
+    });
+    assert_eq!((threads, promotions), (0, 1));
 }
 
 /// Server-side epoch fencing, exercised directly through a mount's epoch
