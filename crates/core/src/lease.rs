@@ -180,11 +180,9 @@ impl LeaseCache {
         st.files.entry(path.to_string()).or_default().insert(
             offset,
             Entry {
-                // Own the bytes: a view would keep its whole source buffer
-                // (a server cache block, a sieved span) alive in here.
-                data: data
-                    .data()
-                    .map_or_else(|| data.clone(), |d| Payload::bytes(d.into())),
+                // A small view of a big buffer (a sieved span, a slice of a
+                // vault extent) is copied rather than pin the whole buffer.
+                data: data.retained(),
                 stamp,
             },
         );
@@ -243,6 +241,13 @@ impl LeaseCache {
             ..State::default()
         };
         self.invalidations.fetch_add(dropped, Ordering::Relaxed);
+    }
+
+    /// The entry that starts at `offset` of `path`, if any.
+    #[cfg(test)]
+    fn entry(&self, path: &str, offset: u64) -> Option<Payload> {
+        let st = self.state.lock().unwrap();
+        st.files.get(path)?.get(&offset).map(|e| e.data.clone())
     }
 
     fn remove_overlaps(
@@ -358,6 +363,26 @@ mod tests {
         c.invalidate_all();
         assert!(c.lookup("/b", 0, 10).is_none());
         assert_eq!(c.resident_bytes(), 0);
+    }
+
+    #[test]
+    fn entries_share_whole_buffers_and_copy_small_views() {
+        let buffer = |p: &Payload| match p {
+            Payload::Bytes(buf, _) => buf.clone(),
+            Payload::Sized(_) => panic!("a size-only payload has no buffer"),
+        };
+        let c = LeaseCache::new(64 << 10);
+        let whole = pay(4096, 1);
+        c.insert_if(c.revocation(), "/a", 0, &whole);
+        let held = c.entry("/a", 0).unwrap();
+        assert!(std::sync::Arc::ptr_eq(&buffer(&held), &buffer(&whole)));
+        // 4 KiB of a 1 MiB buffer: kept as a 4 KiB copy.
+        let big = pay(1 << 20, 2);
+        c.insert_if(c.revocation(), "/b", 0, &big.slice(8192, 4096));
+        let held = c.entry("/b", 0).unwrap();
+        assert!(!std::sync::Arc::ptr_eq(&buffer(&held), &buffer(&big)));
+        assert_eq!(buffer(&held).len(), 4096);
+        assert_eq!(held.data().unwrap(), &[2; 4096][..]);
     }
 
     #[test]

@@ -520,7 +520,8 @@ mod tests {
             let (_server, fs) = srb_pair(&rt, |c| c.lease_capacity = Some(1 << 20));
             let data: Vec<u8> = (0..20_000u32).map(|i| (i % 241) as u8).collect();
             let f = File::open(&rt, &fs, "/hot", OpenFlags::CreateRw).unwrap();
-            f.write_at(0, &Payload::bytes(data.clone())).unwrap();
+            let written = Payload::bytes(data.clone());
+            f.write_at(0, &written).unwrap();
             let first = f.read_at(0, 20_000).unwrap();
             assert_eq!(first.data().unwrap(), &data[..]);
             let t0 = rt.now();
@@ -531,6 +532,15 @@ mod tests {
                 "warm read should not hit the wire"
             );
             assert_eq!(second.data().unwrap(), &data[4_000..12_000]);
+            // No copy on the way: the vault kept the written buffer, the
+            // wire read is a view of it, and so is the lease hit.
+            let buffer = |p: &Payload| match p {
+                Payload::Bytes(buf, _) => buf.clone(),
+                Payload::Sized(_) => panic!("real bytes were written"),
+            };
+            for read in [&first, &second] {
+                assert!(std::sync::Arc::ptr_eq(&buffer(read), &buffer(&written)));
+            }
             let s = fs.lease_stats();
             assert_eq!(s.hits, 1);
             assert!(s.bytes_saved >= 8_000);

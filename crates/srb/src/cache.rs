@@ -63,7 +63,9 @@ pub struct CacheStats {
 }
 
 /// Cache block: the payload that a vault read of `[idx·block, idx·block +
-/// block)` returned at fetch time (shorter than `block` only at EOF).
+/// block)` returned at fetch time (shorter than `block` only at EOF) — a
+/// view of the vault's own extent unless it spans under half that extent's
+/// buffer ([`Payload::retained`]).
 struct Block {
     data: Payload,
     /// LRU access tick; key into `State::lru_order`.
@@ -226,7 +228,7 @@ impl BlockCache {
             for (&(start, _), p) in miss.extents.iter().zip(fetched) {
                 let idx = start / block;
                 if fresh {
-                    self.insert_block(&mut st, (miss.obj_id, idx), p.clone());
+                    self.insert_block(&mut st, (miss.obj_id, idx), p.retained());
                 }
                 miss.blocks[(idx - first) as usize] = Some(p);
             }
@@ -346,6 +348,13 @@ impl BlockCache {
     /// Bytes of payload currently cached (for tests).
     pub fn resident_bytes(&self) -> u64 {
         self.state.lock().bytes
+    }
+
+    /// The payload cached for block `idx` of the object, if any.
+    #[cfg(test)]
+    fn block(&self, obj_id: u64, idx: u64) -> Option<Payload> {
+        let st = self.state.lock();
+        st.blocks.get(&(obj_id, idx)).map(|b| b.data.clone())
     }
 }
 
@@ -485,6 +494,31 @@ mod tests {
             assert_eq!(a.len(), 8192);
             assert_eq!(b.len(), 8192);
             assert_eq!(c.stats().hits, 1);
+        });
+    }
+
+    #[test]
+    fn cache_fills_hold_the_vaults_views() {
+        simulate(|rt| {
+            let v = slow_vault(rt);
+            // One written buffer is what the vault holds, the cache caches
+            // and the reader gets.
+            let whole = Payload::bytes(vec![3; 64 << 10]);
+            v.write(1, 0, &whole);
+            let c = BlockCache::new(spec(64 << 10, 1 << 20));
+            let read = c.serve_read(&v, 1, 0, 64 << 10);
+            for held in [&v.extents(1)[0].1, &c.block(1, 0).unwrap(), &read] {
+                assert!(Arc::ptr_eq(held.buffer(), whole.buffer()));
+            }
+            // A 4 KiB block of a 1 MiB extent is copied into the cache.
+            let big = Payload::bytes(vec![9; 1 << 20]);
+            v.write(2, 0, &big);
+            let small = BlockCache::new(spec(4096, 1 << 20));
+            small.serve_read(&v, 2, 8192, 4096);
+            let held = small.block(2, 2).unwrap();
+            assert!(!Arc::ptr_eq(held.buffer(), big.buffer()));
+            assert_eq!(held.buffer().len(), 4096);
+            assert_eq!(held.data().unwrap(), &[9; 4096][..]);
         });
     }
 

@@ -15,10 +15,13 @@ use std::sync::Arc;
 /// identically.
 ///
 /// Real data is a *view*: a range of a shared, immutable buffer, so
-/// [`clone`](Clone::clone) and [`slice`](Payload::slice) copy nothing. A view
-/// keeps its whole buffer alive — whatever outlives the request that made a
-/// payload (the vault, the block cache, a client's lease cache) copies the
-/// bytes into a buffer of its own instead of holding the view.
+/// [`clone`](Clone::clone) and [`slice`](Payload::slice) copy nothing, and
+/// the same bytes can be held at once by the client that wrote them, the
+/// vault that stores them, the block cache and a reader's lease cache. A
+/// view keeps its whole buffer alive, so whatever outlives the request that
+/// made a payload holds [`retained`](Payload::retained) instead: the view
+/// itself when it spans at least half its buffer, otherwise a copy. Nothing
+/// kept pins more than twice its own bytes.
 #[derive(Clone, Debug)]
 pub enum Payload {
     /// Real bytes: this range of the shared buffer.
@@ -73,6 +76,28 @@ impl Payload {
                 Payload::Bytes(buf.clone(), from..from + len as usize)
             }
             Payload::Sized(_) => Payload::sized(len),
+        }
+    }
+
+    /// This payload as something that may outlive its request: the view
+    /// itself when it spans at least half its buffer, otherwise its bytes
+    /// copied into an exact-size buffer of their own. The one retention
+    /// rule of the vault, the block cache and the client lease cache.
+    pub fn retained(&self) -> Payload {
+        match self {
+            Payload::Bytes(buf, view) if view.len() * 2 < buf.len() => {
+                Payload::bytes(buf[view.clone()].to_vec())
+            }
+            _ => self.clone(),
+        }
+    }
+
+    /// The buffer a real payload is a view of.
+    #[cfg(test)]
+    pub(crate) fn buffer(&self) -> &Arc<Vec<u8>> {
+        match self {
+            Payload::Bytes(buf, _) => buf,
+            Payload::Sized(_) => panic!("a size-only payload has no buffer"),
         }
     }
 }
@@ -245,6 +270,30 @@ mod tests {
         // Same allocation throughout: nothing was copied.
         let base = p.data().unwrap().as_ptr() as usize;
         assert_eq!(vv.data().unwrap().as_ptr() as usize, base + 55);
+    }
+
+    #[test]
+    fn retained_keeps_views_of_at_least_half_their_buffer() {
+        let p = Payload::bytes((0..100u8).collect());
+        for (start, len, shared) in [
+            (0, 100, true),
+            (10, 50, true),
+            (0, 49, false),
+            (99, 1, false),
+        ] {
+            let v = p.slice(start, len);
+            let kept = v.retained();
+            assert_eq!(kept.data(), v.data(), "{start}+{len}");
+            assert_eq!(
+                Arc::ptr_eq(kept.buffer(), p.buffer()),
+                shared,
+                "{start}+{len}"
+            );
+            // A copy is exact-size, so it is then a whole buffer of its own.
+            assert_eq!(kept.buffer().len() as u64, if shared { 100 } else { len });
+        }
+        assert_eq!(Payload::sized(7).retained().len(), 7);
+        assert!(Payload::sized(7).retained().data().is_none());
     }
 
     #[test]

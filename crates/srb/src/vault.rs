@@ -11,8 +11,19 @@
 //! Objects store either real bytes or a sparse size-only extent, mirroring
 //! [`crate::types::Payload`] — the timing model only needs sizes,
 //! but correctness tests and the compression pipeline round-trip real data.
+//!
+//! Real bytes are kept as the payload views they were written with: an
+//! object is a length plus non-overlapping immutable extents, and a hole
+//! reads as zeros. A store trims the extents it overlaps to narrower views
+//! and inserts its own piece; a load inside one extent hands back a view
+//! of it, and only a load across extents or holes assembles a buffer. So
+//! the bytes a client writes are the bytes the vault holds, the block cache
+//! caches and a reader receives — none of them copied — and an object never
+//! reallocates as it grows. What is kept follows
+//! [`Payload::retained`]: a view that spans under half its buffer is
+//! copied first, so nothing here pins more than twice its own bytes.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -25,44 +36,109 @@ use semplar_runtime::{Dur, Runtime, TaskStep};
 use crate::types::{Payload, SrbError};
 
 enum ObjData {
-    Real(Vec<u8>),
+    /// `len` bytes: the extents, keyed by their start, plus zeros wherever
+    /// none lies. Every extent is real, non-empty and ends by `len`.
+    Real {
+        len: u64,
+        extents: BTreeMap<u64, Payload>,
+    },
     Sparse(u64),
 }
 
 impl ObjData {
+    fn empty() -> ObjData {
+        ObjData::Real {
+            len: 0,
+            extents: BTreeMap::new(),
+        }
+    }
+
     fn len(&self) -> u64 {
         match self {
-            ObjData::Real(v) => v.len() as u64,
+            ObjData::Real { len, .. } => *len,
             ObjData::Sparse(n) => *n,
         }
     }
 
-    /// Overlay `piece` at `offset`, growing the object as needed. Any
-    /// size-only piece degrades the object to a sparse extent: the big
-    /// bandwidth sweeps never read data back byte-for-byte.
+    /// `[offset, offset + len)` clamped to the object, POSIX-style.
+    fn clamp(&self, offset: u64, len: u64) -> (u64, u64) {
+        let size = self.len();
+        (offset.min(size), offset.saturating_add(len).min(size))
+    }
+
+    /// Overlay `piece` at `offset`, growing the object as needed. Real
+    /// bytes cut the extents they overlap down to views of what is left
+    /// and go in as one extent. Any size-only piece degrades the object to
+    /// a sparse extent: the big bandwidth sweeps never read data back
+    /// byte-for-byte.
     fn store(&mut self, offset: u64, piece: &Payload) {
         let end = offset + piece.len();
         match (piece.data(), &mut *self) {
-            (Some(data), ObjData::Real(v)) => {
-                if (v.len() as u64) < end {
-                    v.resize(end as usize, 0);
+            (Some(_), ObjData::Real { len, extents }) => {
+                *len = (*len).max(end);
+                if piece.is_empty() {
+                    return;
                 }
-                v[offset as usize..end as usize].copy_from_slice(data);
+                let reaching_in = extents
+                    .range(..offset)
+                    .next_back()
+                    .filter(|&(&s, p)| s + p.len() > offset)
+                    .map(|(&s, _)| s);
+                let cut: Vec<u64> = reaching_in
+                    .into_iter()
+                    .chain(extents.range(offset..end).map(|(&s, _)| s))
+                    .collect();
+                for s in cut {
+                    let old = extents.remove(&s).expect("listed above");
+                    let old_end = s + old.len();
+                    if s < offset {
+                        extents.insert(s, old.slice(0, offset - s).retained());
+                    }
+                    if old_end > end {
+                        extents.insert(end, old.slice(end - s, old_end - end).retained());
+                    }
+                }
+                extents.insert(offset, piece.retained());
             }
             _ => *self = ObjData::Sparse(self.len().max(end)),
         }
     }
 
-    /// `[offset, offset + len)` truncated at EOF, POSIX-style, as a payload
-    /// with a buffer of its own.
+    /// `[offset, offset + len)` truncated at EOF, POSIX-style: a view of
+    /// the extent that covers it, or else a buffer of its own.
     fn load(&self, offset: u64, len: u64) -> Payload {
+        let (start, end) = self.clamp(offset, len);
         match self {
-            ObjData::Real(v) => {
-                let start = (offset as usize).min(v.len());
-                let end = ((offset + len) as usize).min(v.len());
-                Payload::bytes(v[start..end].to_vec())
+            ObjData::Real { extents, .. } => {
+                if let Some((&s, p)) = extents.range(..=start).next_back() {
+                    if s + p.len() >= end {
+                        return p.slice(start - s, end - start);
+                    }
+                }
+                let mut out = Vec::with_capacity((end - start) as usize);
+                copy_out(extents, start, end, &mut out);
+                Payload::bytes(out)
             }
-            ObjData::Sparse(n) => Payload::sized(n.saturating_sub(offset).min(len)),
+            ObjData::Sparse(_) => Payload::sized(end - start),
+        }
+    }
+}
+
+/// Append the bytes of `[start, end)` of a real object's `extents` to
+/// `out`, zeros where no extent lies.
+fn copy_out(extents: &BTreeMap<u64, Payload>, start: u64, end: u64, out: &mut Vec<u8>) {
+    let at = out.len();
+    out.resize(at + (end - start) as usize, 0);
+    let first = extents
+        .range(..start)
+        .next_back()
+        .map_or(start, |(&s, _)| s);
+    for (&s, p) in extents.range(first..end) {
+        let data = p.data().expect("a real object's extents carry bytes");
+        let (lo, hi) = (s.max(start), (s + p.len()).min(end));
+        if lo < hi {
+            let into = at + (lo - start) as usize..at + (hi - start) as usize;
+            out[into].copy_from_slice(&data[(lo - s) as usize..(hi - s) as usize]);
         }
     }
 }
@@ -171,9 +247,7 @@ impl Vault {
 
     /// Allocate an empty object slot.
     pub fn create(&self, obj_id: u64) {
-        self.objects
-            .lock()
-            .insert(obj_id, ObjData::Real(Vec::new()));
+        self.objects.lock().insert(obj_id, ObjData::empty());
     }
 
     /// Write `payload` at `offset`, charging disk time. Returns the new
@@ -215,7 +289,7 @@ impl Vault {
     /// extent lengths. Returns the new object size.
     pub fn store_list(&self, obj_id: u64, extents: &[(u64, u64)], payload: &Payload) -> u64 {
         let mut g = self.objects.lock();
-        let obj = g.entry(obj_id).or_insert(ObjData::Real(Vec::new()));
+        let obj = g.entry(obj_id).or_insert_with(ObjData::empty);
         let mut cursor = 0u64;
         for &(offset, len) in extents {
             obj.store(offset, &payload.slice(cursor, len));
@@ -248,24 +322,19 @@ impl Vault {
     /// EOF: what one list-I/O read returns.
     pub fn load_list(&self, obj_id: u64, extents: &[(u64, u64)]) -> Payload {
         let g = self.objects.lock();
-        match g.get(&obj_id) {
-            None => Payload::sized(0),
-            Some(ObjData::Real(v)) => {
+        let Some(obj) = g.get(&obj_id) else {
+            return Payload::sized(0);
+        };
+        let ranges = extents.iter().map(|&(offset, len)| obj.clamp(offset, len));
+        match obj {
+            ObjData::Real { extents: held, .. } => {
                 let mut packed = Vec::new();
-                for &(offset, len) in extents {
-                    let start = (offset as usize).min(v.len());
-                    let end = ((offset + len) as usize).min(v.len());
-                    packed.extend_from_slice(&v[start..end]);
+                for (start, end) in ranges {
+                    copy_out(held, start, end, &mut packed);
                 }
                 Payload::bytes(packed)
             }
-            Some(ObjData::Sparse(n)) => {
-                let total: u64 = extents
-                    .iter()
-                    .map(|&(offset, len)| n.saturating_sub(offset).min(len))
-                    .sum();
-                Payload::sized(total)
-            }
+            ObjData::Sparse(_) => Payload::sized(ranges.map(|(start, end)| end - start).sum()),
         }
     }
 
@@ -275,7 +344,11 @@ impl Vault {
     pub fn bytes_of(&self, obj_id: u64) -> Result<Vec<u8>, SrbError> {
         match self.objects.lock().get(&obj_id) {
             None => Ok(Vec::new()),
-            Some(ObjData::Real(v)) => Ok(v.clone()),
+            Some(ObjData::Real { len, extents }) => {
+                let mut out = Vec::with_capacity(*len as usize);
+                copy_out(extents, 0, *len, &mut out);
+                Ok(out)
+            }
             Some(ObjData::Sparse(_)) => Err(SrbError::InvalidArg(
                 "cannot checksum a sparse (size-only) object".into(),
             )),
@@ -285,6 +358,18 @@ impl Vault {
     /// Current size of an object (0 if absent).
     pub fn size(&self, obj_id: u64) -> u64 {
         self.objects.lock().get(&obj_id).map_or(0, |o| o.len())
+    }
+
+    /// The extents an object holds, in order (none for a sparse or absent
+    /// one).
+    #[cfg(test)]
+    pub(crate) fn extents(&self, obj_id: u64) -> Vec<(u64, Payload)> {
+        match self.objects.lock().get(&obj_id) {
+            Some(ObjData::Real { extents, .. }) => {
+                extents.iter().map(|(&s, p)| (s, p.clone())).collect()
+            }
+            _ => Vec::new(),
+        }
     }
 
     /// Drop an object's storage.
@@ -310,10 +395,133 @@ impl DiskOp {
     }
 }
 
+/// The flat-`Vec` object store the extent map replaced, kept as the oracle
+/// of the differential tests: `ObjData` verbatim, and the old `Vault`'s
+/// data methods over a plain map.
+#[cfg(test)]
+mod reference {
+    use std::collections::HashMap;
+
+    use crate::types::{Payload, SrbError};
+
+    enum ObjData {
+        Real(Vec<u8>),
+        Sparse(u64),
+    }
+
+    impl ObjData {
+        fn len(&self) -> u64 {
+            match self {
+                ObjData::Real(v) => v.len() as u64,
+                ObjData::Sparse(n) => *n,
+            }
+        }
+
+        /// Overlay `piece` at `offset`, growing the object as needed. Any
+        /// size-only piece degrades the object to a sparse extent: the big
+        /// bandwidth sweeps never read data back byte-for-byte.
+        fn store(&mut self, offset: u64, piece: &Payload) {
+            let end = offset + piece.len();
+            match (piece.data(), &mut *self) {
+                (Some(data), ObjData::Real(v)) => {
+                    if (v.len() as u64) < end {
+                        v.resize(end as usize, 0);
+                    }
+                    v[offset as usize..end as usize].copy_from_slice(data);
+                }
+                _ => *self = ObjData::Sparse(self.len().max(end)),
+            }
+        }
+
+        /// `[offset, offset + len)` truncated at EOF, POSIX-style, as a payload
+        /// with a buffer of its own.
+        fn load(&self, offset: u64, len: u64) -> Payload {
+            match self {
+                ObjData::Real(v) => {
+                    let start = (offset as usize).min(v.len());
+                    let end = ((offset + len) as usize).min(v.len());
+                    Payload::bytes(v[start..end].to_vec())
+                }
+                ObjData::Sparse(n) => Payload::sized(n.saturating_sub(offset).min(len)),
+            }
+        }
+    }
+
+    #[derive(Default)]
+    pub struct Objects(HashMap<u64, ObjData>);
+
+    impl Objects {
+        pub fn store_list(
+            &mut self,
+            obj_id: u64,
+            extents: &[(u64, u64)],
+            payload: &Payload,
+        ) -> u64 {
+            let obj = self.0.entry(obj_id).or_insert(ObjData::Real(Vec::new()));
+            let mut cursor = 0u64;
+            for &(offset, len) in extents {
+                obj.store(offset, &payload.slice(cursor, len));
+                cursor += len;
+            }
+            obj.len()
+        }
+
+        pub fn load(&self, obj_id: u64, offset: u64, len: u64) -> Payload {
+            match self.0.get(&obj_id) {
+                None => Payload::sized(0),
+                Some(obj) => obj.load(offset, len),
+            }
+        }
+
+        pub fn load_extents(&self, obj_id: u64, extents: &[(u64, u64)]) -> Vec<Payload> {
+            extents
+                .iter()
+                .map(|&(offset, len)| self.load(obj_id, offset, len))
+                .collect()
+        }
+
+        pub fn load_list(&self, obj_id: u64, extents: &[(u64, u64)]) -> Payload {
+            match self.0.get(&obj_id) {
+                None => Payload::sized(0),
+                Some(ObjData::Real(v)) => {
+                    let mut packed = Vec::new();
+                    for &(offset, len) in extents {
+                        let start = (offset as usize).min(v.len());
+                        let end = ((offset + len) as usize).min(v.len());
+                        packed.extend_from_slice(&v[start..end]);
+                    }
+                    Payload::bytes(packed)
+                }
+                Some(ObjData::Sparse(n)) => {
+                    let total: u64 = extents
+                        .iter()
+                        .map(|&(offset, len)| n.saturating_sub(offset).min(len))
+                        .sum();
+                    Payload::sized(total)
+                }
+            }
+        }
+
+        pub fn bytes_of(&self, obj_id: u64) -> Result<Vec<u8>, SrbError> {
+            match self.0.get(&obj_id) {
+                None => Ok(Vec::new()),
+                Some(ObjData::Real(v)) => Ok(v.clone()),
+                Some(ObjData::Sparse(_)) => Err(SrbError::InvalidArg(
+                    "cannot checksum a sparse (size-only) object".into(),
+                )),
+            }
+        }
+
+        pub fn size(&self, obj_id: u64) -> u64 {
+            self.0.get(&obj_id).map_or(0, |o| o.len())
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use semplar_runtime::{simulate, Time};
+    use semplar_runtime::{simulate, SimRuntime, Time};
 
     fn test_vault(rt: Arc<dyn Runtime>) -> Arc<Vault> {
         Vault::new(
@@ -540,5 +748,159 @@ mod tests {
             assert_eq!(v.size(1), 0);
             assert_eq!(v.read(1, 0, 10).len(), 0);
         });
+    }
+
+    #[test]
+    fn the_vault_keeps_whole_buffers_and_copies_small_views() {
+        let v = Vault::new(SimRuntime::new().handle(), DiskSpec::default());
+        // A whole buffer is held as it is, and a read inside it is a view.
+        let whole = Payload::bytes((0..=255u8).cycle().take(64 << 10).collect());
+        v.store(1, 0, &whole);
+        assert!(Arc::ptr_eq(v.extents(1)[0].1.buffer(), whole.buffer()));
+        let read = v.load(1, 100, 4096);
+        assert!(Arc::ptr_eq(read.buffer(), whole.buffer()));
+        assert_eq!(read.data().unwrap(), &whole.data().unwrap()[100..4196]);
+        drop(read);
+        // 4 KiB of a 1 MiB buffer is copied into a buffer of its own.
+        let big = Payload::bytes(vec![7; 1 << 20]);
+        v.store(2, 0, &big.slice(4096, 4096));
+        let (_, held) = &v.extents(2)[0];
+        assert!(!Arc::ptr_eq(held.buffer(), big.buffer()));
+        assert_eq!(
+            (held.buffer().len(), held.data().unwrap()),
+            (4096, &[7; 4096][..])
+        );
+        // Overwriting the whole extent lets go of the written buffer.
+        assert_eq!(Arc::strong_count(whole.buffer()), 2);
+        v.store(1, 0, &Payload::bytes(vec![1; 64 << 10]));
+        assert_eq!(Arc::strong_count(whole.buffer()), 1);
+    }
+
+    #[test]
+    fn a_store_trims_the_extents_it_overlaps() {
+        let v = Vault::new(SimRuntime::new().handle(), DiskSpec::default());
+        let a = Payload::bytes(vec![1; 100]);
+        v.store(1, 0, &a);
+        v.store(1, 40, &Payload::bytes(vec![2; 10]));
+        v.store(1, 120, &Payload::bytes(vec![3; 10]));
+        let layout: Vec<(u64, u64)> = v.extents(1).iter().map(|(s, p)| (*s, p.len())).collect();
+        assert_eq!(layout, [(0, 40), (40, 10), (50, 50), (120, 10)]);
+        // The cut's half-buffer tail is still a view of it; its 40-byte
+        // head was copied.
+        let held = v.extents(1);
+        assert!(Arc::ptr_eq(held[2].1.buffer(), a.buffer()));
+        assert_eq!(held[0].1.buffer().len(), 40);
+        // A load across pieces and the hole assembles them, zeros between.
+        let d = v.load(1, 95, 30);
+        assert_eq!(
+            d.data().unwrap(),
+            &[&[1; 5][..], &[0; 20], &[3; 5]].concat()[..]
+        );
+        assert_eq!(
+            v.load(1, 118, 99).data().unwrap(),
+            &[0, 0, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3]
+        );
+    }
+
+    mod properties {
+        use super::super::reference;
+        use super::*;
+        use proptest::prelude::*;
+
+        /// One store: `pieces` are `(offset, len)` extents, packed into one
+        /// payload. `data` is `Some((fill, pad))` for real bytes — counting
+        /// up from `fill`, handed over as a view with `pad` unrelated bytes
+        /// on each side — and `None` for a size-only payload.
+        #[derive(Clone, Debug)]
+        struct Step {
+            pieces: Vec<(u64, u64)>,
+            list: bool,
+            data: Option<(u8, usize)>,
+            probes: Vec<(u64, u64)>,
+        }
+
+        impl Step {
+            fn payload(&self) -> Payload {
+                let total: u64 = self.pieces.iter().map(|&(_, l)| l).sum();
+                let Some((fill, pad)) = self.data else {
+                    return Payload::sized(total);
+                };
+                let mut buf = vec![0xEE; pad];
+                buf.extend((0..total).map(|k| fill.wrapping_add(k as u8)));
+                buf.extend(vec![0xEE; pad]);
+                Payload::bytes(buf).slice(pad as u64, total)
+            }
+        }
+
+        fn step() -> impl Strategy<Value = Step> {
+            // One piece in seven is empty; one store in 25 is size-only,
+            // which turns the object sparse for the rest of the sequence;
+            // a third of the real pieces are a whole buffer.
+            let piece = (0u64..320, (0u64..105).prop_map(|n| n.saturating_sub(15)));
+            let data = (0u32..25, any::<u8>(), 0usize..300)
+                .prop_map(|(k, fill, pad)| (k > 0).then_some((fill, pad.saturating_sub(100))));
+            let probes = proptest::collection::vec((0u64..460, 0u64..160), 1..5);
+            (
+                proptest::collection::vec(piece, 1..4),
+                any::<bool>(),
+                data,
+                probes,
+            )
+                .prop_map(|(mut pieces, list, data, probes)| {
+                    if !list {
+                        pieces.truncate(1);
+                    }
+                    Step {
+                        pieces,
+                        list,
+                        data,
+                        probes,
+                    }
+                })
+        }
+
+        fn seen(p: &Payload) -> (u64, Option<Vec<u8>>) {
+            (p.len(), p.data().map(<[u8]>::to_vec))
+        }
+
+        proptest! {
+            /// The extent vault answers every read exactly as the flat
+            /// `Vec` store does after every step of a random store
+            /// sequence: real, sized, overlapping, zero-length and
+            /// past-EOF pieces.
+            #[test]
+            fn extents_read_back_exactly_as_the_flat_store(
+                steps in proptest::collection::vec(step(), 1..24),
+            ) {
+                let v = Vault::new(SimRuntime::new().handle(), DiskSpec::default());
+                let mut oracle = reference::Objects::default();
+                for s in &steps {
+                    let payload = s.payload();
+                    let got = if s.list {
+                        v.store_list(1, &s.pieces, &payload)
+                    } else {
+                        v.store(1, s.pieces[0].0, &payload)
+                    };
+                    prop_assert_eq!(got, oracle.store_list(1, &s.pieces, &payload));
+                    prop_assert_eq!(v.size(1), oracle.size(1));
+                    for &(offset, len) in &s.probes {
+                        prop_assert_eq!(
+                            seen(&v.load(1, offset, len)),
+                            seen(&oracle.load(1, offset, len))
+                        );
+                    }
+                    prop_assert_eq!(
+                        seen(&v.load_list(1, &s.probes)),
+                        seen(&oracle.load_list(1, &s.probes))
+                    );
+                    let ours: Vec<_> = v.load_extents(1, &s.probes).iter().map(seen).collect();
+                    let theirs: Vec<_> =
+                        oracle.load_extents(1, &s.probes).iter().map(seen).collect();
+                    prop_assert_eq!(ours, theirs);
+                    prop_assert_eq!(v.bytes_of(1), oracle.bytes_of(1));
+                    prop_assert_eq!(seen(&v.load(2, 0, 10)), seen(&oracle.load(2, 0, 10)));
+                }
+            }
+        }
     }
 }

@@ -310,37 +310,41 @@ impl SwarmReport {
     }
 }
 
-/// The deterministic per-client payload pattern (checksum fixture): byte
-/// `k` is `(client·131 + op·31 + k) mod 251`, copied out of one 0..251
-/// cycle a slice at a time.
-fn client_bytes(client: usize, op: u32, len: u64) -> Vec<u8> {
-    let cycle: [u8; 251] = std::array::from_fn(|i| i as u8);
-    let len = len as usize;
-    let mut out = Vec::with_capacity(len);
-    let mut from = ((client as u64 * 131 + op as u64 * 31) % 251) as usize;
-    while out.len() < len {
-        let n = (cycle.len() - from).min(len - out.len());
-        out.extend_from_slice(&cycle[from..from + n]);
-        from = 0;
-    }
-    out
+/// The operation shape of every session, by client index.
+fn session_shapes(p: &SwarmParams) -> Vec<OpShape> {
+    (0..p.clients)
+        .map(|i| p.shape_for(p.mix.assign(i)))
+        .collect()
 }
 
-fn payload_for(p: &SwarmParams, shape: OpShape, client: usize, op: u32) -> Payload {
+/// Every payload one swarm writes, as one immutable buffer: the 0..251
+/// cycle, 250 bytes longer than the largest operation in `shapes`, so
+/// each write is a view of it ([`payload_for`]). Size-only when the swarm
+/// carries no real bytes.
+fn swarm_pattern(p: &SwarmParams, shapes: &[OpShape]) -> Payload {
+    let len = shapes.iter().map(|s| s.bytes_per_op).max().unwrap_or(0) + 250;
     if p.real_payload {
-        Payload::bytes(client_bytes(client, op, shape.bytes_per_op))
+        Payload::bytes((0..len).map(|k| (k % 251) as u8).collect())
     } else {
-        Payload::sized(shape.bytes_per_op)
+        Payload::sized(len)
     }
+}
+
+/// The deterministic payload of write `op` of `client` (checksum
+/// fixture): byte `k` is `(client·131 + op·31 + k) mod 251`, which is
+/// `pattern` from that start on — no bytes copied.
+fn payload_for(pattern: &Payload, shape: OpShape, client: usize, op: u32) -> Payload {
+    let start = (client as u64 * 131 + op as u64 * 31) % 251;
+    pattern.slice(start, shape.bytes_per_op)
 }
 
 /// Data op `op_idx` of the session.
-fn op_request(p: &SwarmParams, shape: OpShape, client: usize, op_idx: u32, fd: u32) -> Request {
+fn op_request(pattern: &Payload, shape: OpShape, client: usize, op_idx: u32, fd: u32) -> Request {
     if op_idx < shape.writes {
         Request::Write {
             fd,
             offset: op_idx as u64 * shape.bytes_per_op,
-            payload: payload_for(p, shape, client, op_idx),
+            payload: payload_for(pattern, shape, client, op_idx),
         }
     } else {
         let k = (op_idx - shape.writes) as u64;
@@ -370,6 +374,8 @@ enum ActorState {
 /// One event-driven client session.
 struct SessionActor {
     params: Arc<SwarmParams>,
+    /// The swarm's one payload buffer ([`swarm_pattern`]).
+    pattern: Payload,
     shape: OpShape,
     client: usize,
     conn: Arc<SrbConn>,
@@ -429,7 +435,7 @@ impl SessionActor {
             }
             self.state = ActorState::InOp(k);
             self.submit(
-                op_request(&self.params, self.shape, self.client, k, self.fd),
+                op_request(&self.pattern, self.shape, self.client, k, self.fd),
                 &cx.waker,
             );
             return TaskStep::Park;
@@ -471,7 +477,7 @@ impl Task for SessionActor {
             ActorState::Thinking(k) => {
                 self.state = ActorState::InOp(k);
                 self.submit(
-                    op_request(&self.params, self.shape, self.client, k, self.fd),
+                    op_request(&self.pattern, self.shape, self.client, k, self.fd),
                     &cx.waker,
                 );
                 TaskStep::Park
@@ -587,6 +593,8 @@ pub fn run_swarm(tb: &Testbed, params: &SwarmParams) -> SwarmReport {
         })
         .collect();
 
+    let shapes = session_shapes(&params);
+    let pattern = swarm_pattern(&params, &shapes);
     let outcomes: Arc<Mutex<Vec<Option<SessionOutcome>>>> =
         Arc::new(Mutex::new((0..params.clients).map(|_| None).collect()));
     let t0 = rt.now();
@@ -596,7 +604,8 @@ pub fn run_swarm(tb: &Testbed, params: &SwarmParams) -> SwarmReport {
         .map(|i| {
             ex.spawn(Box::new(SessionActor {
                 params: params.clone(),
-                shape: params.shape_for(params.mix.assign(i)),
+                pattern: pattern.clone(),
+                shape: shapes[i],
                 client: i,
                 conn: conns[i].clone(),
                 path: path_for(&params, i),
@@ -654,6 +663,22 @@ mod tests {
         }
     }
 
+    /// The per-client payload as a fresh buffer, copied out of one 0..251
+    /// cycle a slice at a time: what every write allocated before the
+    /// swarm shared one pattern, kept as the oracle of [`payload_for`].
+    fn client_bytes(client: usize, op: u32, len: u64) -> Vec<u8> {
+        let cycle: [u8; 251] = std::array::from_fn(|i| i as u8);
+        let len = len as usize;
+        let mut out = Vec::with_capacity(len);
+        let mut from = ((client as u64 * 131 + op as u64 * 31) % 251) as usize;
+        while out.len() < len {
+            let n = (cycle.len() - from).min(len - out.len());
+            out.extend_from_slice(&cycle[from..from + n]);
+            from = 0;
+        }
+        out
+    }
+
     #[test]
     fn client_bytes_match_the_per_byte_formula() {
         // The pattern as first written, one `% 251` per byte: the oracle.
@@ -662,15 +687,62 @@ mod tests {
                 .map(|k| ((client as u64 * 131 + op as u64 * 31 + k) % 251) as u8)
                 .collect()
         };
+        let mut p = tiny_params();
+        p.clients = 1;
+        p.bytes_per_op = 64 << 10;
+        let pattern = swarm_pattern(&p, &session_shapes(&p));
         for (client, op) in [(0, 0), (1, 0), (0, 1), (7, 3), (250, 9), (99_999, 4)] {
             for len in [0, 1, 250, 251, 252, 64 << 10] {
+                let want = oracle(client, op, len);
                 assert_eq!(
                     client_bytes(client, op, len),
-                    oracle(client, op, len),
+                    want,
                     "client {client} op {op} len {len}"
+                );
+                let shape = OpShape {
+                    bytes_per_op: len,
+                    ..p.shape_for(TenantId(1))
+                };
+                let view = payload_for(&pattern, shape, client, op);
+                assert_eq!(
+                    view.data().unwrap(),
+                    &want[..],
+                    "view: client {client} op {op} len {len}"
                 );
             }
         }
+
+        // Two tenants with different operation sizes share one pattern,
+        // long enough for the larger; every write is still a full view.
+        let mut p = tiny_params();
+        p.abuse = Some((
+            TenantId(2),
+            OpShape {
+                writes: 3,
+                reads: 0,
+                bytes_per_op: 100_000,
+            },
+        ));
+        let shapes = session_shapes(&p);
+        let pattern = swarm_pattern(&p, &shapes);
+        assert_eq!(pattern.len(), 100_250);
+        let sizes: std::collections::BTreeSet<u64> =
+            shapes.iter().map(|s| s.bytes_per_op).collect();
+        assert_eq!(sizes.into_iter().collect::<Vec<_>>(), [8 << 10, 100_000]);
+        for (client, &shape) in shapes.iter().enumerate() {
+            for op in 0..shape.writes {
+                let view = payload_for(&pattern, shape, client, op);
+                assert_eq!(
+                    view.data().unwrap(),
+                    &client_bytes(client, op, shape.bytes_per_op)[..],
+                    "client {client} op {op}"
+                );
+            }
+        }
+        // Without real bytes the pattern is size-only, and so is each write.
+        p.real_payload = false;
+        let sized = payload_for(&swarm_pattern(&p, &shapes), shapes[2], 2, 2);
+        assert_eq!((sized.len(), sized.data()), (100_000, None));
     }
 
     #[test]
