@@ -3,8 +3,9 @@
 //! Explores `FederationScenario::quick` — the federated crash drill that
 //! `fig_federation` and `fig_federation_ha` run at larger sizes — over every
 //! reachable schedule up to a depth bound: fault timing (the injector
-//! task's timer), replicator block-ship order, reconcile resume-block
-//! replay points and every task's timers are all explorable events. Each
+//! task's timer), the replicator task's disk-charge and wire timers,
+//! reconcile resume-block replay points and every other task's timers are
+//! all explorable events. Each
 //! execution re-runs the whole scenario
 //! from scratch under a scripted schedule and checks the recovery
 //! invariants (no acked byte lost, reconcile converges, primary/replica
@@ -21,7 +22,7 @@ use semplar_mc::{explore, BrokenInvariant, ExploreCfg, FederationScenario, Scena
 
 fn main() {
     let [quick] = flags(["--quick"]);
-    let (depth, max_executions) = if quick { (13, 1500) } else { (20, 8000) };
+    let (depth, max_executions) = if quick { (13, 2000) } else { (20, 8000) };
     let seed = 7u64;
     let scenario = FederationScenario::quick(seed);
     let (crash_at, down_for) = scenario.crash.expect("the quick drill crashes");

@@ -490,7 +490,7 @@ impl FedTestbed {
                     RetryPolicy::default(),
                 );
                 let reverse = reverse.then(|| {
-                    Replicator::start_inactive(
+                    let reverse = Replicator::start(
                         rt,
                         replica,
                         primary,
@@ -498,7 +498,9 @@ impl FedTestbed {
                         "fed",
                         "fed",
                         RetryPolicy::default(),
-                    )
+                    );
+                    reverse.set_active(false);
+                    reverse
                 });
                 FedShard {
                     primary: primary_fs,

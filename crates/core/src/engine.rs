@@ -131,12 +131,12 @@ impl IoEngine {
         }
         for i in 0..self.cfg.io_threads {
             let me = self.clone();
-            // Daemon: an idle I/O thread parked on the queue's condition
-            // variable must not keep the simulation alive if the file is
-            // abandoned without close().
+            // It returns once `stop` has closed the queue and it has drained:
+            // a file abandoned without `close` or drop leaves it parked on
+            // the queue, a deadlock that names it.
             let h = self
                 .rt
-                .spawn_daemon(&format!("io-thread-{i}"), Box::new(move || me.io_loop()));
+                .spawn(&format!("io-thread-{i}"), Box::new(move || me.io_loop()));
             g.threads.push(h);
             g.spawned += 1;
         }
@@ -222,9 +222,9 @@ impl IoEngine {
     /// [`IoEngine::shutdown`] for destructors. Joining blocks through the
     /// runtime, which panics once the simulation is poisoned; a thread that
     /// is already unwinding would then abort the process and bury the first
-    /// panic. So while unwinding only close the queue — the I/O threads are
-    /// daemons and exit on their own — and otherwise join without re-raising
-    /// (`close` is the call that reports an I/O thread's panic).
+    /// panic. So while unwinding only close the queue — the I/O threads
+    /// drain it and exit on their own — and otherwise join without
+    /// re-raising (`close` is the call that reports an I/O thread's panic).
     pub fn shutdown_in_drop(&self) {
         let threads = self.stop();
         if std::thread::panicking() {

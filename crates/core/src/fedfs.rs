@@ -37,7 +37,8 @@
 //!   an outage and the primary is reconciled when it returns.
 //! * **Live re-sharding** — [`FedFs::begin_reshard`] migrates the
 //!   namespace onto a different number of active shards *under traffic*: a
-//!   daemon copies moving paths to their new owners, writes keep routing
+//!   migrator thread copies moving paths to their new owners and returns
+//!   once the old copies are gone; meanwhile writes keep routing
 //!   to the old owner (dirtied extents are chased; a write still on the
 //!   wire pins the cutover open until its extent is recorded), reads of
 //!   moving paths are double-routed (old owner authoritative, new owner
@@ -595,7 +596,7 @@ impl FedFs {
     /// (which may be more or fewer than today's active count, but at most
     /// the provisioned total). `paths` is the population to consider —
     /// paths whose owner changes under the new map are snapshot-copied to
-    /// their new owner by a background daemon while traffic continues,
+    /// their new owner by a background thread while traffic continues,
     /// dirtied extents are chased, and the cutover is atomic once the tail
     /// is dry. With membership enabled, the cutover also bumps every
     /// shard's epoch so writes routed by the old map are fenced.
@@ -627,7 +628,7 @@ impl FedFs {
         }
         let fed = self.clone();
         self.rt
-            .spawn_daemon("fedfs/migrator", Box::new(move || fed.migrate()));
+            .spawn("fedfs/migrator", Box::new(move || fed.migrate()));
     }
 
     /// True while a re-shard migration is in flight.
@@ -694,9 +695,9 @@ impl FedFs {
         }
     }
 
-    /// The migrator daemon: copy every moving path whole (the snapshot),
-    /// chase the dirty tail until it is dry, then cut the map over
-    /// atomically.
+    /// The migrator thread: copy every moving path whole (the snapshot),
+    /// chase the dirty tail until it is dry, cut the map over atomically,
+    /// delete the old owners' copies and return.
     fn migrate(self: Arc<Self>) {
         let moving = self.remap.lock().as_ref().map(|r| r.moving.clone());
         let moving = moving.expect("set by begin_reshard");

@@ -99,7 +99,6 @@ impl ExploreReport {
 
 /// Run a bounded exploration of `scenario` under `cfg`.
 pub fn explore(scenario: &dyn Scenario, cfg: &ExploreCfg) -> ExploreReport {
-    semplar_runtime::set_quiet_panics(true);
     let mut report = ExploreReport::default();
     let mut worklist: Vec<Vec<usize>> = vec![Vec::new()];
     let mut expanded: HashSet<(u64, usize)> = HashSet::new();
@@ -145,7 +144,6 @@ pub fn explore(scenario: &dyn Scenario, cfg: &ExploreCfg) -> ExploreReport {
         }
     }
     report.unique_states = states.len() as u64;
-    semplar_runtime::set_quiet_panics(false);
     report
 }
 

@@ -11,9 +11,10 @@
 //! hook that is consulted whenever more than one timer is eligible within
 //! a window. A task's timers are choices under its own label
 //! (`faults/injector/0/task sleep` is when the next fault lands,
-//! `membership/monitor/<shard>/task sleep` a heartbeat or vote hop), and
-//! thread code marks its decision points (`replicator/ship-block`,
-//! `reconcile/resume-block`, `reshard/copy-block`) with
+//! `membership/monitor/<shard>/task sleep` a heartbeat or vote hop,
+//! `federation/replicator/0/task sleep` a replicated block's disk charge or
+//! wire time), and thread code marks its decision points
+//! (`reconcile/resume-block`, `reshard/copy-block`) with
 //! [`schedule_point`](semplar_runtime::Runtime::schedule_point). The
 //! [`explore`] driver enumerates schedules by stateless re-execution —
 //! depth-first over prefixes of choice indices, visited-state hashing for
@@ -26,7 +27,9 @@
 //! what the checker explores, and `fig_federation`/`fig_federation_ha`
 //! print its plain-engine runs at their own sizes. [`LeaseScenario`]
 //! checks lease coherence across a crash. Both run through one harness
-//! that turns a panic or deadlock inside the simulation into a violation.
+//! that turns a panic or deadlock inside the simulation into a violation;
+//! the engines it schedules are quiet, so a panic hook it installs once
+//! keeps their panics off stderr and prints every other engine's.
 //!
 //! ```no_run
 //! use semplar_mc::{explore, ExploreCfg, FederationScenario};

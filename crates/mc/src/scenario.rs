@@ -31,12 +31,12 @@
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, Once};
 
 use semplar::{AdioFile, AdioFs, FedFs, OpenFlags, Payload, ReconcileLedger, RecoveryStats};
 use semplar_clusters::FedTestbed;
 use semplar_faults::{FaultInjector, FaultPlan, FaultStats};
-use semplar_runtime::{Dur, Runtime, SimRuntime};
+use semplar_runtime::{on_quiet_actor, Dur, Runtime, SimRuntime};
 use semplar_srb::{
     adler32, CacheSpec, CacheStats, MembershipCfg, PromotionLedger, ReplStats, TransitionKind,
 };
@@ -71,7 +71,8 @@ pub enum BrokenInvariant {
 /// Run `body` as the root actor of a fresh simulation — under `hook` when
 /// one is given, on the plain engine otherwise — and return its result
 /// with the run's schedule choice points. A panic inside the simulation (a
-/// deadlock report among them) is a violation, not a crash of the checker.
+/// deadlock report among them) is a violation, not a crash of the checker;
+/// under a hook the engine is quiet, so exploring prints none of them.
 pub(crate) fn observe<T: Send + 'static>(
     hook: Option<Arc<ScriptHook>>,
     window: Dur,
@@ -79,6 +80,8 @@ pub(crate) fn observe<T: Send + 'static>(
 ) -> Result<(T, u64), String> {
     let sim = SimRuntime::new();
     if let Some(h) = hook {
+        quiet_panics();
+        sim.mark_quiet();
         sim.set_schedule_hook(h, window);
     }
     match catch_unwind(AssertUnwindSafe(|| sim.run_root(body))) {
@@ -92,6 +95,21 @@ pub(crate) fn observe<T: Send + 'static>(
             Err(format!("simulation panicked: {msg}"))
         }
     }
+}
+
+/// Install, once per process, a panic hook that skips the panics of quiet
+/// engines — the runs [`observe`] schedules, which report them as
+/// violations — and hands every other panic to the hook it replaced.
+fn quiet_panics() {
+    static INSTALL: Once = Once::new();
+    INSTALL.call_once(|| {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !on_quiet_actor() {
+                prev(info);
+            }
+        }));
+    });
 }
 
 /// Everything observable about one drill. Two runs with equal observations

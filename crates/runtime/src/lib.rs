@@ -35,7 +35,7 @@ pub mod trace;
 
 pub use real::RealRuntime;
 pub use runtime::{spawn, Event, EventApi, JoinHandle, JoinResult, Runtime, Wake};
-pub use sim::{set_quiet_panics, simulate, Choice, ScheduleHook, SimRuntime, SimStats};
+pub use sim::{on_quiet_actor, simulate, Choice, ScheduleHook, SimRuntime, SimStats};
 pub use task::{Task, TaskCtx, TaskExecutor, TaskHandle, TaskStats, TaskStep, Waker};
 pub use time::{Dur, Time};
 pub use trace::{Span, Trace};

@@ -158,18 +158,10 @@ pub trait Runtime: Send + Sync {
     /// Block the calling actor for `d`.
     fn sleep(&self, d: Dur);
 
-    /// Spawn a named actor. The name appears in deadlock diagnostics.
+    /// Spawn a named actor. The name appears in deadlock diagnostics. A
+    /// thread keeps the simulation alive until it returns; only a
+    /// [daemon task](crate::TaskExecutor::spawn_daemon) does not.
     fn spawn(&self, name: &str, f: Box<dyn FnOnce() + Send + 'static>) -> JoinHandle;
-
-    /// Spawn a *daemon* actor: one that does not keep the simulation alive.
-    /// Under virtual time, when only daemons remain blocked with no pending
-    /// timer, they are unwound cleanly and the simulation completes. Use for
-    /// request-driven loops that need a stack.
-    /// Under wall-clock time this is a plain spawn (daemon threads simply
-    /// die with the process).
-    fn spawn_daemon(&self, name: &str, f: Box<dyn FnOnce() + Send + 'static>) -> JoinHandle {
-        self.spawn(name, f)
-    }
 
     /// Create a fresh event cell bound to this runtime.
     fn event(&self) -> Event;
@@ -180,8 +172,8 @@ pub trait Runtime: Send + Sync {
     /// installed, where the calling actor's continuation becomes an
     /// eligible event the exploration strategy can order against every
     /// other pending event in the window. Protocol code sprinkles these at
-    /// decision points a model checker should control: shipping a
-    /// replication block, replaying a reconcile extent, firing a fault.
+    /// decision points a model checker should control: replaying a
+    /// reconcile extent, copying a block of a re-shard.
     fn schedule_point(&self, _tag: &str) {}
 
     /// Take on an event-driven [`Task`](crate::task::Task): poll it now and

@@ -68,31 +68,23 @@ use crate::time::{Dur, Time};
 
 thread_local! {
     static CURRENT_ACTOR: std::cell::Cell<Option<u64>> = const { std::cell::Cell::new(None) };
+    /// Set alongside [`CURRENT_ACTOR`]: the actor belongs to an engine
+    /// marked with [`SimRuntime::mark_quiet`].
+    static QUIET_ACTOR: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// When set, the process-wide panic hook suppresses *all* actor panic
-/// output. Used by the model checker, whose exploration deliberately
-/// drives simulations into panics (deadlocks, violated invariants) and
-/// reports them as counterexamples instead.
-static QUIET_PANICS: AtomicBool = AtomicBool::new(false);
-
-/// Suppress (or restore) printing of actor panics process-wide. The model
-/// checker sets this while exploring schedules: a panicking interleaving
-/// is a *result* there, not a bug to dump backtraces for.
-pub fn set_quiet_panics(quiet: bool) {
-    QUIET_PANICS.store(quiet, AtOrd::SeqCst);
+/// True while the calling thread runs, or polls, an actor of an engine
+/// marked with [`SimRuntime::mark_quiet`]: a panic hook asks this to leave
+/// the panics of such engines to their owner.
+pub fn on_quiet_actor() -> bool {
+    QUIET_ACTOR.with(|q| q.get())
 }
 
 const SLOT_PENDING: u8 = 0;
 const SLOT_SIGNALED: u8 = 1;
 const SLOT_TIMEOUT: u8 = 2;
-const SLOT_SHUTDOWN: u8 = 3;
 /// A [`Waker`] cut the wait short: neither a permit nor the timeout.
 const SLOT_WAKER: u8 = 4;
-
-/// Panic payload used to unwind daemon actors at simulation quiescence.
-/// The spawn wrapper recognizes it and treats the exit as clean.
-struct ShutdownSignal;
 
 /// One blocked wait. All fields are only mutated while the engine lock is
 /// held; the atomics exist purely to avoid `unsafe` interior mutability.
@@ -204,10 +196,6 @@ pub trait ScheduleHook: Send + Sync {
 }
 
 struct ActorInfo {
-    /// Daemon actors (e.g. server connection handlers idle on their
-    /// request channel) do not keep the simulation alive: when only daemons
-    /// remain, the blocked ones are unwound (threads) or dropped (tasks).
-    daemon: bool,
     /// What the actor is blocked on (for diagnostics) and the wait itself
     /// (so poison and quiescence can release it); `None` while the actor
     /// runs or sits in the ready queue.
@@ -227,9 +215,8 @@ enum Body {
 }
 
 impl ActorInfo {
-    fn new(daemon: bool, body: Body) -> ActorInfo {
+    fn new(body: Body) -> ActorInfo {
         ActorInfo {
-            daemon,
             blocked: None,
             thread: None,
             body,
@@ -241,6 +228,13 @@ impl ActorInfo {
             Body::Thread(name) => Cow::Borrowed(name),
             Body::Task(cell) => Cow::Owned(cell.label()),
         }
+    }
+
+    /// Daemon tasks (e.g. server connection handlers idle on their request
+    /// channel) do not keep the simulation alive: when only daemons remain,
+    /// they are dropped where they wait. A thread is never a daemon.
+    fn daemon(&self) -> bool {
+        matches!(&self.body, Body::Task(cell) if cell.daemon)
     }
 
     fn blocked_on(&self) -> &'static str {
@@ -294,6 +288,8 @@ pub(crate) struct Engine {
     /// Signalled when the last actor may have left, for [`SimRuntime::wait_done`];
     /// actors never wait on it (each parks on its own thread).
     done: Condvar,
+    /// Set by [`SimRuntime::mark_quiet`].
+    quiet: AtomicBool,
 }
 
 type Guard<'a> = MutexGuard<'a, EngineState>;
@@ -307,7 +303,7 @@ impl EngineState {
             panic!("cannot spawn into a poisoned simulation");
         }
         let id = self.actors.len() as u64;
-        self.live_nondaemon += usize::from(!info.daemon);
+        self.live_nondaemon += usize::from(!info.daemon());
         self.actors.push(Some(info));
         self.ready.push_back(id);
         id
@@ -393,7 +389,7 @@ impl Engine {
             // Daemons do not keep the simulation alive: once every
             // non-daemon actor has exited, a daemon's pending timer (a
             // heartbeat loop, a periodic monitor) must not advance the
-            // clock forever. Unwind instead.
+            // clock forever. Drop them instead.
             if st.live_nondaemon == 0 {
                 st = self.quiesce(st);
                 continue;
@@ -448,6 +444,7 @@ impl Engine {
             st.rewake = false;
             drop(st);
             let outer = CURRENT_ACTOR.with(|c| c.replace(Some(id)));
+            let outer_quiet = QUIET_ACTOR.with(|q| q.replace(self.quiet.load(AtOrd::Relaxed)));
             let waker = Waker(WakerKind::Sim(self.clone(), id));
             let mut cx = TaskCtx {
                 rt: &rt,
@@ -457,6 +454,7 @@ impl Engine {
             };
             let step = catch_unwind(AssertUnwindSafe(|| task.poll(&mut cx)));
             CURRENT_ACTOR.with(|c| c.set(outer));
+            QUIET_ACTOR.with(|q| q.set(outer_quiet));
             st = self.state.lock();
             let step = step.unwrap_or_else(|p| {
                 let name = st.task_cell(id).label();
@@ -473,7 +471,7 @@ impl Engine {
                 if let Body::Task(cell) = &info.body {
                     cell.finish();
                 }
-                let daemon = info.daemon;
+                let daemon = info.daemon();
                 drop((info, task));
                 st = self.state.lock();
                 st.live_tasks -= 1;
@@ -605,36 +603,26 @@ impl Engine {
         st.deferred.remove(idx)
     }
 
-    /// Only blocked daemons remain: the simulation is complete. Threads are
-    /// woken to unwind, in actor-id order. Tasks are taken off the table —
-    /// their slots marked, so the waiter entries and timers they leave are
-    /// skipped — and dropped with the engine unlocked and the baton
-    /// withheld: a state machine's destructor may signal an event.
+    /// Only blocked daemon tasks remain: the simulation is complete. They
+    /// are taken off the table — their slots marked, so the waiter entries
+    /// and timers they leave are skipped — and dropped with the engine
+    /// unlocked and the baton withheld: a state machine's destructor may
+    /// signal an event.
     fn quiesce<'a>(&'a self, mut st: Guard<'a>) -> Guard<'a> {
-        let blocked: Vec<_> = st
-            .live_actors()
-            .filter_map(|(id, a)| Some((id, a.blocked.as_ref()?.1.clone())))
-            .collect();
         let mut tasks = Vec::new();
-        for (id, slot) in blocked {
-            if let Some(Body::Thread(_)) = st.actor(id).map(|a| &a.body) {
-                self.wake(&mut st, &slot, SLOT_SHUTDOWN);
-            } else {
-                slot.state.store(SLOT_SHUTDOWN, AtOrd::Relaxed);
-                tasks.extend(st.actors[id as usize].take());
-                st.live_tasks -= 1;
+        for slot in st.actors.iter_mut() {
+            if let Some((_, wait)) = slot.as_ref().and_then(|a| a.blocked.as_ref()) {
+                wait.state.store(SLOT_SIGNALED, AtOrd::Relaxed);
+                tasks.extend(slot.take());
             }
         }
-        if !tasks.is_empty() {
-            st.running = Some(u64::MAX);
-            drop(st);
-            drop(tasks);
-            st = self.state.lock();
-            st.running = None;
-            if st.live() == 0 {
-                self.done.notify_all();
-            }
-        }
+        st.live_tasks -= tasks.len();
+        st.running = Some(u64::MAX);
+        drop(st);
+        drop(tasks);
+        st = self.state.lock();
+        st.running = None;
+        self.done.notify_all();
         st
     }
 
@@ -726,7 +714,7 @@ impl Engine {
         drop(self.park_until_running(st, slot.actor));
         debug_assert!(slot.is_woken(), "woken slot left pending");
         slot.wake()
-            .unwrap_or_else(|| std::panic::panic_any(ShutdownSignal))
+            .expect("a thread's wait ends in a signal or its timeout")
     }
 
     fn push_timer(&self, st: &mut EngineState, at: u64, slot: Arc<WaitSlot>) {
@@ -755,9 +743,9 @@ impl Engine {
 
     fn exit(self: &Arc<Self>, id: u64) {
         let mut st = self.state.lock();
-        let info = st.actors[id as usize].take().expect("exiting actor");
+        st.actors[id as usize].take().expect("exiting actor");
         st.live_threads -= 1;
-        st.live_nondaemon -= usize::from(!info.daemon);
+        st.live_nondaemon -= 1;
         if st.running == Some(id) {
             st.running = None;
         }
@@ -815,7 +803,7 @@ fn fingerprint_locked(st: &EngineState) -> u64 {
     use std::hash::{Hash, Hasher};
     let mut actors: Vec<(Cow<'_, str>, &str, bool)> = st
         .live_actors()
-        .map(|(_, a)| (a.name(), a.blocked_on(), a.daemon))
+        .map(|(_, a)| (a.name(), a.blocked_on(), a.daemon()))
         .collect();
     actors.sort_unstable();
     let mut pending: Vec<(u64, &str)> = st
@@ -853,29 +841,22 @@ impl Default for SimRuntime {
 impl SimRuntime {
     /// Create a fresh simulation with the clock at [`Time::ZERO`].
     pub fn new() -> SimRuntime {
-        // Daemons left running at simulation end (server handlers, demux
-        // loops) are unwound via `panic_any(ShutdownSignal)`; keep the
-        // default hook from printing a backtrace for each of them.
-        static QUIET_SHUTDOWN: std::sync::Once = std::sync::Once::new();
-        QUIET_SHUTDOWN.call_once(|| {
-            let prev = std::panic::take_hook();
-            std::panic::set_hook(Box::new(move |info| {
-                if info.payload().downcast_ref::<ShutdownSignal>().is_some() {
-                    return;
-                }
-                if QUIET_PANICS.load(AtOrd::SeqCst) {
-                    return; // the model checker treats panics as results
-                }
-                prev(info);
-            }));
-        });
         SimRuntime {
             eng: Arc::new(Engine {
                 state: Mutex::new(EngineState::default()),
                 clock: AtomicU64::new(0),
                 done: Condvar::new(),
+                quiet: AtomicBool::new(false),
             }),
         }
+    }
+
+    /// Mark this engine quiet: its owner reports the panics of its actors
+    /// itself (the model checker turns them into violations), so a panic
+    /// hook may skip them — see [`on_quiet_actor`]. Mark before spawning
+    /// the workload. Other engines in the process are untouched.
+    pub fn mark_quiet(&self) {
+        self.eng.quiet.store(true, AtOrd::Relaxed);
     }
 
     /// A shareable `Arc<dyn Runtime>` handle.
@@ -900,7 +881,9 @@ impl SimRuntime {
     }
 
     /// Spawn `f` as the root actor, wait for the whole simulation to finish,
-    /// and return `f`'s result. Panics from any actor propagate.
+    /// and return `f`'s result. Panics from any actor propagate, and so does
+    /// a failure after the root returned: a thread it left blocked for good
+    /// is a deadlock.
     pub fn run_root<T, F>(&self, f: F) -> T
     where
         T: Send + 'static,
@@ -918,6 +901,11 @@ impl SimRuntime {
         );
         self.wait_done();
         h.join_unwrap();
+        let st = self.eng.state.lock();
+        if st.poisoned {
+            panic!("{}", st.poison_cause);
+        }
+        drop(st);
         let v = out.lock().take();
         v.expect("root actor did not produce a value")
     }
@@ -966,12 +954,45 @@ impl Runtime for SimRuntime {
         self.eng.block(st, &slot, "sleep");
     }
 
+    /// A thread actor is never a daemon: the simulation ends only once it
+    /// has returned, and one left blocked is a deadlock that names it.
     fn spawn(&self, name: &str, f: Box<dyn FnOnce() + Send + 'static>) -> JoinHandle {
-        self.spawn_inner(name, f, false)
-    }
-
-    fn spawn_daemon(&self, name: &str, f: Box<dyn FnOnce() + Send + 'static>) -> JoinHandle {
-        self.spawn_inner(name, f, true)
+        let done = self.event();
+        let (mut handle, exit) = JoinHandle::new(done);
+        let id = {
+            let mut st = self.eng.state.lock();
+            let id = st.register(ActorInfo::new(Body::Thread(name.to_string())));
+            st.stats.actors_spawned += 1;
+            st.live_threads += 1;
+            st.stats.peak_live_actors = st.stats.peak_live_actors.max(st.live_threads);
+            self.eng.release(self.eng.dispatch(st));
+            id
+        };
+        let eng = self.eng.clone();
+        let t = std::thread::Builder::new()
+            .name(format!("sim:{name}"))
+            .spawn(move || {
+                CURRENT_ACTOR.with(|c| c.set(Some(id)));
+                QUIET_ACTOR.with(|q| q.set(eng.quiet.load(AtOrd::Relaxed)));
+                let r = catch_unwind(AssertUnwindSafe(|| {
+                    eng.start(id);
+                    f()
+                }));
+                // Poison on a panic, so the rest of the simulation unwinds
+                // instead of hanging on events this actor will never signal.
+                let payload = r.err().inspect(|p| {
+                    let cause = format!("panic in an actor: {}", panic_message(&**p));
+                    eng.poison(&mut eng.state.lock(), &cause);
+                });
+                // Publish completion *before* deregistering: a joiner must be
+                // ready before our exit passes the baton on, otherwise the
+                // engine would see a spurious deadlock.
+                exit.finish(payload);
+                eng.exit(id);
+            })
+            .expect("spawn sim actor thread");
+        handle.set_thread(t);
+        handle
     }
 
     fn event(&self) -> Event {
@@ -987,61 +1008,11 @@ impl Runtime for SimRuntime {
 
     fn spawn_task(&self, cell: TaskCell) {
         let mut st = self.eng.state.lock();
-        st.register(ActorInfo::new(cell.daemon, Body::Task(cell)));
+        st.register(ActorInfo::new(Body::Task(cell)));
         st.stats.tasks_spawned += 1;
         st.live_tasks += 1;
         st.stats.peak_live_tasks = st.stats.peak_live_tasks.max(st.live_tasks);
         self.eng.release(self.eng.dispatch(st));
-    }
-}
-
-impl SimRuntime {
-    fn spawn_inner(
-        &self,
-        name: &str,
-        f: Box<dyn FnOnce() + Send + 'static>,
-        daemon: bool,
-    ) -> JoinHandle {
-        let done = self.event();
-        let (mut handle, exit) = JoinHandle::new(done);
-        let id = {
-            let mut st = self.eng.state.lock();
-            let id = st.register(ActorInfo::new(daemon, Body::Thread(name.to_string())));
-            st.stats.actors_spawned += 1;
-            st.live_threads += 1;
-            st.stats.peak_live_actors = st.stats.peak_live_actors.max(st.live_threads);
-            self.eng.release(self.eng.dispatch(st));
-            id
-        };
-        let eng = self.eng.clone();
-        let t = std::thread::Builder::new()
-            .name(format!("sim:{name}"))
-            .spawn(move || {
-                CURRENT_ACTOR.with(|c| c.set(Some(id)));
-                let r = catch_unwind(AssertUnwindSafe(|| {
-                    eng.start(id);
-                    f()
-                }));
-                let payload = match r {
-                    Ok(()) => None,
-                    Err(p) if p.is::<ShutdownSignal>() => None, // clean daemon unwind
-                    Err(p) => {
-                        // Poison so the rest of the simulation unwinds instead
-                        // of hanging on events this actor will never signal.
-                        let cause = format!("panic in an actor: {}", panic_message(&*p));
-                        eng.poison(&mut eng.state.lock(), &cause);
-                        Some(p)
-                    }
-                };
-                // Publish completion *before* deregistering: a joiner must be
-                // ready before our exit passes the baton on, otherwise the
-                // engine would see a spurious deadlock.
-                exit.finish(payload);
-                eng.exit(id);
-            })
-            .expect("spawn sim actor thread");
-        handle.set_thread(t);
-        handle
     }
 }
 
@@ -1297,51 +1268,6 @@ mod tests {
         let err = h.join().unwrap_err();
         let msg = err.downcast_ref::<&str>().copied().unwrap_or("");
         assert_eq!(msg, "boom-42");
-    }
-
-    #[test]
-    fn daemons_do_not_block_completion() {
-        // A "server" daemon parked forever on an event must not trip the
-        // deadlock detector; the sim completes when the root finishes.
-        let end = simulate(|rt| {
-            let ev = rt.event();
-            let rt2 = rt.clone();
-            let _h = rt.spawn_daemon(
-                "server-conn",
-                Box::new(move || {
-                    ev.wait(); // never signaled
-                    let _ = rt2.now();
-                }),
-            );
-            rt.sleep(Dur::from_millis(7));
-            rt.now()
-        });
-        assert_eq!(end, Time::ZERO + Dur::from_millis(7));
-    }
-
-    #[test]
-    fn daemon_loops_are_unwound_cleanly() {
-        use crate::sync::Channel;
-        let served = Arc::new(AtomicUsize::new(0));
-        let s2 = served.clone();
-        simulate(move |rt| {
-            let ch: Channel<u32> = Channel::new(&rt);
-            let ch2 = ch.clone();
-            let s3 = s2.clone();
-            rt.spawn_daemon(
-                "handler",
-                Box::new(move || {
-                    while ch2.recv().is_ok() {
-                        s3.fetch_add(1, AO::SeqCst);
-                    }
-                }),
-            );
-            for i in 0..5 {
-                ch.send(i).unwrap();
-            }
-            rt.sleep(Dur::from_millis(1)); // let the daemon drain
-        });
-        assert_eq!(served.load(AO::SeqCst), 5);
     }
 
     #[test]

@@ -750,6 +750,11 @@ mod tests {
         // `run_root` returned, so the daemons kept nothing alive; and the
         // destructor's `signal` — which takes the engine lock — has run.
         assert_eq!(dropped.wait_timeout(Dur::ZERO), Wake::Signaled);
+        assert_eq!(
+            sim.now(),
+            Time::ZERO + Dur::from_millis(2),
+            "ends with the root"
+        );
         let s = sim.stats();
         assert_eq!((s.clock_advances, s.tasks_spawned), (1, 2));
         assert_eq!(ex.stats().spawned, 2);

@@ -48,6 +48,18 @@ pub struct SrbConn {
     epoch: parking_lot::Mutex<Arc<AtomicU64>>,
 }
 
+/// A reply as the caller's value: the success variant `$want` yields `$v`,
+/// a server error is the error, and any other reply is `InvalidArg`.
+macro_rules! reply {
+    ($resp:expr, $want:pat => $v:expr) => {
+        match $resp {
+            $want => Ok($v),
+            Response::Error(e) => Err(e),
+            other => Err(SrbError::InvalidArg(format!("unexpected reply {other:?}"))),
+        }
+    };
+}
+
 /// What a completed exchange means for the session's ledger: credit the
 /// payload bytes a response acknowledges, or report the cut with the bytes
 /// acknowledged so far.
@@ -117,21 +129,7 @@ impl SrbConn {
     /// `useful` — the sieving path transfers covering extents whose slack
     /// must not count as application goodput.
     fn call_hinted(&self, req: Request, useful: Option<u64>) -> SrbResult<Response> {
-        self.call_granted(req, useful).map(|(resp, _)| resp)
-    }
-
-    /// Like [`SrbConn::call_hinted`], also returning the response header's
-    /// lease grant.
-    fn call_granted(
-        &self,
-        req: Request,
-        useful: Option<u64>,
-    ) -> SrbResult<(Response, Option<u64>)> {
-        let (tenant, epoch) = (self.tenant(), self.current_epoch());
-        let frame = self
-            .transport
-            .exchange_granted(self.session, tenant, epoch, req, useful);
-        settle(&self.acked, frame).map(|f| (f.resp, f.lease))
+        self.reply_cell(req, useful).wait().map(|f| f.resp)
     }
 
     /// Issue a request asynchronously: the call returns as soon as the
@@ -149,24 +147,44 @@ impl SrbConn {
         req: Request,
         complete: Box<dyn FnOnce(SrbResult<Response>) + Send>,
     ) -> SrbResult<()> {
+        self.submit_frame(req, None, |r| complete(r.map(|f| f.resp)));
+        Ok(())
+    }
+
+    /// [`SrbConn::submit`] with the goodput meter capped at `useful`,
+    /// completing with the whole response frame.
+    fn submit_frame(
+        &self,
+        req: Request,
+        useful: Option<u64>,
+        complete: impl FnOnce(SrbResult<RespFrame>) + Send + 'static,
+    ) {
         let acked = Arc::clone(&self.acked);
         let (req, owned) = match req {
             Request::Disconnect if self.origin.is_some() => (Request::EndSession, None),
             Request::Disconnect => (req, Some(Arc::clone(&self.transport))),
             req => (req, None),
         };
-        self.transport.submit(
-            self.session,
-            self.tenant(),
-            self.current_epoch(),
-            req,
-            None,
-            Box::new(move |frame| {
-                complete(settle(&acked, frame).map(|f| f.resp));
-                owned.iter().for_each(|t| t.close());
-            }),
-        );
-        Ok(())
+        let (tenant, epoch) = (self.tenant(), self.current_epoch());
+        let complete = Box::new(move |frame| {
+            complete(settle(&acked, frame));
+            owned.iter().for_each(|t| t.close());
+        });
+        self.transport
+            .submit(self.session, tenant, epoch, req, useful, complete);
+    }
+
+    /// Submit `req` and return the cell its reply fills: a blocking call
+    /// waits on it, a task polls it (`OnceCellBlocking::poll_wait`).
+    pub(crate) fn reply_cell(
+        &self,
+        req: Request,
+        useful: Option<u64>,
+    ) -> Arc<OnceCellBlocking<SrbResult<RespFrame>>> {
+        let cell = OnceCellBlocking::new(self.runtime());
+        let reply = cell.clone();
+        self.submit_frame(req, useful, move |r| reply.set(r));
+        cell
     }
 
     /// Cumulative payload bytes acknowledged by the server on this
@@ -182,50 +200,34 @@ impl SrbConn {
         self.transport.meter().clone()
     }
 
-    fn expect_ok(&self, req: Request) -> SrbResult<()> {
-        match self.call(req)? {
-            Response::Ok => Ok(()),
-            Response::Error(e) => Err(e),
-            other => Err(SrbError::InvalidArg(format!("unexpected reply {other:?}"))),
-        }
-    }
-
     /// Create a collection.
     pub fn mk_coll(&self, path: &str) -> SrbResult<()> {
-        self.expect_ok(Request::MkColl(path.to_string()))
+        reply!(self.call(Request::MkColl(path.to_string()))?, Response::Ok => ())
     }
 
     /// Remove an empty collection.
     pub fn rm_coll(&self, path: &str) -> SrbResult<()> {
-        self.expect_ok(Request::RmColl(path.to_string()))
+        reply!(self.call(Request::RmColl(path.to_string()))?, Response::Ok => ())
     }
 
     /// Register a new data object.
     pub fn create(&self, path: &str) -> SrbResult<()> {
-        self.expect_ok(Request::Create(path.to_string()))
+        reply!(self.call(Request::Create(path.to_string()))?, Response::Ok => ())
     }
 
     /// Open a data object.
     pub fn open(&self, path: &str, flags: OpenFlags) -> SrbResult<u32> {
-        match self.call(Request::Open(path.to_string(), flags))? {
-            Response::Fd(fd) => Ok(fd),
-            Response::Error(e) => Err(e),
-            other => Err(SrbError::InvalidArg(format!("unexpected reply {other:?}"))),
-        }
+        reply!(self.call(Request::Open(path.to_string(), flags))?, Response::Fd(fd) => fd)
     }
 
     /// Close a descriptor.
     pub fn close_fd(&self, fd: u32) -> SrbResult<()> {
-        self.expect_ok(Request::Close(fd))
+        reply!(self.call(Request::Close(fd))?, Response::Ok => ())
     }
 
     /// Read up to `len` bytes at `offset`.
     pub fn read(&self, fd: u32, offset: u64, len: u64) -> SrbResult<Payload> {
-        match self.call(Request::Read { fd, offset, len })? {
-            Response::Data(p) => Ok(p),
-            Response::Error(e) => Err(e),
-            other => Err(SrbError::InvalidArg(format!("unexpected reply {other:?}"))),
-        }
+        reply!(self.call(Request::Read { fd, offset, len })?, Response::Data(p) => p)
     }
 
     /// Read up to `len` bytes at `offset`, also returning the server's
@@ -234,24 +236,20 @@ impl SrbConn {
     /// bytes until the lease is revoked (write-hook broadcast) or broken
     /// (unlink, server loss, shard failover).
     pub fn read_leased(&self, fd: u32, offset: u64, len: u64) -> SrbResult<(Payload, Option<u64>)> {
-        match self.call_granted(Request::Read { fd, offset, len }, None)? {
-            (Response::Data(p), grant) => Ok((p, grant)),
-            (Response::Error(e), _) => Err(e),
-            (other, _) => Err(SrbError::InvalidArg(format!("unexpected reply {other:?}"))),
-        }
+        let frame = self
+            .reply_cell(Request::Read { fd, offset, len }, None)
+            .wait()?;
+        reply!(frame.resp, Response::Data(p) => (p, frame.lease))
     }
 
     /// Write `payload` at `offset`, returning bytes written.
     pub fn write(&self, fd: u32, offset: u64, payload: Payload) -> SrbResult<u64> {
-        match self.call(Request::Write {
+        let req = Request::Write {
             fd,
             offset,
             payload,
-        })? {
-            Response::Written(n) => Ok(n),
-            Response::Error(e) => Err(e),
-            other => Err(SrbError::InvalidArg(format!("unexpected reply {other:?}"))),
-        }
+        };
+        reply!(self.call(req)?, Response::Written(n) => n)
     }
 
     /// Read many extents in one exchange (list-I/O). The reply packs the
@@ -265,17 +263,9 @@ impl SrbConn {
         extents: &[(u64, u64)],
         useful: Option<u64>,
     ) -> SrbResult<Payload> {
-        match self.call_hinted(
-            Request::ReadList {
-                fd,
-                extents: extents.to_vec(),
-            },
-            useful,
-        )? {
-            Response::Data(p) => Ok(p),
-            Response::Error(e) => Err(e),
-            other => Err(SrbError::InvalidArg(format!("unexpected reply {other:?}"))),
-        }
+        let extents = extents.to_vec();
+        let resp = self.call_hinted(Request::ReadList { fd, extents }, useful)?;
+        reply!(resp, Response::Data(p) => p)
     }
 
     /// Write many extents in one exchange (list-I/O). `payload` packs the
@@ -289,28 +279,20 @@ impl SrbConn {
         payload: Payload,
         useful: Option<u64>,
     ) -> SrbResult<u64> {
-        match self.call_hinted(
-            Request::WriteList {
-                fd,
-                extents: extents.to_vec(),
-                payload,
-            },
-            useful,
-        )? {
-            Response::Written(n) => Ok(n),
-            Response::Error(e) => Err(e),
-            other => Err(SrbError::InvalidArg(format!("unexpected reply {other:?}"))),
-        }
+        let extents = extents.to_vec();
+        let req = Request::WriteList {
+            fd,
+            extents,
+            payload,
+        };
+        reply!(self.call_hinted(req, useful)?, Response::Written(n) => n)
     }
 
     /// A single contiguous read whose goodput accounting is capped at
     /// `useful` bytes — the data-sieving covering fetch.
     pub fn read_sieved(&self, fd: u32, offset: u64, len: u64, useful: u64) -> SrbResult<Payload> {
-        match self.call_hinted(Request::Read { fd, offset, len }, Some(useful))? {
-            Response::Data(p) => Ok(p),
-            Response::Error(e) => Err(e),
-            other => Err(SrbError::InvalidArg(format!("unexpected reply {other:?}"))),
-        }
+        let resp = self.call_hinted(Request::Read { fd, offset, len }, Some(useful))?;
+        reply!(resp, Response::Data(p) => p)
     }
 
     /// A single contiguous write whose goodput accounting is capped at
@@ -322,60 +304,40 @@ impl SrbConn {
         payload: Payload,
         useful: u64,
     ) -> SrbResult<u64> {
-        match self.call_hinted(
-            Request::Write {
-                fd,
-                offset,
-                payload,
-            },
-            Some(useful),
-        )? {
-            Response::Written(n) => Ok(n),
-            Response::Error(e) => Err(e),
-            other => Err(SrbError::InvalidArg(format!("unexpected reply {other:?}"))),
-        }
+        let req = Request::Write {
+            fd,
+            offset,
+            payload,
+        };
+        reply!(self.call_hinted(req, Some(useful))?, Response::Written(n) => n)
     }
 
     /// Object metadata.
     pub fn stat(&self, path: &str) -> SrbResult<ObjStat> {
-        match self.call(Request::Stat(path.to_string()))? {
-            Response::Stat(s) => Ok(s),
-            Response::Error(e) => Err(e),
-            other => Err(SrbError::InvalidArg(format!("unexpected reply {other:?}"))),
-        }
+        reply!(self.call(Request::Stat(path.to_string()))?, Response::Stat(s) => s)
     }
 
     /// Remove a data object.
     pub fn unlink(&self, path: &str) -> SrbResult<()> {
-        self.expect_ok(Request::Unlink(path.to_string()))
+        reply!(self.call(Request::Unlink(path.to_string()))?, Response::Ok => ())
     }
 
     /// Immediate children of a collection.
     pub fn list(&self, path: &str) -> SrbResult<Vec<String>> {
-        match self.call(Request::List(path.to_string()))? {
-            Response::Names(n) => Ok(n),
-            Response::Error(e) => Err(e),
-            other => Err(SrbError::InvalidArg(format!("unexpected reply {other:?}"))),
-        }
+        reply!(self.call(Request::List(path.to_string()))?, Response::Names(n) => n)
     }
 
     /// Server-side Adler-32 checksum of a whole object — verify a transfer
     /// without pulling the bytes back over the WAN.
     pub fn checksum(&self, path: &str) -> SrbResult<u32> {
-        match self.call(Request::Checksum(path.to_string()))? {
-            Response::Checksum(c) => Ok(c),
-            Response::Error(e) => Err(e),
-            other => Err(SrbError::InvalidArg(format!("unexpected reply {other:?}"))),
-        }
+        reply!(self.call(Request::Checksum(path.to_string()))?, Response::Checksum(c) => c)
     }
 
     /// Replicate an object to a federated peer server (§8). Blocks until
     /// the copy completes on the peer.
     pub fn replicate(&self, path: &str, peer: &str) -> SrbResult<()> {
-        self.expect_ok(Request::Replicate {
-            path: path.to_string(),
-            peer: peer.to_string(),
-        })
+        let (path, peer) = (path.to_string(), peer.to_string());
+        reply!(self.call(Request::Replicate { path, peer })?, Response::Ok => ())
     }
 
     /// Gracefully end the session. A session that owns its stream tears
@@ -385,10 +347,7 @@ impl SrbConn {
     /// A [`SrbConn::submit`] of [`Request::Disconnect`], waited for (the
     /// server answers a session's end with `Ok`).
     pub fn disconnect(&self) -> SrbResult<()> {
-        let reply = OnceCellBlocking::new(self.runtime());
-        let cell = reply.clone();
-        self.submit(Request::Disconnect, Box::new(move |r| cell.set(r)))?;
-        reply.wait().map(drop)
+        self.reply_cell(Request::Disconnect, None).wait().map(drop)
     }
 
     /// The runtime this session charges time against.

@@ -15,7 +15,7 @@
 //!   [write hook](crate::server::SrbServer::set_write_hook): every durable
 //!   vault write enqueues its extent. A federated peer's replicator
 //!   (`SrbServer::add_peer`) keeps its hook off and ships what `Replicate`
-//!   asks for. Either way a daemon ships the bytes in acked
+//!   asks for. Either way a daemon task ships the bytes in acked
 //!   [`REPL_BLOCK`]-sized blocks, each *retained until acked* — transient
 //!   failures redial and re-ship the same bytes (the `CompressedWriter`
 //!   frame-retention idiom applied to replication) — so everything the
@@ -31,15 +31,16 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use semplar_runtime::sync::{Channel, OnceCellBlocking};
-use semplar_runtime::{Event, Runtime};
+use semplar_runtime::sync::{Channel, Closed, OnceCellBlocking};
+use semplar_runtime::{Dur, Event, Runtime, Task, TaskCtx, TaskExecutor, TaskStep};
 
 use crate::client::SrbConn;
 use crate::mcat::Mcat;
+use crate::proto::{Request, RespFrame, Response};
 use crate::retry::RetryPolicy;
-use crate::server::{ConnRoute, SrbServer};
+use crate::server::{ConnRoute, Dial, SrbServer};
 use crate::types::{OpenFlags, Payload, SrbError, SrbResult};
-use crate::vault::Vault;
+use crate::vault::{DiskOp, Vault};
 
 /// Replication block size: extents are shipped to the replica in acked
 /// blocks of at most this many bytes (the same 1 MiB granularity as the
@@ -132,21 +133,15 @@ pub struct ReplStats {
 /// Asynchronous replication from a source server to a target.
 ///
 /// Construction registers a write hook on the source and spawns a daemon
-/// that drains the queue on virtual time, reading the source's catalog and
-/// vault (it holds those, not the server) and acting as a *client* of the
-/// target over `route`: connection setup, WAN transfer, and the target's
-/// disk work all charge time to it, never to the writer whose write
-/// triggered the job — replication is invisible to the compute path (the
-/// TASIO shape).
+/// task, `federation/replicator/0`, that drains the queue on virtual time,
+/// acting as a *client* of the target over `route`: connection setup,
+/// WAN transfer, and the target's disk work all charge time to it, never to
+/// the writer whose write triggered the job — replication is invisible to
+/// the compute path (the TASIO shape). The replicator is held by cycles
+/// (the source's write hook, a membership promotion hook), so nothing
+/// closes its queue: the task waits on it until the simulation drops it.
 pub struct Replicator {
     rt: Arc<dyn Runtime>,
-    mcat: Arc<Mcat>,
-    vault: Arc<Vault>,
-    replica: Arc<SrbServer>,
-    route: ConnRoute,
-    user: String,
-    password: String,
-    retry: RetryPolicy,
     jobs: Channel<ReplJob>,
     /// Jobs enqueued whose last block is not yet acked, and the cell the
     /// next drain sets (made by the first `quiesce` that has to wait).
@@ -156,25 +151,21 @@ pub struct Replicator {
     /// primary's forward replicator is active, so a deposed primary's
     /// leftover hook cannot ping-pong freshly reconciled bytes back.
     active: AtomicBool,
-    /// Membership-epoch stamp for the daemon's client connections to the
+    /// Membership-epoch stamp for the shipping task's connections to the
     /// target server. Shared with (and advanced by) the membership layer;
     /// stays 0 — un-epoched — outside membership governance.
     epoch: Arc<AtomicU64>,
-    enqueued: AtomicU64,
-    shipped_blocks: AtomicU64,
-    shipped_bytes: AtomicU64,
-    reships: AtomicU64,
-    skipped: AtomicU64,
-    high_water: AtomicU64,
+    stats: Mutex<ReplStats>,
 }
 
 impl Replicator {
     /// Wire `primary` to `replica`: register the write hook and start the
-    /// shipping daemon. `route` is the network path from the primary to the
+    /// shipping task. `route` is the network path from the primary to the
     /// replica; `user`/`password` the federation service account on the
     /// replica; `retry`'s backoff schedule paces re-ships (blocks are
     /// retained and re-shipped indefinitely — replication never gives up on
-    /// a transient failure, it just waits).
+    /// a transient failure, it just waits). The hook starts active; see
+    /// [`Replicator::set_active`] for a shard's reverse replicator.
     pub fn start(
         rt: &Arc<dyn Runtime>,
         primary: Arc<SrbServer>,
@@ -184,58 +175,13 @@ impl Replicator {
         password: &str,
         retry: RetryPolicy,
     ) -> Arc<Replicator> {
-        Replicator::start_with(rt, primary, replica, route, user, password, retry, true)
-    }
-
-    /// Like [`Replicator::start`], but the write hook begins *inactive*:
-    /// events are dropped until [`Replicator::set_active`] turns it on.
-    /// This is the right constructor for a shard's *reverse* replicator —
-    /// membership activates it at promotion. Constructing it live would
-    /// leave both directions' hooks armed at once: every forward ship
-    /// fires the replica's write hook, which enqueues a reverse ship,
-    /// which fires the primary's hook again — an unbounded ping-pong.
-    pub fn start_inactive(
-        rt: &Arc<dyn Runtime>,
-        primary: Arc<SrbServer>,
-        replica: Arc<SrbServer>,
-        route: ConnRoute,
-        user: &str,
-        password: &str,
-        retry: RetryPolicy,
-    ) -> Arc<Replicator> {
-        Replicator::start_with(rt, primary, replica, route, user, password, retry, false)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn start_with(
-        rt: &Arc<dyn Runtime>,
-        primary: Arc<SrbServer>,
-        replica: Arc<SrbServer>,
-        route: ConnRoute,
-        user: &str,
-        password: &str,
-        retry: RetryPolicy,
-        active: bool,
-    ) -> Arc<Replicator> {
         let repl = Arc::new(Replicator {
             rt: rt.clone(),
-            mcat: primary.mcat().clone(),
-            vault: primary.vault().clone(),
-            replica,
-            route,
-            user: user.to_string(),
-            password: password.to_string(),
-            retry,
             jobs: Channel::new(rt),
             drain: Mutex::default(),
-            active: AtomicBool::new(active),
+            active: AtomicBool::new(true),
             epoch: Arc::new(AtomicU64::new(0)),
-            enqueued: AtomicU64::new(0),
-            shipped_blocks: AtomicU64::new(0),
-            shipped_bytes: AtomicU64::new(0),
-            reships: AtomicU64::new(0),
-            skipped: AtomicU64::new(0),
-            high_water: AtomicU64::new(0),
+            stats: Mutex::default(),
         });
         let hook = repl.clone();
         primary.set_write_hook(Arc::new(move |path, offset, len| {
@@ -243,25 +189,28 @@ impl Replicator {
                 hook.enqueue_extent(path, offset, len);
             }
         }));
-        let daemon = repl.clone();
-        rt.spawn_daemon("federation/replicator", Box::new(move || daemon.run()));
+        let (user, password) = (user.to_string(), password.to_string());
+        let shipper = Shipper {
+            repl: repl.clone(),
+            mcat: primary.mcat().clone(),
+            vault: primary.vault().clone(),
+            retry,
+            dial: Box::new(move || replica.dial(route.clone(), &user, &password, 1)),
+            conn: None,
+            fds: HashMap::new(),
+            colls: HashSet::new(),
+            state: Shipping::Idle,
+        };
+        TaskExecutor::new(rt, "federation/replicator").spawn_daemon(Box::new(shipper));
         repl
     }
 
     /// Snapshot of the replicator counters.
     pub fn stats(&self) -> ReplStats {
-        ReplStats {
-            enqueued: self.enqueued.load(Ordering::Relaxed),
-            shipped_blocks: self.shipped_blocks.load(Ordering::Relaxed),
-            shipped_bytes: self.shipped_bytes.load(Ordering::Relaxed),
-            reships: self.reships.load(Ordering::Relaxed),
-            skipped: self.skipped.load(Ordering::Relaxed),
-            queue_high_water: self.high_water.load(Ordering::Relaxed),
-        }
+        *self.stats.lock()
     }
 
     fn push_job(&self, path: &str, offset: u64, len: u64, done: Option<(Event, Outcome)>) {
-        self.enqueued.fetch_add(1, Ordering::Relaxed);
         // Pending from here until its last block is acked.
         self.drain.lock().0 += 1;
         let path = path.to_string();
@@ -271,8 +220,9 @@ impl Replicator {
             len,
             done,
         });
-        self.high_water
-            .fetch_max(self.jobs.len() as u64, Ordering::Relaxed);
+        let mut st = self.stats.lock();
+        st.enqueued += 1;
+        st.queue_high_water = st.queue_high_water.max(self.jobs.len() as u64);
     }
 
     /// Enqueue one extent directly, bypassing the write hook. Membership
@@ -293,12 +243,17 @@ impl Replicator {
     }
 
     /// Gate the write hook: while inactive, write events are dropped
-    /// (already-queued jobs still ship). See the `active` field.
+    /// (already-queued jobs still ship). See the `active` field. A shard's
+    /// *reverse* replicator is made inactive right after `start`, before
+    /// anything can write — membership activates it at promotion. Left live,
+    /// both directions' hooks would be armed at once: every forward ship
+    /// fires the replica's write hook, which enqueues a reverse ship, which
+    /// fires the primary's hook again — an unbounded ping-pong.
     pub fn set_active(&self, active: bool) {
         self.active.store(active, Ordering::SeqCst);
     }
 
-    /// The shared epoch stamp the daemon's connections carry. The
+    /// The shared epoch stamp the shipping task's connections carry. The
     /// membership layer advances it so post-promotion ships are accepted by
     /// an epoch-fenced target once certified.
     pub fn epoch_stamp(&self) -> Arc<AtomicU64> {
@@ -323,129 +278,234 @@ impl Replicator {
         (*pending > 0).then(|| cell.get_or_insert_with(fresh).clone())
     }
 
-    fn run(self: Arc<Self>) {
-        let mut conn: Option<SrbConn> = None;
-        let mut fds: HashMap<String, u32> = HashMap::new();
-        let mut colls: HashSet<String> = HashSet::new();
-        while let Ok(job) = self.jobs.recv() {
-            let r = self.ship_job(&job, &mut conn, &mut fds, &mut colls);
-            if let Some((done, out)) = job.done {
-                *out.lock() = Some(r);
-                done.signal();
-            }
-            let mut d = self.drain.lock();
-            d.0 -= 1;
-            let pending = d.0;
-            if let Some(drained) = d.1.take_if(|_| pending == 0) {
-                drop(d);
-                drained.set(());
-            }
+    /// A shipped job's outcome is in: tell its waiter, if any, and
+    /// release the drain once it was the last pending job.
+    fn finish(&self, job: ReplJob, r: SrbResult<()>) {
+        if let Some((done, out)) = job.done {
+            *out.lock() = Some(r);
+            done.signal();
+        }
+        let mut d = self.drain.lock();
+        d.0 -= 1;
+        let pending = d.0;
+        if let Some(drained) = d.1.take_if(|_| pending == 0) {
+            drop(d);
+            drained.set(());
         }
     }
+}
 
-    fn ship_job(
-        &self,
-        job: &ReplJob,
-        conn: &mut Option<SrbConn>,
-        fds: &mut HashMap<String, u32>,
-        colls: &mut HashSet<String>,
-    ) -> SrbResult<()> {
-        // The source's vault is authoritative and survives crashes, so
-        // shipping continues even while the source is refusing clients.
-        let rec = self.mcat.lookup(&job.path).inspect_err(|_| {
-            self.skipped.fetch_add(1, Ordering::Relaxed);
-        })?;
-        let end = job.offset + job.len;
-        let mut off = job.offset;
-        // At least one block, so even an empty object reaches the target.
-        loop {
-            let len = REPL_BLOCK.min(end - off);
-            // Under a schedule hook, when to ship each block (relative to
-            // faults and reconcile replay) is an explorable choice.
-            self.rt.schedule_point("replicator/ship-block");
-            // Read once; the block is retained in memory until the replica
-            // acks it, so a failed ship replays the exact same bytes.
-            let data = self.vault.read(rec.obj_id, off, len);
-            let key = rec.obj_id ^ off;
-            let mut attempt = 0u32;
-            loop {
-                match self.ship_block(conn, fds, colls, &job.path, off, data.clone()) {
-                    Ok(()) => break,
-                    // Replay the retained block after a deterministic
-                    // backoff, over a fresh stream if this one was cut.
-                    // Never give up: the target coming back is the only way
-                    // the queue drains, and faults here are injected ones.
-                    // A target that restarted fenced (`StaleEpoch`) is
-                    // outwaited too: unlike client writes, the replicator
-                    // *must* land the block once membership certifies it.
-                    Err(e) if e.is_transient() || matches!(e, SrbError::StaleEpoch { .. }) => {
-                        if e.is_transient() {
-                            *conn = None;
-                            fds.clear();
-                        }
-                        self.reships.fetch_add(1, Ordering::Relaxed);
-                        self.rt.sleep(self.retry.backoff(key, attempt.min(8)));
-                        attempt += 1;
-                    }
-                    Err(e) => {
-                        self.skipped.fetch_add(1, Ordering::Relaxed);
-                        return Err(e);
-                    }
-                }
-            }
-            self.shipped_blocks.fetch_add(1, Ordering::Relaxed);
-            self.shipped_bytes.fetch_add(data.len(), Ordering::Relaxed);
-            off += len;
-            if off >= end {
-                return Ok(());
-            }
-        }
-    }
+/// The block of a job being shipped.
+struct Block {
+    /// Its `offset` is the block's, its `len` what is left to ship.
+    job: ReplJob,
+    obj_id: u64,
+    /// Read once; retained until the target acks it, so a failed ship
+    /// replays the exact same bytes.
+    data: Payload,
+    /// Failed ships of this block so far.
+    attempt: u32,
+}
 
-    fn ship_block(
-        &self,
-        conn: &mut Option<SrbConn>,
-        fds: &mut HashMap<String, u32>,
-        colls: &mut HashSet<String>,
-        path: &str,
-        offset: u64,
-        data: Payload,
-    ) -> SrbResult<()> {
-        if conn.is_none() {
-            let c = self
-                .replica
-                .connect(self.route.clone(), &self.user, &self.password)?;
-            // Under membership governance the daemon's frames carry the
-            // shared epoch stamp; outside it the stamp stays 0 (un-epoched).
-            c.set_epoch_source(self.epoch.clone());
-            *conn = Some(c);
-        }
-        let c = conn.as_ref().expect("connection just established");
-        let fd = match fds.get(path) {
-            Some(&fd) => fd,
-            None => {
-                // mkdir -p the parent collections on the replica, once per
-                // prefix per daemon lifetime.
-                let mut prefix = String::new();
-                for comp in path.split('/').filter(|s| !s.is_empty()) {
-                    let next = format!("{prefix}/{comp}");
-                    if next != path && !colls.contains(&next) {
-                        match c.mk_coll(&next) {
-                            Ok(()) | Err(SrbError::AlreadyExists(_)) => {
-                                colls.insert(next.clone());
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    }
-                    prefix = next;
-                }
-                let fd = c.open(path, OpenFlags::CreateRw)?;
-                fds.insert(path.to_string(), fd);
-                fd
-            }
+/// The exchange a [`Shipping::Call`] waits for.
+enum Call {
+    /// `mkdir -p` of the target's parent collections, one at a time.
+    MkColl(String),
+    Open,
+    Write,
+}
+
+/// Where the [`Shipper`] is blocked.
+enum Shipping {
+    /// On the job queue.
+    Idle,
+    /// The block's disk read on the source.
+    Read(Block, DiskOp),
+    /// Connecting to the target.
+    Dial(Block, Box<Dial>),
+    /// One exchange with the target, until its reply.
+    Call(Block, Call, Arc<OnceCellBlocking<SrbResult<RespFrame>>>),
+    /// The backoff before a re-ship, while still to be slept.
+    Backoff(Block, Option<Dur>),
+}
+
+/// A replicator's daemon task: ships the queued jobs one block at a time,
+/// reading the source's catalog and vault (it holds those, not the server:
+/// the vault survives crashes, so shipping goes on while the source refuses
+/// clients) and acting as a client of the target over one stream it
+/// redials after a cut.
+struct Shipper {
+    repl: Arc<Replicator>,
+    mcat: Arc<Mcat>,
+    vault: Arc<Vault>,
+    retry: RetryPolicy,
+    /// Starts a connection to the target under the federation account.
+    dial: Box<dyn Fn() -> Dial + Send>,
+    conn: Option<SrbConn>,
+    /// Descriptors open on the target, by path, and collections made there.
+    fds: HashMap<String, u32>,
+    colls: HashSet<String>,
+    state: Shipping,
+}
+
+impl Shipper {
+    /// Read the block at `job.offset` (at least one, so even an empty
+    /// object reaches the target).
+    fn read(&self, job: ReplJob, obj_id: u64) -> Shipping {
+        let data = self.vault.load(obj_id, job.offset, REPL_BLOCK.min(job.len));
+        let op = DiskOp::new(data.len());
+        let block = Block {
+            job,
+            obj_id,
+            data,
+            attempt: 0,
         };
-        c.write(fd, offset, data)?;
-        Ok(())
+        Shipping::Read(block, op)
+    }
+
+    /// Ship `b`: dial the target if there is no stream, make the missing
+    /// parent collections, open the object once, then write.
+    fn next_call(&mut self, b: Block) -> Shipping {
+        let Some(conn) = &self.conn else {
+            return Shipping::Dial(b, Box::new((self.dial)()));
+        };
+        let path = &b.job.path;
+        let mut prefix = String::new();
+        let missing = path.split('/').filter(|c| !c.is_empty()).find_map(|c| {
+            prefix = format!("{prefix}/{c}");
+            (prefix != *path && !self.colls.contains(&prefix)).then(|| prefix.clone())
+        });
+        let (call, req) = match (self.fds.get(path), missing) {
+            (Some(&fd), _) => {
+                let (offset, payload) = (b.job.offset, b.data.clone());
+                (
+                    Call::Write,
+                    Request::Write {
+                        fd,
+                        offset,
+                        payload,
+                    },
+                )
+            }
+            (None, Some(coll)) => (Call::MkColl(coll.clone()), Request::MkColl(coll)),
+            (None, None) => (Call::Open, Request::Open(path.clone(), OpenFlags::CreateRw)),
+        };
+        Shipping::Call(b, call, conn.reply_cell(req, None))
+    }
+
+    /// Shipping `b` failed with `e`. Replay the retained block after a
+    /// deterministic backoff, over a fresh stream if this one was cut.
+    /// Never give up: the target coming back is the only way the queue
+    /// drains, and faults here are injected ones. A target that restarted
+    /// fenced (`StaleEpoch`) is outwaited too: unlike client writes, the
+    /// replicator *must* land the block once membership certifies it.
+    fn failed(&mut self, mut b: Block, e: SrbError) -> Shipping {
+        let r = &self.repl;
+        if !(e.is_transient() || matches!(e, SrbError::StaleEpoch { .. })) {
+            r.stats.lock().skipped += 1;
+            r.finish(b.job, Err(e));
+            return Shipping::Idle;
+        }
+        if e.is_transient() {
+            self.conn = None;
+            self.fds.clear();
+        }
+        r.stats.lock().reships += 1;
+        let backoff = self
+            .retry
+            .backoff(b.obj_id ^ b.job.offset, b.attempt.min(8));
+        b.attempt += 1;
+        Shipping::Backoff(b, Some(backoff))
+    }
+
+    /// The target acked `b`: on to the job's next block, or the next job.
+    fn shipped(&mut self, mut b: Block) -> Shipping {
+        let mut st = self.repl.stats.lock();
+        st.shipped_blocks += 1;
+        st.shipped_bytes += b.data.len();
+        drop(st);
+        let len = REPL_BLOCK.min(b.job.len);
+        (b.job.offset, b.job.len) = (b.job.offset + len, b.job.len - len);
+        if b.job.len == 0 {
+            self.repl.finish(b.job, Ok(()));
+            return Shipping::Idle;
+        }
+        self.read(b.job, b.obj_id)
+    }
+}
+
+impl Task for Shipper {
+    fn poll(&mut self, _cx: &mut TaskCtx<'_>) -> TaskStep {
+        let r = self.repl.clone();
+        loop {
+            self.state = match std::mem::replace(&mut self.state, Shipping::Idle) {
+                Shipping::Idle => match r.jobs.poll_recv() {
+                    Err(wait) => return wait,
+                    Ok(Err(Closed)) => return TaskStep::Done,
+                    Ok(Ok(job)) => match self.mcat.lookup(&job.path) {
+                        Ok(rec) => self.read(job, rec.obj_id),
+                        Err(e) => {
+                            r.stats.lock().skipped += 1;
+                            r.finish(job, Err(e));
+                            Shipping::Idle
+                        }
+                    },
+                },
+                Shipping::Read(b, mut op) => match self.vault.poll_disk(&mut op) {
+                    Some(step) => {
+                        self.state = Shipping::Read(b, op);
+                        return step;
+                    }
+                    None => self.next_call(b),
+                },
+                Shipping::Dial(b, mut dial) => match dial.poll() {
+                    Err(step) => {
+                        self.state = Shipping::Dial(b, dial);
+                        return step;
+                    }
+                    Ok(Err(e)) => self.failed(b, e),
+                    Ok(Ok(stream)) => {
+                        // Under membership governance the stream's frames
+                        // carry the shared epoch stamp; outside it the
+                        // stamp stays 0 (un-epoched).
+                        let conn = SrbConn::on(stream, None);
+                        conn.set_epoch_source(r.epoch.clone());
+                        self.conn = Some(conn);
+                        self.next_call(b)
+                    }
+                },
+                Shipping::Call(b, call, reply) => match reply.poll_wait() {
+                    Err(step) => {
+                        self.state = Shipping::Call(b, call, reply);
+                        return step;
+                    }
+                    Ok(res) => match (res.map(|frame| frame.resp), call) {
+                        (Ok(Response::Written(_)), Call::Write) => self.shipped(b),
+                        (Ok(Response::Fd(fd)), Call::Open) => {
+                            self.fds.insert(b.job.path.clone(), fd);
+                            self.next_call(b)
+                        }
+                        (
+                            Ok(Response::Ok | Response::Error(SrbError::AlreadyExists(_))),
+                            Call::MkColl(coll),
+                        ) => {
+                            self.colls.insert(coll);
+                            self.next_call(b)
+                        }
+                        (Ok(Response::Error(e)) | Err(e), _) => self.failed(b, e),
+                        (Ok(other), _) => {
+                            let e = SrbError::InvalidArg(format!("unexpected reply {other:?}"));
+                            self.failed(b, e)
+                        }
+                    },
+                },
+                Shipping::Backoff(b, Some(d)) if !d.is_zero() => {
+                    self.state = Shipping::Backoff(b, None);
+                    return TaskStep::Sleep(d);
+                }
+                Shipping::Backoff(b, _) => self.next_call(b),
+            };
+        }
     }
 }
 

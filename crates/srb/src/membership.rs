@@ -192,7 +192,7 @@ impl Membership {
                     s.enable_epoch_fencing(base);
                 }
                 // Replication starts in the forward direction only; both
-                // daemons' connections carry the shard epoch from now on.
+                // replicators' connections carry the shard epoch from now on.
                 p.forward.set_active(true);
                 p.reverse.set_active(false);
                 let f_stamp = p.forward.epoch_stamp();

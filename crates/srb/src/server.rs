@@ -384,7 +384,7 @@ impl SrbServer {
         user: &str,
         password: &str,
     ) {
-        let repl = Replicator::start_inactive(
+        let repl = Replicator::start(
             &self.rt,
             self.clone(),
             server,
@@ -393,6 +393,7 @@ impl SrbServer {
             password,
             RetryPolicy::default(),
         );
+        repl.set_active(false);
         self.peers.lock().insert(name.to_string(), repl);
     }
 
@@ -567,61 +568,24 @@ impl SrbServer {
         }
     }
 
-    /// Shared connection plumbing: refuse if crashed, assign a NIC, charge
-    /// the TCP + SRB handshake (one round trip) to the caller, authenticate,
-    /// register the stream's channels, and spawn the per-connection handler
-    /// task. Returns the forward path and channel pair for the transport.
-    fn establish(
+    /// Start dialing a stream carrying up to `max_inflight` exchanges, for
+    /// the caller to drive: a thread blocks in its steps
+    /// ([`SrbServer::connect_transport`]), a task returns them.
+    pub(crate) fn dial(
         self: &Arc<Self>,
-        route: &ConnRoute,
+        route: ConnRoute,
         user: &str,
         password: &str,
-    ) -> SrbResult<(Vec<LinkId>, ConnChannels, u64)> {
-        // A crashed server refuses immediately (connection refused): no
-        // handshake time is charged, the caller's retry backoff paces the
-        // reconnect attempts.
-        if self.is_crashed() {
-            return Err(SrbError::Disconnected { acked: 0 });
-        }
-        let nic = self.next_nic.fetch_add(1, Ordering::Relaxed) % self.cfg.nics.max(1);
-        let mut fwd = route.fwd.clone();
-        fwd.push(self.nic_in[nic]);
-        let mut rev = vec![self.nic_out[nic]];
-        rev.extend_from_slice(&route.rev);
-
-        // Handshake: connection setup + auth exchange, one full RTT, charged
-        // to the connecting actor.
-        self.net
-            .send_message_opts(&fwd, WIRE_HDR, &route.opts(route.send_cap));
-        self.rt.sleep(self.cfg.op_overhead);
-        let auth = self.mcat.authenticate(user, password);
-        self.net
-            .send_message_opts(&rev, WIRE_HDR, &route.opts(route.recv_cap));
-        auth?;
-
-        self.connections.fetch_add(1, Ordering::Relaxed);
-        let conn_id = self.next_conn.fetch_add(1, Ordering::Relaxed);
-        let req_ch: Channel<ReqFrame> = Channel::new(&self.rt);
-        let resp_ch: Channel<RespFrame> = Channel::new(&self.rt);
-        self.live_conns
-            .lock()
-            .insert(conn_id, (req_ch.clone(), resp_ch.clone()));
-
-        // Daemon: an idle connection handler waiting on its request channel
-        // must not keep the simulation alive (clients that crash or never
-        // disconnect would otherwise wedge the virtual clock).
-        self.handlers.spawn_daemon(Box::new(Handler {
+        max_inflight: usize,
+    ) -> Dial {
+        Dial {
             server: self.clone(),
-            conn_id,
-            req_ch: req_ch.clone(),
-            resp_ch: resp_ch.clone(),
-            rev,
-            rev_opts: route.opts(route.recv_cap),
-            sessions: Default::default(),
-            state: Serving::Idle,
-        }));
-
-        Ok((fwd, (req_ch, resp_ch), conn_id))
+            path: (route.fwd.clone(), route.rev.clone()),
+            opts: (route.opts(route.send_cap), route.opts(route.recv_cap)),
+            credentials: (user.to_string(), password.to_string()),
+            max_inflight,
+            state: Dialing::Start,
+        }
     }
 
     /// Dial a stream of its own for one session: one exchange at a time,
@@ -647,16 +611,13 @@ impl SrbServer {
         password: &str,
         max_inflight: usize,
     ) -> SrbResult<Arc<Transport>> {
-        let (fwd, chans, conn_id) = self.establish(&route, user, password)?;
-        Ok(Transport::new(
-            self.rt.clone(),
-            self.net.clone(),
-            fwd,
-            route.opts(route.send_cap),
-            chans,
-            &format!("{}/mux-{conn_id}", self.cfg.name),
-            max_inflight,
-        ))
+        let mut dial = self.dial(route, user, password, max_inflight);
+        loop {
+            match dial.poll() {
+                Ok(stream) => return stream,
+                Err(step) => drop(step.block(&self.rt)),
+            }
+        }
     }
 
     /// The non-blocking first phase of serving `req`: everything up to the
@@ -1061,5 +1022,107 @@ impl Task for Handler {
         }
         srv.live_conns.lock().remove(&self.conn_id);
         TaskStep::Done
+    }
+}
+
+/// Where a [`Dial`] is: the handshake is one round trip, charged to the
+/// connecting actor.
+enum Dialing {
+    /// Not sent yet.
+    Start,
+    /// Connection setup on its way over the forward path.
+    Forward(Message),
+    /// After `sleep(op_overhead)`, the server's processing: the reply on
+    /// its way back, with the outcome of the authentication it then ran.
+    Reverse(Message, Option<SrbResult<()>>),
+}
+
+/// A connection being established: the TCP + SRB handshake, then the
+/// stream's channels registered with the server and its handler, demux
+/// and sender spawned. Made by `SrbServer::dial`.
+pub(crate) struct Dial {
+    server: Arc<SrbServer>,
+    /// The route's forward and reverse links, then each with a server NIC.
+    path: (Vec<LinkId>, Vec<LinkId>),
+    /// The route's send and receive transfer options.
+    opts: (XferOpts, XferOpts),
+    credentials: (String, String),
+    max_inflight: usize,
+    state: Dialing,
+}
+
+impl Dial {
+    /// Advance the handshake: the stream once it is up, or the refusal,
+    /// or the step to block in before the next poll.
+    pub(crate) fn poll(&mut self) -> Result<SrbResult<Arc<Transport>>, TaskStep> {
+        let srv = &self.server;
+        let (fwd, rev) = &mut self.path;
+        loop {
+            match &mut self.state {
+                Dialing::Start => {
+                    // A crashed server refuses immediately (connection
+                    // refused): no handshake time is charged, the caller's
+                    // retry backoff paces the reconnect attempts.
+                    if srv.is_crashed() {
+                        return Ok(Err(SrbError::Disconnected { acked: 0 }));
+                    }
+                    let nic = srv.next_nic.fetch_add(1, Ordering::Relaxed) % srv.cfg.nics.max(1);
+                    fwd.push(srv.nic_in[nic]);
+                    rev.insert(0, srv.nic_out[nic]);
+                    self.state = Dialing::Forward(Message::new(WIRE_HDR));
+                }
+                Dialing::Forward(msg) => {
+                    if let Some(step) = srv.net.poll_message(msg, fwd, &self.opts.0) {
+                        return Err(step);
+                    }
+                    self.state = Dialing::Reverse(Message::new(WIRE_HDR), None);
+                    if !srv.cfg.op_overhead.is_zero() {
+                        return Err(TaskStep::Sleep(srv.cfg.op_overhead));
+                    }
+                }
+                Dialing::Reverse(msg, auth) => {
+                    let (user, password) = &self.credentials;
+                    let auth = auth.get_or_insert_with(|| srv.mcat.authenticate(user, password));
+                    if let Some(step) = srv.net.poll_message(msg, rev, &self.opts.1) {
+                        return Err(step);
+                    }
+                    return Ok(auth.clone().map(|()| self.open()));
+                }
+            }
+        }
+    }
+
+    /// The handshake is done: register the stream's channels and spawn its
+    /// handler, then the transport's demux and sender.
+    fn open(&self) -> Arc<Transport> {
+        let srv = &self.server;
+        srv.connections.fetch_add(1, Ordering::Relaxed);
+        let conn_id = srv.next_conn.fetch_add(1, Ordering::Relaxed);
+        let chans: ConnChannels = (Channel::new(&srv.rt), Channel::new(&srv.rt));
+        srv.live_conns.lock().insert(conn_id, chans.clone());
+        // Daemon: an idle connection handler waiting on its request channel
+        // must not keep the simulation alive (clients that crash or never
+        // disconnect would otherwise wedge the virtual clock).
+        srv.handlers.spawn_daemon(Box::new(Handler {
+            server: srv.clone(),
+            conn_id,
+            req_ch: chans.0.clone(),
+            resp_ch: chans.1.clone(),
+            rev: self.path.1.clone(),
+            rev_opts: self.opts.1.clone(),
+            sessions: Default::default(),
+            state: Serving::Idle,
+        }));
+        let label = format!("{}/mux-{conn_id}", srv.cfg.name);
+        let (rt, net, fwd) = (srv.rt.clone(), srv.net.clone(), self.path.0.clone());
+        Transport::new(
+            rt,
+            net,
+            fwd,
+            self.opts.0.clone(),
+            chans,
+            &label,
+            self.max_inflight,
+        )
     }
 }

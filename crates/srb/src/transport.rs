@@ -5,9 +5,9 @@
 //! the map of exchanges awaiting their response. Every exchange takes a
 //! stream-unique `seq` tag and goes through `Transport::submit`, which
 //! registers its completion and queues its frame; nothing else puts a frame
-//! on the wire. [`Transport::exchange`] is a `submit` whose completion fills
-//! a cell, followed by a wait on that cell — the paper's blocking call is
-//! its asynchronous primitive plus `MPIO_Wait`.
+//! on the wire. A blocking exchange is a `submit` whose completion fills a
+//! cell, followed by a wait on that cell — the paper's blocking call is its
+//! asynchronous primitive plus `MPIO_Wait`.
 //!
 //! Streams differ only in depth and owner. `max_inflight` bounds the
 //! exchanges outstanding at once: 1 for the stream a
@@ -35,7 +35,7 @@ use parking_lot::Mutex;
 
 use semplar_netsim::net::{Message, XferOpts};
 use semplar_netsim::{LinkId, Network};
-use semplar_runtime::sync::{Channel, Closed, OnceCellBlocking, Semaphore};
+use semplar_runtime::sync::{Channel, Closed, Semaphore};
 use semplar_runtime::{Runtime, Task, TaskCtx, TaskExecutor, TaskStep, Time, Wake};
 
 use crate::proto::{ReqFrame, Request, RespFrame, Response, SessionId, TenantId};
@@ -408,34 +408,6 @@ impl Transport {
         }
     }
 
-    /// One blocking exchange: [`Transport::submit`], then wait for the
-    /// completion. Returns the whole response frame, lease grant included
-    /// (the header field the server stamps on reads) — or `None` when the
-    /// stream is severed, at the instant it is.
-    pub(crate) fn exchange_granted(
-        &self,
-        session: SessionId,
-        tenant: TenantId,
-        epoch: u64,
-        req: Request,
-        useful: Option<u64>,
-    ) -> Option<RespFrame> {
-        let cell = OnceCellBlocking::new(&self.rt);
-        let done = cell.clone();
-        let complete = Box::new(move |frame| done.set(frame));
-        self.submit(session, tenant, epoch, req, useful, complete);
-        cell.wait()
-    }
-
-    /// `Transport::exchange_granted` for an untagged, un-epoched request,
-    /// keeping only the response. Fails with [`Closed`] when the stream is
-    /// severed.
-    pub fn exchange(&self, session: SessionId, req: Request) -> Result<Response, Closed> {
-        self.exchange_granted(session, TenantId::default(), 0, req, None)
-            .map(|frame| frame.resp)
-            .ok_or(Closed)
-    }
-
     /// This stream's goodput telemetry. The meter is owned by the transport
     /// (it dies with the stream); per-stream weights are the stripe
     /// scheduler's job.
@@ -469,9 +441,23 @@ mod tests {
     use super::*;
     use crate::tests::setup_net;
     use crate::types::{OpenFlags, Payload};
+    use semplar_runtime::sync::OnceCellBlocking;
     use semplar_runtime::{simulate, spawn, Dur, SimRuntime};
 
     const MB: u64 = 1_000_000;
+
+    impl Transport {
+        /// One blocking exchange of an untagged, un-epoched request: a
+        /// `submit`, then a wait for its completion. Fails with [`Closed`]
+        /// when the stream is severed.
+        fn exchange(&self, session: SessionId, req: Request) -> Result<Response, Closed> {
+            let cell = OnceCellBlocking::new(&self.rt);
+            let done = cell.clone();
+            let complete = Box::new(move |frame: Option<RespFrame>| done.set(frame));
+            self.submit(session, TenantId::default(), 0, req, None, complete);
+            cell.wait().map(|frame| frame.resp).ok_or(Closed)
+        }
+    }
 
     /// `sem` holds exactly `n` permits: `n` acquires succeed at once and
     /// one more blocks until a release.

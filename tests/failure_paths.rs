@@ -90,21 +90,29 @@ fn double_close_is_idempotent() {
     });
 }
 
+/// A file leaked without `close` or drop leaves its I/O thread parked on
+/// the queue, so the run does not end quietly when the root returns: it
+/// fails with a deadlock report whose actor table names the thread, beside
+/// the stream's handler, demux and sender (daemon tasks, which alone would
+/// have been dropped).
 #[test]
-fn abandoned_files_do_not_wedge_the_simulation() {
-    // Opening a file spawns a server-side handler (daemon) and, after the
-    // first async op, an I/O thread (daemon). Dropping everything without
-    // close() must still let the simulation terminate.
-    let end = simulate(|rt| {
-        let tb = Testbed::new(rt.clone(), das2(), 1);
-        let fs = tb.srbfs(0);
-        let f = File::open(&rt, &fs, "/leak", OpenFlags::CreateRw).unwrap();
-        f.iwrite_at(0, Payload::sized(1000)).wait().unwrap();
-        std::mem::forget(f); // deliberately leak without close
-        rt.sleep(Dur::from_millis(1));
-        rt.now()
+fn a_leaked_files_io_thread_is_reported_by_name() {
+    let run = std::panic::catch_unwind(|| {
+        simulate(|rt| {
+            let tb = Testbed::new(rt.clone(), das2(), 1);
+            let fs = tb.srbfs(0);
+            let f = File::open(&rt, &fs, "/leak", OpenFlags::CreateRw).unwrap();
+            f.iwrite_at(0, Payload::sized(1000)).wait().unwrap();
+            std::mem::forget(f); // deliberately leak without close
+        })
     });
-    assert!(end >= semplar_repro::runtime::Time::ZERO);
+    let payload = run.expect_err("the leaked I/O thread must fail the run");
+    let report = payload.downcast_ref::<String>().expect("a deadlock report");
+    assert!(report.starts_with("simulation deadlock at "), "{report}");
+    assert!(
+        report.contains("\"io-thread-0\": blocked on event wait"),
+        "{report}"
+    );
 }
 
 /// Create-or-open is idempotent across sessions: eight sessions open the
