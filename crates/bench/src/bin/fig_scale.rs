@@ -17,6 +17,7 @@ use std::sync::{Arc, Mutex};
 
 use semplar_bench::{engine_footer, flags, with_testbed, Table};
 use semplar_clusters::{das2, PASSWORD, USER};
+use semplar_netsim::NetStats;
 use semplar_runtime::{Event, SimStats, Task, TaskCtx, TaskExecutor, TaskHandle, TaskStep};
 use semplar_srb::proto::{Request, Response};
 use semplar_srb::{ConnPool, OpenFlags, Payload, PoolPolicy, RetryPolicy, SrbConn, SrbResult};
@@ -156,7 +157,11 @@ impl Task for Client {
 /// way, so aggregate bandwidth should match while the server's footprint
 /// collapses from `clients` to `NODES * max_streams`. Returns (connections
 /// accepted, live handlers with every file open, write-phase seconds).
-fn run_clients(procs: usize, bytes: u64, policy: PoolPolicy) -> ((u64, usize, f64), SimStats) {
+fn run_clients(
+    procs: usize,
+    bytes: u64,
+    policy: PoolPolicy,
+) -> ((u64, usize, f64, NetStats), SimStats) {
     with_testbed(das2(), NODES, move |tb| {
         let (rt, server) = (tb.rt.clone(), tb.server.clone());
         let setup = server.connect(tb.route(0), USER, PASSWORD).unwrap();
@@ -192,7 +197,8 @@ fn run_clients(procs: usize, bytes: u64, policy: PoolPolicy) -> ((u64, usize, f6
         let t0 = rt.now();
         go.signal_n(handles.len());
         handles.iter().for_each(TaskHandle::join);
-        (conns, live, (rt.now() - t0).as_secs_f64())
+        let secs = (rt.now() - t0).as_secs_f64();
+        (conns, live, secs, tb.net.stats())
     })
 }
 
@@ -232,12 +238,16 @@ fn main() {
             ),
         ] {
             let clients = NODES * procs;
-            let ((connections, live, secs), sim) = run_clients(procs, bytes, pool);
+            let ((connections, live, secs, net), sim) = run_clients(procs, bytes, pool);
             let mbps = aggregate_mbps(clients, bytes, secs);
             eprintln!(
                 "fig_scale: {clients} clients / {policy}: {connections} conns, \
-                 {live} live, {mbps:.1} Mb/s; {}",
-                engine_footer(&sim)
+                 {live} live, {mbps:.1} Mb/s; {}, {} timers armed, {} clock advances, \
+                 {} netsim signals",
+                engine_footer(&sim),
+                sim.timers_armed,
+                sim.clock_advances,
+                net.signals
             );
             t.row(vec![
                 clients.to_string(),

@@ -15,10 +15,10 @@
 //!
 //! A max-min-fair fluid model over a link graph captures exactly these
 //! mechanisms. Flows start and stop as actors call
-//! [`Network::transfer`]/[`Network::send_message`]; rates are recomputed by
-//! progressive filling at every change; each blocked owner re-arms its
-//! completion timer against its new rate. The same allocator doubles as the
-//! node CPU model ([`Cpu`]).
+//! [`Network::transfer`]/[`Network::send_message_opts`]; rates are
+//! recomputed by progressive filling at every change, and one alarm per
+//! network wakes the owner of the earliest completion. The same allocator
+//! doubles as the node CPU model ([`Cpu`]).
 
 #![warn(missing_docs)]
 

@@ -34,7 +34,7 @@ mod time;
 pub mod trace;
 
 pub use real::RealRuntime;
-pub use runtime::{spawn, Event, EventApi, JoinHandle, JoinResult, Runtime, Wake};
+pub use runtime::{spawn, Alarm, AlarmApi, Event, EventApi, JoinHandle, JoinResult, Runtime, Wake};
 pub use sim::{on_quiet_actor, simulate, Choice, ScheduleHook, SimRuntime, SimStats};
 pub use task::{Task, TaskCtx, TaskExecutor, TaskHandle, TaskStats, TaskStep, Waker};
 pub use time::{Dur, Time};

@@ -11,7 +11,7 @@ use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::runtime::{Event, EventApi, JoinHandle, Runtime, Wake};
+use crate::runtime::{Alarm, AlarmApi, Event, EventApi, JoinHandle, Runtime, Wake};
 use crate::task::{TaskCell, TaskCtx, TaskStep, Waker, WakerKind};
 use crate::time::{Dur, Time};
 
@@ -98,6 +98,15 @@ impl Runtime for RealRuntime {
         self.spawn(&name, Box::new(run));
     }
 
+    /// The alarm's first `set` starts a thread that sleeps until the instant
+    /// it is aimed at; the thread ends when the alarm is dropped.
+    fn alarm(&self) -> Alarm {
+        Box::new(RealAlarm {
+            start: self.start,
+            shared: Arc::new((Mutex::new(AlarmState::default()), Condvar::new())),
+        })
+    }
+
     fn event(&self) -> Event {
         Arc::new(RealEvent {
             inner: Mutex::new(RealEventInner {
@@ -106,6 +115,74 @@ impl Runtime for RealRuntime {
             }),
             cond: Condvar::new(),
         })
+    }
+}
+
+#[derive(Default)]
+struct AlarmState {
+    /// What the alarm is aimed at, until it fires or is cleared.
+    target: Option<(Time, Event)>,
+    /// The timer thread has been started.
+    running: bool,
+    /// The alarm was dropped: the timer thread returns.
+    dropped: bool,
+}
+
+type AlarmShared = Arc<(Mutex<AlarmState>, Condvar)>;
+
+struct RealAlarm {
+    start: Instant,
+    shared: AlarmShared,
+}
+
+impl RealAlarm {
+    /// The timer thread: wait for the target's instant, re-reading the
+    /// target whenever `set`, `clear` or the drop wakes it.
+    fn run(start: Instant, shared: AlarmShared) {
+        let (state, cond) = &*shared;
+        let mut g = state.lock();
+        while !g.dropped {
+            let Some((at, _)) = &g.target else {
+                cond.wait(&mut g);
+                continue;
+            };
+            let deadline = start + std::time::Duration::from_nanos(at.as_nanos());
+            if Instant::now() < deadline {
+                cond.wait_until(&mut g, deadline);
+                continue;
+            }
+            let (_, ev) = g.target.take().expect("checked above");
+            drop(g);
+            ev.signal();
+            g = state.lock();
+        }
+    }
+}
+
+impl AlarmApi for RealAlarm {
+    fn set(&self, ev: &Event, at: Time) {
+        let mut g = self.shared.0.lock();
+        g.target = Some((at, ev.clone()));
+        if !std::mem::replace(&mut g.running, true) {
+            let (start, shared) = (self.start, self.shared.clone());
+            std::thread::Builder::new()
+                .name("alarm".into())
+                .spawn(move || Self::run(start, shared))
+                .expect("spawn alarm thread");
+        }
+        self.shared.1.notify_one();
+    }
+
+    fn clear(&self) {
+        self.shared.0.lock().target = None;
+        self.shared.1.notify_one();
+    }
+}
+
+impl Drop for RealAlarm {
+    fn drop(&mut self) {
+        self.shared.0.lock().dropped = true;
+        self.shared.1.notify_one();
     }
 }
 
@@ -232,6 +309,35 @@ mod tests {
             h.join_unwrap();
         }
         assert_eq!(n.load(AO::SeqCst), 4);
+    }
+
+    #[test]
+    fn an_alarm_fires_where_it_was_last_aimed() {
+        // Margins of hundreds of ms: a loaded host may stall this thread
+        // between two calls, and only the last target may ever fire.
+        let rt = RealRuntime::new();
+        let (ev, alarm) = (rt.event(), rt.alarm());
+        let ms = |n| Dur::from_millis(n);
+        let t0 = rt.now();
+        alarm.set(&ev, t0 + ms(60_000));
+        alarm.set(&ev, t0 + ms(20)); // earlier
+        assert_eq!(ev.wait_timeout(ms(30_000)), Wake::Signaled);
+        assert!(rt.now() - t0 >= ms(20));
+        let t1 = rt.now();
+        alarm.set(&ev, t1 + ms(300));
+        alarm.set(&ev, t1 + ms(600)); // later
+        assert_eq!(ev.wait_timeout(ms(450)), Wake::Timeout);
+        assert_eq!(ev.wait_timeout(ms(30_000)), Wake::Signaled);
+        assert!(rt.now() - t1 >= ms(600));
+        alarm.set(&ev, rt.now() + ms(300));
+        alarm.clear();
+        assert_eq!(ev.wait_timeout(ms(400)), Wake::Timeout);
+        let t2 = rt.now() + ms(300);
+        for i in 0..1_000 {
+            alarm.set(&ev, t2 + Dur::from_nanos(i));
+        }
+        assert_eq!(ev.wait_timeout(ms(30_000)), Wake::Signaled);
+        assert_eq!(ev.wait_timeout(ms(100)), Wake::Timeout, "fired once");
     }
 
     #[test]

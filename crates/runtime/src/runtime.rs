@@ -75,6 +75,26 @@ pub trait EventApi: Send + Sync {
 /// A shared handle to an event cell.
 pub type Event = Arc<dyn EventApi>;
 
+/// An [`Event`] the runtime signals at an instant of its clock: one timer
+/// an owner re-targets instead of arming a new one per change.
+///
+/// [`set`](AlarmApi::set) aims it at an event and an instant, replacing
+/// whatever it was aimed at; when the clock reaches that instant the event
+/// gets one [`signal`](EventApi::signal) and the alarm is unset. Under
+/// [`SimRuntime`](crate::SimRuntime) an alarm due now fires only once no
+/// actor is ready, like any timer, and counts as one.
+pub trait AlarmApi: Send + Sync {
+    /// Signal `ev` at `at` (at once if `at` has passed), instead of what
+    /// the alarm was set to before.
+    fn set(&self, ev: &Event, at: Time);
+
+    /// Unset the alarm: nothing fires until the next `set`.
+    fn clear(&self);
+}
+
+/// An owned alarm handle; dropping it unsets the alarm.
+pub type Alarm = Box<dyn AlarmApi>;
+
 /// The result of joining a spawned actor: `Err` carries the panic payload.
 pub type JoinResult = Result<(), Box<dyn Any + Send + 'static>>;
 
@@ -165,6 +185,9 @@ pub trait Runtime: Send + Sync {
 
     /// Create a fresh event cell bound to this runtime.
     fn event(&self) -> Event;
+
+    /// Create an unset [`Alarm`] on this runtime's clock.
+    fn alarm(&self) -> Alarm;
 
     /// Declare an explorable schedule point labelled `tag`. A no-op (zero
     /// cost, no blocking) everywhere except under a virtual-time runtime

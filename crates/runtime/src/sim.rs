@@ -56,13 +56,13 @@ use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering as AtOrd};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering as AtOrd};
 use std::sync::Arc;
 use std::thread::Thread;
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
-use crate::runtime::{Event, EventApi, JoinHandle, Runtime, Wake};
+use crate::runtime::{Alarm, AlarmApi, Event, EventApi, JoinHandle, Runtime, Wake};
 use crate::task::{TaskCell, TaskCtx, TaskStep, Waker, WakerKind};
 use crate::time::{Dur, Time};
 
@@ -86,16 +86,19 @@ const SLOT_TIMEOUT: u8 = 2;
 /// A [`Waker`] cut the wait short: neither a permit nor the timeout.
 const SLOT_WAKER: u8 = 4;
 
-/// One blocked wait. All fields are only mutated while the engine lock is
-/// held; the atomics exist purely to avoid `unsafe` interior mutability.
-/// A slot is pending only while its owner is blocked on it: registering it
-/// (in an event's waiter list, the timer heap) and blocking happen under
-/// one hold of the engine lock.
+/// One blocked wait, or an alarm's pending timer. All fields are only
+/// mutated while the engine lock is held — but an alarm's `clear` and drop,
+/// which only mark its slot stale; the atomics exist purely to avoid
+/// `unsafe` interior mutability. A slot is pending only while its owner is
+/// blocked on it: registering it (in an event's waiter list, the timer
+/// heap) and blocking happen under one hold of the engine lock.
 pub(crate) struct WaitSlot {
     state: AtomicU8,
     actor: u64,
     /// Explicit [`Runtime::schedule_point`] label, if this wait is one.
     tag: Option<Arc<str>>,
+    /// An alarm's slot wakes no actor: its timer signals this event.
+    alarm: Option<Event>,
 }
 
 impl WaitSlot {
@@ -104,6 +107,7 @@ impl WaitSlot {
             state: AtomicU8::new(SLOT_PENDING),
             actor,
             tag: tag.map(Arc::from),
+            alarm: None,
         })
     }
 
@@ -290,6 +294,9 @@ pub(crate) struct Engine {
     done: Condvar,
     /// Set by [`SimRuntime::mark_quiet`].
     quiet: AtomicBool,
+    /// Alarms not yet dropped: each may hold one live timer entry. Kept
+    /// off the lock, since a network may be dropped while it is held.
+    alarms: AtomicUsize,
 }
 
 type Guard<'a> = MutexGuard<'a, EngineState>;
@@ -413,7 +420,13 @@ impl Engine {
                 self.clock.store(e.at, AtOrd::Relaxed);
                 st.stats.clock_advances += 1;
             }
-            self.wake(&mut st, &e.slot, SLOT_TIMEOUT);
+            match &e.slot.alarm {
+                None => self.wake(&mut st, &e.slot, SLOT_TIMEOUT),
+                Some(ev) => {
+                    e.slot.state.store(SLOT_TIMEOUT, AtOrd::Relaxed);
+                    sim_event(ev).signal_locked(&mut st);
+                }
+            }
         }
         st
     }
@@ -572,10 +585,16 @@ impl Engine {
                 .deferred
                 .iter()
                 .map(|e| {
-                    let info = st.actors[e.slot.actor as usize].as_ref();
+                    // An alarm wakes whoever waits on its event first.
+                    let (actor, blocked_on) = match &e.slot.alarm {
+                        Some(ev) => (sim_event(ev).first_waiter(), Some("alarm")),
+                        None => (Some(e.slot.actor), None),
+                    };
+                    let info = actor.and_then(|id| st.actors.get(id as usize)?.as_ref());
                     Choice {
                         actor: info.map(|a| a.name().into_owned()).unwrap_or_default(),
-                        blocked_on: info.map_or("(exiting)", ActorInfo::blocked_on),
+                        blocked_on: blocked_on
+                            .unwrap_or_else(|| info.map_or("(exiting)", ActorInfo::blocked_on)),
                         at: Time(e.at.max(now)),
                         tag: e.slot.tag.clone(),
                     }
@@ -722,9 +741,11 @@ impl Engine {
         st.next_seq += 1;
         st.stats.timers_armed += 1;
         st.timers.push(TimerEntry { at, seq, slot });
-        // A wake that beats a timer leaves its entry behind; an actor has at
-        // most one live one, so sweep once stale ones are most of the heap.
-        if st.timers.len() > 2 * st.live() + 64 {
+        // A wake that beats a timer, or an alarm set again, leaves its entry
+        // behind; an actor or an alarm has at most one live one, so sweep
+        // once stale ones are most of the heap.
+        let alarms = self.alarms.load(AtOrd::Relaxed);
+        if st.timers.len() > 2 * (st.live() + alarms) + 64 {
             st.timers.retain(|e| !e.slot.is_woken());
         }
     }
@@ -781,8 +802,7 @@ pub struct SimStats {
     pub tasks_spawned: u64,
     /// The largest number of simultaneously live event-driven tasks.
     pub peak_live_tasks: usize,
-    /// Timers armed over the run (sleeps plus timed waits); a proxy for how
-    /// often actors re-armed completion timers after rate changes.
+    /// Timers armed over the run: sleeps, timed waits and alarm settings.
     pub timers_armed: u64,
     /// Scheduler choice points faced: instants where an installed
     /// [`ScheduleHook`] saw ≥ 2 eligible events. Always 0 on the default
@@ -847,6 +867,7 @@ impl SimRuntime {
                 clock: AtomicU64::new(0),
                 done: Condvar::new(),
                 quiet: AtomicBool::new(false),
+                alarms: AtomicUsize::new(0),
             }),
         }
     }
@@ -1002,6 +1023,14 @@ impl Runtime for SimRuntime {
         })
     }
 
+    fn alarm(&self) -> Alarm {
+        self.eng.alarms.fetch_add(1, AtOrd::Relaxed);
+        Box::new(SimAlarm {
+            eng: self.eng.clone(),
+            armed: Mutex::new(None),
+        })
+    }
+
     fn schedule_point(&self, tag: &str) {
         self.eng.schedule_point(tag);
     }
@@ -1062,6 +1091,98 @@ impl SimEvent {
         }
         Err((slot, "event wait (timeout)"))
     }
+
+    /// One signal, under the engine lock the caller holds: wake the first
+    /// waiter a timeout has not already woken, or bank a permit.
+    fn signal_locked(&self, st: &mut EngineState) {
+        let mut inner = self.inner.lock();
+        let waiter = std::iter::from_fn(|| inner.waiters.pop_front()).find(|w| !w.is_woken());
+        match waiter {
+            Some(w) => self.eng.wake(st, &w, SLOT_SIGNALED),
+            None => inner.permits += 1,
+        }
+    }
+
+    /// The actor a signal would wake now, if any.
+    fn first_waiter(&self) -> Option<u64> {
+        let inner = self.inner.lock();
+        inner
+            .waiters
+            .iter()
+            .find(|w| !w.is_woken())
+            .map(|w| w.actor)
+    }
+}
+
+/// The engine's own cell behind an [`Event`] it made.
+fn sim_event(ev: &Event) -> &SimEvent {
+    ev.as_any()
+        .downcast_ref::<SimEvent>()
+        .expect("an alarm's event is a SimRuntime event")
+}
+
+/// An [`Alarm`] bound to a virtual-time engine: at most one timer entry,
+/// replaced on every `set`. An entry that is replaced, cleared or dropped
+/// is marked woken, so the dispatcher and `push_timer` sweep it like a
+/// timer a signal beat.
+struct SimAlarm {
+    eng: Arc<Engine>,
+    /// The pending entry's slot (which holds the event) and due time.
+    armed: Mutex<Option<(Arc<WaitSlot>, u64)>>,
+}
+
+impl SimAlarm {
+    /// Mark the pending entry, if any, stale.
+    fn unset(armed: &mut Option<(Arc<WaitSlot>, u64)>) {
+        if let Some((slot, ..)) = armed.take() {
+            slot.state.store(SLOT_TIMEOUT, AtOrd::Relaxed);
+        }
+    }
+}
+
+impl AlarmApi for SimAlarm {
+    fn set(&self, ev: &Event, at: Time) {
+        assert!(
+            Arc::ptr_eq(&sim_event(ev).eng, &self.eng),
+            "an alarm signals an event of its own runtime"
+        );
+        let mut st = self.eng.state.lock();
+        let mut armed = self.armed.lock();
+        // Aimed as before: keep the entry, and its place among the timers
+        // due at the same instant.
+        if let Some((slot, due)) = &*armed {
+            let same = slot.alarm.as_ref().is_some_and(|e| Arc::ptr_eq(e, ev));
+            if !slot.is_woken() && *due == at.0 && same {
+                return;
+            }
+        }
+        Self::unset(&mut armed);
+        let slot = Arc::new(WaitSlot {
+            state: AtomicU8::new(SLOT_PENDING),
+            actor: u64::MAX,
+            tag: None,
+            alarm: Some(ev.clone()),
+        });
+        *armed = Some((slot.clone(), at.0));
+        drop(armed);
+        self.eng.push_timer(&mut st, at.0, slot);
+        self.eng.release(self.eng.dispatch(st));
+    }
+
+    /// Like the drop, without the engine lock: a stale mark is all it takes.
+    fn clear(&self) {
+        Self::unset(&mut self.armed.lock());
+    }
+}
+
+/// Without the engine lock: a task that owns a network may be dropped by
+/// an unwinding poll that holds it. A marked slot is skipped by the
+/// dispatcher and swept by `push_timer` whoever marks it.
+impl Drop for SimAlarm {
+    fn drop(&mut self) {
+        Self::unset(self.armed.get_mut());
+        self.eng.alarms.fetch_sub(1, AtOrd::Relaxed);
+    }
 }
 
 impl EventApi for SimEvent {
@@ -1087,16 +1208,9 @@ impl EventApi for SimEvent {
     /// `n` signals under one hold of the engine lock.
     fn signal_n(&self, n: usize) {
         let mut st = self.eng.state.lock();
-        let mut inner = self.inner.lock();
         for _ in 0..n {
-            // Skip waiters a timeout already woke.
-            let waiter = std::iter::from_fn(|| inner.waiters.pop_front()).find(|w| !w.is_woken());
-            match waiter {
-                Some(w) => self.eng.wake(&mut st, &w, SLOT_SIGNALED),
-                None => inner.permits += 1,
-            }
+            self.signal_locked(&mut st);
         }
-        drop(inner);
         self.eng.release(self.eng.dispatch(st));
     }
 
@@ -1608,6 +1722,85 @@ mod tests {
         // eligible set against sleeper 0's wake, and PickLast keeps
         // deferring the earliest — actor 1 finishes first.
         assert_eq!(*order.lock(), vec![1, 0]);
+    }
+
+    #[test]
+    fn an_alarm_fires_where_it_was_last_aimed() {
+        let sim = SimRuntime::new();
+        sim.run_root(|rt| {
+            let (ev, other, alarm) = (rt.event(), rt.event(), rt.alarm());
+            let at = |ms| Time::ZERO + Dur::from_millis(ms);
+            alarm.set(&ev, at(10));
+            alarm.set(&ev, at(5)); // earlier
+            ev.wait();
+            assert_eq!(rt.now(), at(5));
+            alarm.set(&ev, at(20));
+            alarm.set(&ev, at(30)); // later
+            ev.wait();
+            assert_eq!(rt.now(), at(30));
+            alarm.set(&other, at(40)); // another event: `ev` is not signalled
+            assert_eq!(ev.wait_timeout(Dur::from_millis(20)), Wake::Timeout);
+            other.wait();
+            assert_eq!(
+                rt.now(),
+                at(50),
+                "the alarm fired at 40 ms, into a banked permit"
+            );
+            alarm.set(&ev, at(60));
+            alarm.clear();
+            assert_eq!(ev.wait_timeout(Dur::from_millis(100)), Wake::Timeout);
+            alarm.set(&ev, at(100)); // in the past: fires at once
+            ev.wait();
+            assert_eq!(rt.now(), at(150));
+        });
+        // Seven sets arm seven timers; clearing and firing arm none.
+        assert_eq!(sim.stats().timers_armed, 7 + 2, "plus the two timed waits");
+    }
+
+    #[test]
+    fn an_alarm_due_now_fires_once_the_ready_queue_drains() {
+        let log = simulate(|rt| {
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let (ev, alarm) = (rt.event(), rt.alarm());
+            let hs: Vec<_> = (0..3)
+                .map(|i| {
+                    let l = log.clone();
+                    spawn(&rt, &format!("c{i}"), move || l.lock().push(i))
+                })
+                .collect();
+            alarm.set(&ev, rt.now());
+            log.lock().push(99); // the alarm only armed a timer
+            ev.wait(); // the three children run first
+            log.lock().push(100);
+            hs.into_iter().for_each(JoinHandle::join_unwrap);
+            assert_eq!(rt.now(), Time::ZERO);
+            let got = log.lock().clone();
+            got
+        });
+        assert_eq!(log, vec![99, 0, 1, 2, 100]);
+    }
+
+    #[test]
+    fn a_re_aimed_alarm_leaves_a_bounded_heap() {
+        let sim = SimRuntime::new();
+        let eng = sim.eng.clone();
+        sim.run_root(move |rt| {
+            let (ev, alarm) = (rt.event(), rt.alarm());
+            let mut peak = 0;
+            for i in 0..10_000u64 {
+                alarm.set(&ev, rt.now() + Dur::from_micros(1 + i % 7));
+                peak = peak.max(eng.state.lock().timers.len());
+            }
+            // One root, one alarm: the sweep keeps the heap near 2·2 + 64.
+            assert!(peak <= 2 * 2 + 64 + 1, "{peak} timer entries");
+            ev.wait();
+            assert_eq!(rt.now(), Time::ZERO + Dur::from_micros(1 + 9_999 % 7));
+            assert_eq!(
+                ev.wait_timeout(Dur::from_millis(1)),
+                Wake::Timeout,
+                "fired once"
+            );
+        });
     }
 
     const ROUNDS: usize = 200;

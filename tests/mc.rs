@@ -212,50 +212,49 @@ fn two_handlers_in_lockstep(hook: Arc<ScriptHook>) -> Vec<usize> {
 }
 
 /// A connection's timers are explorable at both ends: handlers are tasks,
-/// so their same-instant disk completions reach the hook as one choice
-/// point labelled with the handlers' names, and taking the other branch
-/// there reorders the acknowledgements; a per-open stream's sender is a
-/// task too, offered under the stream's label.
+/// so their same-instant sleeps reach the hook as choice points labelled
+/// with the handlers' names, and taking the other branch at the last one
+/// reorders the acknowledgements; a per-open stream's sender is a task too,
+/// offered under the stream's label. Flows are not: the two wire transfers
+/// and the two disk transfers each drain at one instant, where one alarm
+/// wakes one owner and its poll ends both flows.
 #[test]
-fn two_handlers_disk_completions_are_one_choice_point() {
+fn two_handlers_disk_completions_are_one_alarm_wake() {
     let stock = ScriptHook::default_schedule();
-    // (The second flow's arrival re-rates the first, whose handler re-arms
-    // behind it: the stock schedule completes connection 1's first.)
-    assert_eq!(two_handlers_in_lockstep(stock.clone()), [1, 0]);
+    // (Both disk flows are projected by one solve, connection 0's first,
+    // and the alarm wakes its handler: the stock schedule completes
+    // connection 0's first.)
+    assert_eq!(two_handlers_in_lockstep(stock.clone()), [0, 1]);
     let records = stock.records();
     let tied = |r: &ChoiceRecord, why: &str| {
         let mut offered = r.eligible.clone();
         offered.sort();
         offered == [0, 1].map(|c| format!("orion/conn/{c}/{why}"))
     };
-    let sleeps = records.iter().filter(|r| tied(r, "task sleep"));
-    assert_eq!(sleeps.count(), 3, "overhead, seek, response latency");
+    let sleeps: Vec<_> = (0..records.len())
+        .filter(|&i| tied(&records[i], "task sleep"))
+        .collect();
+    assert_eq!(sleeps.len(), 3, "overhead, seek, response latency");
     // So are the client side's: each `connect` stream's sender is task 1
-    // under the stream's label, and the two frames' latency sleeps and wire
-    // transfers tie. (A demultiplexer waits untimed: it arms nothing for
-    // the hook to reorder.)
+    // under the stream's label, and the two frames' latency sleeps tie.
+    // (A demultiplexer waits untimed: it arms nothing for the hook to
+    // reorder.)
     let offered = |r: &ChoiceRecord, why: &str| {
         r.eligible == [0, 1].map(|c| format!("orion/mux-{c}/1/{why}"))
     };
     assert!(offered(&records[0], "task sleep"), "{:?}", records[0]);
-    let wire = "event wait (timeout)";
-    assert!(offered(&records[1], wire), "{:?}", records[1]);
-    // The first tied flow wait between the handlers is the disk's: the
-    // responses go out only after it.
-    let disk = records
-        .iter()
-        .position(|r| tied(r, "event wait (timeout)"))
-        .expect("the disk completions tie");
-    assert_eq!(records[disk].label, "orion/conn/1/event wait (timeout)");
-    // Let connection 0's transfer complete first: it answers first.
-    let mut script: Vec<_> = records[..disk].iter().map(|r| r.chosen).collect();
+    assert_eq!(
+        records.len(),
+        4,
+        "no flow completion is a choice: {records:?}"
+    );
+    // Let connection 1's response latency run out first: it is acked first.
+    let last = sleeps[2];
+    let mut script: Vec<_> = records[..last].iter().map(|r| r.chosen).collect();
     script.push(1);
     let flipped = ScriptHook::follow(script);
-    assert_eq!(two_handlers_in_lockstep(flipped.clone()), [0, 1]);
-    assert_eq!(
-        flipped.records()[disk].label,
-        "orion/conn/0/event wait (timeout)"
-    );
+    assert_eq!(two_handlers_in_lockstep(flipped.clone()), [1, 0]);
+    assert_eq!(flipped.records()[last].label, "orion/conn/1/task sleep");
 }
 
 /// Bounded exploration of the federation crash scenario is deterministic:
