@@ -13,13 +13,14 @@
 //! against its `results/fig_scale*.txt`. The engine's counters go to
 //! stderr.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use semplar_bench::{engine_footer, flags, with_testbed, Table};
 use semplar_clusters::{das2, PASSWORD, USER};
 use semplar_netsim::NetStats;
+use semplar_runtime::sync::OnceCellBlocking;
 use semplar_runtime::{Event, SimStats, Task, TaskCtx, TaskExecutor, TaskHandle, TaskStep};
-use semplar_srb::proto::{Request, Response};
+use semplar_srb::proto::{Request, RespFrame, Response};
 use semplar_srb::{ConnPool, OpenFlags, Payload, PoolPolicy, RetryPolicy, SrbConn, SrbResult};
 use semplar_workloads::{run_swarm, SwarmParams};
 
@@ -98,7 +99,7 @@ fn run_actors(quick: bool) {
 
 /// One scale-out client: open its own object, signal `opened`, wait for
 /// `go`, write, close the file and end the session. Each request is
-/// submitted on its session and its reply awaited by parking.
+/// submitted on its session and its reply cell waited on.
 struct Client {
     conn: SrbConn,
     path: String,
@@ -106,47 +107,45 @@ struct Client {
     /// Requests submitted so far; the one after the open waits for `go`.
     step: u8,
     fd: u32,
-    reply: Arc<Mutex<Option<SrbResult<Response>>>>,
+    reply: Option<Arc<OnceCellBlocking<SrbResult<RespFrame>>>>,
     opened: Event,
     go: Event,
 }
 
 impl Task for Client {
-    fn poll(&mut self, cx: &mut TaskCtx<'_>) -> TaskStep {
-        if !matches!(self.step, 0 | 2) {
-            let Some(reply) = self.reply.lock().unwrap().take() else {
-                return TaskStep::Park;
+    fn poll(&mut self, _cx: &mut TaskCtx<'_>) -> TaskStep {
+        loop {
+            if let Some(reply) = &self.reply {
+                let got = match reply.poll_wait() {
+                    Err(step) => return step,
+                    Ok(got) => got.map(|f| f.resp),
+                };
+                match got.unwrap_or_else(|e| panic!("{}: {e}", self.path)) {
+                    Response::Fd(fd) => self.fd = fd,
+                    Response::Written(_) | Response::Ok => {}
+                    other => panic!("{}: unexpected reply {other:?}", self.path),
+                }
+            }
+            self.step += 1;
+            let (fd, payload) = (self.fd, Payload::sized(self.bytes));
+            let req = match self.step {
+                1 => Request::Open(self.path.clone(), OpenFlags::CreateRw),
+                2 => {
+                    self.reply = None;
+                    self.opened.signal();
+                    return TaskStep::Wait(self.go.clone(), None);
+                }
+                3 => Request::Write {
+                    fd,
+                    offset: 0,
+                    payload,
+                },
+                4 => Request::Close(fd),
+                5 => Request::Disconnect,
+                _ => return TaskStep::Done,
             };
-            match reply.unwrap_or_else(|e| panic!("{}: {e}", self.path)) {
-                Response::Fd(fd) => self.fd = fd,
-                Response::Written(_) | Response::Ok => {}
-                other => panic!("{}: unexpected reply {other:?}", self.path),
-            }
+            self.reply = Some(self.conn.submit(req));
         }
-        self.step += 1;
-        let (fd, payload) = (self.fd, Payload::sized(self.bytes));
-        let req = match self.step {
-            1 => Request::Open(self.path.clone(), OpenFlags::CreateRw),
-            2 => {
-                self.opened.signal();
-                return TaskStep::Wait(self.go.clone(), None);
-            }
-            3 => Request::Write {
-                fd,
-                offset: 0,
-                payload,
-            },
-            4 => Request::Close(fd),
-            5 => Request::Disconnect,
-            _ => return TaskStep::Done,
-        };
-        let (reply, waker) = (self.reply.clone(), cx.waker.clone());
-        let complete = move |r| {
-            *reply.lock().unwrap() = Some(r);
-            waker.wake();
-        };
-        self.conn.submit(req, Box::new(complete)).expect("submit");
-        TaskStep::Park
     }
 }
 
@@ -183,7 +182,7 @@ fn run_clients(
                 bytes,
                 step: 0,
                 fd: 0,
-                reply: Default::default(),
+                reply: None,
                 opened: opened.clone(),
                 go: go.clone(),
             })

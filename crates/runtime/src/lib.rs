@@ -36,6 +36,6 @@ pub mod trace;
 pub use real::RealRuntime;
 pub use runtime::{spawn, Alarm, AlarmApi, Event, EventApi, JoinHandle, JoinResult, Runtime, Wake};
 pub use sim::{on_quiet_actor, simulate, Choice, ScheduleHook, SimRuntime, SimStats};
-pub use task::{Task, TaskCtx, TaskExecutor, TaskHandle, TaskStats, TaskStep, Waker};
+pub use task::{Task, TaskCtx, TaskExecutor, TaskHandle, TaskStats, TaskStep};
 pub use time::{Dur, Time};
 pub use trace::{Span, Trace};

@@ -12,7 +12,7 @@ use std::time::Instant;
 use parking_lot::{Condvar, Mutex};
 
 use crate::runtime::{Alarm, AlarmApi, Event, EventApi, JoinHandle, Runtime, Wake};
-use crate::task::{TaskCell, TaskCtx, TaskStep, Waker, WakerKind};
+use crate::task::{TaskCell, TaskCtx, TaskStep};
 use crate::time::{Dur, Time};
 
 /// Wall-clock runtime. `now()` is measured from construction.
@@ -66,27 +66,17 @@ impl Runtime for RealRuntime {
         handle
     }
 
-    /// A task is a loop on a thread of its own: poll, then sleep or wait on
-    /// the event its [`Waker`] signals, which also cuts a sleep short — or
-    /// on the event the task itself names.
+    /// A task is a loop on a thread of its own: poll, then block the thread
+    /// as the step says.
     fn spawn_task(&self, mut cell: TaskCell) {
         let mut task = cell.task.take().expect("a fresh cell holds its task");
-        let (rt, wake, name) = (self.handle(), self.event(), cell.label());
-        let mut waited = None;
+        let (rt, name) = (self.handle(), cell.label());
+        let mut wake = None;
         let poll_loop = move || loop {
-            let waker = Waker(WakerKind::Real(wake.clone()));
             let now = rt.now();
-            let step = task.poll(&mut TaskCtx {
-                rt: &rt,
-                now,
-                waker,
-                wake: waited.take(),
-            });
-            match step {
-                TaskStep::Sleep(d) => drop(wake.wait_timeout(d)),
-                TaskStep::Park => wake.wait(),
+            match task.poll(&mut TaskCtx { rt: &rt, now, wake }) {
                 TaskStep::Done => return,
-                wait @ TaskStep::Wait(..) => waited = wait.block(&rt),
+                step => wake = step.block(&rt),
             }
         };
         // Joiners are released when the loop ends, by `Done` or by a panic.

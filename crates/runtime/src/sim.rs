@@ -14,7 +14,7 @@
 //! blocks or exits. Then one loop, `dispatch`, hands it on:
 //!
 //! * to the head of the **ready queue** — actors woken by a signal, a
-//!   broadcast, a [`Waker`] or a timer, and freshly spawned ones, in the
+//!   broadcast or a timer, and freshly spawned ones, in the
 //!   order they were woken — or,
 //! * when nobody is ready, it fires exactly **one** pending event, the
 //!   earliest by `(due time, arm order)`, moving the virtual clock to its
@@ -63,7 +63,7 @@ use std::thread::Thread;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::runtime::{Alarm, AlarmApi, Event, EventApi, JoinHandle, Runtime, Wake};
-use crate::task::{TaskCell, TaskCtx, TaskStep, Waker, WakerKind};
+use crate::task::{TaskCell, TaskCtx, TaskStep};
 use crate::time::{Dur, Time};
 
 thread_local! {
@@ -83,8 +83,6 @@ pub fn on_quiet_actor() -> bool {
 const SLOT_PENDING: u8 = 0;
 const SLOT_SIGNALED: u8 = 1;
 const SLOT_TIMEOUT: u8 = 2;
-/// A [`Waker`] cut the wait short: neither a permit nor the timeout.
-const SLOT_WAKER: u8 = 4;
 
 /// One blocked wait, or an alarm's pending timer. All fields are only
 /// mutated while the engine lock is held — but an alarm's `clear` and drop,
@@ -254,9 +252,6 @@ struct EngineState {
     /// The thread `dispatch` just gave the baton to, for `release` to
     /// unpark once the lock is down.
     handoff: Option<Thread>,
-    /// The task being polled was woken meanwhile: whatever step that poll
-    /// returns, the task goes to the back of the ready queue, not to sleep.
-    rewake: bool,
     /// Actors woken (or spawned) but not yet run, in wake order.
     ready: VecDeque<u64>,
     /// Indexed by actor id — ids are dense and never reused — so a lookup
@@ -454,17 +449,10 @@ impl Engine {
         let mut wake = cell.wait.take().and_then(|slot| slot.wake());
         let rt = cell.rt().clone();
         loop {
-            st.rewake = false;
             drop(st);
             let outer = CURRENT_ACTOR.with(|c| c.replace(Some(id)));
             let outer_quiet = QUIET_ACTOR.with(|q| q.replace(self.quiet.load(AtOrd::Relaxed)));
-            let waker = Waker(WakerKind::Sim(self.clone(), id));
-            let mut cx = TaskCtx {
-                rt: &rt,
-                now,
-                waker,
-                wake,
-            };
+            let mut cx = TaskCtx { rt: &rt, now, wake };
             let step = catch_unwind(AssertUnwindSafe(|| task.poll(&mut cx)));
             CURRENT_ACTOR.with(|c| c.set(outer));
             QUIET_ACTOR.with(|q| q.set(outer_quiet));
@@ -475,32 +463,27 @@ impl Engine {
                 self.poison(&mut st, &cause);
                 resume_unwind(p)
             });
-            if let TaskStep::Done = step {
-                // Publish completion *before* freeing the baton, for the
-                // reason a thread does (see `spawn_inner`): the joiner must
-                // be ready before the dispatcher looks for someone to run.
-                let info = st.actors[id as usize].take().expect("polled task");
-                drop(st);
-                if let Body::Task(cell) = &info.body {
-                    cell.finish();
+            let (slot, why, waited) = match step {
+                TaskStep::Done => {
+                    // Publish completion *before* freeing the baton, for the
+                    // reason a thread does (see `spawn_inner`): the joiner
+                    // must be ready before the dispatcher looks for someone
+                    // to run.
+                    let info = st.actors[id as usize].take().expect("polled task");
+                    drop(st);
+                    if let Body::Task(cell) = &info.body {
+                        cell.finish();
+                    }
+                    let daemon = info.daemon();
+                    drop((info, task));
+                    st = self.state.lock();
+                    st.live_tasks -= 1;
+                    st.live_nondaemon -= usize::from(!daemon);
+                    if st.live() == 0 {
+                        self.done.notify_all();
+                    }
+                    break;
                 }
-                let daemon = info.daemon();
-                drop((info, task));
-                st = self.state.lock();
-                st.live_tasks -= 1;
-                st.live_nondaemon -= usize::from(!daemon);
-                if st.live() == 0 {
-                    self.done.notify_all();
-                }
-                break;
-            }
-            if st.rewake {
-                st.task_cell(id).task = Some(task);
-                st.ready.push_back(id);
-                break;
-            }
-            let waited = matches!(step, TaskStep::Wait(..));
-            let (slot, why) = match step {
                 TaskStep::Wait(ev, timeout) => {
                     let sim = ev.as_any().downcast_ref::<SimEvent>();
                     let Some(sim) = sim.filter(|e| Arc::ptr_eq(&e.eng, self)) else {
@@ -513,15 +496,14 @@ impl Engine {
                             wake = Some(w);
                             continue;
                         }
-                        Err(blocked) => blocked,
+                        Err((slot, why)) => (slot, why, true),
                     }
                 }
                 TaskStep::Sleep(d) => {
                     let slot = WaitSlot::new(id, None);
                     self.push_timer(&mut st, now.0.saturating_add(d.as_nanos()), slot.clone());
-                    (slot, "task sleep")
+                    (slot, "task sleep", false)
                 }
-                _ => (WaitSlot::new(id, None), "task park"),
             };
             let cell = st.task_cell(id);
             cell.task = Some(task);
@@ -531,21 +513,6 @@ impl Engine {
         }
         st.running = None;
         st
-    }
-
-    /// [`Waker::wake`]. A blocked task gets the engine's own `wake`, which
-    /// cuts a sleep or an event wait short (its stale timer and waiter entry
-    /// are swept like any other); the task being polled is noted for
-    /// re-queueing; one already ready needs nothing, and one that has
-    /// finished is no actor: nothing is touched.
-    pub(crate) fn wake_task(self: &Arc<Self>, id: u64) {
-        let mut st = self.state.lock();
-        if st.running == Some(id) {
-            st.rewake = true;
-        } else if let Some((_, slot)) = st.actor(id).and_then(|a| a.blocked.clone()) {
-            self.wake(&mut st, &slot, SLOT_WAKER);
-        }
-        self.release(self.dispatch(st));
     }
 
     /// The exploration schedule: collect every pending event due within
@@ -646,7 +613,7 @@ impl Engine {
     }
 
     /// Every actor is blocked and nothing can wake one: report and poison.
-    /// The table is capped — a hung swarm is 10⁵ parked tasks.
+    /// The table is capped — a hung swarm is 10⁵ blocked tasks.
     fn deadlock(&self, st: &mut EngineState) -> ! {
         const ROWS: usize = 32;
         let mut table = String::new();
@@ -656,8 +623,8 @@ impl Engine {
         }
         let more = st.live().saturating_sub(ROWS);
         if more > 0 {
-            let parked = st.live_tasks;
-            table.push_str(&format!("\n  … and {more} more ({parked} tasks parked)"));
+            let tasks = st.live_tasks;
+            table.push_str(&format!("\n  … and {more} more ({tasks} tasks blocked)"));
         }
         let msg = format!(
             "simulation deadlock at {}: every actor is blocked and no timer is pending{table}",
@@ -1871,24 +1838,23 @@ mod tests {
         });
     }
 
-    /// Signals `ev` at every poll but the first, publishing its waker each
-    /// time; parks until woken, and is done after `ROUNDS` wakes.
-    struct SignalsWhenWoken {
+    /// Signals `ev` at every poll but the first, then waits on `poke`; done
+    /// after `ROUNDS` pokes.
+    struct SignalsWhenPoked {
         ev: Event,
-        waker: Arc<Mutex<Option<Waker>>>,
+        poke: Event,
         polls: usize,
     }
-    impl crate::Task for SignalsWhenWoken {
-        fn poll(&mut self, cx: &mut TaskCtx<'_>) -> TaskStep {
+    impl crate::Task for SignalsWhenPoked {
+        fn poll(&mut self, _cx: &mut TaskCtx<'_>) -> TaskStep {
             if self.polls > 0 {
                 self.ev.signal();
             }
             self.polls += 1;
-            *self.waker.lock() = Some(cx.waker.clone());
             if self.polls > ROUNDS {
                 TaskStep::Done
             } else {
-                TaskStep::Park
+                TaskStep::Wait(self.poke.clone(), None)
             }
         }
     }
@@ -1939,19 +1905,22 @@ mod tests {
         });
         assert_eq!(ran.swap(0, AO::SeqCst), ROUNDS);
         let n = ran.clone();
-        under_watchdog("Waker::wake from a harness thread", move || {
-            poked_from_the_harness(move |rt| {
-                let (ev, waker) = (rt.event(), Arc::new(Mutex::new(None)));
-                waits_rounds(rt, &ev, &n);
-                let task = SignalsWhenWoken {
-                    ev,
-                    waker: waker.clone(),
-                    polls: 0,
-                };
-                crate::TaskExecutor::new(rt, "poked").spawn(Box::new(task));
-                move || waker.lock().clone().expect("first poll done").wake()
-            })
-        });
+        under_watchdog(
+            "a task's event signalled from a harness thread",
+            move || {
+                poked_from_the_harness(move |rt| {
+                    let (ev, poke) = (rt.event(), rt.event());
+                    waits_rounds(rt, &ev, &n);
+                    let task = SignalsWhenPoked {
+                        ev,
+                        poke: poke.clone(),
+                        polls: 0,
+                    };
+                    crate::TaskExecutor::new(rt, "poked").spawn(Box::new(task));
+                    move || poke.signal()
+                })
+            },
+        );
         assert_eq!(ran.load(AO::SeqCst), ROUNDS);
     }
 }

@@ -281,8 +281,11 @@ impl<T> Drop for RtMutexGuard<'_, T> {
     }
 }
 
-/// A write-once cell whose readers block until the value is published.
-/// This backs SEMPLAR's `Request` completion handles.
+/// A write-once cell whose readers block until the value is published: the
+/// one request handle of this system, behind SEMPLAR's `Request` (`MPIO_Wait`)
+/// and every SRB reply (`SrbConn::submit`). A thread waits on it
+/// ([`wait`](Self::wait)), a task returns the step of
+/// [`poll_wait`](Self::poll_wait).
 pub struct OnceCellBlocking<T> {
     slot: Mutex<Option<T>>,
     ev: Event,

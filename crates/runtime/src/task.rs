@@ -15,15 +15,12 @@
 //!
 //! * [`Task::poll`] runs the machine until it cannot progress, then returns
 //!   a [`TaskStep`]: sleep for a duration, wait on an [`Event`] exactly as a
-//!   thread would, park until woken, or done.
+//!   thread would, or done. A task awaiting a reply waits on its cell's
+//!   event ([`poll_wait`](crate::sync::OnceCellBlocking::poll_wait)).
 //! * A task in [`TaskStep::Wait`] sits in the event's waiter queue among the
 //!   threads blocked on the same cell and is released in arrival order; a
 //!   banked permit is consumed on the spot and the task polled again before
 //!   any other actor runs, which is what `wait()` returning at once is.
-//! * A parked task is woken by its [`Waker`] — a cheap clonable handle that
-//!   completion callbacks (e.g. a transport response demultiplexer) invoke
-//!   from any actor. Wakes are coalesced: waking a task twice before it is
-//!   polled queues it once; a wake also cuts a sleep short.
 //! * **`poll` must not block through the runtime.** No sleeps, no event
 //!   waits, no synchronous I/O: the polling thread holds the baton on the
 //!   task's behalf, so the engine panics with `Task::poll blocked through
@@ -40,7 +37,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::sim::{Engine, WaitSlot};
+use crate::sim::WaitSlot;
 use crate::{Dur, Event, Runtime, Time, Wake};
 
 /// What a task wants after one poll.
@@ -53,10 +50,6 @@ pub enum TaskStep {
     /// `event.wait_timeout(d)`: same waiter queue, same timer. The next
     /// poll's [`TaskCtx::wake`] says how the wait ended.
     Wait(Event, Option<Dur>),
-    /// Park until [`Waker::wake`] is called (a completion callback will
-    /// deliver it). A task that parks without having handed its waker to
-    /// anyone sleeps forever: a row of the engine's deadlock report.
-    Park,
     /// The task is finished; drop it and release its join handle.
     Done,
 }
@@ -72,7 +65,7 @@ impl TaskStep {
                 ev.wait();
                 return Some(Wake::Signaled);
             }
-            TaskStep::Park | TaskStep::Done => unreachable!("only a task parks or finishes"),
+            TaskStep::Done => unreachable!("only a task finishes"),
         }
         None
     }
@@ -81,8 +74,8 @@ impl TaskStep {
 /// An event-driven micro-actor: a state machine polled by its runtime.
 pub trait Task: Send + 'static {
     /// Advance the machine as far as it can go without blocking, then say
-    /// what to do next. `cx` carries the current virtual time and the
-    /// task's waker (clone it into completion callbacks before parking).
+    /// what to do next. `cx` carries the current virtual time and how the
+    /// last wait ended.
     fn poll(&mut self, cx: &mut TaskCtx<'_>) -> TaskStep;
 }
 
@@ -94,39 +87,10 @@ pub struct TaskCtx<'a> {
     pub rt: &'a Arc<dyn Runtime>,
     /// Virtual time at the start of this poll.
     pub now: Time,
-    /// The polled task's waker. Clone into any completion callback that
-    /// should un-park the task.
-    pub waker: Waker,
     /// How the [`TaskStep::Wait`] this poll resumes from ended; `None` after
     /// any other step. A machine that waited for a *permit* holds one only
     /// if this is [`Wake::Signaled`].
     pub wake: Option<Wake>,
-}
-
-/// A cheap clonable handle that re-queues its task for polling.
-///
-/// Safe to invoke from any actor (another task's poll, a thread, a
-/// timer) and idempotent between polls: waking an already-queued task is a
-/// no-op, and so is waking one that has finished.
-#[derive(Clone)]
-pub struct Waker(pub(crate) WakerKind);
-
-#[derive(Clone)]
-pub(crate) enum WakerKind {
-    /// Actor `id` of a virtual-time engine.
-    Sim(Arc<Engine>, u64),
-    /// The event a wall-clock task's thread waits on between polls.
-    Real(Event),
-}
-
-impl Waker {
-    /// Queue the task for another poll (coalesced).
-    pub fn wake(&self) {
-        match &self.0 {
-            WakerKind::Sim(eng, id) => eng.wake_task(*id),
-            WakerKind::Real(wake) => wake.signal(),
-        }
-    }
 }
 
 /// Lifetime counters for one executor.
@@ -253,7 +217,7 @@ impl TaskExecutor {
 mod tests {
     use super::*;
     use crate::sim::{panic_message, simulate, SimRuntime};
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering as AtOrd};
+    use std::sync::atomic::{AtomicUsize, Ordering as AtOrd};
 
     /// Sleeps `n` times then finishes.
     struct Napper {
@@ -309,49 +273,6 @@ mod tests {
         );
     }
 
-    /// Parks until an external completion wakes it, through the waker it
-    /// publishes from `cx.waker`.
-    struct WaitsForSignal {
-        delivered: Arc<AtomicBool>,
-        published: Arc<Mutex<Option<Waker>>>,
-        out: Arc<Mutex<Option<Time>>>,
-    }
-    impl Task for WaitsForSignal {
-        fn poll(&mut self, cx: &mut TaskCtx<'_>) -> TaskStep {
-            if self.delivered.load(AtOrd::SeqCst) {
-                *self.out.lock() = Some(cx.now);
-                return TaskStep::Done;
-            }
-            *self.published.lock() = Some(cx.waker.clone());
-            TaskStep::Park
-        }
-    }
-
-    #[test]
-    fn waker_unparks_a_task() {
-        let out = Arc::new(Mutex::new(None));
-        let o2 = out.clone();
-        simulate(move |rt| {
-            let ex = TaskExecutor::new(&rt, "ex");
-            let delivered = Arc::new(AtomicBool::new(false));
-            let published = Arc::new(Mutex::new(None));
-            let h = ex.spawn(Box::new(WaitsForSignal {
-                delivered: delivered.clone(),
-                published: published.clone(),
-                out: o2.clone(),
-            }));
-            let rt2 = rt.clone();
-            crate::runtime::spawn(&rt, "completer", move || {
-                rt2.sleep(Dur::from_millis(25));
-                delivered.store(true, AtOrd::SeqCst);
-                let waker: Waker = published.lock().clone().expect("parked by now");
-                waker.wake();
-            });
-            h.join();
-        });
-        assert_eq!(*out.lock(), Some(Time::ZERO + Dur::from_millis(25)));
-    }
-
     #[test]
     fn hundred_thousand_idle_tasks_are_cheap() {
         // The scale claim in miniature: 100k tasks each sleep once; the
@@ -390,54 +311,6 @@ mod tests {
             assert_eq!(st.peak_live, 100_000);
         });
         assert_eq!(done.load(AtOrd::SeqCst), 100_000);
-    }
-
-    /// Publishes its waker, then naps once and finishes.
-    struct PublishThenNap {
-        published: Arc<Mutex<Option<Waker>>>,
-        slept: bool,
-    }
-    impl Task for PublishThenNap {
-        fn poll(&mut self, cx: &mut TaskCtx<'_>) -> TaskStep {
-            *self.published.lock() = Some(cx.waker.clone());
-            if std::mem::replace(&mut self.slept, true) {
-                return TaskStep::Done;
-            }
-            TaskStep::Sleep(Dur::from_millis(1))
-        }
-    }
-
-    #[test]
-    fn late_wakes_touch_nothing_and_a_second_wave_runs_clean() {
-        let sim = SimRuntime::new();
-        sim.run_root(|rt| {
-            let ex = TaskExecutor::new(&rt, "waves");
-            let published = Arc::new(Mutex::new(None));
-            let wave = || {
-                ex.spawn(Box::new(PublishThenNap {
-                    published: published.clone(),
-                    slept: false,
-                }))
-                .join();
-            };
-            wave();
-            // A completion racing a finished session: the task is gone, and
-            // each wake must be a lookup that finds nothing and keeps nothing.
-            let stale: Waker = published.lock().take().expect("published at first poll");
-            for _ in 0..10_000 {
-                stale.wake();
-            }
-            rt.sleep(Dur::from_millis(5));
-            wave();
-            assert_eq!(rt.now(), Time::ZERO + Dur::from_millis(7));
-            let st = ex.stats();
-            assert_eq!((st.spawned, st.live), (2, 0));
-        });
-        // Two naps and the root's sleep: no timer, advance or actor was made
-        // of the late wakes, and no thread of the executor's.
-        let s = sim.stats();
-        assert_eq!((s.timers_armed, s.clock_advances), (3, 3));
-        assert_eq!((s.actors_spawned, s.tasks_spawned), (1, 2));
     }
 
     /// Run `root` as the root actor beside a thread actor blocked for good;
@@ -511,20 +384,15 @@ mod tests {
         );
     }
 
-    /// Parks at once, its waker handed to nobody.
-    struct ParksForGood;
-    impl Task for ParksForGood {
-        fn poll(&mut self, _cx: &mut TaskCtx<'_>) -> TaskStep {
-            TaskStep::Park
-        }
-    }
-
     #[test]
     fn a_hung_swarm_is_a_deadlock_that_names_its_tasks() {
         let hang = |n: usize| {
             run_beside_a_bystander(move |rt| {
                 let ex = TaskExecutor::new(&rt, "swarm");
-                let hs: Vec<_> = (0..n).map(|_| ex.spawn(Box::new(ParksForGood))).collect();
+                let never = rt.event();
+                let hs: Vec<_> = (0..n)
+                    .map(|_| ex.spawn(waits_once(&never, None, "", &Default::default())))
+                    .collect();
                 hs[0].join();
             })
             .0
@@ -532,8 +400,8 @@ mod tests {
         let two = hang(2);
         assert!(two.starts_with("simulation deadlock at 0.001000s"), "{two}");
         for row in [
-            "actor #2 \"swarm/0\": blocked on task park",
-            "actor #3 \"swarm/1\": blocked on task park",
+            "actor #2 \"swarm/0\": blocked on event wait",
+            "actor #3 \"swarm/1\": blocked on event wait",
         ] {
             assert!(two.contains(row), "{two}");
         }
@@ -542,7 +410,7 @@ mod tests {
         let many = hang(100);
         assert!(many.contains("\"swarm/29\"") && !many.contains("\"swarm/30\""));
         assert!(
-            many.ends_with("\n  … and 70 more (100 tasks parked)"),
+            many.ends_with("\n  … and 70 more (100 tasks blocked)"),
             "{many}"
         );
     }
@@ -796,7 +664,7 @@ mod tests {
             "{report}"
         );
         assert!(
-            report.ends_with("\n  … and 10 more (40 tasks parked)"),
+            report.ends_with("\n  … and 10 more (40 tasks blocked)"),
             "{report}"
         );
     }
@@ -812,35 +680,12 @@ mod tests {
             log: log.clone(),
             id: 1,
         }));
-        let delivered = Arc::new(AtomicBool::new(false));
-        let published = Arc::new(Mutex::new(None));
-        let out = Arc::new(Mutex::new(None));
-        let wait = ex.spawn(Box::new(WaitsForSignal {
-            delivered: delivered.clone(),
-            published: published.clone(),
-            out: out.clone(),
-        }));
         nap.join();
         let (_, at) = log.lock()[0];
         assert!(
             at >= Time::ZERO + Dur::from_millis(10),
             "two 5 ms naps: {at}"
         );
-        // The waiter has been polled by now or will be; either way it cannot
-        // finish before the flag is up, and the wake after it releases it.
-        let waker: Waker = loop {
-            match published.lock().clone() {
-                Some(w) => break w,
-                None => std::thread::yield_now(),
-            }
-        };
-        assert_eq!(ex.stats().live, 1);
-        delivered.store(true, AtOrd::SeqCst);
-        waker.wake();
-        wait.join();
-        assert!(out.lock().is_some());
-        let st = ex.stats();
-        assert_eq!((st.spawned, st.peak_live, st.live), (2, 2, 0));
         // A task blocked on an event: a timeout first, then a signal.
         let (ev, waits) = (rt.event(), Arc::new(Mutex::new(Vec::new())));
         let d = Some(Dur::from_millis(5));
@@ -856,5 +701,7 @@ mod tests {
                 ("signalled", Some(Wake::Signaled))
             ]
         );
+        let st = ex.stats();
+        assert_eq!((st.spawned, st.live), (3, 0));
     }
 }

@@ -129,37 +129,32 @@ impl SrbConn {
     /// `useful` — the sieving path transfers covering extents whose slack
     /// must not count as application goodput.
     fn call_hinted(&self, req: Request, useful: Option<u64>) -> SrbResult<Response> {
-        self.reply_cell(req, useful).wait().map(|f| f.resp)
+        self.submit_hinted(req, useful).wait().map(|f| f.resp)
     }
 
-    /// Issue a request asynchronously: the call returns as soon as the
-    /// request is queued for transmission, and `complete` fires from the
-    /// transport's demultiplexer when the response (or the stream's death,
-    /// as `Err(Disconnected)`) arrives. This is the event-driven client
-    /// path — a task-mode actor submits here and its waker runs inside
-    /// `complete`, so ten-thousand idle sessions hold no blocked thread.
+    /// Issue a request asynchronously and return the cell its reply fills:
+    /// the response frame, or `Err(Disconnected)` if the stream dies first.
+    /// The call returns as soon as the request is queued for transmission —
+    /// SEMPLAR's request handle at transport granularity. A thread waits on
+    /// the cell; a task returns the step of
+    /// [`poll_wait`](OnceCellBlocking::poll_wait), so ten thousand idle
+    /// sessions hold no blocked thread.
     ///
     /// [`Request::Disconnect`] ends the session as [`SrbConn::disconnect`]
     /// does: a session on a pool slot sends `EndSession` instead, and one
     /// that owns its stream closes it once the reply (or the cut) is in.
-    pub fn submit(
-        &self,
-        req: Request,
-        complete: Box<dyn FnOnce(SrbResult<Response>) + Send>,
-    ) -> SrbResult<()> {
-        self.submit_frame(req, None, |r| complete(r.map(|f| f.resp)));
-        Ok(())
+    pub fn submit(&self, req: Request) -> Arc<OnceCellBlocking<SrbResult<RespFrame>>> {
+        self.submit_hinted(req, None)
     }
 
-    /// [`SrbConn::submit`] with the goodput meter capped at `useful`,
-    /// completing with the whole response frame.
-    fn submit_frame(
+    /// [`SrbConn::submit`] with the goodput meter capped at `useful`.
+    fn submit_hinted(
         &self,
         req: Request,
         useful: Option<u64>,
-        complete: impl FnOnce(SrbResult<RespFrame>) + Send + 'static,
-    ) {
-        let acked = Arc::clone(&self.acked);
+    ) -> Arc<OnceCellBlocking<SrbResult<RespFrame>>> {
+        let cell = OnceCellBlocking::new(self.runtime());
+        let (reply, acked) = (cell.clone(), Arc::clone(&self.acked));
         let (req, owned) = match req {
             Request::Disconnect if self.origin.is_some() => (Request::EndSession, None),
             Request::Disconnect => (req, Some(Arc::clone(&self.transport))),
@@ -167,23 +162,11 @@ impl SrbConn {
         };
         let (tenant, epoch) = (self.tenant(), self.current_epoch());
         let complete = Box::new(move |frame| {
-            complete(settle(&acked, frame));
+            reply.set(settle(&acked, frame));
             owned.iter().for_each(|t| t.close());
         });
         self.transport
             .submit(self.session, tenant, epoch, req, useful, complete);
-    }
-
-    /// Submit `req` and return the cell its reply fills: a blocking call
-    /// waits on it, a task polls it (`OnceCellBlocking::poll_wait`).
-    pub(crate) fn reply_cell(
-        &self,
-        req: Request,
-        useful: Option<u64>,
-    ) -> Arc<OnceCellBlocking<SrbResult<RespFrame>>> {
-        let cell = OnceCellBlocking::new(self.runtime());
-        let reply = cell.clone();
-        self.submit_frame(req, useful, move |r| reply.set(r));
         cell
     }
 
@@ -236,9 +219,7 @@ impl SrbConn {
     /// bytes until the lease is revoked (write-hook broadcast) or broken
     /// (unlink, server loss, shard failover).
     pub fn read_leased(&self, fd: u32, offset: u64, len: u64) -> SrbResult<(Payload, Option<u64>)> {
-        let frame = self
-            .reply_cell(Request::Read { fd, offset, len }, None)
-            .wait()?;
+        let frame = self.submit(Request::Read { fd, offset, len }).wait()?;
         reply!(frame.resp, Response::Data(p) => (p, frame.lease))
     }
 
@@ -347,7 +328,7 @@ impl SrbConn {
     /// A [`SrbConn::submit`] of [`Request::Disconnect`], waited for (the
     /// server answers a session's end with `Ok`).
     pub fn disconnect(&self) -> SrbResult<()> {
-        self.reply_cell(Request::Disconnect, None).wait().map(drop)
+        self.submit(Request::Disconnect).wait().map(drop)
     }
 
     /// The runtime this session charges time against.

@@ -390,7 +390,7 @@ impl Shipper {
             (None, Some(coll)) => (Call::MkColl(coll.clone()), Request::MkColl(coll)),
             (None, None) => (Call::Open, Request::Open(path.clone(), OpenFlags::CreateRw)),
         };
-        Shipping::Call(b, call, conn.reply_cell(req, None))
+        Shipping::Call(b, call, conn.submit(req))
     }
 
     /// Shipping `b` failed with `e`. Replay the retained block after a

@@ -60,8 +60,8 @@ pub use vault::{DiskSpec, Vault};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
     use semplar_netsim::{Bw, Network};
+    use semplar_runtime::sync::OnceCellBlocking;
     use semplar_runtime::{simulate, spawn, Dur, Runtime, SimRuntime};
     use std::sync::Arc;
 
@@ -661,22 +661,24 @@ mod tests {
         )
     }
 
-    /// Submit a `len`-byte write at offset 0; its completion logs the
-    /// bytes the server acknowledged, `None` for a cut.
-    fn submit_write(conn: &SrbConn, fd: u32, len: u64, log: &Arc<Mutex<Vec<Option<u64>>>>) {
-        let log = log.clone();
-        let req = proto::Request::Write {
+    type Reply = Arc<OnceCellBlocking<SrbResult<proto::RespFrame>>>;
+
+    /// Submit a `len`-byte write at offset 0.
+    fn submit_write(conn: &SrbConn, fd: u32, len: u64) -> Reply {
+        let payload = Payload::sized(len);
+        conn.submit(proto::Request::Write {
             fd,
             offset: 0,
-            payload: Payload::sized(len),
-        };
-        let done = move |r: SrbResult<proto::Response>| {
-            log.lock().push(match r {
-                Ok(proto::Response::Written(n)) => Some(n),
-                _ => None,
-            })
-        };
-        conn.submit(req, Box::new(done)).unwrap();
+            payload,
+        })
+    }
+
+    /// The bytes a write's reply acknowledges, `None` before it is in.
+    fn written(reply: &Reply) -> Option<u64> {
+        match reply.get()?.map(|f| f.resp) {
+            Ok(proto::Response::Written(n)) => Some(n),
+            other => panic!("unexpected reply {other:?}"),
+        }
     }
 
     #[test]
@@ -685,14 +687,12 @@ mod tests {
             let (server, route) = setup(&rt);
             let conn = server.connect(route, "alin", "pw").unwrap();
             let fd = conn.open("/f", OpenFlags::CreateRw).unwrap();
-            let log = Arc::default();
-            submit_write(&conn, fd, 100, &log);
-            submit_write(&conn, fd, 200, &log);
+            let replies = [100, 200].map(|len| submit_write(&conn, fd, len));
             // Queued, not waited for; the blocking call behind them is
             // answered third on the depth-1 stream.
-            assert!(log.lock().is_empty());
+            assert_eq!(replies.each_ref().map(written), [None, None]);
             assert_eq!(conn.stat("/f").unwrap().size, 200);
-            assert_eq!(*log.lock(), [Some(100), Some(200)]);
+            assert_eq!(replies.each_ref().map(written), [Some(100), Some(200)]);
             assert_eq!(conn.acked_bytes(), 300);
             conn.disconnect().unwrap();
         });
@@ -726,15 +726,15 @@ mod tests {
             let (server, route) = setup(&rt);
             let pool = shared_pool(&server, 1);
             let mut conn = pool.session(&route, None).unwrap();
-            let log = Arc::default();
-            for round in 1..=20 {
+            for _ in 0..20 {
                 let fd = conn.open("/f", OpenFlags::CreateRw).unwrap();
                 // The cut finds the frame 5 ms into its 10 ms of latency.
-                submit_write(&conn, fd, 4096, &log);
+                let reply = submit_write(&conn, fd, 4096);
                 rt.sleep(Dur::from_millis(5));
                 assert_eq!(server.reset_all_connections(), 1);
                 rt.sleep(Dur::from_millis(1));
-                assert_eq!(*log.lock(), vec![None; round]);
+                let cut = reply.get().expect("released at the cut");
+                assert!(matches!(cut, Err(SrbError::Disconnected { .. })));
                 // The frame runs out before the slot is redialed.
                 rt.sleep(Dur::from_millis(10));
                 conn = pool.reconnect(&route, &conn).unwrap().0;

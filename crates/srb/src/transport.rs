@@ -360,8 +360,9 @@ impl Transport {
     /// — or with `None` if the stream dies first, or is dead already.
     ///
     /// This is the paper's asynchronous primitive at transport granularity:
-    /// an event-driven session submits and parks its state machine, and the
-    /// completion wakes it — no thread pinned per outstanding operation.
+    /// [`SrbConn::submit`](crate::SrbConn::submit) makes `complete` fill a
+    /// reply cell its caller waits on or polls — no thread pinned per
+    /// outstanding operation.
     ///
     /// The meter counts at most `useful` payload bytes when the hint is
     /// given. Sieved transfers use this so the covering extent's slack —

@@ -3,9 +3,9 @@
 //! The paper's SEMPLAR client is a thread per connection; a simulated
 //! client only waits, so it need not hold a stack. This module drives the
 //! paper's open → write/read-loop → close session as a poll-style [`Task`]
-//! state machine: submissions go through the pooled transport's
-//! asynchronous path ([`SrbConn::submit`]), the response demultiplexer
-//! wakes the actor, and an idle session costs a few hundred bytes rather
+//! state machine: each request goes through [`SrbConn::submit`], the session
+//! waits on the reply cell it hands back (filled by the stream's response
+//! demultiplexer), and an idle session costs a few hundred bytes rather
 //! than a thread stack, so one simulation hosts 10⁵ of them.
 //!
 //! Arrivals are open-loop and heavy-tailed ([`heavy_tailed_arrivals`]):
@@ -20,8 +20,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use semplar_clusters::{Testbed, PASSWORD, USER};
-use semplar_runtime::{Dur, Task, TaskCtx, TaskExecutor, TaskStats, TaskStep, Waker};
-use semplar_srb::proto::{Request, Response};
+use semplar_runtime::sync::OnceCellBlocking;
+use semplar_runtime::{Dur, Task, TaskCtx, TaskExecutor, TaskStats, TaskStep};
+use semplar_srb::proto::{Request, RespFrame, Response};
 use semplar_srb::{
     ConnPool, OpenFlags, Payload, PoolPolicy, RetryPolicy, SrbConn, SrbResult, TenantId,
 };
@@ -385,35 +386,12 @@ struct SessionActor {
     state: ActorState,
     fd: u32,
     ok: bool,
-    /// Completion mailbox filled by the transport demultiplexer.
-    slot: Arc<Mutex<Option<SrbResult<Response>>>>,
+    /// The reply to the request last submitted, until it is read.
+    reply: Option<Arc<OnceCellBlocking<SrbResult<RespFrame>>>>,
     outcomes: Arc<Mutex<Vec<Option<SessionOutcome>>>>,
 }
 
 impl SessionActor {
-    fn submit(&self, req: Request, waker: &Waker) {
-        let slot = self.slot.clone();
-        let w = waker.clone();
-        self.conn
-            .submit(
-                req,
-                Box::new(move |r| {
-                    *slot.lock() = Some(r);
-                    w.wake();
-                }),
-            )
-            .expect("submit on pooled transport");
-    }
-
-    /// Take the mailbox; `None` means a spurious wake (park again).
-    fn take(&self) -> Option<SrbResult<Response>> {
-        self.slot.lock().take()
-    }
-
-    fn total_ops(&self) -> u32 {
-        self.shape.total_ops()
-    }
-
     fn finish(&mut self, cx: &TaskCtx<'_>) -> TaskStep {
         self.outcomes.lock()[self.client] = Some(SessionOutcome {
             tenant: self.conn.tenant(),
@@ -425,92 +403,76 @@ impl SessionActor {
         TaskStep::Done
     }
 
-    /// Advance past a completed op `k`: think-sleep or submit the next
-    /// stage. Returns the step to yield.
-    fn next_stage(&mut self, k: u32, cx: &mut TaskCtx<'_>) -> TaskStep {
-        if k < self.total_ops() {
-            if self.params.think > Dur::ZERO {
-                self.state = ActorState::Thinking(k);
-                return TaskStep::Sleep(self.params.think);
-            }
-            self.state = ActorState::InOp(k);
-            self.submit(
-                op_request(&self.pattern, self.shape, self.client, k, self.fd),
-                &cx.waker,
-            );
-            return TaskStep::Park;
+    /// Data op `k`, its think time slept first, or the close once every op
+    /// is done.
+    fn next_stage(&mut self, k: u32) -> Result<Request, TaskStep> {
+        if k >= self.shape.total_ops() {
+            self.state = ActorState::Closing;
+            return Ok(Request::Close(self.fd));
         }
-        self.state = ActorState::Closing;
-        self.submit(Request::Close(self.fd), &cx.waker);
-        TaskStep::Park
+        if self.params.think > Dur::ZERO && !matches!(self.state, ActorState::Thinking(_)) {
+            self.state = ActorState::Thinking(k);
+            return Err(TaskStep::Sleep(self.params.think));
+        }
+        self.state = ActorState::InOp(k);
+        let (pattern, shape, client, fd) = (&self.pattern, self.shape, self.client, self.fd);
+        Ok(op_request(pattern, shape, client, k, fd))
+    }
+
+    /// Move past `got`, the reply to the request last submitted (`None`
+    /// after a sleep): the next request to submit, or the step to yield.
+    fn advance(
+        &mut self,
+        got: Option<SrbResult<Response>>,
+        cx: &TaskCtx<'_>,
+    ) -> Result<Request, TaskStep> {
+        match (&self.state, got) {
+            (ActorState::Arriving, _) if self.arrival > Dur::ZERO => {
+                Err(TaskStep::Sleep(std::mem::take(&mut self.arrival)))
+            }
+            (ActorState::Arriving, _) => {
+                self.arrival_ns = cx.now.as_nanos();
+                self.state = ActorState::Opening;
+                Ok(Request::Open(self.path.clone(), OpenFlags::CreateRw))
+            }
+            (ActorState::Opening, Some(Ok(Response::Fd(fd)))) => {
+                self.fd = fd;
+                self.next_stage(0)
+            }
+            (&ActorState::Thinking(k), _) => self.next_stage(k),
+            (&ActorState::InOp(k), Some(Ok(Response::Written(_) | Response::Data(_)))) => {
+                self.next_stage(k + 1)
+            }
+            (ActorState::Closing, Some(Ok(Response::Ok))) => {
+                self.state = ActorState::Ending;
+                Ok(Request::EndSession)
+            }
+            (ActorState::Ending, Some(Ok(Response::Ok))) => Err(self.finish(cx)),
+            _ => {
+                self.ok = false;
+                Err(self.finish(cx))
+            }
+        }
     }
 }
 
 impl Task for SessionActor {
     fn poll(&mut self, cx: &mut TaskCtx<'_>) -> TaskStep {
-        match self.state {
-            ActorState::Arriving => {
-                if self.arrival > Dur::ZERO {
-                    let d = self.arrival;
-                    self.arrival = Dur::ZERO;
-                    return TaskStep::Sleep(d);
-                }
-                self.arrival_ns = cx.now.as_nanos();
-                self.state = ActorState::Opening;
-                self.submit(
-                    Request::Open(self.path.clone(), OpenFlags::CreateRw),
-                    &cx.waker,
-                );
-                TaskStep::Park
-            }
-            ActorState::Opening => match self.take() {
-                None => TaskStep::Park,
-                Some(Ok(Response::Fd(fd))) => {
-                    self.fd = fd;
-                    self.next_stage(0, cx)
-                }
-                Some(_) => {
-                    self.ok = false;
-                    self.finish(cx)
-                }
-            },
-            ActorState::Thinking(k) => {
-                self.state = ActorState::InOp(k);
-                self.submit(
-                    op_request(&self.pattern, self.shape, self.client, k, self.fd),
-                    &cx.waker,
-                );
-                TaskStep::Park
-            }
-            ActorState::InOp(k) => match self.take() {
-                None => TaskStep::Park,
-                Some(Ok(Response::Written(_) | Response::Data(_))) => self.next_stage(k + 1, cx),
-                Some(_) => {
-                    self.ok = false;
-                    self.finish(cx)
-                }
-            },
-            ActorState::Closing => match self.take() {
-                None => TaskStep::Park,
-                Some(r) => {
-                    if !matches!(r, Ok(Response::Ok)) {
-                        self.ok = false;
-                        return self.finish(cx);
+        loop {
+            let got = match self.reply.take() {
+                None => None,
+                Some(reply) => match reply.poll_wait() {
+                    Err(step) => {
+                        self.reply = Some(reply);
+                        return step;
                     }
-                    self.state = ActorState::Ending;
-                    self.submit(Request::EndSession, &cx.waker);
-                    TaskStep::Park
-                }
-            },
-            ActorState::Ending => match self.take() {
-                None => TaskStep::Park,
-                Some(r) => {
-                    if !matches!(r, Ok(Response::Ok)) {
-                        self.ok = false;
-                    }
-                    self.finish(cx)
-                }
-            },
+                    Ok(r) => Some(r.map(|f| f.resp)),
+                },
+            };
+            match self.advance(got, cx) {
+                Ok(req) => self.reply = Some(self.conn.submit(req)),
+                Err(step) => return step,
+            }
         }
     }
 }
@@ -614,7 +576,7 @@ pub fn run_swarm(tb: &Testbed, params: &SwarmParams) -> SwarmReport {
                 state: ActorState::Arriving,
                 fd: 0,
                 ok: true,
-                slot: Arc::new(Mutex::new(None)),
+                reply: None,
                 outcomes: outcomes.clone(),
             }))
         })

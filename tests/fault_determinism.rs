@@ -14,6 +14,7 @@ use semplar_repro::runtime::{simulate, spawn, Dur, Time};
 use semplar_repro::semplar::{File, OpenFlags, Payload, RecoveryStats};
 use semplar_repro::srb::proto::Request;
 use semplar_repro::srb::{ConnPool, PoolPolicy, RetryPolicy};
+use semplar_repro::workloads::{run_swarm, SessionOutcome, SwarmParams};
 
 /// Everything observable about one chaos run.
 #[derive(Debug, PartialEq)]
@@ -104,7 +105,7 @@ proptest! {
 /// each — have three 256 KiB writes apiece submitted, issued interleaved, so
 /// a shared stream's order is not session order, when every connection is
 /// reset: the order `(virtual ns, session, write, acked)` in which the
-/// completions fire.
+/// replies come in, each logged by a thread waiting on its cell.
 fn stream_cut_log(policy: PoolPolicy) -> Vec<(u64, usize, u64, bool)> {
     simulate(move |rt| {
         let tb = Testbed::new(rt.clone(), das2(), 1);
@@ -126,11 +127,11 @@ fn stream_cut_log(policy: PoolPolicy) -> Vec<(u64, usize, u64, bool)> {
                     offset: i << 18,
                     payload: Payload::sized(1 << 18),
                 };
-                let done = move |r: Result<_, _>| {
-                    let at = rt2.now().as_nanos();
-                    log.lock().unwrap().push((at, s, i, r.is_ok()));
-                };
-                conn.submit(req, Box::new(done)).unwrap();
+                let reply = conn.submit(req);
+                spawn(&rt, "waiter", move || {
+                    let ok = reply.wait().is_ok();
+                    log.lock().unwrap().push((rt2.now().as_nanos(), s, i, ok));
+                });
             }
         }
         FaultPlan::new(7)
@@ -166,6 +167,45 @@ fn a_cut_fails_a_shared_streams_exchanges_in_the_same_order_every_run() {
         for i in 0..10 {
             assert_eq!(stream_cut_log(policy), first, "{policy:?}, repeat {i}");
         }
+    }
+}
+
+/// A 64-client swarm on two nodes whose pooled streams are all reset 10 s
+/// into its ~19 s of arrivals: every session's outcome.
+fn cut_swarm() -> Vec<SessionOutcome> {
+    simulate(|rt| {
+        let tb = Testbed::new(rt.clone(), das2(), 2);
+        let inj = FaultPlan::new(7)
+            .conn_reset_at(Dur::from_secs(10))
+            .inject(&rt, &tb.net, &tb.server);
+        let params = SwarmParams {
+            writes: 4,
+            reads: 2,
+            mean_gap: Dur::from_millis(300),
+            ..SwarmParams::quick()
+        };
+        let report = run_swarm(&tb, &params);
+        inj.wait();
+        report.outcomes
+    })
+}
+
+/// A cut swarm still ends every session (`run_swarm` returns only once each
+/// has reported): those cut mid-exchange, and those arriving after the cut,
+/// whose every submit is on a dead stream and whose reply cell is filled
+/// before the session waits on it. Those fail at their arrival instant, and
+/// the outcomes repeat exactly.
+#[test]
+fn a_cut_swarm_ends_every_session_and_repeats_its_outcomes() {
+    let first = cut_swarm();
+    let cut = Dur::from_secs(10).as_nanos();
+    let late: Vec<_> = first.iter().filter(|o| o.arrival_ns > cut).collect();
+    let completed = first.iter().filter(|o| o.ok).count();
+    assert_eq!((first.len(), completed, late.len()), (64, 16, 17));
+    assert!(late.iter().all(|o| !o.ok && o.done_ns == o.arrival_ns));
+    let first = format!("{first:?}");
+    for i in 0..3 {
+        assert_eq!(format!("{:?}", cut_swarm()), first, "repeat {i}");
     }
 }
 
