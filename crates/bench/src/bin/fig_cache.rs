@@ -10,7 +10,7 @@
 //!   serves every block from memory and skips the disk entirely;
 //! * **scan / over capacity** — the set is larger than the cache, so a
 //!   sequential re-scan evicts ahead of itself (LRU's classic failure);
-//! * **client leases** — lease-granted reads are cached *client-side*; the
+//! * **client leases** — full-length reads are cached *client-side*; the
 //!   warm pass makes zero wire round-trips and completes in zero virtual
 //!   time.
 //!

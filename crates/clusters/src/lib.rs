@@ -434,8 +434,8 @@ impl FedTestbed {
     /// Per pair the construction order is fixed — both servers, both
     /// mounts, the forward replicator, then the reverse one — because
     /// model-checked scenarios are schedule-sensitive, and because a
-    /// mount's lease hooks must be registered on its server before the
-    /// replicator's write hook.
+    /// mount's change hook must be registered on its server before the
+    /// replicator's.
     pub fn new(
         rt: &Arc<dyn Runtime>,
         shards: usize,

@@ -24,8 +24,8 @@
 //!   operation on the shard replays the divergence queue *in order* from
 //!   the replica back to the primary in [`RESUME_BLOCK`] blocks, recording
 //!   each replayed extent, the bytes and the completed rounds in a
-//!   deterministic [`ReconcileLedger`]. Replayed writes re-enter the
-//!   primary's write hook, so the replicator re-ships them and both copies
+//!   deterministic [`ReconcileLedger`]. Replayed writes are changes on the
+//!   primary like any other, so the replicator re-ships them and both copies
 //!   converge bit-identically.
 //! * **Membership** — [`FedFs::enable_membership`] puts every shard under
 //!   the `srb::membership` lease/epoch protocol. A primary outage that
@@ -46,10 +46,12 @@
 //!   atomic — at an epoch bump when membership is enabled, so writes
 //!   routed by the old map are fenced.
 //!
-//! Reconcile replay and the re-shard copies are one block copier, and
-//! nothing here polls the clock: a copy waits on the events that end what
-//! refused it, and [`FedFs::converge`] is the one wait for the whole
-//! federation to settle.
+//! Reconcile replay and the re-shard copies are one block copier. A copy
+//! waits on the events that end what refused it, and [`FedFs::converge`]
+//! is the one wait for the whole federation to settle. One wait polls the
+//! clock: a failover write refused for a stale epoch sleeps 10 ms and
+//! retries, at most 100 times, while the promoted seat's epoch is
+//! certified.
 //!
 //! Shard mounts should be built with [`RetryPolicy::none`]
 //! (federated failover *is* the recovery — a crashed primary then refuses
@@ -531,8 +533,8 @@ impl FedFs {
         }
         if !replayed.is_empty() {
             // A round moved bytes between copies outside any one server's
-            // write-hook view of the world (replays fire the primary's
-            // hooks, but the shard is changing roles under live readers).
+            // view of its changes (replays fire the primary's hooks, but
+            // the shard is changing roles under live readers).
             // Revoke all leases on both mounts — coherence over warmth
             // across the transition.
             self.shards[shard].primary.invalidate_lease_all();
@@ -554,8 +556,8 @@ impl FedFs {
     /// `path` from `src` to `dst` (created there if missing) in
     /// [`RESUME_BLOCK`] blocks, each a schedule point named `tag`, until
     /// `len` or a short read (so `u64::MAX` copies the whole object).
-    /// Returns the bytes copied. Writes on `dst` fire its write hook, so its
-    /// replicator re-ships them and keeps that pair converged.
+    /// Returns the bytes copied. Writes on `dst` fire its change hooks, so
+    /// its replicator re-ships them and keeps that pair converged.
     fn copy_blocks(
         &self,
         src: &Arc<SrbFs>,
@@ -997,8 +999,8 @@ impl FedFile {
                 repl.enqueue_extent(&self.path, offset, n);
             }
         }
-        // The write landed on the replica, so the *primary* mount's
-        // write-hook broadcast never fired — revoke its cached lease bytes
+        // The write landed on the replica, so the *primary* never reported
+        // it as a change — revoke the primary mount's cached lease bytes
         // for the range explicitly, or a lease-holding reader could keep
         // serving pre-failover bytes after the shard reconciles. (The
         // replica mount's own hook fired on the write above.)

@@ -1,12 +1,12 @@
 //! Client-side read-lease cache for [`crate::SrbFs`].
 //!
-//! When the server grants a read lease (the grant epoch rides the spare
-//! space of the fixed 256-byte response frame), the client may keep the
-//! returned bytes and serve later overlapping reads locally — zero wire
-//! round-trips, zero disk charges. Coherence comes from the server's
-//! write-hook broadcast: every acked write (and unlink, and server crash)
-//! reaches the mount, which invalidates the overlapped range *and* bumps a
-//! global revocation counter.
+//! A leased mount keeps the bytes of its full-length reads and serves later
+//! overlapping reads locally — zero wire round-trips, zero disk charges.
+//! A lease is nothing but the absence of a revocation: the server grants
+//! nothing and stamps nothing. Coherence comes from its
+//! [`Change`](semplar_srb::Change) hook: every acked write, unlink and
+//! server crash reaches the mount, which drops what it overlaps *and* bumps
+//! a global revocation counter.
 //!
 //! The revocation counter closes the classic fetch/invalidate race: a
 //! reader snapshots the counter *before* issuing the wire read and only
@@ -17,14 +17,14 @@
 //!
 //! Only *full-length* reads are cached (returned length == requested
 //! length), so an entry never extends past the file's EOF at insert time
-//! and the write hook's `[offset, offset+len)` range is sufficient to
+//! and a write's `[offset, offset+len)` range is sufficient to
 //! invalidate it — there is no client-side analogue of the server cache's
 //! zero-fill-gap hazard.
 
+use parking_lot::Mutex;
 use semplar_srb::Payload;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Counters for the lease cache, mirroring [`semplar_srb::CacheStats`] on
 /// the client side. `bytes_saved` counts payload bytes served locally that
@@ -35,7 +35,7 @@ pub struct LeaseStats {
     pub hits: u64,
     /// Reads that went to the wire.
     pub misses: u64,
-    /// Payloads cached after a leased wire read.
+    /// Payloads cached after a wire read.
     pub insertions: u64,
     /// Entries dropped to stay under the byte capacity.
     pub evictions: u64,
@@ -61,7 +61,7 @@ struct State {
     tick: u64,
 }
 
-/// A byte-capacity LRU cache of lease-protected read payloads, shared by
+/// A byte-capacity LRU cache of read payloads, shared by
 /// every open file of one [`SrbFs`](crate::SrbFs) mount.
 pub struct LeaseCache {
     capacity: u64,
@@ -108,7 +108,7 @@ impl LeaseCache {
 
     /// Payload bytes currently resident.
     pub fn resident_bytes(&self) -> u64 {
-        self.state.lock().unwrap().bytes
+        self.state.lock().bytes
     }
 
     /// Current revocation counter; pass the value to [`Self::insert_if`]
@@ -124,7 +124,7 @@ impl LeaseCache {
         if len == 0 {
             return Some(Payload::bytes(Vec::new()));
         }
-        let mut guard = self.state.lock().unwrap();
+        let mut guard = self.state.lock();
         let st = &mut *guard;
         let found = st.files.get(path).and_then(|file| {
             file.range(..=offset).next_back().and_then(|(&eoff, e)| {
@@ -165,7 +165,7 @@ impl LeaseCache {
         if len == 0 || len > self.capacity / 2 {
             return;
         }
-        let mut guard = self.state.lock().unwrap();
+        let mut guard = self.state.lock();
         let st = &mut *guard;
         // Re-check under the lock: an invalidation serializes either
         // before (snapshot differs → skip) or after (it removes us).
@@ -207,21 +207,22 @@ impl LeaseCache {
     }
 
     /// Revoke every entry of `path` overlapping `[start, end)` and bump
-    /// the revocation counter. Called from the server's write-hook
-    /// broadcast.
+    /// the revocation counter. Called for every [`Change::Wrote`].
+    ///
+    /// [`Change::Wrote`]: semplar_srb::Change::Wrote
     pub fn invalidate_range(&self, path: &str, start: u64, end: u64) {
         self.revocation.fetch_add(1, Ordering::SeqCst);
         if end <= start {
             return;
         }
-        let mut guard = self.state.lock().unwrap();
+        let mut guard = self.state.lock();
         Self::remove_overlaps(&mut guard, path, start, end, &self.invalidations);
     }
 
-    /// Revoke every entry of `path` (unlink / lease break).
+    /// Revoke every entry of `path` (unlink).
     pub fn invalidate_path(&self, path: &str) {
         self.revocation.fetch_add(1, Ordering::SeqCst);
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.state.lock();
         if let Some(file) = st.files.remove(path) {
             for (_, e) in file {
                 st.bytes -= e.data.len();
@@ -234,7 +235,7 @@ impl LeaseCache {
     /// Revoke everything (server crash, shard failover, reconcile).
     pub fn invalidate_all(&self) {
         self.revocation.fetch_add(1, Ordering::SeqCst);
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.state.lock();
         let dropped = st.order.len() as u64;
         *st = State {
             tick: st.tick,
@@ -246,7 +247,7 @@ impl LeaseCache {
     /// The entry that starts at `offset` of `path`, if any.
     #[cfg(test)]
     fn entry(&self, path: &str, offset: u64) -> Option<Payload> {
-        let st = self.state.lock().unwrap();
+        let st = self.state.lock();
         st.files.get(path)?.get(&offset).map(|e| e.data.clone())
     }
 

@@ -20,15 +20,14 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use semplar_runtime::{Dur, Time};
+use semplar_runtime::Dur;
 use semplar_srb::{
-    adler32, ConnPool, ConnRoute, IoMeter, OpenFlags, Payload, PoolPolicy, RetryPolicy, SrbConn,
-    SrbError, SrbServer,
+    adler32, Change, ConnPool, ConnRoute, IoMeter, OpenFlags, Payload, PoolPolicy, RetryPolicy,
+    SrbConn, SrbError, SrbServer,
 };
 
 use crate::adio::{merge_extents, pack_extents, split_packed, AdioFile, AdioFs, IoError, IoResult};
 use crate::lease::{LeaseCache, LeaseStats};
-use semplar_srb::LeaseBreak;
 
 /// Resume granularity after a reconnect: the remainder of an interrupted
 /// write is re-issued in blocks of this size, so a second cut loses at
@@ -66,11 +65,10 @@ pub struct SrbFsConfig {
     pub sieve_threshold: f64,
     /// Capacity in payload bytes of the client-side read-lease cache;
     /// `None` disables leases and every read goes to the wire.
-    /// Lease-granted full reads are kept locally and served with zero wire
-    /// round-trips until revoked; revocation arrives through the server's
-    /// write-hook broadcast (overlapping writes), its lease-break hooks
-    /// (unlink, server crash), and federation failover/reconcile
-    /// transitions.
+    /// Full-length reads are kept locally and served with zero wire
+    /// round-trips until revoked; revocation arrives as the server's
+    /// [`Change`]s (overlapping writes, unlinks, its crash) and from
+    /// federation failover/reconcile transitions.
     pub lease_capacity: Option<u64>,
 }
 
@@ -130,8 +128,8 @@ pub struct SrbFs {
 
 impl SrbFs {
     /// An SRBFS mount that will connect to `server` as `cfg` describes.
-    /// With leases on, the cache's revocation hooks are registered on
-    /// `server` here. Server hooks fire in registration order, so build a
+    /// With leases on, the cache's change hook is registered on `server`
+    /// here. Server hooks fire in registration order, so build a
     /// leased mount before starting a `Replicator` on the same server.
     pub fn new(server: Arc<SrbServer>, mut cfg: SrbFsConfig) -> Arc<SrbFs> {
         cfg.sieve_threshold = cfg.sieve_threshold.clamp(0.0, 1.0);
@@ -145,13 +143,12 @@ impl SrbFs {
         let lease = cfg.lease_capacity.map(|capacity| {
             let cache = Arc::new(LeaseCache::new(capacity));
             let c = cache.clone();
-            server.set_write_hook(Arc::new(move |path, offset, len| {
-                c.invalidate_range(path, offset, offset + len);
-            }));
-            let c = cache.clone();
-            server.add_lease_break_hook(Arc::new(move |brk| match brk {
-                LeaseBreak::Unlink { path } => c.invalidate_path(path),
-                LeaseBreak::ServerLost => c.invalidate_all(),
+            server.add_change_hook(Arc::new(move |change| match *change {
+                Change::Wrote { path, offset, len } => {
+                    c.invalidate_range(path, offset, offset + len)
+                }
+                Change::Unlinked { path } => c.invalidate_path(path),
+                Change::Crashed => c.invalidate_all(),
             }));
             cache
         });
@@ -202,7 +199,7 @@ impl SrbFs {
 
     /// Revoke cached lease bytes overlapping `[offset, offset+len)` of
     /// `path`. Federation calls this when a write lands on a *replica*
-    /// (failover) — the primary's write-hook broadcast never fires for it.
+    /// (failover) — the primary never reports that write as a [`Change`].
     pub fn invalidate_lease_range(&self, path: &str, offset: u64, len: u64) {
         if let Some(c) = &self.lease {
             c.invalidate_range(path, offset, offset + len);
@@ -339,25 +336,10 @@ impl SrbFile {
         Ok(())
     }
 
-    /// Account one completed recovery episode that began at `t0`.
-    fn note_recovered(&self, t0: Time) {
-        let now = self.conn.runtime().now();
-        let mut st = self.fs.recovery.lock();
-        st.recovered_ops += 1;
-        st.recovery_time += now - t0;
-    }
-
-    /// Recovery tail of an interrupted write: reconnect, then re-issue the
-    /// remainder in [`RESUME_BLOCK`] pieces starting at `done` (bytes of
-    /// this operation the server already acknowledged). `done` survives
-    /// further cuts, so each retry resumes at the last acknowledged block
-    /// instead of offset zero. Blocks are idempotent (same bytes, same
-    /// offsets), which keeps an unacknowledged-but-applied server write
-    /// harmless.
-    /// Run an idempotent wire operation with the standard transient-failure
-    /// recovery: reconnect under the retry policy and re-issue the whole
-    /// operation. List exchanges are idempotent (same bytes at the same
-    /// offsets), so a mid-list cut safely replays the full exchange.
+    /// Run a wire operation with the standard transient-failure recovery.
+    /// Only idempotent operations go through here: reads, stats and list
+    /// exchanges (same bytes at the same offsets), so a cut anywhere
+    /// safely replays the whole exchange.
     fn with_idempotent_retry<T>(
         &mut self,
         mut op: impl FnMut(&mut SrbFile) -> Result<T, SrbError>,
@@ -365,67 +347,48 @@ impl SrbFile {
         match op(self) {
             Ok(v) => Ok(v),
             Err(e) if !e.is_transient() => Err(e.into()),
-            Err(_) => {
-                let rt = self.conn.runtime().clone();
-                let t0 = rt.now();
-                self.fs.recovery.lock().disconnects += 1;
-                let policy = self.fs.pool.retry().clone();
-                let key = self.key;
-                let out = policy.run(&rt, key, |_| {
-                    self.reconnect()?;
-                    op(self)
-                })?;
-                self.note_recovered(t0);
-                Ok(out)
-            }
+            Err(_) => self.recover(op),
         }
     }
 
-    /// Wire read that also returns the server's lease grant, with the same
-    /// transient-failure recovery as the plain read path. A server crash
-    /// during recovery fires `LeaseBreak::ServerLost`, which bumps the
-    /// cache's revocation counter — so the caller's pre-read snapshot goes
-    /// stale and the re-issued payload is never cached against a lapsed
-    /// lease.
-    fn leased_wire_read(&mut self, offset: u64, len: u64) -> IoResult<(Payload, Option<u64>)> {
-        match self.conn.read_leased(self.fd, offset, len) {
-            Ok(out) => Ok(out),
-            Err(e) if !e.is_transient() => Err(e.into()),
-            Err(_) => {
-                let rt = self.conn.runtime().clone();
-                let t0 = rt.now();
-                self.fs.recovery.lock().disconnects += 1;
-                let policy = self.fs.pool.retry().clone();
-                let key = self.key;
-                let out = policy.run(&rt, key, |_| {
-                    self.reconnect()?;
-                    self.conn.read_leased(self.fd, offset, len)
-                })?;
-                self.note_recovered(t0);
-                Ok(out)
-            }
-        }
-    }
-
-    fn resume_write(&mut self, offset: u64, data: &Payload, mut done: u64) -> IoResult<u64> {
+    /// Recovery after a transient failure of `op`: reconnect under the
+    /// retry policy and re-run `op` until it completes, accounting the
+    /// episode in the mount's [`RecoveryStats`].
+    fn recover<T>(
+        &mut self,
+        mut op: impl FnMut(&mut SrbFile) -> Result<T, SrbError>,
+    ) -> IoResult<T> {
         let rt = self.conn.runtime().clone();
         let t0 = rt.now();
         self.fs.recovery.lock().disconnects += 1;
-        let total = data.len();
         let policy = self.fs.pool.retry().clone();
         let key = self.key;
-        policy.run(&rt, key, |_| {
+        let out = policy.run(&rt, key, |_| {
             self.reconnect()?;
+            op(self)
+        })?;
+        let mut st = self.fs.recovery.lock();
+        st.recovered_ops += 1;
+        st.recovery_time += rt.now() - t0;
+        Ok(out)
+    }
+
+    /// Recovery tail of an interrupted write: re-issue the remainder in
+    /// [`RESUME_BLOCK`] pieces starting at `done` (bytes of this operation
+    /// the server already acknowledged). `done` survives further cuts, so
+    /// each retry resumes at the last acknowledged block instead of offset
+    /// zero. Blocks are idempotent (same bytes, same offsets), which keeps
+    /// an unacknowledged-but-applied server write harmless.
+    fn resume_write(&mut self, offset: u64, data: &Payload, mut done: u64) -> IoResult<u64> {
+        let total = data.len();
+        self.recover(|me| {
             while done < total {
                 let blk = RESUME_BLOCK.min(total - done);
-                self.conn
-                    .write(self.fd, offset + done, data.slice(done, blk))?;
+                me.conn.write(me.fd, offset + done, data.slice(done, blk))?;
                 done += blk;
             }
-            Ok(())
-        })?;
-        self.note_recovered(t0);
-        Ok(total)
+            Ok(total)
+        })
     }
 }
 
@@ -434,45 +397,28 @@ impl AdioFile for SrbFile {
         if self.closed {
             return Err(IoError::Closed);
         }
-        // Lease fast path: a cached lease-protected entry covering the
-        // range is served locally — zero wire round-trips. On a miss, the
-        // revocation counter is snapshotted *before* the wire read so a
-        // racing write can never leave stale bytes in the cache (the
-        // payload is still returned — the server produced it, so it is a
-        // legal linearization — it just isn't kept).
-        if let Some(cache) = self.fs.lease.clone() {
-            if let Some(p) = cache.lookup(&self.path, offset, len) {
-                return Ok(p);
-            }
-            let snap = cache.revocation();
-            let (p, grant) = self.leased_wire_read(offset, len)?;
-            // Only full-length reads are cached: a short read means the
-            // range crossed EOF, and such an entry could serve bytes a
-            // later extending write would not invalidate.
-            if grant.is_some() && p.len() == len {
-                cache.insert_if(snap, &self.path, offset, &p);
-            }
+        let read = |me: &mut SrbFile| me.conn.read(me.fd, offset, len);
+        let Some(cache) = self.fs.lease.clone() else {
+            return self.with_idempotent_retry(read);
+        };
+        // Lease fast path: a cached entry covering the range is served
+        // locally — zero wire round-trips. On a miss, the revocation
+        // counter is snapshotted *before* the wire read, so a change that
+        // lands while it is out (a racing write, a crash that cut it) keeps
+        // the bytes out of the cache. They are still returned — the server
+        // produced them, so they are a legal linearization.
+        if let Some(p) = cache.lookup(&self.path, offset, len) {
             return Ok(p);
         }
-        match self.conn.read(self.fd, offset, len) {
-            Ok(p) => Ok(p),
-            Err(e) if !e.is_transient() => Err(e.into()),
-            Err(_) => {
-                // Recovery: reconnect under the policy and re-issue the
-                // read (reads are idempotent, no resume state needed).
-                let rt = self.conn.runtime().clone();
-                let t0 = rt.now();
-                self.fs.recovery.lock().disconnects += 1;
-                let policy = self.fs.pool.retry().clone();
-                let key = self.key;
-                let out = policy.run(&rt, key, |_| {
-                    self.reconnect()?;
-                    self.conn.read(self.fd, offset, len)
-                })?;
-                self.note_recovered(t0);
-                Ok(out)
-            }
+        let snap = cache.revocation();
+        let p = self.with_idempotent_retry(read)?;
+        // Only full-length reads are cached: a short read means the range
+        // crossed EOF, and such an entry could serve bytes a later
+        // extending write would not invalidate.
+        if p.len() == len {
+            cache.insert_if(snap, &self.path, offset, &p);
         }
+        Ok(p)
     }
 
     fn write_at(&mut self, offset: u64, data: &Payload) -> IoResult<u64> {
@@ -528,7 +474,7 @@ impl AdioFile for SrbFile {
         } else {
             // List-I/O: the merged extent table in one exchange; the reply
             // packs exactly the useful bytes, so no meter hint is needed.
-            let reply = self.with_idempotent_retry(|me| me.conn.read_list(me.fd, &merged, None))?;
+            let reply = self.with_idempotent_retry(|me| me.conn.read_list(me.fd, &merged))?;
             split_packed(&merged, &reply)
         };
         // Map each caller extent back out of its containing merged run.
@@ -572,9 +518,8 @@ impl AdioFile for SrbFile {
         let Some((merged, packed)) = coalesce_write(extents, data) else {
             // Overlapping extents: list order decides the final bytes, so
             // frame exactly what the caller gave us.
-            return self.with_idempotent_retry(|me| {
-                me.conn.write_list(me.fd, extents, data.clone(), None)
-            });
+            return self
+                .with_idempotent_retry(|me| me.conn.write_list(me.fd, extents, data.clone()));
         };
         if merged.len() == 1 {
             // The gap-merge fused everything into one contiguous run: a
@@ -598,7 +543,7 @@ impl AdioFile for SrbFile {
                 let Some(old) = covering.data() else {
                     // A sparse object has no hole bytes to preserve; the
                     // wire list applies the runs without inventing any.
-                    return me.conn.write_list(me.fd, &merged, packed.clone(), None);
+                    return me.conn.write_list(me.fd, &merged, packed.clone());
                 };
                 let mut base = old.to_vec();
                 base.resize(span as usize, 0);
@@ -615,9 +560,7 @@ impl AdioFile for SrbFile {
             })?;
             Ok(total)
         } else {
-            self.with_idempotent_retry(|me| {
-                me.conn.write_list(me.fd, &merged, packed.clone(), None)
-            })
+            self.with_idempotent_retry(|me| me.conn.write_list(me.fd, &merged, packed.clone()))
         }
     }
 
@@ -629,23 +572,8 @@ impl AdioFile for SrbFile {
         if self.closed {
             return Err(IoError::Closed);
         }
-        match self.conn.stat(&self.path) {
-            Ok(s) => Ok(s.size),
-            Err(e) if !e.is_transient() => Err(e.into()),
-            Err(_) => {
-                let rt = self.conn.runtime().clone();
-                let t0 = rt.now();
-                self.fs.recovery.lock().disconnects += 1;
-                let policy = self.fs.pool.retry().clone();
-                let key = self.key;
-                let s = policy.run(&rt, key, |_| {
-                    self.reconnect()?;
-                    self.conn.stat(&self.path)
-                })?;
-                self.note_recovered(t0);
-                Ok(s.size)
-            }
-        }
+        let stat = self.with_idempotent_retry(|me| me.conn.stat(&me.path))?;
+        Ok(stat.size)
     }
 
     fn close(&mut self) -> IoResult<()> {

@@ -10,10 +10,10 @@
 //!
 //! 1. **No stale lease read** — a read issued after an acked overlapping
 //!    write returns the new bytes, never a lease snapshot from before the
-//!    write. This must hold across the crash (leases lapse via
-//!    `ServerLost`), across failover writes (which bypass the primary's
-//!    write-hook broadcast and revoke its leases explicitly), and across
-//!    reconciliation.
+//!    write. This must hold across the crash (leases lapse on
+//!    `Change::Crashed`), across failover writes (which the primary never
+//!    reports as a change, so they revoke its leases explicitly), and
+//!    across reconciliation.
 //! 2. **Caches converge** — after reconcile, primary and replica checksum
 //!    to the bytes of the final version, with caches on.
 //! 3. **No deadlock** — a poisoned simulation is a violation, not a hang.

@@ -63,7 +63,7 @@ pub enum BrokenInvariant {
     /// and pin a schedule that violates it.
     NoFailoverEver,
     /// Assert that no lease is ever invalidated — guaranteed false under a
-    /// primary crash (`ServerLost` lapses every lease); checked by
+    /// primary crash (`Change::Crashed` lapses every lease); checked by
     /// [`LeaseScenario`](crate::LeaseScenario).
     NoLeaseBreakEver,
 }

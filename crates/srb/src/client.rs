@@ -213,16 +213,6 @@ impl SrbConn {
         reply!(self.call(Request::Read { fd, offset, len })?, Response::Data(p) => p)
     }
 
-    /// Read up to `len` bytes at `offset`, also returning the server's
-    /// lease grant from the response header — the object's write epoch
-    /// sampled before the read. A caller holding the grant may cache the
-    /// bytes until the lease is revoked (write-hook broadcast) or broken
-    /// (unlink, server loss, shard failover).
-    pub fn read_leased(&self, fd: u32, offset: u64, len: u64) -> SrbResult<(Payload, Option<u64>)> {
-        let frame = self.submit(Request::Read { fd, offset, len }).wait()?;
-        reply!(frame.resp, Response::Data(p) => (p, frame.lease))
-    }
-
     /// Write `payload` at `offset`, returning bytes written.
     pub fn write(&self, fd: u32, offset: u64, payload: Payload) -> SrbResult<u64> {
         let req = Request::Write {
@@ -235,38 +225,22 @@ impl SrbConn {
 
     /// Read many extents in one exchange (list-I/O). The reply packs the
     /// extents' data back-to-back in list order, each truncated at EOF.
-    /// `useful`, when given, caps the goodput meter's byte count — the
-    /// data-sieving path reads one covering extent but only `useful` of it
-    /// is application data.
-    pub fn read_list(
-        &self,
-        fd: u32,
-        extents: &[(u64, u64)],
-        useful: Option<u64>,
-    ) -> SrbResult<Payload> {
+    pub fn read_list(&self, fd: u32, extents: &[(u64, u64)]) -> SrbResult<Payload> {
         let extents = extents.to_vec();
-        let resp = self.call_hinted(Request::ReadList { fd, extents }, useful)?;
-        reply!(resp, Response::Data(p) => p)
+        reply!(self.call(Request::ReadList { fd, extents })?, Response::Data(p) => p)
     }
 
     /// Write many extents in one exchange (list-I/O). `payload` packs the
     /// extents' data back-to-back in list order; returns total bytes
-    /// written. `useful` caps the goodput meter as in
-    /// [`SrbConn::read_list`].
-    pub fn write_list(
-        &self,
-        fd: u32,
-        extents: &[(u64, u64)],
-        payload: Payload,
-        useful: Option<u64>,
-    ) -> SrbResult<u64> {
+    /// written.
+    pub fn write_list(&self, fd: u32, extents: &[(u64, u64)], payload: Payload) -> SrbResult<u64> {
         let extents = extents.to_vec();
         let req = Request::WriteList {
             fd,
             extents,
             payload,
         };
-        reply!(self.call_hinted(req, useful)?, Response::Written(n) => n)
+        reply!(self.call(req)?, Response::Written(n) => n)
     }
 
     /// A single contiguous read whose goodput accounting is capped at

@@ -12,10 +12,10 @@
 //!   zone federation).
 //! * [`Replicator`] — the one server-to-server copier. A shard primary's
 //!   replicator hangs off its
-//!   [write hook](crate::server::SrbServer::set_write_hook): every durable
-//!   vault write enqueues its extent. A federated peer's replicator
-//!   (`SrbServer::add_peer`) keeps its hook off and ships what `Replicate`
-//!   asks for. Either way a daemon task ships the bytes in acked
+//!   [change hook](crate::server::SrbServer::add_change_hook): every durable
+//!   vault write ([`Change::Wrote`]) enqueues its extent. A federated peer's
+//!   replicator (`SrbServer::add_peer`) keeps its hook off and ships what
+//!   `Replicate` asks for. Either way a daemon task ships the bytes in acked
 //!   [`REPL_BLOCK`]-sized blocks, each *retained until acked* — transient
 //!   failures redial and re-ship the same bytes (the `CompressedWriter`
 //!   frame-retention idiom applied to replication) — so everything the
@@ -38,7 +38,7 @@ use crate::client::SrbConn;
 use crate::mcat::Mcat;
 use crate::proto::{Request, RespFrame, Response};
 use crate::retry::RetryPolicy;
-use crate::server::{ConnRoute, Dial, SrbServer};
+use crate::server::{Change, ConnRoute, Dial, SrbServer};
 use crate::types::{OpenFlags, Payload, SrbError, SrbResult};
 use crate::vault::{DiskOp, Vault};
 
@@ -112,7 +112,7 @@ struct ReplJob {
 /// Cumulative replicator counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReplStats {
-    /// Extents enqueued by the primary's write hook.
+    /// Extents enqueued by the primary's change hook.
     pub enqueued: u64,
     /// Blocks acknowledged by the replica.
     pub shipped_blocks: u64,
@@ -132,13 +132,13 @@ pub struct ReplStats {
 
 /// Asynchronous replication from a source server to a target.
 ///
-/// Construction registers a write hook on the source and spawns a daemon
+/// Construction registers a change hook on the source and spawns a daemon
 /// task, `federation/replicator/0`, that drains the queue on virtual time,
 /// acting as a *client* of the target over `route`: connection setup,
 /// WAN transfer, and the target's disk work all charge time to it, never to
 /// the writer whose write triggered the job — replication is invisible to
 /// the compute path (the TASIO shape). The replicator is held by cycles
-/// (the source's write hook, a membership promotion hook), so nothing
+/// (the source's change hook, a membership promotion hook), so nothing
 /// closes its queue: the task waits on it until the simulation drops it.
 pub struct Replicator {
     rt: Arc<dyn Runtime>,
@@ -146,7 +146,7 @@ pub struct Replicator {
     /// Jobs enqueued whose last block is not yet acked, and the cell the
     /// next drain sets (made by the first `quiesce` that has to wait).
     drain: Mutex<(usize, Option<Arc<OnceCellBlocking<()>>>)>,
-    /// While clear, the write hook drops events instead of enqueuing them.
+    /// While clear, the change hook drops events instead of enqueuing them.
     /// Membership gates replicator direction with this: only the *current*
     /// primary's forward replicator is active, so a deposed primary's
     /// leftover hook cannot ping-pong freshly reconciled bytes back.
@@ -159,7 +159,7 @@ pub struct Replicator {
 }
 
 impl Replicator {
-    /// Wire `primary` to `replica`: register the write hook and start the
+    /// Wire `primary` to `replica`: register the change hook and start the
     /// shipping task. `route` is the network path from the primary to the
     /// replica; `user`/`password` the federation service account on the
     /// replica; `retry`'s backoff schedule paces re-ships (blocks are
@@ -184,9 +184,11 @@ impl Replicator {
             stats: Mutex::default(),
         });
         let hook = repl.clone();
-        primary.set_write_hook(Arc::new(move |path, offset, len| {
-            if hook.active.load(Ordering::SeqCst) {
-                hook.enqueue_extent(path, offset, len);
+        primary.add_change_hook(Arc::new(move |change| {
+            if let Change::Wrote { path, offset, len } = *change {
+                if hook.active.load(Ordering::SeqCst) {
+                    hook.enqueue_extent(path, offset, len);
+                }
             }
         }));
         let (user, password) = (user.to_string(), password.to_string());
@@ -225,7 +227,7 @@ impl Replicator {
         st.queue_high_water = st.queue_high_water.max(self.jobs.len() as u64);
     }
 
-    /// Enqueue one extent directly, bypassing the write hook. Membership
+    /// Enqueue one extent directly, bypassing the change hook. Membership
     /// uses this at promotion to drain the deposed primary's divergence
     /// backlog into the *reverse* replicator (new primary → old primary).
     pub fn enqueue_extent(&self, path: &str, offset: u64, len: u64) {
@@ -242,12 +244,12 @@ impl Replicator {
         (done, out)
     }
 
-    /// Gate the write hook: while inactive, write events are dropped
+    /// Gate the change hook: while inactive, write events are dropped
     /// (already-queued jobs still ship). See the `active` field. A shard's
     /// *reverse* replicator is made inactive right after `start`, before
     /// anything can write — membership activates it at promotion. Left live,
     /// both directions' hooks would be armed at once: every forward ship
-    /// fires the replica's write hook, which enqueues a reverse ship, which
+    /// fires the replica's change hook, which enqueues a reverse ship, which
     /// fires the primary's hook again — an unbounded ping-pong.
     pub fn set_active(&self, active: bool) {
         self.active.store(active, Ordering::SeqCst);
@@ -649,7 +651,11 @@ mod tests {
             let (primary, replica, c_route, r_route) = pair(&rt);
             let landed = Arc::new(Mutex::new(None));
             let (landed2, rt2) = (landed.clone(), rt.clone());
-            replica.set_write_hook(Arc::new(move |_, _, _| *landed2.lock() = Some(rt2.now())));
+            replica.add_change_hook(Arc::new(move |change| {
+                if let Change::Wrote { .. } = change {
+                    *landed2.lock() = Some(rt2.now());
+                }
+            }));
             let repl = Replicator::start(
                 &rt,
                 primary.clone(),

@@ -50,9 +50,7 @@ pub use pool::{ConnPool, PoolPolicy};
 pub use proto::{SessionId, TenantId};
 pub use qos::TenantScheduler;
 pub use retry::RetryPolicy;
-pub use server::{
-    ConnRoute, LeaseBreak, LeaseBreakHook, ServerStats, SrbServer, SrbServerCfg, WriteHook,
-};
+pub use server::{Change, ChangeHook, ConnRoute, ServerStats, SrbServer, SrbServerCfg};
 pub use transport::{IoMeter, MeterSnapshot, Transport};
 pub use types::{adler32, ObjStat, OpenFlags, Payload, SrbError, SrbResult};
 pub use vault::{DiskSpec, Vault};

@@ -91,21 +91,13 @@ pub struct RespFrame {
     pub seq: u64,
     /// Echoed session id.
     pub session: SessionId,
-    /// Read-lease grant: the object's write epoch sampled *before* the
-    /// server performed the read. Rides the spare space in the fixed
-    /// [`WIRE_HDR`] header (like `seq`/`session`/tenant), so granting
-    /// leases changes no wire size. `None` for every non-read response and
-    /// whenever the server has leases disabled; lease *revocation* travels
-    /// through the server's write-hook broadcast rather than a frame of its
-    /// own.
-    pub lease: Option<u64>,
     /// The result.
     pub resp: Response,
 }
 
 impl RespFrame {
-    /// Bytes on the wire — the inner response's size unchanged (the lease
-    /// grant lives in the fixed header).
+    /// Bytes on the wire — the inner response's size unchanged (the tags
+    /// live in the fixed header).
     pub fn wire_size(&self) -> u64 {
         self.resp.wire_size()
     }

@@ -157,31 +157,34 @@ impl Default for SessionSpace {
 /// Both directions of one live connection, as registered for fault injection.
 type ConnChannels = (Channel<ReqFrame>, Channel<RespFrame>);
 
-/// Observer invoked after every durable vault write, with `(path, offset,
-/// len)`. Federation hangs its replication queue off this and client-side
-/// read-lease caches hang their revocation off it; hooks broadcast — every
-/// registered hook fires for every write. The default is no hooks, which
-/// costs nothing.
-pub type WriteHook = Arc<dyn Fn(&str, u64, u64) + Send + Sync>;
-
-/// An out-of-band lease-break event: something other than an ordinary
-/// overlapping write invalidated whatever read leases clients may hold.
+/// A change to the server's data that whoever mirrors or caches it must
+/// hear of: federation replication acts on writes, a leased mount's read
+/// cache on all three.
 #[derive(Clone, Debug)]
-pub enum LeaseBreak {
-    /// The object was unlinked; any cached bytes for it are void.
-    Unlink {
-        /// Logical path of the removed object.
-        path: String,
+pub enum Change<'a> {
+    /// A durable vault write of `len` bytes at `offset` of `path`.
+    Wrote {
+        /// Logical path of the written object.
+        path: &'a str,
+        /// First byte written.
+        offset: u64,
+        /// Bytes written.
+        len: u64,
     },
-    /// The server crashed. All leases it ever granted lapse: writes may
-    /// land elsewhere (a shard replica) while this server is down, and its
-    /// write-hook broadcast is silent for those.
-    ServerLost,
+    /// The object was unlinked.
+    Unlinked {
+        /// Logical path of the removed object.
+        path: &'a str,
+    },
+    /// The server crashed. While it is down, writes can land on a failover
+    /// replica without this server ever reporting them, so whatever a
+    /// client cached from it is void.
+    Crashed,
 }
 
-/// Observer for [`LeaseBreak`] events; registered alongside write hooks by
-/// clients that cache lease-granted reads.
-pub type LeaseBreakHook = Arc<dyn Fn(&LeaseBreak) + Send + Sync>;
+/// Observer of every [`Change`], registered with
+/// [`SrbServer::add_change_hook`].
+pub type ChangeHook = Arc<dyn Fn(&Change<'_>) + Send + Sync>;
 
 /// Per-connection request trace, keyed by connection id so concurrent
 /// handlers produce a deterministic ordering.
@@ -211,14 +214,9 @@ pub struct SrbServer {
     /// When enabled, every request is recorded (per connection, in arrival
     /// order) — the golden-trace tests pin the wire behaviour with this.
     trace: Mutex<Option<RequestTrace>>,
-    /// Broadcast after each completed vault write (federation replication,
-    /// client lease revocation).
-    write_hooks: Mutex<Vec<WriteHook>>,
-    /// Broadcast on unlink and crash (client lease revocation).
-    lease_breaks: Mutex<Vec<LeaseBreakHook>>,
-    /// Per-object write epoch, bumped by every mutation; reads sample it
-    /// *before* touching the vault and return it as their lease grant.
-    lease_epochs: Mutex<std::collections::HashMap<u64, u64>>,
+    /// Told of every write, unlink and crash, in registration order
+    /// (federation replication, client lease revocation).
+    change_hooks: Mutex<Vec<ChangeHook>>,
     /// Optional block cache in front of the vault. `None` (the default)
     /// sends every read to the disk.
     cache: Mutex<Option<Arc<BlockCache>>>,
@@ -273,9 +271,7 @@ impl SrbServer {
             live_conns: Mutex::new(Default::default()),
             crashed: AtomicBool::new(false),
             trace: Mutex::new(None),
-            write_hooks: Mutex::new(Vec::new()),
-            lease_breaks: Mutex::new(Vec::new()),
-            lease_epochs: Mutex::new(Default::default()),
+            change_hooks: Mutex::new(Vec::new()),
             cache: Mutex::new(None),
             qos: Mutex::new(None),
             min_epoch: AtomicU64::new(0),
@@ -318,14 +314,7 @@ impl SrbServer {
         if let Some(c) = self.cache.lock().as_ref() {
             c.clear();
         }
-        // Every lease this server granted lapses with it: while it is down,
-        // writes can land on a failover replica without this server's
-        // write-hook broadcast ever firing, so clients must drop their
-        // cached reads now.
-        let breaks = self.lease_breaks.lock().clone();
-        for h in &breaks {
-            h(&LeaseBreak::ServerLost);
-        }
+        self.changed(&Change::Crashed);
         severed
     }
 
@@ -374,7 +363,7 @@ impl SrbServer {
     }
 
     /// Register a federated peer to replicate objects to (paper §8): a
-    /// [`Replicator`] with its write hook off ships what `Replicate` asks
+    /// [`Replicator`] with its change hook off ships what `Replicate` asks
     /// for, over `route` under the peer's federation service account.
     pub fn add_peer(
         self: &Arc<Self>,
@@ -397,19 +386,12 @@ impl SrbServer {
         self.peers.lock().insert(name.to_string(), repl);
     }
 
-    /// Register an observer called after every completed vault write with
-    /// `(path, offset, len)`. Hooks accumulate — federation's replication
-    /// queue and client lease revocation each register one and all of them
-    /// fire per write, in registration order. A hook runs inside the
-    /// connection handler's poll and must not block.
-    pub fn set_write_hook(&self, hook: WriteHook) {
-        self.write_hooks.lock().push(hook);
-    }
-
-    /// Register an observer for out-of-band [`LeaseBreak`] events (unlink,
-    /// server crash). Hooks accumulate, like write hooks.
-    pub fn add_lease_break_hook(&self, hook: LeaseBreakHook) {
-        self.lease_breaks.lock().push(hook);
+    /// Register an observer of every [`Change`]. Hooks accumulate —
+    /// federation's replication queue and each leased mount register one —
+    /// and every hook hears every change, in registration order. A hook
+    /// runs inside the connection handler's poll and must not block.
+    pub fn add_change_hook(&self, hook: ChangeHook) {
+        self.change_hooks.lock().push(hook);
     }
 
     /// Put a block cache with the given geometry in front of the vault.
@@ -431,21 +413,10 @@ impl SrbServer {
             .unwrap_or_default()
     }
 
-    /// The object's current write epoch (0 if never mutated).
-    fn lease_epoch(&self, obj_id: u64) -> u64 {
-        *self.lease_epochs.lock().get(&obj_id).unwrap_or(&0)
-    }
-
-    /// Bump the object's write epoch; every outstanding lease granted at an
-    /// older epoch is now void.
-    fn bump_lease_epoch(&self, obj_id: u64) {
-        *self.lease_epochs.lock().entry(obj_id).or_insert(0) += 1;
-    }
-
-    fn fire_write_hooks(&self, path: &str, offset: u64, len: u64) {
-        let hooks = self.write_hooks.lock().clone();
+    fn changed(&self, change: &Change<'_>) {
+        let hooks = self.change_hooks.lock().clone();
         for h in &hooks {
-            h(path, offset, len);
+            h(change);
         }
     }
 
@@ -624,7 +595,7 @@ impl SrbServer {
     /// request's one disk charge. An `Err` is the reply to a request refused
     /// outright.
     fn begin(&self, req: Request, space: &mut SessionSpace) -> SrbResult<Served> {
-        let reply = |resp| Ok(Served::Reply(resp, None));
+        let reply = |resp| Ok(Served::Reply(resp));
         match req {
             Request::MkColl(p) => {
                 self.mcat.mk_coll(&p)?;
@@ -673,29 +644,19 @@ impl SrbServer {
             }
             Request::Read { fd, offset, len } => {
                 let obj_id = space.readable(fd)?;
-                // Lease grant: sample the write epoch BEFORE the read. If a
-                // write slips in during the disk access the grant is already
-                // stale — the conservative direction. (Sampling after could
-                // stamp a fresh epoch onto pre-write bytes.)
-                let grant = Some(self.lease_epoch(obj_id));
                 // The bytes are the vault's as of now; the disk time they
                 // cost is charged before they go out.
                 let Some(cache) = self.cache.lock().clone() else {
                     let data = self.vault.load(obj_id, offset, len);
-                    return Ok(Served::disk(data.len(), move |srv| {
-                        Ok(srv.read_done(data, grant))
-                    }));
+                    return Ok(Served::disk(data.len(), move |srv| Ok(srv.read_done(data))));
                 };
                 match cache.begin_read(obj_id, offset, len) {
-                    Ok(data) => {
-                        let (resp, lease) = self.read_done(data, grant);
-                        Ok(Served::Reply(resp, lease))
-                    }
+                    Ok(data) => Ok(Served::Reply(self.read_done(data))),
                     Err(miss) => {
                         let fetched = self.vault.load_extents(obj_id, &miss.extents);
                         let bytes = fetched.iter().map(|p| p.len()).sum();
                         Ok(Served::disk(bytes, move |srv| {
-                            Ok(srv.read_done(cache.finish_read(miss, fetched), grant))
+                            Ok(srv.read_done(cache.finish_read(miss, fetched)))
                         }))
                     }
                 }
@@ -713,9 +674,7 @@ impl SrbServer {
                 // One vault pass for the whole list: a single seek plus one
                 // packed transfer, instead of a disk pass per extent.
                 let data = self.vault.load_list(obj_id, &extents);
-                Ok(Served::disk(data.len(), move |srv| {
-                    Ok(srv.read_done(data, None))
-                }))
+                Ok(Served::disk(data.len(), move |srv| Ok(srv.read_done(data))))
             }
             Request::WriteList {
                 fd,
@@ -739,11 +698,7 @@ impl SrbServer {
                 if let Some(c) = self.cache.lock().clone() {
                     c.invalidate_obj(id);
                 }
-                self.bump_lease_epoch(id);
-                let breaks = self.lease_breaks.lock().clone();
-                for h in &breaks {
-                    h(&LeaseBreak::Unlink { path: p.clone() });
-                }
+                self.changed(&Change::Unlinked { path: &p });
                 reply(Response::Ok)
             }
             Request::List(p) => reply(Response::Names(self.mcat.list(&p)?)),
@@ -753,7 +708,7 @@ impl SrbServer {
                 let rec = self.mcat.lookup(&p)?;
                 let data = self.vault.bytes_of(rec.obj_id)?;
                 Ok(Served::disk(data.len() as u64, move |_| {
-                    Ok((Response::Checksum(adler32(&data)), None))
+                    Ok(Response::Checksum(adler32(&data)))
                 }))
             }
             Request::Replicate { path, peer } => {
@@ -764,7 +719,7 @@ impl SrbServer {
                 let finish = move |srv: &SrbServer| {
                     out.lock().take().expect("signalled with the outcome")?;
                     srv.mcat.add_replica(&path)?;
-                    Ok((Response::Ok, None))
+                    Ok(Response::Ok)
                 };
                 Ok(Served::Wait(done, Box::new(finish)))
             }
@@ -798,35 +753,34 @@ impl SrbServer {
                 let hi = extents.iter().map(|&(o, l)| o + l).max().unwrap_or(0);
                 c.invalidate_range(obj_id, old_size.min(lo), hi);
             }
-            srv.bump_lease_epoch(obj_id);
             srv.mcat.update_size(&path, new_size)?;
             srv.bytes_written.fetch_add(total, Ordering::Relaxed);
             // Fire per extent so replication ships exactly the packed
             // bytes — never the holes between extents.
-            for &(off, len) in &extents {
-                srv.fire_write_hooks(&path, off, len);
+            for &(offset, len) in &extents {
+                srv.changed(&Change::Wrote {
+                    path: &path,
+                    offset,
+                    len,
+                });
             }
-            Ok((Response::Written(total), None))
+            Ok(Response::Written(total))
         })
     }
 
-    fn read_done(&self, data: Payload, grant: Option<u64>) -> Reply {
+    fn read_done(&self, data: Payload) -> Response {
         self.bytes_read.fetch_add(data.len(), Ordering::Relaxed);
-        (Response::Data(data), grant)
+        Response::Data(data)
     }
 }
 
-/// A response and, for reads, its lease grant (the object's write epoch
-/// sampled before the read).
-type Reply = (Response, Option<u64>);
-
 /// The rest of a request, run once its disk charge or its wait is over.
-type Finish = Box<dyn FnOnce(&SrbServer) -> SrbResult<Reply> + Send>;
+type Finish = Box<dyn FnOnce(&SrbServer) -> SrbResult<Response> + Send>;
 
 /// What is left of a request after [`SrbServer::begin`].
 enum Served {
     /// Nothing: answered from the catalog (or the cache) alone.
-    Reply(Response, Option<u64>),
+    Reply(Response),
     /// One disk operation of so many bytes, then the continuation.
     Disk(u64, Finish),
     /// A signal on the event (work done elsewhere), then the continuation.
@@ -836,7 +790,7 @@ enum Served {
 impl Served {
     fn disk(
         bytes: u64,
-        finish: impl FnOnce(&SrbServer) -> SrbResult<Reply> + Send + 'static,
+        finish: impl FnOnce(&SrbServer) -> SrbResult<Response> + Send + 'static,
     ) -> Served {
         Served::Disk(bytes, Box::new(finish))
     }
@@ -893,27 +847,25 @@ impl Handler {
         let srv = &self.server;
         let served = if matches!(req, Request::EndSession) {
             self.sessions.remove(&job.session);
-            Ok(Served::Reply(Response::Ok, None))
+            Ok(Served::Reply(Response::Ok))
         } else if let Some(e) = srv.fence_check(epoch, &req) {
             Err(e)
         } else {
             srv.begin(req, self.sessions.entry(job.session).or_default())
         };
         match served {
-            Ok(Served::Reply(resp, lease)) => Self::reply(job, Ok((resp, lease))),
+            Ok(Served::Reply(resp)) => Self::reply(job, Ok(resp)),
             Ok(Served::Disk(bytes, finish)) => Serving::Disk(job, DiskOp::new(bytes), finish),
             Ok(Served::Wait(ev, finish)) => Serving::Wait(job, ev, finish),
             Err(e) => Self::reply(job, Err(e)),
         }
     }
 
-    fn reply(job: Job, outcome: SrbResult<Reply>) -> Serving {
-        let (resp, lease) = outcome.unwrap_or_else(|e| (Response::Error(e), None));
+    fn reply(job: Job, outcome: SrbResult<Response>) -> Serving {
         let frame = RespFrame {
             seq: job.seq,
             session: job.session,
-            lease,
-            resp,
+            resp: outcome.unwrap_or_else(Response::Error),
         };
         let msg = Message::new(frame.wire_size());
         Serving::Wire(job, frame, msg)

@@ -70,9 +70,8 @@ fn workload_with_list(rt: &Arc<dyn Runtime>, with_list: bool) -> Vec<String> {
             let fd = c3.open("/g/c", OpenFlags::CreateRw).unwrap();
             let extents = [(0u64, 1000u64), (5000, 2000), (9000, 500)];
             let packed: Vec<u8> = (0..3500u32).map(|i| (i % 251) as u8).collect();
-            c3.write_list(fd, &extents, Payload::bytes(packed), None)
-                .unwrap();
-            c3.read_list(fd, &extents, None).unwrap();
+            c3.write_list(fd, &extents, Payload::bytes(packed)).unwrap();
+            c3.read_list(fd, &extents).unwrap();
             c3.close_fd(fd).unwrap();
             c3.disconnect().unwrap();
         })

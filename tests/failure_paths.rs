@@ -325,3 +325,70 @@ fn striped_read_fails_over_to_a_federated_replica() {
         sf.close().unwrap();
     });
 }
+
+/// A connection reset that cuts a `size` query in flight is recovered like
+/// any other operation: one reconnect, one recovered op, the right size.
+#[test]
+fn size_recovers_across_a_connection_reset() {
+    simulate(|rt| {
+        let tb = Testbed::new(rt.clone(), das2(), 1);
+        let fs = tb.srbfs(0);
+        let f = File::open(&rt, &fs, "/sized", OpenFlags::CreateRw).unwrap();
+        f.write_at(0, &Payload::sized(123_456)).unwrap();
+
+        // The stat's request is still on the WAN when the reset lands.
+        let inj = FaultPlan::new(3)
+            .conn_reset_at(Dur::from_millis(1))
+            .inject(&rt, &tb.net, &tb.server);
+        assert_eq!(f.size().unwrap(), 123_456);
+        assert!(inj.done(), "the reset must have fired");
+        assert!(inj.stats().conns_severed >= 1);
+        let st = fs.recovery_stats();
+        assert_eq!((st.disconnects, st.recovered_ops), (1, 1));
+        assert!(st.recovery_time > Dur::ZERO);
+        f.close().unwrap();
+    });
+}
+
+/// A leased read whose first attempt is cut by a server crash returns the
+/// written bytes after recovery but does not cache them: the crash revoked
+/// every lease while the read was on the wire, so the next read of the
+/// same range is a miss, and only that one is cached.
+#[test]
+fn a_leased_read_cut_by_a_crash_is_returned_but_not_cached() {
+    simulate(|rt| {
+        let tb = Testbed::new(rt.clone(), das2(), 1);
+        let fs = SrbFs::new(
+            tb.server.clone(),
+            SrbFsConfig {
+                lease_capacity: Some(1 << 20),
+                ..SrbFsConfig::new(tb.route(0), USER, PASSWORD)
+            },
+        );
+        let data: Vec<u8> = (0..40_000u32).map(|i| (i * 11 % 251) as u8).collect();
+        let f = File::open(&rt, &fs, "/leased", OpenFlags::CreateRw).unwrap();
+        f.write_at(0, &Payload::bytes(data.clone())).unwrap();
+
+        let inj = FaultPlan::new(5)
+            .server_crash_at(Dur::from_millis(1), Dur::from_millis(300))
+            .inject(&rt, &tb.net, &tb.server);
+        let got = f.read_at(0, data.len() as u64).unwrap();
+        assert_eq!(got.data().unwrap(), &data[..]);
+        assert!(inj.done(), "the crash and restart must have fired");
+        let st = fs.recovery_stats();
+        assert_eq!((st.disconnects, st.recovered_ops), (1, 1));
+        let lease = fs.lease_stats();
+        assert_eq!((lease.misses, lease.insertions), (1, 0));
+
+        // The same range again: a miss, whose bytes are kept this time.
+        let again = f.read_at(0, data.len() as u64).unwrap();
+        assert_eq!(again.data().unwrap(), &data[..]);
+        let lease = fs.lease_stats();
+        assert_eq!((lease.hits, lease.misses, lease.insertions), (0, 2, 1));
+        let t0 = rt.now();
+        f.read_at(0, data.len() as u64).unwrap();
+        assert_eq!(rt.now(), t0, "the second fetch must be cached");
+        assert_eq!(fs.lease_stats().hits, 1);
+        f.close().unwrap();
+    });
+}
