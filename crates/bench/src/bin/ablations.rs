@@ -161,7 +161,6 @@ fn io_thread_sweep() {
                 OpenFlags::CreateRw,
                 EngineCfg {
                     io_threads: threads,
-                    prespawn: true,
                 },
             )
             .unwrap();

@@ -58,7 +58,7 @@ fn degrade_write(unit: StripeUnit, bytes: u64, degrade_at: Dur) -> (f64, StripeS
             .expect("open degrade file");
         let t0 = rt.now();
         let req = f.iwrite_at(0, Payload::sized(bytes));
-        let total = req.wait_rebalanced().expect("degrade write");
+        let total = req.wait().expect("degrade write");
         assert_eq!(total, bytes, "short striped write");
         let secs = (rt.now() - t0).as_secs_f64();
         let stats = f.stripe_stats();

@@ -5,15 +5,11 @@
 //! threads** dequeue requests and service them by calling the corresponding
 //! *synchronous* ADIO operation (so the asynchronous capability stays
 //! orthogonal to every other optimization, §4.2–4.3). Idle I/O threads park
-//! on the queue's condition variable rather than polling, and the engine can
-//! be configured with:
-//!
-//! * a single lazily spawned I/O thread (the paper's §7.1 configuration:
-//!   "the first call to an asynchronous MPI file I/O function spawns the
-//!   I/O thread"), or
-//! * a pre-spawned pool (the §7.2 configuration), with the paper's guidance
-//!   that parallelism only materializes when each thread drives its own TCP
-//!   stream.
+//! on the queue's condition variable rather than polling. The first
+//! asynchronous call spawns the threads (§7.1: "the first call to an
+//! asynchronous MPI file I/O function spawns the I/O thread");
+//! [`EngineCfg::io_threads`] sets how many, with the paper's guidance that
+//! parallelism only materializes when each thread drives its own TCP stream.
 
 use std::sync::Arc;
 
@@ -30,19 +26,14 @@ use semplar_runtime::sync::RtMutex;
 /// Engine configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineCfg {
-    /// Number of I/O threads servicing this engine's queue.
+    /// Number of I/O threads servicing this engine's queue, all spawned by
+    /// the first asynchronous call.
     pub io_threads: usize,
-    /// Spawn the threads at engine creation (`true`) or on the first
-    /// asynchronous call (`false`, the paper's default).
-    pub prespawn: bool,
 }
 
 impl Default for EngineCfg {
     fn default() -> Self {
-        EngineCfg {
-            io_threads: 1,
-            prespawn: false,
-        }
+        EngineCfg { io_threads: 1 }
     }
 }
 
@@ -63,6 +54,22 @@ pub(crate) enum IoOp {
         data: Payload,
         sieve: bool,
     },
+}
+
+impl IoOp {
+    /// The status of an op that moves no bytes, which completes without
+    /// reaching the engine or the wire; `None` for every other op.
+    pub(crate) fn empty(&self) -> Option<Status> {
+        let (empty, read) = match self {
+            IoOp::Read { len, .. } => (*len == 0, true),
+            IoOp::ReadList { extents } => (extents.iter().all(|&(_, l)| l == 0), true),
+            IoOp::Write { data, .. } | IoOp::WriteList { data, .. } => (data.is_empty(), false),
+        };
+        empty.then(|| Status {
+            bytes: 0,
+            data: read.then(|| Payload::sized(0)),
+        })
+    }
 }
 
 pub(crate) struct IoJob {
@@ -104,7 +111,7 @@ impl IoEngine {
         file: Arc<RtMutex<Box<dyn AdioFile>>>,
     ) -> Arc<IoEngine> {
         assert!(cfg.io_threads >= 1, "engine needs at least one I/O thread");
-        let engine = Arc::new(IoEngine {
+        Arc::new(IoEngine {
             queue: Channel::new(&rt),
             rt,
             cfg,
@@ -115,15 +122,11 @@ impl IoEngine {
                 shut_down: false,
             }),
             stats: Mutex::new(EngineStats::default()),
-        });
-        if cfg.prespawn {
-            engine.ensure_threads();
-        }
-        engine
+        })
     }
 
-    /// Spawn the I/O thread(s) if not yet running (lazy path: first async
-    /// call; subsequent calls find them already alive, §4.3).
+    /// Spawn the I/O thread(s) if not yet running (the first async call;
+    /// later calls find them already alive, §4.3).
     fn ensure_threads(self: &Arc<Self>) {
         let mut g = self.inner.lock();
         if g.shut_down || g.spawned > 0 {

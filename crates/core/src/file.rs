@@ -15,7 +15,7 @@ use semplar_srb::{OpenFlags, Payload};
 
 use crate::adio::{AdioFs, IoError, IoResult};
 use crate::engine::{EngineCfg, EngineStats, IoEngine, IoOp};
-use crate::request::{Request, Status};
+use crate::request::Request;
 
 /// An open file with synchronous and asynchronous I/O.
 pub struct File {
@@ -44,7 +44,7 @@ impl File {
         File::open_with(rt, fs, path, flags, EngineCfg::default())
     }
 
-    /// Open with explicit engine configuration (thread count, prespawn).
+    /// Open with explicit engine configuration (I/O thread count).
     pub fn open_with(
         rt: &Arc<dyn Runtime>,
         fs: &dyn AdioFs,
@@ -89,45 +89,16 @@ impl File {
     }
 
     /// Asynchronous read (`MPI_File_iread_at`): returns immediately with a
-    /// [`Request`]; the data arrives in [`Status::data`].
+    /// [`Request`]; the data arrives in [`Status::data`](crate::Status::data).
     pub fn iread_at(&self, offset: u64, len: u64) -> Request {
-        if len == 0 {
-            return Request::ready(
-                &self.rt,
-                Ok(Status {
-                    bytes: 0,
-                    data: Some(Payload::sized(0)),
-                }),
-            );
-        }
-        let (req, done) = Request::new(&self.rt);
-        if let Err(e) = self.engine.submit(IoOp::Read { offset, len }, done.clone()) {
-            done.set(Err(e));
-        }
-        req
+        self.submit(IoOp::Read { offset, len })
     }
 
     /// Asynchronous write (`MPI_File_iwrite_at`). The payload moves into
     /// the request — the buffer-reuse hazard the paper warns about is ruled
     /// out by ownership.
     pub fn iwrite_at(&self, offset: u64, data: Payload) -> Request {
-        if data.is_empty() {
-            return Request::ready(
-                &self.rt,
-                Ok(Status {
-                    bytes: 0,
-                    data: None,
-                }),
-            );
-        }
-        let (req, done) = Request::new(&self.rt);
-        if let Err(e) = self
-            .engine
-            .submit(IoOp::Write { offset, data }, done.clone())
-        {
-            done.set(Err(e));
-        }
-        req
+        self.submit(IoOp::Write { offset, data })
     }
 
     /// Synchronous list-I/O read: many `(offset, len)` extents in one
@@ -147,20 +118,7 @@ impl File {
     /// Asynchronous list-I/O read: like [`File::read_list`] but queued to
     /// the engine, pipelining like any other async op.
     pub fn iread_list(&self, extents: Vec<(u64, u64)>) -> Request {
-        if extents.iter().map(|&(_, l)| l).sum::<u64>() == 0 {
-            return Request::ready(
-                &self.rt,
-                Ok(Status {
-                    bytes: 0,
-                    data: Some(Payload::sized(0)),
-                }),
-            );
-        }
-        let (req, done) = Request::new(&self.rt);
-        if let Err(e) = self.engine.submit(IoOp::ReadList { extents }, done.clone()) {
-            done.set(Err(e));
-        }
-        req
+        self.submit(IoOp::ReadList { extents })
     }
 
     /// Asynchronous list-I/O write: like [`File::write_list`] but queued to
@@ -179,24 +137,21 @@ impl File {
         data: Payload,
         sieve: bool,
     ) -> Request {
-        if data.is_empty() {
-            return Request::ready(
-                &self.rt,
-                Ok(Status {
-                    bytes: 0,
-                    data: None,
-                }),
-            );
+        self.submit(IoOp::WriteList {
+            extents,
+            data,
+            sieve,
+        })
+    }
+
+    /// Queue `op` to the engine (the compute-thread side of Fig. 2). An op
+    /// that moves no bytes completes at once, without a wire exchange.
+    fn submit(&self, op: IoOp) -> Request {
+        if let Some(st) = op.empty() {
+            return Request::ready(&self.rt, Ok(st));
         }
         let (req, done) = Request::new(&self.rt);
-        if let Err(e) = self.engine.submit(
-            IoOp::WriteList {
-                extents,
-                data,
-                sieve,
-            },
-            done.clone(),
-        ) {
+        if let Err(e) = self.engine.submit(op, done.clone()) {
             done.set(Err(e));
         }
         req

@@ -22,8 +22,8 @@
 //! 1. **Computation/I-O overlap** — issue [`File::iwrite_at`], compute, then
 //!    [`Request::wait`] (§7.1);
 //! 2. **Multiple TCP connections per node** — [`StripedFile`] opens the file
-//!    N times and fans blocks out round-robin (§7.2, incl. the paper's
-//!    library-level future work);
+//!    N times and schedules blocks across the streams (§7.2, incl. the
+//!    paper's library-level future work);
 //! 3. **On-the-fly compression** — [`CompressedWriter`] pipelines LZ
 //!    compression of 1 MB blocks with their transmission (§7.3).
 
@@ -216,7 +216,7 @@ mod tests {
     }
 
     #[test]
-    fn prespawn_starts_pool_eagerly() {
+    fn io_threads_start_together_on_the_first_async_call() {
         simulate(|rt| {
             let fs = MemFs::new(rt.clone());
             let f = File::open_with(
@@ -224,12 +224,11 @@ mod tests {
                 &fs,
                 "/pool",
                 OpenFlags::CreateRw,
-                EngineCfg {
-                    io_threads: 3,
-                    prespawn: true,
-                },
+                EngineCfg { io_threads: 3 },
             )
             .unwrap();
+            assert_eq!(f.engine_stats().threads_spawned, 0);
+            f.iwrite_at(0, Payload::sized(1)).wait().unwrap();
             assert_eq!(f.engine_stats().threads_spawned, 3);
             f.close().unwrap();
         });
@@ -258,6 +257,13 @@ mod tests {
             let f = File::open(&rt, &fs, "/z", OpenFlags::CreateRw).unwrap();
             assert_eq!(f.iwrite_at(0, Payload::sized(0)).wait().unwrap().bytes, 0);
             assert_eq!(f.iread_at(0, 0).wait().unwrap().bytes, 0);
+            let list = vec![(0, 0), (8, 0)];
+            assert_eq!(f.iread_list(list.clone()).wait().unwrap().bytes, 0);
+            let w = f.iwrite_list(list, Payload::sized(0));
+            assert_eq!(w.wait().unwrap().bytes, 0);
+            // None of them reached the engine, so none crossed the wire.
+            assert_eq!(f.engine_stats().submitted, 0);
+            assert_eq!(f.engine_stats().threads_spawned, 0);
             f.close().unwrap();
         });
     }

@@ -7,8 +7,14 @@
 //! "ideally doubling the observed throughput". [`StripedFile`] packages
 //! that pattern: it opens the file `streams` times (one connection + one
 //! I/O thread per stream, the paper's ideal one-stream-per-thread mapping)
-//! and splits every operation into `unit`-sized blocks assigned round-robin
-//! across the streams.
+//! and splits every operation into blocks by its [`StripeUnit`].
+//!
+//! One block scheduler runs every striped operation. The unit decides only
+//! the tiling and the placement rule: a fixed unit puts each block on its
+//! home stream, [`StripeUnit::Adaptive`] weighs the streams by goodput.
+//! The failure rule is the same for all: a block whose stream fails
+//! transiently re-queues onto an unbanned sibling, and once every stream is
+//! banned the rest is served synchronously, home stream first.
 //!
 //! The split-TCP approach is *not feasible with synchronous I/O*: a blocking
 //! write cannot drive two connections at once. Accordingly even
@@ -16,7 +22,6 @@
 //! out as `iwrite`s and waits for all of them.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -29,7 +34,7 @@ use crate::engine::EngineCfg;
 use crate::file::File;
 use crate::request::{Request, Status};
 
-/// Blocks the adaptive scheduler keeps in flight per stream. Two matches
+/// Blocks `Adaptive` placement keeps in flight per stream. Two matches
 /// the paper's two-consecutive-blocks pipeline: enough to keep a stream
 /// busy across the scheduler's reaction time, small enough that a degraded
 /// stream strands at most this many blocks.
@@ -76,24 +81,25 @@ pub enum StripeUnit {
     },
 }
 
-/// Placement ledger of the adaptive scheduler, accumulated over every
-/// adaptive operation on one [`StripedFile`]. Derived entirely from
-/// virtual-time completion order, so two runs with the same seed and fault
-/// plan compare equal with `==`.
+/// Placement ledger of a [`StripedFile`], accumulated over every striped
+/// operation on it, whatever its unit. Derived entirely from virtual-time
+/// completion order, so two runs with the same seed and fault plan compare
+/// equal with `==`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StripeStats {
     /// Blocks completed per stream.
     pub blocks: Vec<u64>,
     /// Bytes completed per stream.
     pub bytes: Vec<u64>,
-    /// Blocks placed on a stream other than their round-robin home, whether
-    /// the goodput imbalance steered them or a failure re-queued them.
+    /// Blocks placed on a stream other than their home, whether the goodput
+    /// imbalance steered them or a failure re-queued them.
     pub migrated: u64,
-    /// Blocks re-queued onto siblings after their stream failed in flight.
+    /// Blocks re-queued after their stream failed in flight.
     pub requeued: u64,
     /// Single-block probes issued to banned or hard-gated streams.
     pub probes: u64,
-    /// Banned streams readmitted to the WFQ after a probe completed.
+    /// Banned streams readmitted once one of their blocks completed (under
+    /// [`StripeUnit::Adaptive`], usually a probe).
     pub unbans: u64,
 }
 
@@ -104,28 +110,29 @@ pub struct StripedFile {
     /// without telemetry; the scheduler then weighs streams uniformly).
     meters: Arc<Vec<Option<Arc<IoMeter>>>>,
     unit: StripeUnit,
-    failovers: Arc<AtomicU64>,
     stats: Arc<Mutex<StripeStats>>,
 }
 
-/// Mutable state of one adaptive striped operation (behind a mutex in the
-/// [`MultiRequest`]). Blocks are issued incrementally — at most
-/// [`ADAPTIVE_WINDOW`] in flight per stream — so the scheduler can steer
-/// later blocks by goodput observed while earlier ones transferred.
-struct AdaptiveSched {
+/// Mutable state of one striped operation (behind a mutex in the
+/// [`MultiRequest`]). A fixed unit issues every block at once; under
+/// [`StripeUnit::Adaptive`] at most [`ADAPTIVE_WINDOW`] blocks are in
+/// flight per stream, so the scheduler can steer later blocks by goodput
+/// observed while earlier ones transferred.
+#[derive(Default)]
+struct Sched {
     /// Layout indices not yet issued, in order. Failed blocks re-enter at
     /// the front so byte order is preserved as far as possible.
     queue: VecDeque<usize>,
     /// (layout index, stream, request) per in-flight block.
     inflight: Vec<(usize, usize, Request)>,
     statuses: Vec<Option<Status>>,
-    /// Final stream per layout index (starts at the round-robin home).
+    /// Final stream per layout index (starts at the home stream).
     placement: Vec<usize>,
     /// Bytes issued per stream this operation — the WFQ virtual time.
     issued_bytes: Vec<u64>,
     inflight_count: Vec<usize>,
-    /// Streams that failed a block mid-operation: they keep nothing new
-    /// until a probe block completes on them.
+    /// Streams that failed a block mid-operation: they take nothing new
+    /// until one of their blocks completes.
     banned: Vec<bool>,
     /// Completions harvested this operation — the probe clock.
     completions: u64,
@@ -137,40 +144,33 @@ struct AdaptiveSched {
     /// First permanent error, surfaced by the next wait.
     fatal: Option<IoError>,
     recorded: bool,
-    meters: Arc<Vec<Option<Arc<IoMeter>>>>,
-    stats: Arc<Mutex<StripeStats>>,
 }
 
-/// A bundle of per-block requests from one striped operation.
+/// The blocks of one striped operation and the scheduler that issues them.
 pub struct MultiRequest {
-    reqs: Vec<Request>,
-    /// (stream, offset, len) per block, for reassembling striped reads.
+    /// (home stream, offset, len) per block.
     layout: Vec<(usize, u64, u64)>,
     /// Base offset of the whole operation and, for writes, its payload —
-    /// enough to re-issue any block on another stream.
+    /// enough to issue any block on any stream.
     base: u64,
     data: Option<Payload>,
     files: Arc<Vec<File>>,
-    failovers: Arc<AtomicU64>,
-    /// Present iff the operation uses [`StripeUnit::Adaptive`]; then `reqs`
-    /// stays empty and blocks live in the scheduler instead.
-    sched: Option<Mutex<AdaptiveSched>>,
+    /// The streams' goodput meters, present iff the operation uses
+    /// [`StripeUnit::Adaptive`]: they weigh its placement. A fixed unit
+    /// places every block on its home stream.
+    meters: Option<Arc<Vec<Option<Arc<IoMeter>>>>>,
+    stats: Arc<Mutex<StripeStats>>,
+    sched: Mutex<Sched>,
 }
 
 impl MultiRequest {
     /// Wait for every block (`MPIO_Waitall`); returns total bytes moved.
+    /// This is the drive loop: it keeps issuing what the unit allows,
+    /// re-queues a failed stream's block onto the survivors and, under
+    /// [`StripeUnit::Adaptive`], migrates queued blocks to faster siblings
+    /// as goodput estimates move.
     pub fn wait(&self) -> IoResult<u64> {
         Ok(self.settle()?.iter().map(|s| s.bytes).sum())
-    }
-
-    /// Wait with mid-operation rebalancing. On an adaptive operation this
-    /// *is* the drive loop — queued blocks migrate to faster siblings as
-    /// goodput estimates move, and a failed stream's blocks re-queue at the
-    /// front — so this is just [`wait`](Self::wait) under the name the
-    /// semantics deserve. On fixed layouts it degenerates to plain `wait`
-    /// (re-issue happens only after failure, the old path).
-    pub fn wait_rebalanced(&self) -> IoResult<u64> {
-        self.wait()
     }
 
     /// Wait for every block of a striped read and reassemble the payload in
@@ -179,66 +179,16 @@ impl MultiRequest {
         assemble_read(&self.layout, &self.settle()?)
     }
 
-    fn settle(&self) -> IoResult<Vec<Status>> {
-        match &self.sched {
-            Some(_) => self.settle_adaptive(),
-            None => self.settle_fixed(),
-        }
-    }
-
-    /// Wait for all blocks, then give transiently failed ones a second life
-    /// on a surviving stream.
-    fn settle_fixed(&self) -> IoResult<Vec<Status>> {
-        let raw: Vec<IoResult<Status>> = self.reqs.iter().map(|r| r.wait()).collect();
-        let mut out = Vec::with_capacity(raw.len());
-        for (i, r) in raw.into_iter().enumerate() {
-            let st = match r {
-                Ok(s) => s,
-                Err(e) if e.is_transient() => self.failover_block(i, e)?,
-                Err(e) => return Err(e),
-            };
-            out.push(st);
-        }
-        Ok(out)
-    }
-
-    /// Re-issue block `i` synchronously on the other streams in
-    /// deterministic order. Returns `orig` when none can serve the block.
-    fn failover_block(&self, i: usize, orig: crate::adio::IoError) -> IoResult<Status> {
-        let (stream, off, len) = self.layout[i];
-        let n = self.files.len();
-        for k in 1..n {
-            let s = (stream + k) % n;
-            let r = match &self.data {
-                Some(d) => self.files[s]
-                    .write_at(off, &d.slice(off - self.base, len))
-                    .map(|bytes| Status { bytes, data: None }),
-                None => self.files[s].read_at(off, len).map(|p| Status {
-                    bytes: p.len(),
-                    data: Some(p),
-                }),
-            };
-            if let Ok(st) = r {
-                self.failovers.fetch_add(1, Ordering::Relaxed);
-                return Ok(st);
-            }
-        }
-        Err(orig)
-    }
-
-    /// `true` once all blocks have completed (`MPIO_Testall`). On adaptive
-    /// operations this also pumps the scheduler: completed blocks are
-    /// harvested and the freed window slots refilled, all without blocking.
+    /// `true` once nothing is in flight (`MPIO_Testall`): every block has
+    /// completed, or an error or the synchronous drain of a fully banned
+    /// operation is left for [`wait`](Self::wait). Each call also pumps the
+    /// scheduler: completed blocks are harvested and the freed window slots
+    /// refilled, all without blocking.
     pub fn test(&self) -> bool {
-        match &self.sched {
-            None => Request::test_all(&self.reqs),
-            Some(mx) => {
-                let mut s = mx.lock();
-                self.harvest_ready(&mut s);
-                self.assign_blocks(&mut s);
-                s.fatal.is_some() || (s.queue.is_empty() && s.inflight.is_empty())
-            }
-        }
+        let mut s = self.sched.lock();
+        self.harvest_ready(&mut s);
+        self.assign_blocks(&mut s);
+        s.fatal.is_some() || s.inflight.is_empty()
     }
 
     /// Number of per-stream block requests in this bundle.
@@ -251,17 +201,14 @@ impl MultiRequest {
         self.layout.is_empty()
     }
 
-    // -- adaptive drive loop -------------------------------------------------
-
-    /// Drive the adaptive operation to completion: keep each eligible
-    /// stream's window full, harvest completions as they land, re-queue a
-    /// failed stream's block onto the survivors, and record placement stats.
-    fn settle_adaptive(&self) -> IoResult<Vec<Status>> {
-        let mx = self.sched.as_ref().expect("settle_adaptive without sched");
+    /// Drive the operation to completion: keep issuing what the unit
+    /// allows, harvest completions as they land, re-queue a failed stream's
+    /// block onto the survivors, and record placement stats.
+    fn settle(&self) -> IoResult<Vec<Status>> {
         let rt = self.files[0].runtime().clone();
         loop {
             let waiters: Vec<Request> = {
-                let mut s = mx.lock();
+                let mut s = self.sched.lock();
                 if let Some(e) = &s.fatal {
                     return Err(e.clone());
                 }
@@ -286,7 +233,7 @@ impl MultiRequest {
             };
             // Wait unlocked so completions (I/O threads) are free to land.
             let (idx, _res) = Request::wait_any(&rt, &waiters);
-            let mut s = mx.lock();
+            let mut s = self.sched.lock();
             self.harvest_one(&mut s, idx);
             if let Some(e) = &s.fatal {
                 return Err(e.clone());
@@ -295,7 +242,7 @@ impl MultiRequest {
     }
 
     /// Harvest in-flight entry `idx` (which has completed).
-    fn harvest_one(&self, s: &mut AdaptiveSched, idx: usize) {
+    fn harvest_one(&self, s: &mut Sched, idx: usize) {
         let (li, stream, req) = s.inflight.remove(idx);
         s.inflight_count[stream] -= 1;
         s.completions += 1;
@@ -303,8 +250,8 @@ impl MultiRequest {
             Ok(st) => {
                 s.statuses[li] = Some(st);
                 if s.banned[stream] {
-                    // A probe came back: the stream (and its backend's
-                    // reconnect) is live again — readmit it to the WFQ.
+                    // A block came back: the stream (and its backend's
+                    // reconnect) is live again — readmit it.
                     s.banned[stream] = false;
                     s.unbans += 1;
                 }
@@ -312,7 +259,8 @@ impl MultiRequest {
             Err(e) if e.is_transient() => {
                 // The slowness path and the failure path unify here: the
                 // stream is cut off from new blocks (like a fully gated
-                // one) and this block re-queues for the siblings.
+                // one) and this block re-queues for the siblings, or for
+                // the synchronous drain if none is left.
                 s.banned[stream] = true;
                 s.requeued += 1;
                 s.queue.push_front(li);
@@ -323,7 +271,7 @@ impl MultiRequest {
 
     /// Non-blocking sweep: harvest every in-flight block that has already
     /// completed.
-    fn harvest_ready(&self, s: &mut AdaptiveSched) {
+    fn harvest_ready(&self, s: &mut Sched) {
         loop {
             let Some(idx) = s.inflight.iter().position(|(_, _, r)| r.test().is_some()) else {
                 return;
@@ -332,111 +280,112 @@ impl MultiRequest {
         }
     }
 
-    /// Issue queued blocks until the next block's chosen stream has a full
-    /// window (then stop — spilling to the second-best stream would break
-    /// round-robin equivalence under uniform goodput) or nothing is
-    /// assignable.
-    fn assign_blocks(&self, s: &mut AdaptiveSched) {
-        let n = self.files.len();
+    /// Issue queued blocks, in order, until [`choose`](Self::choose) finds
+    /// no stream for the next one.
+    fn assign_blocks(&self, s: &mut Sched) {
         while let Some(&li) = s.queue.front() {
-            // Weigh streams by EWMA goodput. Unmeasured streams (no meter,
-            // or no payload exchanged yet) optimistically get the best
-            // known weight so they are probed rather than starved; with no
-            // measurements at all every weight is 1.0 and the WFQ tags
-            // degenerate to exact round-robin.
-            let mut weights = vec![0.0f64; n];
-            let mut max_known = 0.0f64;
-            for (i, w) in weights.iter_mut().enumerate() {
-                if s.banned[i] {
-                    continue;
-                }
-                if let Some(m) = &s.meters[i] {
-                    let g = m.snapshot().goodput_bps;
-                    if g > 0.0 {
-                        *w = g;
-                        max_known = max_known.max(g);
-                    }
-                }
-            }
-            let fallback = if max_known > 0.0 { max_known } else { 1.0 };
-            // Periodic recovery probe: a banned stream — or one hard-gated
-            // below ADAPTIVE_GATE, whose goodput EWMA would otherwise stay
-            // frozen because it receives no blocks — gets one block every
-            // PROBE_EVERY completions, idle streams first. Only while at
-            // least one more block stays queued, so the operation's tail is
-            // never staked on a possibly-dead stream.
-            if s.queue.len() >= 2 {
-                let probe = (0..n).find(|&i| {
-                    let gated =
-                        !s.banned[i] && weights[i] > 0.0 && weights[i] < ADAPTIVE_GATE * max_known;
-                    (s.banned[i] || gated)
-                        && s.inflight_count[i] == 0
-                        && s.completions >= s.last_probe[i] + PROBE_EVERY
-                });
-                if let Some(stream) = probe {
-                    s.queue.pop_front();
-                    s.last_probe[stream] = s.completions;
-                    s.probes += 1;
-                    let (_, off, blen) = self.layout[li];
-                    s.placement[li] = stream;
-                    s.issued_bytes[stream] += blen;
-                    s.inflight_count[stream] += 1;
-                    let req = match &self.data {
-                        Some(d) => {
-                            self.files[stream].iwrite_at(off, d.slice(off - self.base, blen))
-                        }
-                        None => self.files[stream].iread_at(off, blen),
-                    };
-                    s.inflight.push((li, stream, req));
-                    continue;
-                }
-            }
-            let (home, _, len) = self.layout[li];
-            let mut best: Option<(f64, usize)> = None;
-            // Visit streams home-first so WFQ ties resolve to the
-            // round-robin placement (the home sequence starts at
-            // `(offset / block) % n`, not at stream 0).
-            for k in 0..n {
-                let i = (home + k) % n;
-                if s.banned[i] {
-                    continue;
-                }
-                if weights[i] == 0.0 {
-                    weights[i] = fallback;
-                } else if weights[i] < ADAPTIVE_GATE * max_known {
-                    // Degraded below the gate: keeps its in-flight blocks
-                    // but receives no new ones. The fastest stream always
-                    // has w == max_known, so somebody stays eligible.
-                    continue;
-                }
-                let tag = (s.issued_bytes[i] + len) as f64 / weights[i];
-                if best.is_none_or(|(bt, _)| tag < bt) {
-                    best = Some((tag, i));
-                }
-            }
-            let Some((_, stream)) = best else {
-                return; // every stream banned — caller drains synchronously
+            let Some(stream) = self.choose(s, li) else {
+                return;
             };
-            if s.inflight_count[stream] >= ADAPTIVE_WINDOW {
-                return; // window full: wait for a completion, don't spill
-            }
             s.queue.pop_front();
-            let (_, off, blen) = self.layout[li];
+            let (_, off, len) = self.layout[li];
             s.placement[li] = stream;
-            s.issued_bytes[stream] += blen;
+            s.issued_bytes[stream] += len;
             s.inflight_count[stream] += 1;
             let req = match &self.data {
-                Some(d) => self.files[stream].iwrite_at(off, d.slice(off - self.base, blen)),
-                None => self.files[stream].iread_at(off, blen),
+                Some(d) => self.files[stream].iwrite_at(off, d.slice(off - self.base, len)),
+                None => self.files[stream].iread_at(off, len),
             };
             s.inflight.push((li, stream, req));
         }
     }
 
+    /// The stream layout block `li` goes to now, or `None` to stop issuing:
+    /// every stream is banned (the caller drains synchronously) or, under
+    /// [`StripeUnit::Adaptive`], the chosen stream's window is full.
+    ///
+    /// A fixed unit takes the home stream, or after a failure the first
+    /// unbanned stream home-first, with no window: every block is issued at
+    /// once, in layout order.
+    fn choose(&self, s: &mut Sched, li: usize) -> Option<usize> {
+        let n = self.files.len();
+        let (home, _, len) = self.layout[li];
+        let Some(meters) = &self.meters else {
+            return (0..n).map(|k| (home + k) % n).find(|&i| !s.banned[i]);
+        };
+        // Weigh streams by EWMA goodput. Unmeasured streams (no meter, or
+        // no payload exchanged yet) optimistically get the best known
+        // weight so they are probed rather than starved; with no
+        // measurements at all every weight is 1.0 and the WFQ tags
+        // degenerate to exact round-robin.
+        let mut weights = vec![0.0f64; n];
+        let mut max_known = 0.0f64;
+        for (i, w) in weights.iter_mut().enumerate() {
+            if s.banned[i] {
+                continue;
+            }
+            if let Some(m) = &meters[i] {
+                let g = m.snapshot().goodput_bps;
+                if g > 0.0 {
+                    *w = g;
+                    max_known = max_known.max(g);
+                }
+            }
+        }
+        let fallback = if max_known > 0.0 { max_known } else { 1.0 };
+        // Periodic recovery probe: a banned stream — or one hard-gated below
+        // ADAPTIVE_GATE, whose goodput EWMA would otherwise stay frozen
+        // because it receives no blocks — gets one block every PROBE_EVERY
+        // completions, idle streams first. Only while at least one more
+        // block stays queued, so the operation's tail is never staked on a
+        // possibly-dead stream.
+        if s.queue.len() >= 2 {
+            let probe = (0..n).find(|&i| {
+                let gated =
+                    !s.banned[i] && weights[i] > 0.0 && weights[i] < ADAPTIVE_GATE * max_known;
+                (s.banned[i] || gated)
+                    && s.inflight_count[i] == 0
+                    && s.completions >= s.last_probe[i] + PROBE_EVERY
+            });
+            if let Some(stream) = probe {
+                s.last_probe[stream] = s.completions;
+                s.probes += 1;
+                return Some(stream);
+            }
+        }
+        let mut best: Option<(f64, usize)> = None;
+        // Visit streams home-first so WFQ ties resolve to the round-robin
+        // placement (the home sequence starts at `(offset / block) % n`,
+        // not at stream 0).
+        for k in 0..n {
+            let i = (home + k) % n;
+            if s.banned[i] {
+                continue;
+            }
+            if weights[i] == 0.0 {
+                weights[i] = fallback;
+            } else if weights[i] < ADAPTIVE_GATE * max_known {
+                // Degraded below the gate: keeps its in-flight blocks but
+                // receives no new ones. The fastest stream always has
+                // w == max_known, so somebody stays eligible.
+                continue;
+            }
+            let tag = (s.issued_bytes[i] + len) as f64 / weights[i];
+            if best.is_none_or(|(bt, _)| tag < bt) {
+                best = Some((tag, i));
+            }
+        }
+        // Window full: wait for a completion, don't spill to the second-best
+        // stream (that would break round-robin equivalence under uniform
+        // goodput).
+        best.map(|(_, i)| i)
+            .filter(|&i| s.inflight_count[i] < ADAPTIVE_WINDOW)
+    }
+
     /// Every stream is banned and blocks remain: try each synchronously
     /// (the backend's internal reconnect+retry is the second chance), in
     /// deterministic home-first order.
-    fn drain_banned(&self, s: &mut AdaptiveSched) -> IoResult<()> {
+    fn drain_banned(&self, s: &mut Sched) -> IoResult<()> {
         let n = self.files.len();
         while let Some(li) = s.queue.pop_front() {
             let (home, off, len) = self.layout[li];
@@ -461,27 +410,22 @@ impl MultiRequest {
                     Err(e) => last_err = Some(e),
                 }
             }
-            match served {
-                Some((stream, st)) => {
-                    if stream != home {
-                        self.failovers.fetch_add(1, Ordering::Relaxed);
-                    }
-                    s.placement[li] = stream;
-                    s.statuses[li] = Some(st);
-                }
-                None => return Err(last_err.expect("drain with no streams")),
-            }
+            let Some((stream, st)) = served else {
+                return Err(last_err.expect("drain with no streams"));
+            };
+            s.placement[li] = stream;
+            s.statuses[li] = Some(st);
         }
         Ok(())
     }
 
     /// Fold this operation's placement into the file-level [`StripeStats`].
-    fn record_stats(&self, s: &mut AdaptiveSched) {
+    fn record_stats(&self, s: &mut Sched) {
         if s.recorded {
             return;
         }
         s.recorded = true;
-        let mut g = s.stats.lock();
+        let mut g = self.stats.lock();
         for (li, &(home, _, _)) in self.layout.iter().enumerate() {
             let stream = s.placement[li];
             g.blocks[stream] += 1;
@@ -527,7 +471,7 @@ fn assemble_read(layout: &[(usize, u64, u64)], statuses: &[Status]) -> IoResult<
 
 impl StripedFile {
     /// Open `path` over `streams` connections with `unit`-byte striping.
-    /// Each stream gets one pre-spawned I/O thread.
+    /// Each stream gets one I/O thread, started by its first block.
     pub fn open(
         rt: &Arc<dyn Runtime>,
         fs: &dyn AdioFs,
@@ -550,10 +494,7 @@ impl StripedFile {
                 fs,
                 path,
                 flags,
-                EngineCfg {
-                    io_threads: 1,
-                    prespawn: true,
-                },
+                EngineCfg::default(),
                 Some(i),
             )?);
         }
@@ -562,7 +503,6 @@ impl StripedFile {
             files: Arc::new(files),
             meters: Arc::new(meters),
             unit,
-            failovers: Arc::new(AtomicU64::new(0)),
             stats: Arc::new(Mutex::new(StripeStats {
                 blocks: vec![0; streams],
                 bytes: vec![0; streams],
@@ -583,19 +523,12 @@ impl StripedFile {
         self.meters.as_ref().clone()
     }
 
-    /// Blocks that were re-issued on another stream after their home
-    /// stream failed.
-    pub fn failovers(&self) -> u64 {
-        self.failovers.load(Ordering::Relaxed)
-    }
-
     /// The stripe unit this file was opened with.
     pub fn unit(&self) -> StripeUnit {
         self.unit
     }
 
-    /// Placement ledger accumulated over this file's adaptive operations
-    /// (zeros for fixed layouts — only [`StripeUnit::Adaptive`] records).
+    /// Placement ledger accumulated over this file's striped operations.
     pub fn stripe_stats(&self) -> StripeStats {
         self.stats.lock().clone()
     }
@@ -635,95 +568,49 @@ impl StripedFile {
         out
     }
 
-    /// Asynchronous striped write: every block is queued on its stream's
-    /// I/O thread; all streams transfer concurrently. Under
-    /// [`StripeUnit::Adaptive`] blocks are instead issued incrementally by
-    /// the goodput scheduler (the first window starts here, the rest as
-    /// completions land).
+    /// Asynchronous striped write: the blocks are queued on their streams'
+    /// I/O threads, which transfer concurrently. A fixed unit issues every
+    /// block here; under [`StripeUnit::Adaptive`] the goodput scheduler
+    /// issues the first window here and the rest as completions land.
     pub fn iwrite_at(&self, offset: u64, data: Payload) -> MultiRequest {
-        let layout = self.blocks(offset, data.len());
-        if matches!(self.unit, StripeUnit::Adaptive { .. }) {
-            return self.adaptive_request(layout, offset, Some(data));
-        }
-        let reqs = layout
-            .iter()
-            .map(|&(stream, off, len)| {
-                self.files[stream].iwrite_at(off, data.slice(off - offset, len))
-            })
-            .collect();
-        MultiRequest {
-            reqs,
-            layout,
-            base: offset,
-            data: Some(data),
-            files: self.files.clone(),
-            failovers: self.failovers.clone(),
-            sched: None,
-        }
+        self.request(self.blocks(offset, data.len()), offset, Some(data))
     }
 
     /// Asynchronous striped read.
     pub fn iread_at(&self, offset: u64, len: u64) -> MultiRequest {
-        let layout = self.blocks(offset, len);
-        if matches!(self.unit, StripeUnit::Adaptive { .. }) {
-            return self.adaptive_request(layout, offset, None);
-        }
-        let reqs = layout
-            .iter()
-            .map(|&(stream, off, len)| self.files[stream].iread_at(off, len))
-            .collect();
-        MultiRequest {
-            reqs,
-            layout,
-            base: offset,
-            data: None,
-            files: self.files.clone(),
-            failovers: self.failovers.clone(),
-            sched: None,
-        }
+        self.request(self.blocks(offset, len), offset, None)
     }
 
-    /// Build a scheduler-backed [`MultiRequest`] and issue the first window
-    /// so the transfer is in flight when this returns (the async-overlap
-    /// contract of `iwrite`/`iread`).
-    fn adaptive_request(
+    /// Build the operation's [`MultiRequest`] and issue what the unit
+    /// allows at once, so the transfer is in flight when this returns (the
+    /// async-overlap contract of `iwrite`/`iread`).
+    fn request(
         &self,
         layout: Vec<(usize, u64, u64)>,
         base: u64,
         data: Option<Payload>,
     ) -> MultiRequest {
         let n = self.files.len();
-        let sched = AdaptiveSched {
+        let sched = Sched {
             queue: (0..layout.len()).collect(),
-            inflight: Vec::new(),
             statuses: vec![None; layout.len()],
             placement: layout.iter().map(|&(home, _, _)| home).collect(),
             issued_bytes: vec![0; n],
             inflight_count: vec![0; n],
             banned: vec![false; n],
-            completions: 0,
             last_probe: vec![0; n],
-            requeued: 0,
-            probes: 0,
-            unbans: 0,
-            fatal: None,
-            recorded: false,
-            meters: self.meters.clone(),
-            stats: self.stats.clone(),
+            ..Sched::default()
         };
         let mr = MultiRequest {
-            reqs: Vec::new(),
             layout,
             base,
             data,
             files: self.files.clone(),
-            failovers: self.failovers.clone(),
-            sched: Some(Mutex::new(sched)),
+            meters: matches!(self.unit, StripeUnit::Adaptive { .. }).then(|| self.meters.clone()),
+            stats: self.stats.clone(),
+            sched: Mutex::new(sched),
         };
-        {
-            let mut s = mr.sched.as_ref().expect("just built").lock();
-            mr.assign_blocks(&mut s);
-        }
+        mr.assign_blocks(&mut mr.sched.lock());
         mr
     }
 
@@ -1014,33 +901,32 @@ mod tests {
         }
     }
 
+    /// Every unit round-trips through the one block scheduler and records
+    /// its placement: with uniform goodput each block stays home.
     #[test]
     fn adaptive_write_read_roundtrip_and_stats() {
-        simulate(|rt| {
-            let fs = MemFs::new(rt.clone());
-            let data: Vec<u8> = (0..30_000u32).map(|i| (i * 13 % 256) as u8).collect();
-            let f = StripedFile::open(
-                &rt,
-                &fs,
-                "/ad",
-                OpenFlags::CreateRw,
-                3,
-                StripeUnit::Adaptive { block: 4096 },
-            )
-            .unwrap();
-            let req = f.iwrite_at(0, Payload::bytes(data.clone()));
-            assert_eq!(req.wait_rebalanced().unwrap(), data.len() as u64);
-            let back = f.read_at(0, data.len() as u64).unwrap();
-            assert_eq!(back.data().unwrap(), &data[..]);
-            let stats = f.stripe_stats();
-            assert_eq!(
-                stats.blocks.iter().sum::<u64>(),
-                16,
-                "8 write + 8 read blocks"
-            );
-            assert_eq!(stats.bytes.iter().sum::<u64>(), 2 * data.len() as u64);
-            f.close().unwrap();
-        });
+        let data: Vec<u8> = (0..30_000u32).map(|i| (i * 13 % 256) as u8).collect();
+        // (unit, blocks per stream over one write and one read)
+        for (unit, blocks) in [
+            (StripeUnit::Even, vec![2, 2, 2]),
+            (StripeUnit::Bytes(4096), vec![6, 6, 4]),
+            (StripeUnit::Adaptive { block: 4096 }, vec![6, 6, 4]),
+        ] {
+            let data = data.clone();
+            simulate(move |rt| {
+                let fs = MemFs::new(rt.clone());
+                let f = StripedFile::open(&rt, &fs, "/ad", OpenFlags::CreateRw, 3, unit).unwrap();
+                let req = f.iwrite_at(0, Payload::bytes(data.clone()));
+                assert_eq!(req.wait().unwrap(), data.len() as u64);
+                let back = f.read_at(0, data.len() as u64).unwrap();
+                assert_eq!(back.data().unwrap(), &data[..]);
+                let stats = f.stripe_stats();
+                assert_eq!(stats.blocks, blocks, "{unit:?}: write + read blocks");
+                assert_eq!(stats.bytes.iter().sum::<u64>(), 2 * data.len() as u64);
+                assert_eq!((stats.migrated, stats.requeued), (0, 0), "{unit:?}");
+                f.close().unwrap();
+            });
+        }
     }
 
     /// MemFs wrapper whose pin-0 stream fails writes transiently while a
@@ -1145,6 +1031,50 @@ mod tests {
             assert_eq!(back.data().unwrap(), &data[..]);
             f.close().unwrap();
         });
+    }
+
+    /// A fixed unit recovers a transiently failed block through the same
+    /// rule as `Adaptive`: it re-queues onto the first unbanned stream, and
+    /// with a single stream the synchronous drain retries it at home.
+    #[test]
+    fn fixed_units_requeue_a_transiently_failed_block() {
+        for streams in [1, 2] {
+            for unit in [StripeUnit::Even, StripeUnit::Bytes(1024)] {
+                simulate(move |rt| {
+                    let fuse = Arc::new(Mutex::new(1));
+                    let fs = FlakyFs {
+                        inner: MemFs::new(rt.clone()),
+                        failures_left: fuse.clone(),
+                    };
+                    let data: Vec<u8> = (0..16_384u32).map(|i| (i % 251) as u8).collect();
+                    let f = StripedFile::open(&rt, &fs, "/fix", OpenFlags::CreateRw, streams, unit)
+                        .unwrap();
+                    let case = format!("{streams} streams, {unit:?}");
+                    let n = f.write_at(0, Payload::bytes(data.clone()));
+                    assert_eq!(n.unwrap(), 16_384, "{case}");
+                    let back = f.read_at(0, data.len() as u64).unwrap();
+                    assert_eq!(back.data().unwrap(), &data[..], "{case}");
+                    let stats = f.stripe_stats();
+                    assert_eq!(stats.requeued, 1, "{case}");
+                    if streams == 2 {
+                        assert_eq!(stats.migrated, 1, "{case}");
+                    }
+                    // Polling with `test` ends too, even when only the
+                    // synchronous drain of a fully banned operation is left
+                    // for `wait`.
+                    *fuse.lock() = 1;
+                    let req = f.iwrite_at(0, Payload::bytes(data.clone()));
+                    let mut polls = 0;
+                    while !req.test() {
+                        polls += 1;
+                        assert!(polls < 1_000, "{case}: polling never ends");
+                        rt.sleep(semplar_runtime::Dur::from_micros(10));
+                    }
+                    assert_eq!(req.wait().unwrap(), 16_384, "{case}");
+                    f.close().unwrap();
+                });
+            }
+        }
     }
 
     #[test]

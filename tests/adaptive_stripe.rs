@@ -70,7 +70,7 @@ fn degrade_run(unit: StripeUnit, seed: u64, data: Arc<Vec<u8>>) -> DegradeTrace 
             .expect("open striped file");
         let t0 = rt.now();
         let req = f.iwrite_at(0, Payload::bytes((*data).clone()));
-        let total = req.wait_rebalanced().expect("degraded write");
+        let total = req.wait().expect("degraded write");
         assert_eq!(total, data.len() as u64, "short striped write");
         let secs = (rt.now() - t0).as_secs_f64();
         let stats = f.stripe_stats();
