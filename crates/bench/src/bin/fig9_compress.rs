@@ -10,7 +10,7 @@ use std::sync::Arc;
 use semplar_bench::table::{mbps, pct};
 use semplar_bench::{flags, mean_ratio, with_testbed, Table};
 use semplar_clusters::{das2, tg_ncsa};
-use semplar_workloads::{estgen, run_compress, CompressMode, CompressParams};
+use semplar_workloads::{estgen, run_compress, CompressMode, CompressParams, MemoLzf};
 
 fn main() {
     let [quick] = flags(["--quick"]);
@@ -21,11 +21,13 @@ fn main() {
         &[1, 3, 5, 7, 9, 11, 13]
     };
     let tg_procs: &[usize] = if quick { &[2, 6] } else { &[1, 3, 5, 7, 9, 11] };
-    let data = Arc::new(estgen::generate(
+    // One codec for every run: both clusters and every process count ship
+    // the same 100 blocks, so each is compressed once.
+    let codec = Arc::new(MemoLzf::new(Arc::new(estgen::generate(
         file_bytes as usize,
         2006,
         &estgen::EstGenConfig::default(),
-    ));
+    ))));
 
     for (spec, procs, paper) in [
         (das2(), das2_procs, "paper: +83%"),
@@ -33,7 +35,7 @@ fn main() {
     ] {
         let name = spec.name;
         let max_procs = *procs.iter().max().expect("non-empty sweep");
-        let data = data.clone();
+        let codec = codec.clone();
         // Per process count: the sync-uncompressed and the
         // async-compressed report.
         let (rows, _) = with_testbed(spec, max_procs, move |tb| {
@@ -44,7 +46,7 @@ fn main() {
                         run_compress(
                             &tb,
                             n,
-                            data.clone(),
+                            codec.clone(),
                             CompressParams {
                                 file_bytes,
                                 mode,

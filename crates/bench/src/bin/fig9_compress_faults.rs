@@ -15,7 +15,7 @@ use semplar_bench::table::mbps;
 use semplar_bench::{availability_plan, flags, print_fault_ledger, with_testbed, Table};
 use semplar_clusters::das2;
 use semplar_runtime::Dur;
-use semplar_workloads::{estgen, run_compress, CompressMode, CompressParams};
+use semplar_workloads::{estgen, run_compress, CompressMode, CompressParams, MemoLzf};
 
 fn main() {
     let [quick] = flags(["--quick"]);
@@ -27,11 +27,11 @@ fn main() {
         (4, 32 << 20, Dur::from_secs(16))
     };
     let seed = 7u64;
-    let data = Arc::new(estgen::generate(
+    let codec = Arc::new(MemoLzf::new(Arc::new(estgen::generate(
         file_bytes as usize,
         2006,
         &estgen::EstGenConfig::default(),
-    ));
+    ))));
 
     let ((base, faulted, faults), _) = with_testbed(das2(), procs, move |tb| {
         let params = CompressParams {
@@ -39,7 +39,7 @@ fn main() {
             mode: CompressMode::AsyncCompressed,
             ..CompressParams::default()
         };
-        let base = run_compress(&tb, procs, data.clone(), params);
+        let base = run_compress(&tb, procs, codec.clone(), params);
         let at = [
             Dur::from_millis(500),
             Dur::from_millis(900),
@@ -48,7 +48,7 @@ fn main() {
         ];
         let inj = availability_plan(seed, tb.wan_links().0, at, Dur::from_millis(400))
             .inject(&tb.rt, &tb.net, &tb.server);
-        let faulted = run_compress(&tb, procs, data, params);
+        let faulted = run_compress(&tb, procs, codec, params);
         inj.wait();
         (base, faulted, inj.stats())
     });

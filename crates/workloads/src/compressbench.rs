@@ -16,12 +16,18 @@
 //! Reported bandwidth is **application bytes per second** (the 100 MB the
 //! application logically moved), matching the figure's "aggregate I/O
 //! bandwidth" on the uncompressed volume.
+//!
+//! Every rank of every run ships the same source text, so the codec is a
+//! [`MemoLzf`]: each distinct block is compressed once and its stream
+//! reused, which leaves every byte and every virtual instant as they were.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
+use parking_lot::Mutex;
 use semplar::{AdioFs, CompressedWriter, ComputeModel, File, OpenFlags, Payload, RecoveryStats};
 use semplar_clusters::Testbed;
-use semplar_compress::Lzf;
+use semplar_compress::{Codec, Corrupt, Lzf};
 use semplar_mpi::run_world;
 use semplar_netsim::Bw;
 
@@ -35,6 +41,61 @@ pub enum CompressMode {
     SyncCompressed,
     /// The paper's pipeline (the figure's "Asynchronous Write").
     AsyncCompressed,
+}
+
+/// [`Lzf`] over one shared source text, each distinct block compressed once.
+///
+/// A slice that lies inside the source is keyed by its offset and length
+/// there; the first request compresses it and keeps the stream, later ones
+/// append the kept copy. Any other slice is compressed as usual. The output
+/// is `Lzf`'s byte for byte, and the modelled compute time is unchanged
+/// because [`CompressedWriter`] charges its `ComputeModel` per block, not
+/// per codec call.
+pub struct MemoLzf {
+    source: Arc<Vec<u8>>,
+    streams: Mutex<HashMap<(usize, usize), Vec<u8>>>,
+}
+
+impl MemoLzf {
+    /// A codec over `source`, with nothing compressed yet.
+    pub fn new(source: Arc<Vec<u8>>) -> MemoLzf {
+        MemoLzf {
+            source,
+            streams: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// The source text the workload ships.
+    pub fn source(&self) -> &Arc<Vec<u8>> {
+        &self.source
+    }
+
+    /// Where `src` starts in the source text, if it is a view of it.
+    fn offset_of(&self, src: &[u8]) -> Option<usize> {
+        let off = (src.as_ptr() as usize).checked_sub(self.source.as_ptr() as usize)?;
+        (off + src.len() <= self.source.len()).then_some(off)
+    }
+}
+
+impl Codec for MemoLzf {
+    fn name(&self) -> &'static str {
+        Lzf.name()
+    }
+    fn compress(&self, src: &[u8], dst: &mut Vec<u8>) {
+        let Some(off) = self.offset_of(src) else {
+            return Lzf.compress(src, dst);
+        };
+        let mut streams = self.streams.lock();
+        let stream = streams.entry((off, src.len())).or_insert_with(|| {
+            let mut stream = Vec::new();
+            Lzf.compress(src, &mut stream);
+            stream
+        });
+        dst.extend_from_slice(stream);
+    }
+    fn decompress(&self, src: &[u8], dst: &mut Vec<u8>) -> Result<(), Corrupt> {
+        Lzf.decompress(src, dst)
+    }
 }
 
 /// Workload parameters.
@@ -81,17 +142,18 @@ pub struct CompressReport {
     pub resumed_frames: u64,
 }
 
-/// Run the workload on `n` nodes of `tb`. `data` is the source text (each
-/// node reads the same buffer; only sizes matter on the wire).
+/// Run the workload on `n` nodes of `tb`. `codec` holds the source text
+/// (each node reads the same buffer; only sizes matter on the wire); pass
+/// one codec to every run over that text so each block is compressed once.
 pub fn run_compress(
     tb: &Arc<Testbed>,
     n: usize,
-    data: Arc<Vec<u8>>,
+    codec: Arc<MemoLzf>,
     p: CompressParams,
 ) -> CompressReport {
     assert!(n <= tb.nodes());
     assert_eq!(
-        data.len() as u64,
+        codec.source().len() as u64,
         p.file_bytes,
         "source buffer must match file_bytes"
     );
@@ -107,7 +169,7 @@ pub fn run_compress(
         let (ratio, resumed) = match p.mode {
             CompressMode::SyncUncompressed => {
                 let mut off = 0u64;
-                for chunk in data.chunks(p.block) {
+                for chunk in codec.source().chunks(p.block) {
                     tb2.local_read(r.rank, chunk.len() as u64);
                     f.write_at(off, &Payload::sized(chunk.len() as u64))
                         .expect("sync write");
@@ -116,13 +178,12 @@ pub fn run_compress(
                 (1.0, 0)
             }
             CompressMode::SyncCompressed | CompressMode::AsyncCompressed => {
-                let codec = Lzf;
                 let depth = if p.mode == CompressMode::AsyncCompressed {
                     2 // the paper's two-consecutive-blocks pipeline
                 } else {
                     0
                 };
-                let mut w = CompressedWriter::new(&f, &codec)
+                let mut w = CompressedWriter::new(&f, &*codec)
                     .block_size(p.block)
                     .depth(depth)
                     .compute_model(ComputeModel {
@@ -130,7 +191,7 @@ pub fn run_compress(
                         rate: p.compress_rate,
                     })
                     .sized_output();
-                for chunk in data.chunks(p.block) {
+                for chunk in codec.source().chunks(p.block) {
                     tb2.local_read(r.rank, chunk.len() as u64);
                     w.write(chunk).expect("pipeline write");
                 }
@@ -182,8 +243,40 @@ mod tests {
         }
     }
 
-    fn est_8mb() -> Arc<Vec<u8>> {
-        Arc::new(generate(8 << 20, 99, &EstGenConfig::default()))
+    fn est_8mb() -> Arc<MemoLzf> {
+        Arc::new(MemoLzf::new(Arc::new(generate(
+            8 << 20,
+            99,
+            &EstGenConfig::default(),
+        ))))
+    }
+
+    /// The memo's streams are `Lzf`'s byte for byte; a block of the source
+    /// is compressed once however often it is asked for, one of another
+    /// length at the same offset is a block of its own, and a block of the
+    /// same bytes elsewhere is compressed afresh and kept nowhere.
+    #[test]
+    fn memo_codec_matches_lzf_and_compresses_each_block_once() {
+        let memo = MemoLzf::new(Arc::new(generate(3 << 16, 5, &EstGenConfig::default())));
+        let src = memo.source().clone();
+        let lzf = |b: &[u8]| {
+            let mut out = vec![7];
+            Lzf.compress(b, &mut out);
+            out
+        };
+        let copy = src[..1 << 16].to_vec();
+        for block in [
+            &src[..1 << 16],
+            &src[1 << 16..],
+            &src[..1 << 16],
+            &src[..9],
+            &copy,
+        ] {
+            let mut out = vec![7];
+            memo.compress(block, &mut out);
+            assert!(out == lzf(block), "{} bytes", block.len());
+        }
+        assert_eq!(memo.streams.lock().len(), 3);
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub use actors::{
 };
 pub use blast::{run_blast, BlastParams, BlastReport};
 pub use collective::{run_collective, CollectiveMode, CollectiveParams, CollectiveReport};
-pub use compressbench::{run_compress, CompressMode, CompressParams, CompressReport};
+pub use compressbench::{run_compress, CompressMode, CompressParams, CompressReport, MemoLzf};
 pub use estgen::{generate, EstGenConfig};
 pub use laplace::{run_laplace, LaplaceMode, LaplaceParams, LaplaceReport};
 pub use perf::{run_perf, PerfParams, PerfReport};

@@ -6,7 +6,7 @@ use semplar_repro::clusters::{das2, osc, tg_ncsa, Testbed};
 use semplar_repro::runtime::simulate;
 use semplar_repro::workloads::{
     run_blast, run_compress, run_laplace, run_perf, BlastParams, CompressMode, CompressParams,
-    LaplaceMode, LaplaceParams, PerfParams,
+    LaplaceMode, LaplaceParams, MemoLzf, PerfParams,
 };
 use std::sync::Arc;
 
@@ -141,14 +141,16 @@ fn fig8_read_gains_exceed_write_gains() {
 
 #[test]
 fn fig9_async_compression_wins_and_ratio_is_real() {
-    let data = Arc::new(semplar_repro::workloads::estgen::generate(
-        4 << 20,
-        77,
-        &semplar_repro::workloads::estgen::EstGenConfig::default(),
-    ));
+    let codec = Arc::new(MemoLzf::new(Arc::new(
+        semplar_repro::workloads::estgen::generate(
+            4 << 20,
+            77,
+            &semplar_repro::workloads::estgen::EstGenConfig::default(),
+        ),
+    )));
     for spec in [das2(), tg_ncsa()] {
         let name = spec.name;
-        let d2 = data.clone();
+        let d2 = codec.clone();
         let (sync_bw, async_bw, ratio) = simulate(move |rt| {
             let tb = Testbed::new(rt, spec, 2);
             let p = |mode| CompressParams {
