@@ -66,7 +66,7 @@ impl MemoLzf {
     }
 
     /// The source text the workload ships.
-    pub fn source(&self) -> &Arc<Vec<u8>> {
+    pub fn source(&self) -> &[u8] {
         &self.source
     }
 
@@ -258,7 +258,7 @@ mod tests {
     #[test]
     fn memo_codec_matches_lzf_and_compresses_each_block_once() {
         let memo = MemoLzf::new(Arc::new(generate(3 << 16, 5, &EstGenConfig::default())));
-        let src = memo.source().clone();
+        let src = memo.source();
         let lzf = |b: &[u8]| {
             let mut out = vec![7];
             Lzf.compress(b, &mut out);
