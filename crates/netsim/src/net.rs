@@ -31,6 +31,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use semplar_runtime::task::{self, block_on};
 use semplar_runtime::{Alarm, Dur, Event, Runtime, TaskStep, Time};
 
 use crate::fair::Workspace;
@@ -686,13 +687,18 @@ impl Network {
         self.drain(self.begin_units(path, units, flow_cap, &[]));
     }
 
-    /// The blocking driver of `poll_flow`, which starts as a task's
-    /// `poll_message` does: with a wait.
+    /// Blocking form of [`Network::drained`].
     fn drain(&self, flow: Option<Flow>) {
+        block_on(&self.rt, self.drained(flow));
+    }
+
+    /// Wait until `flow` has drained: on its event, then `poll_flow`, until
+    /// the flow is gone.
+    async fn drained(&self, flow: Option<Flow>) {
         let Some(flow) = flow else { return };
         loop {
-            TaskStep::Wait(flow.ev.clone(), None).block(&self.rt);
-            if self.poll_flow(&flow).is_none() {
+            task::wait(&flow.ev).await;
+            if !self.poll_flow(&flow) {
                 return;
             }
         }
@@ -727,17 +733,16 @@ impl Network {
         Some(Flow { slot, ev })
     }
 
-    /// Settle `flow` to the present. `None`: it has drained, and has been
+    /// Settle `flow` to the present. `false`: it has drained, and has been
     /// removed and its bandwidth redistributed — do not poll it again.
-    /// Otherwise the step to block in before the next poll: a wait on the
-    /// flow's event, which the network's alarm signals at the earliest
-    /// projected completion and another owner's poll signals when it ends
-    /// this flow. A rate change signals nobody.
-    fn poll_flow(&self, flow: &Flow) -> Option<TaskStep> {
+    /// `true`: wait on the flow's event before the next poll; the network's
+    /// alarm signals it at the earliest projected completion and another
+    /// owner's poll when it ends this flow. A rate change signals nobody.
+    fn poll_flow(&self, flow: &Flow) -> bool {
         let mut g = self.inner.lock();
         let mine = |f: &FlowState| Arc::ptr_eq(&f.ev, &flow.ev);
         if !g.slots[flow.slot].as_ref().is_some_and(mine) {
-            return None; // another owner's poll ended it
+            return false; // another owner's poll ended it
         }
         let now = self.rt.now();
         // Only this flow, unless its time has come.
@@ -748,9 +753,9 @@ impl Network {
             g.stats.signals += g.ended.len() as u64;
             g.ended.drain(..).for_each(|ev| ev.signal());
             self.rearm(&mut g);
-            g.slots[flow.slot].as_ref()?; // ended by this poll
+            return g.slots[flow.slot].is_some(); // `false`: ended by this poll
         }
-        Some(TaskStep::Wait(flow.ev.clone(), None))
+        true
     }
 
     /// Deliver a `bytes`-sized message over `path`: one-way latency plus the
@@ -758,10 +763,23 @@ impl Network {
     /// building block for protocol messages (SRB requests/responses, MPI
     /// sends).
     pub fn send_message_opts(&self, path: &[LinkId], bytes: u64, opts: &XferOpts) {
-        let mut msg = Message::new(bytes);
-        while let Some(step) = self.poll_message(&mut msg, path, opts) {
-            step.block(&self.rt);
+        block_on(&self.rt, self.send_message_async(path, bytes, opts));
+    }
+
+    /// [`Network::send_message_opts`] as an `async` wait, for a
+    /// [`Task`](semplar_runtime::Task): the latency slept (none when it is
+    /// zero), then the flow started and drained.
+    pub async fn send_message_async(&self, path: &[LinkId], bytes: u64, opts: &XferOpts) {
+        let lat = {
+            let g = self.inner.lock();
+            path.iter().fold(Dur::ZERO, |t, l| t + g.links[l.0].latency)
+        };
+        if !lat.is_zero() {
+            task::sleep(lat).await;
         }
+        // Started once the latency is over, and polled only once signalled:
+        // a start that joined this instant's burst is solved with the burst.
+        self.drained(self.begin_opts(path, bytes, opts)).await;
     }
 
     /// Advance `msg` on its way over `path`: `None` once it has been
@@ -794,7 +812,8 @@ impl Network {
                     }
                 }
                 MsgState::Wire(flow) => {
-                    let step = flow.as_ref().and_then(|f| self.poll_flow(f));
+                    let f = flow.as_ref().filter(|f| self.poll_flow(f));
+                    let step = f.map(|f| TaskStep::Wait(f.ev.clone(), None));
                     if step.is_none() {
                         msg.0 = MsgState::Wire(None);
                     }

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::runtime::{Event, Runtime};
-use crate::task::TaskStep;
+use crate::task::{self, block_on, TaskStep};
 
 /// Error returned by [`Channel`] operations once the channel is closed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -35,6 +35,7 @@ struct ChannelInner<T> {
 /// compute thread enqueues I/O requests; I/O threads block on `recv` via a
 /// condition-variable-style event instead of busy-waiting (paper §4.3).
 pub struct Channel<T> {
+    rt: Arc<dyn Runtime>,
     inner: Arc<Mutex<ChannelInner<T>>>,
     items: Event,
 }
@@ -42,6 +43,7 @@ pub struct Channel<T> {
 impl<T> Clone for Channel<T> {
     fn clone(&self) -> Self {
         Channel {
+            rt: self.rt.clone(),
             inner: self.inner.clone(),
             items: self.items.clone(),
         }
@@ -52,6 +54,7 @@ impl<T> Channel<T> {
     /// Create an empty channel bound to `rt`'s event mechanism.
     pub fn new(rt: &Arc<dyn Runtime>) -> Channel<T> {
         Channel {
+            rt: rt.clone(),
             inner: Arc::new(Mutex::new(ChannelInner {
                 q: VecDeque::new(),
                 closed: false,
@@ -84,11 +87,16 @@ impl<T> Channel<T> {
 
     /// Dequeue, blocking until an item arrives or the channel closes empty.
     pub fn recv(&self) -> Result<T, Closed> {
+        block_on(&self.rt, self.recv_async())
+    }
+
+    /// [`Channel::recv`] as an `async` wait, for a [`Task`](crate::Task).
+    pub async fn recv_async(&self) -> Result<T, Closed> {
         loop {
             if let Some(r) = self.try_recv() {
                 return r;
             }
-            self.items.wait();
+            task::wait(&self.items).await;
         }
     }
 
@@ -128,6 +136,7 @@ impl<T> Channel<T> {
 /// A counting semaphore.
 #[derive(Clone)]
 pub struct Semaphore {
+    rt: Arc<dyn Runtime>,
     ev: Event,
 }
 
@@ -136,12 +145,18 @@ impl Semaphore {
     pub fn new(rt: &Arc<dyn Runtime>, permits: usize) -> Semaphore {
         let ev = rt.event();
         ev.signal_n(permits);
-        Semaphore { ev }
+        Semaphore { rt: rt.clone(), ev }
     }
 
     /// Consume one permit, blocking until available.
     pub fn acquire(&self) {
-        self.ev.wait();
+        block_on(&self.rt, self.acquire_async());
+    }
+
+    /// [`Semaphore::acquire`] as an `async` wait, for a
+    /// [`Task`](crate::Task): the permit is the task's once it resumes.
+    pub async fn acquire_async(&self) {
+        task::wait(&self.ev).await;
     }
 
     /// [`Semaphore::acquire`] for a [`Task`](crate::Task): the step that
@@ -284,9 +299,9 @@ impl<T> Drop for RtMutexGuard<'_, T> {
 /// A write-once cell whose readers block until the value is published: the
 /// one request handle of this system, behind SEMPLAR's `Request` (`MPIO_Wait`)
 /// and every SRB reply (`SrbConn::submit`). A thread waits on it
-/// ([`wait`](Self::wait)), a task returns the step of
-/// [`poll_wait`](Self::poll_wait).
+/// ([`wait`](Self::wait)), a task awaits [`wait_async`](Self::wait_async).
 pub struct OnceCellBlocking<T> {
+    rt: Arc<dyn Runtime>,
     slot: Mutex<Option<T>>,
     ev: Event,
 }
@@ -295,6 +310,7 @@ impl<T: Clone> OnceCellBlocking<T> {
     /// An empty cell.
     pub fn new(rt: &Arc<dyn Runtime>) -> Arc<OnceCellBlocking<T>> {
         Arc::new(OnceCellBlocking {
+            rt: rt.clone(),
             slot: Mutex::new(None),
             ev: rt.event(),
         })
@@ -317,11 +333,19 @@ impl<T: Clone> OnceCellBlocking<T> {
 
     /// Block until the value is published, then return a clone.
     pub fn wait(&self) -> T {
+        block_on(&self.rt, self.wait_async())
+    }
+
+    /// [`OnceCellBlocking::wait`] as an `async` wait, for a
+    /// [`Task`](crate::Task).
+    pub async fn wait_async(&self) -> T {
         loop {
-            if let Ok(v) = self.poll_wait() {
+            if let Some(v) = self.get() {
+                // Cascade the permit so every other waiter wakes too.
+                self.ev.signal();
                 return v;
             }
-            self.ev.wait();
+            task::wait(&self.ev).await;
         }
     }
 

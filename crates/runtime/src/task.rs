@@ -2,30 +2,39 @@
 //!
 //! A thread actor is the right price for code that needs a stack (the
 //! paper's compute and I/O threads, an MPI rank) and a needless one for
-//! entities that only ever wait. A [`Task`] is a poll-style state machine
-//! instead — a scale-out client, a server's connection handler, a stream's
-//! demultiplexer and sender, the fault injector, a membership monitor. The
-//! virtual-time engine's dispatcher polls it inline, on whichever thread
-//! just gave up the baton, from the ready queue and timer heap that schedule
-//! threads too; an idle task costs its state machine plus a table slot — a
-//! few hundred bytes — so one simulation hosts 10⁵–10⁶ concurrent sessions.
-//! (Under wall-clock time each task is a small loop on a thread of its own.)
+//! entities that only ever wait. A [`Task`] is polled instead — a scale-out
+//! client, a server's connection handler, a stream's demultiplexer and
+//! sender, the fault injector, a membership monitor. The virtual-time
+//! engine's dispatcher polls it inline, on whichever thread just gave up the
+//! baton, from the ready queue and timer heap that schedule threads too; an
+//! idle task costs its state plus a table slot — a few hundred bytes — so
+//! one simulation hosts 10⁵–10⁶ concurrent sessions. (Under wall-clock time
+//! each task is a small loop on a thread of its own.)
 //!
-//! Tasks cooperate instead of blocking:
+//! A task is written as the blocking code it stands for: an `async` body,
+//! spawned as a pinned boxed future, which is a [`Task`]. Its waits are
+//! leaf futures — [`sleep`], [`wait`], [`wait_timeout`] and those built on
+//! them (`Channel::recv_async`, `OnceCellBlocking::wait_async`,
+//! `Semaphore::acquire_async`, a network message, a disk operation). A leaf
+//! hands the [`TaskStep`] it needs to whatever drives the future and
+//! returns `Pending`; the adapter returns that step from [`Task::poll`] and
+//! hands the next poll's [`TaskCtx::wake`] back to the leaf. A thread actor
+//! drives the same future with [`block_on`], which blocks in each step
+//! ([`TaskStep::block`]), so each wait is written once and its blocking form
+//! is a `block_on` of it. The hand-off is a thread-local slot filled and
+//! emptied around each poll: std has no safe way to carry data through a
+//! `Waker`, and one poll never interleaves with another on its thread.
 //!
-//! * [`Task::poll`] runs the machine until it cannot progress, then returns
-//!   a [`TaskStep`]: sleep for a duration, wait on an [`Event`] exactly as a
-//!   thread would, or done. A task awaiting a reply waits on its cell's
-//!   event ([`poll_wait`](crate::sync::OnceCellBlocking::poll_wait)).
 //! * A task in [`TaskStep::Wait`] sits in the event's waiter queue among the
 //!   threads blocked on the same cell and is released in arrival order; a
 //!   banked permit is consumed on the spot and the task polled again before
 //!   any other actor runs, which is what `wait()` returning at once is.
-//! * **`poll` must not block through the runtime.** No sleeps, no event
-//!   waits, no synchronous I/O: the polling thread holds the baton on the
-//!   task's behalf, so the engine panics with `Task::poll blocked through
-//!   the runtime` and fails the run. Uncontended fast paths (banked
-//!   semaphore permits, free mutexes) are fine.
+//! * **A poll must not block through the runtime.** No blocking sleeps or
+//!   event waits inside an `async` body or a `poll`: the polling thread
+//!   holds the baton on the task's behalf, so the engine panics with
+//!   `Task::poll blocked through the runtime` and fails the run. Uncontended
+//!   fast paths (banked semaphore permits, free mutexes, a blocking call
+//!   whose leaf is ready at once) are fine.
 //!
 //! Virtual time advances identically whether entities are threads or tasks,
 //! and the schedule stays deterministic: woken tasks and threads run in wake
@@ -33,7 +42,11 @@
 //! [`ScheduleHook`](crate::ScheduleHook) as `<executor>/<n>/task sleep` or
 //! `<executor>/<n>/event wait (timeout)`.
 
+use std::cell::Cell;
+use std::future::Future;
+use std::pin::{pin, Pin};
 use std::sync::Arc;
+use std::task::{Context, Poll, Waker};
 
 use parking_lot::Mutex;
 
@@ -43,8 +56,7 @@ use crate::{Dur, Event, Runtime, Time, Wake};
 /// What a task wants after one poll.
 pub enum TaskStep {
     /// Re-poll after `d` of virtual time (a modelled delay: an arrival
-    /// offset, a think time, a retry backoff). `Sleep(ZERO)` still yields:
-    /// a machine standing in for a thread's `sleep` skips a zero delay.
+    /// offset, a think time, a retry backoff). `Sleep(ZERO)` still yields.
     Sleep(Dur),
     /// Block exactly as a thread would in `event.wait()` (`None`) or
     /// `event.wait_timeout(d)`: same waiter queue, same timer. The next
@@ -55,8 +67,8 @@ pub enum TaskStep {
 }
 
 impl TaskStep {
-    /// Carry the step out by blocking the calling thread actor: how a
-    /// thread drives a step machine a task would be polled through.
+    /// Carry the step out by blocking the calling thread actor: how
+    /// [`block_on`] drives a future a task would be polled through.
     pub fn block(self, rt: &Arc<dyn Runtime>) -> Option<Wake> {
         match self {
             TaskStep::Sleep(d) => rt.sleep(d),
@@ -71,10 +83,91 @@ impl TaskStep {
     }
 }
 
-/// An event-driven micro-actor: a state machine polled by its runtime.
+thread_local! {
+    /// The step the leaf future being polled on this thread yields.
+    static STEP: Cell<Option<TaskStep>> = const { Cell::new(None) };
+    /// How the step a leaf yielded ended, for that leaf when it resumes.
+    static WAKE: Cell<Option<Wake>> = const { Cell::new(None) };
+}
+
+/// The one leaf: yields its step to the driver once, then resolves to how
+/// that step ended (`None` after a sleep).
+struct Yield(Option<TaskStep>);
+
+impl Future for Yield {
+    type Output = Option<Wake>;
+    fn poll(mut self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<Option<Wake>> {
+        match self.0.take() {
+            Some(step) => {
+                STEP.set(Some(step));
+                Poll::Pending
+            }
+            None => Poll::Ready(WAKE.take()),
+        }
+    }
+}
+
+/// Sleep for `d` of the runtime's time (`TaskStep::Sleep`). A zero `d`
+/// still yields: a body standing in for a thread's `sleep` skips it.
+pub async fn sleep(d: Dur) {
+    Yield(Some(TaskStep::Sleep(d))).await;
+}
+
+/// Wait on `ev` as `ev.wait()` does (`TaskStep::Wait`, no timeout).
+pub async fn wait(ev: &Event) {
+    Yield(Some(TaskStep::Wait(ev.clone(), None))).await;
+}
+
+/// Wait on `ev` as `ev.wait_timeout(d)` does: [`Wake::Signaled`] if a
+/// permit (or a broadcast) came first.
+pub async fn wait_timeout(ev: &Event, d: Dur) -> Wake {
+    let step = TaskStep::Wait(ev.clone(), Some(d));
+    Yield(Some(step))
+        .await
+        .expect("a wait resumes with how it ended")
+}
+
+/// Poll `fut` once, resuming the leaf it waits in with `wake`: its output,
+/// or the step its leaf yielded.
+fn drive<F: Future + ?Sized>(fut: Pin<&mut F>, wake: Option<Wake>) -> Result<F::Output, TaskStep> {
+    WAKE.set(wake);
+    let polled = fut.poll(&mut Context::from_waker(Waker::noop()));
+    WAKE.set(None);
+    match polled {
+        Poll::Ready(out) => Ok(out),
+        Poll::Pending => Err(STEP
+            .take()
+            .expect("a task's future awaited something other than a runtime wait")),
+    }
+}
+
+/// Run `fut` to completion on the calling thread actor, blocking in every
+/// step its leaves yield: the blocking form of an `async` wait.
+pub fn block_on<F: Future>(rt: &Arc<dyn Runtime>, fut: F) -> F::Output {
+    let mut fut = pin!(fut);
+    let mut wake = None;
+    loop {
+        match drive(fut.as_mut(), wake) {
+            Ok(out) => return out,
+            Err(step) => wake = step.block(rt),
+        }
+    }
+}
+
+/// A task written as an `async` body: each poll runs it to its next wait
+/// and returns that wait's step.
+impl<F: Future<Output = ()> + Send + ?Sized + 'static> Task for Pin<Box<F>> {
+    fn poll(&mut self, cx: &mut TaskCtx<'_>) -> TaskStep {
+        drive(self.as_mut(), cx.wake)
+            .err()
+            .unwrap_or(TaskStep::Done)
+    }
+}
+
+/// An event-driven micro-actor, polled by its runtime.
 pub trait Task: Send + 'static {
-    /// Advance the machine as far as it can go without blocking, then say
-    /// what to do next. `cx` carries the current virtual time and how the
+    /// Run as far as the task can go without blocking, then say what to do
+    /// next. `cx` carries the current virtual time and how the
     /// last wait ended.
     fn poll(&mut self, cx: &mut TaskCtx<'_>) -> TaskStep;
 }
@@ -104,8 +197,8 @@ pub struct TaskStats {
     pub live: usize,
 }
 
-/// A spawned task as its runtime keeps it: the state machine, taken out for
-/// each poll, plus what names it and publishes its completion. Built by
+/// A spawned task as its runtime keeps it: the task, taken out for each
+/// poll, plus what names it and publishes its completion. Built by
 /// [`TaskExecutor::spawn`], consumed by [`Runtime::spawn_task`].
 pub struct TaskCell {
     pub(crate) task: Option<Box<dyn Task>>,
@@ -348,19 +441,231 @@ mod tests {
 
     #[test]
     fn a_poll_that_blocks_through_the_runtime_panics_and_poisons() {
-        let (root, bystander) = run_beside_a_bystander(|rt| {
+        // The hand-written rule-breaker, and an `async` body that sleeps
+        // through the runtime instead of awaiting `sleep`.
+        type MakeTask = fn(&Arc<dyn Runtime>) -> Box<dyn Task>;
+        let blockers: [MakeTask; 2] = [
+            |_| Box::new(BlocksInPoll),
+            |rt| {
+                let rt = rt.clone();
+                Box::new(Box::pin(async move { rt.sleep(Dur::from_millis(1)) }))
+            },
+        ];
+        for blocker in blockers {
+            let (root, bystander) = run_beside_a_bystander(move |rt| {
+                let ex = TaskExecutor::new(&rt, "ex");
+                ex.spawn(Box::new(Napper {
+                    left: 0,
+                    step: Dur::ZERO,
+                    log: Default::default(),
+                    id: 0,
+                }));
+                ex.spawn(blocker(&rt)).join(); // polled inside this join
+            });
+            let what = "Task::poll blocked through the runtime (ex/1: sleep)";
+            assert_eq!(root, what);
+            assert_eq!(bystander, format!("simulation poisoned: {what}"));
+        }
+    }
+
+    /// `(id, instant)` per step a [`Script`] or [`script`] has finished.
+    type StepLog = Arc<Mutex<Vec<(u32, Time)>>>;
+
+    /// By hand: sleep 2 ms, a 3 ms wait on `never` that times out, a zero
+    /// sleep, then a wait on `go`; logging after each.
+    struct Script {
+        k: u8,
+        id: u32,
+        never: Event,
+        go: Event,
+        log: StepLog,
+    }
+    impl Task for Script {
+        fn poll(&mut self, cx: &mut TaskCtx<'_>) -> TaskStep {
+            if self.k > 0 {
+                self.log.lock().push((self.id, cx.now));
+            }
+            self.k += 1;
+            match self.k {
+                1 => TaskStep::Sleep(Dur::from_millis(2)),
+                2 => TaskStep::Wait(self.never.clone(), Some(Dur::from_millis(3))),
+                3 => {
+                    assert_eq!(cx.wake, Some(Wake::Timeout));
+                    TaskStep::Sleep(Dur::ZERO)
+                }
+                4 => TaskStep::Wait(self.go.clone(), None),
+                _ => {
+                    assert_eq!(cx.wake, Some(Wake::Signaled));
+                    TaskStep::Done
+                }
+            }
+        }
+    }
+
+    /// [`Script`] as an `async` body.
+    async fn script(rt: Arc<dyn Runtime>, id: u32, never: Event, go: Event, log: StepLog) {
+        let note = || log.lock().push((id, rt.now()));
+        sleep(Dur::from_millis(2)).await;
+        note();
+        let d = Dur::from_millis(3);
+        assert_eq!(wait_timeout(&never, d).await, Wake::Timeout);
+        note();
+        sleep(Dur::ZERO).await;
+        note();
+        wait(&go).await;
+        note();
+    }
+
+    /// Offers every pending event within the window, fires the earliest,
+    /// and keeps each offer as `(label, due)`.
+    #[derive(Default)]
+    struct Recorder(Mutex<Vec<Vec<(String, Time)>>>);
+    impl crate::ScheduleHook for Recorder {
+        fn choose(&self, _now: Time, _fp: u64, eligible: &[crate::Choice]) -> usize {
+            let offer = eligible.iter().map(|c| (c.label(), c.at)).collect();
+            self.0.lock().push(offer);
+            0
+        }
+    }
+
+    #[test]
+    fn an_async_body_keeps_the_schedule_of_its_hand_written_twin() {
+        // Two copies of the script as tasks, by hand or as `async` bodies,
+        // or one on a thread actor through `block_on`; `go` at 10 ms.
+        let run = |how: &'static str| {
+            let sim = SimRuntime::new();
+            let hook = Arc::new(Recorder::default());
+            sim.set_schedule_hook(hook.clone(), Dur::from_secs(1));
+            let log = sim.run_root(move |rt| {
+                let ex = TaskExecutor::new(&rt, "ex");
+                let log = StepLog::default();
+                let (never, go) = (rt.event(), rt.event());
+                let copies = if how == "thread" { 1 } else { 2 };
+                let spawned: Vec<Box<dyn FnOnce()>> = (0..copies)
+                    .map(|id| {
+                        let args = (never.clone(), go.clone(), log.clone());
+                        let body = script(
+                            rt.clone(),
+                            id,
+                            args.0.clone(),
+                            args.1.clone(),
+                            args.2.clone(),
+                        );
+                        let joined: Box<dyn FnOnce()> = match how {
+                            "hand" => {
+                                let (never, go, log) = args;
+                                let h = ex.spawn(Box::new(Script {
+                                    k: 0,
+                                    id,
+                                    never,
+                                    go,
+                                    log,
+                                }));
+                                Box::new(move || h.join())
+                            }
+                            "async" => {
+                                let h = ex.spawn(Box::new(Box::pin(body)));
+                                Box::new(move || h.join())
+                            }
+                            _ => {
+                                let rt2 = rt.clone();
+                                let t = crate::runtime::spawn(&rt, "thread", move || {
+                                    block_on(&rt2, body)
+                                });
+                                Box::new(move || t.join_unwrap())
+                            }
+                        };
+                        joined
+                    })
+                    .collect();
+                rt.sleep(Dur::from_millis(10));
+                go.signal_n(copies as usize);
+                spawned.into_iter().for_each(|join| join());
+                let got = log.lock().clone();
+                got
+            });
+            let offers = hook.0.lock().clone();
+            (log, offers)
+        };
+        let at = |ms| Time::ZERO + Dur::from_millis(ms);
+        let (hand, hand_offers) = run("hand");
+        assert_eq!(
+            hand,
+            [
+                (0, at(2)),
+                (1, at(2)),
+                (0, at(5)),
+                (1, at(5)),
+                (0, at(5)),
+                (1, at(5)),
+                (0, at(10)),
+                (1, at(10)),
+            ]
+        );
+        assert!(
+            hand_offers
+                .iter()
+                .flatten()
+                .any(|(l, _)| l == "ex/1/event wait (timeout)"),
+            "{hand_offers:?}"
+        );
+        assert_eq!(run("async"), (hand.clone(), hand_offers));
+        let (thread, _) = run("thread");
+        let first: Vec<_> = hand.into_iter().filter(|&(id, _)| id == 0).collect();
+        assert_eq!(thread, first, "block_on reaches the same instants");
+    }
+
+    #[test]
+    fn a_leaf_sees_its_timeout_and_claims_a_permit_only_when_signaled() {
+        let sim = SimRuntime::new();
+        let log = sim.run_root(|rt| {
             let ex = TaskExecutor::new(&rt, "ex");
-            ex.spawn(Box::new(Napper {
-                left: 0,
-                step: Dur::ZERO,
-                log: Default::default(),
-                id: 0,
-            }));
-            ex.spawn(Box::new(BlocksInPoll)).join(); // polled inside this join
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let ev = rt.event();
+            let (ev2, log2, rt2) = (ev.clone(), log.clone(), rt.clone());
+            ex.spawn(Box::new(Box::pin(async move {
+                let wake = wait_timeout(&ev2, Dur::from_millis(3)).await;
+                log2.lock().push(("timed", wake, rt2.now()));
+            })))
+            .join();
+            ev.signal(); // banked: the expired wait took nothing
+            let (ev2, log2, rt2) = (ev.clone(), log.clone(), rt.clone());
+            ex.spawn(Box::new(Box::pin(async move {
+                let wake = wait_timeout(&ev2, Dur::from_millis(1)).await;
+                log2.lock().push(("banked", wake, rt2.now()));
+            })))
+            .join();
+            // The signalled wait claimed the permit: none is left.
+            assert_eq!(ev.wait_timeout(Dur::ZERO), Wake::Timeout);
+            // A semaphore's permit: the second acquirer waits for the release.
+            let sem = crate::sync::Semaphore::new(&rt, 1);
+            let hs: Vec<_> = (0..2)
+                .map(|id| {
+                    let (sem, log, rt) = (sem.clone(), log.clone(), rt.clone());
+                    ex.spawn(Box::new(Box::pin(async move {
+                        sem.acquire_async().await;
+                        let tag = ["first", "second"][id];
+                        log.lock().push((tag, Wake::Signaled, rt.now()));
+                        sleep(Dur::from_millis(2)).await;
+                        sem.release();
+                    })))
+                })
+                .collect();
+            hs.iter().for_each(TaskHandle::join);
+            let got = log.lock().clone();
+            got
         });
-        let what = "Task::poll blocked through the runtime (ex/1: sleep)";
-        assert_eq!(root, what);
-        assert_eq!(bystander, format!("simulation poisoned: {what}"));
+        let at = |ms| Time::ZERO + Dur::from_millis(ms);
+        assert_eq!(
+            log,
+            [
+                ("timed", Wake::Timeout, at(3)),
+                ("banked", Wake::Signaled, at(3)),
+                ("first", Wake::Signaled, at(3)),
+                ("second", Wake::Signaled, at(5)),
+            ]
+        );
+        assert_eq!(sim.stats().timers_armed, 3, "3 ms wait and two 2 ms sleeps");
     }
 
     struct PanicsInPoll;

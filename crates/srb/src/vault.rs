@@ -31,7 +31,7 @@ use parking_lot::Mutex;
 
 use semplar_netsim::net::{Message, XferOpts};
 use semplar_netsim::{Bw, LinkId, Network};
-use semplar_runtime::{Dur, Runtime, TaskStep};
+use semplar_runtime::{block_on, Dur, Runtime, TaskStep};
 
 use crate::types::{Payload, SrbError};
 
@@ -237,12 +237,24 @@ impl Vault {
         step
     }
 
-    /// The blocking driver of [`Vault::poll_disk`].
+    /// Blocking form of [`Vault::charge_disk_async`].
     fn charge_disk(&self, bytes: u64) {
-        let mut op = DiskOp::new(bytes);
-        while let Some(step) = self.poll_disk(&mut op) {
-            step.block(&self.rt);
-        }
+        block_on(&self.rt, self.charge_disk_async(bytes));
+    }
+
+    /// Charge one disk operation's time: a message over the disk link —
+    /// whose latency is the seek — capped by the concurrency sampled as it
+    /// starts. It counts as in flight until its time is charged.
+    pub async fn charge_disk_async(&self, bytes: u64) {
+        let k = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+        let opts = XferOpts {
+            cap: self.concurrency_cap(k),
+            buses: Vec::new(),
+        };
+        (self.disk_net)
+            .send_message_async(&[self.disk], bytes, &opts)
+            .await;
+        self.in_flight.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// Allocate an empty object slot.
