@@ -197,7 +197,7 @@ impl Replicator {
             mcat: primary.mcat().clone(),
             vault: primary.vault().clone(),
             retry,
-            dial: Box::new(move || replica.dial(route.clone(), &user, &password, 1)),
+            dial: Box::new(move || replica.dial_machine(route.clone(), &user, &password, 1)),
             conn: None,
             fds: HashMap::new(),
             colls: HashSet::new(),

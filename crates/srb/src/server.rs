@@ -9,14 +9,15 @@
 //! the server NICs (assigned round-robin at connect time, like IP-level
 //! load balancing across `orion`'s interfaces).
 //!
-//! A handler only ever waits, so it is a [`Task`], not a thread: a state
-//! machine over *receive → overhead → admission → disk → wire* whose every
-//! state is one place a per-connection thread would block, on the same
-//! event. Serving a request is therefore split: `SrbServer::begin` does
-//! everything up to the one thing the request waits for — its disk charge,
-//! or for `Replicate` the peer replicator's completion — without blocking,
-//! the handler waits it out, and a continuation finishes.
+//! A handler only ever waits, so it is a task, not a thread: an `async`
+//! body over *receive → overhead → admission → disk → wire* whose every
+//! await is one place a per-connection thread would block, on the same
+//! event. Serving a request is split: `SrbServer::begin` does everything up
+//! to the one thing the request waits for — its disk charge, or for
+//! `Replicate` the peer replicator's completion — without blocking, the
+//! handler waits it out, and a continuation finishes.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -25,19 +26,20 @@ use parking_lot::Mutex;
 use semplar_netsim::net::Message;
 use semplar_netsim::net::{BusId, DeviceClass, XferOpts};
 use semplar_netsim::{Bw, LinkId, Network};
-use semplar_runtime::sync::{Channel, Closed};
-use semplar_runtime::{Dur, Event, Runtime, Task, TaskCtx, TaskExecutor, TaskStep, Wake};
+use semplar_runtime::sync::Channel;
+use semplar_runtime::task;
+use semplar_runtime::{block_on, Dur, Event, Runtime, TaskExecutor, TaskStep};
 
 use crate::cache::{BlockCache, CacheSpec, CacheStats};
 use crate::client::SrbConn;
 use crate::federation::Replicator;
 use crate::mcat::Mcat;
-use crate::proto::{ReqFrame, Request, RespFrame, Response, SessionId, TenantId, WIRE_HDR};
+use crate::proto::{ReqFrame, Request, RespFrame, Response, SessionId, WIRE_HDR};
 use crate::qos::TenantScheduler;
 use crate::retry::RetryPolicy;
 use crate::transport::Transport;
 use crate::types::{adler32, OpenFlags, Payload, SrbError, SrbResult};
-use crate::vault::{DiskOp, DiskSpec, Vault};
+use crate::vault::{DiskSpec, Vault};
 
 /// Server sizing parameters.
 #[derive(Clone, Debug)]
@@ -539,24 +541,142 @@ impl SrbServer {
         }
     }
 
-    /// Start dialing a stream carrying up to `max_inflight` exchanges, for
-    /// the caller to drive: a thread blocks in its steps
-    /// ([`SrbServer::connect_transport`]), a task returns them.
-    pub(crate) fn dial(
+    /// Dial a stream carrying up to `max_inflight` exchanges: the TCP + SRB
+    /// handshake, one round trip charged to the caller, then the stream
+    /// opened. A crashed server refuses at once (connection refused): no
+    /// handshake time is charged, the caller's retry backoff paces the
+    /// reconnect attempts.
+    pub(crate) async fn dial(
         self: &Arc<Self>,
         route: ConnRoute,
         user: &str,
         password: &str,
         max_inflight: usize,
-    ) -> Dial {
-        Dial {
-            server: self.clone(),
-            path: (route.fwd.clone(), route.rev.clone()),
-            opts: (route.opts(route.send_cap), route.opts(route.recv_cap)),
-            credentials: (user.to_string(), password.to_string()),
-            max_inflight,
-            state: Dialing::Start,
+    ) -> SrbResult<Arc<Transport>> {
+        if self.is_crashed() {
+            return Err(SrbError::Disconnected { acked: 0 });
         }
+        let nic = self.next_nic.fetch_add(1, Ordering::Relaxed) % self.cfg.nics.max(1);
+        let (mut fwd, mut rev) = (route.fwd.clone(), route.rev.clone());
+        fwd.push(self.nic_in[nic]);
+        rev.insert(0, self.nic_out[nic]);
+        let opts = (route.opts(route.send_cap), route.opts(route.recv_cap));
+        // Connection setup on its way over the forward path; the server's
+        // processing, then its reply with the authentication's outcome.
+        self.net.send_message_async(&fwd, WIRE_HDR, &opts.0).await;
+        if !self.cfg.op_overhead.is_zero() {
+            task::sleep(self.cfg.op_overhead).await;
+        }
+        let auth = self.mcat.authenticate(user, password);
+        self.net.send_message_async(&rev, WIRE_HDR, &opts.1).await;
+        auth.map(|()| self.open_stream((fwd, rev), opts, max_inflight))
+    }
+
+    /// The handshake is done: register the stream's channels and spawn its
+    /// handler, then the transport's demux and sender.
+    fn open_stream(
+        self: &Arc<Self>,
+        (fwd, rev): (Vec<LinkId>, Vec<LinkId>),
+        (send_opts, recv_opts): (XferOpts, XferOpts),
+        max_inflight: usize,
+    ) -> Arc<Transport> {
+        self.connections.fetch_add(1, Ordering::Relaxed);
+        let conn_id = self.next_conn.fetch_add(1, Ordering::Relaxed);
+        let chans: ConnChannels = (Channel::new(&self.rt), Channel::new(&self.rt));
+        self.live_conns.lock().insert(conn_id, chans.clone());
+        // Daemon: an idle connection handler waiting on its request channel
+        // must not keep the simulation alive (clients that crash or never
+        // disconnect would otherwise wedge the virtual clock).
+        let handler = self.clone().serve(conn_id, chans.clone(), rev, recv_opts);
+        self.handlers.spawn_daemon(Box::new(Box::pin(handler)));
+        let label = format!("{}/mux-{conn_id}", self.cfg.name);
+        let (rt, net) = (self.rt.clone(), self.net.clone());
+        Transport::new(rt, net, fwd, send_opts, chans, &label, max_inflight)
+    }
+
+    /// One connection's handler, the per-connection server thread as a
+    /// task: serves its requests strictly in arrival order, one at a time,
+    /// until the client disconnects, drops the channel, or a fault severs
+    /// the connection from outside. Each await is where that thread blocks:
+    /// receive, overhead, admission, the disk or the awaited work, the wire.
+    async fn serve(
+        self: Arc<Self>,
+        conn_id: u64,
+        (req_ch, resp_ch): ConnChannels,
+        rev: Vec<LinkId>,
+        rev_opts: XferOpts,
+    ) {
+        // One fd namespace per session on this stream; a per-open stream
+        // only ever populates session 0.
+        let mut sessions: HashMap<SessionId, SessionSpace> = HashMap::new();
+        while let Ok(frame) = req_ch.recv_async().await {
+            self.requests.fetch_add(1, Ordering::Relaxed);
+            self.trace_request(conn_id, &frame);
+            if !self.cfg.op_overhead.is_zero() {
+                task::sleep(self.cfg.op_overhead).await;
+            }
+            let req_wire = frame.wire_size();
+            let ReqFrame {
+                seq,
+                session,
+                tenant,
+                epoch,
+                req,
+            } = frame;
+            // Per-tenant fair queueing (when installed) gates the vault +
+            // response-NIC stage: the handler waits here until DRR grants
+            // this tenant a service slot. The DRR cost is the bytes the
+            // request moves through the gated stage — its own wire size
+            // plus, for reads, the response payload it pulls — so megabyte
+            // writes *and* megabyte reads drain a tenant's credit while
+            // header-sized ops glide through.
+            let qos = self.qos.lock().clone();
+            if let Some(q) = &qos {
+                let pulled = match &req {
+                    Request::Read { len, .. } => *len,
+                    Request::ReadList { extents, .. } => extents.iter().map(|&(_, l)| l).sum(),
+                    _ => 0,
+                };
+                task::wait(&q.enqueue(tenant, req_wire + pulled)).await;
+            }
+            let last = matches!(req, Request::Disconnect);
+            let served = if matches!(req, Request::EndSession) {
+                sessions.remove(&session);
+                Ok(Served::Reply(Response::Ok))
+            } else if let Some(e) = self.fence_check(epoch, &req) {
+                Err(e)
+            } else {
+                self.begin(req, sessions.entry(session).or_default())
+            };
+            let outcome = match served {
+                Ok(Served::Reply(resp)) => Ok(resp),
+                Ok(Served::Disk(bytes, finish)) => {
+                    self.vault.charge_disk_async(bytes).await;
+                    finish(&self)
+                }
+                Ok(Served::Wait(ev, finish)) => {
+                    task::wait(&ev).await;
+                    finish(&self)
+                }
+                Err(e) => Err(e),
+            };
+            let frame = RespFrame {
+                seq,
+                session,
+                resp: outcome.unwrap_or_else(Response::Error),
+            };
+            let resp_wire = frame.wire_size();
+            self.net
+                .send_message_async(&rev, resp_wire, &rev_opts)
+                .await;
+            if let Some(q) = &qos {
+                q.done(tenant, req_wire + resp_wire);
+            }
+            if resp_ch.send(frame).is_err() || last {
+                break;
+            }
+        }
+        self.live_conns.lock().remove(&conn_id);
     }
 
     /// Dial a stream of its own for one session: one exchange at a time,
@@ -582,12 +702,24 @@ impl SrbServer {
         password: &str,
         max_inflight: usize,
     ) -> SrbResult<Arc<Transport>> {
-        let mut dial = self.dial(route, user, password, max_inflight);
-        loop {
-            match dial.poll() {
-                Ok(stream) => return stream,
-                Err(step) => drop(step.block(&self.rt)),
-            }
+        block_on(&self.rt, self.dial(route, user, password, max_inflight))
+    }
+
+    /// [`SrbServer::dial`] as a step machine, for the replicator.
+    pub(crate) fn dial_machine(
+        self: &Arc<Self>,
+        route: ConnRoute,
+        user: &str,
+        password: &str,
+        max_inflight: usize,
+    ) -> Dial {
+        Dial {
+            server: self.clone(),
+            path: (route.fwd.clone(), route.rev.clone()),
+            opts: (route.opts(route.send_cap), route.opts(route.recv_cap)),
+            credentials: (user.to_string(), password.to_string()),
+            max_inflight,
+            state: Dialing::Start,
         }
     }
 
@@ -796,187 +928,6 @@ impl Served {
     }
 }
 
-/// The frame fields a request's reply needs, kept while it is served.
-struct Job {
-    seq: u64,
-    session: SessionId,
-    tenant: TenantId,
-    req_wire: u64,
-    /// `Disconnect`: the handler ends after replying.
-    last: bool,
-    /// The fair-queueing gate this request was admitted through, if any.
-    qos: Option<Arc<TenantScheduler>>,
-}
-
-/// Where a connection handler is blocked: each state is one blocking call
-/// of the per-connection server thread it stands for.
-enum Serving {
-    /// `req_ch.recv()`.
-    Idle,
-    /// `sleep(op_overhead)`.
-    Overhead(ReqFrame),
-    /// `qos.admit()`: waiting for DRR to signal the ticket.
-    Admit(Job, u64, Request, Event),
-    /// The request's disk charge; the continuation finishes it.
-    Disk(Job, DiskOp, Finish),
-    /// The event of [`Served::Wait`]; the continuation finishes it.
-    Wait(Job, Event, Finish),
-    /// The response on its way over the reverse path.
-    Wire(Job, RespFrame, Message),
-}
-
-/// One connection's handler: serves its requests strictly in arrival order,
-/// one at a time, until the client disconnects, drops the channel, or a
-/// fault severs the connection from outside.
-struct Handler {
-    server: Arc<SrbServer>,
-    conn_id: u64,
-    req_ch: Channel<ReqFrame>,
-    resp_ch: Channel<RespFrame>,
-    rev: Vec<LinkId>,
-    rev_opts: XferOpts,
-    /// One fd namespace per session on this stream; a per-open stream only
-    /// ever populates session 0.
-    sessions: std::collections::HashMap<SessionId, SessionSpace>,
-    state: Serving,
-}
-
-impl Handler {
-    /// Past admission: resolve the request as far as its disk charge.
-    fn serve(&mut self, job: Job, epoch: u64, req: Request) -> Serving {
-        let srv = &self.server;
-        let served = if matches!(req, Request::EndSession) {
-            self.sessions.remove(&job.session);
-            Ok(Served::Reply(Response::Ok))
-        } else if let Some(e) = srv.fence_check(epoch, &req) {
-            Err(e)
-        } else {
-            srv.begin(req, self.sessions.entry(job.session).or_default())
-        };
-        match served {
-            Ok(Served::Reply(resp)) => Self::reply(job, Ok(resp)),
-            Ok(Served::Disk(bytes, finish)) => Serving::Disk(job, DiskOp::new(bytes), finish),
-            Ok(Served::Wait(ev, finish)) => Serving::Wait(job, ev, finish),
-            Err(e) => Self::reply(job, Err(e)),
-        }
-    }
-
-    fn reply(job: Job, outcome: SrbResult<Response>) -> Serving {
-        let frame = RespFrame {
-            seq: job.seq,
-            session: job.session,
-            resp: outcome.unwrap_or_else(Response::Error),
-        };
-        let msg = Message::new(frame.wire_size());
-        Serving::Wire(job, frame, msg)
-    }
-}
-
-impl Task for Handler {
-    fn poll(&mut self, cx: &mut TaskCtx<'_>) -> TaskStep {
-        let srv = self.server.clone();
-        loop {
-            // How this poll's wait ended: for the state that asked only.
-            let wake = cx.wake.take();
-            self.state = match std::mem::replace(&mut self.state, Serving::Idle) {
-                Serving::Idle => match self.req_ch.poll_recv() {
-                    Err(wait) => return wait,
-                    Ok(Err(Closed)) => break,
-                    Ok(Ok(frame)) => {
-                        srv.requests.fetch_add(1, Ordering::Relaxed);
-                        srv.trace_request(self.conn_id, &frame);
-                        if !srv.cfg.op_overhead.is_zero() {
-                            self.state = Serving::Overhead(frame);
-                            return TaskStep::Sleep(srv.cfg.op_overhead);
-                        }
-                        Serving::Overhead(frame)
-                    }
-                },
-                Serving::Overhead(frame) => {
-                    let req_wire = frame.wire_size();
-                    let ReqFrame {
-                        seq,
-                        session,
-                        tenant,
-                        epoch,
-                        req,
-                    } = frame;
-                    // Per-tenant fair queueing (when installed) gates the
-                    // vault + response-NIC stage: the handler waits here
-                    // until DRR grants this tenant a service slot. The DRR
-                    // cost is the bytes the request moves through the gated
-                    // stage — its own wire size plus, for reads, the
-                    // response payload it pulls — so megabyte writes *and*
-                    // megabyte reads drain a tenant's credit while
-                    // header-sized ops glide through.
-                    let qos = srv.qos.lock().clone();
-                    let ticket = qos.as_ref().map(|q| {
-                        let pulled = match &req {
-                            Request::Read { len, .. } => *len,
-                            Request::ReadList { extents, .. } => {
-                                extents.iter().map(|&(_, l)| l).sum()
-                            }
-                            _ => 0,
-                        };
-                        q.enqueue(tenant, req_wire + pulled)
-                    });
-                    let job = Job {
-                        seq,
-                        session,
-                        tenant,
-                        req_wire,
-                        last: matches!(req, Request::Disconnect),
-                        qos,
-                    };
-                    match ticket {
-                        None => self.serve(job, epoch, req),
-                        Some(ticket) => {
-                            self.state = Serving::Admit(job, epoch, req, ticket.clone());
-                            return TaskStep::Wait(ticket, None);
-                        }
-                    }
-                }
-                Serving::Admit(job, epoch, req, ticket) => {
-                    if wake != Some(Wake::Signaled) {
-                        self.state = Serving::Admit(job, epoch, req, ticket.clone());
-                        return TaskStep::Wait(ticket, None);
-                    }
-                    self.serve(job, epoch, req)
-                }
-                Serving::Disk(job, mut op, finish) => {
-                    if let Some(step) = srv.vault.poll_disk(&mut op) {
-                        self.state = Serving::Disk(job, op, finish);
-                        return step;
-                    }
-                    Self::reply(job, finish(&srv))
-                }
-                Serving::Wait(job, ev, finish) => {
-                    if wake != Some(Wake::Signaled) {
-                        self.state = Serving::Wait(job, ev.clone(), finish);
-                        return TaskStep::Wait(ev, None);
-                    }
-                    Self::reply(job, finish(&srv))
-                }
-                Serving::Wire(job, frame, mut msg) => {
-                    if let Some(step) = srv.net.poll_message(&mut msg, &self.rev, &self.rev_opts) {
-                        self.state = Serving::Wire(job, frame, msg);
-                        return step;
-                    }
-                    if let Some(q) = &job.qos {
-                        q.done(job.tenant, job.req_wire + frame.wire_size());
-                    }
-                    if self.resp_ch.send(frame).is_err() || job.last {
-                        break;
-                    }
-                    Serving::Idle
-                }
-            };
-        }
-        srv.live_conns.lock().remove(&self.conn_id);
-        TaskStep::Done
-    }
-}
-
 /// Where a [`Dial`] is: the handshake is one round trip, charged to the
 /// connecting actor.
 enum Dialing {
@@ -1044,37 +995,8 @@ impl Dial {
         }
     }
 
-    /// The handshake is done: register the stream's channels and spawn its
-    /// handler, then the transport's demux and sender.
     fn open(&self) -> Arc<Transport> {
-        let srv = &self.server;
-        srv.connections.fetch_add(1, Ordering::Relaxed);
-        let conn_id = srv.next_conn.fetch_add(1, Ordering::Relaxed);
-        let chans: ConnChannels = (Channel::new(&srv.rt), Channel::new(&srv.rt));
-        srv.live_conns.lock().insert(conn_id, chans.clone());
-        // Daemon: an idle connection handler waiting on its request channel
-        // must not keep the simulation alive (clients that crash or never
-        // disconnect would otherwise wedge the virtual clock).
-        srv.handlers.spawn_daemon(Box::new(Handler {
-            server: srv.clone(),
-            conn_id,
-            req_ch: chans.0.clone(),
-            resp_ch: chans.1.clone(),
-            rev: self.path.1.clone(),
-            rev_opts: self.opts.1.clone(),
-            sessions: Default::default(),
-            state: Serving::Idle,
-        }));
-        let label = format!("{}/mux-{conn_id}", srv.cfg.name);
-        let (rt, net, fwd) = (srv.rt.clone(), srv.net.clone(), self.path.0.clone());
-        Transport::new(
-            rt,
-            net,
-            fwd,
-            self.opts.0.clone(),
-            chans,
-            &label,
-            self.max_inflight,
-        )
+        let (path, opts) = (self.path.clone(), self.opts.clone());
+        self.server.open_stream(path, opts, self.max_inflight)
     }
 }
