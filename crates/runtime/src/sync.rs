@@ -159,13 +159,6 @@ impl Semaphore {
         task::wait(&self.ev).await;
     }
 
-    /// [`Semaphore::acquire`] for a [`Task`](crate::Task): the step that
-    /// blocks where `acquire` would. The permit is the task's once a poll
-    /// sees [`TaskCtx::wake`](crate::TaskCtx::wake) ` == Some(Wake::Signaled)`.
-    pub fn acquire_step(&self) -> TaskStep {
-        TaskStep::Wait(self.ev.clone(), None)
-    }
-
     /// Release one permit.
     pub fn release(&self) {
         self.ev.signal();

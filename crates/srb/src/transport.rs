@@ -15,12 +15,13 @@
 //! stream per open, one exchange at a time — the paper's client), more for a
 //! [`ConnPool`](crate::ConnPool) slot whose sessions share it.
 //!
-//! A stream's two helpers only ever wait, so they are [`Task`]s, not
-//! threads, spawned with the stream under its label. The `Sender` (task 1)
-//! takes frames off the job queue in submission order and, for each, waits
-//! for an inflight permit and then drives the frame over the forward path:
+//! A stream's two helpers only ever wait, so they are tasks (`async`
+//! bodies), not threads, spawned with the stream under its label. The
+//! sender (task 1) takes frames off the job queue in submission order and,
+//! for each, waits for an inflight permit and then sends the frame over
+//! the forward path:
 //! one TCP stream sends its bytes in order, and one sender sends one frame
-//! at a time. The `Demux` (task 0) waits on the response channel and settles
+//! at a time. The demux (task 0) waits on the response channel and settles
 //! the pending exchange each response's `seq` names. When the stream is
 //! severed the demux marks it dead under the pending lock, closes the job
 //! queue and fails every pending exchange in `seq` order, at that instant:
@@ -33,10 +34,10 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use semplar_netsim::net::{Message, XferOpts};
+use semplar_netsim::net::XferOpts;
 use semplar_netsim::{LinkId, Network};
-use semplar_runtime::sync::{Channel, Closed, Semaphore};
-use semplar_runtime::{Runtime, Task, TaskCtx, TaskExecutor, TaskStep, Time, Wake};
+use semplar_runtime::sync::{Channel, Semaphore};
+use semplar_runtime::{Runtime, TaskExecutor, Time};
 
 use crate::proto::{ReqFrame, Request, RespFrame, Response, SessionId, TenantId};
 
@@ -50,7 +51,7 @@ pub(crate) type Completion = Box<dyn FnOnce(Option<RespFrame>) + Send>;
 /// settles it.
 struct Pending {
     complete: Completion,
-    /// Set once the [`Sender`] has taken an inflight permit for this
+    /// Set once the sender has taken an inflight permit for this
     /// exchange: whoever settles the entry gives the permit back.
     permit: bool,
     /// When it was submitted, and the cap on the payload bytes the meter
@@ -147,117 +148,6 @@ impl IoMeter {
     }
 }
 
-/// Routes tagged responses to the exchange that issued them. A daemon,
-/// because an idle stream must not keep the simulation alive. On stream
-/// death it marks the transport dead *while holding the pending lock* (so no
-/// exchange can register afterwards), closes the job queue (so the sender
-/// finishes too) and then fails every pending exchange.
-struct Demux(Arc<Transport>);
-
-impl Task for Demux {
-    fn poll(&mut self, _cx: &mut TaskCtx<'_>) -> TaskStep {
-        let t = &self.0;
-        loop {
-            let frame = match t.resp_ch.poll_recv() {
-                Err(wait) => return wait,
-                Ok(Err(Closed)) => break,
-                Ok(Ok(frame)) => frame,
-            };
-            let entry = t.pending.lock().remove(&frame.seq);
-            if let Some(entry) = entry {
-                t.settle(entry, Some(frame));
-            }
-        }
-        let orphans = {
-            let mut g = t.pending.lock();
-            t.dead.store(true, Ordering::SeqCst);
-            std::mem::take(&mut *g)
-        };
-        t.jobs.close();
-        for entry in orphans.into_values() {
-            t.settle(entry, None);
-        }
-        TaskStep::Done
-    }
-}
-
-/// Where a [`Sender`] is blocked.
-enum Sending {
-    /// On the job queue.
-    Idle,
-    /// On the inflight semaphore, for this frame's permit.
-    Permit(ReqFrame),
-    /// The frame on its way over the forward path.
-    Wire(ReqFrame, Message),
-}
-
-/// Puts the stream's frames on the wire, one at a time in submission order,
-/// charging each forward transfer; the inflight permit it takes for a frame
-/// is the exchange's from the send until it is settled. A dead stream gets
-/// no more bytes: a frame dequeued after the cut is failed on the spot, and
-/// one the cut caught waiting for its permit is dropped there. Finishes
-/// when the job queue is closed and drained.
-struct Sender {
-    transport: Arc<Transport>,
-    state: Sending,
-}
-
-impl Task for Sender {
-    fn poll(&mut self, cx: &mut TaskCtx<'_>) -> TaskStep {
-        let t = &self.transport;
-        // A permit is ours only if the wait for it ended in a signal.
-        let granted = cx.wake == Some(Wake::Signaled);
-        loop {
-            self.state = match std::mem::replace(&mut self.state, Sending::Idle) {
-                Sending::Idle => match t.jobs.poll_recv() {
-                    Err(wait) => return wait,
-                    Ok(Err(Closed)) => return TaskStep::Done,
-                    Ok(Ok(frame)) if !t.is_alive() => {
-                        t.fail(frame.seq);
-                        Sending::Idle
-                    }
-                    Ok(Ok(frame)) => {
-                        self.state = Sending::Permit(frame);
-                        return t.inflight.acquire_step();
-                    }
-                },
-                Sending::Permit(frame) if !granted => {
-                    self.state = Sending::Permit(frame);
-                    return t.inflight.acquire_step();
-                }
-                Sending::Permit(frame) => {
-                    let claimed = match t.pending.lock().get_mut(&frame.seq) {
-                        Some(entry) if t.is_alive() => {
-                            entry.permit = true;
-                            true
-                        }
-                        _ => false,
-                    };
-                    if claimed {
-                        let msg = Message::new(frame.wire_size());
-                        Sending::Wire(frame, msg)
-                    } else {
-                        t.inflight.release();
-                        t.fail(frame.seq);
-                        Sending::Idle
-                    }
-                }
-                Sending::Wire(frame, mut msg) => {
-                    if let Some(step) = t.net.poll_message(&mut msg, &t.fwd, &t.fwd_opts) {
-                        self.state = Sending::Wire(frame, msg);
-                        return step;
-                    }
-                    let seq = frame.seq;
-                    if t.req_ch.send(frame).is_err() {
-                        t.fail(seq);
-                    }
-                    Sending::Idle
-                }
-            };
-        }
-    }
-}
-
 /// A physical stream to the server: the forward link path, the
 /// request/response channel pair registered with the server's handler, and
 /// what the exchanges sharing the stream share.
@@ -277,7 +167,7 @@ pub struct Transport {
     inflight: Semaphore,
     /// Set by the demux task when the stream dies.
     dead: AtomicBool,
-    /// Frames queued for the [`Sender`], in submission order.
+    /// Frames queued for the sender task, in submission order.
     jobs: Channel<ReqFrame>,
     meter: Arc<IoMeter>,
 }
@@ -310,12 +200,70 @@ impl Transport {
             meter: IoMeter::new(),
             rt,
         });
-        tasks.spawn_daemon(Box::new(Demux(t.clone())));
-        tasks.spawn_daemon(Box::new(Sender {
-            transport: t.clone(),
-            state: Sending::Idle,
-        }));
+        tasks.spawn_daemon(Box::new(Box::pin(t.clone().demux())));
+        tasks.spawn_daemon(Box::new(Box::pin(t.clone().send_frames())));
         t
+    }
+
+    /// Task 0: routes tagged responses to the exchange that issued them. A
+    /// daemon, because an idle stream must not keep the simulation alive.
+    /// On stream death it marks the transport dead *while holding the
+    /// pending lock* (so no exchange can register afterwards), closes the
+    /// job queue (so the sender finishes too) and then fails every pending
+    /// exchange.
+    async fn demux(self: Arc<Self>) {
+        while let Ok(frame) = self.resp_ch.recv_async().await {
+            let entry = self.pending.lock().remove(&frame.seq);
+            if let Some(entry) = entry {
+                self.settle(entry, Some(frame));
+            }
+        }
+        let orphans = {
+            let mut g = self.pending.lock();
+            self.dead.store(true, Ordering::SeqCst);
+            std::mem::take(&mut *g)
+        };
+        self.jobs.close();
+        for entry in orphans.into_values() {
+            self.settle(entry, None);
+        }
+    }
+
+    /// Task 1: puts the stream's frames on the wire, one at a time in
+    /// submission order, charging each forward transfer; the inflight
+    /// permit it takes for a frame is the exchange's from the send until it
+    /// is settled. A dead stream gets no more bytes: a frame dequeued after
+    /// the cut is failed on the spot, and one the cut caught waiting for
+    /// its permit is dropped there. Finishes when the job queue is closed
+    /// and drained.
+    async fn send_frames(self: Arc<Self>) {
+        while let Ok(frame) = self.jobs.recv_async().await {
+            if !self.is_alive() {
+                self.fail(frame.seq);
+                continue;
+            }
+            self.inflight.acquire_async().await;
+            let claimed = match self.pending.lock().get_mut(&frame.seq) {
+                Some(entry) if self.is_alive() => {
+                    entry.permit = true;
+                    true
+                }
+                _ => false,
+            };
+            if !claimed {
+                self.inflight.release();
+                self.fail(frame.seq);
+                continue;
+            }
+            let (fwd, opts) = (&self.fwd, &self.fwd_opts);
+            self.net
+                .send_message_async(fwd, frame.wire_size(), opts)
+                .await;
+            let seq = frame.seq;
+            if self.req_ch.send(frame).is_err() {
+                self.fail(seq);
+            }
+        }
     }
 
     /// Allocate the next session id on this transport.
@@ -353,7 +301,7 @@ impl Transport {
     }
 
     /// Submit one exchange on behalf of `session` **without blocking the
-    /// caller**: the request is queued for this stream's [`Sender`] (which
+    /// caller**: the request is queued for this stream's sender task (which
     /// waits for the inflight budget and charges the forward transfer; the
     /// server handler charges processing, disk and the response transfer
     /// before replying) and `complete` runs when the tagged response arrives
@@ -442,7 +390,7 @@ mod tests {
     use super::*;
     use crate::tests::setup_net;
     use crate::types::{OpenFlags, Payload};
-    use semplar_runtime::sync::OnceCellBlocking;
+    use semplar_runtime::sync::{Closed, OnceCellBlocking};
     use semplar_runtime::{simulate, spawn, Dur, SimRuntime};
 
     const MB: u64 = 1_000_000;
