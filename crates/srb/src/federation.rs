@@ -31,16 +31,16 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use semplar_runtime::sync::{Channel, Closed, OnceCellBlocking};
-use semplar_runtime::{Dur, Event, Runtime, Task, TaskCtx, TaskExecutor, TaskStep};
+use semplar_runtime::sync::{Channel, OnceCellBlocking};
+use semplar_runtime::{task, Event, Runtime, TaskExecutor};
 
 use crate::client::SrbConn;
 use crate::mcat::Mcat;
-use crate::proto::{Request, RespFrame, Response};
+use crate::proto::{Request, Response};
 use crate::retry::RetryPolicy;
-use crate::server::{Change, ConnRoute, Dial, SrbServer};
+use crate::server::{Change, ConnRoute, SrbServer};
 use crate::types::{OpenFlags, Payload, SrbError, SrbResult};
-use crate::vault::{DiskOp, Vault};
+use crate::vault::Vault;
 
 /// Replication block size: extents are shipped to the replica in acked
 /// blocks of at most this many bytes (the same 1 MiB granularity as the
@@ -191,19 +191,18 @@ impl Replicator {
                 }
             }
         }));
-        let (user, password) = (user.to_string(), password.to_string());
-        let shipper = Shipper {
-            repl: repl.clone(),
-            mcat: primary.mcat().clone(),
-            vault: primary.vault().clone(),
-            retry,
-            dial: Box::new(move || replica.dial_machine(route.clone(), &user, &password, 1)),
+        let target = Target {
+            server: replica,
+            route,
+            credentials: (user.to_string(), password.to_string()),
+            epoch: repl.epoch.clone(),
             conn: None,
             fds: HashMap::new(),
             colls: HashSet::new(),
-            state: Shipping::Idle,
         };
-        TaskExecutor::new(rt, "federation/replicator").spawn_daemon(Box::new(shipper));
+        let (mcat, vault) = (primary.mcat().clone(), primary.vault().clone());
+        let shipper = repl.clone().ship_jobs(mcat, vault, retry, target);
+        TaskExecutor::new(rt, "federation/replicator").spawn_daemon(Box::new(Box::pin(shipper)));
         repl
     }
 
@@ -297,216 +296,138 @@ impl Replicator {
     }
 }
 
-/// The block of a job being shipped.
-struct Block {
-    /// Its `offset` is the block's, its `len` what is left to ship.
-    job: ReplJob,
-    obj_id: u64,
-    /// Read once; retained until the target acks it, so a failed ship
-    /// replays the exact same bytes.
-    data: Payload,
-    /// Failed ships of this block so far.
-    attempt: u32,
+impl Replicator {
+    /// The replicator's daemon task: ships the queued jobs one block at a
+    /// time, reading the source's catalog and vault (it holds those, not
+    /// the server: the vault survives crashes, so shipping goes on while
+    /// the source refuses clients). A block is read once and retained until
+    /// the target acks it, so a failed ship replays the exact same bytes.
+    async fn ship_jobs(
+        self: Arc<Self>,
+        mcat: Arc<Mcat>,
+        vault: Arc<Vault>,
+        retry: RetryPolicy,
+        mut target: Target,
+    ) {
+        'jobs: while let Ok(mut job) = self.jobs.recv_async().await {
+            let obj_id = match mcat.lookup(&job.path) {
+                Ok(rec) => rec.obj_id,
+                Err(e) => {
+                    self.stats.lock().skipped += 1;
+                    self.finish(job, Err(e));
+                    continue;
+                }
+            };
+            loop {
+                // At least one block, so even an empty object reaches the
+                // target.
+                let data = vault.load(obj_id, job.offset, REPL_BLOCK.min(job.len));
+                vault.charge_disk_async(data.len()).await;
+                let mut attempt = 0;
+                while let Err(e) = target.ship(&job.path, job.offset, &data).await {
+                    // Replay after a deterministic backoff, over a fresh
+                    // stream if this one was cut. Never give up: the target
+                    // coming back is the only way the queue drains, and
+                    // faults here are injected ones. A target that
+                    // restarted fenced (`StaleEpoch`) is outwaited too:
+                    // unlike client writes, the replicator *must* land the
+                    // block once membership certifies it.
+                    if !(e.is_transient() || matches!(e, SrbError::StaleEpoch { .. })) {
+                        self.stats.lock().skipped += 1;
+                        self.finish(job, Err(e));
+                        continue 'jobs;
+                    }
+                    if e.is_transient() {
+                        target.conn = None;
+                        target.fds.clear();
+                    }
+                    self.stats.lock().reships += 1;
+                    let backoff = retry.backoff(obj_id ^ job.offset, attempt.min(8));
+                    attempt += 1;
+                    if !backoff.is_zero() {
+                        task::sleep(backoff).await;
+                    }
+                }
+                let mut st = self.stats.lock();
+                st.shipped_blocks += 1;
+                st.shipped_bytes += data.len();
+                drop(st);
+                let len = REPL_BLOCK.min(job.len);
+                (job.offset, job.len) = (job.offset + len, job.len - len);
+                if job.len == 0 {
+                    self.finish(job, Ok(()));
+                    break;
+                }
+            }
+        }
+    }
 }
 
-/// The exchange a [`Shipping::Call`] waits for.
-enum Call {
-    /// `mkdir -p` of the target's parent collections, one at a time.
-    MkColl(String),
-    Open,
-    Write,
-}
-
-/// Where the [`Shipper`] is blocked.
-enum Shipping {
-    /// On the job queue.
-    Idle,
-    /// The block's disk read on the source.
-    Read(Block, DiskOp),
-    /// Connecting to the target.
-    Dial(Block, Box<Dial>),
-    /// One exchange with the target, until its reply.
-    Call(Block, Call, Arc<OnceCellBlocking<SrbResult<RespFrame>>>),
-    /// The backoff before a re-ship, while still to be slept.
-    Backoff(Block, Option<Dur>),
-}
-
-/// A replicator's daemon task: ships the queued jobs one block at a time,
-/// reading the source's catalog and vault (it holds those, not the server:
-/// the vault survives crashes, so shipping goes on while the source refuses
-/// clients) and acting as a client of the target over one stream it
-/// redials after a cut.
-struct Shipper {
-    repl: Arc<Replicator>,
-    mcat: Arc<Mcat>,
-    vault: Arc<Vault>,
-    retry: RetryPolicy,
-    /// Starts a connection to the target under the federation account.
-    dial: Box<dyn Fn() -> Dial + Send>,
+/// The replicator's side of the target: a client over one stream it
+/// redials after a cut, under the federation account.
+struct Target {
+    server: Arc<SrbServer>,
+    route: ConnRoute,
+    credentials: (String, String),
+    /// The epoch stamp every stream's frames carry.
+    epoch: Arc<AtomicU64>,
     conn: Option<SrbConn>,
     /// Descriptors open on the target, by path, and collections made there.
     fds: HashMap<String, u32>,
     colls: HashSet<String>,
-    state: Shipping,
 }
 
-impl Shipper {
-    /// Read the block at `job.offset` (at least one, so even an empty
-    /// object reaches the target).
-    fn read(&self, job: ReplJob, obj_id: u64) -> Shipping {
-        let data = self.vault.load(obj_id, job.offset, REPL_BLOCK.min(job.len));
-        let op = DiskOp::new(data.len());
-        let block = Block {
-            job,
-            obj_id,
-            data,
-            attempt: 0,
-        };
-        Shipping::Read(block, op)
-    }
-
-    /// Ship `b`: dial the target if there is no stream, make the missing
-    /// parent collections, open the object once, then write.
-    fn next_call(&mut self, b: Block) -> Shipping {
-        let Some(conn) = &self.conn else {
-            return Shipping::Dial(b, Box::new((self.dial)()));
-        };
-        let path = &b.job.path;
-        let mut prefix = String::new();
-        let missing = path.split('/').filter(|c| !c.is_empty()).find_map(|c| {
-            prefix = format!("{prefix}/{c}");
-            (prefix != *path && !self.colls.contains(&prefix)).then(|| prefix.clone())
-        });
-        let (call, req) = match (self.fds.get(path), missing) {
-            (Some(&fd), _) => {
-                let (offset, payload) = (b.job.offset, b.data.clone());
-                (
-                    Call::Write,
-                    Request::Write {
-                        fd,
-                        offset,
-                        payload,
-                    },
-                )
-            }
-            (None, Some(coll)) => (Call::MkColl(coll.clone()), Request::MkColl(coll)),
-            (None, None) => (Call::Open, Request::Open(path.clone(), OpenFlags::CreateRw)),
-        };
-        Shipping::Call(b, call, conn.submit(req))
-    }
-
-    /// Shipping `b` failed with `e`. Replay the retained block after a
-    /// deterministic backoff, over a fresh stream if this one was cut.
-    /// Never give up: the target coming back is the only way the queue
-    /// drains, and faults here are injected ones. A target that restarted
-    /// fenced (`StaleEpoch`) is outwaited too: unlike client writes, the
-    /// replicator *must* land the block once membership certifies it.
-    fn failed(&mut self, mut b: Block, e: SrbError) -> Shipping {
-        let r = &self.repl;
-        if !(e.is_transient() || matches!(e, SrbError::StaleEpoch { .. })) {
-            r.stats.lock().skipped += 1;
-            r.finish(b.job, Err(e));
-            return Shipping::Idle;
-        }
-        if e.is_transient() {
-            self.conn = None;
-            self.fds.clear();
-        }
-        r.stats.lock().reships += 1;
-        let backoff = self
-            .retry
-            .backoff(b.obj_id ^ b.job.offset, b.attempt.min(8));
-        b.attempt += 1;
-        Shipping::Backoff(b, Some(backoff))
-    }
-
-    /// The target acked `b`: on to the job's next block, or the next job.
-    fn shipped(&mut self, mut b: Block) -> Shipping {
-        let mut st = self.repl.stats.lock();
-        st.shipped_blocks += 1;
-        st.shipped_bytes += b.data.len();
-        drop(st);
-        let len = REPL_BLOCK.min(b.job.len);
-        (b.job.offset, b.job.len) = (b.job.offset + len, b.job.len - len);
-        if b.job.len == 0 {
-            self.repl.finish(b.job, Ok(()));
-            return Shipping::Idle;
-        }
-        self.read(b.job, b.obj_id)
-    }
-}
-
-impl Task for Shipper {
-    fn poll(&mut self, _cx: &mut TaskCtx<'_>) -> TaskStep {
-        let r = self.repl.clone();
+impl Target {
+    /// Ship `data` to `path` at `offset` until the target acks it: dial if
+    /// there is no stream, make the missing parent collections one at a
+    /// time, open the object once, then write.
+    async fn ship(&mut self, path: &str, offset: u64, data: &Payload) -> SrbResult<()> {
         loop {
-            self.state = match std::mem::replace(&mut self.state, Shipping::Idle) {
-                Shipping::Idle => match r.jobs.poll_recv() {
-                    Err(wait) => return wait,
-                    Ok(Err(Closed)) => return TaskStep::Done,
-                    Ok(Ok(job)) => match self.mcat.lookup(&job.path) {
-                        Ok(rec) => self.read(job, rec.obj_id),
-                        Err(e) => {
-                            r.stats.lock().skipped += 1;
-                            r.finish(job, Err(e));
-                            Shipping::Idle
-                        }
-                    },
-                },
-                Shipping::Read(b, mut op) => match self.vault.poll_disk(&mut op) {
-                    Some(step) => {
-                        self.state = Shipping::Read(b, op);
-                        return step;
-                    }
-                    None => self.next_call(b),
-                },
-                Shipping::Dial(b, mut dial) => match dial.poll() {
-                    Err(step) => {
-                        self.state = Shipping::Dial(b, dial);
-                        return step;
-                    }
-                    Ok(Err(e)) => self.failed(b, e),
-                    Ok(Ok(stream)) => {
-                        // Under membership governance the stream's frames
-                        // carry the shared epoch stamp; outside it the
-                        // stamp stays 0 (un-epoched).
-                        let conn = SrbConn::on(stream, None);
-                        conn.set_epoch_source(r.epoch.clone());
-                        self.conn = Some(conn);
-                        self.next_call(b)
-                    }
-                },
-                Shipping::Call(b, call, reply) => match reply.poll_wait() {
-                    Err(step) => {
-                        self.state = Shipping::Call(b, call, reply);
-                        return step;
-                    }
-                    Ok(res) => match (res.map(|frame| frame.resp), call) {
-                        (Ok(Response::Written(_)), Call::Write) => self.shipped(b),
-                        (Ok(Response::Fd(fd)), Call::Open) => {
-                            self.fds.insert(b.job.path.clone(), fd);
-                            self.next_call(b)
-                        }
-                        (
-                            Ok(Response::Ok | Response::Error(SrbError::AlreadyExists(_))),
-                            Call::MkColl(coll),
-                        ) => {
-                            self.colls.insert(coll);
-                            self.next_call(b)
-                        }
-                        (Ok(Response::Error(e)) | Err(e), _) => self.failed(b, e),
-                        (Ok(other), _) => {
-                            let e = SrbError::InvalidArg(format!("unexpected reply {other:?}"));
-                            self.failed(b, e)
-                        }
-                    },
-                },
-                Shipping::Backoff(b, Some(d)) if !d.is_zero() => {
-                    self.state = Shipping::Backoff(b, None);
-                    return TaskStep::Sleep(d);
+            let conn = match &mut self.conn {
+                Some(conn) => conn,
+                None => {
+                    let (user, password) = &self.credentials;
+                    let route = self.route.clone();
+                    let stream = self.server.dial(route, user, password, 1).await?;
+                    // Under membership governance the stream's frames carry
+                    // the shared epoch stamp; outside it the stamp stays 0
+                    // (un-epoched).
+                    let conn = SrbConn::on(stream, None);
+                    conn.set_epoch_source(self.epoch.clone());
+                    self.conn.insert(conn)
                 }
-                Shipping::Backoff(b, _) => self.next_call(b),
             };
+            let mut prefix = String::new();
+            let missing = path.split('/').filter(|c| !c.is_empty()).find_map(|c| {
+                prefix = format!("{prefix}/{c}");
+                (prefix != path && !self.colls.contains(&prefix)).then(|| prefix.clone())
+            });
+            let req = match (self.fds.get(path), &missing) {
+                (Some(&fd), _) => Request::Write {
+                    fd,
+                    offset,
+                    payload: data.clone(),
+                },
+                (None, Some(coll)) => Request::MkColl(coll.clone()),
+                (None, None) => Request::Open(path.to_string(), OpenFlags::CreateRw),
+            };
+            let write = matches!(req, Request::Write { .. });
+            let reply = conn.submit(req).wait_async().await;
+            match reply.map(|frame| frame.resp) {
+                Ok(Response::Written(_)) if write => return Ok(()),
+                Ok(Response::Fd(fd)) if !write && missing.is_none() => {
+                    self.fds.insert(path.to_string(), fd);
+                }
+                Ok(Response::Ok | Response::Error(SrbError::AlreadyExists(_)))
+                    if missing.is_some() && !write =>
+                {
+                    self.colls.extend(missing);
+                }
+                Ok(Response::Error(e)) | Err(e) => return Err(e),
+                Ok(other) => {
+                    return Err(SrbError::InvalidArg(format!("unexpected reply {other:?}")));
+                }
+            }
         }
     }
 }

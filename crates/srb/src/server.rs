@@ -23,12 +23,11 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use semplar_netsim::net::Message;
 use semplar_netsim::net::{BusId, DeviceClass, XferOpts};
 use semplar_netsim::{Bw, LinkId, Network};
 use semplar_runtime::sync::Channel;
 use semplar_runtime::task;
-use semplar_runtime::{block_on, Dur, Event, Runtime, TaskExecutor, TaskStep};
+use semplar_runtime::{block_on, Dur, Event, Runtime, TaskExecutor};
 
 use crate::cache::{BlockCache, CacheSpec, CacheStats};
 use crate::client::SrbConn;
@@ -705,24 +704,6 @@ impl SrbServer {
         block_on(&self.rt, self.dial(route, user, password, max_inflight))
     }
 
-    /// [`SrbServer::dial`] as a step machine, for the replicator.
-    pub(crate) fn dial_machine(
-        self: &Arc<Self>,
-        route: ConnRoute,
-        user: &str,
-        password: &str,
-        max_inflight: usize,
-    ) -> Dial {
-        Dial {
-            server: self.clone(),
-            path: (route.fwd.clone(), route.rev.clone()),
-            opts: (route.opts(route.send_cap), route.opts(route.recv_cap)),
-            credentials: (user.to_string(), password.to_string()),
-            max_inflight,
-            state: Dialing::Start,
-        }
-    }
-
     /// The non-blocking first phase of serving `req`: everything up to the
     /// request's one disk charge. An `Err` is the reply to a request refused
     /// outright.
@@ -925,78 +906,5 @@ impl Served {
         finish: impl FnOnce(&SrbServer) -> SrbResult<Response> + Send + 'static,
     ) -> Served {
         Served::Disk(bytes, Box::new(finish))
-    }
-}
-
-/// Where a [`Dial`] is: the handshake is one round trip, charged to the
-/// connecting actor.
-enum Dialing {
-    /// Not sent yet.
-    Start,
-    /// Connection setup on its way over the forward path.
-    Forward(Message),
-    /// After `sleep(op_overhead)`, the server's processing: the reply on
-    /// its way back, with the outcome of the authentication it then ran.
-    Reverse(Message, Option<SrbResult<()>>),
-}
-
-/// A connection being established: the TCP + SRB handshake, then the
-/// stream's channels registered with the server and its handler, demux
-/// and sender spawned. Made by `SrbServer::dial`.
-pub(crate) struct Dial {
-    server: Arc<SrbServer>,
-    /// The route's forward and reverse links, then each with a server NIC.
-    path: (Vec<LinkId>, Vec<LinkId>),
-    /// The route's send and receive transfer options.
-    opts: (XferOpts, XferOpts),
-    credentials: (String, String),
-    max_inflight: usize,
-    state: Dialing,
-}
-
-impl Dial {
-    /// Advance the handshake: the stream once it is up, or the refusal,
-    /// or the step to block in before the next poll.
-    pub(crate) fn poll(&mut self) -> Result<SrbResult<Arc<Transport>>, TaskStep> {
-        let srv = &self.server;
-        let (fwd, rev) = &mut self.path;
-        loop {
-            match &mut self.state {
-                Dialing::Start => {
-                    // A crashed server refuses immediately (connection
-                    // refused): no handshake time is charged, the caller's
-                    // retry backoff paces the reconnect attempts.
-                    if srv.is_crashed() {
-                        return Ok(Err(SrbError::Disconnected { acked: 0 }));
-                    }
-                    let nic = srv.next_nic.fetch_add(1, Ordering::Relaxed) % srv.cfg.nics.max(1);
-                    fwd.push(srv.nic_in[nic]);
-                    rev.insert(0, srv.nic_out[nic]);
-                    self.state = Dialing::Forward(Message::new(WIRE_HDR));
-                }
-                Dialing::Forward(msg) => {
-                    if let Some(step) = srv.net.poll_message(msg, fwd, &self.opts.0) {
-                        return Err(step);
-                    }
-                    self.state = Dialing::Reverse(Message::new(WIRE_HDR), None);
-                    if !srv.cfg.op_overhead.is_zero() {
-                        return Err(TaskStep::Sleep(srv.cfg.op_overhead));
-                    }
-                }
-                Dialing::Reverse(msg, auth) => {
-                    let (user, password) = &self.credentials;
-                    let auth = auth.get_or_insert_with(|| srv.mcat.authenticate(user, password));
-                    if let Some(step) = srv.net.poll_message(msg, rev, &self.opts.1) {
-                        return Err(step);
-                    }
-                    return Ok(auth.clone().map(|()| self.open()));
-                }
-            }
-        }
-    }
-
-    fn open(&self) -> Arc<Transport> {
-        let (path, opts) = (self.path.clone(), self.opts.clone());
-        self.server.open_stream(path, opts, self.max_inflight)
     }
 }
