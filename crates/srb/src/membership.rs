@@ -44,8 +44,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use semplar_runtime::sync::OnceCellBlocking;
-use semplar_runtime::{Dur, Runtime, Task, TaskCtx, TaskExecutor, TaskStep, Time};
+use semplar_runtime::{task, Dur, Runtime, TaskExecutor, Time};
 
 use crate::federation::Replicator;
 use crate::server::SrbServer;
@@ -222,11 +221,7 @@ impl Membership {
         });
         let monitors = TaskExecutor::new(rt, "membership/monitor");
         for shard in 0..m.shards.len() {
-            monitors.spawn_daemon(Box::new(Monitor {
-                m: m.clone(),
-                shard,
-                watch: Watch::Start,
-            }));
+            monitors.spawn_daemon(Box::new(Box::pin(m.clone().monitor(shard))));
         }
         m
     }
@@ -247,11 +242,6 @@ impl Membership {
     /// The epoch currently in force for `shard`.
     pub fn epoch(&self, shard: usize) -> u64 {
         self.shards[shard].epoch.load(Ordering::SeqCst)
-    }
-
-    /// The seat index currently holding `shard`'s primary lease.
-    pub fn primary_of(&self, shard: usize) -> usize {
-        self.shards[shard].primary.load(Ordering::SeqCst)
     }
 
     /// Snapshot of the transition ledger.
@@ -391,66 +381,43 @@ impl Membership {
     }
 }
 
-/// Where a shard's monitor waits: spawned, between heartbeats, in the hop
-/// of the send, echo or ready round (with the votes gathered), or — the
-/// vote delivered — for the forward replicator to drain (`None` once it
-/// has): everything the old primary ever acked must reach the new primary
-/// before it takes authority. Its vault survives the crash, so the queue
-/// can always drain; this is the zero-acked-byte-loss half of the protocol.
-enum Watch {
-    Start,
-    Beat,
-    Send,
-    Echo(u32),
-    Ready(u32, u32),
-    Drain(u32, u32, Option<Arc<OnceCellBlocking<()>>>),
-}
-
-/// A shard's monitor. Its collapsed, deterministic Bracha vote: n seats,
-/// f = ⌊(n−1)/3⌋ faults, echo ≥ ⌈(n+f+1)/2⌉, ready ≥ 2f+1.
-struct Monitor {
-    m: Arc<Membership>,
-    shard: usize,
-    watch: Watch,
-}
-
-impl Task for Monitor {
-    fn poll(&mut self, _cx: &mut TaskCtx<'_>) -> TaskStep {
-        let (m, shard) = (&self.m, self.shard);
-        let n = m.seat_count();
+impl Membership {
+    /// A shard's monitor: between heartbeats, a collapsed, deterministic
+    /// Bracha vote over n seats, f = ⌊(n−1)/3⌋ faults, echo ≥ ⌈(n+f+1)/2⌉,
+    /// ready ≥ 2f+1, one hop per round. With the votes in it waits for the
+    /// forward replicator to drain: everything the old primary ever acked
+    /// must reach the new primary before it takes authority. Its vault
+    /// survives the crash, so the queue can always drain; this is the
+    /// zero-acked-byte-loss half of the protocol.
+    async fn monitor(self: Arc<Self>, shard: usize) {
+        let n = self.seat_count();
         let f = (n - 1) / 3;
-        let hop = || Some(TaskStep::Sleep(m.cfg.hop_delay));
-        let heartbeat = || Some(TaskStep::Sleep(m.cfg.heartbeat_every));
-        let live = || m.live_seats() as u32;
+        let hop = self.cfg.hop_delay;
         loop {
-            let (watch, step) = match std::mem::replace(&mut self.watch, Watch::Beat) {
-                Watch::Beat if m.beat(shard) => (Watch::Send, hop()),
-                // Every live, honest seat echoes the proposal.
-                Watch::Send => (Watch::Echo(live()), hop()),
-                // Seats that saw an echo quorum broadcast ready; the f+1
-                // rule lets stragglers join, so every live seat is ready.
-                Watch::Echo(e) if e as usize >= (n + f + 1).div_ceil(2) => {
-                    (Watch::Ready(e, live()), hop())
-                }
-                Watch::Ready(e, r) if r as usize > 2 * f => {
-                    (Watch::Drain(e, r, m.shards[shard].forward.drained()), None)
-                }
-                Watch::Drain(e, r, Some(cell)) => match cell.poll_wait() {
-                    Err(wait) => (Watch::Drain(e, r, Some(cell)), Some(wait)),
-                    Ok(()) => (Watch::Drain(e, r, None), None),
-                },
-                Watch::Drain(e, r, None) => {
-                    m.promote(shard, e, r);
-                    (Watch::Beat, heartbeat())
-                }
-                // Spawned, a live or unreplaceable primary, or a vote short
-                // of quorum.
-                _ => (Watch::Beat, heartbeat()),
-            };
-            self.watch = watch;
-            if let Some(step) = step {
-                return step;
+            task::sleep(self.cfg.heartbeat_every).await;
+            // A live or unreplaceable primary, or a vote short of quorum,
+            // waits for the next heartbeat.
+            if !self.beat(shard) {
+                continue;
             }
+            task::sleep(hop).await;
+            // Every live, honest seat echoes the proposal.
+            let echoes = self.live_seats() as u32;
+            task::sleep(hop).await;
+            if (echoes as usize) < (n + f + 1).div_ceil(2) {
+                continue;
+            }
+            // Seats that saw an echo quorum broadcast ready; the f+1 rule
+            // lets stragglers join, so every live seat is ready.
+            let readies = self.live_seats() as u32;
+            task::sleep(hop).await;
+            if readies as usize <= 2 * f {
+                continue;
+            }
+            if let Some(drained) = self.shards[shard].forward.drained() {
+                drained.wait_async().await;
+            }
+            self.promote(shard, echoes, readies);
         }
     }
 }
