@@ -2,9 +2,9 @@
 //!
 //! The paper's SEMPLAR client is a thread per connection; a simulated
 //! client only waits, so it need not hold a stack. This module drives the
-//! paper's open → write/read-loop → close session as a poll-style [`Task`]
-//! state machine: each request goes through [`SrbConn::submit`], the session
-//! waits on the reply cell it hands back (filled by the stream's response
+//! paper's open → write/read-loop → close session as a task, an `async`
+//! body: each request goes through [`SrbConn::submit`], the session awaits
+//! the reply cell it hands back (filled by the stream's response
 //! demultiplexer), and an idle session costs a few hundred bytes rather
 //! than a thread stack, so one simulation hosts 10⁵ of them.
 //!
@@ -20,12 +20,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use semplar_clusters::{Testbed, PASSWORD, USER};
-use semplar_runtime::sync::OnceCellBlocking;
-use semplar_runtime::{Dur, Task, TaskCtx, TaskExecutor, TaskStats, TaskStep};
-use semplar_srb::proto::{Request, RespFrame, Response};
-use semplar_srb::{
-    ConnPool, OpenFlags, Payload, PoolPolicy, RetryPolicy, SrbConn, SrbResult, TenantId,
-};
+use semplar_runtime::{task, Dur, Runtime, TaskExecutor, TaskStats};
+use semplar_srb::proto::{Request, Response};
+use semplar_srb::{ConnPool, OpenFlags, Payload, PoolPolicy, RetryPolicy, SrbConn, TenantId};
 
 /// Open-loop, heavy-tailed arrival offsets for `n` clients, deterministic
 /// from `seed`. Gaps are drawn from an exponential body (90 %) with a
@@ -357,23 +354,9 @@ fn op_request(pattern: &Payload, shape: OpShape, client: usize, op_idx: u32, fd:
     }
 }
 
-enum ActorState {
-    /// Sleeping out the arrival offset.
-    Arriving,
-    /// Open submitted, waiting for the fd.
-    Opening,
-    /// Think-time sleep before data op `k`.
-    Thinking(u32),
-    /// Data op `k` submitted.
-    InOp(u32),
-    /// Close submitted.
-    Closing,
-    /// EndSession submitted.
-    Ending,
-}
-
 /// One event-driven client session.
-struct SessionActor {
+struct Session {
+    rt: Arc<dyn Runtime>,
     params: Arc<SwarmParams>,
     /// The swarm's one payload buffer ([`swarm_pattern`]).
     pattern: Payload,
@@ -382,98 +365,55 @@ struct SessionActor {
     conn: Arc<SrbConn>,
     path: String,
     arrival: Dur,
-    arrival_ns: u64,
-    state: ActorState,
-    fd: u32,
-    ok: bool,
-    /// The reply to the request last submitted, until it is read.
-    reply: Option<Arc<OnceCellBlocking<SrbResult<RespFrame>>>>,
     outcomes: Arc<Mutex<Vec<Option<SessionOutcome>>>>,
 }
 
-impl SessionActor {
-    fn finish(&mut self, cx: &TaskCtx<'_>) -> TaskStep {
+impl Session {
+    /// Sleep out the arrival offset, run the session's requests, and
+    /// report how it went.
+    async fn run(self) {
+        if self.arrival > Dur::ZERO {
+            task::sleep(self.arrival).await;
+        }
+        let arrival_ns = self.rt.now().as_nanos();
+        let ok = self.requests().await.is_some();
         self.outcomes.lock()[self.client] = Some(SessionOutcome {
             tenant: self.conn.tenant(),
-            arrival_ns: self.arrival_ns,
-            done_ns: cx.now.as_nanos(),
+            arrival_ns,
+            done_ns: self.rt.now().as_nanos(),
             payload_bytes: self.conn.acked_bytes(),
-            ok: self.ok,
+            ok,
         });
-        TaskStep::Done
     }
 
-    /// Data op `k`, its think time slept first, or the close once every op
-    /// is done.
-    fn next_stage(&mut self, k: u32) -> Result<Request, TaskStep> {
-        if k >= self.shape.total_ops() {
-            self.state = ActorState::Closing;
-            return Ok(Request::Close(self.fd));
-        }
-        if self.params.think > Dur::ZERO && !matches!(self.state, ActorState::Thinking(_)) {
-            self.state = ActorState::Thinking(k);
-            return Err(TaskStep::Sleep(self.params.think));
-        }
-        self.state = ActorState::InOp(k);
-        let (pattern, shape, client, fd) = (&self.pattern, self.shape, self.client, self.fd);
-        Ok(op_request(pattern, shape, client, k, fd))
-    }
-
-    /// Move past `got`, the reply to the request last submitted (`None`
-    /// after a sleep): the next request to submit, or the step to yield.
-    fn advance(
-        &mut self,
-        got: Option<SrbResult<Response>>,
-        cx: &TaskCtx<'_>,
-    ) -> Result<Request, TaskStep> {
-        match (&self.state, got) {
-            (ActorState::Arriving, _) if self.arrival > Dur::ZERO => {
-                Err(TaskStep::Sleep(std::mem::take(&mut self.arrival)))
+    /// Open, each data op after its think time, close, end the session:
+    /// `None` at the first reply that is not the expected one.
+    async fn requests(&self) -> Option<()> {
+        let open = Request::Open(self.path.clone(), OpenFlags::CreateRw);
+        let Response::Fd(fd) = self.exchange(open).await? else {
+            return None;
+        };
+        for k in 0..self.shape.total_ops() {
+            if self.params.think > Dur::ZERO {
+                task::sleep(self.params.think).await;
             }
-            (ActorState::Arriving, _) => {
-                self.arrival_ns = cx.now.as_nanos();
-                self.state = ActorState::Opening;
-                Ok(Request::Open(self.path.clone(), OpenFlags::CreateRw))
-            }
-            (ActorState::Opening, Some(Ok(Response::Fd(fd)))) => {
-                self.fd = fd;
-                self.next_stage(0)
-            }
-            (&ActorState::Thinking(k), _) => self.next_stage(k),
-            (&ActorState::InOp(k), Some(Ok(Response::Written(_) | Response::Data(_)))) => {
-                self.next_stage(k + 1)
-            }
-            (ActorState::Closing, Some(Ok(Response::Ok))) => {
-                self.state = ActorState::Ending;
-                Ok(Request::EndSession)
-            }
-            (ActorState::Ending, Some(Ok(Response::Ok))) => Err(self.finish(cx)),
-            _ => {
-                self.ok = false;
-                Err(self.finish(cx))
-            }
-        }
-    }
-}
-
-impl Task for SessionActor {
-    fn poll(&mut self, cx: &mut TaskCtx<'_>) -> TaskStep {
-        loop {
-            let got = match self.reply.take() {
-                None => None,
-                Some(reply) => match reply.poll_wait() {
-                    Err(step) => {
-                        self.reply = Some(reply);
-                        return step;
-                    }
-                    Ok(r) => Some(r.map(|f| f.resp)),
-                },
+            let req = op_request(&self.pattern, self.shape, self.client, k, fd);
+            let (Response::Written(_) | Response::Data(_)) = self.exchange(req).await? else {
+                return None;
             };
-            match self.advance(got, cx) {
-                Ok(req) => self.reply = Some(self.conn.submit(req)),
-                Err(step) => return step,
-            }
         }
+        for req in [Request::Close(fd), Request::EndSession] {
+            let Response::Ok = self.exchange(req).await? else {
+                return None;
+            };
+        }
+        Some(())
+    }
+
+    /// Submit `req` and wait for its reply.
+    async fn exchange(&self, req: Request) -> Option<Response> {
+        let reply = self.conn.submit(req).wait_async().await;
+        reply.ok().map(|frame| frame.resp)
     }
 }
 
@@ -564,7 +504,8 @@ pub fn run_swarm(tb: &Testbed, params: &SwarmParams) -> SwarmReport {
     let ex = TaskExecutor::new(&rt, "swarm");
     let handles: Vec<_> = (0..params.clients)
         .map(|i| {
-            ex.spawn(Box::new(SessionActor {
+            let session = Session {
+                rt: rt.clone(),
                 params: params.clone(),
                 pattern: pattern.clone(),
                 shape: shapes[i],
@@ -572,13 +513,9 @@ pub fn run_swarm(tb: &Testbed, params: &SwarmParams) -> SwarmReport {
                 conn: conns[i].clone(),
                 path: path_for(&params, i),
                 arrival: arrivals[i],
-                arrival_ns: 0,
-                state: ActorState::Arriving,
-                fd: 0,
-                ok: true,
-                reply: None,
                 outcomes: outcomes.clone(),
-            }))
+            };
+            ex.spawn(Box::new(Box::pin(session.run())))
         })
         .collect();
     for h in handles {
