@@ -29,9 +29,8 @@ use parking_lot::Mutex;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use semplar_netsim::{Bw, LinkId, Network};
 use semplar_runtime::sync::OnceCellBlocking;
-use semplar_runtime::{Dur, Runtime, Task, TaskCtx, TaskExecutor, TaskStep, Time};
-use semplar_srb::vault::DiskOp;
-use semplar_srb::{SrbServer, Vault};
+use semplar_runtime::{task, Dur, Runtime, TaskExecutor, Time};
+use semplar_srb::SrbServer;
 
 /// One scheduled fault. `at` is virtual time since injection.
 #[derive(Clone, Debug, PartialEq)]
@@ -294,16 +293,18 @@ impl FaultPlan {
             stats: stats.clone(),
             finished: finished.clone(),
         };
-        TaskExecutor::new(rt, "faults/injector").spawn_daemon(Box::new(Injector {
+        let injector = Injector {
+            rt: rt.clone(),
             start: rt.now(),
-            events: events.into_iter().peekable(),
+            events: events.into_iter(),
             net: net.clone(),
             servers: servers.to_vec(),
             saved: HashMap::new(),
             stalls: TaskExecutor::new(rt, "faults/vault-stall"),
             stats,
             finished,
-        }));
+        };
+        TaskExecutor::new(rt, "faults/injector").spawn_daemon(Box::new(Box::pin(injector.run())));
         handle
     }
 }
@@ -311,9 +312,10 @@ impl FaultPlan {
 /// The injector: sleeps to the next due event and applies it, so a schedule
 /// hook sees each fault instant as this task's timer.
 struct Injector {
+    rt: Arc<dyn Runtime>,
     start: Time,
     /// The plan, in time order, from the next event on.
-    events: std::iter::Peekable<std::vec::IntoIter<FaultEvent>>,
+    events: std::vec::IntoIter<FaultEvent>,
     net: Arc<Network>,
     servers: Vec<Arc<SrbServer>>,
     /// Original capacities of links we have faulted, for LinkUp.
@@ -367,23 +369,27 @@ impl Injector {
                 (format!("connection reset ({n} conns severed)"), n)
             }
             FaultEvent::VaultStall { bytes, .. } => {
-                self.stalls.spawn_daemon(Box::new(VaultStall {
-                    vault: servers[0].vault().clone(),
-                    op: DiskOp::new(bytes),
-                }));
+                // The competing bytes occupy the disk, sharing it max-min
+                // fairly with the vault's own reads and writes until they
+                // drain.
+                let vault = servers[0].vault().clone();
+                let stall = async move { vault.charge_disk_async(bytes).await };
+                self.stalls.spawn_daemon(Box::new(Box::pin(stall)));
                 (format!("vault stall ({bytes} bytes)"), 0)
             }
         }
     }
 }
 
-impl Task for Injector {
-    fn poll(&mut self, cx: &mut TaskCtx<'_>) -> TaskStep {
-        while let Some(due) = self.events.peek().map(|ev| self.start + ev.at()) {
-            if due > cx.now {
-                return TaskStep::Sleep(due - cx.now);
+impl Injector {
+    /// Sleep to each event in turn, apply it and log it; then publish that
+    /// the plan is done.
+    async fn run(mut self) {
+        while let Some(ev) = self.events.next() {
+            let (due, now) = (self.start + ev.at(), self.rt.now());
+            if due > now {
+                task::sleep(due - now).await;
             }
-            let ev = self.events.next().expect("peeked");
             let (entry, severed) = self.apply(&ev);
             let mut st = self.stats.lock();
             match ev {
@@ -396,23 +402,9 @@ impl Task for Injector {
                 FaultEvent::VaultStall { .. } => st.stalls += 1,
             }
             st.conns_severed += severed as u64;
-            st.ledger.push((cx.now, entry));
+            st.ledger.push((self.rt.now(), entry));
         }
         self.finished.set(());
-        TaskStep::Done
-    }
-}
-
-/// The slow-vault fault: `op`'s competing bytes occupy the disk, sharing it
-/// max-min fairly with the vault's own reads and writes until they drain.
-struct VaultStall {
-    vault: Arc<Vault>,
-    op: DiskOp,
-}
-
-impl Task for VaultStall {
-    fn poll(&mut self, _cx: &mut TaskCtx<'_>) -> TaskStep {
-        self.vault.poll_disk(&mut self.op).unwrap_or(TaskStep::Done)
     }
 }
 
