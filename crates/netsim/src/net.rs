@@ -4,9 +4,9 @@
 //! moves data by calling [`Network::transfer`] (or the latency-inclusive
 //! [`Network::send_message_opts`]): the engine inserts a flow, recomputes
 //! the max-min fair allocation, and the calling actor sleeps until its flow
-//! drains. Each of the two is one step machine (`poll_flow`, and over it
-//! [`Network::poll_message`], which a task calls from its own `poll`) that
-//! a thread drives by blocking in every step it returns. Whenever flows
+//! drains. Each of the two is one `async` wait (`drained`, and over it
+//! [`Network::send_message_async`], which a task awaits) that a thread runs
+//! with `block_on`. Whenever flows
 //! start or finish, every affected flow is settled at the current instant
 //! and re-rated — a standard fluid ("piecewise constant rate") model — and
 //! its completion projected again. The network keeps one runtime alarm on
@@ -32,7 +32,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use semplar_runtime::task::{self, block_on};
-use semplar_runtime::{Alarm, Dur, Event, Runtime, TaskStep, Time};
+use semplar_runtime::{Alarm, Dur, Event, Runtime, Time};
 
 use crate::fair::Workspace;
 
@@ -706,8 +706,8 @@ impl Network {
 
     /// Start moving `bytes` through `path` without blocking: the flow is
     /// inserted and every rate it disturbs recomputed by the end of this
-    /// instant; its owner — a task's [`Message`], or a thread in
-    /// [`Network::transfer_opts`] — then drives it with `poll_flow`. `None`
+    /// instant; its owner — [`Network::drained`], awaited by a task or
+    /// blocked in by a thread — then drives it with `poll_flow`. `None`
     /// when there is nothing to move: an empty transfer is no flow and no
     /// event.
     fn begin_opts(&self, path: &[LinkId], bytes: u64, opts: &XferOpts) -> Option<Flow> {
@@ -781,47 +781,6 @@ impl Network {
         // a start that joined this instant's burst is solved with the burst.
         self.drained(self.begin_opts(path, bytes, opts)).await;
     }
-
-    /// Advance `msg` on its way over `path`: `None` once it has been
-    /// delivered, otherwise the step to block in before the next poll.
-    pub fn poll_message(
-        &self,
-        msg: &mut Message,
-        path: &[LinkId],
-        opts: &XferOpts,
-    ) -> Option<TaskStep> {
-        loop {
-            match &msg.0 {
-                &MsgState::New(bytes) => {
-                    msg.0 = MsgState::Latent(bytes);
-                    let g = self.inner.lock();
-                    let lat = path.iter().fold(Dur::ZERO, |t, l| t + g.links[l.0].latency);
-                    drop(g);
-                    if !lat.is_zero() {
-                        return Some(TaskStep::Sleep(lat));
-                    }
-                }
-                &MsgState::Latent(bytes) => {
-                    // Polled only once signalled: a start that joined this
-                    // instant's burst is solved with the burst.
-                    let flow = self.begin_opts(path, bytes, opts);
-                    let step = flow.as_ref().map(|f| TaskStep::Wait(f.ev.clone(), None));
-                    msg.0 = MsgState::Wire(flow);
-                    if step.is_some() {
-                        return step;
-                    }
-                }
-                MsgState::Wire(flow) => {
-                    let f = flow.as_ref().filter(|f| self.poll_flow(f));
-                    let step = f.map(|f| TaskStep::Wait(f.ev.clone(), None));
-                    if step.is_none() {
-                        msg.0 = MsgState::Wire(None);
-                    }
-                    return step;
-                }
-            }
-        }
-    }
 }
 
 /// A transfer in progress on a [`Network`]: made by `begin_opts`, waited
@@ -831,27 +790,6 @@ struct Flow {
     /// Signalled by the alarm when the flow's projection comes, or when
     /// another owner's poll ends it.
     ev: Event,
-}
-
-/// One protocol message in flight — the one-way latency, then the fluid
-/// transfer — as a step machine: [`Network::poll_message`] drives it, from
-/// a task's `poll` or from the blocking [`Network::send_message_opts`].
-pub struct Message(MsgState);
-
-enum MsgState {
-    /// Not sent yet.
-    New(u64),
-    /// The latency has been slept (or was zero); the bytes go next.
-    Latent(u64),
-    /// On the wire; `None` once delivered (or with nothing to move).
-    Wire(Option<Flow>),
-}
-
-impl Message {
-    /// A message of `bytes` bytes, not yet sent.
-    pub fn new(bytes: u64) -> Message {
-        Message(MsgState::New(bytes))
-    }
 }
 
 /// Thread-free replay harness for the allocation engine.
@@ -972,28 +910,6 @@ mod tests {
         assert!((secs(elapsed) - 1.0).abs() < 1e-6, "{elapsed}");
     }
 
-    /// A message sent by a task: `poll_message` driven from `poll`, where a
-    /// thread would block in `send_message_opts`.
-    struct Send {
-        net: Arc<Network>,
-        path: Vec<LinkId>,
-        msg: Message,
-        done: Arc<Mutex<Vec<(u64, Time)>>>,
-        id: u64,
-    }
-    impl semplar_runtime::Task for Send {
-        fn poll(&mut self, cx: &mut semplar_runtime::TaskCtx<'_>) -> TaskStep {
-            let opts = XferOpts::default();
-            match self.net.poll_message(&mut self.msg, &self.path, &opts) {
-                Some(step) => step,
-                None => {
-                    self.done.lock().push((self.id, cx.now));
-                    TaskStep::Done
-                }
-            }
-        }
-    }
-
     #[test]
     fn a_task_polling_a_flow_and_a_thread_blocking_in_it_keep_the_same_time() {
         // Three competing messages — 1, 2 and 3 MB over one 8 Mb/s link
@@ -1010,13 +926,7 @@ mod tests {
                 for id in 1..=3u64 {
                     let (net2, done2, rt2) = (net.clone(), done.clone(), rt.clone());
                     if task && id == 2 {
-                        tasks.push(ex.spawn(Box::new(Send {
-                            net: net2,
-                            path: vec![l],
-                            msg: Message::new(id * 1_000_000),
-                            done: done2,
-                            id,
-                        })));
+                        tasks.push(ex.spawn(sender(&net2, l, id * 1_000_000, &done2, id)));
                         continue;
                     }
                     threads.push(spawn(&rt, &format!("send{id}"), move || {
@@ -1537,21 +1447,22 @@ mod tests {
         assert_eq!(stats.signals, 1, "A's poll ends C: one signal");
     }
 
-    /// A task that sends one message and records when it was delivered.
+    /// A task that sends one message and records when it was delivered:
+    /// `send_message_async` awaited where a thread would block in
+    /// `send_message_opts`.
     fn sender(
         net: &Arc<Network>,
         l: LinkId,
         bytes: u64,
         done: &Arc<Mutex<Vec<(u64, Time)>>>,
         id: u64,
-    ) -> Box<Send> {
-        Box::new(Send {
-            net: net.clone(),
-            path: vec![l],
-            msg: Message::new(bytes),
-            done: done.clone(),
-            id,
-        })
+    ) -> Box<dyn semplar_runtime::Task> {
+        let (net, done) = (net.clone(), done.clone());
+        Box::new(Box::pin(async move {
+            net.send_message_async(&[l], bytes, &XferOpts::default())
+                .await;
+            done.lock().push((id, net.rt.now()));
+        }))
     }
 
     #[test]

@@ -145,18 +145,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "Task::poll blocked through the runtime (bad/0: sleep)")]
     fn a_task_that_charges_the_vault_by_blocking_fails_the_run() {
-        struct BlockingWrite(Arc<Vault>);
-        impl semplar_runtime::Task for BlockingWrite {
-            fn poll(&mut self, _: &mut semplar_runtime::TaskCtx<'_>) -> semplar_runtime::TaskStep {
-                // What a handler must not do: `poll_disk` is for tasks.
-                self.0.write(1, 0, &Payload::sized(4096));
-                semplar_runtime::TaskStep::Done
-            }
-        }
         simulate(|rt| {
             let vault = Vault::new(rt.clone(), DiskSpec::default());
+            // What a handler must not do: block in the vault instead of
+            // awaiting `charge_disk_async`.
+            let write = async move {
+                vault.write(1, 0, &Payload::sized(4096));
+            };
             semplar_runtime::TaskExecutor::new(&rt, "bad")
-                .spawn(Box::new(BlockingWrite(vault)))
+                .spawn(Box::new(Box::pin(write)))
                 .join();
         });
     }

@@ -4,8 +4,8 @@
 //! bandwidth resource plus a per-operation seek latency, so concurrent
 //! connection handlers contend for the spindle the way SEMPLAR's parallel
 //! TCP streams contend for `orion`'s storage backend. The two halves are
-//! separable: [`Vault::poll_disk`] charges an operation's time, the pure
-//! `store`/`load` forms move its data, and [`Vault::write`] /
+//! separable: [`Vault::charge_disk_async`] charges an operation's time, the
+//! pure `store`/`load` forms move its data, and [`Vault::write`] /
 //! [`Vault::read`] are both for a caller with a stack to block on.
 //!
 //! Objects store either real bytes or a sparse size-only extent, mirroring
@@ -29,9 +29,9 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use semplar_netsim::net::{Message, XferOpts};
+use semplar_netsim::net::XferOpts;
 use semplar_netsim::{Bw, LinkId, Network};
-use semplar_runtime::{block_on, Dur, Runtime, TaskStep};
+use semplar_runtime::{block_on, Dur, Runtime};
 
 use crate::types::{Payload, SrbError};
 
@@ -218,25 +218,6 @@ impl Vault {
         Some(Bw::bps(aggregate / k as f64))
     }
 
-    /// Advance one disk operation: `None` once its time has been charged,
-    /// otherwise the step to block in before the next poll. The operation
-    /// counts as in flight from its first poll to its last, and is a
-    /// message over the disk link — whose latency is the seek — capped by
-    /// the concurrency sampled at the start.
-    pub fn poll_disk(&self, op: &mut DiskOp) -> Option<TaskStep> {
-        let in_flight = &self.in_flight;
-        let k = *(op.k).get_or_insert_with(|| in_flight.fetch_add(1, Ordering::SeqCst) + 1);
-        let opts = XferOpts {
-            cap: self.concurrency_cap(k),
-            buses: Vec::new(),
-        };
-        let step = (self.disk_net).poll_message(&mut op.msg, &[self.disk], &opts);
-        if step.is_none() {
-            in_flight.fetch_sub(1, Ordering::SeqCst);
-        }
-        step
-    }
-
     /// Blocking form of [`Vault::charge_disk_async`].
     fn charge_disk(&self, bytes: u64) {
         block_on(&self.rt, self.charge_disk_async(bytes));
@@ -289,7 +270,8 @@ impl Vault {
     }
 
     // The store itself, free of disk time: a connection handler charges
-    // one `DiskOp` per request and does the data half of it with these.
+    // one disk operation per request and does the data half of it with
+    // these.
 
     /// Overlay `payload` at `offset`. Returns the new object size.
     pub fn store(&self, obj_id: u64, offset: u64, payload: &Payload) -> u64 {
@@ -387,23 +369,6 @@ impl Vault {
     /// Drop an object's storage.
     pub fn remove(&self, obj_id: u64) {
         self.objects.lock().remove(&obj_id);
-    }
-}
-
-/// One disk operation's time — seek, then the transfer — as a step
-/// machine: [`Vault::poll_disk`] drives it, from a connection handler's
-/// `poll` or from the blocking [`Vault::write`] / [`Vault::read`].
-pub struct DiskOp {
-    msg: Message,
-    /// Operations in flight when this one started, itself included.
-    k: Option<usize>,
-}
-
-impl DiskOp {
-    /// An operation moving `bytes` to or from the disk, not yet started.
-    pub fn new(bytes: u64) -> DiskOp {
-        let msg = Message::new(bytes);
-        DiskOp { msg, k: None }
     }
 }
 
@@ -713,7 +678,7 @@ mod tests {
     }
 
     #[test]
-    fn the_pure_forms_move_the_data_and_poll_disk_charges_the_time() {
+    fn the_pure_forms_move_the_data_and_a_disk_charge_takes_the_time() {
         simulate(|rt| {
             let v = test_vault(rt.clone());
             v.create(1);
@@ -738,10 +703,7 @@ mod tests {
             assert!(v.bytes_of(2).is_err(), "nothing to sum in a sized object");
             assert_eq!(rt.now(), Time::ZERO);
             // One operation's time: the 1 ms seek, then 1 MB at 100 MB/s.
-            let mut op = DiskOp::new(1_000_000);
-            while let Some(step) = v.poll_disk(&mut op) {
-                step.block(&rt);
-            }
+            semplar_runtime::block_on(&rt, v.charge_disk_async(1_000_000));
             assert!(
                 (rt.now().as_secs_f64() - 0.011).abs() < 1e-6,
                 "{}",
