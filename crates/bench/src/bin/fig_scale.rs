@@ -2,7 +2,7 @@
 //! per-open connections (paper-faithful, one TCP stream per open) vs the
 //! shared multiplexed pool (`PoolPolicy::Shared`).
 //!
-//! Every client is a poll-style task, not a thread: the whole run is one OS
+//! Every client is a task (an `async` body), not a thread: the whole run is one OS
 //! thread whatever the client count. The default figure opens a file per
 //! client and then writes them all at once, under either policy;
 //! `--actors` runs open-loop sessions over the shared pool instead, out to
@@ -13,15 +13,12 @@
 //! against its `results/fig_scale*.txt`. The engine's counters go to
 //! stderr.
 
-use std::sync::Arc;
-
 use semplar_bench::{engine_footer, flags, with_testbed, Table};
 use semplar_clusters::{das2, PASSWORD, USER};
 use semplar_netsim::NetStats;
-use semplar_runtime::sync::OnceCellBlocking;
-use semplar_runtime::{Event, SimStats, Task, TaskCtx, TaskExecutor, TaskHandle, TaskStep};
-use semplar_srb::proto::{Request, RespFrame, Response};
-use semplar_srb::{ConnPool, OpenFlags, Payload, PoolPolicy, RetryPolicy, SrbConn, SrbResult};
+use semplar_runtime::{task, Event, SimStats, TaskExecutor, TaskHandle};
+use semplar_srb::proto::{Request, Response};
+use semplar_srb::{ConnPool, OpenFlags, Payload, PoolPolicy, RetryPolicy, SrbConn};
 use semplar_workloads::{run_swarm, SwarmParams};
 
 const NODES: usize = 16;
@@ -99,53 +96,30 @@ fn run_actors(quick: bool) {
 
 /// One scale-out client: open its own object, signal `opened`, wait for
 /// `go`, write, close the file and end the session. Each request is
-/// submitted on its session and its reply cell waited on.
-struct Client {
-    conn: SrbConn,
-    path: String,
-    bytes: u64,
-    /// Requests submitted so far; the one after the open waits for `go`.
-    step: u8,
-    fd: u32,
-    reply: Option<Arc<OnceCellBlocking<SrbResult<RespFrame>>>>,
-    opened: Event,
-    go: Event,
+/// submitted on its session and its reply cell awaited.
+async fn client(conn: SrbConn, path: String, bytes: u64, opened: Event, go: Event) {
+    let open = Request::Open(path.clone(), OpenFlags::CreateRw);
+    let Response::Fd(fd) = exchange(&conn, &path, open).await else {
+        panic!("{path}: the open returned no descriptor");
+    };
+    opened.signal();
+    task::wait(&go).await;
+    let write = Request::Write {
+        fd,
+        offset: 0,
+        payload: Payload::sized(bytes),
+    };
+    for req in [write, Request::Close(fd), Request::Disconnect] {
+        exchange(&conn, &path, req).await;
+    }
 }
 
-impl Task for Client {
-    fn poll(&mut self, _cx: &mut TaskCtx<'_>) -> TaskStep {
-        loop {
-            if let Some(reply) = &self.reply {
-                let got = match reply.poll_wait() {
-                    Err(step) => return step,
-                    Ok(got) => got.map(|f| f.resp),
-                };
-                match got.unwrap_or_else(|e| panic!("{}: {e}", self.path)) {
-                    Response::Fd(fd) => self.fd = fd,
-                    Response::Written(_) | Response::Ok => {}
-                    other => panic!("{}: unexpected reply {other:?}", self.path),
-                }
-            }
-            self.step += 1;
-            let (fd, payload) = (self.fd, Payload::sized(self.bytes));
-            let req = match self.step {
-                1 => Request::Open(self.path.clone(), OpenFlags::CreateRw),
-                2 => {
-                    self.reply = None;
-                    self.opened.signal();
-                    return TaskStep::Wait(self.go.clone(), None);
-                }
-                3 => Request::Write {
-                    fd,
-                    offset: 0,
-                    payload,
-                },
-                4 => Request::Close(fd),
-                5 => Request::Disconnect,
-                _ => return TaskStep::Done,
-            };
-            self.reply = Some(self.conn.submit(req));
-        }
+/// Submit `req` on `conn` and await its reply, which must be a success.
+async fn exchange(conn: &SrbConn, path: &str, req: Request) -> Response {
+    let got = conn.submit(req).wait_async().await.map(|f| f.resp);
+    match got.unwrap_or_else(|e| panic!("{path}: {e}")) {
+        resp @ (Response::Fd(_) | Response::Written(_) | Response::Ok) => resp,
+        other => panic!("{path}: unexpected reply {other:?}"),
     }
 }
 
@@ -174,22 +148,17 @@ fn run_clients(
             .collect();
         let (opened, go) = (rt.event(), rt.event());
         let clients: Vec<_> = (0..NODES * procs)
-            .map(|i| Client {
-                conn: pools[i / procs]
+            .map(|i| {
+                let conn = pools[i / procs]
                     .session(&tb.route(i / procs), None)
-                    .unwrap(),
-                path: format!("/scale/n{}p{}", i / procs, i % procs),
-                bytes,
-                step: 0,
-                fd: 0,
-                reply: None,
-                opened: opened.clone(),
-                go: go.clone(),
+                    .unwrap();
+                let path = format!("/scale/n{}p{}", i / procs, i % procs);
+                client(conn, path, bytes, opened.clone(), go.clone())
             })
             .collect();
         let tasks = TaskExecutor::new(&rt, "client");
         let handles: Vec<TaskHandle> = (clients.into_iter())
-            .map(|c| tasks.spawn(Box::new(c)))
+            .map(|c| tasks.spawn(Box::new(Box::pin(c))))
             .collect();
         handles.iter().for_each(|_| opened.wait());
         let (live, conns) = (server.live_conn_count(), server.stats().connections);

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::runtime::{Event, Runtime};
-use crate::task::{self, block_on, TaskStep};
+use crate::task::{self, block_on};
 
 /// Error returned by [`Channel`] operations once the channel is closed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -98,14 +98,6 @@ impl<T> Channel<T> {
             }
             task::wait(&self.items).await;
         }
-    }
-
-    /// [`Channel::recv`] for a [`Task`](crate::Task): the item (or
-    /// [`Closed`]), or the step that blocks where `recv` would — return it
-    /// from `poll` and call this again when polled next.
-    pub fn poll_recv(&self) -> Result<Result<T, Closed>, TaskStep> {
-        self.try_recv()
-            .ok_or_else(|| TaskStep::Wait(self.items.clone(), None))
     }
 
     /// Close the channel: senders fail, receivers drain then see [`Closed`].
@@ -340,16 +332,6 @@ impl<T: Clone> OnceCellBlocking<T> {
             }
             task::wait(&self.ev).await;
         }
-    }
-
-    /// [`OnceCellBlocking::wait`] for a [`Task`](crate::Task): the value,
-    /// or the step that blocks where `wait` would — return it from `poll`
-    /// and call this again when polled next.
-    pub fn poll_wait(&self) -> Result<T, TaskStep> {
-        let v = (self.slot.lock().clone()).ok_or_else(|| TaskStep::Wait(self.ev.clone(), None))?;
-        // Cascade the permit so every other waiter wakes too.
-        self.ev.signal();
-        Ok(v)
     }
 }
 

@@ -90,26 +90,6 @@ impl Task for TaskProducer {
     }
 }
 
-/// A consumer as a state machine: blocked in [`Channel::poll_recv`] where
-/// the thread consumers block in `recv`.
-struct TaskConsumer {
-    c: u64,
-    ch: Channel<u64>,
-    log: Arc<Mutex<Vec<(u64, u64, u64)>>>,
-}
-
-impl Task for TaskConsumer {
-    fn poll(&mut self, cx: &mut TaskCtx<'_>) -> TaskStep {
-        loop {
-            match self.ch.poll_recv() {
-                Ok(Ok(m)) => (self.log.lock().unwrap()).push((cx.now.as_nanos(), self.c, m)),
-                Ok(Err(_)) => return TaskStep::Done,
-                Err(wait) => return wait,
-            }
-        }
-    }
-}
-
 /// Six producers wake on the same twenty instants and feed one channel
 /// drained by two consumers; returns every `(virtual ns, consumer,
 /// message)` in the order it was logged. With `mixed`, every other
@@ -144,12 +124,14 @@ fn same_instant_collision_log(mixed: bool, task_consumer: bool) -> Vec<(u64, u64
         for c in 0..2u64 {
             let (rt2, ch2, log2) = (rt.clone(), ch.clone(), log.clone());
             if task_consumer && c == 1 {
-                let task = TaskConsumer {
-                    c,
-                    ch: ch2,
-                    log: log2,
+                // The thread consumers' loop as an `async` body: awaits
+                // `recv_async` where they block in `recv`.
+                let task = async move {
+                    while let Ok(m) = ch2.recv_async().await {
+                        log2.lock().unwrap().push((rt2.now().as_nanos(), c, m));
+                    }
                 };
-                task_consumers.push(ex.spawn(Box::new(task)));
+                task_consumers.push(ex.spawn(Box::new(Box::pin(task))));
                 continue;
             }
             consumers.push(spawn(&rt, &format!("cons{c}"), move || {

@@ -136,8 +136,8 @@ impl SrbConn {
     /// the response frame, or `Err(Disconnected)` if the stream dies first.
     /// The call returns as soon as the request is queued for transmission —
     /// SEMPLAR's request handle at transport granularity. A thread waits on
-    /// the cell; a task returns the step of
-    /// [`poll_wait`](OnceCellBlocking::poll_wait), so ten thousand idle
+    /// the cell; a task awaits
+    /// [`wait_async`](OnceCellBlocking::wait_async), so ten thousand idle
     /// sessions hold no blocked thread.
     ///
     /// [`Request::Disconnect`] ends the session as [`SrbConn::disconnect`]
