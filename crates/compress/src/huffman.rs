@@ -196,22 +196,6 @@ impl crate::Codec for LzHuf {
     }
 }
 
-/// Pure entropy coding as its own codec (no LZ stage).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Huffman;
-
-impl crate::Codec for Huffman {
-    fn name(&self) -> &'static str {
-        "huffman"
-    }
-    fn compress(&self, src: &[u8], dst: &mut Vec<u8>) {
-        huff_compress(src, dst);
-    }
-    fn decompress(&self, src: &[u8], dst: &mut Vec<u8>) -> Result<(), Corrupt> {
-        huff_decompress(src, dst)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

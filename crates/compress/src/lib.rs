@@ -4,22 +4,21 @@
 //!
 //! The paper pipelines miniLZO compression of 1 MB blocks with their WAN
 //! transmission. This crate provides the same class of codec implemented
-//! from scratch ([`lzf`], a byte-oriented LZ77 with an 8 KiB window), a
-//! run-length baseline ([`Rle`]), and a pass-through ([`Identity`]), all
-//! behind the [`Codec`] trait so the SEMPLAR pipeline and the benches can
-//! swap them.
+//! from scratch ([`lzf`], a byte-oriented LZ77 with an 8 KiB window) and an
+//! LZ77 + Huffman composite ([`LzHuf`]), both behind the [`Codec`] trait so
+//! the SEMPLAR pipeline and the benches can swap them.
 
 #![warn(missing_docs)]
 
 pub mod huffman;
 pub mod lzf;
 
-pub use huffman::{Huffman, LzHuf};
+pub use huffman::LzHuf;
 pub use lzf::Corrupt;
 
 /// A block compressor/decompressor.
 pub trait Codec: Send + Sync {
-    /// Short name for reports ("lzf", "rle", "identity").
+    /// Short name for reports ("lzf", "lzhuf").
     fn name(&self) -> &'static str;
     /// Compress `src`, appending to `dst`.
     fn compress(&self, src: &[u8], dst: &mut Vec<u8>);
@@ -53,65 +52,12 @@ impl Codec for Lzf {
     }
 }
 
-/// Byte run-length encoding: `(count, byte)` pairs. A weak baseline that
-/// shows why the paper reached for an LZ-class algorithm.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Rle;
-
-impl Codec for Rle {
-    fn name(&self) -> &'static str {
-        "rle"
-    }
-    fn compress(&self, src: &[u8], dst: &mut Vec<u8>) {
-        let mut i = 0;
-        while i < src.len() {
-            let b = src[i];
-            let mut run = 1usize;
-            while run < 255 && i + run < src.len() && src[i + run] == b {
-                run += 1;
-            }
-            dst.push(run as u8);
-            dst.push(b);
-            i += run;
-        }
-    }
-    fn decompress(&self, src: &[u8], dst: &mut Vec<u8>) -> Result<(), Corrupt> {
-        if !src.len().is_multiple_of(2) {
-            return Err(Corrupt);
-        }
-        for pair in src.chunks_exact(2) {
-            if pair[0] == 0 {
-                return Err(Corrupt);
-            }
-            dst.extend(std::iter::repeat_n(pair[1], pair[0] as usize));
-        }
-        Ok(())
-    }
-}
-
-/// No-op codec (the "don't compress" arm of the benches).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Identity;
-
-impl Codec for Identity {
-    fn name(&self) -> &'static str {
-        "identity"
-    }
-    fn compress(&self, src: &[u8], dst: &mut Vec<u8>) {
-        dst.extend_from_slice(src);
-    }
-    fn decompress(&self, src: &[u8], dst: &mut Vec<u8>) -> Result<(), Corrupt> {
-        dst.extend_from_slice(src);
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn codecs() -> Vec<Box<dyn Codec>> {
-        vec![Box::new(Lzf), Box::new(Rle), Box::new(Identity)]
+        vec![Box::new(Lzf), Box::new(LzHuf)]
     }
 
     #[test]
@@ -131,30 +77,9 @@ mod tests {
     }
 
     #[test]
-    fn rle_wins_on_runs_lzf_wins_on_motifs() {
-        let runs = vec![9u8; 10_000];
-        let motifs = b"ACGTACGGTCA".repeat(1000);
-        assert!(Rle.ratio(&runs) < 0.01);
-        assert!(Lzf.ratio(&motifs) < 0.2);
-        assert!(Rle.ratio(&motifs) > Lzf.ratio(&motifs));
-    }
-
-    #[test]
-    fn identity_ratio_is_one() {
-        assert!((Identity.ratio(b"abcdef") - 1.0).abs() < f64::EPSILON);
-    }
-
-    #[test]
     fn ratio_of_empty_is_one() {
         for c in codecs() {
             assert_eq!(c.ratio(b""), 1.0, "{}", c.name());
         }
-    }
-
-    #[test]
-    fn rle_rejects_odd_and_zero_count_streams() {
-        let mut d = Vec::new();
-        assert_eq!(Rle.decompress(&[1, 2, 3], &mut d), Err(Corrupt));
-        assert_eq!(Rle.decompress(&[0, 7], &mut d), Err(Corrupt));
     }
 }

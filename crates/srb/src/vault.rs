@@ -678,7 +678,7 @@ mod tests {
     }
 
     #[test]
-    fn the_pure_forms_move_the_data_and_a_disk_charge_takes_the_time() {
+    fn the_pure_forms_move_the_data_and_poll_disk_charges_the_time() {
         simulate(|rt| {
             let v = test_vault(rt.clone());
             v.create(1);
