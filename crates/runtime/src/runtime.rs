@@ -9,8 +9,8 @@
 //!   stack (the paper's compute and I/O threads, an MPI rank) is a real OS
 //!   thread, one of which runs at a time; an entity that only waits (a
 //!   server's connection handler, a stream's demultiplexer and sender, a
-//!   swarm client) is a [`Task`](crate::Task) state machine polled by the
-//!   dispatcher. The clock jumps to the next pending timer whenever all
+//!   swarm client) is a [`Task`](crate::Task), an `async` body polled by
+//!   the dispatcher. The clock jumps to the next pending timer whenever all
 //!   actors are blocked.
 //!   Experiments over transoceanic links finish in milliseconds of wall time
 //!   and produce the same interleaving, hence the same timings, every run.

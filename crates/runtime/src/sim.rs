@@ -6,7 +6,7 @@
 //! with a stack (an MPI rank, a SEMPLAR compute or I/O thread) is a **real
 //! OS thread**, the engine's coroutine; one that only ever waits (a swarm
 //! client session, a server connection handler, a stream's demultiplexer and
-//! sender) is a poll-style [`Task`](crate::Task) state machine. Exactly one
+//! sender) is a [`Task`](crate::Task), an `async` body. Exactly one
 //! actor holds the *baton* and runs; every other thread is parked. Actors
 //! may only block through the engine — a thread via [`Runtime::sleep`] or an
 //! engine-created [`Event`], a task by returning a [`TaskStep`] that sleeps
@@ -50,7 +50,7 @@
 //! virtual time (for the WAN-scale experiments) and wall-clock time (unit
 //! tests, examples) without modification. So threads are for code that
 //! needs a stack — those compute and I/O threads, MPI ranks,
-//! `CompressedWriter` — and a state machine costs none.
+//! `CompressedWriter` — and a task costs none.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -212,7 +212,7 @@ struct ActorInfo {
 enum Body {
     /// Code with a stack, on a thread of its own, under this name.
     Thread(String),
-    /// A state machine the dispatcher polls inline.
+    /// A task the dispatcher polls inline.
     Task(TaskCell),
 }
 
@@ -592,8 +592,8 @@ impl Engine {
     /// Only blocked daemon tasks remain: the simulation is complete. They
     /// are taken off the table — their slots marked, so the waiter entries
     /// and timers they leave are skipped — and dropped with the engine
-    /// unlocked and the baton withheld: a state machine's destructor may
-    /// signal an event.
+    /// unlocked and the baton withheld: a task's destructor may signal an
+    /// event.
     fn quiesce<'a>(&'a self, mut st: Guard<'a>) -> Guard<'a> {
         let mut tasks = Vec::new();
         for slot in st.actors.iter_mut() {
@@ -765,7 +765,7 @@ pub struct SimStats {
     pub peak_live_actors: usize,
     /// Event-driven tasks ever spawned on
     /// [`TaskExecutor`](crate::task::TaskExecutor)s bound to this runtime —
-    /// these cost a state machine, not a thread.
+    /// these cost a future, not a thread.
     pub tasks_spawned: u64,
     /// The largest number of simultaneously live event-driven tasks.
     pub peak_live_tasks: usize,
@@ -857,7 +857,7 @@ impl SimRuntime {
     /// Block the *calling OS thread* (which must not be an actor) until every
     /// actor has exited — every thread actor, if the simulation was
     /// poisoned: the tasks it stranded are dropped here, after the engine
-    /// lock, because a state machine's destructor may signal an event.
+    /// lock, because a task's destructor may signal an event.
     pub fn wait_done(&self) {
         let mut st = self.eng.state.lock();
         while st.live_threads > 0 || !(st.poisoned || st.live() == 0) {

@@ -101,8 +101,8 @@ mod tests {
 
     #[test]
     fn a_handler_serves_a_round_trip_on_the_wall_clock_runtime() {
-        // The same state machine, each on a thread of its own: every `Wait`
-        // and `Sleep` it returns is carried out by blocking.
+        // The same tasks, each on a thread of its own: every `Wait` and
+        // `Sleep` a poll returns is carried out by blocking.
         let rt: Arc<dyn Runtime> = semplar_runtime::RealRuntime::new().handle();
         let net = Network::new(rt.clone());
         let l = net.add_link("lan", Bw::gbps(1.0), Dur::from_micros(50));
