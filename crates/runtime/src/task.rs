@@ -108,7 +108,8 @@ impl Future for Yield {
 }
 
 /// Sleep for `d` of the runtime's time (`TaskStep::Sleep`). A zero `d`
-/// still yields: a body standing in for a thread's `sleep` skips it.
+/// still yields, so a body standing in for a thread's `sleep` skips a zero
+/// delay itself.
 pub async fn sleep(d: Dur) {
     Yield(Some(TaskStep::Sleep(d))).await;
 }
