@@ -13,6 +13,8 @@
 //! against its `results/fig_scale*.txt`. The engine's counters go to
 //! stderr.
 
+use std::future::Future;
+
 use semplar_bench::{engine_footer, flags, with_testbed, Table};
 use semplar_clusters::{das2, PASSWORD, USER};
 use semplar_netsim::NetStats;
@@ -104,22 +106,32 @@ async fn client(conn: SrbConn, path: String, bytes: u64, opened: Event, go: Even
     };
     opened.signal();
     task::wait(&go).await;
+    let payload = Payload::sized(bytes);
     let write = Request::Write {
         fd,
         offset: 0,
-        payload: Payload::sized(bytes),
+        payload,
     };
-    for req in [write, Request::Close(fd), Request::Disconnect] {
-        exchange(&conn, &path, req).await;
-    }
+    exchange(&conn, &path, write).await;
+    exchange(&conn, &path, Request::Close(fd)).await;
+    exchange(&conn, &path, Request::Disconnect).await;
 }
 
-/// Submit `req` on `conn` and await its reply, which must be a success.
-async fn exchange(conn: &SrbConn, path: &str, req: Request) -> Response {
-    let got = conn.submit(req).wait_async().await.map(|f| f.resp);
-    match got.unwrap_or_else(|e| panic!("{path}: {e}")) {
-        resp @ (Response::Fd(_) | Response::Written(_) | Response::Ok) => resp,
-        other => panic!("{path}: unexpected reply {other:?}"),
+/// Submit `req` on `conn` now and await its reply, which must be a
+/// success. Not an `async fn`, so the request is not kept in every
+/// client's future while it waits.
+fn exchange<'a>(
+    conn: &SrbConn,
+    path: &'a str,
+    req: Request,
+) -> impl Future<Output = Response> + 'a {
+    let reply = conn.submit(req);
+    async move {
+        let got = reply.wait_async().await.map(|f| f.resp);
+        match got.unwrap_or_else(|e| panic!("{path}: {e}")) {
+            resp @ (Response::Fd(_) | Response::Written(_) | Response::Ok) => resp,
+            other => panic!("{path}: unexpected reply {other:?}"),
+        }
     }
 }
 

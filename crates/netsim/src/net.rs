@@ -689,13 +689,14 @@ impl Network {
 
     /// Blocking form of [`Network::drained`].
     fn drain(&self, flow: Option<Flow>) {
-        block_on(&self.rt, self.drained(flow));
+        if let Some(flow) = flow {
+            block_on(&self.rt, self.drained(flow));
+        }
     }
 
     /// Wait until `flow` has drained: on its event, then `poll_flow`, until
     /// the flow is gone.
-    async fn drained(&self, flow: Option<Flow>) {
-        let Some(flow) = flow else { return };
+    async fn drained(&self, flow: Flow) {
         loop {
             task::wait(&flow.ev).await;
             if !self.poll_flow(&flow) {
@@ -779,7 +780,9 @@ impl Network {
         }
         // Started once the latency is over, and polled only once signalled:
         // a start that joined this instant's burst is solved with the burst.
-        self.drained(self.begin_opts(path, bytes, opts)).await;
+        if let Some(flow) = self.begin_opts(path, bytes, opts) {
+            self.drained(flow).await;
+        }
     }
 }
 

@@ -13,6 +13,7 @@
 //! shape of real multi-user storage front ends, spread across a weighted
 //! [`TenantMix`].
 
+use std::future::Future;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -402,18 +403,20 @@ impl Session {
                 return None;
             };
         }
-        for req in [Request::Close(fd), Request::EndSession] {
-            let Response::Ok = self.exchange(req).await? else {
-                return None;
-            };
-        }
+        let Response::Ok = self.exchange(Request::Close(fd)).await? else {
+            return None;
+        };
+        let Response::Ok = self.exchange(Request::EndSession).await? else {
+            return None;
+        };
         Some(())
     }
 
-    /// Submit `req` and wait for its reply.
-    async fn exchange(&self, req: Request) -> Option<Response> {
-        let reply = self.conn.submit(req).wait_async().await;
-        reply.ok().map(|frame| frame.resp)
+    /// Submit `req` now and wait for its reply. Not an `async fn`, so the
+    /// request is not kept in every session's future while it waits.
+    fn exchange(&self, req: Request) -> impl Future<Output = Option<Response>> {
+        let reply = self.conn.submit(req);
+        async move { reply.wait_async().await.ok().map(|frame| frame.resp) }
     }
 }
 
