@@ -422,7 +422,7 @@ impl SrbServer {
     }
 
     /// Install per-tenant deficit-round-robin fair queueing. Every request
-    /// is then admitted under its frame's [`TenantId`]
+    /// is then admitted under its frame's [`TenantId`](crate::proto::TenantId)
     /// before the handler charges vault and NIC time, so tenants share the
     /// server's bottlenecks in proportion to the scheduler's quanta rather
     /// than their offered load. Keep the `TenantScheduler` handle to read
