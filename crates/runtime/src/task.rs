@@ -90,8 +90,8 @@ thread_local! {
     static WAKE: Cell<Option<Wake>> = const { Cell::new(None) };
 }
 
-/// The one leaf: yields its step to the driver once, then resolves to how
-/// that step ended (`None` after a sleep).
+/// The one leaf: yields its step once to whatever polls it, then resolves
+/// to how that step ended (`None` after a sleep).
 struct Yield(Option<TaskStep>);
 
 impl Future for Yield {
