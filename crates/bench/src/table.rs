@@ -24,7 +24,7 @@ impl Table {
     }
 
     /// Render to a string with aligned columns.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
             for (i, c) in row.iter().enumerate() {

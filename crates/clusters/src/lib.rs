@@ -73,7 +73,7 @@ impl ClusterSpec {
     }
 
     /// Per-stream cap in the server→client direction: `recv_window / RTT`.
-    pub fn recv_cap(&self) -> Bw {
+    pub(crate) fn recv_cap(&self) -> Bw {
         Bw::bps(self.recv_window as f64 * 8.0 / self.rtt().as_secs_f64())
     }
 }
@@ -174,7 +174,7 @@ pub fn all_clusters() -> Vec<ClusterSpec> {
 
 /// The SDSC SRB server, `orion.sdsc.edu`: a 36-processor Sun Fire 15000
 /// with 6 Gigabit data NICs and a large storage array (§5).
-pub fn orion_cfg() -> SrbServerCfg {
+pub(crate) fn orion_cfg() -> SrbServerCfg {
     SrbServerCfg {
         name: "orion".into(),
         nics: 6,
@@ -224,7 +224,7 @@ pub const PASSWORD: &str = "hpdc06";
 
 impl Testbed {
     /// Build a testbed with `nodes` client nodes and the stock
-    /// [`orion_cfg`] server.
+    /// `orion_cfg` server.
     pub fn new(rt: Arc<dyn Runtime>, spec: ClusterSpec, nodes: usize) -> Arc<Testbed> {
         Testbed::with_server_cfg(rt, spec, nodes, orion_cfg())
     }
@@ -252,7 +252,7 @@ impl Testbed {
     /// Build a testbed with an explicit server configuration (name, NICs,
     /// disk model, per-op overhead). [`Testbed::new`] is this with
     /// [`orion_cfg`].
-    pub fn with_server_cfg(
+    pub(crate) fn with_server_cfg(
         rt: Arc<dyn Runtime>,
         spec: ClusterSpec,
         nodes: usize,
@@ -764,8 +764,17 @@ mod tests {
     fn mpi_over_testbed_interconnect_works() {
         simulate(|rt| {
             let tb = Testbed::new(rt.clone(), tg_ncsa(), 4);
+            // A ring: each rank passes on what it last received, so after
+            // `size - 1` steps every rank has seen every other rank's id.
             let sums = semplar_mpi::run_world(tb.topo.clone(), 4, |r| {
-                r.allreduce(r.rank as u64, 8, |a, b| a + b)
+                let (next, prev) = ((r.rank + 1) % r.size, (r.rank + r.size - 1) % r.size);
+                let (mut sum, mut carry) = (r.rank as u64, r.rank as u64);
+                for _ in 1..r.size {
+                    r.send(next, 0, carry, 8);
+                    carry = r.recv::<u64>(Some(prev), 0).1;
+                    sum += carry;
+                }
+                sum
             });
             assert!(sums.iter().all(|&s| s == 6));
         });

@@ -94,7 +94,7 @@ fn canonical_codes(lens: &[u8; 256]) -> [(u16, u8); 256] {
 }
 
 /// Huffman-compress `src`, appending to `dst`.
-pub fn huff_compress(src: &[u8], dst: &mut Vec<u8>) {
+pub(crate) fn huff_compress(src: &[u8], dst: &mut Vec<u8>) {
     dst.extend_from_slice(&(src.len() as u32).to_le_bytes());
     let mut freq = [0u64; 256];
     for &b in src {
@@ -120,7 +120,7 @@ pub fn huff_compress(src: &[u8], dst: &mut Vec<u8>) {
 }
 
 /// Decompress a [`huff_compress`] stream, appending to `dst`.
-pub fn huff_decompress(src: &[u8], dst: &mut Vec<u8>) -> Result<(), Corrupt> {
+pub(crate) fn huff_decompress(src: &[u8], dst: &mut Vec<u8>) -> Result<(), Corrupt> {
     if src.len() < 4 + 256 {
         return Err(Corrupt);
     }

@@ -267,7 +267,7 @@ mod reference {
 
     /// Compress `src`, appending to `dst`. Output for incompressible input is at
     /// most `src.len() + src.len()/32 + 1` bytes.
-    pub fn compress(src: &[u8], dst: &mut Vec<u8>) {
+    pub(super) fn compress(src: &[u8], dst: &mut Vec<u8>) {
         dst.reserve(src.len() / 2 + 16);
         let n = src.len();
         let mut table = vec![usize::MAX; 1 << HASH_BITS];
@@ -326,7 +326,7 @@ mod reference {
     }
 
     /// Decompress `src`, appending to `dst`. Never panics on malformed input.
-    pub fn decompress(src: &[u8], dst: &mut Vec<u8>) -> Result<(), Corrupt> {
+    pub(super) fn decompress(src: &[u8], dst: &mut Vec<u8>) -> Result<(), Corrupt> {
         let base = dst.len();
         let mut i = 0usize;
         while i < src.len() {

@@ -15,6 +15,7 @@ use parking_lot::Mutex;
 
 use semplar_netsim::{LinkId, Network};
 use semplar_runtime::Runtime;
+#[cfg(test)]
 use semplar_srb::vault::DiskSpec;
 use semplar_srb::{OpenFlags, Payload, SrbError};
 
@@ -264,7 +265,8 @@ impl MemFs {
     }
 
     /// A MemFs whose operations charge time against a modelled local disk.
-    pub fn with_disk(rt: Arc<dyn Runtime>, spec: DiskSpec) -> Arc<MemFs> {
+    #[cfg(test)]
+    pub(crate) fn with_disk(rt: Arc<dyn Runtime>, spec: DiskSpec) -> Arc<MemFs> {
         let net = Network::new(rt.clone());
         let link = net.add_link("memfs-disk", spec.bandwidth, semplar_runtime::Dur::ZERO);
         Arc::new(MemFs {
@@ -285,7 +287,8 @@ impl MemFs {
     }
 
     /// Pre-populate a file (test/bench setup helper, no disk time charged).
-    pub fn put(&self, path: &str, data: Vec<u8>) {
+    #[cfg(test)]
+    pub(crate) fn put(&self, path: &str, data: Vec<u8>) {
         self.inner
             .lock()
             .files
@@ -293,7 +296,8 @@ impl MemFs {
     }
 
     /// Read a whole file back (test helper, no disk time charged).
-    pub fn get(&self, path: &str) -> Option<Vec<u8>> {
+    #[cfg(test)]
+    pub(crate) fn get(&self, path: &str) -> Option<Vec<u8>> {
         self.inner.lock().files.get(path).map(|f| f.lock().clone())
     }
 }

@@ -105,7 +105,7 @@ pub(crate) struct IoEngine {
 }
 
 impl IoEngine {
-    pub fn new(
+    pub(crate) fn new(
         rt: Arc<dyn Runtime>,
         cfg: EngineCfg,
         file: Arc<RtMutex<Box<dyn AdioFile>>>,
@@ -186,7 +186,7 @@ impl IoEngine {
 
     /// Enqueue a job (compute-thread side of Fig. 2). Never blocks: the
     /// queue is unbounded.
-    pub fn submit(self: &Arc<Self>, op: IoOp, done: Completion) -> IoResult<()> {
+    pub(crate) fn submit(self: &Arc<Self>, op: IoOp, done: Completion) -> IoResult<()> {
         self.ensure_threads();
         self.queue
             .send(IoJob { op, done })
@@ -198,7 +198,7 @@ impl IoEngine {
     }
 
     /// Counters snapshot.
-    pub fn stats(&self) -> EngineStats {
+    pub(crate) fn stats(&self) -> EngineStats {
         *self.stats.lock()
     }
 
@@ -216,7 +216,7 @@ impl IoEngine {
 
     /// Stop accepting work, let the I/O threads drain the queue, and join
     /// them, re-raising an I/O thread's panic.
-    pub fn shutdown(&self) {
+    pub(crate) fn shutdown(&self) {
         for t in self.stop() {
             t.join_unwrap();
         }
@@ -228,7 +228,7 @@ impl IoEngine {
     /// panic. So while unwinding only close the queue — the I/O threads
     /// drain it and exit on their own — and otherwise join without
     /// re-raising (`close` is the call that reports an I/O thread's panic).
-    pub fn shutdown_in_drop(&self) {
+    pub(crate) fn shutdown_in_drop(&self) {
         let threads = self.stop();
         if std::thread::panicking() {
             return;

@@ -284,12 +284,12 @@ impl FedFs {
     }
 
     /// Mount of the seat currently in the primary role for `shard`.
-    pub fn primary_fs(&self, shard: usize) -> &Arc<SrbFs> {
+    pub(crate) fn primary_fs(&self, shard: usize) -> &Arc<SrbFs> {
         self.seat_fs(shard, self.primary_seat_of(shard))
     }
 
     /// Mount of the seat currently in the replica role for `shard`.
-    pub fn replica_fs(&self, shard: usize) -> &Arc<SrbFs> {
+    pub(crate) fn replica_fs(&self, shard: usize) -> &Arc<SrbFs> {
         self.seat_fs(shard, 1 - self.primary_seat_of(shard))
     }
 
@@ -335,11 +335,6 @@ impl FedFs {
         }
         *self.membership.lock() = Some(m.clone());
         m
-    }
-
-    /// The membership handle, when [`FedFs::enable_membership`] was called.
-    pub fn membership(&self) -> Option<Arc<Membership>> {
-        self.membership.lock().clone()
     }
 
     /// Promotion callback from the membership monitor: swap the shard's

@@ -58,7 +58,7 @@ impl File {
     /// Open with a transport-placement pin (see [`AdioFs::open_pinned`]):
     /// striped files use this to land sibling streams on distinct pooled
     /// transports so they stay truly independent connections.
-    pub fn open_pinned(
+    pub(crate) fn open_pinned(
         rt: &Arc<dyn Runtime>,
         fs: &dyn AdioFs,
         path: &str,
@@ -117,17 +117,11 @@ impl File {
 
     /// Asynchronous list-I/O read: like [`File::read_list`] but queued to
     /// the engine, pipelining like any other async op.
-    pub fn iread_list(&self, extents: Vec<(u64, u64)>) -> Request {
+    pub(crate) fn iread_list(&self, extents: Vec<(u64, u64)>) -> Request {
         self.submit(IoOp::ReadList { extents })
     }
 
-    /// Asynchronous list-I/O write: like [`File::write_list`] but queued to
-    /// the engine. The packed payload moves into the request.
-    pub fn iwrite_list(&self, extents: Vec<(u64, u64)>, data: Payload) -> Request {
-        self.iwrite_list_with(extents, data, true)
-    }
-
-    /// [`File::iwrite_list`] with an explicit sieving opt-out (see
+    /// Asynchronous list-I/O write with an explicit sieving opt-out (see
     /// [`crate::adio::AdioFile::write_list_with`]): the striping layer
     /// passes `sieve = false` because its sub-lists' holes belong to
     /// sibling streams writing concurrently.
@@ -172,7 +166,7 @@ impl File {
 
     /// The backend stream's goodput meter, if the backend measures one
     /// (see the field docs for staleness after a reconnect).
-    pub fn meter_handle(&self) -> Option<&Arc<semplar_srb::IoMeter>> {
+    pub(crate) fn meter_handle(&self) -> Option<&Arc<semplar_srb::IoMeter>> {
         self.meter.as_ref()
     }
 
@@ -187,7 +181,7 @@ impl File {
     }
 
     /// The runtime this file charges time against.
-    pub fn runtime(&self) -> &Arc<dyn Runtime> {
+    pub(crate) fn runtime(&self) -> &Arc<dyn Runtime> {
         &self.rt
     }
 }

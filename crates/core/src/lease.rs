@@ -95,7 +95,7 @@ impl LeaseCache {
     }
 
     /// Snapshot of the counters.
-    pub fn stats(&self) -> LeaseStats {
+    pub(crate) fn stats(&self) -> LeaseStats {
         LeaseStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -107,20 +107,21 @@ impl LeaseCache {
     }
 
     /// Payload bytes currently resident.
-    pub fn resident_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn resident_bytes(&self) -> u64 {
         self.state.lock().bytes
     }
 
     /// Current revocation counter; pass the value to [`Self::insert_if`]
     /// after the wire read completes.
-    pub fn revocation(&self) -> u64 {
+    pub(crate) fn revocation(&self) -> u64 {
         self.revocation.load(Ordering::SeqCst)
     }
 
     /// Serve `[offset, offset+len)` of `path` if one cached entry fully
     /// covers it. Counts a hit/miss (zero-length reads count nothing and
     /// trivially hit).
-    pub fn lookup(&self, path: &str, offset: u64, len: u64) -> Option<Payload> {
+    pub(crate) fn lookup(&self, path: &str, offset: u64, len: u64) -> Option<Payload> {
         if len == 0 {
             return Some(Payload::bytes(Vec::new()));
         }
@@ -160,7 +161,7 @@ impl LeaseCache {
     /// if no revocation landed since `snapshot` was taken (before the wire
     /// read was issued). Oversized payloads (> capacity/2) are never
     /// cached — one scan must not wipe the whole working set.
-    pub fn insert_if(&self, snapshot: u64, path: &str, offset: u64, data: &Payload) {
+    pub(crate) fn insert_if(&self, snapshot: u64, path: &str, offset: u64, data: &Payload) {
         let len = data.len();
         if len == 0 || len > self.capacity / 2 {
             return;
@@ -210,7 +211,7 @@ impl LeaseCache {
     /// the revocation counter. Called for every [`Change::Wrote`].
     ///
     /// [`Change::Wrote`]: semplar_srb::Change::Wrote
-    pub fn invalidate_range(&self, path: &str, start: u64, end: u64) {
+    pub(crate) fn invalidate_range(&self, path: &str, start: u64, end: u64) {
         self.revocation.fetch_add(1, Ordering::SeqCst);
         if end <= start {
             return;
@@ -220,7 +221,7 @@ impl LeaseCache {
     }
 
     /// Revoke every entry of `path` (unlink).
-    pub fn invalidate_path(&self, path: &str) {
+    pub(crate) fn invalidate_path(&self, path: &str) {
         self.revocation.fetch_add(1, Ordering::SeqCst);
         let mut st = self.state.lock();
         if let Some(file) = st.files.remove(path) {
@@ -233,7 +234,7 @@ impl LeaseCache {
     }
 
     /// Revoke everything (server crash, shard failover, reconcile).
-    pub fn invalidate_all(&self) {
+    pub(crate) fn invalidate_all(&self) {
         self.revocation.fetch_add(1, Ordering::SeqCst);
         let mut st = self.state.lock();
         let dropped = st.order.len() as u64;

@@ -245,7 +245,7 @@ mod tests {
             let sts = Request::wait_all(&reqs).unwrap();
             assert_eq!(sts.len(), 4);
             assert!(sts.iter().all(|s| s.bytes == 10));
-            assert!(Request::test_all(&reqs));
+            assert!(reqs.iter().all(|r| r.test().is_some()));
             f.close().unwrap();
         });
     }
@@ -259,7 +259,7 @@ mod tests {
             assert_eq!(f.iread_at(0, 0).wait().unwrap().bytes, 0);
             let list = vec![(0, 0), (8, 0)];
             assert_eq!(f.iread_list(list.clone()).wait().unwrap().bytes, 0);
-            let w = f.iwrite_list(list, Payload::sized(0));
+            let w = f.iwrite_list_with(list, Payload::sized(0), true);
             assert_eq!(w.wait().unwrap().bytes, 0);
             // None of them reached the engine, so none crossed the wire.
             assert_eq!(f.engine_stats().submitted, 0);

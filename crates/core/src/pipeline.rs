@@ -284,15 +284,6 @@ impl<'a> CompressedWriter<'a> {
     pub fn resumed_frames(&self) -> u64 {
         self.resumed_frames
     }
-
-    /// Compression ratio so far (compressed / uncompressed).
-    pub fn ratio(&self) -> f64 {
-        if self.bytes_in == 0 {
-            1.0
-        } else {
-            self.bytes_out as f64 / self.bytes_in as f64
-        }
-    }
 }
 
 /// Read back and decompress a stream written by [`CompressedWriter`].

@@ -35,7 +35,7 @@ pub(crate) struct ReqShared {
 
 impl ReqShared {
     /// Publish the result and wake watchers. Called exactly once.
-    pub fn set(&self, result: IoResult<Status>) {
+    pub(crate) fn set(&self, result: IoResult<Status>) {
         self.cell.set(result);
         for w in self.watchers.lock().drain(..) {
             w.signal();
@@ -97,7 +97,7 @@ impl Request {
 
     /// Block until *any* request in `reqs` completes (`MPIO_Waitany`);
     /// returns its index and result. Panics on an empty slice.
-    pub fn wait_any(rt: &Arc<dyn Runtime>, reqs: &[Request]) -> (usize, IoResult<Status>) {
+    pub(crate) fn wait_any(rt: &Arc<dyn Runtime>, reqs: &[Request]) -> (usize, IoResult<Status>) {
         assert!(!reqs.is_empty(), "wait_any on no requests");
         let ev = rt.event();
         for r in reqs {
@@ -128,10 +128,5 @@ impl Request {
             None => Ok(out),
             Some(e) => Err(e),
         }
-    }
-
-    /// `true` once every request in `reqs` has completed (`MPIO_Testall`).
-    pub fn test_all(reqs: &[Request]) -> bool {
-        reqs.iter().all(|r| r.test().is_some())
     }
 }

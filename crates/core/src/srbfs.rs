@@ -200,7 +200,7 @@ impl SrbFs {
     /// Revoke cached lease bytes overlapping `[offset, offset+len)` of
     /// `path`. Federation calls this when a write lands on a *replica*
     /// (failover) — the primary never reports that write as a [`Change`].
-    pub fn invalidate_lease_range(&self, path: &str, offset: u64, len: u64) {
+    pub(crate) fn invalidate_lease_range(&self, path: &str, offset: u64, len: u64) {
         if let Some(c) = &self.lease {
             c.invalidate_range(path, offset, offset + len);
         }
@@ -209,7 +209,7 @@ impl SrbFs {
     /// Revoke every cached lease byte. Federation calls this on reconcile
     /// rounds and shard role transitions, where per-range accounting is not
     /// worth the complexity.
-    pub fn invalidate_lease_all(&self) {
+    pub(crate) fn invalidate_lease_all(&self) {
         if let Some(c) = &self.lease {
             c.invalidate_all();
         }

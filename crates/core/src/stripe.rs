@@ -184,7 +184,8 @@ impl MultiRequest {
     /// operation is left for [`wait`](Self::wait). Each call also pumps the
     /// scheduler: completed blocks are harvested and the freed window slots
     /// refilled, all without blocking.
-    pub fn test(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn test(&self) -> bool {
         let mut s = self.sched.lock();
         self.harvest_ready(&mut s);
         self.assign_blocks(&mut s);
@@ -271,6 +272,7 @@ impl MultiRequest {
 
     /// Non-blocking sweep: harvest every in-flight block that has already
     /// completed.
+    #[cfg(test)]
     fn harvest_ready(&self, s: &mut Sched) {
         loop {
             let Some(idx) = s.inflight.iter().position(|(_, _, r)| r.test().is_some()) else {
@@ -511,21 +513,11 @@ impl StripedFile {
         })
     }
 
-    /// Number of streams.
-    pub fn streams(&self) -> usize {
-        self.files.len()
-    }
-
     /// Per-stream goodput meters captured at open (`None` entries for
     /// backends without telemetry). Distinct `Arc`s mean distinct
     /// underlying transports — how tests verify stream placement.
     pub fn stream_meters(&self) -> Vec<Option<Arc<IoMeter>>> {
         self.meters.as_ref().clone()
-    }
-
-    /// The stripe unit this file was opened with.
-    pub fn unit(&self) -> StripeUnit {
-        self.unit
     }
 
     /// Placement ledger accumulated over this file's striped operations.

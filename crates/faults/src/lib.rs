@@ -5,7 +5,7 @@
 //! The paper's motivation is remote I/O to a production server over a real
 //! WAN — an environment where links flap, servers restart, and TCP streams
 //! get reset. This crate turns those hazards into a *schedule*: a
-//! [`FaultPlan`] is a list of [`FaultEvent`]s with virtual-time stamps,
+//! [`FaultPlan`] is a list of `FaultEvent`s with virtual-time stamps,
 //! built either explicitly (`server_crash_at`) or from a seeded RNG
 //! (`link_flap` spreads its outages with deterministic jitter). Injecting
 //! the plan spawns a daemon task that sleeps to each event in turn and
@@ -34,7 +34,7 @@ use semplar_srb::SrbServer;
 
 /// One scheduled fault. `at` is virtual time since injection.
 #[derive(Clone, Debug, PartialEq)]
-pub enum FaultEvent {
+pub(crate) enum FaultEvent {
     /// Take a link down (capacity → 0; in-flight flows stall).
     LinkDown {
         /// When to inject.
@@ -92,7 +92,7 @@ pub enum FaultEvent {
 
 impl FaultEvent {
     /// The event's scheduled injection time.
-    pub fn at(&self) -> Dur {
+    pub(crate) fn at(&self) -> Dur {
         match self {
             FaultEvent::LinkDown { at, .. }
             | FaultEvent::LinkUp { at, .. }
@@ -163,12 +163,14 @@ impl FaultPlan {
     }
 
     /// The scheduled events, in insertion order.
-    pub fn events(&self) -> &[FaultEvent] {
+    #[cfg(test)]
+    pub(crate) fn events(&self) -> &[FaultEvent] {
         &self.events
     }
 
     /// Add one raw event.
-    pub fn event(mut self, ev: FaultEvent) -> FaultPlan {
+    #[cfg(test)]
+    pub(crate) fn event(mut self, ev: FaultEvent) -> FaultPlan {
         self.events.push(ev);
         self
     }
@@ -224,7 +226,7 @@ impl FaultPlan {
     /// restart it `down_for` later. With [`FaultPlan::inject_multi`] the
     /// index selects from the target list; plain [`FaultPlan::inject`]
     /// accepts only index 0.
-    pub fn server_crash_on(mut self, server: usize, at: Dur, down_for: Dur) -> FaultPlan {
+    pub(crate) fn server_crash_on(mut self, server: usize, at: Dur, down_for: Dur) -> FaultPlan {
         self.events.push(FaultEvent::ServerCrash { at, server });
         self.events.push(FaultEvent::ServerRestart {
             at: at + down_for,
@@ -263,7 +265,7 @@ impl FaultPlan {
     /// Server-targeted events pick their victim by index into `servers`;
     /// [`FaultEvent::ConnReset`] and [`FaultEvent::VaultStall`] always hit
     /// `servers[0]`. Panics if an event names an out-of-range index.
-    pub fn inject_multi(
+    pub(crate) fn inject_multi(
         &self,
         rt: &Arc<dyn Runtime>,
         net: &Arc<Network>,

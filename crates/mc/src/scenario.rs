@@ -212,7 +212,8 @@ impl FederationScenario {
     /// *second* shard's primary: shard 0 is down 100–250 ms, shard 1 is
     /// down 140–290 ms, so from 140 ms to 250 ms **no** primary is up and
     /// every operation in the namespace is running on replicas.
-    pub fn double_crash(seed: u64) -> FederationScenario {
+    #[cfg(test)]
+    pub(crate) fn double_crash(seed: u64) -> FederationScenario {
         FederationScenario {
             second_crash: Some((Dur::from_millis(140), Dur::from_millis(150))),
             ..FederationScenario::quick(seed)

@@ -27,7 +27,11 @@ pub struct McTrace {
 
 impl McTrace {
     /// Build a trace from an execution's records and its violation.
-    pub fn from_records(scenario: &str, violation: &str, records: &[ChoiceRecord]) -> McTrace {
+    pub(crate) fn from_records(
+        scenario: &str,
+        violation: &str,
+        records: &[ChoiceRecord],
+    ) -> McTrace {
         McTrace {
             scenario: scenario.to_string(),
             violation: violation.replace('\n', " / "),

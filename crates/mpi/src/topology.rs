@@ -45,7 +45,8 @@ impl Topology {
 
     /// A uniform switched fabric: every node gets an ingress and egress link
     /// of `nic_bw`; the path i→j is `[out_i, in_j]`.
-    pub fn uniform(
+    #[cfg(test)]
+    pub(crate) fn uniform(
         net: Arc<Network>,
         nodes: usize,
         nic_bw: Bw,
@@ -64,14 +65,14 @@ impl Topology {
     }
 
     /// The network this topology charges traffic to.
-    pub fn network(&self) -> &Arc<Network> {
+    pub(crate) fn network(&self) -> &Arc<Network> {
         &self.net
     }
 
     /// Deliver a `bytes`-sized message from `src` to `dst`, blocking the
     /// caller for the modelled duration (eager-send semantics: the sender
     /// pays the wire time; the message is then instantly available).
-    pub fn deliver(&self, src: usize, dst: usize, bytes: u64) {
+    pub(crate) fn deliver(&self, src: usize, dst: usize, bytes: u64) {
         self.net.runtime().sleep(self.sw_latency);
         if src == dst {
             return; // self-sends cost only the software overhead

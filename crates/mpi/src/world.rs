@@ -1,11 +1,10 @@
-//! The rank world: spawn, point-to-point messaging, and collectives.
+//! The rank world: spawn, point-to-point messaging and a barrier.
 //!
 //! Each rank is an actor; messages are typed values handed between rank
 //! mailboxes with the wire time charged to the sender through the
 //! [`Topology`]. The subset implemented is what the paper's benchmarks use:
 //! eager send/recv with tag and source matching (MPI-BLAST's master/worker
-//! protocol, the Laplace solver's halo exchange), plus barrier, broadcast,
-//! reduce, allreduce, and gather (binomial trees, like mpich's defaults).
+//! protocol, the Laplace solver's halo exchange) and a barrier.
 
 use std::any::Any;
 use std::sync::Arc;
@@ -102,146 +101,6 @@ impl Rank {
     /// Synchronize all ranks.
     pub fn barrier(&self) {
         self.barrier.wait();
-    }
-
-    /// Binomial-tree broadcast of `value` from `root`. `bytes` is the
-    /// modelled payload size per hop.
-    pub fn bcast<T: Any + Send + Clone>(&self, root: usize, value: Option<T>, bytes: u64) -> T {
-        const TAG: Tag = u32::MAX - 1;
-        let n = self.size;
-        let vrank = (self.rank + n - root) % n;
-        // Receive from the parent (vrank with its lowest set bit cleared),
-        // then forward to children at strides below that bit.
-        let (v, top_mask) = if vrank == 0 {
-            (
-                value.expect("root must supply the broadcast value"),
-                n.next_power_of_two(),
-            )
-        } else {
-            let low_bit = vrank & vrank.wrapping_neg();
-            let parent = ((vrank - low_bit) + root) % n;
-            let (_, v) = self.recv::<T>(Some(parent), TAG);
-            (v, low_bit)
-        };
-        let mut mask = top_mask >> 1;
-        while mask > 0 {
-            let child_v = vrank + mask;
-            if child_v < n {
-                let child = (child_v + root) % n;
-                self.send(child, TAG, v.clone(), bytes);
-            }
-            mask >>= 1;
-        }
-        v
-    }
-
-    /// Reduce to `root` with a binary combiner over a binomial tree.
-    pub fn reduce<T: Any + Send>(
-        &self,
-        root: usize,
-        mine: T,
-        bytes: u64,
-        combine: impl Fn(T, T) -> T,
-    ) -> Option<T> {
-        const TAG: Tag = u32::MAX - 2;
-        let n = self.size;
-        let vrank = (self.rank + n - root) % n;
-        let mut acc = mine;
-        let mut mask = 1usize;
-        loop {
-            if vrank & mask != 0 {
-                // Send to parent and stop.
-                let parent = ((vrank & !mask) + root) % n;
-                self.send(parent, TAG, acc, bytes);
-                return None;
-            }
-            let child_v = vrank | mask;
-            if child_v < n {
-                let child = (child_v + root) % n;
-                let (_, v) = self.recv::<T>(Some(child), TAG);
-                acc = combine(acc, v);
-            }
-            mask <<= 1;
-            if mask >= n.next_power_of_two() {
-                break;
-            }
-        }
-        Some(acc) // only vrank 0 (the root) reaches here
-    }
-
-    /// Allreduce: reduce to rank 0 then broadcast.
-    pub fn allreduce<T: Any + Send + Clone>(
-        &self,
-        mine: T,
-        bytes: u64,
-        combine: impl Fn(T, T) -> T,
-    ) -> T {
-        let r = self.reduce(0, mine, bytes, combine);
-        self.bcast(0, r, bytes)
-    }
-
-    /// Gather every rank's value at `root` (flat exchange). Returns
-    /// `Some(values_by_rank)` on the root.
-    pub fn gather<T: Any + Send>(&self, root: usize, mine: T, bytes: u64) -> Option<Vec<T>> {
-        const TAG: Tag = u32::MAX - 3;
-        if self.rank == root {
-            let mut out: Vec<Option<T>> = (0..self.size).map(|_| None).collect();
-            out[root] = Some(mine);
-            for _ in 0..self.size - 1 {
-                let (src, v) = self.recv::<T>(None, TAG);
-                out[src] = Some(v);
-            }
-            Some(out.into_iter().map(|v| v.expect("gather hole")).collect())
-        } else {
-            self.send(root, TAG, mine, bytes);
-            None
-        }
-    }
-
-    /// Scatter one value per rank from `root` (who supplies
-    /// `Some(values_by_rank)`); every rank returns its own element.
-    pub fn scatter<T: Any + Send>(
-        &self,
-        root: usize,
-        values: Option<Vec<T>>,
-        bytes_each: u64,
-    ) -> T {
-        const TAG: Tag = u32::MAX - 4;
-        if self.rank == root {
-            let values = values.expect("root must supply the scatter values");
-            assert_eq!(values.len(), self.size, "one value per rank");
-            let mut mine: Option<T> = None;
-            for (dst, v) in values.into_iter().enumerate() {
-                if dst == root {
-                    mine = Some(v);
-                } else {
-                    self.send(dst, TAG, v, bytes_each);
-                }
-            }
-            mine.expect("root's own element")
-        } else {
-            self.recv::<T>(Some(root), TAG).1
-        }
-    }
-
-    /// All-to-all personalized exchange: element `j` of `mine` goes to rank
-    /// `j`; returns the elements received, indexed by source rank.
-    pub fn alltoall<T: Any + Send>(&self, mine: Vec<T>, bytes_each: u64) -> Vec<T> {
-        const TAG: Tag = u32::MAX - 5;
-        assert_eq!(mine.len(), self.size, "one element per destination");
-        let mut out: Vec<Option<T>> = (0..self.size).map(|_| None).collect();
-        for (dst, v) in mine.into_iter().enumerate() {
-            if dst == self.rank {
-                out[dst] = Some(v);
-            } else {
-                self.send(dst, TAG, v, bytes_each);
-            }
-        }
-        for _ in 0..self.size - 1 {
-            let (src, v) = self.recv::<T>(None, TAG);
-            out[src] = Some(v);
-        }
-        out.into_iter().map(|v| v.expect("alltoall hole")).collect()
     }
 }
 

@@ -45,11 +45,6 @@ impl Cpu {
         self.net
             .transfer_units(&[self.link], work.as_nanos() as f64 / self.speed, Some(1e9));
     }
-
-    /// The relative speed of this CPU.
-    pub fn speed(&self) -> f64 {
-        self.speed
-    }
 }
 
 #[cfg(test)]

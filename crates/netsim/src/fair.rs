@@ -16,7 +16,7 @@
 
 /// Rate assigned to a flow with an empty path and no cap. Effectively
 /// "infinitely fast" while staying comfortably inside `f64`.
-pub const UNCONSTRAINED_RATE: f64 = 1e30;
+pub(crate) const UNCONSTRAINED_RATE: f64 = 1e30;
 
 /// Heap entry for a link's current fair share. Ordered so that a max-heap
 /// pops the *smallest* share first, ties broken toward the smallest link
@@ -94,7 +94,7 @@ impl PartialOrd for CapEntry {
 /// flow (in a fixed order — rates come back positionally), then
 /// [`Workspace::solve`] and [`Workspace::rates`].
 #[derive(Default)]
-pub struct Workspace {
+pub(crate) struct Workspace {
     // Link-indexed scratch (sparse: only registered links are valid).
     residual: Vec<f64>,
     count: Vec<usize>,
@@ -113,14 +113,9 @@ pub struct Workspace {
 }
 
 impl Workspace {
-    /// Fresh workspace; reuse it across solves to amortize allocations.
-    pub fn new() -> Workspace {
-        Workspace::default()
-    }
-
     /// Start a new solve over a network of `n_links` links total (link ids
     /// passed later must be `< n_links`).
-    pub fn begin(&mut self, n_links: usize) {
+    pub(crate) fn begin(&mut self, n_links: usize) {
         if self.residual.len() < n_links {
             self.residual.resize(n_links, 0.0);
             self.count.resize(n_links, 0);
@@ -135,7 +130,7 @@ impl Workspace {
     }
 
     /// Register link `link` with capacity `cap` for this solve.
-    pub fn add_link(&mut self, link: usize, cap: f64) {
+    pub(crate) fn add_link(&mut self, link: usize, cap: f64) {
         self.residual[link] = cap;
         self.count[link] = 0;
         self.comp_links.push(link as u32);
@@ -145,7 +140,7 @@ impl Workspace {
     /// Returns the flow's dense index (also its position in [`rates`]).
     ///
     /// [`rates`]: Workspace::rates
-    pub fn add_flow(&mut self, cap: Option<f64>, path: &[usize]) -> usize {
+    pub(crate) fn add_flow(&mut self, cap: Option<f64>, path: &[usize]) -> usize {
         let idx = self.flow_cap.len();
         self.flow_cap.push(match cap {
             Some(c) => c,
@@ -161,7 +156,7 @@ impl Workspace {
     }
 
     /// Computed rate per flow, in [`add_flow`](Workspace::add_flow) order.
-    pub fn rates(&self) -> &[f64] {
+    pub(crate) fn rates(&self) -> &[f64] {
         &self.rates
     }
 
@@ -174,7 +169,7 @@ impl Workspace {
     }
 
     /// Run progressive filling over the registered links and flows.
-    pub fn solve(&mut self) {
+    pub(crate) fn solve(&mut self) {
         let nf = self.flow_cap.len();
         self.fixed.clear();
         self.fixed.resize(nf, false);
@@ -327,7 +322,7 @@ pub(crate) mod reference {
     /// One flow: the link indices it traverses plus an optional per-flow
     /// cap in capacity units per second.
     #[derive(Clone, Debug)]
-    pub struct FlowSpec<'a> {
+    pub(crate) struct FlowSpec<'a> {
         /// Indices into the link capacity array. May be empty for a purely
         /// cap-limited flow (e.g. the CPU model's single implicit resource).
         pub path: &'a [usize],
@@ -339,7 +334,7 @@ pub(crate) mod reference {
     ///
     /// `link_caps[l]` is link `l`'s capacity. Returns one rate per flow, in
     /// the same units. Zero-capacity links yield zero rates for their flows.
-    pub fn max_min_rates(link_caps: &[f64], flows: &[FlowSpec<'_>]) -> Vec<f64> {
+    pub(crate) fn max_min_rates(link_caps: &[f64], flows: &[FlowSpec<'_>]) -> Vec<f64> {
         let nf = flows.len();
         let nl = link_caps.len();
         let mut rates = vec![0.0f64; nf];
@@ -549,7 +544,7 @@ mod tests {
     }
 
     fn ws_rates(caps: &[f64], flows: &[(&[usize], Option<f64>)]) -> Vec<f64> {
-        let mut ws = Workspace::new();
+        let mut ws = Workspace::default();
         ws.begin(caps.len());
         for (l, &c) in caps.iter().enumerate() {
             ws.add_link(l, c);
@@ -593,7 +588,7 @@ mod tests {
 
     #[test]
     fn workspace_is_reusable_without_reallocating() {
-        let mut ws = Workspace::new();
+        let mut ws = Workspace::default();
         for round in 1..=5usize {
             ws.begin(3);
             for l in 0..3 {

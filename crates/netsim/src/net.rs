@@ -20,7 +20,7 @@
 //! Rates only change for flows that share a link — directly or transitively
 //! — with the flows that started or stopped. The engine therefore keeps a
 //! link→flows index and walks just the connected component around the
-//! event, settling and re-solving it with a reusable [`Workspace`]. The
+//! event, settling and re-solving it with a reusable `Workspace`. The
 //! differential test holds the rates at every instant bit for bit to a
 //! whole-network progressive-filling solve, and [`Network::stats`] counts
 //! the work the component walk saves.
@@ -122,7 +122,7 @@ impl Default for BusSpec {
     }
 }
 
-/// Options for [`Network::transfer_opts`].
+/// Options for [`Network::send_message_opts`].
 #[derive(Clone, Debug, Default)]
 pub struct XferOpts {
     /// Per-flow rate cap (TCP window limit).
@@ -677,13 +677,14 @@ impl Network {
 
     /// Move `bytes` through `path` with full options (per-flow cap and I/O
     /// bus tags for the contention model).
-    pub fn transfer_opts(&self, path: &[LinkId], bytes: u64, opts: &XferOpts) {
+    #[cfg(test)]
+    pub(crate) fn transfer_opts(&self, path: &[LinkId], bytes: u64, opts: &XferOpts) {
         self.drain(self.begin_opts(path, bytes, opts));
     }
 
     /// Like [`Network::transfer`] but in raw capacity units (used by the CPU
     /// model, where a "unit" is one core-nanosecond of work).
-    pub fn transfer_units(&self, path: &[LinkId], units: f64, flow_cap: Option<f64>) {
+    pub(crate) fn transfer_units(&self, path: &[LinkId], units: f64, flow_cap: Option<f64>) {
         self.drain(self.begin_units(path, units, flow_cap, &[]));
     }
 

@@ -858,7 +858,7 @@ impl SimRuntime {
     /// actor has exited — every thread actor, if the simulation was
     /// poisoned: the tasks it stranded are dropped here, after the engine
     /// lock, because a task's destructor may signal an event.
-    pub fn wait_done(&self) {
+    pub(crate) fn wait_done(&self) {
         let mut st = self.eng.state.lock();
         while st.live_threads > 0 || !(st.poisoned || st.live() == 0) {
             self.eng.done.wait(&mut st);

@@ -13,14 +13,14 @@
 //!
 //! A task is written as the blocking code it stands for: an `async` body,
 //! spawned as a pinned boxed future, which is a [`Task`]. Its waits are
-//! leaf futures — [`sleep`], [`wait`], [`wait_timeout`] and those built on
+//! leaf futures — [`sleep`], [`wait`] and those built on
 //! them (`Channel::recv_async`, `OnceCellBlocking::wait_async`,
 //! `Semaphore::acquire_async`, a network message, a disk operation). A leaf
 //! hands the [`TaskStep`] it needs to whatever drives the future and
 //! returns `Pending`; the adapter returns that step from [`Task::poll`] and
 //! hands the next poll's [`TaskCtx::wake`] back to the leaf. A thread actor
 //! drives the same future with [`block_on`], which blocks in each step
-//! ([`TaskStep::block`]), so each wait is written once and its blocking form
+//! (`TaskStep::block`), so each wait is written once and its blocking form
 //! is a `block_on` of it. The hand-off is a thread-local slot filled and
 //! emptied around each poll: std has no safe way to carry data through a
 //! `Waker`, and one poll never interleaves with another on its thread.
@@ -69,7 +69,7 @@ pub enum TaskStep {
 impl TaskStep {
     /// Carry the step out by blocking the calling thread actor: how
     /// [`block_on`] drives a future a task would be polled through.
-    pub fn block(self, rt: &Arc<dyn Runtime>) -> Option<Wake> {
+    pub(crate) fn block(self, rt: &Arc<dyn Runtime>) -> Option<Wake> {
         match self {
             TaskStep::Sleep(d) => rt.sleep(d),
             TaskStep::Wait(ev, Some(d)) => return Some(ev.wait_timeout(d)),
@@ -121,7 +121,8 @@ pub async fn wait(ev: &Event) {
 
 /// Wait on `ev` as `ev.wait_timeout(d)` does: [`Wake::Signaled`] if a
 /// permit (or a broadcast) came first.
-pub async fn wait_timeout(ev: &Event, d: Dur) -> Wake {
+#[cfg(test)]
+pub(crate) async fn wait_timeout(ev: &Event, d: Dur) -> Wake {
     let step = TaskStep::Wait(ev.clone(), Some(d));
     Yield(Some(step))
         .await

@@ -43,7 +43,7 @@ impl Dur {
     /// The empty span.
     pub const ZERO: Dur = Dur(0);
     /// The longest representable span (~584 years); used as "no timeout".
-    pub const MAX: Dur = Dur(u64::MAX);
+    pub(crate) const MAX: Dur = Dur(u64::MAX);
 
     /// A span of `s` whole seconds.
     #[inline]
@@ -70,7 +70,7 @@ impl Dur {
     }
 
     /// A span of `s` seconds given as a float. Negative and NaN inputs clamp
-    /// to zero; values beyond the representable range clamp to [`Dur::MAX`].
+    /// to zero; values beyond the representable range clamp to `Dur::MAX`.
     pub fn from_secs_f64(s: f64) -> Dur {
         // `!(s > 0.0)` (rather than `s <= 0.0`) also catches NaN.
         #[allow(clippy::neg_cmp_op_on_partial_ord)]
@@ -107,12 +107,6 @@ impl Dur {
     #[inline]
     pub fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// Saturating subtraction.
-    #[inline]
-    pub fn saturating_sub(self, rhs: Dur) -> Dur {
-        Dur(self.0.saturating_sub(rhs.0))
     }
 }
 

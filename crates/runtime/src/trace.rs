@@ -65,7 +65,8 @@ impl Trace {
     }
 
     /// All recorded spans, in insertion order.
-    pub fn spans(&self) -> Vec<Span> {
+    #[cfg(test)]
+    pub(crate) fn spans(&self) -> Vec<Span> {
         self.spans.lock().clone()
     }
 

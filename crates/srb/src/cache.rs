@@ -3,7 +3,7 @@
 //! A fixed-capacity, write-through cache of aligned blocks. Hot-set reads
 //! that hit entirely in cache skip the disk charge (no seek, no disk
 //! transfer); misses fetch only the missing blocks in a
-//! single vault pass via [`crate::vault::Vault::read_extents`]. Writes go
+//! single vault pass via `Vault::read_extents`. Writes go
 //! straight to the vault (write-through) and invalidate the overlapping
 //! blocks, so replication, reconciliation, and checksums never see cache
 //! state — the cache is a pure timing optimisation, invisible to contents.
@@ -90,7 +90,7 @@ struct State {
 
 /// A read that missed, between its lookup ([`BlockCache::begin_read`]) and
 /// its fill ([`BlockCache::finish_read`]).
-pub struct ReadMiss {
+pub(crate) struct ReadMiss {
     /// The missing blocks, as vault extents to fetch in one pass.
     pub extents: Vec<(u64, u64)>,
     obj_id: u64,
@@ -132,11 +132,6 @@ impl BlockCache {
         }
     }
 
-    /// The configuration this cache was built with.
-    pub fn spec(&self) -> CacheSpec {
-        self.spec
-    }
-
     /// A snapshot of the hit/miss/eviction counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -162,7 +157,12 @@ impl BlockCache {
     /// The lookup half of [`BlockCache::serve_read`]: the data on a hit,
     /// otherwise the extents to fetch from the vault — in one pass — and
     /// hand to [`BlockCache::finish_read`].
-    pub fn begin_read(&self, obj_id: u64, offset: u64, len: u64) -> Result<Payload, ReadMiss> {
+    pub(crate) fn begin_read(
+        &self,
+        obj_id: u64,
+        offset: u64,
+        len: u64,
+    ) -> Result<Payload, ReadMiss> {
         if len == 0 {
             // Zero-length reads carry no bytes; skip the disk like a hit
             // but don't count them in the stats.
@@ -219,7 +219,7 @@ impl BlockCache {
     /// The fill half of [`BlockCache::serve_read`]: `fetched` is what the
     /// vault returned for `miss.extents`. The blocks are inserted unless an
     /// invalidation reached the object since the lookup.
-    pub fn finish_read(&self, mut miss: ReadMiss, fetched: Vec<Payload>) -> Payload {
+    pub(crate) fn finish_read(&self, mut miss: ReadMiss, fetched: Vec<Payload>) -> Payload {
         let block = self.spec.block;
         let first = miss.offset / block;
         {
@@ -309,7 +309,7 @@ impl BlockCache {
 
     /// Drop all blocks overlapping `[start, end)` of the object and bump
     /// its version so in-flight miss fetches won't insert stale data.
-    pub fn invalidate_range(&self, obj_id: u64, start: u64, end: u64) {
+    pub(crate) fn invalidate_range(&self, obj_id: u64, start: u64, end: u64) {
         if end <= start {
             return;
         }
@@ -324,7 +324,7 @@ impl BlockCache {
     }
 
     /// Drop every block of the object (unlink) and bump its version.
-    pub fn invalidate_obj(&self, obj_id: u64) {
+    pub(crate) fn invalidate_obj(&self, obj_id: u64) {
         let mut st = self.state.lock();
         *st.versions.entry(obj_id).or_insert(0) += 1;
         let keys: Vec<Key> = st
@@ -341,12 +341,13 @@ impl BlockCache {
     /// Drop everything (server crash: the cache is volatile memory). The
     /// cumulative stats survive; the block store, eviction state, and
     /// version counters reset.
-    pub fn clear(&self) {
+    pub(crate) fn clear(&self) {
         *self.state.lock() = State::default();
     }
 
     /// Bytes of payload currently cached (for tests).
-    pub fn resident_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn resident_bytes(&self) -> u64 {
         self.state.lock().bytes
     }
 

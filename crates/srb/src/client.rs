@@ -114,7 +114,7 @@ impl SrbConn {
     }
 
     /// The membership epoch this session currently stamps on requests.
-    pub fn current_epoch(&self) -> u64 {
+    pub(crate) fn current_epoch(&self) -> u64 {
         self.epoch.lock().load(Ordering::Relaxed)
     }
 
@@ -186,11 +186,6 @@ impl SrbConn {
     /// Create a collection.
     pub fn mk_coll(&self, path: &str) -> SrbResult<()> {
         reply!(self.call(Request::MkColl(path.to_string()))?, Response::Ok => ())
-    }
-
-    /// Remove an empty collection.
-    pub fn rm_coll(&self, path: &str) -> SrbResult<()> {
-        reply!(self.call(Request::RmColl(path.to_string()))?, Response::Ok => ())
     }
 
     /// Register a new data object.

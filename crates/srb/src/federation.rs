@@ -75,11 +75,6 @@ impl ShardMap {
         ShardMap { shards, version }
     }
 
-    /// Number of shards in the federation.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
     /// Re-sharding generation this map belongs to (0 = the initial layout).
     pub fn version(&self) -> u64 {
         self.version
@@ -257,7 +252,7 @@ impl Replicator {
     /// The shared epoch stamp the shipping task's connections carry. The
     /// membership layer advances it so post-promotion ships are accepted by
     /// an epoch-fenced target once certified.
-    pub fn epoch_stamp(&self) -> Arc<AtomicU64> {
+    pub(crate) fn epoch_stamp(&self) -> Arc<AtomicU64> {
         self.epoch.clone()
     }
 
@@ -272,7 +267,7 @@ impl Replicator {
 
     /// The non-blocking half of [`Replicator::quiesce`]: `None` once every
     /// extent enqueued so far is acked, else the cell its last ack sets.
-    pub fn drained(&self) -> Option<Arc<OnceCellBlocking<()>>> {
+    pub(crate) fn drained(&self) -> Option<Arc<OnceCellBlocking<()>>> {
         let mut d = self.drain.lock();
         let (pending, cell) = &mut *d;
         let fresh = || OnceCellBlocking::new(&self.rt);

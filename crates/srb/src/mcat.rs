@@ -99,7 +99,7 @@ impl Mcat {
     }
 
     /// Remove an empty collection.
-    pub fn rm_coll(&self, path: &str) -> SrbResult<()> {
+    pub(crate) fn rm_coll(&self, path: &str) -> SrbResult<()> {
         validate(path)?;
         if path == "/" {
             return Err(SrbError::InvalidArg("cannot remove /".into()));
@@ -154,7 +154,7 @@ impl Mcat {
     }
 
     /// Grow the recorded size of an object to at least `size`.
-    pub fn update_size(&self, path: &str, size: u64) -> SrbResult<()> {
+    pub(crate) fn update_size(&self, path: &str, size: u64) -> SrbResult<()> {
         let mut g = self.inner.lock();
         let rec = g
             .objects
@@ -165,7 +165,7 @@ impl Mcat {
     }
 
     /// Record one more replica of an object.
-    pub fn add_replica(&self, path: &str) -> SrbResult<()> {
+    pub(crate) fn add_replica(&self, path: &str) -> SrbResult<()> {
         let mut g = self.inner.lock();
         let rec = g
             .objects
@@ -197,7 +197,7 @@ impl Mcat {
     }
 
     /// Immediate children (collections and objects) of a collection.
-    pub fn list(&self, path: &str) -> SrbResult<Vec<String>> {
+    pub(crate) fn list(&self, path: &str) -> SrbResult<Vec<String>> {
         validate(path)?;
         let g = self.inner.lock();
         if !g.collections.contains(path) {

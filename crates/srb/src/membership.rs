@@ -23,7 +23,7 @@
 //!   crashed primary leaves.
 //! * **Epoch fencing** — every promotion bumps the shard epoch. Epochs ride
 //!   the spare bytes of the fixed 256-byte wire header
-//!   ([`ReqFrame::epoch`](crate::proto::ReqFrame)); servers under
+//!   (`ReqFrame::epoch`); servers under
 //!   [`SrbServer::enable_epoch_fencing`] reject stale-epoch mutations, and a
 //!   restarted old primary comes back *hard-fenced* — it cannot accept a
 //!   single write until the monitor certifies its epoch — so a deposed

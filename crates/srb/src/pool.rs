@@ -48,7 +48,7 @@ pub enum PoolPolicy {
 /// slot's current stream — piggybacking if a sibling session already
 /// redialed it after a flap.
 #[derive(Clone, Copy, Debug)]
-pub struct SlotTicket {
+pub(crate) struct SlotTicket {
     route_key: u64,
     slot: usize,
 }
@@ -108,20 +108,10 @@ impl ConnPool {
         })
     }
 
-    /// The policy this pool was built with.
-    pub fn policy(&self) -> PoolPolicy {
-        self.policy
-    }
-
     /// The retry policy governing reconnect pacing for sessions from this
     /// pool.
     pub fn retry(&self) -> &RetryPolicy {
         &self.retry
-    }
-
-    /// The server this pool fronts.
-    pub fn server(&self) -> &Arc<SrbServer> {
-        &self.server
     }
 
     /// Open a session over `route`. Under `PerOpen` this is exactly
@@ -261,7 +251,8 @@ impl ConnPool {
 
     /// Live pooled streams (transports whose stream is still up). Always 0
     /// under `PerOpen` — a session's own stream is not pool state.
-    pub fn live_streams(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn live_streams(&self) -> usize {
         self.groups
             .lock()
             .values()

@@ -14,7 +14,7 @@ use crate::types::{ObjStat, OpenFlags, Payload, SrbError};
 /// The session/transport tags ([`ReqFrame::seq`], [`ReqFrame::session`])
 /// ride inside this fixed header, so tagging requests does not change any
 /// wire size.
-pub const WIRE_HDR: u64 = 256;
+pub(crate) const WIRE_HDR: u64 = 256;
 
 /// A logical session identifier, scoped to one transport stream.
 ///
@@ -34,7 +34,7 @@ impl std::fmt::Display for SessionId {
 ///
 /// The SRB authenticates a user per connection; a *tenant* is the coarser
 /// billing/QoS domain a session belongs to — one project or user community
-/// sharing a server. The tag rides in the fixed [`WIRE_HDR`] header (like
+/// sharing a server. The tag rides in the fixed `WIRE_HDR` header (like
 /// `seq`/`session`, there is room in the real SRB's 256-byte header), so
 /// tagging changes no wire size, and the server's per-tenant fair queueing
 /// can classify work without any out-of-band state. Tenant 0 is the
@@ -54,7 +54,7 @@ impl std::fmt::Display for TenantId {
 /// demultiplexer can route responses back to the issuing exchange even when
 /// several are in flight on one stream.
 #[derive(Clone, Debug)]
-pub struct ReqFrame {
+pub(crate) struct ReqFrame {
     /// Stream-unique exchange tag, echoed in the matching [`RespFrame`].
     pub seq: u64,
     /// Session whose fd namespace the request operates in.
@@ -79,7 +79,7 @@ pub struct ReqFrame {
 impl ReqFrame {
     /// Bytes on the wire — tags live in the fixed header, so this is the
     /// inner request's size unchanged.
-    pub fn wire_size(&self) -> u64 {
+    pub(crate) fn wire_size(&self) -> u64 {
         self.req.wire_size()
     }
 }
@@ -98,7 +98,7 @@ pub struct RespFrame {
 impl RespFrame {
     /// Bytes on the wire — the inner response's size unchanged (the tags
     /// live in the fixed header).
-    pub fn wire_size(&self) -> u64 {
+    pub(crate) fn wire_size(&self) -> u64 {
         self.resp.wire_size()
     }
 }
@@ -138,7 +138,7 @@ pub enum Request {
     /// the extents' data back-to-back in list order, each truncated at EOF
     /// POSIX-style. The extent table travels in the payload region — 16
     /// bytes per `(offset, len)` pair on the wire — while the header stays
-    /// the fixed [`WIRE_HDR`] bytes, so existing ops are framed unchanged.
+    /// the fixed `WIRE_HDR` bytes, so existing ops are framed unchanged.
     ReadList {
         /// Descriptor from [`Request::Open`].
         fd: u32,
@@ -186,7 +186,7 @@ impl Request {
     /// Bytes this request occupies on the wire (header + inline payload).
     /// List requests carry their extent table (16 bytes per pair) and, for
     /// writes, the packed payload — holes between extents cost nothing.
-    pub fn wire_size(&self) -> u64 {
+    pub(crate) fn wire_size(&self) -> u64 {
         match self {
             Request::Write { payload, .. } => WIRE_HDR + payload.len(),
             Request::ReadList { extents, .. } => WIRE_HDR + 16 * extents.len() as u64,
@@ -198,7 +198,7 @@ impl Request {
     }
 
     /// Short stable operation name, used by the server's request trace.
-    pub fn op_name(&self) -> &'static str {
+    pub(crate) fn op_name(&self) -> &'static str {
         match self {
             Request::MkColl(_) => "mkcoll",
             Request::RmColl(_) => "rmcoll",
@@ -243,7 +243,7 @@ pub enum Response {
 
 impl Response {
     /// Bytes this response occupies on the wire.
-    pub fn wire_size(&self) -> u64 {
+    pub(crate) fn wire_size(&self) -> u64 {
         match self {
             Response::Data(p) => WIRE_HDR + p.len(),
             Response::Names(n) => WIRE_HDR + n.iter().map(|s| s.len() as u64 + 8).sum::<u64>(),

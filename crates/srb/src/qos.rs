@@ -111,7 +111,7 @@ impl TenantScheduler {
     /// Queue a request for admission without blocking: the returned event
     /// is signalled once, when DRR grants the slot. [`TenantScheduler::admit`]
     /// waits on it; a connection handler returns the wait from its `poll`.
-    pub fn enqueue(&self, tenant: TenantId, cost: u64) -> Arc<dyn EventApi> {
+    pub(crate) fn enqueue(&self, tenant: TenantId, cost: u64) -> Arc<dyn EventApi> {
         let mut st = self.state.lock();
         let ev = self.rt.event();
         st.tenants
@@ -190,7 +190,8 @@ impl TenantScheduler {
     /// Cumulative bytes served per tenant, in tenant-id order. Pure
     /// function of the admitted request set, so two runs with the same
     /// seed produce identical ledgers.
-    pub fn ledgers(&self) -> Vec<(TenantId, u64)> {
+    #[cfg(test)]
+    fn ledgers(&self) -> Vec<(TenantId, u64)> {
         self.state
             .lock()
             .ledger
@@ -200,12 +201,14 @@ impl TenantScheduler {
     }
 
     /// Total admissions granted so far.
-    pub fn admitted(&self) -> u64 {
+    #[cfg(test)]
+    fn admitted(&self) -> u64 {
         self.state.lock().admitted
     }
 
     /// Requests currently holding a service slot.
-    pub fn in_service(&self) -> usize {
+    #[cfg(test)]
+    fn in_service(&self) -> usize {
         self.state.lock().in_service
     }
 }

@@ -64,7 +64,7 @@ impl RetryPolicy {
     /// The delay before retry number `attempt` (0-based) of the operation
     /// identified by `key`. Pure: the same policy, key, and attempt always
     /// yield the same jittered delay.
-    pub fn backoff(&self, key: u64, attempt: u32) -> Dur {
+    pub(crate) fn backoff(&self, key: u64, attempt: u32) -> Dur {
         let exp = self.multiplier.powi(attempt as i32);
         let raw = (self.base_delay.as_secs_f64() * exp).min(self.max_delay.as_secs_f64());
         let jittered = if self.jitter > 0.0 {

@@ -90,7 +90,7 @@ pub struct ConnRoute {
 
 impl ConnRoute {
     /// Transfer options for traffic on this connection.
-    pub fn opts(&self, cap: Option<Bw>) -> XferOpts {
+    pub(crate) fn opts(&self, cap: Option<Bw>) -> XferOpts {
         XferOpts {
             cap,
             buses: self.bus.iter().map(|&b| (b, DeviceClass::Wan)).collect(),
@@ -453,11 +453,6 @@ impl SrbServer {
         self.state_changed.notify_all();
     }
 
-    /// The certified minimum epoch (0 = fencing disabled).
-    pub fn min_epoch(&self) -> u64 {
-        self.min_epoch.load(Ordering::SeqCst)
-    }
-
     /// True while the post-restart hard fence holds (awaiting
     /// [`SrbServer::certify_epoch`]).
     pub fn is_fenced(&self) -> bool {
@@ -694,7 +689,7 @@ impl SrbServer {
     /// Dial a stream carrying up to `max_inflight` concurrent tagged
     /// exchanges. A [`ConnPool`](crate::pool::ConnPool) slot opens its
     /// sessions on one.
-    pub fn connect_transport(
+    pub(crate) fn connect_transport(
         self: &Arc<Self>,
         route: ConnRoute,
         user: &str,

@@ -267,7 +267,7 @@ impl Transport {
     }
 
     /// Allocate the next session id on this transport.
-    pub fn open_session(&self) -> SessionId {
+    pub(crate) fn open_session(&self) -> SessionId {
         SessionId(self.next_session.fetch_add(1, Ordering::Relaxed))
     }
 
@@ -360,20 +360,20 @@ impl Transport {
     /// This stream's goodput telemetry. The meter is owned by the transport
     /// (it dies with the stream); per-stream weights are the stripe
     /// scheduler's job.
-    pub fn meter(&self) -> &Arc<IoMeter> {
+    pub(crate) fn meter(&self) -> &Arc<IoMeter> {
         &self.meter
     }
 
     /// True while the stream can still carry exchanges. Checks the channel
     /// itself as well as the demux task's flag, so a sever is visible to
     /// the pool immediately — not only after the demux has been polled.
-    pub fn is_alive(&self) -> bool {
+    pub(crate) fn is_alive(&self) -> bool {
         !(self.req_ch.is_closed() || self.resp_ch.is_closed() || self.dead.load(Ordering::SeqCst))
     }
 
     /// Sever the stream from the client side: both channel directions, and
     /// the job queue.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         self.req_ch.close();
         self.resp_ch.close();
         self.jobs.close();

@@ -199,11 +199,6 @@ impl Vault {
         })
     }
 
-    /// The disk characteristics this vault was built with.
-    pub fn spec(&self) -> DiskSpec {
-        self.spec
-    }
-
     /// The per-operation bandwidth cap for an operation that starts with
     /// `k` operations in flight (itself included): its `1/k` share of the
     /// concurrency-degraded aggregate. `None` when no degradation is
@@ -263,7 +258,7 @@ impl Vault {
     /// seek plus one disk transfer for the combined bytes. This is the
     /// block-cache miss path: a cache fill wants the missing blocks as
     /// separate payloads without paying a seek per block.
-    pub fn read_extents(&self, obj_id: u64, extents: &[(u64, u64)]) -> Vec<Payload> {
+    pub(crate) fn read_extents(&self, obj_id: u64, extents: &[(u64, u64)]) -> Vec<Payload> {
         let out = self.load_extents(obj_id, extents);
         self.charge_disk(out.iter().map(|p| p.len()).sum());
         out
@@ -274,14 +269,14 @@ impl Vault {
     // these.
 
     /// Overlay `payload` at `offset`. Returns the new object size.
-    pub fn store(&self, obj_id: u64, offset: u64, payload: &Payload) -> u64 {
+    pub(crate) fn store(&self, obj_id: u64, offset: u64, payload: &Payload) -> u64 {
         self.store_list(obj_id, &[(offset, payload.len())], payload)
     }
 
     /// Overlay a packed list of extents: `payload` holds the extents' data
     /// back-to-back in list order; its length must match the sum of the
     /// extent lengths. Returns the new object size.
-    pub fn store_list(&self, obj_id: u64, extents: &[(u64, u64)], payload: &Payload) -> u64 {
+    pub(crate) fn store_list(&self, obj_id: u64, extents: &[(u64, u64)], payload: &Payload) -> u64 {
         let mut g = self.objects.lock();
         let obj = g.entry(obj_id).or_insert_with(ObjData::empty);
         let mut cursor = 0u64;
@@ -293,7 +288,7 @@ impl Vault {
     }
 
     /// `[offset, offset + len)` of the object, truncated at EOF.
-    pub fn load(&self, obj_id: u64, offset: u64, len: u64) -> Payload {
+    pub(crate) fn load(&self, obj_id: u64, offset: u64, len: u64) -> Payload {
         match self.objects.lock().get(&obj_id) {
             None => Payload::sized(0),
             Some(obj) => obj.load(offset, len),
@@ -301,7 +296,7 @@ impl Vault {
     }
 
     /// One payload per extent, each truncated at EOF.
-    pub fn load_extents(&self, obj_id: u64, extents: &[(u64, u64)]) -> Vec<Payload> {
+    pub(crate) fn load_extents(&self, obj_id: u64, extents: &[(u64, u64)]) -> Vec<Payload> {
         let g = self.objects.lock();
         extents
             .iter()
@@ -314,7 +309,7 @@ impl Vault {
 
     /// The extents packed back-to-back in list order, each truncated at
     /// EOF: what one list-I/O read returns.
-    pub fn load_list(&self, obj_id: u64, extents: &[(u64, u64)]) -> Payload {
+    pub(crate) fn load_list(&self, obj_id: u64, extents: &[(u64, u64)]) -> Payload {
         let g = self.objects.lock();
         let Some(obj) = g.get(&obj_id) else {
             return Payload::sized(0);
@@ -335,7 +330,7 @@ impl Vault {
     /// A copy of the whole object's bytes (empty if absent), for its
     /// checksum. Errors on sparse (size-only) objects — there are no bytes
     /// to sum.
-    pub fn bytes_of(&self, obj_id: u64) -> Result<Vec<u8>, SrbError> {
+    pub(crate) fn bytes_of(&self, obj_id: u64) -> Result<Vec<u8>, SrbError> {
         match self.objects.lock().get(&obj_id) {
             None => Ok(Vec::new()),
             Some(ObjData::Real { len, extents }) => {
@@ -350,7 +345,7 @@ impl Vault {
     }
 
     /// Current size of an object (0 if absent).
-    pub fn size(&self, obj_id: u64) -> u64 {
+    pub(crate) fn size(&self, obj_id: u64) -> u64 {
         self.objects.lock().get(&obj_id).map_or(0, |o| o.len())
     }
 
@@ -367,7 +362,7 @@ impl Vault {
     }
 
     /// Drop an object's storage.
-    pub fn remove(&self, obj_id: u64) {
+    pub(crate) fn remove(&self, obj_id: u64) {
         self.objects.lock().remove(&obj_id);
     }
 }
@@ -425,10 +420,10 @@ mod reference {
     }
 
     #[derive(Default)]
-    pub struct Objects(HashMap<u64, ObjData>);
+    pub(super) struct Objects(HashMap<u64, ObjData>);
 
     impl Objects {
-        pub fn store_list(
+        pub(super) fn store_list(
             &mut self,
             obj_id: u64,
             extents: &[(u64, u64)],
@@ -443,21 +438,21 @@ mod reference {
             obj.len()
         }
 
-        pub fn load(&self, obj_id: u64, offset: u64, len: u64) -> Payload {
+        pub(super) fn load(&self, obj_id: u64, offset: u64, len: u64) -> Payload {
             match self.0.get(&obj_id) {
                 None => Payload::sized(0),
                 Some(obj) => obj.load(offset, len),
             }
         }
 
-        pub fn load_extents(&self, obj_id: u64, extents: &[(u64, u64)]) -> Vec<Payload> {
+        pub(super) fn load_extents(&self, obj_id: u64, extents: &[(u64, u64)]) -> Vec<Payload> {
             extents
                 .iter()
                 .map(|&(offset, len)| self.load(obj_id, offset, len))
                 .collect()
         }
 
-        pub fn load_list(&self, obj_id: u64, extents: &[(u64, u64)]) -> Payload {
+        pub(super) fn load_list(&self, obj_id: u64, extents: &[(u64, u64)]) -> Payload {
             match self.0.get(&obj_id) {
                 None => Payload::sized(0),
                 Some(ObjData::Real(v)) => {
@@ -479,7 +474,7 @@ mod reference {
             }
         }
 
-        pub fn bytes_of(&self, obj_id: u64) -> Result<Vec<u8>, SrbError> {
+        pub(super) fn bytes_of(&self, obj_id: u64) -> Result<Vec<u8>, SrbError> {
             match self.0.get(&obj_id) {
                 None => Ok(Vec::new()),
                 Some(ObjData::Real(v)) => Ok(v.clone()),
@@ -489,7 +484,7 @@ mod reference {
             }
         }
 
-        pub fn size(&self, obj_id: u64) -> u64 {
+        pub(super) fn size(&self, obj_id: u64) -> u64 {
             self.0.get(&obj_id).map_or(0, |o| o.len())
         }
     }

@@ -70,12 +70,12 @@ impl TenantMix {
     }
 
     /// Every client in one tenant.
-    pub fn single(tenant: TenantId) -> TenantMix {
+    pub(crate) fn single(tenant: TenantId) -> TenantMix {
         TenantMix::new(&[(tenant, 1)])
     }
 
     /// The tenant of client `i`.
-    pub fn assign(&self, i: usize) -> TenantId {
+    pub(crate) fn assign(&self, i: usize) -> TenantId {
         let slot = (i as u64 % self.total as u64) as u32;
         let mut acc = 0;
         for &(t, w) in &self.weights {
@@ -85,11 +85,6 @@ impl TenantMix {
             }
         }
         TenantId::default()
-    }
-
-    /// The distinct tenants in this mix, in declaration order.
-    pub fn tenants(&self) -> Vec<TenantId> {
-        self.weights.iter().map(|&(t, _)| t).collect()
     }
 }
 
@@ -231,7 +226,7 @@ impl SwarmParams {
     }
 
     /// The operation shape `tenant`'s sessions run.
-    pub fn shape_for(&self, tenant: TenantId) -> OpShape {
+    pub(crate) fn shape_for(&self, tenant: TenantId) -> OpShape {
         match self.abuse {
             Some((t, shape)) if t == tenant => shape,
             _ => OpShape {
@@ -260,7 +255,7 @@ pub struct SessionOutcome {
 
 impl SessionOutcome {
     /// The session's application goodput, bits per second of its lifetime.
-    pub fn goodput_bps(&self) -> f64 {
+    pub(crate) fn goodput_bps(&self) -> f64 {
         let secs = (self.done_ns.saturating_sub(self.arrival_ns)) as f64 / 1e9;
         if secs <= 0.0 {
             return 0.0;

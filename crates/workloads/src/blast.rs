@@ -197,11 +197,6 @@ impl SeqIndex {
         SeqIndex { db, k, index }
     }
 
-    /// The indexed database.
-    pub fn db(&self) -> &[u8] {
-        &self.db
-    }
-
     /// Seed-and-extend search: find all `k`-mer seeds of `query` and extend
     /// each greedily in both directions — the algorithmic skeleton of BLAST
     /// (word matching + ungapped extension).
@@ -239,11 +234,6 @@ impl SeqIndex {
         hits.dedup();
         hits
     }
-}
-
-/// One-shot convenience over [`SeqIndex`] (tests, tiny inputs).
-pub fn seed_and_extend(db: &[u8], query: &[u8], k: usize) -> Vec<Hit> {
-    SeqIndex::new(db.to_vec(), k).search(query)
 }
 
 #[cfg(test)]
@@ -333,7 +323,7 @@ mod tests {
     fn seed_and_extend_finds_planted_alignment() {
         let db = b"TTTTTTTTTTGATTACAGATTACATTTTTTTTTT";
         let query = b"CCCGATTACAGATTACACCC";
-        let hits = seed_and_extend(db, query, 8);
+        let hits = SeqIndex::new(db.to_vec(), 8).search(query);
         assert!(!hits.is_empty());
         let best = hits.iter().max_by_key(|h| h.len).unwrap();
         assert_eq!(best.len, 14);
@@ -342,8 +332,14 @@ mod tests {
 
     #[test]
     fn seed_and_extend_handles_no_match_and_short_inputs() {
-        assert!(seed_and_extend(b"AAAA", b"GGGG", 4).is_empty());
-        assert!(seed_and_extend(b"A", b"GATTACA", 4).is_empty());
-        assert!(seed_and_extend(b"GATTACA", b"A", 4).is_empty());
+        assert!(SeqIndex::new(b"AAAA".to_vec(), 4)
+            .search(b"GGGG")
+            .is_empty());
+        assert!(SeqIndex::new(b"A".to_vec(), 4)
+            .search(b"GATTACA")
+            .is_empty());
+        assert!(SeqIndex::new(b"GATTACA".to_vec(), 4)
+            .search(b"A")
+            .is_empty());
     }
 }

@@ -66,7 +66,7 @@ impl MemoLzf {
     }
 
     /// The source text the workload ships.
-    pub fn source(&self) -> &[u8] {
+    pub(crate) fn source(&self) -> &[u8] {
         &self.source
     }
 
