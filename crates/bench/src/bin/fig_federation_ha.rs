@@ -44,7 +44,6 @@ fn main() {
     let membership = MembershipCfg {
         heartbeat_every: Dur::from_millis(50),
         lease_timeout: Dur::from_millis(200),
-        ..MembershipCfg::default()
     };
     let run = FederationScenario {
         files,

@@ -176,16 +176,12 @@ pub fn all_clusters() -> Vec<ClusterSpec> {
 /// with 6 Gigabit data NICs and a large storage array (§5).
 pub(crate) fn orion_cfg() -> SrbServerCfg {
     SrbServerCfg {
-        name: "orion".into(),
-        nics: 6,
-        nic_bw: Bw::gbps(1.0),
         disk: DiskSpec {
             bandwidth: Bw::mbyte_per_s(400.0),
             seek: Dur::from_micros(500),
             ..DiskSpec::default()
         },
-        op_overhead: Dur::from_micros(300),
-        resource: "sdsc-vault".into(),
+        ..SrbServerCfg::default()
     }
 }
 

@@ -39,6 +39,7 @@ use semplar_faults::{FaultInjector, FaultPlan, FaultStats};
 use semplar_runtime::{on_quiet_actor, Dur, Runtime, SimRuntime};
 use semplar_srb::{
     adler32, CacheSpec, CacheStats, MembershipCfg, PromotionLedger, ReplStats, TransitionKind,
+    BASE_EPOCH,
 };
 
 use crate::script::ScriptHook;
@@ -231,7 +232,6 @@ impl FederationScenario {
             membership: Some(MembershipCfg {
                 heartbeat_every: Dur::from_millis(10),
                 lease_timeout: Dur::from_millis(40),
-                ..MembershipCfg::default()
             }),
             ..FederationScenario::quick(seed)
         }
@@ -409,8 +409,7 @@ impl FederationScenario {
             }
         }
         let promotions = membership.as_ref().map(|m| m.ledger()).unwrap_or_default();
-        let base_epoch = self.membership.map_or(1, |m| m.base_epoch);
-        check_ledger(&promotions, base_epoch, self.shards)?;
+        check_ledger(&promotions, self.shards)?;
         if self.broken == Some(BrokenInvariant::NoFailoverEver) && fed.failovers() > 0 {
             return Err(format!(
                 "injected invariant: {} operations failed over",
@@ -453,9 +452,9 @@ impl FederationScenario {
 
 /// Invariant 4 on the membership ledger: each `(shard, epoch)` is owned by
 /// exactly one primary seat, and promotions bump the epoch by exactly one.
-fn check_ledger(ledger: &PromotionLedger, base_epoch: u64, shards: usize) -> Result<(), String> {
+fn check_ledger(ledger: &PromotionLedger, shards: usize) -> Result<(), String> {
     let mut owner: HashMap<(usize, u64), usize> = HashMap::new();
-    let mut last_epoch = vec![base_epoch.max(1); shards];
+    let mut last_epoch = vec![BASE_EPOCH; shards];
     for e in &ledger.entries {
         let prev = *owner.entry((e.shard, e.epoch)).or_insert(e.primary);
         if prev != e.primary {
@@ -515,7 +514,6 @@ mod tests {
             membership: Some(MembershipCfg {
                 heartbeat_every: Dur::from_millis(50),
                 lease_timeout: Dur::from_millis(200),
-                ..MembershipCfg::default()
             }),
             ..FederationScenario::quick(23)
         }

@@ -44,7 +44,7 @@ pub use federation::{ReplStats, Replicator, ShardMap, REPL_BLOCK};
 pub use mcat::Mcat;
 pub use membership::{
     GovernedPair, Membership, MembershipCfg, PromotionHook, PromotionLedger, TransitionKind,
-    TransitionRecord,
+    TransitionRecord, BASE_EPOCH,
 };
 pub use pool::{ConnPool, PoolPolicy};
 pub use proto::{SessionId, TenantId};

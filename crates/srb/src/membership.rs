@@ -12,12 +12,12 @@
 //!   monitor only sleeps and waits: it is a task, `membership/monitor/<n>`.
 //! * **Quorum promotion** — on lease expiry the monitor runs a collapsed,
 //!   deterministic Bracha-style reliable-broadcast vote over all federation
-//!   seats (every server in every governed shard, plus optional witness
-//!   seats): a *send* round proposes `(shard, epoch+1, replica)`, an *echo*
+//!   seats (every server in every governed shard, n = 2·shards): a *send*
+//!   round proposes `(shard, epoch+1, replica)`, an *echo*
 //!   round must gather ⌈(n+f+1)/2⌉ echoes, and a *ready* round must gather
 //!   2f+1 readies (with the classic f+1 amplification rule) before the
 //!   promotion is delivered. Seats are honest and rounds take one
-//!   [`MembershipCfg::hop_delay`] each, so the counts collapse to the live
+//!   [`HOP_DELAY`] each, so the counts collapse to the live
 //!   seat count — but the thresholds genuinely gate: with n = 4 seats and
 //!   f = 1, a promotion needs 3 live seats, which is exactly what one
 //!   crashed primary leaves.
@@ -49,21 +49,20 @@ use semplar_runtime::{task, Dur, Runtime, TaskExecutor, Time};
 use crate::federation::Replicator;
 use crate::server::SrbServer;
 
-/// Tuning knobs for the lease/heartbeat/promotion protocol.
+/// One-way message delay charged per vote round (send, echo, ready).
+const HOP_DELAY: Dur = Dur::from_millis(1);
+
+/// Epoch certified on every server when governance starts (epoch 0 means
+/// "unfenced" on the wire).
+pub const BASE_EPOCH: u64 = 1;
+
+/// Timing of the lease/heartbeat protocol.
 #[derive(Clone, Copy, Debug)]
 pub struct MembershipCfg {
     /// How often each shard monitor heartbeats its primary.
     pub heartbeat_every: Dur,
     /// Lease duration: a primary silent for this long is deposed.
     pub lease_timeout: Dur,
-    /// One-way message delay charged per vote round (send, echo, ready).
-    pub hop_delay: Dur,
-    /// Epoch certified on every server when governance starts (≥ 1; epoch 0
-    /// means "unfenced" on the wire).
-    pub base_epoch: u64,
-    /// Extra always-live witness seats in the vote (tie-breakers for tiny
-    /// federations; 0 keeps the quorum exactly the federation's servers).
-    pub witnesses: usize,
 }
 
 impl Default for MembershipCfg {
@@ -71,9 +70,6 @@ impl Default for MembershipCfg {
         MembershipCfg {
             heartbeat_every: Dur::from_millis(25),
             lease_timeout: Dur::from_millis(100),
-            hop_delay: Dur::from_millis(1),
-            base_epoch: 1,
-            witnesses: 0,
         }
     }
 }
@@ -148,7 +144,7 @@ struct ShardGov {
     servers: [Arc<SrbServer>; 2],
     forward: Arc<Replicator>,
     reverse: Arc<Replicator>,
-    /// Current epoch (monotone; starts at `base_epoch`).
+    /// Current epoch (monotone; starts at [`BASE_EPOCH`]).
     epoch: AtomicU64,
     /// Seat index currently holding the primary lease.
     primary: AtomicUsize,
@@ -173,7 +169,7 @@ pub struct Membership {
 
 impl Membership {
     /// Put `pairs` under membership governance: enable epoch fencing on
-    /// every seat at [`MembershipCfg::base_epoch`], stamp both replicators
+    /// every seat at [`BASE_EPOCH`], stamp both replicators
     /// of each pair into the epoch, deactivate the reverse replicators
     /// (seat 0 starts as primary), and spawn one monitor task per shard.
     pub fn start(
@@ -182,7 +178,7 @@ impl Membership {
         pairs: Vec<GovernedPair>,
     ) -> Arc<Membership> {
         assert!(!pairs.is_empty(), "membership needs at least one shard");
-        let base = cfg.base_epoch.max(1);
+        let base = BASE_EPOCH;
         let now = rt.now();
         let shards: Vec<ShardGov> = pairs
             .into_iter()
@@ -212,10 +208,7 @@ impl Membership {
             .collect();
         let m = Arc::new(Membership {
             rt: rt.clone(),
-            cfg: MembershipCfg {
-                base_epoch: base,
-                ..cfg
-            },
+            cfg,
             shards,
             ledger: Mutex::new(PromotionLedger::default()),
         });
@@ -281,21 +274,18 @@ impl Membership {
         }
     }
 
-    /// Total vote seats: every server of every governed shard, plus
-    /// configured witnesses.
+    /// Total vote seats: every server of every governed shard.
     fn seat_count(&self) -> usize {
-        2 * self.shards.len() + self.cfg.witnesses
+        2 * self.shards.len()
     }
 
-    /// Seats currently able to vote (witnesses never crash).
+    /// Seats currently able to vote.
     fn live_seats(&self) -> usize {
-        self.cfg.witnesses
-            + self
-                .shards
-                .iter()
-                .flat_map(|g| g.servers.iter())
-                .filter(|s| !s.is_crashed())
-                .count()
+        self.shards
+            .iter()
+            .flat_map(|g| g.servers.iter())
+            .filter(|s| !s.is_crashed())
+            .count()
     }
 
     /// A heartbeat: refresh a live primary's lease and certify fenced
@@ -392,7 +382,7 @@ impl Membership {
     async fn monitor(self: Arc<Self>, shard: usize) {
         let n = self.seat_count();
         let f = (n - 1) / 3;
-        let hop = self.cfg.hop_delay;
+        let hop = HOP_DELAY;
         loop {
             task::sleep(self.cfg.heartbeat_every).await;
             // A live or unreplaceable primary, or a vote short of quorum,

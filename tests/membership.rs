@@ -46,7 +46,7 @@ proptest! {
 }
 
 /// The promotion drill, single seed, with the ledger pulled apart: one
-/// `Promoted` entry for the crashed shard at exactly `base_epoch + 1`
+/// `Promoted` entry for the crashed shard at exactly `BASE_EPOCH + 1`
 /// with a committed quorum (echoes and readies over threshold), followed
 /// by a `Rejoined` entry for the deposed primary, and an untouched peer
 /// shard still at the base epoch.
