@@ -32,7 +32,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use semplar_runtime::sync::{Channel, OnceCellBlocking};
-use semplar_runtime::{task, Event, Runtime, TaskExecutor};
+use semplar_runtime::{task, Runtime, TaskExecutor};
 
 use crate::client::SrbConn;
 use crate::mcat::Mcat;
@@ -91,17 +91,13 @@ impl ShardMap {
     }
 }
 
-/// How a shipped job ended, filled in before its event is signalled: `Ok`
-/// once its last block is acked.
-pub(crate) type Outcome = Arc<Mutex<Option<SrbResult<()>>>>;
-
 /// One replication work item: an extent of `path` that became durable on
 /// the primary and must reach the replica, and who waits for it, if anyone.
 struct ReplJob {
     path: String,
     offset: u64,
     len: u64,
-    done: Option<(Event, Outcome)>,
+    done: Option<Arc<OnceCellBlocking<SrbResult<()>>>>,
 }
 
 /// Cumulative replicator counters.
@@ -206,7 +202,13 @@ impl Replicator {
         *self.stats.lock()
     }
 
-    fn push_job(&self, path: &str, offset: u64, len: u64, done: Option<(Event, Outcome)>) {
+    fn push_job(
+        &self,
+        path: &str,
+        offset: u64,
+        len: u64,
+        done: Option<Arc<OnceCellBlocking<SrbResult<()>>>>,
+    ) {
         // Pending from here until its last block is acked.
         self.drain.lock().0 += 1;
         let path = path.to_string();
@@ -229,13 +231,13 @@ impl Replicator {
     }
 
     /// Ship the first `len` bytes of `path` (a whole object: `Replicate`).
-    /// The event is signalled once the outcome is in: `Ok` when the last
-    /// block is acked, the error if the object vanished or the target
-    /// refused for good.
-    pub(crate) fn ship(&self, path: &str, len: u64) -> (Event, Outcome) {
-        let (done, out) = (self.rt.event(), Outcome::default());
-        self.push_job(path, 0, len, Some((done.clone(), out.clone())));
-        (done, out)
+    /// The cell is set once the outcome is in: `Ok` when the last block is
+    /// acked, the error if the object vanished or the target refused for
+    /// good.
+    pub(crate) fn ship(&self, path: &str, len: u64) -> Arc<OnceCellBlocking<SrbResult<()>>> {
+        let done = OnceCellBlocking::new(&self.rt);
+        self.push_job(path, 0, len, Some(done.clone()));
+        done
     }
 
     /// Gate the change hook: while inactive, write events are dropped
@@ -277,9 +279,8 @@ impl Replicator {
     /// A shipped job's outcome is in: tell its waiter, if any, and
     /// release the drain once it was the last pending job.
     fn finish(&self, job: ReplJob, r: SrbResult<()>) {
-        if let Some((done, out)) = job.done {
-            *out.lock() = Some(r);
-            done.signal();
+        if let Some(done) = job.done {
+            done.set(r);
         }
         let mut d = self.drain.lock();
         d.0 -= 1;

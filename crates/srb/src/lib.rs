@@ -458,6 +458,54 @@ mod tests {
         });
     }
 
+    /// A `Replicate` still queued behind another object's extents when a
+    /// second session unlinks its object: the peer's replicator skips the
+    /// job, the client gets the `NotFound`, and no replica is recorded on
+    /// either server.
+    #[test]
+    fn a_replicate_whose_object_is_unlinked_while_queued_fails_not_found() {
+        simulate(|rt| {
+            let (primary, peer, route, fed) = peered(&rt);
+            let sessions: Vec<SrbConn> = (0..3)
+                .map(|_| primary.connect(route.clone(), "alin", "pw").unwrap())
+                .collect();
+            let (a, b, c) = (&sessions[0], &sessions[1], &sessions[2]);
+            let fd = a.open("/big", OpenFlags::CreateRw).unwrap();
+            a.write(fd, 0, Payload::sized(8 * REPL_BLOCK)).unwrap();
+            a.close_fd(fd).unwrap();
+            write_object(a, "/small", 1000);
+            let replicate = |conn: &SrbConn, path: &str| {
+                conn.submit(proto::Request::Replicate {
+                    path: path.into(),
+                    peer: "mirror".into(),
+                })
+            };
+            // `/small`'s job queues behind `/big`'s eight 1 MiB blocks, which
+            // take the 1 Gb/s federation hop far longer than the unlink
+            // takes to arrive.
+            let big = replicate(a, "/big");
+            rt.sleep(Dur::from_millis(1));
+            let small = replicate(b, "/small");
+            rt.sleep(Dur::from_millis(15));
+            c.unlink("/small").unwrap();
+            assert!(matches!(
+                small.wait().unwrap().resp,
+                proto::Response::Error(SrbError::NotFound(_))
+            ));
+            assert!(matches!(big.wait().unwrap().resp, proto::Response::Ok));
+            assert_eq!(c.stat("/big").unwrap().replicas, 2);
+            assert!(matches!(c.stat("/small"), Err(SrbError::NotFound(_))));
+            assert_eq!(primary.peer_stats("mirror").skipped, 1);
+            let pconn = peer.connect(fed, "fed-svc", "secret").unwrap();
+            assert_eq!(pconn.stat("/big").unwrap().size, 8 * REPL_BLOCK);
+            assert!(matches!(pconn.stat("/small"), Err(SrbError::NotFound(_))));
+            pconn.disconnect().unwrap();
+            for conn in &sessions {
+                conn.disconnect().unwrap();
+            }
+        });
+    }
+
     #[test]
     fn serving_a_replicate_spawns_no_actor() {
         let actors = |replicates: usize| {

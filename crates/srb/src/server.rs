@@ -12,10 +12,8 @@
 //! A handler only ever waits, so it is a task, not a thread: an `async`
 //! body over *receive → overhead → admission → disk → wire* whose every
 //! await is one place a per-connection thread would block, on the same
-//! event. Serving a request is split: `SrbServer::begin` does everything up
-//! to the one thing the request waits for — its disk charge, or for
-//! `Replicate` the peer replicator's completion — without blocking, the
-//! handler waits it out, and a continuation finishes.
+//! event. Serving a request awaits, in place, the one thing it waits for:
+//! its disk charge, or for `Replicate` the peer replicator's completion.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -387,6 +385,12 @@ impl SrbServer {
         self.peers.lock().insert(name.to_string(), repl);
     }
 
+    /// The counters of the replicator that ships `Replicate`s to `peer`.
+    #[cfg(test)]
+    pub(crate) fn peer_stats(&self, peer: &str) -> crate::ReplStats {
+        self.peers.lock()[peer].stats()
+    }
+
     /// Register an observer of every [`Change`]. Hooks accumulate —
     /// federation's replication queue and each leased mount register one —
     /// and every hook hears every change, in registration order. A hook
@@ -634,25 +638,13 @@ impl SrbServer {
                 task::wait(&q.enqueue(tenant, req_wire + pulled)).await;
             }
             let last = matches!(req, Request::Disconnect);
-            let served = if matches!(req, Request::EndSession) {
+            let outcome = if matches!(req, Request::EndSession) {
                 sessions.remove(&session);
-                Ok(Served::Reply(Response::Ok))
+                Ok(Response::Ok)
             } else if let Some(e) = self.fence_check(epoch, &req) {
                 Err(e)
             } else {
-                self.begin(req, sessions.entry(session).or_default())
-            };
-            let outcome = match served {
-                Ok(Served::Reply(resp)) => Ok(resp),
-                Ok(Served::Disk(bytes, finish)) => {
-                    self.vault.charge_disk_async(bytes).await;
-                    finish(&self)
-                }
-                Ok(Served::Wait(ev, finish)) => {
-                    task::wait(&ev).await;
-                    finish(&self)
-                }
-                Err(e) => Err(e),
+                self.handle(req, sessions.entry(session).or_default()).await
             };
             let frame = RespFrame {
                 seq,
@@ -699,24 +691,23 @@ impl SrbServer {
         block_on(&self.rt, self.dial(route, user, password, max_inflight))
     }
 
-    /// The non-blocking first phase of serving `req`: everything up to the
-    /// request's one disk charge. An `Err` is the reply to a request refused
-    /// outright.
-    fn begin(&self, req: Request, space: &mut SessionSpace) -> SrbResult<Served> {
-        let reply = |resp| Ok(Served::Reply(resp));
+    /// Serve `req` against the catalog and the vault. The request's one
+    /// disk charge, or the work it waits for elsewhere, is awaited in
+    /// place. An `Err` is the reply to a request refused outright.
+    async fn handle(&self, req: Request, space: &mut SessionSpace) -> SrbResult<Response> {
         match req {
             Request::MkColl(p) => {
                 self.mcat.mk_coll(&p)?;
-                reply(Response::Ok)
+                Ok(Response::Ok)
             }
             Request::RmColl(p) => {
                 self.mcat.rm_coll(&p)?;
-                reply(Response::Ok)
+                Ok(Response::Ok)
             }
             Request::Create(p) => {
                 let id = self.mcat.create_obj(&p, &self.cfg.resource)?;
                 self.vault.create(id);
-                reply(Response::Ok)
+                Ok(Response::Ok)
             }
             Request::Open(p, flags) => {
                 let rec = match self.mcat.lookup(&p) {
@@ -744,28 +735,29 @@ impl SrbServer {
                         flags,
                     },
                 );
-                reply(Response::Fd(fd))
+                Ok(Response::Fd(fd))
             }
             Request::Close(fd) => {
                 space.fds.remove(&fd).ok_or(SrbError::BadFd(fd))?;
-                reply(Response::Ok)
+                Ok(Response::Ok)
             }
             Request::Read { fd, offset, len } => {
                 let obj_id = space.readable(fd)?;
                 // The bytes are the vault's as of now; the disk time they
                 // cost is charged before they go out.
-                let Some(cache) = self.cache.lock().clone() else {
+                let cache = self.cache.lock().clone();
+                let Some(cache) = cache else {
                     let data = self.vault.load(obj_id, offset, len);
-                    return Ok(Served::disk(data.len(), move |srv| Ok(srv.read_done(data))));
+                    self.vault.charge_disk_async(data.len()).await;
+                    return Ok(self.read_done(data));
                 };
                 match cache.begin_read(obj_id, offset, len) {
-                    Ok(data) => Ok(Served::Reply(self.read_done(data))),
+                    Ok(data) => Ok(self.read_done(data)),
                     Err(miss) => {
                         let fetched = self.vault.load_extents(obj_id, &miss.extents);
                         let bytes = fetched.iter().map(|p| p.len()).sum();
-                        Ok(Served::disk(bytes, move |srv| {
-                            Ok(srv.read_done(cache.finish_read(miss, fetched)))
-                        }))
+                        self.vault.charge_disk_async(bytes).await;
+                        Ok(self.read_done(cache.finish_read(miss, fetched)))
                     }
                 }
             }
@@ -775,14 +767,16 @@ impl SrbServer {
                 payload,
             } => {
                 let (obj_id, path) = space.writable(fd)?;
-                Ok(self.begin_write(obj_id, path, vec![(offset, payload.len())], payload))
+                self.write(obj_id, path, vec![(offset, payload.len())], payload)
+                    .await
             }
             Request::ReadList { fd, extents } => {
                 let obj_id = space.readable(fd)?;
                 // One vault pass for the whole list: a single seek plus one
                 // packed transfer, instead of a disk pass per extent.
                 let data = self.vault.load_list(obj_id, &extents);
-                Ok(Served::disk(data.len(), move |srv| Ok(srv.read_done(data))))
+                self.vault.charge_disk_async(data.len()).await;
+                Ok(self.read_done(data))
             }
             Request::WriteList {
                 fd,
@@ -797,9 +791,9 @@ impl SrbServer {
                         payload.len()
                     )));
                 }
-                Ok(self.begin_write(obj_id, path, extents, payload))
+                self.write(obj_id, path, extents, payload).await
             }
-            Request::Stat(p) => reply(Response::Stat(self.mcat.stat(&p)?)),
+            Request::Stat(p) => Ok(Response::Stat(self.mcat.stat(&p)?)),
             Request::Unlink(p) => {
                 let id = self.mcat.unlink(&p)?;
                 self.vault.remove(id);
@@ -807,99 +801,72 @@ impl SrbServer {
                     c.invalidate_obj(id);
                 }
                 self.changed(&Change::Unlinked { path: &p });
-                reply(Response::Ok)
+                Ok(Response::Ok)
             }
-            Request::List(p) => reply(Response::Names(self.mcat.list(&p)?)),
+            Request::List(p) => Ok(Response::Names(self.mcat.list(&p)?)),
             Request::Checksum(p) => {
                 // A full disk read of the object, then the sum of the bytes
                 // it held when the read began.
                 let rec = self.mcat.lookup(&p)?;
                 let data = self.vault.bytes_of(rec.obj_id)?;
-                Ok(Served::disk(data.len() as u64, move |_| {
-                    Ok(Response::Checksum(adler32(&data)))
-                }))
+                self.vault.charge_disk_async(data.len() as u64).await;
+                Ok(Response::Checksum(adler32(&data)))
             }
             Request::Replicate { path, peer } => {
                 let repl = self.peers.lock().get(&peer).cloned();
                 let repl = repl.ok_or_else(|| SrbError::NotFound(format!("peer {peer}")))?;
                 // The reply waits for the peer's replicator to ack it all.
-                let (done, out) = repl.ship(&path, self.mcat.lookup(&path)?.size);
-                let finish = move |srv: &SrbServer| {
-                    out.lock().take().expect("signalled with the outcome")?;
-                    srv.mcat.add_replica(&path)?;
-                    Ok(Response::Ok)
-                };
-                Ok(Served::Wait(done, Box::new(finish)))
+                let done = repl.ship(&path, self.mcat.lookup(&path)?.size);
+                done.wait_async().await?;
+                self.mcat.add_replica(&path)?;
+                Ok(Response::Ok)
             }
             // EndSession is resolved by the handler (it retires the whole
             // session space); reaching here means a stray frame.
-            Request::EndSession | Request::Disconnect => reply(Response::Ok),
+            Request::EndSession | Request::Disconnect => Ok(Response::Ok),
         }
     }
 
     /// A write of `payload`, packed back-to-back for `extents` (one extent
     /// for a plain write): one disk charge for the packed bytes, then the
     /// store and everything that must see it.
-    fn begin_write(
+    async fn write(
         &self,
         obj_id: u64,
         path: String,
         extents: Vec<(u64, u64)>,
         payload: Payload,
-    ) -> Served {
+    ) -> SrbResult<Response> {
         let total = payload.len();
         // For cache invalidation the dirty range starts at the lowest write
         // offset or the old EOF, whichever is lower: a write past EOF
         // zero-fills the gap, so cached EOF-short blocks in between are
         // stale too.
         let old_size = self.vault.size(obj_id);
-        Served::disk(total, move |srv| {
-            let new_size = srv.vault.store_list(obj_id, &extents, &payload);
-            if let Some(c) = srv.cache.lock().clone() {
-                // One conservative sweep over the whole dirtied span.
-                let lo = extents.iter().map(|&(o, _)| o).min().unwrap_or(0);
-                let hi = extents.iter().map(|&(o, l)| o + l).max().unwrap_or(0);
-                c.invalidate_range(obj_id, old_size.min(lo), hi);
-            }
-            srv.mcat.update_size(&path, new_size)?;
-            srv.bytes_written.fetch_add(total, Ordering::Relaxed);
-            // Fire per extent so replication ships exactly the packed
-            // bytes — never the holes between extents.
-            for &(offset, len) in &extents {
-                srv.changed(&Change::Wrote {
-                    path: &path,
-                    offset,
-                    len,
-                });
-            }
-            Ok(Response::Written(total))
-        })
+        self.vault.charge_disk_async(total).await;
+        let new_size = self.vault.store_list(obj_id, &extents, &payload);
+        if let Some(c) = self.cache.lock().clone() {
+            // One conservative sweep over the whole dirtied span.
+            let lo = extents.iter().map(|&(o, _)| o).min().unwrap_or(0);
+            let hi = extents.iter().map(|&(o, l)| o + l).max().unwrap_or(0);
+            c.invalidate_range(obj_id, old_size.min(lo), hi);
+        }
+        self.mcat.update_size(&path, new_size)?;
+        self.bytes_written.fetch_add(total, Ordering::Relaxed);
+        // Fire per extent so replication ships exactly the packed
+        // bytes — never the holes between extents.
+        for &(offset, len) in &extents {
+            self.changed(&Change::Wrote {
+                path: &path,
+                offset,
+                len,
+            });
+        }
+        Ok(Response::Written(total))
     }
 
     fn read_done(&self, data: Payload) -> Response {
         self.bytes_read.fetch_add(data.len(), Ordering::Relaxed);
         Response::Data(data)
-    }
-}
-
-/// The rest of a request, run once its disk charge or its wait is over.
-type Finish = Box<dyn FnOnce(&SrbServer) -> SrbResult<Response> + Send>;
-
-/// What is left of a request after [`SrbServer::begin`].
-enum Served {
-    /// Nothing: answered from the catalog (or the cache) alone.
-    Reply(Response),
-    /// One disk operation of so many bytes, then the continuation.
-    Disk(u64, Finish),
-    /// A signal on the event (work done elsewhere), then the continuation.
-    Wait(Event, Finish),
-}
-
-impl Served {
-    fn disk(
-        bytes: u64,
-        finish: impl FnOnce(&SrbServer) -> SrbResult<Response> + Send + 'static,
-    ) -> Served {
-        Served::Disk(bytes, Box::new(finish))
     }
 }
