@@ -16,6 +16,7 @@
 //! its disk charge, or for `Replicate` the peer replicator's completion.
 
 use std::collections::HashMap;
+use std::future::Future;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -597,72 +598,86 @@ impl SrbServer {
     /// until the client disconnects, drops the channel, or a fault severs
     /// the connection from outside. Each await is where that thread blocks:
     /// receive, overhead, admission, the disk or the awaited work, the wire.
-    async fn serve(
+    ///
+    /// An `async move` block rather than an `async fn`, which would keep
+    /// each argument twice in the future: once as passed, once as moved in.
+    fn serve(
         self: Arc<Self>,
         conn_id: u64,
         (req_ch, resp_ch): ConnChannels,
         rev: Vec<LinkId>,
         rev_opts: XferOpts,
-    ) {
+    ) -> impl Future<Output = ()> + Send + 'static {
         // One fd namespace per session on this stream; a per-open stream
         // only ever populates session 0.
         let mut sessions: HashMap<SessionId, SessionSpace> = HashMap::new();
-        while let Ok(frame) = req_ch.recv_async().await {
-            self.requests.fetch_add(1, Ordering::Relaxed);
-            self.trace_request(conn_id, &frame);
-            if !self.cfg.op_overhead.is_zero() {
-                task::sleep(self.cfg.op_overhead).await;
-            }
-            let req_wire = frame.wire_size();
-            let ReqFrame {
-                seq,
-                session,
-                tenant,
-                epoch,
-                req,
-            } = frame;
-            // Per-tenant fair queueing (when installed) gates the vault +
-            // response-NIC stage: the handler waits here until DRR grants
-            // this tenant a service slot. The DRR cost is the bytes the
-            // request moves through the gated stage — its own wire size
-            // plus, for reads, the response payload it pulls — so megabyte
-            // writes *and* megabyte reads drain a tenant's credit while
-            // header-sized ops glide through.
-            let qos = self.qos.lock().clone();
-            if let Some(q) = &qos {
-                let pulled = match &req {
-                    Request::Read { len, .. } => *len,
-                    Request::ReadList { extents, .. } => extents.iter().map(|&(_, l)| l).sum(),
-                    _ => 0,
+        async move {
+            loop {
+                // Taken apart at once: a whole frame held across the awaits
+                // below would sit in this future beside its own fields.
+                let (
+                    req_wire,
+                    ReqFrame {
+                        seq,
+                        session,
+                        tenant,
+                        epoch,
+                        req,
+                    },
+                ) = {
+                    let Ok(frame) = req_ch.recv_async().await else {
+                        break;
+                    };
+                    self.requests.fetch_add(1, Ordering::Relaxed);
+                    self.trace_request(conn_id, &frame);
+                    (frame.wire_size(), frame)
                 };
-                task::wait(&q.enqueue(tenant, req_wire + pulled)).await;
+                if !self.cfg.op_overhead.is_zero() {
+                    task::sleep(self.cfg.op_overhead).await;
+                }
+                // Per-tenant fair queueing (when installed) gates the vault +
+                // response-NIC stage: the handler waits here until DRR grants
+                // this tenant a service slot. The DRR cost is the bytes the
+                // request moves through the gated stage — its own wire size
+                // plus, for reads, the response payload it pulls — so megabyte
+                // writes *and* megabyte reads drain a tenant's credit while
+                // header-sized ops glide through.
+                let qos = self.qos.lock().clone();
+                if let Some(q) = &qos {
+                    let pulled = match &req {
+                        Request::Read { len, .. } => *len,
+                        Request::ReadList { extents, .. } => extents.iter().map(|&(_, l)| l).sum(),
+                        _ => 0,
+                    };
+                    task::wait(&q.enqueue(tenant, req_wire + pulled)).await;
+                }
+                let last = matches!(req, Request::Disconnect);
+                let outcome = if matches!(req, Request::EndSession) {
+                    sessions.remove(&session);
+                    Ok(Response::Ok)
+                } else if let Some(e) = self.fence_check(epoch, &req) {
+                    Err(e)
+                } else {
+                    self.handle(req, sessions.entry(session).or_default()).await
+                };
+                let frame = RespFrame {
+                    seq,
+                    session,
+                    resp: outcome.unwrap_or_else(Response::Error),
+                };
+                let resp_wire = frame.wire_size();
+                self.net
+                    .send_message_async(&rev, resp_wire, &rev_opts)
+                    .await;
+                if let Some(q) = &qos {
+                    q.done(tenant, req_wire + resp_wire);
+                }
+                if resp_ch.send(frame).is_err() || last {
+                    break;
+                }
             }
-            let last = matches!(req, Request::Disconnect);
-            let outcome = if matches!(req, Request::EndSession) {
-                sessions.remove(&session);
-                Ok(Response::Ok)
-            } else if let Some(e) = self.fence_check(epoch, &req) {
-                Err(e)
-            } else {
-                self.handle(req, sessions.entry(session).or_default()).await
-            };
-            let frame = RespFrame {
-                seq,
-                session,
-                resp: outcome.unwrap_or_else(Response::Error),
-            };
-            let resp_wire = frame.wire_size();
-            self.net
-                .send_message_async(&rev, resp_wire, &rev_opts)
-                .await;
-            if let Some(q) = &qos {
-                q.done(tenant, req_wire + resp_wire);
-            }
-            if resp_ch.send(frame).is_err() || last {
-                break;
-            }
+            self.live_conns.lock().remove(&conn_id);
         }
-        self.live_conns.lock().remove(&conn_id);
     }
 
     /// Dial a stream of its own for one session: one exchange at a time,
@@ -695,6 +710,18 @@ impl SrbServer {
     /// disk charge, or the work it waits for elsewhere, is awaited in
     /// place. An `Err` is the reply to a request refused outright.
     async fn handle(&self, req: Request, space: &mut SessionSpace) -> SrbResult<Response> {
+        let req = match req {
+            Request::Write {
+                fd,
+                offset,
+                payload,
+            } => Request::WriteList {
+                fd,
+                extents: vec![(offset, payload.len())],
+                payload,
+            },
+            req => req,
+        };
         match req {
             Request::MkColl(p) => {
                 self.mcat.mk_coll(&p)?;
@@ -751,24 +778,14 @@ impl SrbServer {
                     self.vault.charge_disk_async(data.len()).await;
                     return Ok(self.read_done(data));
                 };
-                match cache.begin_read(obj_id, offset, len) {
-                    Ok(data) => Ok(self.read_done(data)),
-                    Err(miss) => {
-                        let fetched = self.vault.load_extents(obj_id, &miss.extents);
-                        let bytes = fetched.iter().map(|p| p.len()).sum();
-                        self.vault.charge_disk_async(bytes).await;
-                        Ok(self.read_done(cache.finish_read(miss, fetched)))
-                    }
-                }
-            }
-            Request::Write {
-                fd,
-                offset,
-                payload,
-            } => {
-                let (obj_id, path) = space.writable(fd)?;
-                self.write(obj_id, path, vec![(offset, payload.len())], payload)
-                    .await
+                let miss = match cache.begin_read(obj_id, offset, len) {
+                    Ok(data) => return Ok(self.read_done(data)),
+                    Err(miss) => miss,
+                };
+                let fetched = self.vault.load_extents(obj_id, &miss.extents);
+                let bytes = fetched.iter().map(|p| p.len()).sum();
+                self.vault.charge_disk_async(bytes).await;
+                Ok(self.read_done(cache.finish_read(miss, fetched)))
             }
             Request::ReadList { fd, extents } => {
                 let obj_id = space.readable(fd)?;
@@ -778,20 +795,47 @@ impl SrbServer {
                 self.vault.charge_disk_async(data.len()).await;
                 Ok(self.read_done(data))
             }
+            // A write of `payload`, packed back-to-back for `extents` (one
+            // extent for a plain write): one disk charge for the packed
+            // bytes, then the store and everything that must see it.
             Request::WriteList {
                 fd,
                 extents,
                 payload,
             } => {
                 let (obj_id, path) = space.writable(fd)?;
-                let total: u64 = extents.iter().map(|&(_, l)| l).sum();
-                if total != payload.len() {
+                let total = payload.len();
+                if extents.iter().map(|&(_, l)| l).sum::<u64>() != total {
                     return Err(SrbError::InvalidArg(format!(
-                        "packed payload is {} bytes but extents sum to {total}",
-                        payload.len()
+                        "packed payload is {total} bytes but extents sum to {}",
+                        extents.iter().map(|&(_, l)| l).sum::<u64>()
                     )));
                 }
-                self.write(obj_id, path, extents, payload).await
+                // For cache invalidation the dirty range starts at the
+                // lowest write offset or the old EOF, whichever is lower: a
+                // write past EOF zero-fills the gap, so cached EOF-short
+                // blocks in between are stale too.
+                let old_size = self.vault.size(obj_id);
+                self.vault.charge_disk_async(total).await;
+                let new_size = self.vault.store_list(obj_id, &extents, &payload);
+                if let Some(c) = self.cache.lock().clone() {
+                    // One conservative sweep over the whole dirtied span.
+                    let lo = extents.iter().map(|&(o, _)| o).min().unwrap_or(0);
+                    let hi = extents.iter().map(|&(o, l)| o + l).max().unwrap_or(0);
+                    c.invalidate_range(obj_id, old_size.min(lo), hi);
+                }
+                self.mcat.update_size(&path, new_size)?;
+                self.bytes_written.fetch_add(total, Ordering::Relaxed);
+                // Fire per extent so replication ships exactly the packed
+                // bytes — never the holes between extents.
+                for &(offset, len) in &extents {
+                    self.changed(&Change::Wrote {
+                        path: &path,
+                        offset,
+                        len,
+                    });
+                }
+                Ok(Response::Written(total))
             }
             Request::Stat(p) => Ok(Response::Stat(self.mcat.stat(&p)?)),
             Request::Unlink(p) => {
@@ -821,48 +865,11 @@ impl SrbServer {
                 self.mcat.add_replica(&path)?;
                 Ok(Response::Ok)
             }
+            Request::Write { .. } => unreachable!("served as a one-extent list"),
             // EndSession is resolved by the handler (it retires the whole
             // session space); reaching here means a stray frame.
             Request::EndSession | Request::Disconnect => Ok(Response::Ok),
         }
-    }
-
-    /// A write of `payload`, packed back-to-back for `extents` (one extent
-    /// for a plain write): one disk charge for the packed bytes, then the
-    /// store and everything that must see it.
-    async fn write(
-        &self,
-        obj_id: u64,
-        path: String,
-        extents: Vec<(u64, u64)>,
-        payload: Payload,
-    ) -> SrbResult<Response> {
-        let total = payload.len();
-        // For cache invalidation the dirty range starts at the lowest write
-        // offset or the old EOF, whichever is lower: a write past EOF
-        // zero-fills the gap, so cached EOF-short blocks in between are
-        // stale too.
-        let old_size = self.vault.size(obj_id);
-        self.vault.charge_disk_async(total).await;
-        let new_size = self.vault.store_list(obj_id, &extents, &payload);
-        if let Some(c) = self.cache.lock().clone() {
-            // One conservative sweep over the whole dirtied span.
-            let lo = extents.iter().map(|&(o, _)| o).min().unwrap_or(0);
-            let hi = extents.iter().map(|&(o, l)| o + l).max().unwrap_or(0);
-            c.invalidate_range(obj_id, old_size.min(lo), hi);
-        }
-        self.mcat.update_size(&path, new_size)?;
-        self.bytes_written.fetch_add(total, Ordering::Relaxed);
-        // Fire per extent so replication ships exactly the packed
-        // bytes — never the holes between extents.
-        for &(offset, len) in &extents {
-            self.changed(&Change::Wrote {
-                path: &path,
-                offset,
-                len,
-            });
-        }
-        Ok(Response::Written(total))
     }
 
     fn read_done(&self, data: Payload) -> Response {
