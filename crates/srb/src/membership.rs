@@ -13,21 +13,19 @@
 //! * **Quorum promotion** — on lease expiry the monitor runs a collapsed,
 //!   deterministic Bracha-style reliable-broadcast vote over all federation
 //!   seats (every server in every governed shard, n = 2·shards): a *send*
-//!   round proposes `(shard, epoch+1, replica)`, an *echo*
-//!   round must gather ⌈(n+f+1)/2⌉ echoes, and a *ready* round must gather
-//!   2f+1 readies (with the classic f+1 amplification rule) before the
-//!   promotion is delivered. Seats are honest and rounds take one
-//!   [`HOP_DELAY`] each, so the counts collapse to the live
-//!   seat count — but the thresholds genuinely gate: with n = 4 seats and
-//!   f = 1, a promotion needs 3 live seats, which is exactly what one
-//!   crashed primary leaves.
+//!   round proposes `(shard, epoch+1, replica)`, an *echo* round must
+//!   gather ⌈(n+f+1)/2⌉ echoes, and a *ready* round must gather 2f+1
+//!   readies (with the classic f+1 amplification rule) before the promotion
+//!   is delivered. Seats are honest and rounds take one 1 ms hop each, so
+//!   the counts collapse to the live seat count — but the thresholds
+//!   genuinely gate: with n = 4 seats and f = 1, a promotion needs 3 live
+//!   seats, which is exactly what one crashed primary leaves.
 //! * **Epoch fencing** — every promotion bumps the shard epoch. Epochs ride
-//!   the spare bytes of the fixed 256-byte wire header
-//!   (`ReqFrame::epoch`); servers under
-//!   [`SrbServer::enable_epoch_fencing`] reject stale-epoch mutations, and a
-//!   restarted old primary comes back *hard-fenced* — it cannot accept a
-//!   single write until the monitor certifies its epoch — so a deposed
-//!   primary can never split the brain.
+//!   the spare bytes of the fixed 256-byte wire header (`ReqFrame::epoch`);
+//!   servers under [`SrbServer::enable_epoch_fencing`] reject stale-epoch
+//!   mutations, and a restarted old primary comes back *hard-fenced* — it
+//!   cannot accept a single write until the monitor certifies its epoch — so
+//!   a deposed primary can never split the brain.
 //! * **Reverse reconciliation** — at promotion the deposed primary's
 //!   divergence backlog (writes acked on the *replica* while the primary
 //!   was down, queued by `semplar::fedfs`) drains through the shard's
@@ -178,13 +176,12 @@ impl Membership {
         pairs: Vec<GovernedPair>,
     ) -> Arc<Membership> {
         assert!(!pairs.is_empty(), "membership needs at least one shard");
-        let base = BASE_EPOCH;
         let now = rt.now();
         let shards: Vec<ShardGov> = pairs
             .into_iter()
             .map(|p| {
                 for s in &p.servers {
-                    s.enable_epoch_fencing(base);
+                    s.enable_epoch_fencing(BASE_EPOCH);
                 }
                 // Replication starts in the forward direction only; both
                 // replicators' connections carry the shard epoch from now on.
@@ -192,13 +189,13 @@ impl Membership {
                 p.reverse.set_active(false);
                 let f_stamp = p.forward.epoch_stamp();
                 let r_stamp = p.reverse.epoch_stamp();
-                f_stamp.store(base, Ordering::SeqCst);
-                r_stamp.store(base, Ordering::SeqCst);
+                f_stamp.store(BASE_EPOCH, Ordering::SeqCst);
+                r_stamp.store(BASE_EPOCH, Ordering::SeqCst);
                 ShardGov {
                     servers: p.servers,
                     forward: p.forward,
                     reverse: p.reverse,
-                    epoch: AtomicU64::new(base),
+                    epoch: AtomicU64::new(BASE_EPOCH),
                     primary: AtomicUsize::new(0),
                     last_beat: Mutex::new(now),
                     stamps: Mutex::new(vec![f_stamp, r_stamp]),

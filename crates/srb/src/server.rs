@@ -772,8 +772,7 @@ impl SrbServer {
                 let obj_id = space.readable(fd)?;
                 // The bytes are the vault's as of now; the disk time they
                 // cost is charged before they go out.
-                let cache = self.cache.lock().clone();
-                let Some(cache) = cache else {
+                let Some(cache) = self.cache.lock().clone() else {
                     let data = self.vault.load(obj_id, offset, len);
                     self.vault.charge_disk_async(data.len()).await;
                     return Ok(self.read_done(data));
@@ -804,11 +803,11 @@ impl SrbServer {
                 payload,
             } => {
                 let (obj_id, path) = space.writable(fd)?;
-                let total = payload.len();
-                if extents.iter().map(|&(_, l)| l).sum::<u64>() != total {
+                let total: u64 = extents.iter().map(|&(_, l)| l).sum();
+                if total != payload.len() {
                     return Err(SrbError::InvalidArg(format!(
-                        "packed payload is {total} bytes but extents sum to {}",
-                        extents.iter().map(|&(_, l)| l).sum::<u64>()
+                        "packed payload is {} bytes but extents sum to {total}",
+                        payload.len()
                     )));
                 }
                 // For cache invalidation the dirty range starts at the
