@@ -27,16 +27,18 @@ use semplar_mpi::Topology;
 use semplar_netsim::net::{BusId, BusSpec};
 use semplar_netsim::{Bw, Cpu, LinkId, Network};
 use semplar_runtime::{Dur, Runtime};
-use semplar_srb::vault::DiskSpec;
-use semplar_srb::{ConnRoute, Replicator, RetryPolicy, SrbServer, SrbServerCfg};
+use semplar_srb::{ConnRoute, Disk, DiskSpec, Replicator, RetryPolicy, SrbServer, SrbServerCfg};
+
+/// Cores per node (all three clusters have dual-CPU nodes).
+const CORES_PER_NODE: f64 = 2.0;
+/// Interconnect NIC bandwidth (Myrinet / GigE fabric).
+const IC_BW: Bw = Bw::gbps(2.0);
 
 /// Static description of one client cluster.
 #[derive(Clone, Debug)]
 pub struct ClusterSpec {
     /// Cluster name ("das2", "osc", "tg-ncsa").
     pub name: &'static str,
-    /// Cores per node (all three clusters have dual-CPU nodes).
-    pub cores_per_node: f64,
     /// Node speed relative to a 1 GHz Pentium III.
     pub cpu_speed: f64,
     /// Node WAN (Ethernet) NIC bandwidth.
@@ -47,16 +49,12 @@ pub struct ClusterSpec {
     pub wan_bw: Bw,
     /// One-way WAN delay (RTT/2).
     pub wan_owd: Dur,
-    /// Interconnect NIC bandwidth (Myrinet / GigE fabric).
-    pub ic_bw: Bw,
     /// Interconnect per-hop latency.
     pub ic_latency: Dur,
     /// TCP send window per stream, bytes.
     pub send_window: u64,
     /// TCP receive window per stream, bytes.
     pub recv_window: u64,
-    /// Node I/O-bus contention behaviour (§7.1).
-    pub bus: BusSpec,
     /// Node-local disk (source data for the compression experiment).
     pub local_disk: DiskSpec,
 }
@@ -84,7 +82,6 @@ impl ClusterSpec {
 pub fn das2() -> ClusterSpec {
     ClusterSpec {
         name: "das2",
-        cores_per_node: 2.0,
         cpu_speed: 1.0,
         eth_bw: Bw::mbps(100.0),
         uplink_bw: Bw::gbps(1.0),
@@ -93,14 +90,9 @@ pub fn das2() -> ClusterSpec {
         // two-stream curve around 110 Mb/s in Fig. 8a).
         wan_bw: Bw::mbps(80.0),
         wan_owd: Dur::from_millis(91),
-        ic_bw: Bw::gbps(2.0),
         ic_latency: Dur::from_micros(10),
         send_window: 64 * 1024,
         recv_window: 32 * 1024,
-        bus: BusSpec {
-            penalty: 0.5,
-            min_wan_streams: 2,
-        },
         local_disk: DiskSpec {
             bandwidth: Bw::mbyte_per_s(30.0),
             seek: Dur::from_millis(1),
@@ -116,20 +108,14 @@ pub fn das2() -> ClusterSpec {
 pub fn osc() -> ClusterSpec {
     ClusterSpec {
         name: "osc",
-        cores_per_node: 2.0,
         cpu_speed: 1.6, // 2.4 GHz P4 Xeon vs 1 GHz P-III
         eth_bw: Bw::mbps(100.0),
         uplink_bw: Bw::mbps(60.0), // the NAT host (binds by ~4 procs)
         wan_bw: Bw::mbps(400.0),
         wan_owd: Dur::from_millis(15),
-        ic_bw: Bw::gbps(2.0),
         ic_latency: Dur::from_micros(10),
         send_window: 64 * 1024,
         recv_window: 32 * 1024,
-        bus: BusSpec {
-            penalty: 0.5,
-            min_wan_streams: 2,
-        },
         local_disk: DiskSpec {
             bandwidth: Bw::mbyte_per_s(40.0),
             seek: Dur::from_millis(1),
@@ -143,22 +129,16 @@ pub fn osc() -> ClusterSpec {
 pub fn tg_ncsa() -> ClusterSpec {
     ClusterSpec {
         name: "tg-ncsa",
-        cores_per_node: 2.0,
         cpu_speed: 1.8, // 1.5 GHz Itanium 2
         eth_bw: Bw::gbps(1.0),
         uplink_bw: Bw::gbps(10.0),
         wan_bw: Bw::mbps(220.0), // the Fig. 8b saturation plateau
         wan_owd: Dur::from_millis(15),
-        ic_bw: Bw::gbps(2.0),
         ic_latency: Dur::from_micros(8),
         // TeraGrid hosts shipped tuned TCP windows (32 Mb/s per stream at
         // 30 ms), calibrated against Fig. 8b's +24%/+75% averages.
         send_window: 120 * 1024,
         recv_window: 58 * 1024,
-        bus: BusSpec {
-            penalty: 0.5,
-            min_wan_streams: 2,
-        },
         local_disk: DiskSpec {
             bandwidth: Bw::mbyte_per_s(60.0),
             seek: Dur::from_millis(1),
@@ -170,19 +150,6 @@ pub fn tg_ncsa() -> ClusterSpec {
 /// All three clusters, in the paper's presentation order.
 pub fn all_clusters() -> Vec<ClusterSpec> {
     vec![das2(), osc(), tg_ncsa()]
-}
-
-/// The SDSC SRB server, `orion.sdsc.edu`: a 36-processor Sun Fire 15000
-/// with 6 Gigabit data NICs and a large storage array (§5).
-pub(crate) fn orion_cfg() -> SrbServerCfg {
-    SrbServerCfg {
-        disk: DiskSpec {
-            bandwidth: Bw::mbyte_per_s(400.0),
-            seek: Dur::from_micros(500),
-            ..DiskSpec::default()
-        },
-        ..SrbServerCfg::default()
-    }
 }
 
 /// A built testbed: `nodes` cluster nodes wired to an orion instance.
@@ -206,11 +173,8 @@ pub struct Testbed {
     wan_down: LinkId,
     buses: Vec<BusId>,
     cpus: Vec<Arc<Cpu>>,
-    disk_net: Arc<Network>,
-    disks: Vec<LinkId>,
-    /// Per-node count of in-flight local-disk ops, for the concurrency
-    /// degradation model (mirrors the vault's `shared_disk` idiom).
-    disk_inflight: Vec<Arc<std::sync::atomic::AtomicUsize>>,
+    /// Node-local disks, all on one disk network of their own.
+    disks: Vec<Disk>,
 }
 
 /// Default SRB account used by the testbed.
@@ -219,10 +183,10 @@ pub const USER: &str = "semplar";
 pub const PASSWORD: &str = "hpdc06";
 
 impl Testbed {
-    /// Build a testbed with `nodes` client nodes and the stock
-    /// `orion_cfg` server.
+    /// Build a testbed with `nodes` client nodes and the stock orion
+    /// server (its disk is [`DiskSpec::default`]).
     pub fn new(rt: Arc<dyn Runtime>, spec: ClusterSpec, nodes: usize) -> Arc<Testbed> {
-        Testbed::with_server_cfg(rt, spec, nodes, orion_cfg())
+        Testbed::with_server_disk(rt, spec, nodes, DiskSpec::default())
     }
 
     /// Build a testbed whose server runs over a custom [`DiskSpec`] —
@@ -233,26 +197,6 @@ impl Testbed {
         spec: ClusterSpec,
         nodes: usize,
         disk: DiskSpec,
-    ) -> Arc<Testbed> {
-        Testbed::with_server_cfg(
-            rt,
-            spec,
-            nodes,
-            SrbServerCfg {
-                disk,
-                ..orion_cfg()
-            },
-        )
-    }
-
-    /// Build a testbed with an explicit server configuration (name, NICs,
-    /// disk model, per-op overhead). [`Testbed::new`] is this with
-    /// [`orion_cfg`].
-    pub(crate) fn with_server_cfg(
-        rt: Arc<dyn Runtime>,
-        spec: ClusterSpec,
-        nodes: usize,
-        cfg: SrbServerCfg,
     ) -> Arc<Testbed> {
         let net = Network::new(rt.clone());
 
@@ -279,27 +223,23 @@ impl Testbed {
             spec.wan_owd,
         );
 
-        let buses: Vec<BusId> = (0..nodes).map(|_| net.add_bus(spec.bus)).collect();
+        let buses: Vec<BusId> = (0..nodes)
+            .map(|_| net.add_bus(BusSpec::default()))
+            .collect();
         let cpus: Vec<Arc<Cpu>> = (0..nodes)
-            .map(|_| Cpu::new(rt.clone(), spec.cores_per_node, spec.cpu_speed))
+            .map(|_| Cpu::new(rt.clone(), CORES_PER_NODE, spec.cpu_speed))
             .collect();
 
         // Interconnect fabric: per-node ingress/egress links; every message
         // DMAs across both endpoint I/O buses.
         let ic_out: Vec<LinkId> = (0..nodes)
-            .map(|i| {
-                net.add_link(
-                    &format!("{}/ic{i}-out", spec.name),
-                    spec.ic_bw,
-                    spec.ic_latency,
-                )
-            })
+            .map(|i| net.add_link(&format!("{}/ic{i}-out", spec.name), IC_BW, spec.ic_latency))
             .collect();
         let ic_in: Vec<LinkId> = (0..nodes)
-            .map(|i| net.add_link(&format!("{}/ic{i}-in", spec.name), spec.ic_bw, Dur::ZERO))
+            .map(|i| net.add_link(&format!("{}/ic{i}-in", spec.name), IC_BW, Dur::ZERO))
             .collect();
         let buses2 = buses.clone();
-        let topo = Topology::new(net.clone(), Dur::from_micros(5), None, move |src, dst| {
+        let topo = Topology::new(net.clone(), Dur::from_micros(5), move |src, dst| {
             (
                 vec![ic_out[src], ic_in[dst]],
                 vec![buses2[src], buses2[dst]],
@@ -308,22 +248,18 @@ impl Testbed {
 
         // Node-local disks (a separate resource domain from the network).
         let disk_net = Network::new(rt.clone());
-        let disks: Vec<LinkId> = (0..nodes)
-            .map(|i| {
-                disk_net.add_link(
-                    &format!("{}/disk{i}", spec.name),
-                    spec.local_disk.bandwidth,
-                    Dur::ZERO,
-                )
-            })
+        let disks = (0..nodes)
+            .map(|_| Disk::new(&disk_net, spec.local_disk))
             .collect();
 
-        let server = SrbServer::new(net.clone(), cfg);
+        let server = SrbServer::new(
+            net.clone(),
+            SrbServerCfg {
+                disk,
+                ..SrbServerCfg::default()
+            },
+        );
         server.mcat().add_user(USER, PASSWORD);
-
-        let disk_inflight = (0..nodes)
-            .map(|_| Arc::new(std::sync::atomic::AtomicUsize::new(0)))
-            .collect();
         Arc::new(Testbed {
             rt,
             net,
@@ -339,9 +275,7 @@ impl Testbed {
             wan_down,
             buses,
             cpus,
-            disk_net,
             disks,
-            disk_inflight,
         })
     }
 
@@ -387,24 +321,11 @@ impl Testbed {
         self.cpus[node].compute(work);
     }
 
-    /// Charge a local-disk read of `bytes` on `node`. With a nonzero
-    /// `degradation` in `spec.local_disk`, `k` concurrent ops on one node share
-    /// an aggregate of `bandwidth / (1 + degradation·(k−1))` — the dslab
-    /// `shared_disk` idiom, matching the server vault. The default
-    /// `degradation: 0.0` leaves the charge exactly as before.
+    /// Charge a local-disk read of `bytes` on `node`: the seek, then the
+    /// transfer, `k` concurrent reads on one node sharing the degraded
+    /// aggregate of `spec.local_disk` (see [`Disk`]).
     pub fn local_read(&self, node: usize, bytes: u64) {
-        use std::sync::atomic::Ordering;
-        let spec = &self.spec.local_disk;
-        let k = self.disk_inflight[node].fetch_add(1, Ordering::SeqCst) + 1;
-        let cap = if spec.degradation > 0.0 && k > 1 {
-            let aggregate = spec.bandwidth.as_bps() / (1.0 + spec.degradation * (k as f64 - 1.0));
-            Some(Bw::bps(aggregate / k as f64))
-        } else {
-            None
-        };
-        self.rt.sleep(spec.seek);
-        self.disk_net.transfer(&[self.disks[node]], bytes, cap);
-        self.disk_inflight[node].fetch_sub(1, Ordering::SeqCst);
+        self.disks[node].charge(bytes);
     }
 }
 

@@ -13,11 +13,11 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use semplar_netsim::{LinkId, Network};
+#[cfg(test)]
 use semplar_runtime::Runtime;
 #[cfg(test)]
-use semplar_srb::vault::DiskSpec;
-use semplar_srb::{OpenFlags, Payload, SrbError};
+use semplar_srb::DiskSpec;
+use semplar_srb::{Disk, OpenFlags, Payload, SrbError};
 
 /// Errors surfaced by the I/O stack.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -246,43 +246,34 @@ struct MemFsInner {
 /// baseline the paper contrasts remote I/O with.
 pub struct MemFs {
     inner: Mutex<MemFsInner>,
-    disk: Option<(Arc<Network>, LinkId)>,
-    seek: semplar_runtime::Dur,
-    rt: Arc<dyn Runtime>,
+    disk: Option<Disk>,
 }
 
 impl MemFs {
     /// A MemFs with no modelled disk time (I/O completes instantly).
-    pub fn new(rt: Arc<dyn Runtime>) -> Arc<MemFs> {
+    pub fn new() -> Arc<MemFs> {
         Arc::new(MemFs {
             inner: Mutex::new(MemFsInner {
                 files: HashMap::new(),
             }),
             disk: None,
-            seek: semplar_runtime::Dur::ZERO,
-            rt,
         })
     }
 
     /// A MemFs whose operations charge time against a modelled local disk.
     #[cfg(test)]
     pub(crate) fn with_disk(rt: Arc<dyn Runtime>, spec: DiskSpec) -> Arc<MemFs> {
-        let net = Network::new(rt.clone());
-        let link = net.add_link("memfs-disk", spec.bandwidth, semplar_runtime::Dur::ZERO);
         Arc::new(MemFs {
             inner: Mutex::new(MemFsInner {
                 files: HashMap::new(),
             }),
-            disk: Some((net, link)),
-            seek: spec.seek,
-            rt,
+            disk: Some(Disk::new(&semplar_netsim::Network::new(rt), spec)),
         })
     }
 
     fn charge(&self, bytes: u64) {
-        if let Some((net, link)) = &self.disk {
-            self.rt.sleep(self.seek);
-            net.transfer(&[*link], bytes, None);
+        if let Some(disk) = &self.disk {
+            disk.charge(bytes);
         }
     }
 
@@ -402,8 +393,8 @@ mod tests {
 
     #[test]
     fn memfs_create_write_read() {
-        simulate(|rt| {
-            let fs = MemFs::new(rt);
+        simulate(|_| {
+            let fs = MemFs::new();
             let mut f = fs.open("/x", OpenFlags::CreateRw).unwrap();
             f.write_at(0, &Payload::bytes(vec![1, 2, 3])).unwrap();
             f.write_at(5, &Payload::bytes(vec![9])).unwrap();
@@ -417,8 +408,8 @@ mod tests {
 
     #[test]
     fn memfs_missing_file_errors() {
-        simulate(|rt| {
-            let fs = MemFs::new(rt);
+        simulate(|_| {
+            let fs = MemFs::new();
             assert!(matches!(
                 fs.open("/nope", OpenFlags::Read),
                 Err(IoError::NotFound(_))
@@ -429,8 +420,8 @@ mod tests {
 
     #[test]
     fn memfs_respects_access_flags() {
-        simulate(|rt| {
-            let fs = MemFs::new(rt);
+        simulate(|_| {
+            let fs = MemFs::new();
             fs.put("/r", vec![1]);
             let mut f = fs.open("/r", OpenFlags::Read).unwrap();
             assert!(matches!(
@@ -489,8 +480,8 @@ mod tests {
 
     #[test]
     fn default_list_ops_match_single_ops() {
-        simulate(|rt| {
-            let fs = MemFs::new(rt);
+        simulate(|_| {
+            let fs = MemFs::new();
             let mut f = fs.open("/l", OpenFlags::CreateRw).unwrap();
             let extents = [(0u64, 3u64), (5, 3), (10, 3)];
             let data = Payload::bytes((1..=9u8).collect());
@@ -508,8 +499,8 @@ mod tests {
 
     #[test]
     fn two_handles_share_one_file() {
-        simulate(|rt| {
-            let fs = MemFs::new(rt);
+        simulate(|_| {
+            let fs = MemFs::new();
             let mut a = fs.open("/shared", OpenFlags::CreateRw).unwrap();
             let mut b = fs.open("/shared", OpenFlags::ReadWrite).unwrap();
             a.write_at(0, &Payload::bytes(b"halo".to_vec())).unwrap();

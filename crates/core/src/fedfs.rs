@@ -178,7 +178,6 @@ pub struct FedFs {
     state: Vec<ShardState>,
     ledger: Mutex<ReconcileLedger>,
     recovery: Mutex<RecoveryStats>,
-    failovers: AtomicU64,
     /// High-water mark across all shards' divergence queues. Unbounded
     /// growth here is exactly what membership promotion prevents; the
     /// federation tests fail if it passes their configured cap.
@@ -237,7 +236,6 @@ impl FedFs {
             state,
             ledger: Mutex::new(ReconcileLedger::default()),
             recovery: Mutex::new(RecoveryStats::default()),
-            failovers: AtomicU64::new(0),
             div_high_water: AtomicU64::new(0),
             membership: Mutex::new(None),
             remap: Mutex::new(None),
@@ -386,7 +384,7 @@ impl FedFs {
     /// Operations served by a replica because the owning primary was
     /// unreachable.
     pub fn failovers(&self) -> u64 {
-        self.failovers.load(Ordering::Relaxed)
+        self.recovery.lock().disconnects
     }
 
     /// Snapshot of the cumulative reconciliation ledger.
@@ -448,7 +446,6 @@ impl FedFs {
     }
 
     fn note_failover(&self) {
-        self.failovers.fetch_add(1, Ordering::Relaxed);
         let mut st = self.recovery.lock();
         st.disconnects += 1;
         st.recovered_ops += 1;

@@ -79,7 +79,7 @@ mod tests {
     #[test]
     fn sync_file_roundtrip_on_memfs() {
         simulate(|rt| {
-            let fs = MemFs::new(rt.clone());
+            let fs = MemFs::new();
             let f = File::open(&rt, &fs, "/a", OpenFlags::CreateRw).unwrap();
             f.write_at(0, &Payload::bytes(b"semplar".to_vec())).unwrap();
             assert_eq!(f.read_at(0, 7).unwrap().data().unwrap(), b"semplar");
@@ -91,7 +91,7 @@ mod tests {
     #[test]
     fn async_write_completes_and_persists() {
         simulate(|rt| {
-            let fs = MemFs::new(rt.clone());
+            let fs = MemFs::new();
             let f = File::open(&rt, &fs, "/a", OpenFlags::CreateRw).unwrap();
             let r = f.iwrite_at(0, Payload::bytes(vec![7; 100]));
             let st = r.wait().unwrap();
@@ -109,7 +109,7 @@ mod tests {
     #[test]
     fn rejected_submit_is_not_counted() {
         simulate(|rt| {
-            let fs = MemFs::new(rt.clone());
+            let fs = MemFs::new();
             fs.put("/r", b"payload".to_vec());
             let f = File::open(&rt, &fs, "/r", OpenFlags::Read).unwrap();
             f.iread_at(0, 7).wait().unwrap();
@@ -127,7 +127,7 @@ mod tests {
     #[test]
     fn async_read_returns_data_in_status() {
         simulate(|rt| {
-            let fs = MemFs::new(rt.clone());
+            let fs = MemFs::new();
             fs.put("/r", b"async-data".to_vec());
             let f = File::open(&rt, &fs, "/r", OpenFlags::Read).unwrap();
             let st = f.iread_at(6, 4).wait().unwrap();
@@ -206,7 +206,7 @@ mod tests {
     #[test]
     fn io_thread_spawns_lazily_by_default() {
         simulate(|rt| {
-            let fs = MemFs::new(rt.clone());
+            let fs = MemFs::new();
             let f = File::open(&rt, &fs, "/lazy", OpenFlags::CreateRw).unwrap();
             assert_eq!(f.engine_stats().threads_spawned, 0);
             f.iwrite_at(0, Payload::sized(1)).wait().unwrap();
@@ -218,7 +218,7 @@ mod tests {
     #[test]
     fn io_threads_start_together_on_the_first_async_call() {
         simulate(|rt| {
-            let fs = MemFs::new(rt.clone());
+            let fs = MemFs::new();
             let f = File::open_with(
                 &rt,
                 &fs,
@@ -237,7 +237,7 @@ mod tests {
     #[test]
     fn wait_all_collects_statuses() {
         simulate(|rt| {
-            let fs = MemFs::new(rt.clone());
+            let fs = MemFs::new();
             let f = File::open(&rt, &fs, "/wa", OpenFlags::CreateRw).unwrap();
             let reqs: Vec<Request> = (0..4)
                 .map(|i| f.iwrite_at(i * 10, Payload::sized(10)))
@@ -253,7 +253,7 @@ mod tests {
     #[test]
     fn zero_length_ops_complete_immediately() {
         simulate(|rt| {
-            let fs = MemFs::new(rt.clone());
+            let fs = MemFs::new();
             let f = File::open(&rt, &fs, "/z", OpenFlags::CreateRw).unwrap();
             assert_eq!(f.iwrite_at(0, Payload::sized(0)).wait().unwrap().bytes, 0);
             assert_eq!(f.iread_at(0, 0).wait().unwrap().bytes, 0);
@@ -271,7 +271,7 @@ mod tests {
     #[test]
     fn errors_propagate_through_requests() {
         simulate(|rt| {
-            let fs = MemFs::new(rt.clone());
+            let fs = MemFs::new();
             fs.put("/ro", vec![1, 2, 3]);
             let f = File::open(&rt, &fs, "/ro", OpenFlags::Read).unwrap();
             let err = f.iwrite_at(0, Payload::sized(1)).wait().unwrap_err();
@@ -348,7 +348,7 @@ mod tests {
     #[test]
     fn striped_reads_reassemble_in_order() {
         simulate(|rt| {
-            let fs = MemFs::new(rt.clone());
+            let fs = MemFs::new();
             let data: Vec<u8> = (0..1000u32).map(|i| (i % 256) as u8).collect();
             fs.put("/s", data.clone());
             let f = StripedFile::open(&rt, &fs, "/s", OpenFlags::Read, 3, StripeUnit::Bytes(64))
@@ -365,7 +365,7 @@ mod tests {
     #[test]
     fn striped_writes_preserve_data_across_streams() {
         simulate(|rt| {
-            let fs = MemFs::new(rt.clone());
+            let fs = MemFs::new();
             let data: Vec<u8> = (0..100_000u32).map(|i| (i * 7 % 256) as u8).collect();
             let f = StripedFile::open(
                 &rt,
@@ -386,7 +386,7 @@ mod tests {
     fn wait_any_returns_the_fastest_request() {
         simulate(|rt| {
             let slow = slow_memfs(&rt); // 10 MB/s
-            let fast = MemFs::new(rt.clone());
+            let fast = MemFs::new();
             let f_slow = File::open(&rt, &slow, "/s", OpenFlags::CreateRw).unwrap();
             let f_fast = File::open(&rt, &fast, "/f", OpenFlags::CreateRw).unwrap();
             let t0 = rt.now();
@@ -408,7 +408,7 @@ mod tests {
     #[test]
     fn compressed_writer_roundtrips() {
         simulate(|rt| {
-            let fs = MemFs::new(rt.clone());
+            let fs = MemFs::new();
             let codec = semplar_compress::Lzf;
             let data: Vec<u8> = b"GATTACA".repeat(50_000); // 350 KB, compressible
             let f = File::open(&rt, &fs, "/z", OpenFlags::CreateRw).unwrap();
@@ -705,7 +705,7 @@ mod tests {
     #[test]
     fn with_file_closes_on_success_and_error() {
         simulate(|rt| {
-            let fs = MemFs::new(rt.clone());
+            let fs = MemFs::new();
             let n = with_file(&rt, &fs, "/w", OpenFlags::CreateRw, |f| {
                 f.write_at(0, &Payload::sized(5))
             })

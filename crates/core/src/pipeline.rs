@@ -340,7 +340,7 @@ mod tests {
     #[test]
     fn checkpoint_advances_only_on_acked_frames() {
         simulate(|rt| {
-            let fs = MemFs::new(rt.clone());
+            let fs = MemFs::new();
             let codec = Lzf;
             let f = File::open(&rt, &fs, "/ck", OpenFlags::CreateRw).unwrap();
             let mut w = CompressedWriter::new(&f, &codec).block_size(4096).depth(2);

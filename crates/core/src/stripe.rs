@@ -742,7 +742,7 @@ mod tests {
         len: u64,
     ) -> Vec<(usize, u64, u64)> {
         simulate(move |rt| {
-            let fs = MemFs::new(rt.clone());
+            let fs = MemFs::new();
             let f = StripedFile::open(&rt, &fs, "/l", OpenFlags::CreateRw, streams, unit).unwrap();
             let blocks = f.blocks(offset, len);
             f.close().unwrap();
@@ -813,7 +813,7 @@ mod tests {
             data in proptest::collection::vec(any::<u8>(), 1..20_000),
         ) {
             let ok = simulate(move |rt| {
-                let fs = MemFs::new(rt.clone());
+                let fs = MemFs::new();
                 let f = StripedFile::open(&rt, &fs, "/rt", OpenFlags::CreateRw, streams, unit)
                     .unwrap();
                 f.write_at(offset, Payload::bytes(data.clone())).unwrap();
@@ -836,7 +836,7 @@ mod tests {
             len in 1u64..50_000,
         ) {
             let (stats, homes) = simulate(move |rt| {
-                let fs = MemFs::new(rt.clone());
+                let fs = MemFs::new();
                 let f = StripedFile::open(
                     &rt, &fs, "/ad", OpenFlags::CreateRw, streams,
                     StripeUnit::Adaptive { block },
@@ -880,7 +880,7 @@ mod tests {
             let total: u64 = extents.iter().map(|&(_, l)| l).sum();
             let data: Vec<u8> = (0..total).map(|i| (i % 251) as u8).collect();
             let ok = simulate(move |rt| {
-                let fs = MemFs::new(rt.clone());
+                let fs = MemFs::new();
                 let f = StripedFile::open(&rt, &fs, "/sl", OpenFlags::CreateRw, streams, unit)
                     .unwrap();
                 let n = f.write_list(&extents, &Payload::bytes(data.clone())).unwrap();
@@ -906,7 +906,7 @@ mod tests {
         ] {
             let data = data.clone();
             simulate(move |rt| {
-                let fs = MemFs::new(rt.clone());
+                let fs = MemFs::new();
                 let f = StripedFile::open(&rt, &fs, "/ad", OpenFlags::CreateRw, 3, unit).unwrap();
                 let req = f.iwrite_at(0, Payload::bytes(data.clone()));
                 assert_eq!(req.wait().unwrap(), data.len() as u64);
@@ -991,7 +991,7 @@ mod tests {
     fn banned_stream_is_probed_and_readmitted() {
         simulate(|rt| {
             let fs = FlakyFs {
-                inner: MemFs::new(rt.clone()),
+                inner: MemFs::new(),
                 // Both of stream 0's first-window blocks fail; after that
                 // the stream is healthy and the probe can succeed.
                 failures_left: Arc::new(Mutex::new(2)),
@@ -1035,7 +1035,7 @@ mod tests {
                 simulate(move |rt| {
                     let fuse = Arc::new(Mutex::new(1));
                     let fs = FlakyFs {
-                        inner: MemFs::new(rt.clone()),
+                        inner: MemFs::new(),
                         failures_left: fuse.clone(),
                     };
                     let data: Vec<u8> = (0..16_384u32).map(|i| (i % 251) as u8).collect();
@@ -1072,7 +1072,7 @@ mod tests {
     #[test]
     fn adaptive_test_pumps_to_completion() {
         simulate(|rt| {
-            let fs = MemFs::new(rt.clone());
+            let fs = MemFs::new();
             let f = StripedFile::open(
                 &rt,
                 &fs,

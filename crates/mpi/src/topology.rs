@@ -1,17 +1,16 @@
 //! Interconnect topology: where MPI traffic flows.
 //!
 //! A [`Topology`] maps a (source rank, destination rank) pair to a link path
-//! on the shared [`Network`], plus a per-message software latency and an
-//! optional per-message rate cap. Cluster models build topologies whose
-//! paths traverse each node's **I/O bus link** as well as its interconnect
-//! NIC — that shared bus is what produces the paper's §7.1 counter-intuitive
-//! result (overlapped MPI communication and remote I/O contending inside the
-//! node).
+//! on the shared [`Network`], plus a per-message software latency. Cluster
+//! models build topologies whose paths traverse each node's **I/O bus
+//! link** as well as its interconnect NIC — that shared bus is what produces
+//! the paper's §7.1 counter-intuitive result (overlapped MPI communication
+//! and remote I/O contending inside the node).
 
 use std::sync::Arc;
 
 use semplar_netsim::net::{BusId, DeviceClass, XferOpts};
-use semplar_netsim::{Bw, LinkId, Network};
+use semplar_netsim::{LinkId, Network};
 use semplar_runtime::Dur;
 
 /// Path function: (src, dst) → (links crossed, I/O buses crossed).
@@ -23,8 +22,6 @@ pub struct Topology {
     paths: Box<PathFn>,
     /// Per-message software/NIC latency (on top of link latencies).
     pub sw_latency: Dur,
-    /// Optional per-message rate cap.
-    pub msg_cap: Option<Bw>,
 }
 
 impl Topology {
@@ -32,14 +29,12 @@ impl Topology {
     pub fn new(
         net: Arc<Network>,
         sw_latency: Dur,
-        msg_cap: Option<Bw>,
         paths: impl Fn(usize, usize) -> (Vec<LinkId>, Vec<BusId>) + Send + Sync + 'static,
     ) -> Arc<Topology> {
         Arc::new(Topology {
             net,
             paths: Box::new(paths),
             sw_latency,
-            msg_cap,
         })
     }
 
@@ -49,7 +44,7 @@ impl Topology {
     pub(crate) fn uniform(
         net: Arc<Network>,
         nodes: usize,
-        nic_bw: Bw,
+        nic_bw: semplar_netsim::Bw,
         link_latency: Dur,
         sw_latency: Dur,
     ) -> Arc<Topology> {
@@ -59,7 +54,7 @@ impl Topology {
         let ins: Vec<LinkId> = (0..nodes)
             .map(|i| net.add_link(&format!("ic/in{i}"), nic_bw, Dur::ZERO))
             .collect();
-        Topology::new(net, sw_latency, None, move |src, dst| {
+        Topology::new(net, sw_latency, move |src, dst| {
             (vec![outs[src], ins[dst]], Vec::new())
         })
     }
@@ -79,7 +74,7 @@ impl Topology {
         }
         let (path, buses) = (self.paths)(src, dst);
         let opts = XferOpts {
-            cap: self.msg_cap,
+            cap: None,
             buses: buses
                 .into_iter()
                 .map(|b| (b, DeviceClass::Interconnect))

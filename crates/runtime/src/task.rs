@@ -45,10 +45,9 @@
 use std::cell::Cell;
 use std::future::Future;
 use std::pin::{pin, Pin};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
-
-use parking_lot::Mutex;
 
 use crate::sim::WaitSlot;
 use crate::{Dur, Event, Runtime, Time, Wake};
@@ -188,17 +187,6 @@ pub struct TaskCtx<'a> {
     pub wake: Option<Wake>,
 }
 
-/// Lifetime counters for one executor.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TaskStats {
-    /// Tasks ever spawned on this executor.
-    pub spawned: u64,
-    /// Largest number of simultaneously live tasks.
-    pub peak_live: usize,
-    /// Currently live tasks.
-    pub live: usize,
-}
-
 /// A spawned task as its runtime keeps it: the task, taken out for each
 /// poll, plus what names it and publishes its completion. Built by
 /// [`TaskExecutor::spawn`], consumed by [`Runtime::spawn_task`].
@@ -218,7 +206,8 @@ pub struct TaskCell {
 struct ExecShared {
     rt: Arc<dyn Runtime>,
     name: String,
-    stats: Mutex<TaskStats>,
+    /// Tasks spawned so far: the next task's `<n>`.
+    spawned: AtomicU64,
 }
 
 impl TaskCell {
@@ -235,7 +224,6 @@ impl TaskCell {
 
     /// The task returned [`TaskStep::Done`]: release its joiners.
     pub(crate) fn finish(&self) {
-        self.exec.stats.lock().live -= 1;
         self.done.signal();
         // Keep signalling so multiple joiners all wake.
         self.done.notify_all();
@@ -265,7 +253,7 @@ impl TaskExecutor {
         TaskExecutor(Arc::new(ExecShared {
             rt: rt.clone(),
             name: name.to_string(),
-            stats: Mutex::default(),
+            spawned: AtomicU64::new(0),
         }))
     }
 
@@ -283,13 +271,7 @@ impl TaskExecutor {
     }
 
     fn spawn_inner(&self, task: Box<dyn Task>, daemon: bool) -> TaskHandle {
-        let n = {
-            let mut st = self.0.stats.lock();
-            st.spawned += 1;
-            st.live += 1;
-            st.peak_live = st.peak_live.max(st.live);
-            st.spawned - 1
-        };
+        let n = self.0.spawned.fetch_add(1, Ordering::Relaxed);
         let done = self.0.rt.event();
         self.0.rt.spawn_task(TaskCell {
             task: Some(task),
@@ -301,17 +283,13 @@ impl TaskExecutor {
         });
         TaskHandle(done)
     }
-
-    /// Lifetime counters.
-    pub fn stats(&self) -> TaskStats {
-        *self.0.stats.lock()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sim::{panic_message, simulate, SimRuntime};
+    use parking_lot::Mutex;
     use std::sync::atomic::{AtomicUsize, Ordering as AtOrd};
 
     /// Sleeps `n` times then finishes.
@@ -336,7 +314,8 @@ mod tests {
     fn tasks_sleep_on_virtual_time() {
         let log = Arc::new(Mutex::new(Vec::new()));
         let l2 = log.clone();
-        simulate(move |rt| {
+        let sim = SimRuntime::new();
+        sim.run_root(move |rt| {
             let ex = TaskExecutor::new(&rt, "ex");
             let h1 = ex.spawn(Box::new(Napper {
                 left: 3,
@@ -353,11 +332,9 @@ mod tests {
             h1.join();
             h2.join();
             assert_eq!(rt.now(), Time::ZERO + Dur::from_millis(50));
-            let st = ex.stats();
-            assert_eq!(st.spawned, 2);
-            assert_eq!(st.peak_live, 2);
-            assert_eq!(st.live, 0);
         });
+        let s = sim.stats();
+        assert_eq!((s.tasks_spawned, s.peak_live_tasks), (2, 2));
         let got = log.lock().clone();
         assert_eq!(
             got,
@@ -374,7 +351,8 @@ mod tests {
         // whole run uses a handful of OS threads and finishes quickly.
         let done = Arc::new(AtomicUsize::new(0));
         let d2 = done.clone();
-        simulate(move |rt| {
+        let sim = SimRuntime::new();
+        sim.run_root(move |rt| {
             let ex = TaskExecutor::new(&rt, "swarm");
             struct OneNap {
                 d: Dur,
@@ -401,10 +379,9 @@ mod tests {
                 })));
             }
             last.unwrap().join();
-            let st = ex.stats();
-            assert_eq!(st.spawned, 100_000);
-            assert_eq!(st.peak_live, 100_000);
         });
+        let s = sim.stats();
+        assert_eq!((s.tasks_spawned, s.peak_live_tasks), (100_000, 100_000));
         assert_eq!(done.load(AtOrd::SeqCst), 100_000);
     }
 
@@ -907,7 +884,7 @@ mod tests {
     #[test]
     fn a_blocked_daemon_task_neither_outlives_the_run_nor_drops_under_the_engine_lock() {
         let sim = SimRuntime::new();
-        let (ex, dropped) = sim.run_root(|rt| {
+        let (_ex, dropped) = sim.run_root(|rt| {
             let ex = TaskExecutor::new(&rt, "daemons");
             let (never, dropped) = (rt.event(), rt.event());
             let guard = SignalOnDrop(dropped.clone());
@@ -932,7 +909,6 @@ mod tests {
         );
         let s = sim.stats();
         assert_eq!((s.clock_advances, s.tasks_spawned), (1, 2));
-        assert_eq!(ex.stats().spawned, 2);
     }
 
     #[test]
@@ -1008,7 +984,5 @@ mod tests {
                 ("signalled", Some(Wake::Signaled))
             ]
         );
-        let st = ex.stats();
-        assert_eq!((st.spawned, st.live), (3, 0));
     }
 }

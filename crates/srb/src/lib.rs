@@ -53,7 +53,7 @@ pub use retry::RetryPolicy;
 pub use server::{Change, ChangeHook, ConnRoute, ServerStats, SrbServer, SrbServerCfg};
 pub use transport::{IoMeter, MeterSnapshot, Transport};
 pub use types::{adler32, ObjStat, OpenFlags, Payload, SrbError, SrbResult};
-pub use vault::{DiskSpec, Vault};
+pub use vault::{Disk, DiskSpec, Vault};
 
 #[cfg(test)]
 mod tests {

@@ -39,32 +39,29 @@ use crate::transport::Transport;
 use crate::types::{adler32, OpenFlags, Payload, SrbError, SrbResult};
 use crate::vault::{DiskSpec, Vault};
 
-/// Server sizing parameters.
+/// Number of data NICs (orion has 6).
+const NICS: usize = 6;
+/// Per-NIC bandwidth, each direction.
+const NIC_BW: Bw = Bw::gbps(1.0);
+/// Per-request processing/catalog overhead.
+const OP_OVERHEAD: Dur = Dur::from_micros(300);
+/// Name of the storage resource objects are created on.
+const RESOURCE: &str = "sdsc-vault";
+
+/// Server parameters.
 #[derive(Clone, Debug)]
 pub struct SrbServerCfg {
     /// Server name (actor/diagnostic label).
     pub name: String,
-    /// Number of data NICs (orion has 6).
-    pub nics: usize,
-    /// Per-NIC bandwidth, each direction.
-    pub nic_bw: Bw,
     /// Disk subsystem.
     pub disk: DiskSpec,
-    /// Per-request processing/catalog overhead.
-    pub op_overhead: Dur,
-    /// Name of the default storage resource objects are created on.
-    pub resource: String,
 }
 
 impl Default for SrbServerCfg {
     fn default() -> Self {
         SrbServerCfg {
             name: "orion".into(),
-            nics: 6,
-            nic_bw: Bw::gbps(1.0),
             disk: DiskSpec::default(),
-            op_overhead: Dur::from_micros(300),
-            resource: "sdsc-vault".into(),
         }
     }
 }
@@ -247,11 +244,11 @@ impl SrbServer {
     /// Stand up a server on `net`, creating its NIC links.
     pub fn new(net: Arc<Network>, cfg: SrbServerCfg) -> Arc<SrbServer> {
         let rt = net.runtime().clone();
-        let nic_in = (0..cfg.nics)
-            .map(|i| net.add_link(&format!("{}/nic{i}-in", cfg.name), cfg.nic_bw, Dur::ZERO))
+        let nic_in = (0..NICS)
+            .map(|i| net.add_link(&format!("{}/nic{i}-in", cfg.name), NIC_BW, Dur::ZERO))
             .collect();
-        let nic_out = (0..cfg.nics)
-            .map(|i| net.add_link(&format!("{}/nic{i}-out", cfg.name), cfg.nic_bw, Dur::ZERO))
+        let nic_out = (0..NICS)
+            .map(|i| net.add_link(&format!("{}/nic{i}-out", cfg.name), NIC_BW, Dur::ZERO))
             .collect();
         let vault = Vault::new(rt.clone(), cfg.disk);
         let handlers = TaskExecutor::new(&rt, &format!("{}/conn", cfg.name));
@@ -555,7 +552,7 @@ impl SrbServer {
         if self.is_crashed() {
             return Err(SrbError::Disconnected { acked: 0 });
         }
-        let nic = self.next_nic.fetch_add(1, Ordering::Relaxed) % self.cfg.nics.max(1);
+        let nic = self.next_nic.fetch_add(1, Ordering::Relaxed) % NICS;
         let (mut fwd, mut rev) = (route.fwd.clone(), route.rev.clone());
         fwd.push(self.nic_in[nic]);
         rev.insert(0, self.nic_out[nic]);
@@ -563,9 +560,7 @@ impl SrbServer {
         // Connection setup on its way over the forward path; the server's
         // processing, then its reply with the authentication's outcome.
         self.net.send_message_async(&fwd, WIRE_HDR, &opts.0).await;
-        if !self.cfg.op_overhead.is_zero() {
-            task::sleep(self.cfg.op_overhead).await;
-        }
+        task::sleep(OP_OVERHEAD).await;
         let auth = self.mcat.authenticate(user, password);
         self.net.send_message_async(&rev, WIRE_HDR, &opts.1).await;
         auth.map(|()| self.open_stream((fwd, rev), opts, max_inflight))
@@ -632,9 +627,7 @@ impl SrbServer {
                     self.trace_request(conn_id, &frame);
                     (frame.wire_size(), frame)
                 };
-                if !self.cfg.op_overhead.is_zero() {
-                    task::sleep(self.cfg.op_overhead).await;
-                }
+                task::sleep(OP_OVERHEAD).await;
                 // Per-tenant fair queueing (when installed) gates the vault +
                 // response-NIC stage: the handler waits here until DRR grants
                 // this tenant a service slot. The DRR cost is the bytes the
@@ -732,7 +725,7 @@ impl SrbServer {
                 Ok(Response::Ok)
             }
             Request::Create(p) => {
-                let id = self.mcat.create_obj(&p, &self.cfg.resource)?;
+                let id = self.mcat.create_obj(&p, RESOURCE)?;
                 self.vault.create(id);
                 Ok(Response::Ok)
             }
@@ -743,7 +736,7 @@ impl SrbServer {
                         // Lookup-then-create is not atomic across sessions:
                         // `AlreadyExists` here means another session created
                         // the object in between, so open theirs.
-                        match self.mcat.create_obj(&p, &self.cfg.resource) {
+                        match self.mcat.create_obj(&p, RESOURCE) {
                             Ok(id) => self.vault.create(id),
                             Err(SrbError::AlreadyExists(_)) => {}
                             Err(e) => return Err(e),

@@ -172,38 +172,33 @@ impl Default for DiskSpec {
     }
 }
 
-/// An object store with a modelled disk.
-pub struct Vault {
-    rt: Arc<dyn Runtime>,
-    disk_net: Arc<Network>,
-    disk: LinkId,
+/// A modelled disk: one link on `net` whose capacity is the bandwidth and
+/// whose latency is the seek, so an operation is one message over it.
+pub struct Disk {
+    net: Arc<Network>,
+    link: LinkId,
     spec: DiskSpec,
-    /// Disk operations currently in flight (seek + transfer), sampled by
-    /// each arriving operation to derive its concurrency-degraded cap.
+    /// Operations currently in flight (seek + transfer), sampled by each
+    /// arriving operation to derive its concurrency-degraded cap.
     in_flight: AtomicUsize,
-    objects: Mutex<HashMap<u64, ObjData>>,
 }
 
-impl Vault {
-    /// Create a vault with the given disk characteristics.
-    pub fn new(rt: Arc<dyn Runtime>, spec: DiskSpec) -> Arc<Vault> {
-        let disk_net = Network::new(rt.clone());
-        let disk = disk_net.add_link("disk", spec.bandwidth, spec.seek);
-        Arc::new(Vault {
-            rt,
-            disk_net,
-            disk,
+impl Disk {
+    /// A disk with `spec`'s characteristics, as a new link on `net`.
+    pub fn new(net: &Arc<Network>, spec: DiskSpec) -> Disk {
+        Disk {
+            net: net.clone(),
+            link: net.add_link("disk", spec.bandwidth, spec.seek),
             spec,
             in_flight: AtomicUsize::new(0),
-            objects: Mutex::new(HashMap::new()),
-        })
+        }
     }
 
     /// The per-operation bandwidth cap for an operation that starts with
     /// `k` operations in flight (itself included): its `1/k` share of the
     /// concurrency-degraded aggregate. `None` when no degradation is
-    /// configured or the operation runs alone — the shared link's max-min
-    /// fairness is then the whole model, exactly as before.
+    /// configured or the operation runs alone — the link's max-min
+    /// fairness is then the whole model.
     fn concurrency_cap(&self, k: usize) -> Option<Bw> {
         if self.spec.degradation <= 0.0 || k <= 1 {
             return None;
@@ -213,24 +208,46 @@ impl Vault {
         Some(Bw::bps(aggregate / k as f64))
     }
 
-    /// Blocking form of [`Vault::charge_disk_async`].
-    fn charge_disk(&self, bytes: u64) {
-        block_on(&self.rt, self.charge_disk_async(bytes));
+    /// Blocking form of [`Disk::charge_async`].
+    pub fn charge(&self, bytes: u64) {
+        block_on(self.net.runtime(), self.charge_async(bytes));
     }
 
-    /// Charge one disk operation's time: a message over the disk link —
-    /// whose latency is the seek — capped by the concurrency sampled as it
+    /// Charge one operation's time: a message over the disk link — whose
+    /// latency is the seek — capped by the concurrency sampled as it
     /// starts. It counts as in flight until its time is charged.
-    pub async fn charge_disk_async(&self, bytes: u64) {
+    pub async fn charge_async(&self, bytes: u64) {
         let k = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
         let opts = XferOpts {
             cap: self.concurrency_cap(k),
             buses: Vec::new(),
         };
-        (self.disk_net)
-            .send_message_async(&[self.disk], bytes, &opts)
+        (self.net)
+            .send_message_async(&[self.link], bytes, &opts)
             .await;
         self.in_flight.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// An object store with a modelled disk.
+pub struct Vault {
+    disk: Disk,
+    objects: Mutex<HashMap<u64, ObjData>>,
+}
+
+impl Vault {
+    /// Create a vault with the given disk characteristics, on a network of
+    /// its own.
+    pub fn new(rt: Arc<dyn Runtime>, spec: DiskSpec) -> Arc<Vault> {
+        Arc::new(Vault {
+            disk: Disk::new(&Network::new(rt), spec),
+            objects: Mutex::new(HashMap::new()),
+        })
+    }
+
+    /// Charge one disk operation's time (see [`Disk::charge_async`]).
+    pub async fn charge_disk_async(&self, bytes: u64) {
+        self.disk.charge_async(bytes).await;
     }
 
     /// Allocate an empty object slot.
@@ -241,7 +258,7 @@ impl Vault {
     /// Write `payload` at `offset`, charging disk time. Returns the new
     /// object size.
     pub fn write(&self, obj_id: u64, offset: u64, payload: &Payload) -> u64 {
-        self.charge_disk(payload.len());
+        self.disk.charge(payload.len());
         self.store(obj_id, offset, payload)
     }
 
@@ -249,7 +266,7 @@ impl Vault {
     /// are truncated, POSIX-style.
     pub fn read(&self, obj_id: u64, offset: u64, len: u64) -> Payload {
         let out = self.load(obj_id, offset, len);
-        self.charge_disk(out.len());
+        self.disk.charge(out.len());
         out
     }
 
@@ -260,7 +277,7 @@ impl Vault {
     /// separate payloads without paying a seek per block.
     pub(crate) fn read_extents(&self, obj_id: u64, extents: &[(u64, u64)]) -> Vec<Payload> {
         let out = self.load_extents(obj_id, extents);
-        self.charge_disk(out.iter().map(|p| p.len()).sum());
+        self.disk.charge(out.iter().map(|p| p.len()).sum());
         out
     }
 

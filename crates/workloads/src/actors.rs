@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use semplar_clusters::{Testbed, PASSWORD, USER};
-use semplar_runtime::{task, Dur, Runtime, TaskExecutor, TaskStats};
+use semplar_runtime::{task, Dur, Runtime, TaskExecutor};
 use semplar_srb::proto::{Request, Response};
 use semplar_srb::{ConnPool, OpenFlags, Payload, PoolPolicy, RetryPolicy, SrbConn, TenantId};
 
@@ -271,8 +271,6 @@ pub struct SwarmReport {
     pub outcomes: Vec<SessionOutcome>,
     /// Virtual seconds from first arrival to last completion.
     pub secs: f64,
-    /// Executor counters.
-    pub task_stats: TaskStats,
 }
 
 impl SwarmReport {
@@ -519,7 +517,6 @@ pub fn run_swarm(tb: &Testbed, params: &SwarmParams) -> SwarmReport {
     for h in handles {
         h.join();
     }
-    let task_stats = ex.stats();
 
     let secs = (rt.now() - t0).as_secs_f64();
     let outcomes = outcomes
@@ -527,11 +524,7 @@ pub fn run_swarm(tb: &Testbed, params: &SwarmParams) -> SwarmReport {
         .iter()
         .map(|o| o.expect("every client reports"))
         .collect();
-    SwarmReport {
-        outcomes,
-        secs,
-        task_stats,
-    }
+    SwarmReport { outcomes, secs }
 }
 
 #[cfg(test)]
@@ -725,13 +718,15 @@ mod tests {
 
     #[test]
     fn task_swarm_completes_and_counts_tasks() {
-        let report = SimRuntime::new().run_root(|rt| {
+        let sim = SimRuntime::new();
+        let report = sim.run_root(|rt| {
             let tb = Testbed::new(rt, das2(), 2);
             run_swarm(&tb, &tiny_params())
         });
         assert_eq!(report.completed(), 6);
-        assert_eq!(report.task_stats.spawned, 6);
-        assert_eq!(report.task_stats.live, 0);
+        // Three tasks (handler, demux, sender) for the setup connection and
+        // for each of the two pools' three streams, then one per session.
+        assert_eq!(sim.stats().tasks_spawned, 3 + 2 * 3 * 3 + 6);
         // 2 writes acked + 1 read acked per session.
         assert_eq!(report.payload_bytes(), 6 * 3 * (8 << 10));
     }

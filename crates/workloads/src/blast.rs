@@ -21,15 +21,16 @@ use semplar_runtime::Dur;
 const TAG_REQ: u32 = 21;
 const TAG_QRY: u32 = 22;
 
+/// Wire size of one query sequence (≈420 nt).
+const QUERY_BYTES: u64 = 420;
+/// BLAST output per query (paper: ≈50 KB).
+const RESULT_BYTES: u64 = 50 * 1024;
+
 /// Benchmark parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct BlastParams {
     /// Queries in the master's file (paper: 2,425 over a 256 MB database).
     pub queries: usize,
-    /// Wire size of one query sequence (≈420 nt).
-    pub query_bytes: u64,
-    /// BLAST output per query (paper: ≈50 KB).
-    pub result_bytes: u64,
     /// Database-search time per query, in reference-CPU seconds.
     pub compute_per_query: Dur,
     /// Use asynchronous writes with a one-deep pipeline.
@@ -41,13 +42,10 @@ impl BlastParams {
     /// time is set so the single-worker compute:I/O ratio is
     /// `compute_io_ratio` (the paper states 4:1 for MPI-BLAST).
     pub fn calibrated(spec: &ClusterSpec, queries: usize, compute_io_ratio: f64) -> BlastParams {
-        let result_bytes: u64 = 50 * 1024;
         let io_est =
-            spec.rtt().as_secs_f64() + result_bytes as f64 * 8.0 / spec.send_cap().as_bps();
+            spec.rtt().as_secs_f64() + RESULT_BYTES as f64 * 8.0 / spec.send_cap().as_bps();
         BlastParams {
             queries,
-            query_bytes: 420,
-            result_bytes,
             // `compute` charges reference-seconds; divide by speed to get
             // wall time, so multiply here to make wall time hit the ratio.
             compute_per_query: Dur::from_secs_f64(compute_io_ratio * io_est * spec.cpu_speed),
@@ -94,7 +92,7 @@ pub fn run_blast(tb: &Arc<Testbed>, n: usize, p: BlastParams) -> BlastReport {
                 let (src, ()) = r.recv::<()>(None, TAG_REQ);
                 if remaining > 0 {
                     remaining -= 1;
-                    r.send(src, TAG_QRY, Some(remaining as u64), p.query_bytes);
+                    r.send(src, TAG_QRY, Some(remaining as u64), QUERY_BYTES);
                 } else {
                     r.send(src, TAG_QRY, None::<u64>, 16);
                     active -= 1;
@@ -133,13 +131,13 @@ pub fn run_blast(tb: &Arc<Testbed>, n: usize, p: BlastParams) -> BlastReport {
                 if let Some(pr) = prev.take() {
                     pr.wait().expect("blast write");
                 }
-                prev = Some(f.iwrite_at(off, Payload::sized(p.result_bytes)));
+                prev = Some(f.iwrite_at(off, Payload::sized(RESULT_BYTES)));
             } else {
-                f.write_at(off, &Payload::sized(p.result_bytes))
+                f.write_at(off, &Payload::sized(RESULT_BYTES))
                     .expect("blast write");
             }
             io += (rt.now() - s).as_secs_f64();
-            off += p.result_bytes;
+            off += RESULT_BYTES;
         }
         let s = rt.now();
         if let Some(pr) = prev.take() {

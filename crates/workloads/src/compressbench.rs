@@ -98,6 +98,11 @@ impl Codec for MemoLzf {
     }
 }
 
+/// Modelled compression throughput on the reference CPU (the paper
+/// measured compression ~two orders of magnitude faster than the
+/// compressed transmission).
+const COMPRESS_RATE: Bw = Bw::mbyte_per_s(100.0);
+
 /// Workload parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct CompressParams {
@@ -107,10 +112,6 @@ pub struct CompressParams {
     pub block: usize,
     /// Experiment arm.
     pub mode: CompressMode,
-    /// Modelled compression throughput on the reference CPU (the paper
-    /// measured compression ~two orders of magnitude faster than the
-    /// compressed transmission).
-    pub compress_rate: Bw,
 }
 
 impl Default for CompressParams {
@@ -119,7 +120,6 @@ impl Default for CompressParams {
             file_bytes: 100 << 20,
             block: 1 << 20,
             mode: CompressMode::AsyncCompressed,
-            compress_rate: Bw::mbyte_per_s(100.0),
         }
     }
 }
@@ -188,7 +188,7 @@ pub fn run_compress(
                     .depth(depth)
                     .compute_model(ComputeModel {
                         cpu: tb2.cpu(r.rank).clone(),
-                        rate: p.compress_rate,
+                        rate: COMPRESS_RATE,
                     })
                     .sized_output();
                 for chunk in codec.source().chunks(p.block) {
@@ -239,7 +239,6 @@ mod tests {
             file_bytes: 8 << 20,
             block: 1 << 20,
             mode,
-            compress_rate: Bw::mbyte_per_s(100.0),
         }
     }
 

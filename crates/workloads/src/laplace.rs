@@ -46,29 +46,21 @@ pub enum LaplaceMode {
 pub struct LaplaceParams {
     /// Grid dimension (paper: 3001).
     pub grid: usize,
-    /// Jacobi sweeps per checkpoint cycle (calibrates the compute:I/O
-    /// ratio).
-    pub inner_iters: usize,
     /// Checkpoint cycles.
     pub checkpoints: usize,
     /// TCP streams per node.
     pub streams: usize,
     /// I/O structure.
     pub mode: LaplaceMode,
-    /// Point updates per second on the reference CPU (calibrated so the
-    /// paper's 9:1 I/O:compute ratio holds on DAS-2).
-    pub point_rate: f64,
 }
 
 impl Default for LaplaceParams {
     fn default() -> Self {
         LaplaceParams {
             grid: 3001,
-            inner_iters: 25,
             checkpoints: 3,
             streams: 1,
             mode: LaplaceMode::Sync,
-            point_rate: 10e6,
         }
     }
 }
@@ -92,6 +84,11 @@ pub struct LaplaceReport {
 
 /// Bytes per grid point (f64).
 const POINT: u64 = 8;
+/// Jacobi sweeps per checkpoint cycle (calibrates the compute:I/O ratio).
+const INNER_ITERS: usize = 25;
+/// Point updates per second on the reference CPU (calibrated so the
+/// paper's 9:1 I/O:compute ratio holds on DAS-2).
+const POINT_RATE: f64 = 10e6;
 
 fn rank_rows(grid: usize, n: usize, rank: usize) -> (usize, usize) {
     let base = grid / n;
@@ -105,7 +102,7 @@ fn cycle_compute(tb: &Arc<Testbed>, r: &Rank, p: &LaplaceParams, rows: usize) {
     const TAG_UP: u32 = 11;
     const TAG_DOWN: u32 = 12;
     let halo_bytes = p.grid as u64 * POINT;
-    for _ in 0..p.inner_iters {
+    for _ in 0..INNER_ITERS {
         // Halo exchange with neighbours (eager sends, then receives).
         if r.rank > 0 {
             r.send(r.rank - 1, TAG_DOWN, (), halo_bytes);
@@ -121,7 +118,7 @@ fn cycle_compute(tb: &Arc<Testbed>, r: &Rank, p: &LaplaceParams, rows: usize) {
         }
         // The sweep itself.
         let points = rows as f64 * p.grid as f64;
-        tb.compute(r.rank, Dur::from_secs_f64(points / p.point_rate));
+        tb.compute(r.rank, Dur::from_secs_f64(points / POINT_RATE));
     }
 }
 
@@ -234,11 +231,9 @@ mod tests {
     fn small(mode: LaplaceMode, streams: usize) -> LaplaceParams {
         LaplaceParams {
             grid: 601,
-            inner_iters: 25,
             checkpoints: 3,
             streams,
             mode,
-            point_rate: 10e6,
         }
     }
 

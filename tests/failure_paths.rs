@@ -163,7 +163,7 @@ fn root_panic_with_open_files_surfaces_the_original_message() {
     let sim = SimRuntime::new();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         sim.run_root(|rt| {
-            let fs = MemFs::new(rt.clone());
+            let fs = MemFs::new();
             // The first async call spawns the file's I/O thread.
             let open = |path: &str| {
                 let f = File::open(&rt, &fs, path, OpenFlags::CreateRw).unwrap();

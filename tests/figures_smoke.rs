@@ -179,7 +179,6 @@ fn contention_anomaly_and_its_fix() {
             checkpoints: 5,
             mode,
             streams,
-            ..LaplaceParams::default()
         };
         (
             run_laplace(&tb, 2, p(LaplaceMode::AsyncOverlap, 1)).exec_secs,
