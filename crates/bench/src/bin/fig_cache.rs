@@ -22,7 +22,7 @@
 
 use std::sync::Arc;
 
-use semplar::{File, LeaseStats, OpenFlags, Payload, SrbFs, SrbFsConfig};
+use semplar::{File, OpenFlags, Payload, SrbFs, SrbFsConfig};
 use semplar_bench::{flags, Table};
 use semplar_clusters::{tg_ncsa, ClusterSpec, Testbed, PASSWORD, USER};
 use semplar_netsim::Bw;
@@ -71,7 +71,7 @@ struct PassArm {
     cache: CacheStats,
     /// Client lease-cache counters after both passes (zeros unless the
     /// arm enables leases).
-    lease: LeaseStats,
+    lease: CacheStats,
 }
 
 impl PassArm {
@@ -206,9 +206,7 @@ fn main() {
     for a in &arms {
         // Client-lease hits never reach the server; fold both tiers into
         // one hit/saved column so every arm reads the same way.
-        let hits = a.cache.hits + a.lease.hits;
-        let misses = a.cache.misses + a.lease.misses;
-        let saved = a.cache.bytes_saved + a.lease.bytes_saved;
+        let both = a.cache + a.lease;
         t.row(vec![
             a.name.into(),
             format!("{:.3}", a.cold_secs),
@@ -218,10 +216,10 @@ fn main() {
                 Some(s) => format!("{s:.1}x"),
                 None => "inf (zero-wire)".into(),
             },
-            hits.to_string(),
-            misses.to_string(),
+            both.hits.to_string(),
+            both.misses.to_string(),
             a.cache.evictions.to_string(),
-            (saved >> 10).to_string(),
+            (both.bytes_saved >> 10).to_string(),
         ]);
     }
     t.print();

@@ -13,7 +13,7 @@ use semplar_runtime::sync::RtMutex;
 use semplar_runtime::Runtime;
 use semplar_srb::{OpenFlags, Payload};
 
-use crate::adio::{AdioFs, IoError, IoResult};
+use crate::adio::{AdioFs, IoResult};
 use crate::engine::{EngineCfg, EngineStats, IoEngine, IoOp};
 use crate::request::Request;
 
@@ -193,27 +193,3 @@ impl Drop for File {
         self.engine.shutdown_in_drop();
     }
 }
-
-/// Convenience: open, run `f`, and always close (even on early return).
-pub fn with_file<T>(
-    rt: &Arc<dyn Runtime>,
-    fs: &dyn AdioFs,
-    path: &str,
-    flags: OpenFlags,
-    f: impl FnOnce(&File) -> IoResult<T>,
-) -> IoResult<T> {
-    let file = File::open(rt, fs, path, flags)?;
-    let out = f(&file);
-    let close = file.close();
-    match (out, close) {
-        (Ok(v), Ok(())) => Ok(v),
-        (Ok(_), Err(e)) => Err(e),
-        (Err(e), _) => Err(e),
-    }
-}
-
-// Re-export for users matching on errors.
-pub use crate::adio::IoError as FileError;
-
-#[allow(unused_imports)]
-use IoError as _IoErrorDocAnchor;

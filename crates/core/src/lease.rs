@@ -1,64 +1,46 @@
-//! Client-side read-lease cache for [`crate::SrbFs`].
+//! Client-side read-lease cache for [`crate::SrbFs`]: a mount's
+//! full-length reads, kept in an [`Lru`] keyed by `(path, offset)` and
+//! served locally — zero wire round-trips, zero disk charges.
 //!
-//! A leased mount keeps the bytes of its full-length reads and serves later
-//! overlapping reads locally — zero wire round-trips, zero disk charges.
-//! A lease is nothing but the absence of a revocation: the server grants
-//! nothing and stamps nothing. Coherence comes from its
-//! [`Change`](semplar_srb::Change) hook: every acked write, unlink and
-//! server crash reaches the mount, which drops what it overlaps *and* bumps
-//! a global revocation counter.
-//!
-//! The revocation counter closes the classic fetch/invalidate race: a
-//! reader snapshots the counter *before* issuing the wire read and only
-//! inserts the payload if the counter is unchanged when the reply lands.
-//! A write that raced the read in between bumps the counter, so the
-//! possibly-stale payload is returned to the caller (the server produced
-//! it; it is a legal linearization) but never cached.
-//!
-//! Only *full-length* reads are cached (returned length == requested
-//! length), so an entry never extends past the file's EOF at insert time
-//! and a write's `[offset, offset+len)` range is sufficient to
-//! invalidate it — there is no client-side analogue of the server cache's
-//! zero-fill-gap hazard.
+//! A lease is the absence of a revocation: the server's
+//! [`Change`](semplar_srb::Change) hook reports every acked write, unlink
+//! and crash, and the mount drops what each overlaps and bumps a revocation
+//! counter. A reader snapshots the counter *before* the wire read and
+//! inserts only if it has not moved, so the bytes of a read that raced a
+//! write are returned (the server produced them: a legal linearization)
+//! but never cached. Only full-length reads are cached, so an entry never
+//! extends past EOF and a write's `[offset, offset+len)` is enough to
+//! invalidate it — no analogue of the server cache's zero-fill-gap hazard.
 
 use parking_lot::Mutex;
-use semplar_srb::Payload;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
+use semplar_srb::{CacheStats, Lru, Payload};
 
-/// Counters for the lease cache, mirroring [`semplar_srb::CacheStats`] on
-/// the client side. `bytes_saved` counts payload bytes served locally that
-/// would otherwise have crossed the wire.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LeaseStats {
-    /// Reads fully served from the cache (no wire op at all).
-    pub hits: u64,
-    /// Reads that went to the wire.
-    pub misses: u64,
-    /// Payloads cached after a wire read.
-    pub insertions: u64,
-    /// Entries dropped to stay under the byte capacity.
-    pub evictions: u64,
-    /// Entries dropped by revocations (writes, unlinks, failover, crash).
-    pub invalidations: u64,
-    /// Bytes served locally instead of over the wire.
-    pub bytes_saved: u64,
-}
+/// An entry's key: `(path, offset)`. Entries within a path never overlap:
+/// an insert drops every entry it intersects first.
+type Key = (String, u64);
 
-struct Entry {
-    data: Payload,
-    stamp: u64,
-}
-
-#[derive(Default)]
 struct State {
-    /// path → (offset → entry). Entries within a path never overlap: an
-    /// insert drops every entry it intersects first.
-    files: HashMap<String, BTreeMap<u64, Entry>>,
-    /// LRU order: stamp → (path, offset).
-    order: BTreeMap<u64, (String, u64)>,
-    bytes: u64,
-    tick: u64,
+    lru: Lru<Key>,
+    /// Bumped by every invalidation (see module docs).
+    revocation: u64,
+}
+
+impl State {
+    /// Drop `path`'s entries that overlap `[start, end)`.
+    fn drop_overlaps(&mut self, path: &str, start: u64, end: u64) {
+        if end <= start {
+            return;
+        }
+        // At most one entry starts before `start` and reaches into the
+        // range; the rest start inside it.
+        let lo = self
+            .lru
+            .last_in(..(path.to_string(), start))
+            .filter(|((p, off), data)| p == path && off + data.len() > start)
+            .map_or(start, |((_, off), _)| *off);
+        self.lru
+            .invalidate((path.to_string(), lo)..(path.to_string(), end));
+    }
 }
 
 /// A byte-capacity LRU cache of read payloads, shared by
@@ -66,15 +48,6 @@ struct State {
 pub struct LeaseCache {
     capacity: u64,
     state: Mutex<State>,
-    /// Bumped by every invalidation; readers snapshot it around the wire
-    /// call and refuse to insert if it moved (see module docs).
-    revocation: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    insertions: AtomicU64,
-    evictions: AtomicU64,
-    invalidations: AtomicU64,
-    bytes_saved: AtomicU64,
 }
 
 impl LeaseCache {
@@ -83,39 +56,29 @@ impl LeaseCache {
         assert!(capacity > 0, "lease cache capacity must be positive");
         LeaseCache {
             capacity,
-            state: Mutex::new(State::default()),
-            revocation: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-            bytes_saved: AtomicU64::new(0),
+            state: Mutex::new(State {
+                lru: Lru::new(capacity),
+                revocation: 0,
+            }),
         }
     }
 
-    /// Snapshot of the counters.
-    pub(crate) fn stats(&self) -> LeaseStats {
-        LeaseStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            bytes_saved: self.bytes_saved.load(Ordering::Relaxed),
-        }
+    /// Snapshot of the counters. `bytes_saved` counts payload bytes served
+    /// locally that would otherwise have crossed the wire.
+    pub(crate) fn stats(&self) -> CacheStats {
+        self.state.lock().lru.stats
     }
 
     /// Payload bytes currently resident.
     #[cfg(test)]
     pub(crate) fn resident_bytes(&self) -> u64 {
-        self.state.lock().bytes
+        self.state.lock().lru.bytes()
     }
 
     /// Current revocation counter; pass the value to [`Self::insert_if`]
     /// after the wire read completes.
     pub(crate) fn revocation(&self) -> u64 {
-        self.revocation.load(Ordering::SeqCst)
+        self.state.lock().revocation
     }
 
     /// Serve `[offset, offset+len)` of `path` if one cached entry fully
@@ -125,36 +88,18 @@ impl LeaseCache {
         if len == 0 {
             return Some(Payload::bytes(Vec::new()));
         }
-        let mut guard = self.state.lock();
-        let st = &mut *guard;
-        let found = st.files.get(path).and_then(|file| {
-            file.range(..=offset).next_back().and_then(|(&eoff, e)| {
-                (eoff + e.data.len() >= offset + len)
-                    .then(|| (eoff, e.data.slice(offset - eoff, len)))
-            })
-        });
-        match found {
-            Some((eoff, payload)) => {
-                // Touch the entry to the LRU front.
-                st.tick += 1;
-                let stamp = st.tick;
-                if let Some(e) = st.files.get_mut(path).and_then(|f| f.get_mut(&eoff)) {
-                    let old = e.stamp;
-                    e.stamp = stamp;
-                    st.order.remove(&old);
-                    st.order.insert(stamp, (path.to_string(), eoff));
-                }
-                drop(guard);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.bytes_saved.fetch_add(len, Ordering::Relaxed);
-                Some(payload)
-            }
-            None => {
-                drop(guard);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let lru = &mut self.state.lock().lru;
+        let covering = lru
+            .last_in(..=(path.to_string(), offset))
+            .filter(|((p, off), data)| p == path && off + data.len() >= offset + len)
+            .map(|(key, _)| key.clone());
+        let Some(key) = covering else {
+            lru.stats.misses += 1;
+            return None;
+        };
+        lru.stats.hits += 1;
+        lru.stats.bytes_saved += len;
+        lru.touch(&key).map(|data| data.slice(offset - key.1, len))
     }
 
     /// Cache `data` as `[offset, offset+data.len())` of `path`, but only
@@ -166,45 +111,12 @@ impl LeaseCache {
         if len == 0 || len > self.capacity / 2 {
             return;
         }
-        let mut guard = self.state.lock();
-        let st = &mut *guard;
-        // Re-check under the lock: an invalidation serializes either
-        // before (snapshot differs → skip) or after (it removes us).
-        if self.revocation.load(Ordering::SeqCst) != snapshot {
+        let mut st = self.state.lock();
+        if st.revocation != snapshot {
             return;
         }
-        // Drop every resident entry this one overlaps.
-        Self::remove_overlaps(st, path, offset, offset + len, &self.invalidations);
-        st.tick += 1;
-        let stamp = st.tick;
-        st.order.insert(stamp, (path.to_string(), offset));
-        st.files.entry(path.to_string()).or_default().insert(
-            offset,
-            Entry {
-                // A small view of a big buffer (a sieved span, a slice of a
-                // vault extent) is copied rather than pin the whole buffer.
-                data: data.retained(),
-                stamp,
-            },
-        );
-        st.bytes += len;
-        self.insertions.fetch_add(1, Ordering::Relaxed);
-        // Evict coldest-first down to capacity.
-        while st.bytes > self.capacity {
-            let Some((&stamp, _)) = st.order.iter().next() else {
-                break;
-            };
-            let (path, off) = st.order.remove(&stamp).unwrap();
-            if let Some(file) = st.files.get_mut(&path) {
-                if let Some(e) = file.remove(&off) {
-                    st.bytes -= e.data.len();
-                }
-                if file.is_empty() {
-                    st.files.remove(&path);
-                }
-            }
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
+        st.drop_overlaps(path, offset, offset + len);
+        st.lru.insert((path.to_string(), offset), data);
     }
 
     /// Revoke every entry of `path` overlapping `[start, end)` and bump
@@ -212,77 +124,29 @@ impl LeaseCache {
     ///
     /// [`Change::Wrote`]: semplar_srb::Change::Wrote
     pub(crate) fn invalidate_range(&self, path: &str, start: u64, end: u64) {
-        self.revocation.fetch_add(1, Ordering::SeqCst);
-        if end <= start {
-            return;
-        }
-        let mut guard = self.state.lock();
-        Self::remove_overlaps(&mut guard, path, start, end, &self.invalidations);
+        let mut st = self.state.lock();
+        st.revocation += 1;
+        st.drop_overlaps(path, start, end);
     }
 
     /// Revoke every entry of `path` (unlink).
     pub(crate) fn invalidate_path(&self, path: &str) {
-        self.revocation.fetch_add(1, Ordering::SeqCst);
-        let mut st = self.state.lock();
-        if let Some(file) = st.files.remove(path) {
-            for (_, e) in file {
-                st.bytes -= e.data.len();
-                st.order.remove(&e.stamp);
-                self.invalidations.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        self.invalidate_range(path, 0, u64::MAX);
     }
 
     /// Revoke everything (server crash, shard failover, reconcile).
     pub(crate) fn invalidate_all(&self) {
-        self.revocation.fetch_add(1, Ordering::SeqCst);
         let mut st = self.state.lock();
-        let dropped = st.order.len() as u64;
-        *st = State {
-            tick: st.tick,
-            ..State::default()
-        };
-        self.invalidations.fetch_add(dropped, Ordering::Relaxed);
+        st.revocation += 1;
+        st.lru.invalidate(..);
     }
 
     /// The entry that starts at `offset` of `path`, if any.
     #[cfg(test)]
     fn entry(&self, path: &str, offset: u64) -> Option<Payload> {
+        let key = (path.to_string(), offset);
         let st = self.state.lock();
-        st.files.get(path)?.get(&offset).map(|e| e.data.clone())
-    }
-
-    fn remove_overlaps(
-        st: &mut State,
-        path: &str,
-        start: u64,
-        end: u64,
-        invalidations: &AtomicU64,
-    ) {
-        let Some(file) = st.files.get_mut(path) else {
-            return;
-        };
-        // Entries never overlap each other, so at most one starts before
-        // `start` and reaches into the range; the rest start inside it.
-        let mut doomed: Vec<u64> = Vec::new();
-        if let Some((&eoff, e)) = file.range(..start).next_back() {
-            if eoff + e.data.len() > start {
-                doomed.push(eoff);
-            }
-        }
-        doomed.extend(file.range(start..end).map(|(&o, _)| o));
-        let mut freed = 0u64;
-        for off in doomed {
-            if let Some(e) = file.remove(&off) {
-                freed += e.data.len();
-                st.order.remove(&e.stamp);
-                invalidations.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        if file.is_empty() {
-            st.files.remove(path);
-        }
-        st.bytes -= freed;
+        st.lru.last_in(key.clone()..=key).map(|(_, p)| p.clone())
     }
 }
 

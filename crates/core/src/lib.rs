@@ -44,11 +44,9 @@ pub use adio::{
 };
 pub use engine::{EngineCfg, EngineStats};
 pub use fedfs::{FedFs, FedShard, MigrationStats, ReconcileLedger};
-pub use file::{with_file, File};
-pub use lease::{LeaseCache, LeaseStats};
-pub use pipeline::{
-    CompressCheckpoint, CompressedReader, CompressedWriter, ComputeModel, DEFAULT_BLOCK,
-};
+pub use file::File;
+pub use lease::LeaseCache;
+pub use pipeline::{CompressedReader, CompressedWriter, ComputeModel, DEFAULT_BLOCK};
 pub use request::{Request, Status};
 pub use srbfs::{RecoveryStats, SrbFs, SrbFsConfig, RESUME_BLOCK};
 pub use stripe::{MultiRequest, StripeStats, StripeUnit, StripedFile};
@@ -700,19 +698,5 @@ mod tests {
                 f.close().unwrap();
             });
         }
-    }
-
-    #[test]
-    fn with_file_closes_on_success_and_error() {
-        simulate(|rt| {
-            let fs = MemFs::new();
-            let n = with_file(&rt, &fs, "/w", OpenFlags::CreateRw, |f| {
-                f.write_at(0, &Payload::sized(5))
-            })
-            .unwrap();
-            assert_eq!(n, 5);
-            let err = with_file(&rt, &fs, "/nope", OpenFlags::Read, |_| Ok(())).unwrap_err();
-            assert!(matches!(err, IoError::NotFound(_)));
-        });
     }
 }

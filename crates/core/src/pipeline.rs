@@ -49,27 +49,12 @@ impl ComputeModel {
     }
 }
 
-/// A durable position in a compressed stream: everything up to here is
-/// acknowledged by the server. Feed it to [`CompressedWriter::resume`] after
-/// a connection loss and re-supply the input from `raw_offset` — nothing
-/// before it is recompressed or retransmitted.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CompressCheckpoint {
-    /// Uncompressed input bytes acknowledged.
-    pub raw_offset: u64,
-    /// Wire (compressed-stream) offset acknowledged — where the next frame
-    /// will land.
-    pub wire_offset: u64,
-}
-
 /// One dispatched frame awaiting acknowledgement. The payload is retained
 /// until the ack so a transiently failed frame can be re-shipped as-is
 /// (no recompression) — the write-side analogue of the transport's
 /// `Disconnected{acked}` resume.
 struct Frame {
     wire_off: u64,
-    raw_len: u64,
-    wire_len: u64,
     payload: Payload,
     req: Request,
 }
@@ -97,9 +82,6 @@ pub struct CompressedWriter<'a> {
     scratch: Vec<u8>,
     bytes_in: u64,
     bytes_out: u64,
-    /// Input/wire bytes acknowledged so far — the checkpoint frontier.
-    acked_raw: u64,
-    acked_wire: u64,
     /// Frames whose async write failed transiently and were re-shipped from
     /// the retained copy instead of being recompressed.
     resumed_frames: u64,
@@ -122,27 +104,8 @@ impl<'a> CompressedWriter<'a> {
             scratch: Vec::new(),
             bytes_in: 0,
             bytes_out: 0,
-            acked_raw: 0,
-            acked_wire: 0,
             resumed_frames: 0,
         }
-    }
-
-    /// Rebuild a writer mid-stream after a failure: frames land from
-    /// `ckpt.wire_offset` on, and the caller re-feeds input starting at
-    /// `ckpt.raw_offset`. Combined with [`checkpoint`](Self::checkpoint)
-    /// this resumes from the last acked compressed block instead of
-    /// recompressing (and re-sending) the stream from offset zero.
-    pub fn resume(
-        file: &'a File,
-        codec: &'a dyn Codec,
-        ckpt: CompressCheckpoint,
-    ) -> CompressedWriter<'a> {
-        let mut w = CompressedWriter::new(file, codec);
-        w.offset = ckpt.wire_offset;
-        w.acked_raw = ckpt.raw_offset;
-        w.acked_wire = ckpt.wire_offset;
-        w
     }
 
     /// Override the block size (the frame header stores it as a `u32`).
@@ -217,8 +180,6 @@ impl<'a> CompressedWriter<'a> {
             // Synchronous baseline: compression and the remote write both sit
             // in the critical path.
             self.file.write_at(self.offset, &payload)?;
-            self.acked_raw += block.len() as u64;
-            self.acked_wire = self.offset + len;
         } else {
             while self.inflight.len() >= self.depth {
                 let oldest = self.inflight.pop_front().expect("non-empty");
@@ -227,8 +188,6 @@ impl<'a> CompressedWriter<'a> {
             let req = self.file.iwrite_at(self.offset, payload.clone());
             self.inflight.push_back(Frame {
                 wire_off: self.offset,
-                raw_len: block.len() as u64,
-                wire_len: len,
                 payload,
                 req,
             });
@@ -237,10 +196,9 @@ impl<'a> CompressedWriter<'a> {
         Ok(())
     }
 
-    /// Wait for `frame`'s ack and advance the checkpoint frontier. A
-    /// transient failure re-ships the retained payload synchronously (the
-    /// backend's reconnect+resume recovery underneath) — the block is never
-    /// recompressed.
+    /// Wait for `frame`'s ack. A transient failure re-ships the retained
+    /// payload synchronously (the backend's reconnect+resume recovery
+    /// underneath) — the block is never recompressed.
     fn settle_frame(&mut self, frame: Frame) -> IoResult<()> {
         match frame.req.wait() {
             Ok(_) => {}
@@ -250,15 +208,11 @@ impl<'a> CompressedWriter<'a> {
             }
             Err(e) => return Err(e),
         }
-        self.acked_raw += frame.raw_len;
-        self.acked_wire = frame.wire_off + frame.wire_len;
         Ok(())
     }
 
     /// Flush the trailing partial block and wait for the pipeline to drain.
-    /// Returns (uncompressed bytes, compressed bytes on the wire). On error
-    /// the writer stays usable for [`checkpoint`](Self::checkpoint), so a
-    /// caller can hand the position to [`resume`](Self::resume).
+    /// Returns (uncompressed bytes, compressed bytes on the wire).
     pub fn finish(&mut self) -> IoResult<(u64, u64)> {
         if !self.pending.is_empty() {
             let block = std::mem::take(&mut self.pending);
@@ -268,16 +222,6 @@ impl<'a> CompressedWriter<'a> {
             self.settle_frame(f)?;
         }
         Ok((self.bytes_in, self.bytes_out))
-    }
-
-    /// The acknowledged stream position. Bytes buffered in [`write`](
-    /// Self::write) or still in flight are *not* covered — after a failure,
-    /// re-feed input from `raw_offset`.
-    pub fn checkpoint(&self) -> CompressCheckpoint {
-        CompressCheckpoint {
-            raw_offset: self.acked_raw,
-            wire_offset: self.acked_wire,
-        }
     }
 
     /// Frames re-shipped from their retained copy after a transient failure.
@@ -330,41 +274,16 @@ impl CompressedReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adio::MemFs;
     use crate::srbfs::{SrbFs, SrbFsConfig};
     use semplar_compress::Lzf;
     use semplar_netsim::Network;
     use semplar_runtime::{simulate, Dur};
     use semplar_srb::{ConnRoute, OpenFlags, RetryPolicy, SrbServer, SrbServerCfg};
 
+    /// Under `RetryPolicy::none` a server crash mid-stream reaches the
+    /// caller as an `Err` from `write` or `finish`.
     #[test]
-    fn checkpoint_advances_only_on_acked_frames() {
-        simulate(|rt| {
-            let fs = MemFs::new();
-            let codec = Lzf;
-            let f = File::open(&rt, &fs, "/ck", OpenFlags::CreateRw).unwrap();
-            let mut w = CompressedWriter::new(&f, &codec).block_size(4096).depth(2);
-            assert_eq!(w.checkpoint(), CompressCheckpoint::default());
-            // One partial block: buffered, not dispatched, not checkpointed.
-            w.write(&[7u8; 1000]).unwrap();
-            assert_eq!(w.checkpoint().raw_offset, 0);
-            // Enough blocks that the depth-2 window must settle some acks.
-            w.write(&vec![42u8; 64 * 1024]).unwrap();
-            let ck = w.checkpoint();
-            assert!(ck.raw_offset > 0, "settled frames must advance the ckpt");
-            assert_eq!(ck.raw_offset % 4096, 0, "ckpt lands on block boundaries");
-            assert!(ck.wire_offset > 0);
-            w.finish().unwrap();
-            f.close().unwrap();
-        });
-    }
-
-    /// The write-side resume: a crash mid-stream surfaces an error; the
-    /// caller reopens, resumes from the checkpoint, and re-feeds only the
-    /// unacked tail. The stream decompresses to the original data and the
-    /// acked prefix was neither recompressed nor retransmitted.
-    #[test]
-    fn resume_from_checkpoint_after_server_crash() {
+    fn server_crash_mid_stream_surfaces_as_an_error() {
         simulate(|rt| {
             let net = Network::new(rt.clone());
             let up = net.add_link("up", semplar_netsim::Bw::mbps(40.0), Dur::from_millis(5));
@@ -404,39 +323,11 @@ mod tests {
                 s2.restart();
             });
             // Feed in block-sized steps so the error surfaces mid-stream.
-            let mut fed = 0usize;
-            let mut failed_at = None;
-            while fed < data.len() {
-                let end = (fed + block).min(data.len());
-                if w.write(&data[fed..end]).is_err() {
-                    failed_at = Some(fed);
-                    break;
-                }
-                fed = end;
-            }
-            let failed = match failed_at {
-                Some(_) => true,
-                // The window may hold the error until the drain.
-                None => w.finish().is_err(),
-            };
+            // The window may hold the error until the drain.
+            let failed = data.chunks(block).any(|c| w.write(c).is_err()) || w.finish().is_err();
             chaos.join_unwrap();
             assert!(failed, "the crash must surface to the writer");
-            let ck = w.checkpoint();
-            assert!(ck.raw_offset > 0, "some frames were acked before the cut");
-            assert!(
-                ck.raw_offset < data.len() as u64,
-                "not everything can be acked"
-            );
             let _ = f.close();
-
-            // Resume: reopen (fresh connection) and re-feed the unacked tail.
-            let f = File::open(&rt, &fs, "/z", OpenFlags::ReadWrite).unwrap();
-            let mut w = CompressedWriter::resume(&f, &codec, ck);
-            w.write(&data[ck.raw_offset as usize..]).unwrap();
-            w.finish().unwrap();
-            let back = CompressedReader::read_all(&f, &codec).unwrap();
-            assert_eq!(back, data, "resumed stream must decompress exactly");
-            f.close().unwrap();
         });
     }
 

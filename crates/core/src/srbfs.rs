@@ -22,12 +22,12 @@ use parking_lot::Mutex;
 
 use semplar_runtime::Dur;
 use semplar_srb::{
-    adler32, Change, ConnPool, ConnRoute, IoMeter, OpenFlags, Payload, PoolPolicy, RetryPolicy,
-    SrbConn, SrbError, SrbServer,
+    adler32, CacheStats, Change, ConnPool, ConnRoute, IoMeter, OpenFlags, Payload, PoolPolicy,
+    RetryPolicy, SrbConn, SrbError, SrbServer,
 };
 
 use crate::adio::{merge_extents, pack_extents, split_packed, AdioFile, AdioFs, IoError, IoResult};
-use crate::lease::{LeaseCache, LeaseStats};
+use crate::lease::LeaseCache;
 
 /// Resume granularity after a reconnect: the remainder of an interrupted
 /// write is re-issued in blocks of this size, so a second cut loses at
@@ -193,7 +193,7 @@ impl SrbFs {
     }
 
     /// Snapshot of the lease-cache counters (zeros when leases are off).
-    pub fn lease_stats(&self) -> LeaseStats {
+    pub fn lease_stats(&self) -> CacheStats {
         self.lease.as_ref().map(|c| c.stats()).unwrap_or_default()
     }
 

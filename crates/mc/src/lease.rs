@@ -23,11 +23,11 @@
 
 use std::sync::Arc;
 
-use semplar::{AdioFile, AdioFs, FedFs, LeaseStats, OpenFlags, Payload, SrbFs};
+use semplar::{AdioFile, AdioFs, FedFs, OpenFlags, Payload, SrbFs};
 use semplar_clusters::FedTestbed;
 use semplar_faults::{FaultPlan, FaultStats};
 use semplar_runtime::{Dur, Runtime};
-use semplar_srb::{adler32, CacheSpec};
+use semplar_srb::{adler32, CacheSpec, CacheStats};
 
 use crate::scenario::{observe, BrokenInvariant, Scenario};
 use crate::script::ScriptHook;
@@ -38,7 +38,7 @@ pub struct LeaseObservation {
     /// The fault injector's ledger.
     pub fault_stats: FaultStats,
     /// Combined lease-cache counters across the shard's two mounts.
-    pub lease: LeaseStats,
+    pub lease: CacheStats,
     /// Server block-cache hits (primary + replica).
     pub cache_hits: u64,
     /// Operations served by the replica during the outage.
@@ -205,15 +205,7 @@ impl LeaseScenario {
             return Err("replica diverged from the acked version history".to_string());
         }
 
-        let add = |a: LeaseStats, b: LeaseStats| LeaseStats {
-            hits: a.hits + b.hits,
-            misses: a.misses + b.misses,
-            insertions: a.insertions + b.insertions,
-            evictions: a.evictions + b.evictions,
-            invalidations: a.invalidations + b.invalidations,
-            bytes_saved: a.bytes_saved + b.bytes_saved,
-        };
-        let lease = add(shard.primary.lease_stats(), shard.replica.lease_stats());
+        let lease = shard.primary.lease_stats() + shard.replica.lease_stats();
         if self.broken == Some(BrokenInvariant::NoLeaseBreakEver) && lease.invalidations > 0 {
             return Err(format!(
                 "injected invariant: {} lease invalidations",

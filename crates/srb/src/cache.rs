@@ -14,12 +14,13 @@
 //! between. Without this, a read racing a write could insert pre-write
 //! bytes *after* the write's invalidation swept the range.
 //!
-//! Everything is deterministic under the virtual-time runtime: eviction
+//! The blocks live in an [`Lru`], the store the client's read leases use
+//! too. Everything is deterministic under the virtual-time runtime: eviction
 //! order depends only on the sequence of cache operations (LRU by access
 //! tick), never on hash iteration order.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ops::{Add, RangeBounds};
 
 use parking_lot::Mutex;
 
@@ -46,46 +47,153 @@ impl Default for CacheSpec {
     }
 }
 
-/// Counters surfaced through `SrbServer::cache_stats` and printed by the
-/// perf figures.
+/// The counters of an [`Lru`]: the server's block cache
+/// (`SrbServer::cache_stats`) and a mount's read leases
+/// (`SrbFs::lease_stats`) report the same ones.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Reads served entirely from cache (zero disk charge).
+    /// Reads served entirely from the cache (no disk, or no wire).
     pub hits: u64,
-    /// Reads that had to fetch at least one block from the vault.
+    /// Reads that had to fetch at least part of their bytes.
     pub misses: u64,
-    /// Blocks evicted to make room.
+    /// Entries evicted to make room.
     pub evictions: u64,
-    /// Blocks inserted after a miss fetch.
+    /// Entries inserted after a miss fetch.
     pub insertions: u64,
-    /// Payload bytes served from cached blocks instead of the disk.
+    /// Entries dropped because their bytes changed or went away (writes,
+    /// unlinks, crashes, failovers).
+    pub invalidations: u64,
+    /// Payload bytes served from cached entries instead of being fetched.
     pub bytes_saved: u64,
 }
 
-/// Cache block: the payload that a vault read of `[idx·block, idx·block +
-/// block)` returned at fetch time (shorter than `block` only at EOF) — a
-/// view of the vault's own extent unless it spans under half that extent's
-/// buffer ([`Payload::retained`]).
-struct Block {
-    data: Payload,
-    /// LRU access tick; key into `State::lru_order`.
-    stamp: u64,
+impl Add for CacheStats {
+    type Output = CacheStats;
+
+    fn add(self, o: CacheStats) -> CacheStats {
+        CacheStats {
+            hits: self.hits + o.hits,
+            misses: self.misses + o.misses,
+            evictions: self.evictions + o.evictions,
+            insertions: self.insertions + o.insertions,
+            invalidations: self.invalidations + o.invalidations,
+            bytes_saved: self.bytes_saved + o.bytes_saved,
+        }
+    }
 }
 
-type Key = (u64, u64); // (obj_id, block index)
-
-#[derive(Default)]
-struct State {
-    blocks: HashMap<Key, Block>,
-    /// Bytes of payload currently held.
+/// A deterministic, byte-bounded, access-ordered payload store. Each entry
+/// has an access stamp from one tick; inserting past `capacity` evicts the
+/// coldest stamps first. The owner counts `hits`, `misses` and
+/// `bytes_saved` in [`Lru::stats`]; the store counts the rest.
+pub struct Lru<K> {
+    capacity: u64,
+    /// Key → (payload, access stamp).
+    entries: BTreeMap<K, (Payload, u64)>,
+    /// Access stamp → key, coldest first.
+    order: BTreeMap<u64, K>,
+    /// Payload bytes held.
     bytes: u64,
-    /// Monotonic tick for LRU stamps.
     tick: u64,
-    /// LRU: access stamp → key, oldest first.
-    lru_order: BTreeMap<u64, Key>,
+    /// Cumulative counters; dropping entries keeps them.
+    pub stats: CacheStats,
+}
+
+impl<K: Ord + Clone> Lru<K> {
+    /// An empty store that holds at most `capacity` payload bytes.
+    pub fn new(capacity: u64) -> Lru<K> {
+        Lru {
+            capacity,
+            entries: BTreeMap::new(),
+            order: BTreeMap::new(),
+            bytes: 0,
+            tick: 0,
+            stats: CacheStats::default(),
+        }
+    }
+
+    /// Payload bytes held.
+    pub fn bytes(&self) -> u64 {
+        self.bytes
+    }
+
+    /// The entry under `key`, moved to the warm end.
+    pub fn touch(&mut self, key: &K) -> Option<Payload> {
+        let (data, stamp) = self.entries.get_mut(key)?;
+        self.tick += 1;
+        self.order.remove(stamp);
+        *stamp = self.tick;
+        self.order.insert(self.tick, key.clone());
+        Some(data.clone())
+    }
+
+    /// The entry with the greatest key in `range`, left where it is.
+    pub fn last_in(&self, range: impl RangeBounds<K>) -> Option<(&K, &Payload)> {
+        let (k, (data, _)) = self.entries.range(range).next_back()?;
+        Some((k, data))
+    }
+
+    /// Hold `data` under `key` at the warm end, replacing what `key` held,
+    /// after evicting the coldest entries until it fits. The entry is
+    /// [`Payload::retained`]: a small view of a big buffer is copied rather
+    /// than pin the whole buffer.
+    pub fn insert(&mut self, key: K, data: &Payload) {
+        self.remove(&key);
+        let len = data.len();
+        while self.bytes + len > self.capacity {
+            let Some(coldest) = self.order.values().next().cloned() else {
+                break;
+            };
+            self.remove(&coldest);
+            self.stats.evictions += 1;
+        }
+        self.tick += 1;
+        self.order.insert(self.tick, key.clone());
+        self.entries.insert(key, (data.retained(), self.tick));
+        self.bytes += len;
+        self.stats.insertions += 1;
+    }
+
+    /// Drop every entry whose key is in `range` (`..` drops them all).
+    pub fn invalidate(&mut self, range: impl RangeBounds<K>) {
+        let doomed: Vec<K> = self.entries.range(range).map(|(k, _)| k.clone()).collect();
+        for key in doomed {
+            self.remove(&key);
+            self.stats.invalidations += 1;
+        }
+    }
+
+    fn remove(&mut self, key: &K) {
+        if let Some((data, stamp)) = self.entries.remove(key) {
+            self.order.remove(&stamp);
+            self.bytes -= data.len();
+        }
+    }
+}
+
+/// Block key: `(obj_id, block index)`. A cached block is the payload a vault
+/// read of `[idx·block, idx·block + block)` returned at fetch time (shorter
+/// than `block` only at EOF).
+type Key = (u64, u64);
+
+struct State {
+    lru: Lru<Key>,
     /// Per-object invalidation counters (bumped by any invalidate touching
     /// the object); miss fetches only insert if unchanged since fetch start.
     versions: HashMap<u64, u64>,
+}
+
+impl State {
+    fn version(&self, obj_id: u64) -> u64 {
+        *self.versions.get(&obj_id).unwrap_or(&0)
+    }
+
+    /// Drop blocks `first..=last` of the object and bump its version, so
+    /// in-flight miss fetches won't insert stale data.
+    fn invalidate(&mut self, obj_id: u64, first: u64, last: u64) {
+        *self.versions.entry(obj_id).or_insert(0) += 1;
+        self.lru.invalidate((obj_id, first)..=(obj_id, last));
+    }
 }
 
 /// A read that missed, between its lookup ([`BlockCache::begin_read`]) and
@@ -106,11 +214,6 @@ pub(crate) struct ReadMiss {
 pub struct BlockCache {
     spec: CacheSpec,
     state: Mutex<State>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    insertions: AtomicU64,
-    bytes_saved: AtomicU64,
 }
 
 impl BlockCache {
@@ -123,24 +226,16 @@ impl BlockCache {
         );
         BlockCache {
             spec,
-            state: Mutex::new(State::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-            bytes_saved: AtomicU64::new(0),
+            state: Mutex::new(State {
+                lru: Lru::new(spec.capacity),
+                versions: HashMap::new(),
+            }),
         }
     }
 
-    /// A snapshot of the hit/miss/eviction counters.
+    /// A snapshot of the counters.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::SeqCst),
-            misses: self.misses.load(Ordering::SeqCst),
-            evictions: self.evictions.load(Ordering::SeqCst),
-            insertions: self.insertions.load(Ordering::SeqCst),
-            bytes_saved: self.bytes_saved.load(Ordering::SeqCst),
-        }
+        self.state.lock().lru.stats
     }
 
     /// Serve `read(obj_id, offset, len)` through the cache: blocks already
@@ -172,29 +267,14 @@ impl BlockCache {
         let first = offset / block;
         let last = (offset + len - 1) / block;
 
-        // Under the lock: clone resident blocks out, so eviction during
-        // the fetch can't disturb assembly, and move their LRU stamps to
-        // the front, in block order (deterministic).
-        let mut blocks: Vec<Option<Payload>> = Vec::new();
-        let version = {
-            let mut st = self.state.lock();
-            for idx in first..=last {
-                let key = (obj_id, idx);
-                let t = st.tick + 1;
-                let hit = st
-                    .blocks
-                    .get_mut(&key)
-                    .map(|b| (b.data.clone(), std::mem::replace(&mut b.stamp, t)));
-                blocks.push(hit.map(|(data, old)| {
-                    st.tick = t;
-                    st.lru_order.remove(&old);
-                    st.lru_order.insert(t, key);
-                    data
-                }));
-            }
-            *st.versions.get(&obj_id).unwrap_or(&0)
-        };
-
+        // Clone resident blocks out, so eviction during the fetch can't
+        // disturb assembly, and move them to the warm end, in block order
+        // (deterministic).
+        let mut st = self.state.lock();
+        let blocks: Vec<Option<Payload>> = (first..=last)
+            .map(|idx| st.lru.touch(&(obj_id, idx)))
+            .collect();
+        let version = st.version(obj_id);
         let extents: Vec<(u64, u64)> = (first..=last)
             .zip(&blocks)
             .filter_map(|(idx, b)| b.is_none().then_some((idx * block, block)))
@@ -208,10 +288,10 @@ impl BlockCache {
             blocks,
         };
         if read.extents.is_empty() {
-            self.hits.fetch_add(1, Ordering::SeqCst);
-            Ok(self.assemble(read))
+            st.lru.stats.hits += 1;
+            Ok(self.assemble(read, &mut st.lru.stats))
         } else {
-            self.misses.fetch_add(1, Ordering::SeqCst);
+            st.lru.stats.misses += 1;
             Err(read)
         }
     }
@@ -222,24 +302,23 @@ impl BlockCache {
     pub(crate) fn finish_read(&self, mut miss: ReadMiss, fetched: Vec<Payload>) -> Payload {
         let block = self.spec.block;
         let first = miss.offset / block;
-        {
-            let mut st = self.state.lock();
-            let fresh = *st.versions.get(&miss.obj_id).unwrap_or(&0) == miss.version;
-            for (&(start, _), p) in miss.extents.iter().zip(fetched) {
-                let idx = start / block;
-                if fresh {
-                    self.insert_block(&mut st, (miss.obj_id, idx), p.retained());
-                }
-                miss.blocks[(idx - first) as usize] = Some(p);
+        let mut st = self.state.lock();
+        let fresh = st.version(miss.obj_id) == miss.version;
+        for (&(start, _), p) in miss.extents.iter().zip(fetched) {
+            let idx = start / block;
+            if fresh {
+                st.lru.insert((miss.obj_id, idx), &p);
             }
+            miss.blocks[(idx - first) as usize] = Some(p);
         }
-        self.assemble(miss)
+        self.assemble(miss, &mut st.lru.stats)
     }
 
     /// Assemble the result exactly as the vault would have: walk blocks
     /// in order, slice out the requested range, stop at EOF (a block
-    /// shorter than the requested in-block range).
-    fn assemble(&self, read: ReadMiss) -> Payload {
+    /// shorter than the requested in-block range), and count the bytes
+    /// that came from resident blocks.
+    fn assemble(&self, read: ReadMiss, stats: &mut CacheStats) -> Payload {
         let block = self.spec.block;
         let (offset, end) = (read.offset, read.offset + read.len);
         let mut pieces: Vec<Payload> = Vec::new();
@@ -260,7 +339,7 @@ impl BlockCache {
                 break; // EOF inside this block
             }
         }
-        self.bytes_saved.fetch_add(saved, Ordering::SeqCst);
+        stats.bytes_saved += saved;
 
         // A read inside one block — the common hit — is that block's view,
         // no bytes copied. Otherwise concatenate: all-real pieces keep
@@ -269,93 +348,48 @@ impl BlockCache {
         if pieces.len() == 1 {
             return pieces.swap_remove(0);
         }
-        let total: u64 = pieces.iter().map(|p| p.len()).sum();
-        if pieces.iter().all(|p| p.data().is_some()) {
-            let mut out = Vec::with_capacity(total as usize);
-            for p in &pieces {
-                out.extend_from_slice(p.data().unwrap());
-            }
-            Payload::bytes(out)
-        } else {
-            Payload::sized(total)
+        match pieces.iter().map(Payload::data).collect::<Option<Vec<_>>>() {
+            Some(bytes) => Payload::bytes(bytes.concat()),
+            None => Payload::sized(pieces.iter().map(|p| p.len()).sum()),
         }
     }
 
-    fn insert_block(&self, st: &mut State, key: Key, data: Payload) {
-        // Replace any prior entry for the key first.
-        self.remove_key(st, key);
-        let sz = data.len();
-        while st.bytes + sz > self.spec.capacity {
-            let Some((_, &victim)) = st.lru_order.iter().next() else {
-                break;
-            };
-            self.remove_key(st, victim);
-            self.evictions.fetch_add(1, Ordering::SeqCst);
-        }
-        st.tick += 1;
-        let tick = st.tick;
-        st.lru_order.insert(tick, key);
-        st.bytes += sz;
-        st.blocks.insert(key, Block { data, stamp: tick });
-        self.insertions.fetch_add(1, Ordering::SeqCst);
-    }
-
-    fn remove_key(&self, st: &mut State, key: Key) {
-        if let Some(b) = st.blocks.remove(&key) {
-            st.bytes -= b.data.len();
-            st.lru_order.remove(&b.stamp);
-        }
-    }
-
-    /// Drop all blocks overlapping `[start, end)` of the object and bump
-    /// its version so in-flight miss fetches won't insert stale data.
+    /// Drop all blocks overlapping `[start, end)` of the object.
     pub(crate) fn invalidate_range(&self, obj_id: u64, start: u64, end: u64) {
-        if end <= start {
-            return;
-        }
-        let block = self.spec.block;
-        let first = start / block;
-        let last = (end - 1) / block;
-        let mut st = self.state.lock();
-        *st.versions.entry(obj_id).or_insert(0) += 1;
-        for idx in first..=last {
-            self.remove_key(&mut st, (obj_id, idx));
+        if end > start {
+            let block = self.spec.block;
+            self.state
+                .lock()
+                .invalidate(obj_id, start / block, (end - 1) / block);
         }
     }
 
-    /// Drop every block of the object (unlink) and bump its version.
+    /// Drop every block of the object (unlink).
     pub(crate) fn invalidate_obj(&self, obj_id: u64) {
-        let mut st = self.state.lock();
-        *st.versions.entry(obj_id).or_insert(0) += 1;
-        let keys: Vec<Key> = st
-            .blocks
-            .keys()
-            .filter(|(o, _)| *o == obj_id)
-            .copied()
-            .collect();
-        for k in keys {
-            self.remove_key(&mut st, k);
-        }
+        self.state.lock().invalidate(obj_id, 0, u64::MAX);
     }
 
     /// Drop everything (server crash: the cache is volatile memory). The
-    /// cumulative stats survive; the block store, eviction state, and
-    /// version counters reset.
+    /// cumulative stats survive (the dropped blocks count as
+    /// invalidations); the blocks and the version counters reset.
     pub(crate) fn clear(&self) {
-        *self.state.lock() = State::default();
+        let mut st = self.state.lock();
+        st.lru.invalidate(..);
+        st.versions.clear();
     }
 
     /// Bytes of payload currently cached (for tests).
     #[cfg(test)]
     pub(crate) fn resident_bytes(&self) -> u64 {
-        self.state.lock().bytes
+        self.state.lock().lru.bytes()
     }
 
     /// The payload cached for block `idx` of the object, if any.
     #[cfg(test)]
     fn block(&self, obj_id: u64, idx: u64) -> Option<Payload> {
+        let key = (obj_id, idx);
         let st = self.state.lock();
-        st.blocks.get(&(obj_id, idx)).map(|b| b.data.clone())
+        st.lru.last_in(key..=key).map(|(_, p)| p.clone())
     }
 }
 
@@ -520,6 +554,39 @@ mod tests {
             assert!(!Arc::ptr_eq(held.buffer(), big.buffer()));
             assert_eq!(held.buffer().len(), 4096);
             assert_eq!(held.data().unwrap(), &[9; 4096][..]);
+        });
+    }
+
+    #[test]
+    fn unlink_drops_one_objects_blocks_and_a_crash_keeps_the_counters() {
+        simulate(|rt| {
+            let v = slow_vault(rt);
+            for obj in [1, 2] {
+                v.create(obj);
+                v.write(obj, 0, &Payload::bytes(vec![obj as u8; 3 * 1024]));
+            }
+            let c = BlockCache::new(spec(1024, 1 << 20));
+            c.serve_read(&v, 1, 0, 3 * 1024);
+            c.serve_read(&v, 2, 0, 3 * 1024);
+            // Unlink: only object 1's three blocks go, as invalidations.
+            c.invalidate_obj(1);
+            assert!((0..3).all(|i| c.block(1, i).is_none() && c.block(2, i).is_some()));
+            assert_eq!(c.resident_bytes(), 3 * 1024);
+            assert_eq!(c.state.lock().version(1), 1);
+            let before = c.stats();
+            assert_eq!((before.insertions, before.invalidations), (6, 3));
+            // Crash: everything goes and the versions reset; the counters
+            // carry on, the dropped blocks counted as invalidations.
+            c.clear();
+            assert_eq!(c.resident_bytes(), 0);
+            assert_eq!(c.state.lock().version(1), 0);
+            let after = CacheStats {
+                invalidations: 6,
+                ..before
+            };
+            assert_eq!(c.stats(), after);
+            c.serve_read(&v, 2, 0, 1024);
+            assert_eq!(c.stats().misses, before.misses + 1);
         });
     }
 

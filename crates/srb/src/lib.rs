@@ -38,7 +38,7 @@ pub mod transport;
 pub mod types;
 pub mod vault;
 
-pub use cache::{BlockCache, CacheSpec, CacheStats};
+pub use cache::{BlockCache, CacheSpec, CacheStats, Lru};
 pub use client::SrbConn;
 pub use federation::{ReplStats, Replicator, ShardMap, REPL_BLOCK};
 pub use mcat::Mcat;

@@ -427,8 +427,7 @@ impl SrbServer {
     /// is then admitted under its frame's [`TenantId`](crate::proto::TenantId)
     /// before the handler charges vault and NIC time, so tenants share the
     /// server's bottlenecks in proportion to the scheduler's quanta rather
-    /// than their offered load. Keep the `TenantScheduler` handle to read
-    /// the per-tenant byte ledgers afterwards.
+    /// than their offered load.
     pub fn set_tenant_scheduler(&self, sched: Arc<TenantScheduler>) {
         *self.qos.lock() = Some(sched);
     }
