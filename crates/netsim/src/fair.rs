@@ -74,20 +74,20 @@ impl PartialOrd for CapEntry {
 
 /// Reusable scratch for the heap-based progressive-filling solver.
 ///
-/// This is the solver the network runs. The test-only reference solver in
-/// `mod reference` is O(F²·L) per call and allocates five vectors; this one is O((F + P)·log L) for F flows with P total path
-/// entries, and a long-lived `Workspace` allocates nothing in steady state.
-/// [`crate::net::Network`] registers only the links and flows of one
-/// connected component and solves that component alone.
+/// This is the solver the network runs, O((F + P)·log L) for F flows with P
+/// path entries against the test-only reference's O(F²·L); a long-lived
+/// `Workspace` allocates nothing in steady state. [`crate::net::Network`]
+/// registers only the links and flows of one connected component.
 ///
 /// The freeze decisions replicate the reference solver's exactly — the same
 /// bottleneck selection (smallest share, then smallest link index) and the
 /// same one-at-a-time cap-before-share freeze order (smallest cap, then
 /// smallest flow index) — so for a given component the computed rates are
-/// bit-identical to a whole-network solve. Freezing strictly in value
-/// order is what makes the solve component-decomposable at the ulp level:
-/// the arithmetic sequence applied to each link never depends on how freezes
-/// in *other* components interleave (components never share links).
+/// bit-identical to a whole-network solve: the arithmetic applied to each
+/// link never depends on how freezes in other components interleave. The
+/// link heap keeps one invariant: every link with unfixed flows has an
+/// entry no greater than its share. A freeze raises the shares it touches,
+/// so it pushes nothing unless rounding lowers one below its newest entry.
 ///
 /// Usage per solve: [`Workspace::begin`], then [`Workspace::add_link`] for
 /// every link any registered flow crosses, then [`Workspace::add_flow`] per
@@ -97,6 +97,7 @@ impl PartialOrd for CapEntry {
 pub(crate) struct Workspace {
     // Link-indexed scratch (sparse: only registered links are valid).
     residual: Vec<f64>,
+    bound: Vec<f64>, // the share of the link's newest heap entry
     count: Vec<usize>,
     start: Vec<u32>,
     pos: Vec<u32>,
@@ -118,6 +119,7 @@ impl Workspace {
     pub(crate) fn begin(&mut self, n_links: usize) {
         if self.residual.len() < n_links {
             self.residual.resize(n_links, 0.0);
+            self.bound.resize(n_links, 0.0);
             self.count.resize(n_links, 0);
             self.start.resize(n_links, 0);
             self.pos.resize(n_links, 0);
@@ -160,12 +162,26 @@ impl Workspace {
         &self.rates
     }
 
-    fn push_share(&mut self, l: usize) {
-        let share = self.residual[l].max(0.0) / self.count[l] as f64;
+    fn share(&self, l: usize) -> f64 {
+        self.residual[l].max(0.0) / self.count[l] as f64
+    }
+
+    fn push_share(&mut self, l: usize, share: f64) {
+        self.bound[l] = share;
         self.heap.push(LinkEntry {
             share,
             link: l as u32,
         });
+    }
+
+    /// Take a flow frozen at `rate` off link `l`. Its share rises, unless
+    /// rounding drops it below the link's newest entry: then push a new one.
+    fn release(&mut self, l: usize, rate: f64) {
+        self.residual[l] -= rate;
+        self.count[l] -= 1;
+        if self.count[l] > 0 && self.share(l) < self.bound[l] {
+            self.push_share(l, self.share(l));
+        }
     }
 
     /// Run progressive filling over the registered links and flows.
@@ -199,7 +215,7 @@ impl Workspace {
         for i in 0..self.comp_links.len() {
             let l = self.comp_links[i] as usize;
             if self.count[l] > 0 {
-                self.push_share(l);
+                self.push_share(l, self.share(l));
             }
         }
         // Heapified in one pass, not one push per window-capped flow.
@@ -215,9 +231,10 @@ impl Workspace {
 
         let mut remaining = nf;
         while remaining > 0 {
-            // Tightest link share. Heap entries are lower bounds (a link's
-            // share never decreases as flows freeze), so pop-validate-repush
-            // converges on the true minimum with the scan's tie-breaking.
+            // Tightest link share. Every live link has an entry no greater
+            // than its share, so the first entry that still equals its
+            // link's share is the minimum, ties to the smallest link index;
+            // a stale one is pushed again at the link's share.
             let mut best_share = f64::INFINITY;
             let mut best_link = u32::MAX;
             while let Some(e) = self.heap.pop() {
@@ -225,12 +242,9 @@ impl Workspace {
                 if self.count[l] == 0 {
                     continue;
                 }
-                let cur = self.residual[l].max(0.0) / self.count[l] as f64;
+                let cur = self.share(l);
                 if cur.total_cmp(&e.share).is_ne() {
-                    self.heap.push(LinkEntry {
-                        share: cur,
-                        link: e.link,
-                    });
+                    self.push_share(l, cur);
                     continue;
                 }
                 best_share = e.share;
@@ -254,12 +268,7 @@ impl Workspace {
                     self.fixed[f] = true;
                     remaining -= 1;
                     for j in self.path_off[f]..self.path_off[f + 1] {
-                        let l = self.path_flat[j as usize] as usize;
-                        self.residual[l] -= c;
-                        self.count[l] -= 1;
-                        if self.count[l] > 0 {
-                            self.push_share(l);
-                        }
+                        self.release(self.path_flat[j as usize] as usize, c);
                     }
                     froze_cap = true;
                 }
@@ -287,9 +296,7 @@ impl Workspace {
                 break;
             }
             // Freeze the bottleneck link's unfixed members at the fair share.
-            // When they are all the flows left, no share is asked for again.
             let bl = best_link as usize;
-            let last = self.count[bl] == remaining;
             let (ms, me) = (self.start[bl] as usize, self.pos[bl] as usize);
             for k in ms..me {
                 let f = self.members[k] as usize;
@@ -300,12 +307,7 @@ impl Workspace {
                 self.fixed[f] = true;
                 remaining -= 1;
                 for j in self.path_off[f]..self.path_off[f + 1] {
-                    let l = self.path_flat[j as usize] as usize;
-                    self.residual[l] -= best_share;
-                    self.count[l] -= 1;
-                    if !last && l != bl && self.count[l] > 0 {
-                        self.push_share(l);
-                    }
+                    self.release(self.path_flat[j as usize] as usize, best_share);
                 }
             }
         }
@@ -558,6 +560,10 @@ mod tests {
 
     type Case<'a> = (Vec<f64>, Vec<(&'a [usize], Option<f64>)>);
 
+    /// A capacity whose twelfth, less itself, shared eleven ways, rounds
+    /// one ulp below that twelfth.
+    const TIE: f64 = 449.49106478873813;
+
     #[test]
     fn workspace_matches_batch_on_fixed_cases() {
         let cases: Vec<Case> = vec![
@@ -574,6 +580,17 @@ mod tests {
             (
                 vec![50.0],
                 (0..10).map(|_| (&[0usize][..], Some(11.0))).collect(),
+            ),
+            // Three links tied at one share. Freezing the flow over links 0
+            // and 2 lowers link 2's share by one ulp, below link 1's, so
+            // link 2 must be the next bottleneck.
+            (
+                vec![TIE / 12.0, TIE / 12.0, TIE],
+                [&[0usize, 2][..], &[1, 2]]
+                    .into_iter()
+                    .chain(std::iter::repeat_n(&[2usize][..], 10))
+                    .map(|p| (p, None))
+                    .collect(),
             ),
         ];
         for (caps, flows) in cases {
@@ -686,6 +703,63 @@ mod tests {
                     prop_assert!(load <= cap * (1.0 + 1e-6) + 1e-6,
                         "link {l} oversubscribed: {load} > {cap}");
                 }
+            }
+
+            /// What lets the network skip a departure's solve: when every
+            /// flow but the one leaving froze at its own cap, a fresh solve
+            /// without that flow gives each other flow the same rate, bit
+            /// for bit. The flow leaving may be uncapped and link-bound.
+            /// Each link carries the caps of the flows that stay plus the
+            /// largest cap on it, scaled by 1 + its slack, so every cap
+            /// binds; at a slack of 0, rounding may bind a link instead,
+            /// and such a draw is skipped.
+            #[test]
+            fn a_departure_from_cap_bound_flows_keeps_their_rates(
+                flow_seeds in proptest::collection::vec(
+                    (proptest::collection::vec(0usize..6, 1..4), 0.01f64..100.0),
+                    2..14
+                ),
+                slack in proptest::collection::vec(
+                    prop_oneof![Just(0.0), 0.0f64..1e-12, 0.0f64..2.0],
+                    6..7
+                ),
+                nl in 1usize..7,
+                gone in 0usize..14,
+                gone_capped in any::<bool>(),
+            ) {
+                let n = flow_seeds.len();
+                let gone = gone % n;
+                let paths: Vec<Vec<usize>> = flow_seeds
+                    .iter()
+                    .map(|(p, _)| {
+                        let mut v: Vec<usize> = p.iter().map(|x| x % nl).collect();
+                        v.sort_unstable();
+                        v.dedup();
+                        v
+                    })
+                    .collect();
+                let links: Vec<f64> = (0..nl)
+                    .map(|l| {
+                        let on: Vec<usize> = (0..n).filter(|&f| paths[f].contains(&l)).collect();
+                        let cap = |&f: &usize| flow_seeds[f].1;
+                        let load: f64 = on.iter().filter(|&&f| f != gone).map(cap).sum();
+                        load + on.iter().map(cap).fold(0.0, f64::max) * (1.0 + slack[l])
+                    })
+                    .collect();
+                let flows: Vec<(&[usize], Option<f64>)> = (0..n)
+                    .map(|f| (&paths[f][..], (f != gone || gone_capped).then_some(flow_seeds[f].1)))
+                    .collect();
+                let before = rates(&links, &flows);
+                if (0..n).any(|f| f != gone && flows[f].1 != Some(before[f])) {
+                    return;
+                }
+                let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let mut kept = before.clone();
+                kept.remove(gone);
+                let mut rest = flows.clone();
+                rest.remove(gone);
+                prop_assert_eq!(bits(&rates(&links, &rest)), bits(&kept));
+                prop_assert_eq!(bits(&ws_rates(&links, &rest)), bits(&kept));
             }
 
             /// Work conservation: every flow is stopped by *something* — its

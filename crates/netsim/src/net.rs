@@ -147,7 +147,8 @@ pub struct NetStats {
     /// link capacity change).
     pub recomputes: u64,
     /// Total flows whose rate was re-derived, summed over recomputes;
-    /// `flows_touched / recomputes` is the mean component size.
+    /// `flows_touched / recomputes` is the mean component size. A departure
+    /// that keeps every rate (see `recompute`) counts its flows too.
     pub flows_touched: u64,
     /// Flow settlements avoided because the flow's component was not
     /// involved in the event.
@@ -155,8 +156,8 @@ pub struct NetStats {
     /// Completion signals delivered to flow owners: one per flow another
     /// owner's poll ended (the owner whose poll ends its own flow needs none).
     pub signals: u64,
-    /// Wall-clock nanoseconds spent inside recomputation (bus pass, solver,
-    /// and rate application).
+    /// Wall-clock nanoseconds spent inside recomputation: the component
+    /// walk, settles, solver, rate application and bus pass.
     pub alloc_nanos: u64,
 }
 
@@ -244,6 +245,12 @@ const DONE_BITS: f64 = 0.5;
 /// Rates below this are stalled: no completion is projected.
 const MIN_RATE: f64 = 1e-9;
 
+#[cfg(test)]
+thread_local! {
+    /// Recomputes on this thread that kept every rate without a solve.
+    static KEPT: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 impl Network {
     /// An empty network using `rt` for time and blocking.
     pub fn new(rt: Arc<dyn Runtime>) -> Arc<Network> {
@@ -313,7 +320,7 @@ impl Network {
     /// recompute settles the component at the old rates first.
     fn set_capacity_locked(g: &mut NetInner, now: Time, link: LinkId, cap: Bw) {
         g.links[link.0].cap = cap.as_bps();
-        Self::recompute(g, &[link.0], now, None);
+        Self::recompute(g, &[link.0], true, now, None);
     }
 
     /// Current capacity of `link`.
@@ -494,13 +501,16 @@ impl Network {
         }
     }
 
-    /// Walk the connected component around the pending flows and
-    /// `seed_links` (links a departure freed or a capacity change re-rated),
+    /// Walk the connected component around the pending flows and `seeds`
+    /// (links a departure freed, or whose capacity changed if `resized`),
     /// settle it at `now`, and solve it. With `own` (a poll whose projection
     /// has come), first end each flow drained by its own projection; the
-    /// events of those but `own` go to `ended`.
-    fn recompute(g: &mut NetInner, seed_links: &[usize], now: Time, own: Option<usize>) {
+    /// events of those but `own` go to `ended`. A departure alone only
+    /// raises link shares: if every flow left runs at its own cap, a solve
+    /// would return those caps bit for bit, so each keeps its allocation.
+    fn recompute(g: &mut NetInner, seeds: &[usize], resized: bool, now: Time, own: Option<usize>) {
         let t0 = std::time::Instant::now();
+        let departure = !resized && g.pending.is_empty();
         g.epoch += 1;
         let ep = g.epoch;
         g.comp_flows.clear();
@@ -534,7 +544,7 @@ impl Network {
                 }
             }
         };
-        seed_links.iter().for_each(|&l| reach(l, bfs_stack));
+        seeds.iter().for_each(|&l| reach(l, bfs_stack));
         while let Some(s) = bfs_stack.pop() {
             comp_flows.push(s);
             let f = slots[s].as_ref().expect("marked flow vanished");
@@ -555,7 +565,7 @@ impl Network {
                 }
             }
         }
-        {
+        let kept = {
             let NetInner {
                 slots,
                 links,
@@ -565,21 +575,28 @@ impl Network {
                 ..
             } = g;
             comp_flows.retain(|&s| slots[s].is_some());
-            ws.begin(links.len());
-            for &l in comp_links.iter() {
-                ws.add_link(l, links[l].cap);
+            let flow = |s: usize| slots[s].as_ref().expect("component flow vanished");
+            let at_cap = |&s: &usize| flow(s).cap == Some(flow(s).alloc_rate);
+            let kept = departure && comp_flows.iter().all(at_cap);
+            if !kept {
+                ws.begin(links.len());
+                for &l in comp_links.iter() {
+                    ws.add_link(l, links[l].cap);
+                }
+                for &s in comp_flows.iter() {
+                    ws.add_flow(flow(s).cap, &flow(s).path);
+                }
+                ws.solve();
             }
-            for &s in comp_flows.iter() {
-                let f = slots[s].as_ref().expect("component flow vanished");
-                ws.add_flow(f.cap, &f.path);
-            }
-            ws.solve();
-        }
+            kept
+        };
+        #[cfg(test)]
+        KEPT.with(|k| k.set(k.get() + u64::from(kept)));
         let mut skipped = (g.active - g.comp_flows.len()) as u64;
         for i in 0..g.comp_flows.len() {
             let s = g.comp_flows[i];
-            let alloc = g.ws.rates()[i];
             let f = g.slots[s].as_mut().expect("component flow vanished");
+            let alloc = if kept { f.alloc_rate } else { g.ws.rates()[i] };
             f.alloc_rate = alloc;
             // Penalized flows underutilize their allocation — that is the
             // point: bus arbitration wastes cycles, it does not hand them
@@ -654,7 +671,7 @@ impl Network {
             Self::set_due(g, slot, Some(now));
         } else {
             g.last_start = Some(now);
-            Self::recompute(g, &[], now, None);
+            Self::recompute(g, &[], false, now, None);
         }
         slot
     }
@@ -663,7 +680,7 @@ impl Network {
     /// redistribute its bandwidth.
     fn end_flow_locked(g: &mut NetInner, now: Time, slot: usize) {
         let f = Self::remove_flow_locked(g, slot);
-        Self::recompute(g, &f.path, now, None);
+        Self::recompute(g, &f.path, false, now, None);
     }
 
     /// Move `bytes` through `path`, blocking the calling actor until the
@@ -751,7 +768,7 @@ impl Network {
         Self::settle_flow(&mut g, flow.slot, now);
         let f = g.slots[flow.slot].as_ref().expect("checked above");
         if f.bits_rem <= DONE_BITS || f.due.is_some_and(|d| d <= now) {
-            Self::recompute(&mut g, &[], now, Some(flow.slot));
+            Self::recompute(&mut g, &[], false, now, Some(flow.slot));
             g.stats.signals += g.ended.len() as u64;
             g.ended.drain(..).for_each(|ev| ev.signal());
             self.rearm(&mut g);
@@ -840,7 +857,7 @@ pub mod replay {
         pub fn tick(&mut self, d: Dur) {
             let mut g = self.net.inner.lock();
             if !g.pending.is_empty() {
-                Network::recompute(&mut g, &[], self.now, None);
+                Network::recompute(&mut g, &[], false, self.now, None);
             }
             Network::earliest(&mut g); // bounds the heap no alarm reads here
             self.now += d;
@@ -1540,6 +1557,27 @@ mod tests {
             pub fn stats(&self) -> NetStats {
                 self.net.stats()
             }
+
+            /// Move the clock to the earliest projected completion (or
+            /// stay, if a tick passed it) and run the poll the alarm wakes
+            /// there: the poll route of a departure, which ends every flow
+            /// drained by then. Returns the clock's step; `None`, having
+            /// done nothing, when no completion is projected.
+            pub fn poll_next(&mut self) -> Option<Dur> {
+                let mut g = self.net.inner.lock();
+                let (at, _, slot) = Network::earliest(&mut g)?;
+                let step = at.since(self.now);
+                self.now += step;
+                Network::settle_flow(&mut g, slot, self.now);
+                Network::recompute(&mut g, &[], false, self.now, Some(slot));
+                g.ended.clear();
+                Some(step)
+            }
+        }
+
+        /// Departures on this thread that kept every rate without a solve.
+        fn kept() -> u64 {
+            KEPT.with(std::cell::Cell::get)
         }
 
         /// The test's own record of a live flow.
@@ -1632,153 +1670,213 @@ mod tests {
             }
         }
 
+        /// One step of a random trace: op selector, path seed, units, cap,
+        /// tag bits (bus tags, which flow departs and how, capacity kind)
+        /// and tick.
+        type Step = (u64, Vec<usize>, f64, Option<f64>, u8, u64);
+
+        fn trace() -> impl Strategy<Value = Vec<Step>> {
+            proptest::collection::vec(
+                (
+                    0u64..4,                                    // op selector bias
+                    proptest::collection::vec(0usize..8, 1..4), // path seed
+                    1_000.0f64..5e7,                            // units
+                    proptest::option::of(1e4f64..1e7),          // cap
+                    any::<u8>(),                                // tag bits
+                    1u64..40_000_000,                           // tick ns
+                ),
+                200..260,
+            )
+        }
+
+        /// Replay `trace` through the engine and hold it, at the end of
+        /// every instant and after every event that solves, to exactly the
+        /// rates a whole-network solve of the live flows gives; to one
+        /// recompute per first start of an instant, per departure (by
+        /// `finish` or by the poll route) and capacity change, and one for
+        /// each instant's later starts together; and to the bits the
+        /// oracle's rates move over every link. No event but a departure
+        /// keeps its rates without a solve. With `window`, every flow's cap
+        /// is far below any link's share and capacities only move by a
+        /// nudge, so every departure with no start pending must keep them.
+        fn replay(trace: &[Step], window: bool) {
+            let caps_mbps = [80.0, 8.0, 100.0, 1000.0, 40.0, 16.0, 250.0, 4.0];
+            let mut h = Harness::new(AllocMode::Incremental);
+            let links: Vec<LinkId> = caps_mbps
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| h.add_link(&format!("l{i}"), Bw::mbps(c)))
+                .collect();
+            let spec = BusSpec::default();
+            let buses: Vec<BusId> = (0..3).map(|_| h.add_bus(spec)).collect();
+            let mut o = Oracle {
+                caps: caps_mbps.iter().map(|&c| Bw::mbps(c).as_bps()).collect(),
+                spec,
+                buses: buses.len(),
+                flows: Vec::new(),
+                bits_moved: vec![0.0; links.len()],
+            };
+            // Live slots in start order, the solves so far, the instant of
+            // the last start, and whether a later start at it awaits the
+            // instant's end.
+            let mut live: Vec<usize> = Vec::new();
+            let mut solves = 0u64;
+            let (mut last_start, mut deferred) = (None, false);
+            let mut now = 0u64;
+            // Whether an event kept its rates: only a departure with no
+            // start pending may, and in the window regime it must.
+            let check_kept = |kept_before: u64, departure: bool, step: usize| {
+                let kept = kept() - kept_before;
+                let want = u64::from(departure);
+                assert!(kept <= want, "a solve was skipped at step {step}");
+                assert!(
+                    !window || kept == want,
+                    "departure at step {step} was solved"
+                );
+            };
+            for (step, (sel, pseed, units, cap, tag, tick)) in trace.iter().enumerate() {
+                let (kept_before, pending) = (kept(), deferred);
+                let cap = if window {
+                    Some(cap.unwrap_or(1e7) * 1e-3)
+                } else {
+                    *cap
+                };
+                let solved = match sel {
+                    0 => {
+                        let mut ls: Vec<usize> = pseed.clone();
+                        ls.sort_unstable();
+                        ls.dedup();
+                        let (wan, ic) = (tag & 1 != 0, tag & 2 != 0);
+                        let bus = ls[0] % buses.len();
+                        let mut tags = Vec::new();
+                        if wan {
+                            tags.push((buses[bus], DeviceClass::Wan));
+                        }
+                        if ic {
+                            tags.push((buses[bus], DeviceClass::Interconnect));
+                        }
+                        let path: Vec<LinkId> = ls.iter().map(|&i| links[i]).collect();
+                        let slot = h.start(&path, *units, cap, &tags);
+                        if o.flows.len() <= slot {
+                            o.flows.resize_with(slot + 1, || None);
+                        }
+                        o.flows[slot] = Some(Live {
+                            path: ls,
+                            cap,
+                            bus,
+                            wan,
+                            ic,
+                            contended: false,
+                            bits_rem: *units,
+                            rate: 0.0,
+                        });
+                        live.push(slot);
+                        let first = last_start != Some(now);
+                        last_start = Some(now);
+                        deferred |= !first;
+                        first
+                    }
+                    // The poll route: the clock jumps to the earliest
+                    // projection, whose poll ends every flow drained by then.
+                    1 if tag & 0x80 != 0 => match h.poll_next() {
+                        Some(dt) => {
+                            o.advance(dt);
+                            now += dt.as_nanos();
+                            let occupied = h.rates_by_slot();
+                            live.retain(|&s| occupied[s].is_some());
+                            for (f, got) in o.flows.iter_mut().zip(&occupied) {
+                                if got.is_none() {
+                                    *f = None;
+                                }
+                            }
+                            true
+                        }
+                        None => false,
+                    },
+                    1 if !live.is_empty() => {
+                        let slot = live.remove(*tag as usize % live.len());
+                        h.finish(slot);
+                        o.flows[slot] = None;
+                        true
+                    }
+                    1 => false,
+                    2 => {
+                        let dt = Dur::from_nanos(*tick);
+                        h.tick(dt);
+                        let solved = std::mem::take(&mut deferred);
+                        o.advance(dt);
+                        now += tick;
+                        solved
+                    }
+                    // Capacity changes: full link-down (0 bps), a nudge
+                    // of 0–3.75e-9 relative that moves rates by a few
+                    // ulps, or a new random capacity; in the window
+                    // regime, only the nudge.
+                    _ => {
+                        let link = pseed[0] % links.len();
+                        let bps = if window || tag & 8 != 0 {
+                            o.caps[link] * (1.0 + f64::from(tag >> 4) * 2.5e-10)
+                        } else if tag & 4 != 0 {
+                            0.0
+                        } else {
+                            *units
+                        };
+                        h.set_capacity(links[link], Bw::bps(bps));
+                        o.caps[link] = bps;
+                        true
+                    }
+                };
+                o.mark_contention();
+                o.resolve();
+                if solved {
+                    solves += 1;
+                    // A departure or capacity change solves the pending
+                    // starts with it.
+                    deferred &= *sel == 0;
+                }
+                check_kept(kept_before, *sel == 1 && solved && !pending, step);
+                if !deferred {
+                    o.check(&h, step);
+                }
+                assert_eq!(h.stats().recomputes, solves, "recomputes at step {step}");
+            }
+            // Drain everything so the traffic totals cover whole flows.
+            for (i, slot) in live.into_iter().enumerate() {
+                let kept_before = kept();
+                h.finish(slot);
+                o.flows[slot] = None;
+                solves += 1;
+                o.mark_contention();
+                o.resolve();
+                check_kept(kept_before, !std::mem::take(&mut deferred), trace.len() + i);
+                o.check(&h, trace.len() + i);
+                assert_eq!(h.stats().recomputes, solves);
+            }
+            for (l, (a, b)) in h.bits_moved().iter().zip(&o.bits_moved).enumerate() {
+                assert!(
+                    (a - b).abs() <= 1e-6 * b.abs().max(1.0),
+                    "link {l} bits diverged: {a} vs {b}"
+                );
+            }
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(24))]
             /// Replaying a ≥200-event random trace (arrivals with multi-link
-            /// paths, caps and bus tags, departures, clock advances, capacity
-            /// changes down to link-down) leaves the engine, at the end of
-            /// every instant and after every event that solves, with exactly
-            /// the rates a whole-network solve of the live flows gives; with
-            /// one recompute per first start of an instant, per departure
-            /// and capacity change, and one for each instant's later starts
-            /// together; and with the bits the oracle's rates move over
-            /// every link.
+            /// paths, caps and bus tags, departures both ways, clock
+            /// advances, capacity changes down to link-down) matches a
+            /// whole-network solve bit for bit (see `replay`).
             #[test]
-            fn incremental_matches_batch(
-                seeds in proptest::collection::vec(
-                    (
-                        0u64..4,                    // op selector bias
-                        proptest::collection::vec(0usize..8, 1..4), // path seed
-                        1_000.0f64..5e7,            // units
-                        proptest::option::of(1e4f64..1e7), // cap
-                        any::<u8>(),                // bus tags, finish pick, capacity kind
-                        1u64..40_000_000,           // tick ns
-                    ),
-                    200..260
-                ),
-            ) {
-                let caps_mbps = [80.0, 8.0, 100.0, 1000.0, 40.0, 16.0, 250.0, 4.0];
-                let mut h = Harness::new(AllocMode::Incremental);
-                let links: Vec<LinkId> = caps_mbps
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &c)| h.add_link(&format!("l{i}"), Bw::mbps(c)))
-                    .collect();
-                let spec = BusSpec::default();
-                let buses: Vec<BusId> = (0..3).map(|_| h.add_bus(spec)).collect();
-                let mut o = Oracle {
-                    caps: caps_mbps.iter().map(|&c| Bw::mbps(c).as_bps()).collect(),
-                    spec,
-                    buses: buses.len(),
-                    flows: Vec::new(),
-                    bits_moved: vec![0.0; links.len()],
-                };
-                // Live slots in start order, the solves so far, the instant of
-                // the last start, and whether a later start at it awaits the
-                // instant's end.
-                let mut live: Vec<usize> = Vec::new();
-                let mut solves = 0u64;
-                let (mut last_start, mut deferred) = (None, false);
-                let mut now = 0u64;
-                let finish = |h: &mut Harness, o: &mut Oracle, slot: usize| {
-                    h.finish(slot);
-                    o.flows[slot] = None;
-                };
-                for (step, (sel, pseed, units, cap, tag, tick)) in seeds.iter().enumerate() {
-                    let solved = match sel {
-                        0 => {
-                            let mut ls: Vec<usize> = pseed.clone();
-                            ls.sort_unstable();
-                            ls.dedup();
-                            let (wan, ic) = (tag & 1 != 0, tag & 2 != 0);
-                            let bus = ls[0] % buses.len();
-                            let mut tags = Vec::new();
-                            if wan {
-                                tags.push((buses[bus], DeviceClass::Wan));
-                            }
-                            if ic {
-                                tags.push((buses[bus], DeviceClass::Interconnect));
-                            }
-                            let path: Vec<LinkId> = ls.iter().map(|&i| links[i]).collect();
-                            let slot = h.start(&path, *units, *cap, &tags);
-                            if o.flows.len() <= slot {
-                                o.flows.resize_with(slot + 1, || None);
-                            }
-                            o.flows[slot] = Some(Live {
-                                path: ls,
-                                cap: *cap,
-                                bus,
-                                wan,
-                                ic,
-                                contended: false,
-                                bits_rem: *units,
-                                rate: 0.0,
-                            });
-                            live.push(slot);
-                            let first = last_start != Some(now);
-                            last_start = Some(now);
-                            deferred |= !first;
-                            first
-                        }
-                        1 if !live.is_empty() => {
-                            let slot = live.remove(*tag as usize % live.len());
-                            finish(&mut h, &mut o, slot);
-                            true
-                        }
-                        1 => false,
-                        2 => {
-                            let dt = Dur::from_nanos(*tick);
-                            h.tick(dt);
-                            let solved = std::mem::take(&mut deferred);
-                            o.advance(dt);
-                            now += tick;
-                            solved
-                        }
-                        // Capacity changes: full link-down (0 bps), a nudge
-                        // of 0–3.75e-9 relative that moves rates by a few
-                        // ulps, or a new random capacity.
-                        _ => {
-                            let link = pseed[0] % links.len();
-                            let bps = if tag & 4 != 0 {
-                                0.0
-                            } else if tag & 8 != 0 {
-                                o.caps[link] * (1.0 + f64::from(tag >> 4) * 2.5e-10)
-                            } else {
-                                *units
-                            };
-                            h.set_capacity(links[link], Bw::bps(bps));
-                            o.caps[link] = bps;
-                            true
-                        }
-                    };
-                    o.mark_contention();
-                    o.resolve();
-                    if solved {
-                        solves += 1;
-                        // A departure or capacity change solves the pending
-                        // starts with it.
-                        deferred &= *sel == 0;
-                    }
-                    if !deferred {
-                        o.check(&h, step);
-                    }
-                    prop_assert_eq!(h.stats().recomputes, solves, "recomputes at step {}", step);
-                }
-                // Drain everything so the traffic totals cover whole flows.
-                for (i, slot) in live.into_iter().enumerate() {
-                    finish(&mut h, &mut o, slot);
-                    solves += 1;
-                    o.mark_contention();
-                    o.resolve();
-                    o.check(&h, seeds.len() + i);
-                    prop_assert_eq!(h.stats().recomputes, solves);
-                }
-                for (l, (a, b)) in h.bits_moved().iter().zip(&o.bits_moved).enumerate() {
-                    prop_assert!(
-                        (a - b).abs() <= 1e-6 * b.abs().max(1.0),
-                        "link {} bits diverged: {} vs {}", l, a, b
-                    );
-                }
+            fn incremental_matches_batch(steps in trace()) {
+                replay(&steps, false);
+            }
+
+            /// The same with window-bound flows: every departure with no
+            /// start pending keeps the rates without a solve, and they
+            /// still match the whole-network solve bit for bit.
+            #[test]
+            fn window_bound_departures_keep_their_rates(steps in trace()) {
+                replay(&steps, true);
             }
         }
     }
