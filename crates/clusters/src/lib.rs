@@ -395,34 +395,28 @@ impl FedTestbed {
                 };
                 let primary_fs = SrbFs::new(primary.clone(), client("primary"));
                 let replica_fs = SrbFs::new(replica.clone(), client("replica"));
-                let repl_route =
-                    |name: &str| route(format!("s{s}-{name}"), Bw::gbps(1.0), Dur::from_millis(1));
-                let forward = Replicator::start(
-                    rt,
-                    primary.clone(),
-                    replica.clone(),
-                    repl_route("repl"),
-                    "fed",
-                    "fed",
-                    RetryPolicy::default(),
-                );
-                let reverse = reverse.then(|| {
-                    let reverse = Replicator::start(
+                let replicator = |from: &Arc<SrbServer>, to: &Arc<SrbServer>, name: &str| {
+                    let route = route(format!("s{s}-{name}"), Bw::gbps(1.0), Dur::from_millis(1));
+                    Replicator::start(
                         rt,
-                        replica,
-                        primary,
-                        repl_route("repl-rev"),
+                        from.clone(),
+                        to.clone(),
+                        route,
                         "fed",
                         "fed",
                         RetryPolicy::default(),
-                    );
+                    )
+                };
+                let forward = replicator(&primary, &replica, "repl");
+                let reverse = reverse.then(|| {
+                    let reverse = replicator(&replica, &primary, "repl-rev");
                     reverse.set_active(false);
                     reverse
                 });
                 FedShard {
                     primary: primary_fs,
                     replica: replica_fs,
-                    replicator: Some(forward),
+                    replicator: forward,
                     reverse,
                 }
             })
@@ -639,8 +633,7 @@ mod tests {
             let governed = FedTestbed::new(&rt, 2, true, None);
             let has_fed = |fs: &Arc<SrbFs>| fs.server().mcat().authenticate("fed", "fed").is_ok();
             for (p, g) in plain.shards.iter().zip(&governed.shards) {
-                assert!(p.replicator.is_some() && p.reverse.is_none());
-                assert!(g.replicator.is_some() && g.reverse.is_some());
+                assert!(p.reverse.is_none() && g.reverse.is_some());
                 assert!(has_fed(&p.replica) && !has_fed(&p.primary));
                 assert!(has_fed(&g.replica) && has_fed(&g.primary));
             }
@@ -659,10 +652,7 @@ mod tests {
             // seat enqueues nothing, a write on the primary seat ships
             // forward (and its echo on the replica is dropped too).
             let shard = &governed.shards[0];
-            let (forward, reverse) = (
-                shard.replicator.as_ref().unwrap(),
-                shard.reverse.as_ref().unwrap(),
-            );
+            let (forward, reverse) = (&shard.replicator, shard.reverse.as_ref().unwrap());
             for (fs, path) in [
                 (&shard.replica, "/on-replica"),
                 (&shard.primary, "/on-primary"),

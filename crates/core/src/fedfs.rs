@@ -83,10 +83,9 @@ pub struct FedShard {
     pub primary: Arc<SrbFs>,
     /// Seat 1: mount of the shard's initial replica server.
     pub replica: Arc<SrbFs>,
-    /// The seat0→seat1 (forward) write-path replicator, if wired. Read
-    /// failover quiesces it so acked-but-unshipped extents land before the
-    /// read.
-    pub replicator: Option<Arc<Replicator>>,
+    /// The seat0→seat1 (forward) write-path replicator. Read failover
+    /// quiesces it so acked-but-unshipped extents land before the read.
+    pub replicator: Arc<Replicator>,
     /// The seat1→seat0 (reverse) replicator, required for membership
     /// governance: it drains the divergence backlog and carries
     /// post-promotion writes back to the deposed primary. `None` keeps the
@@ -292,11 +291,14 @@ impl FedFs {
     }
 
     /// The replicator shipping in the current primary→replica direction.
-    fn active_replicator(&self, shard: usize) -> Option<&Arc<Replicator>> {
+    fn active_replicator(&self, shard: usize) -> &Arc<Replicator> {
+        let s = &self.shards[shard];
         if self.primary_seat_of(shard) == 0 {
-            self.shards[shard].replicator.as_ref()
+            &s.replicator
         } else {
-            self.shards[shard].reverse.as_ref()
+            s.reverse
+                .as_ref()
+                .expect("only membership promotes, and it needs the reverse replicator")
         }
     }
 
@@ -310,10 +312,7 @@ impl FedFs {
             .iter()
             .map(|s| semplar_srb::GovernedPair {
                 servers: [s.primary.server().clone(), s.replica.server().clone()],
-                forward: s
-                    .replicator
-                    .clone()
-                    .expect("membership needs the forward replicator wired"),
+                forward: s.replicator.clone(),
                 reverse: s
                     .reverse
                     .clone()
@@ -431,8 +430,9 @@ impl FedFs {
             return stuck;
         }
         for shard in &self.shards {
-            for repl in [&shard.replicator, &shard.reverse].into_iter().flatten() {
-                repl.quiesce();
+            shard.replicator.quiesce();
+            if let Some(reverse) = &shard.reverse {
+                reverse.quiesce();
             }
         }
         Ok(())
@@ -457,9 +457,7 @@ impl FedFs {
         if self.state[shard].quiesced.swap(true, Ordering::SeqCst) {
             return;
         }
-        if let Some(repl) = self.active_replicator(shard) {
-            repl.quiesce();
-        }
+        self.active_replicator(shard).quiesce();
     }
 
     /// True for errors the federation can route around: transient stream
@@ -987,9 +985,9 @@ impl FedFile {
             }
         }
         if promoted_under_us {
-            if let Some(repl) = self.fed.active_replicator(self.shard) {
-                repl.enqueue_extent(&self.path, offset, n);
-            }
+            self.fed
+                .active_replicator(self.shard)
+                .enqueue_extent(&self.path, offset, n);
         }
         // The write landed on the replica, so the *primary* never reported
         // it as a change — revoke the primary mount's cached lease bytes

@@ -428,13 +428,7 @@ impl FederationScenario {
             repl: fed
                 .shards()
                 .iter()
-                .map(|s| {
-                    let forward = s.replicator.as_ref().map(|r| r.stats());
-                    (
-                        forward.unwrap_or_default(),
-                        s.reverse.as_ref().map(|r| r.stats()),
-                    )
-                })
+                .map(|s| (s.replicator.stats(), s.reverse.as_ref().map(|r| r.stats())))
                 .collect(),
             faults: injectors.iter().map(FaultInjector::stats).collect(),
             promotions,

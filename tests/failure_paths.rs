@@ -311,8 +311,7 @@ fn striped_read_fails_over_to_a_federated_replica() {
         let f = File::open(&rt, &fed, "/d", OpenFlags::CreateRw).unwrap();
         f.write_at(0, &Payload::bytes(data.clone())).unwrap();
         f.close().unwrap();
-        let forward = fed.shards()[0].replicator.as_ref().unwrap();
-        forward.quiesce();
+        fed.shards()[0].replicator.quiesce();
 
         let sf = StripedFile::open(&rt, &fed, "/d", OpenFlags::Read, 2, StripeUnit::Even).unwrap();
 
