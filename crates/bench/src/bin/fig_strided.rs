@@ -26,7 +26,7 @@ enum Strategy {
     PerFragment,
     /// The whole extent list in one list-I/O exchange.
     ListIo,
-    /// List-I/O with sieving threshold 1.0: hole bytes ride the wire for a
+    /// List-I/O on a sieving mount: hole bytes ride the wire for a
     /// single covering extent in each direction.
     Sieving,
 }
@@ -60,11 +60,7 @@ fn strided(strategy: Strategy, frags: u64, frag_bytes: u64, stride: u64) -> Arm 
         let fs = SrbFs::new(
             server.clone(),
             SrbFsConfig {
-                sieve_threshold: if strategy == Strategy::Sieving {
-                    1.0
-                } else {
-                    0.0
-                },
+                sieve: strategy == Strategy::Sieving,
                 ..SrbFsConfig::new(route, "u", "p")
             },
         );

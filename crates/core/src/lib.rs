@@ -512,7 +512,7 @@ mod tests {
         assert_eq!(cfg.pool, semplar_srb::PoolPolicy::PerOpen);
         assert_eq!(cfg.retry, semplar_srb::RetryPolicy::default());
         assert!(cfg.stream_routes.is_empty());
-        assert_eq!(cfg.sieve_threshold, 0.0);
+        assert!(!cfg.sieve);
         assert_eq!(cfg.lease_capacity, None);
     }
 
@@ -584,20 +584,18 @@ mod tests {
         /// The list path is semantically identical to the loop of
         /// single-extent ops it replaces: same bytes on the server
         /// (server-side checksums agree), same bytes read back —
-        /// across every sieve threshold, across stripe streams, and
+        /// with and without sieving, across stripe streams, and
         /// across a mid-list transient connection reset.
         #[test]
         fn list_ops_match_single_op_sequence(
             lens in proptest::collection::vec((1u64..3000, 0u64..3000), 1..8),
             base in 0u64..4096,
-            threshold_sel in 0u8..3,
+            sieve in any::<bool>(),
             streams in 1usize..4,
             fault in any::<bool>(),
         ) {
             simulate(move |rt| {
-                let (server, fs) = srb_pair(&rt, |c| {
-                    c.sieve_threshold = [0.0, 0.5, 1.0][threshold_sel as usize]
-                });
+                let (server, fs) = srb_pair(&rt, |c| c.sieve = sieve);
                 let mut extents = Vec::new();
                 let mut off = base;
                 for &(len, gap) in &lens {
@@ -660,7 +658,7 @@ mod tests {
             });
         }
 
-        /// The hole mask: write-back sieving (threshold 1.0 forces the
+        /// The hole mask: write-back sieving (a sieving mount takes the
         /// read-modify-write path whenever the list has holes) must never
         /// alter a byte the caller didn't write.
         #[test]
@@ -669,7 +667,7 @@ mod tests {
             base in 0u64..512,
         ) {
             simulate(move |rt| {
-                let (_server, fs) = srb_pair(&rt, |c| c.sieve_threshold = 1.0);
+                let (_server, fs) = srb_pair(&rt, |c| c.sieve = true);
                 let mut extents = Vec::new();
                 let mut off = base;
                 for &(len, gap) in &lens {

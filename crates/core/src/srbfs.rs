@@ -56,13 +56,12 @@ pub struct SrbFsConfig {
     /// single-link degrade hits one stream and not the others. Empty means
     /// every open uses `route`.
     pub stream_routes: Vec<ConnRoute>,
-    /// Data-sieving hole-fraction threshold, clamped to `[0, 1]`. A
-    /// coalesced list op whose merged extents leave a hole fraction at or
-    /// below this is served by one covering transfer (read: fetch and
-    /// slice; write: read-modify-write under the hole mask) instead of a
-    /// wire list. `0.0` sieves only fully contiguous runs; `1.0` always
-    /// moves one covering extent no matter how sparse the list is.
-    pub sieve_threshold: f64,
+    /// Data sieving across holes. When set, a coalesced list op is served
+    /// by one covering transfer (read: fetch and slice; write:
+    /// read-modify-write under the hole mask) instead of a wire list, no
+    /// matter how sparse. When clear, only merged extents that leave no
+    /// hole move as one covering transfer.
+    pub sieve: bool,
     /// Capacity in payload bytes of the client-side read-lease cache;
     /// `None` disables leases and every read goes to the wire.
     /// Full-length reads are kept locally and served with zero wire
@@ -84,7 +83,7 @@ impl SrbFsConfig {
             pool: PoolPolicy::PerOpen,
             retry: RetryPolicy::default(),
             stream_routes: Vec::new(),
-            sieve_threshold: 0.0,
+            sieve: false,
             lease_capacity: None,
         }
     }
@@ -131,8 +130,7 @@ impl SrbFs {
     /// With leases on, the cache's change hook is registered on `server`
     /// here. Server hooks fire in registration order, so build a
     /// leased mount before starting a `Replicator` on the same server.
-    pub fn new(server: Arc<SrbServer>, mut cfg: SrbFsConfig) -> Arc<SrbFs> {
-        cfg.sieve_threshold = cfg.sieve_threshold.clamp(0.0, 1.0);
+    pub fn new(server: Arc<SrbServer>, cfg: SrbFsConfig) -> Arc<SrbFs> {
         let pool = ConnPool::new(
             server.clone(),
             &cfg.user,
@@ -460,8 +458,7 @@ impl AdioFile for SrbFile {
         let end = merged.last().map(|&(o, l)| o + l).unwrap();
         let span = end - start;
         let useful: u64 = merged.iter().map(|&(_, l)| l).sum();
-        let hole_frac = 1.0 - useful as f64 / span as f64;
-        let pieces: Vec<Payload> = if hole_frac <= self.fs.cfg.sieve_threshold {
+        let pieces: Vec<Payload> = if self.fs.cfg.sieve || useful == span {
             // Data sieving: one covering fetch, then slice the runs out of
             // it. The meter hint caps goodput at the requested bytes — the
             // hole bytes ride the wire but are not application goodput.
@@ -530,8 +527,9 @@ impl AdioFile for SrbFile {
         let start = merged[0].0;
         let end = merged.last().map(|&(o, l)| o + l).unwrap();
         let span = end - start;
-        let hole_frac = (span - total) as f64 / span as f64;
-        if sieve && hole_frac <= self.fs.cfg.sieve_threshold && packed.data().is_some() {
+        // Two or more merged runs always leave a hole between them, so
+        // only a sieving mount reads and writes the span back.
+        if sieve && self.fs.cfg.sieve && packed.data().is_some() {
             // Write-back sieving under the hole mask: fetch the covering
             // extent (pure overhead, metered at zero goodput), overlay the
             // caller's runs on it, and write the whole span back — one
