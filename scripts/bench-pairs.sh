@@ -2,8 +2,10 @@
 # Alternated A/B runs of two builds of the benchmark (benchmark/): pair i
 # runs both binaries on seed i, untraced, and which side goes first swaps
 # from one pair to the next, so drift in host load falls on both sides.
+# Pairs run seeds first..first+pairs-1; the first seed defaults to 1, and
+# a later one gives held-out seeds.
 #
-# usage: scripts/bench-pairs.sh <parent-bin> <pr-bin> <workload> <pairs> [seconds]
+# usage: scripts/bench-pairs.sh <parent-bin> <pr-bin> <workload> <pairs> [seconds] [first-seed]
 #
 # Standard error gets one row per end-to-end metric of BENCHMARK.json:
 # each side's median [q1-q3], the change of the medians, and the pairs the
@@ -16,17 +18,17 @@
 #       overlap_ckpt 10 8 >> results/bench/PR<n>.jsonl
 set -euo pipefail
 
-if [ "$#" -lt 4 ] || [ "$#" -gt 5 ]; then
-    echo "usage: $0 <parent-bin> <pr-bin> <workload> <pairs> [seconds]" >&2
+if [ "$#" -lt 4 ] || [ "$#" -gt 6 ]; then
+    echo "usage: $0 <parent-bin> <pr-bin> <workload> <pairs> [seconds] [first-seed]" >&2
     exit 2
 fi
 spec="$(cd "$(dirname "$0")/.." && pwd)/BENCHMARK.json"
 
-exec python3 - "$spec" "$1" "$2" "$3" "$4" "${5:-8}" <<'EOF'
+exec python3 - "$spec" "$1" "$2" "$3" "$4" "${5:-8}" "${6:-1}" <<'EOF'
 import json, resource, statistics, subprocess, sys, time
 
-spec, parent, pr, workload, pairs, seconds = sys.argv[1:]
-bins, pairs = {"parent": parent, "pr": pr}, int(pairs)
+spec, parent, pr, workload, pairs, seconds, first = sys.argv[1:]
+bins, pairs, first = {"parent": parent, "pr": pr}, int(pairs), int(first)
 better ={m["name"]: m["better"] for m in json.load(open(spec))["end_to_end"]}
 
 def run(side, seed):
@@ -48,10 +50,11 @@ def run(side, seed):
 runs = {"parent": [], "pr": []}
 for pair in range(1, pairs + 1):
     order = ["parent", "pr"] if pair % 2 else ["pr", "parent"]
+    seed = first + pair - 1
     for side in order:
-        process, result = run(side, pair)
+        process, result = run(side, seed)
         runs[side].append(result)
-        print(json.dumps({"side": side, "workload": workload, "seed": pair, "traced": False,
+        print(json.dumps({"side": side, "workload": workload, "seed": seed, "traced": False,
                           "pair": pair, "ran_first": order[0], "process": process, "result": result}),
               flush=True)
 
@@ -63,7 +66,7 @@ def summary(v):
     return f"{med:.4g} [{q1:.4g}-{q3:.4g}]"
 
 err = sys.stderr
-print(f"{workload}: {pairs} alternated pairs, seeds 1-{pairs}, --seconds {seconds}", file=err)
+print(f"{workload}: {pairs} alternated pairs, seeds {first}-{first + pairs - 1}, --seconds {seconds}", file=err)
 print(f"{'metric':<16} {'parent median [q1-q3]':<32} {'pr median [q1-q3]':<32} {'change':>8}  pr won / tied", file=err)
 for name, direction in better.items():
     a, b = values("parent", name), values("pr", name)
