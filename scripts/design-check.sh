@@ -14,7 +14,7 @@ exec python3 - <<'EOF'
 import pathlib, re, sys
 
 LIMIT = 40960
-STD = {"Arc", "BTreeMap", "DefaultHasher", "None", "Option", "Some", "Vec"}
+STD = {"Arc", "BTreeMap", "DefaultHasher", "None", "Some", "Vec"}
 
 design = pathlib.Path("DESIGN.md").read_bytes()
 failed = False
