@@ -69,8 +69,8 @@ impl Runtime for RealRuntime {
     /// A task is a loop on a thread of its own: poll, then block the thread
     /// as the step says.
     fn spawn_task(&self, mut cell: TaskCell) {
-        let mut task = cell.task.take().expect("a fresh cell holds its task");
-        let (rt, name) = (self.handle(), cell.label());
+        let (mut task, rt) = cell.task.take().expect("a fresh cell holds its task");
+        let name = cell.label();
         let mut wake = None;
         let poll_loop = move || loop {
             let now = rt.now();

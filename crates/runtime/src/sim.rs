@@ -56,7 +56,7 @@ use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering as AtOrd};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as AtOrd};
 use std::sync::Arc;
 use std::thread::Thread;
 
@@ -80,53 +80,58 @@ pub fn on_quiet_actor() -> bool {
     QUIET_ACTOR.with(|q| q.get())
 }
 
-const SLOT_PENDING: u8 = 0;
-const SLOT_SIGNALED: u8 = 1;
-const SLOT_TIMEOUT: u8 = 2;
-
-/// One blocked wait, or an alarm's pending timer. All fields are only
-/// mutated while the engine lock is held — but an alarm's `clear` and drop,
-/// which only mark its slot stale; the atomics exist purely to avoid
-/// `unsafe` interior mutability. A slot is pending only while its owner is
-/// blocked on it: registering it (in an event's waiter list, the timer
-/// heap) and blocking happen under one hold of the engine lock.
-pub(crate) struct WaitSlot {
-    state: AtomicU8,
+/// One wait of one actor: its `gen`-th. The timer heap and the events'
+/// waiter queues hold copies of it. It is live while it is still that
+/// actor's pending wait; once the wait has ended (a signal beat its timer,
+/// the actor was released) every copy is stale and is skipped, or swept,
+/// where it surfaces.
+#[derive(Clone, Copy)]
+struct WaitKey {
     actor: u64,
-    /// Explicit [`Runtime::schedule_point`] label, if this wait is one.
-    tag: Option<Arc<str>>,
-    /// An alarm's slot wakes no actor: its timer signals this event.
-    alarm: Option<Event>,
+    gen: u64,
 }
 
-impl WaitSlot {
-    fn new(actor: u64, tag: Option<&str>) -> Arc<WaitSlot> {
-        Arc::new(WaitSlot {
-            state: AtomicU8::new(SLOT_PENDING),
-            actor,
-            tag: tag.map(Arc::from),
-            alarm: None,
-        })
+impl WaitKey {
+    fn is_pending(self, actors: &[Option<ActorInfo>]) -> bool {
+        let info = actors.get(self.actor as usize).and_then(Option::as_ref);
+        info.is_some_and(|a| a.gen == self.gen && a.blocked.is_some())
     }
+}
 
-    fn is_woken(&self) -> bool {
-        self.state.load(AtOrd::Relaxed) != SLOT_PENDING
-    }
-
-    /// How the wait ended, as the waiter is told.
-    fn wake(&self) -> Option<Wake> {
-        match self.state.load(AtOrd::Relaxed) {
-            SLOT_SIGNALED => Some(Wake::Signaled),
-            SLOT_TIMEOUT => Some(Wake::Timeout),
-            _ => None,
-        }
-    }
+/// What a timer ends when it fires.
+enum Due {
+    /// An actor's sleep, timed wait or schedule point.
+    Wait(WaitKey),
+    /// An alarm's setting: it signals `ev` while the alarm's stamp still
+    /// reads `set`.
+    Alarm {
+        stamp: Arc<AtomicU64>,
+        set: u64,
+        ev: Event,
+    },
 }
 
 struct TimerEntry {
     at: u64,
     seq: u64,
-    slot: Arc<WaitSlot>,
+    due: Due,
+}
+
+impl TimerEntry {
+    fn is_live(&self, actors: &[Option<ActorInfo>]) -> bool {
+        match &self.due {
+            Due::Wait(key) => key.is_pending(actors),
+            Due::Alarm { stamp, set, .. } => stamp.load(AtOrd::Relaxed) == *set,
+        }
+    }
+
+    /// The label of the schedule point this entry ends, if it is one.
+    fn tag<'a>(&self, actors: &'a [Option<ActorInfo>]) -> Option<&'a Arc<str>> {
+        match self.due {
+            Due::Wait(key) => actors.get(key.actor as usize)?.as_ref()?.tag.as_ref(),
+            Due::Alarm { .. } => None,
+        }
+    }
 }
 
 impl PartialEq for TimerEntry {
@@ -198,10 +203,17 @@ pub trait ScheduleHook: Send + Sync {
 }
 
 struct ActorInfo {
-    /// What the actor is blocked on (for diagnostics) and the wait itself
-    /// (so poison and quiescence can release it); `None` while the actor
-    /// runs or sits in the ready queue.
-    blocked: Option<(&'static str, Arc<WaitSlot>)>,
+    /// What the actor is blocked on, for diagnostics; `None` while it runs
+    /// or sits in the ready queue.
+    blocked: Option<&'static str>,
+    /// How many waits it has begun: its current one is
+    /// `WaitKey { actor: id, gen }`.
+    gen: u64,
+    /// How its last wait ended.
+    woke: Option<Wake>,
+    /// The explicit [`Runtime::schedule_point`] label of its current wait,
+    /// if that wait is one.
+    tag: Option<Arc<str>>,
     /// A thread actor's OS thread, once it has started: what a hand-off
     /// unparks.
     thread: Option<Thread>,
@@ -220,6 +232,9 @@ impl ActorInfo {
     fn new(body: Body) -> ActorInfo {
         ActorInfo {
             blocked: None,
+            gen: 0,
+            woke: None,
+            tag: None,
             thread: None,
             body,
         }
@@ -240,7 +255,7 @@ impl ActorInfo {
     }
 
     fn blocked_on(&self) -> &'static str {
-        self.blocked.as_ref().map_or("(exiting)", |b| b.0)
+        self.blocked.unwrap_or("(exiting)")
     }
 }
 
@@ -333,10 +348,33 @@ impl EngineState {
         }
     }
 
-    /// Record that actor `id`, about to give up the baton, waits on `slot`.
-    fn block_on(&mut self, id: u64, why: &'static str, slot: Arc<WaitSlot>) {
+    /// Begin actor `id`'s next wait, blocked on `why`: the key to register
+    /// (in a waiter queue, the timer heap) under this hold of the lock,
+    /// before the actor gives up the baton.
+    fn start_wait(&mut self, id: u64, why: &'static str, tag: Option<Arc<str>>) -> WaitKey {
         let info = self.actor(id).expect("blocking actor registered");
-        info.blocked = Some((why, slot));
+        info.gen += 1;
+        info.blocked = Some(why);
+        info.woke = None;
+        info.tag = tag;
+        WaitKey {
+            actor: id,
+            gen: info.gen,
+        }
+    }
+
+    /// End the wait `key` names, if it is still pending, and queue its
+    /// actor behind every actor already ready. Never moves the baton.
+    /// False if the key was stale.
+    fn wake(&mut self, key: WaitKey, how: Wake) -> bool {
+        if !key.is_pending(&self.actors) {
+            return false;
+        }
+        let info = self.actor(key.actor).expect("pending waiter registered");
+        info.blocked = None;
+        info.woke = Some(how);
+        self.ready.push_back(key.actor);
+        true
     }
 }
 
@@ -348,19 +386,6 @@ impl Engine {
                  registered actor; spawn work via SimRuntime::spawn (or run_root)"
             )
         })
-    }
-
-    /// Mark `slot` woken and queue its owner behind every actor already
-    /// ready. Never moves the baton.
-    fn wake(&self, st: &mut EngineState, slot: &WaitSlot, reason: u8) {
-        if slot.is_woken() {
-            return;
-        }
-        slot.state.store(reason, AtOrd::Relaxed);
-        if let Some(info) = st.actor(slot.actor) {
-            info.blocked = None;
-            st.ready.push_back(slot.actor);
-        }
     }
 
     /// The one scheduler. With the baton free, hand it to the next ready
@@ -396,10 +421,16 @@ impl Engine {
                 st = self.quiesce(st);
                 continue;
             }
-            // Drop events whose waiters were already woken by a signal.
-            st.deferred.retain(|e| !e.slot.is_woken());
-            while st.timers.peek().is_some_and(|e| e.slot.is_woken()) {
-                st.timers.pop();
+            // Drop events whose waits already ended.
+            let EngineState {
+                deferred,
+                timers,
+                actors,
+                ..
+            } = &mut *st;
+            deferred.retain(|e| e.is_live(actors));
+            while timers.peek().is_some_and(|e| !e.is_live(actors)) {
+                timers.pop();
             }
             if st.deferred.is_empty() && st.timers.peek().is_none() {
                 self.deadlock(&mut st);
@@ -415,11 +446,18 @@ impl Engine {
                 self.clock.store(e.at, AtOrd::Relaxed);
                 st.stats.clock_advances += 1;
             }
-            match &e.slot.alarm {
-                None => self.wake(&mut st, &e.slot, SLOT_TIMEOUT),
-                Some(ev) => {
-                    e.slot.state.store(SLOT_TIMEOUT, AtOrd::Relaxed);
-                    sim_event(ev).signal_locked(&mut st);
+            match e.due {
+                Due::Wait(key) => {
+                    st.wake(key, Wake::Timeout);
+                }
+                // Fired: a `set` to this same instant arms it again.
+                Due::Alarm { stamp, set, ev } => {
+                    if stamp
+                        .compare_exchange(set, set + 1, AtOrd::Relaxed, AtOrd::Relaxed)
+                        .is_ok()
+                    {
+                        sim_event(&ev).signal_locked(&mut st);
+                    }
                 }
             }
         }
@@ -444,10 +482,10 @@ impl Engine {
     /// under that id and is refused there.
     fn poll_task<'a>(self: &'a Arc<Self>, mut st: Guard<'a>, id: u64) -> Guard<'a> {
         let now = Time(st.now);
+        let woke = st.actor(id).and_then(|a| a.woke);
         let cell = st.task_cell(id);
-        let mut task = cell.task.take().expect("one poll of a task at a time");
-        let mut wake = cell.wait.take().and_then(|slot| slot.wake());
-        let rt = cell.rt().clone();
+        let (mut task, rt) = cell.task.take().expect("one poll of a task at a time");
+        let mut wake = woke.filter(|_| cell.waited);
         loop {
             drop(st);
             let outer = CURRENT_ACTOR.with(|c| c.replace(Some(id)));
@@ -463,7 +501,7 @@ impl Engine {
                 self.poison(&mut st, &cause);
                 resume_unwind(p)
             });
-            let (slot, why, waited) = match step {
+            let waited = match step {
                 TaskStep::Done => {
                     // Publish completion *before* freeing the baton, for the
                     // reason a thread does (see `spawn_inner`): the joiner
@@ -475,7 +513,7 @@ impl Engine {
                         cell.finish();
                     }
                     let daemon = info.daemon();
-                    drop((info, task));
+                    drop((info, task, rt));
                     st = self.state.lock();
                     st.live_tasks -= 1;
                     st.live_nondaemon -= usize::from(!daemon);
@@ -496,19 +534,18 @@ impl Engine {
                             wake = Some(w);
                             continue;
                         }
-                        Err((slot, why)) => (slot, why, true),
+                        Err(_) => true,
                     }
                 }
                 TaskStep::Sleep(d) => {
-                    let slot = WaitSlot::new(id, None);
-                    self.push_timer(&mut st, now.0.saturating_add(d.as_nanos()), slot.clone());
-                    (slot, "task sleep", false)
+                    let key = st.start_wait(id, "task sleep", None);
+                    self.push_timer(&mut st, now.0.saturating_add(d.as_nanos()), Due::Wait(key));
+                    false
                 }
             };
             let cell = st.task_cell(id);
-            cell.task = Some(task);
-            cell.wait = waited.then(|| slot.clone());
-            st.block_on(id, why, slot);
+            cell.task = Some((task, rt));
+            cell.waited = waited;
             break;
         }
         st.running = None;
@@ -532,15 +569,14 @@ impl Engine {
             .expect("pending set checked non-empty");
         let cutoff = base.saturating_add(st.hook_window);
         while let Some(e) = st.timers.peek() {
-            if e.slot.is_woken() {
-                st.timers.pop();
-                continue;
-            }
-            if e.at > cutoff {
+            let live = e.is_live(&st.actors);
+            if live && e.at > cutoff {
                 break;
             }
             let e = st.timers.pop().expect("peeked");
-            st.deferred.push(e);
+            if live {
+                st.deferred.push(e);
+            }
         }
         // Deterministic presentation order: index 0 is always what the
         // default schedule would fire next.
@@ -553,9 +589,11 @@ impl Engine {
                 .iter()
                 .map(|e| {
                     // An alarm wakes whoever waits on its event first.
-                    let (actor, blocked_on) = match &e.slot.alarm {
-                        Some(ev) => (sim_event(ev).first_waiter(), Some("alarm")),
-                        None => (Some(e.slot.actor), None),
+                    let (actor, blocked_on) = match &e.due {
+                        Due::Alarm { ev, .. } => {
+                            (sim_event(ev).first_waiter(&st.actors), Some("alarm"))
+                        }
+                        Due::Wait(key) => (Some(key.actor), None),
                     };
                     let info = actor.and_then(|id| st.actors.get(id as usize)?.as_ref());
                     Choice {
@@ -563,7 +601,7 @@ impl Engine {
                         blocked_on: blocked_on
                             .unwrap_or_else(|| info.map_or("(exiting)", ActorInfo::blocked_on)),
                         at: Time(e.at.max(now)),
-                        tag: e.slot.tag.clone(),
+                        tag: e.tag(&st.actors).cloned(),
                     }
                 })
                 .collect();
@@ -590,15 +628,13 @@ impl Engine {
     }
 
     /// Only blocked daemon tasks remain: the simulation is complete. They
-    /// are taken off the table — their slots marked, so the waiter entries
-    /// and timers they leave are skipped — and dropped with the engine
-    /// unlocked and the baton withheld: a task's destructor may signal an
-    /// event.
+    /// are taken off the table — so the waiter entries and timers they
+    /// leave are stale — and dropped with the engine unlocked and the baton
+    /// withheld: a task's destructor may signal an event.
     fn quiesce<'a>(&'a self, mut st: Guard<'a>) -> Guard<'a> {
         let mut tasks = Vec::new();
         for slot in st.actors.iter_mut() {
-            if let Some((_, wait)) = slot.as_ref().and_then(|a| a.blocked.as_ref()) {
-                wait.state.store(SLOT_SIGNALED, AtOrd::Relaxed);
+            if slot.as_ref().is_some_and(|a| a.blocked.is_some()) {
                 tasks.extend(slot.take());
             }
         }
@@ -643,9 +679,7 @@ impl Engine {
             st.poison_cause = cause.to_string();
         }
         for a in st.actors.iter_mut().flatten() {
-            if let Some((_, slot)) = a.blocked.take() {
-                slot.state.store(SLOT_SIGNALED, AtOrd::Relaxed);
-            }
+            a.blocked = None;
             a.thread.iter().for_each(Thread::unpark);
         }
         if st.live_threads == 0 {
@@ -676,44 +710,46 @@ impl Engine {
         self.park_until_running(st, id);
     }
 
-    /// Block the current actor on `slot` and pass the baton on. Takes the
-    /// engine lock the caller registered the slot under. Returns the wake
-    /// reason.
-    fn block(self: &Arc<Self>, mut st: Guard<'_>, slot: &Arc<WaitSlot>, why: &'static str) -> Wake {
+    /// Block the current actor in the wait `key`, which the caller began
+    /// and registered under this hold of the engine lock, and pass the
+    /// baton on. Returns how the wait ended.
+    fn block(self: &Arc<Self>, mut st: Guard<'_>, key: WaitKey) -> Wake {
         if st.poisoned {
             panic!("simulation poisoned: {}", st.poison_cause);
         }
-        debug_assert_eq!(st.running, Some(slot.actor), "blocking without the baton");
-        if let Some(Body::Task(cell)) = st.actor(slot.actor).map(|a| &a.body) {
+        debug_assert_eq!(st.running, Some(key.actor), "blocking without the baton");
+        let info = st.actor(key.actor).expect("blocking actor registered");
+        if let Body::Task(cell) = &info.body {
             // The caller is a thread polling this task: parking it here
             // would strand the baton it holds on the task's behalf.
             let msg = format!(
-                "Task::poll blocked through the runtime ({}: {why})",
-                cell.label()
+                "Task::poll blocked through the runtime ({}: {})",
+                cell.label(),
+                info.blocked_on()
             );
             self.poison(&mut st, &msg);
             panic!("{msg}");
         }
-        st.block_on(slot.actor, why, slot.clone());
         st.running = None;
         let st = self.dispatch(st);
-        drop(self.park_until_running(st, slot.actor));
-        debug_assert!(slot.is_woken(), "woken slot left pending");
-        slot.wake()
+        let mut st = self.park_until_running(st, key.actor);
+        let info = st.actor(key.actor).expect("running actor registered");
+        info.woke
             .expect("a thread's wait ends in a signal or its timeout")
     }
 
-    fn push_timer(&self, st: &mut EngineState, at: u64, slot: Arc<WaitSlot>) {
+    fn push_timer(&self, st: &mut EngineState, at: u64, due: Due) {
         let seq = st.next_seq;
         st.next_seq += 1;
         st.stats.timers_armed += 1;
-        st.timers.push(TimerEntry { at, seq, slot });
+        st.timers.push(TimerEntry { at, seq, due });
         // A wake that beats a timer, or an alarm set again, leaves its entry
         // behind; an actor or an alarm has at most one live one, so sweep
         // once stale ones are most of the heap.
         let alarms = self.alarms.load(AtOrd::Relaxed);
         if st.timers.len() > 2 * (st.live() + alarms) + 64 {
-            st.timers.retain(|e| !e.slot.is_woken());
+            let EngineState { timers, actors, .. } = st;
+            timers.retain(|e| e.is_live(actors));
         }
     }
 
@@ -723,10 +759,10 @@ impl Engine {
         if st.hook.is_none() {
             return;
         }
-        let slot = WaitSlot::new(self.current_actor(), Some(tag));
+        let key = st.start_wait(self.current_actor(), "schedule point", Some(Arc::from(tag)));
         let at = st.now;
-        self.push_timer(&mut st, at, slot.clone());
-        self.block(st, &slot, "schedule point");
+        self.push_timer(&mut st, at, Due::Wait(key));
+        self.block(st, key);
     }
 
     fn exit(self: &Arc<Self>, id: u64) {
@@ -797,10 +833,7 @@ fn fingerprint_locked(st: &EngineState) -> u64 {
         .deferred
         .iter()
         .map(|e| {
-            let label: &str = match &e.slot.tag {
-                Some(t) => t,
-                None => "",
-            };
+            let label: &str = e.tag(&st.actors).map_or("", |t| t);
             (e.at.max(st.now) - st.now, label)
         })
         .collect();
@@ -935,11 +968,12 @@ impl Runtime for SimRuntime {
         if d.is_zero() {
             return;
         }
-        let slot = WaitSlot::new(self.eng.current_actor(), None);
+        let id = self.eng.current_actor();
         let mut st = self.eng.state.lock();
+        let key = st.start_wait(id, "sleep", None);
         let at = st.now.saturating_add(d.as_nanos());
-        self.eng.push_timer(&mut st, at, slot.clone());
-        self.eng.block(st, &slot, "sleep");
+        self.eng.push_timer(&mut st, at, Due::Wait(key));
+        self.eng.block(st, key);
     }
 
     /// A thread actor is never a daemon: the simulation ends only once it
@@ -994,7 +1028,8 @@ impl Runtime for SimRuntime {
         self.eng.alarms.fetch_add(1, AtOrd::Relaxed);
         Box::new(SimAlarm {
             eng: self.eng.clone(),
-            armed: Mutex::new(None),
+            stamp: Arc::new(AtomicU64::new(0)),
+            aim: Mutex::new(None),
         })
     }
 
@@ -1015,7 +1050,7 @@ impl Runtime for SimRuntime {
 #[derive(Default)]
 struct EventInner {
     permits: usize,
-    waiters: VecDeque<Arc<WaitSlot>>,
+    waiters: VecDeque<WaitKey>,
 }
 
 /// An [`Event`] bound to a virtual-time engine.
@@ -1038,7 +1073,7 @@ impl SimEvent {
         st: &mut EngineState,
         timeout: Option<Dur>,
         actor: impl FnOnce() -> u64,
-    ) -> Result<Wake, (Arc<WaitSlot>, &'static str)> {
+    ) -> Result<Wake, WaitKey> {
         let mut inner = self.inner.lock();
         if inner.permits > 0 {
             inner.permits -= 1;
@@ -1047,36 +1082,38 @@ impl SimEvent {
         if timeout == Some(Dur::ZERO) {
             return Ok(Wake::Timeout);
         }
-        let slot = WaitSlot::new(actor(), None);
-        inner.waiters.push_back(slot.clone());
-        let Some(d) = timeout else {
-            return Err((slot, "event wait"));
+        let why = match timeout {
+            None => "event wait",
+            Some(_) => "event wait (timeout)",
         };
-        if d != Dur::MAX {
+        let key = st.start_wait(actor(), why, None);
+        inner.waiters.push_back(key);
+        if let Some(d) = timeout.filter(|&d| d != Dur::MAX) {
             let at = st.now.saturating_add(d.as_nanos());
-            self.eng.push_timer(st, at, slot.clone());
+            self.eng.push_timer(st, at, Due::Wait(key));
         }
-        Err((slot, "event wait (timeout)"))
+        Err(key)
     }
 
     /// One signal, under the engine lock the caller holds: wake the first
-    /// waiter a timeout has not already woken, or bank a permit.
+    /// waiter whose wait is still pending, or bank a permit.
     fn signal_locked(&self, st: &mut EngineState) {
         let mut inner = self.inner.lock();
-        let waiter = std::iter::from_fn(|| inner.waiters.pop_front()).find(|w| !w.is_woken());
-        match waiter {
-            Some(w) => self.eng.wake(st, &w, SLOT_SIGNALED),
-            None => inner.permits += 1,
+        while let Some(w) = inner.waiters.pop_front() {
+            if st.wake(w, Wake::Signaled) {
+                return;
+            }
         }
+        inner.permits += 1;
     }
 
     /// The actor a signal would wake now, if any.
-    fn first_waiter(&self) -> Option<u64> {
+    fn first_waiter(&self, actors: &[Option<ActorInfo>]) -> Option<u64> {
         let inner = self.inner.lock();
         inner
             .waiters
             .iter()
-            .find(|w| !w.is_woken())
+            .find(|w| w.is_pending(actors))
             .map(|w| w.actor)
     }
 }
@@ -1088,23 +1125,17 @@ fn sim_event(ev: &Event) -> &SimEvent {
         .expect("an alarm's event is a SimRuntime event")
 }
 
-/// An [`Alarm`] bound to a virtual-time engine: at most one timer entry,
-/// replaced on every `set`. An entry that is replaced, cleared or dropped
-/// is marked woken, so the dispatcher and `push_timer` sweep it like a
+/// An [`Alarm`] bound to a virtual-time engine: at most one live timer
+/// entry, replaced on every `set`. Each entry carries the stamp its `set`
+/// gave it; replacing, clearing, firing and dropping the alarm move the
+/// stamp on, so the dispatcher and `push_timer` sweep the old entry like a
 /// timer a signal beat.
 struct SimAlarm {
     eng: Arc<Engine>,
-    /// The pending entry's slot (which holds the event) and due time.
-    armed: Mutex<Option<(Arc<WaitSlot>, u64)>>,
-}
-
-impl SimAlarm {
-    /// Mark the pending entry, if any, stale.
-    fn unset(armed: &mut Option<(Arc<WaitSlot>, u64)>) {
-        if let Some((slot, ..)) = armed.take() {
-            slot.state.store(SLOT_TIMEOUT, AtOrd::Relaxed);
-        }
-    }
+    stamp: Arc<AtomicU64>,
+    /// The last `set`: its stamp, due time and event (by address, which the
+    /// entry keeps alive while its stamp is current).
+    aim: Mutex<Option<(u64, u64, usize)>>,
 }
 
 impl AlarmApi for SimAlarm {
@@ -1113,41 +1144,38 @@ impl AlarmApi for SimAlarm {
             Arc::ptr_eq(&sim_event(ev).eng, &self.eng),
             "an alarm signals an event of its own runtime"
         );
+        let target = (at.0, Arc::as_ptr(ev) as *const () as usize);
         let mut st = self.eng.state.lock();
-        let mut armed = self.armed.lock();
+        let mut aim = self.aim.lock();
         // Aimed as before: keep the entry, and its place among the timers
         // due at the same instant.
-        if let Some((slot, due)) = &*armed {
-            let same = slot.alarm.as_ref().is_some_and(|e| Arc::ptr_eq(e, ev));
-            if !slot.is_woken() && *due == at.0 && same {
+        if let Some((set, due, to)) = *aim {
+            if set == self.stamp.load(AtOrd::Relaxed) && (due, to) == target {
                 return;
             }
         }
-        Self::unset(&mut armed);
-        let slot = Arc::new(WaitSlot {
-            state: AtomicU8::new(SLOT_PENDING),
-            actor: u64::MAX,
-            tag: None,
-            alarm: Some(ev.clone()),
-        });
-        *armed = Some((slot.clone(), at.0));
-        drop(armed);
-        self.eng.push_timer(&mut st, at.0, slot);
+        let set = self.stamp.fetch_add(1, AtOrd::Relaxed) + 1;
+        *aim = Some((set, target.0, target.1));
+        drop(aim);
+        let stamp = self.stamp.clone();
+        let ev = ev.clone();
+        self.eng
+            .push_timer(&mut st, at.0, Due::Alarm { stamp, set, ev });
         self.eng.release(self.eng.dispatch(st));
     }
 
-    /// Like the drop, without the engine lock: a stale mark is all it takes.
+    /// Like the drop, without the engine lock: a stale stamp is all it takes.
     fn clear(&self) {
-        Self::unset(&mut self.armed.lock());
+        self.stamp.fetch_add(1, AtOrd::Relaxed);
     }
 }
 
 /// Without the engine lock: a task that owns a network may be dropped by
-/// an unwinding poll that holds it. A marked slot is skipped by the
-/// dispatcher and swept by `push_timer` whoever marks it.
+/// an unwinding poll that holds it. An entry with a stale stamp is skipped
+/// by the dispatcher and swept by `push_timer`.
 impl Drop for SimAlarm {
     fn drop(&mut self) {
-        Self::unset(self.armed.get_mut());
+        self.stamp.fetch_add(1, AtOrd::Relaxed);
         self.eng.alarms.fetch_sub(1, AtOrd::Relaxed);
     }
 }
@@ -1155,8 +1183,8 @@ impl Drop for SimAlarm {
 impl EventApi for SimEvent {
     fn wait(&self) {
         let mut st = self.eng.state.lock();
-        if let Err((slot, why)) = self.begin_wait(&mut st, None, || self.eng.current_actor()) {
-            self.eng.block(st, &slot, why);
+        if let Err(key) = self.begin_wait(&mut st, None, || self.eng.current_actor()) {
+            self.eng.block(st, key);
         }
     }
 
@@ -1164,7 +1192,7 @@ impl EventApi for SimEvent {
         let mut st = self.eng.state.lock();
         match self.begin_wait(&mut st, Some(d), || self.eng.current_actor()) {
             Ok(wake) => wake,
-            Err((slot, why)) => self.eng.block(st, &slot, why),
+            Err(key) => self.eng.block(st, key),
         }
     }
 
@@ -1185,7 +1213,7 @@ impl EventApi for SimEvent {
         let mut st = self.eng.state.lock();
         let mut inner = self.inner.lock();
         while let Some(w) = inner.waiters.pop_front() {
-            self.eng.wake(&mut st, &w, SLOT_SIGNALED);
+            st.wake(w, Wake::Signaled);
         }
         drop(inner);
         self.eng.release(self.eng.dispatch(st));
@@ -1767,6 +1795,100 @@ mod tests {
                 Wake::Timeout,
                 "fired once"
             );
+        });
+    }
+
+    /// A timed wait a signal ended leaves its timer in the heap. When that
+    /// timer surfaces it names an older wait of its actor, so it must not
+    /// end the wait the actor is in by then.
+    #[test]
+    fn a_signalled_wait_s_timer_does_not_end_the_thread_s_next_wait() {
+        let ms = |n| Time::ZERO + Dur::from_millis(n);
+        simulate(move |rt| {
+            let (first, second) = (rt.event(), rt.event());
+            let (first2, rt2) = (first.clone(), rt.clone());
+            let h = spawn(&rt, "signaller", move || {
+                rt2.sleep(Dur::from_millis(1));
+                first2.signal();
+            });
+            assert_eq!(first.wait_timeout(Dur::from_millis(10)), Wake::Signaled);
+            assert_eq!(rt.now(), ms(1));
+            // The first wait's timer surfaces at 10 ms, inside this wait.
+            assert_eq!(second.wait_timeout(Dur::from_millis(50)), Wake::Timeout);
+            assert_eq!(rt.now(), ms(51));
+            h.join_unwrap();
+        });
+    }
+
+    #[test]
+    fn a_signalled_wait_s_timer_does_not_end_the_task_s_next_sleep() {
+        let ms = |n| Time::ZERO + Dur::from_millis(n);
+        let log = simulate(move |rt| {
+            let (ev, log) = (rt.event(), Arc::new(Mutex::new(Vec::new())));
+            let (ev2, log2, rt2) = (ev.clone(), log.clone(), rt.clone());
+            let task = crate::TaskExecutor::new(&rt, "t").spawn(Box::new(Box::pin(async move {
+                let wake = crate::task::wait_timeout(&ev2, Dur::from_millis(10)).await;
+                log2.lock().push((Some(wake), rt2.now()));
+                // The wait's timer surfaces at 10 ms, inside this sleep.
+                crate::task::sleep(Dur::from_millis(50)).await;
+                log2.lock().push((None, rt2.now()));
+            })));
+            rt.sleep(Dur::from_millis(1));
+            ev.signal();
+            task.join();
+            let got = log.lock().clone();
+            got
+        });
+        assert_eq!(log, [(Some(Wake::Signaled), ms(1)), (None, ms(51))]);
+    }
+
+    #[test]
+    fn an_alarm_fires_once_per_setting_and_never_once_cleared() {
+        let ms = |n| Time::ZERO + Dur::from_millis(n);
+        let sim = SimRuntime::new();
+        sim.run_root(move |rt| {
+            let (ev, alarm) = (rt.event(), rt.alarm());
+            alarm.set(&ev, ms(5));
+            ev.wait();
+            assert_eq!(rt.now(), ms(5));
+            alarm.set(&ev, ms(5)); // it fired: the same aim arms it again
+            assert_eq!(ev.wait_timeout(Dur::from_millis(1)), Wake::Signaled);
+            assert_eq!(rt.now(), ms(5));
+            alarm.set(&ev, ms(10));
+            alarm.clear();
+            assert_eq!(ev.wait_timeout(Dur::from_millis(20)), Wake::Timeout);
+            alarm.set(&ev, ms(10)); // the cleared aim, now in the past
+            ev.wait();
+            assert_eq!(rt.now(), ms(25));
+        });
+        // To 5 ms and to 25 ms: the cleared setting does not even move the
+        // clock to 10 ms.
+        assert_eq!(sim.stats().clock_advances, 2);
+    }
+
+    #[test]
+    fn signalled_timed_waits_leave_a_bounded_heap() {
+        let sim = SimRuntime::new();
+        let eng = sim.eng.clone();
+        sim.run_root(move |rt| {
+            let (ev, poke) = (rt.event(), rt.event());
+            let (ev2, poke2) = (ev.clone(), poke.clone());
+            let task =
+                crate::TaskExecutor::new(&rt, "signaller").spawn(Box::new(Box::pin(async move {
+                    for _ in 0..100_000 {
+                        crate::task::wait(&poke2).await;
+                        ev2.signal();
+                    }
+                })));
+            let mut peak = 0;
+            for _ in 0..100_000 {
+                poke.signal();
+                assert_eq!(ev.wait_timeout(Dur::from_secs(1)), Wake::Signaled);
+                peak = peak.max(eng.state.lock().timers.len());
+            }
+            task.join();
+            // The root and the task are live, and there is no alarm.
+            assert!(peak <= 2 * 2 + 64, "{peak} timer entries");
         });
     }
 

@@ -49,7 +49,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 
-use crate::sim::WaitSlot;
 use crate::{Dur, Event, Runtime, Time, Wake};
 
 /// What a task wants after one poll.
@@ -187,14 +186,15 @@ pub struct TaskCtx<'a> {
     pub wake: Option<Wake>,
 }
 
-/// A spawned task as its runtime keeps it: the task, taken out for each
-/// poll, plus what names it and publishes its completion. Built by
+/// A spawned task as its runtime keeps it: the task and the runtime to
+/// hand it in its [`TaskCtx`], taken out together for each poll, plus what
+/// names it and publishes its completion. Built by
 /// [`TaskExecutor::spawn`], consumed by [`Runtime::spawn_task`].
 pub struct TaskCell {
-    pub(crate) task: Option<Box<dyn Task>>,
-    /// The wait the task is blocked in, if its last step was a
-    /// [`TaskStep::Wait`]: read for the next poll's [`TaskCtx::wake`].
-    pub(crate) wait: Option<Arc<WaitSlot>>,
+    pub(crate) task: Option<(Box<dyn Task>, Arc<dyn Runtime>)>,
+    /// Its last step was a [`TaskStep::Wait`], so the next poll's
+    /// [`TaskCtx::wake`] says how that wait ended.
+    pub(crate) waited: bool,
     /// A daemon task does not keep the simulation alive.
     pub(crate) daemon: bool,
     exec: Arc<ExecShared>,
@@ -211,11 +211,6 @@ struct ExecShared {
 }
 
 impl TaskCell {
-    /// The runtime to hand the task in its [`TaskCtx`].
-    pub(crate) fn rt(&self) -> &Arc<dyn Runtime> {
-        &self.exec.rt
-    }
-
     /// `<executor>/<n>`, for a [`Choice`](crate::Choice), a deadlock row or
     /// a panic. Formatted on demand: 10⁵ idle tasks carry no 10⁵ strings.
     pub(crate) fn label(&self) -> String {
@@ -274,8 +269,8 @@ impl TaskExecutor {
         let n = self.0.spawned.fetch_add(1, Ordering::Relaxed);
         let done = self.0.rt.event();
         self.0.rt.spawn_task(TaskCell {
-            task: Some(task),
-            wait: None,
+            task: Some((task, self.0.rt.clone())),
+            waited: false,
             daemon,
             exec: self.0.clone(),
             n,
