@@ -6,6 +6,7 @@
 //! broadcasts).
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -25,8 +26,10 @@ impl std::fmt::Display for Closed {
 impl std::error::Error for Closed {}
 
 struct ChannelInner<T> {
-    q: VecDeque<T>,
-    closed: bool,
+    q: Mutex<VecDeque<T>>,
+    /// Set under the `q` lock, so `send` and `recv` see it in order with the
+    /// items; `is_closed` reads it without the lock.
+    closed: AtomicBool,
 }
 
 /// An unbounded MPMC FIFO channel whose blocking `recv` is runtime-aware.
@@ -36,7 +39,7 @@ struct ChannelInner<T> {
 /// condition-variable-style event instead of busy-waiting (paper §4.3).
 pub struct Channel<T> {
     rt: Arc<dyn Runtime>,
-    inner: Arc<Mutex<ChannelInner<T>>>,
+    inner: Arc<ChannelInner<T>>,
     items: Event,
 }
 
@@ -55,10 +58,10 @@ impl<T> Channel<T> {
     pub fn new(rt: &Arc<dyn Runtime>) -> Channel<T> {
         Channel {
             rt: rt.clone(),
-            inner: Arc::new(Mutex::new(ChannelInner {
-                q: VecDeque::new(),
-                closed: false,
-            })),
+            inner: Arc::new(ChannelInner {
+                q: Mutex::new(VecDeque::new()),
+                closed: AtomicBool::new(false),
+            }),
             items: rt.event(),
         }
     }
@@ -66,11 +69,11 @@ impl<T> Channel<T> {
     /// Enqueue an item, waking one blocked receiver.
     pub fn send(&self, v: T) -> Result<(), Closed> {
         {
-            let mut g = self.inner.lock();
-            if g.closed {
+            let mut q = self.inner.q.lock();
+            if self.inner.closed.load(Ordering::Relaxed) {
                 return Err(Closed);
             }
-            g.q.push_back(v);
+            q.push_back(v);
         }
         self.items.signal();
         Ok(())
@@ -78,10 +81,14 @@ impl<T> Channel<T> {
 
     /// Dequeue without blocking: `None` while the channel is open and empty.
     fn try_recv(&self) -> Option<Result<T, Closed>> {
-        let mut g = self.inner.lock();
-        match g.q.pop_front() {
+        let mut q = self.inner.q.lock();
+        match q.pop_front() {
             Some(v) => Some(Ok(v)),
-            None => g.closed.then_some(Err(Closed)),
+            None => self
+                .inner
+                .closed
+                .load(Ordering::Relaxed)
+                .then_some(Err(Closed)),
         }
     }
 
@@ -102,7 +109,9 @@ impl<T> Channel<T> {
 
     /// Close the channel: senders fail, receivers drain then see [`Closed`].
     pub fn close(&self) {
-        self.inner.lock().closed = true;
+        let q = self.inner.q.lock();
+        self.inner.closed.store(true, Ordering::Release);
+        drop(q);
         self.items.notify_all();
         // Wake receivers that were blocked with no items pending.
         self.items.signal_n(64);
@@ -111,12 +120,12 @@ impl<T> Channel<T> {
     /// True once [`Channel::close`] has been called (queued items may still
     /// be drained by receivers).
     pub fn is_closed(&self) -> bool {
-        self.inner.lock().closed
+        self.inner.closed.load(Ordering::Acquire)
     }
 
     /// Number of queued items.
     pub fn len(&self) -> usize {
-        self.inner.lock().q.len()
+        self.inner.q.lock().len()
     }
 
     /// True if no items are queued.
