@@ -11,7 +11,7 @@
 //! [`SrbConn::submit`]'s exchange, waited for.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use semplar_runtime::sync::OnceCellBlocking;
 use semplar_runtime::Runtime;
@@ -41,11 +41,11 @@ pub struct SrbConn {
     /// untagged). Rides the fixed wire header, so it changes no wire size.
     tenant: AtomicU32,
     /// Shared membership-epoch source, read at frame construction time and
-    /// stamped into the fixed wire header. Sessions default to a private
-    /// zero source ("un-epoched"); mounts under membership governance
-    /// share one source per mount so the membership layer can advance
+    /// stamped into the fixed wire header. Unset, a session is un-epoched
+    /// and stamps 0; mounts under membership governance set one source per
+    /// mount on each fresh session, so the membership layer can advance
     /// every live session's view at a promotion or rejoin.
-    epoch: parking_lot::Mutex<Arc<AtomicU64>>,
+    epoch: OnceLock<Arc<AtomicU64>>,
 }
 
 /// A reply as the caller's value: the success variant `$want` yields `$v`,
@@ -85,7 +85,7 @@ impl SrbConn {
             origin,
             acked: Arc::new(AtomicU64::new(0)),
             tenant: AtomicU32::new(0),
-            epoch: parking_lot::Mutex::new(Arc::new(AtomicU64::new(0))),
+            epoch: OnceLock::new(),
         }
     }
 
@@ -107,15 +107,18 @@ impl SrbConn {
 
     /// Stamp every subsequent request with the membership epoch read from
     /// `source` at frame-construction time. Mounts governed by
-    /// `srb::membership` share one source per mount; ungoverned sessions
-    /// keep their private zero source and stay un-epoched (never fenced).
+    /// `srb::membership` share one source per mount; sessions without one
+    /// stay un-epoched (never fenced). Set once, on a fresh session: a
+    /// second call panics.
     pub fn set_epoch_source(&self, source: Arc<AtomicU64>) {
-        *self.epoch.lock() = source;
+        if self.epoch.set(source).is_err() {
+            panic!("SrbConn::set_epoch_source called twice on one session");
+        }
     }
 
     /// The membership epoch this session currently stamps on requests.
     pub(crate) fn current_epoch(&self) -> u64 {
-        self.epoch.lock().load(Ordering::Relaxed)
+        self.epoch.get().map_or(0, |e| e.load(Ordering::Relaxed))
     }
 
     /// Issue one synchronous request/response exchange: the forward

@@ -100,6 +100,29 @@ mod tests {
     }
 
     #[test]
+    fn a_session_takes_one_epoch_source() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::atomic::{AtomicU64, Ordering};
+        simulate(|rt| {
+            let (server, route) = setup(&rt);
+            let conn = server.connect(route, "alin", "pw").unwrap();
+            assert_eq!(conn.current_epoch(), 0, "no source: un-epoched");
+            let (first, second) = (Arc::new(AtomicU64::new(7)), Arc::new(AtomicU64::new(3)));
+            conn.set_epoch_source(first.clone());
+            first.store(9, Ordering::Relaxed);
+            assert_eq!(conn.current_epoch(), 9, "read at each request");
+            let again = catch_unwind(AssertUnwindSafe(|| conn.set_epoch_source(second)));
+            let msg = again.expect_err("a second source panics");
+            assert_eq!(
+                msg.downcast_ref::<&str>().copied(),
+                Some("SrbConn::set_epoch_source called twice on one session")
+            );
+            assert_eq!(conn.current_epoch(), 9, "the first source stays");
+            conn.disconnect().unwrap();
+        });
+    }
+
+    #[test]
     fn a_handler_serves_a_round_trip_on_the_wall_clock_runtime() {
         // The same tasks, each on a thread of its own: every `Wait` and
         // `Sleep` a poll returns is carried out by blocking.
